@@ -260,8 +260,8 @@ def cmd_standardize(args) -> int:
     doc["grids"] = {
         "q1": theta.tolist(),
         "G_bar": [sf.G_bar.evaluate(t).real for t in theta],
-        "G": [sf.G(phat0, t) for t in theta],
-        "nu": [sf.nu(0.0, phat0, t) for t in theta],
+        "G": sf.G(phat0, theta).tolist(),
+        "nu": sf.nu(0.0, phat0, theta).tolist(),
     }
     # hard invariant: the Taylor reduction identity at a sample point
     ident = sf.check_reduction_identity(

@@ -11,6 +11,7 @@ from resoforge.standard_form import (
     DhatDomain,
     FixedPointDivergence,
     LinearSymplectic,
+    Phi2Map,
     PolyTrig1,
     ShearMap,
     build_phi1,
@@ -372,7 +373,7 @@ class TestArgmaxInvariance:
             fp = solve_fixed_point(trivial_form(G, r=0.2, theta_o=8 * eps), np.zeros(1))
             sf = build_phi2_phi3(fp, ch, gbar)
             theta = np.linspace(0, TWO_PI, 2048, endpoint=False)
-            vals = np.array([sf.G([0.0], t) for t in theta])
+            vals = sf.G([0.0], theta)
             # locate extrema of G by quadratic refinement around grid extrema
             shifts = []
             for idx in (int(np.argmax(vals)), int(np.argmin(vals))):
@@ -389,3 +390,211 @@ class TestArgmaxInvariance:
         assert d_big < 0.05
         # |G - Gbar| scales as eps^2 here, so the shift drops ~16x; allow 4x
         assert d_small <= d_big / 4.0
+
+
+# --------------------------------------------------------------------------
+# array-valued potentials, the masked solver and the exact Jacobians
+# --------------------------------------------------------------------------
+
+def _three_mode_standard_form():
+    # the (1, 2) line with a third mode on it, at order 3: both the averaged
+    # and the oscillatory decoupled potentials depend on Y1, so p varies
+    # with q1 and phat and neither Phi2 nor Phi3 is the identity
+    a = math.exp(-2.0)
+    k = (1, 2)
+    f = TrigPoly(2, {(1, 1): complex(a), (1, -1): complex(a), k: complex(0.7 * a)})
+    u = np.array([-2.0, 1.0]) / math.sqrt(5.0)
+    return standardize(f, 1.0, 1e-4, k, free_params(2, 1.0, alpha=0.03, K0=2, K=6),
+                       0.6 * u, beta=0.05, order=3)
+
+
+def _potential_cases():
+    from resoforge.acceptance import random_benchmark_form
+
+    rng = np.random.default_rng(11)
+    cases = []
+    for n_hat in (1, 2):
+        form = random_benchmark_form(rng, n_hat=n_hat)
+        cases.append((form.Gf, rng.uniform(-form.r, form.r, n_hat), form.r))
+    sf = _three_mode_standard_form()
+    cases.append((sf.form.Gf, sf.fp.base_phat + 0.3 * sf.chars.r, sf.chars.r))
+    return cases
+
+
+POTENTIAL_METHODS = ("value", "dY1", "d2Y1", "d3Y1", "dY1_dq1", "dY1_dph", "d2Y1_dph",
+                     "dY1_dph2")
+
+
+def _fd_jacobian(apply, z, h):
+    """Fourth-order central differences of apply, one column per input."""
+    cols = []
+    for i in range(len(z)):
+        e = np.zeros_like(z)
+        e[i] = h
+        cols.append((8.0 * (apply(z + e) - apply(z - e))
+                     - (apply(z + 2 * e) - apply(z - 2 * e))) / (12.0 * h))
+    return np.array(cols).T
+
+
+def _jacobian_mismatch(transform, z, h):
+    """max |J - J_fd| over the rows of P1 and qhat, the only outputs the map
+    changes, relative to the largest entry of J - I.  The other rows must be
+    exactly those of the identity."""
+    n = len(z) // 2
+    J = transform.jacobian(z)
+    moved = [0] + list(range(n + 1, 2 * n))
+    still = [i for i in range(2 * n) if i not in moved]
+    assert np.array_equal(J[still], np.eye(2 * n)[still])
+    scale = float(np.max(np.abs(J - np.eye(2 * n))))
+    assert scale > 0.0
+    fd = _fd_jacobian(transform.apply, z, h)
+    return float(np.max(np.abs(J[moved] - fd[moved]))) / scale
+
+
+def _jacobian_points(sf, count, seed):
+    # P1 = 0 and qhat = 0, so the rows under test carry no O(1) input whose
+    # rounding would swamp the ~1e-7 (two-action) and ~1e-10 (pipeline)
+    # entries of the Jacobian
+    rng = np.random.default_rng(seed)
+    r = sf.form.r
+    n_hat = sf.form.n_hat
+    return [np.concatenate([[0.0], sf.fp.base_phat + rng.uniform(-r, r, n_hat),
+                            [rng.uniform(0, TWO_PI)], np.zeros(n_hat)])
+            for _ in range(count)]
+
+
+class TestArrayPotentials:
+    @pytest.mark.parametrize("case", range(3))
+    def test_array_equals_pointwise_loop(self, case):
+        G, ph, r = _potential_cases()[case]
+        rng = np.random.default_rng(12)
+        Y = rng.uniform(-r, r, 40)
+        q = rng.uniform(0, TWO_PI, 40)
+        for name in POTENTIAL_METHODS:
+            method = getattr(G, name)
+            loop = np.array([method(Y[i], ph, q[i]) for i in range(len(Y))])
+            assert np.array_equal(method(Y, ph, q), loop), name
+            # Y1 and q1 broadcast against each other
+            grid = method(Y[:5, None], ph, q[None, :7])
+            assert np.array_equal(grid[2, 3], method(Y[2], ph, q[3])), name
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_derivatives_match_fd(self, case):
+        # each derivative against a fourth-order difference of the method one
+        # order below it; the potentials are polynomials of degree <= 3 in
+        # Y1 and phat, where the stencil is exact up to rounding
+        G, ph, r = _potential_cases()[case]
+        rng = np.random.default_rng(16)
+        Y = rng.uniform(-r, r, 6)
+        q = rng.uniform(0, TWO_PI, 6)
+        h, hq = 0.1 * r, 1e-3
+
+        def diff(f, step):
+            return (8.0 * (f(step) - f(-step)) - (f(2 * step) - f(-2 * step))) / (12.0 * step)
+
+        def along_ph(method, i):
+            e = np.zeros(len(ph))
+            e[i] = 1.0
+            return diff(lambda t: method(Y, ph + t * e, q), h)
+
+        checks = [
+            ("dY1", G.dY1(Y, ph, q), diff(lambda t: G.value(Y + t, ph, q), h)),
+            ("d2Y1", G.d2Y1(Y, ph, q), diff(lambda t: G.dY1(Y + t, ph, q), h)),
+            ("d3Y1", G.d3Y1(Y, ph, q), diff(lambda t: G.d2Y1(Y + t, ph, q), h)),
+            ("dY1_dq1", G.dY1_dq1(Y, ph, q), diff(lambda t: G.dY1(Y, ph, q + t), hq)),
+            ("dY1_dph", G.dY1_dph(Y, ph, q),
+             np.stack([along_ph(G.dY1, i) for i in range(len(ph))], axis=-1)),
+            ("d2Y1_dph", G.d2Y1_dph(Y, ph, q),
+             np.stack([along_ph(G.d2Y1, i) for i in range(len(ph))], axis=-1)),
+            ("dY1_dph2", G.dY1_dph2(Y, ph, q),
+             np.stack([along_ph(G.dY1_dph, j) for j in range(len(ph))], axis=-1)),
+        ]
+        for name, exact, fd in checks:
+            scale = max(float(np.max(np.abs(exact))), 1e-300)
+            assert np.max(np.abs(exact - fd)) <= 1e-6 * scale, name
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_masked_solve_equals_scalar_iteration(self, case):
+        G, ph, r = _potential_cases()[case]
+        fp = solve_fixed_point(trivial_form(G, n_hat=len(ph), r=r), ph)
+        q = np.random.default_rng(13).uniform(0, TWO_PI, 64)
+
+        def scalar(q1):
+            u = 0.0
+            while True:
+                nxt = -0.5 * G.dY1(u, ph, q1)
+                if abs(nxt - u) < fp.tol:
+                    return nxt
+                u = nxt
+
+        expected = np.array([scalar(t) for t in q])
+        assert np.array_equal(fp.solve_at(ph, q), expected)
+        assert fp.solve_at(ph, q[5]) == expected[5]
+
+    def test_terms_dict_is_kept(self):
+        terms = {(1, (0,), 1): (0.01, 0.0), (0, (1,), 0): (0.02, 0.0)}
+        G = PolyTrig1(1, terms)
+        assert G.terms == terms
+        assert G.dep_majorant(0.1, 0.1, 0.5) > 0.0
+
+
+class TestExactJacobians:
+    def test_second_phat_derivative_matches_fd(self):
+        # n_hat = 2 with a phat_1^2 term, so every entry of d2p/dphat2 is live
+        from resoforge.acceptance import _benchmark_standard_form
+
+        sf, _rng = _benchmark_standard_form()
+        fp = sf.fp
+        ph = fp.base_phat + np.array([0.004, -0.007])
+        h = 1e-4
+        q = np.array([0.3, 2.2, 5.0])
+        exact = fp.p_phph(ph, q)
+        dtau2 = sf.phi3.d2tau(ph)
+        for j in range(2):
+            e = np.zeros(2)
+            e[j] = h
+            fd = (fp.p_ph(ph + e, q) - fp.p_ph(ph - e, q)) / (2 * h)
+            scale = np.max(np.abs(exact))
+            assert np.max(np.abs(exact[:, :, j] - fd)) <= 1e-6 * scale
+            fd_tau = (fp.d_po_dph(ph + e) - fp.d_po_dph(ph - e)) / (2 * h)
+            assert np.max(np.abs(dtau2[:, j] - fd_tau)) <= 1e-6 * np.max(np.abs(dtau2))
+        assert np.allclose(exact, np.swapaxes(exact, -1, -2), rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("which", ["two_action", "pipeline"])
+    def test_phi2_phi3_jacobians_match_fd(self, which):
+        from resoforge.acceptance import _benchmark_standard_form
+
+        sf = _benchmark_standard_form()[0] if which == "two_action" \
+            else _three_mode_standard_form()
+        h = 0.02 * sf.form.r
+        for z in _jacobian_points(sf, 3, seed=14):
+            assert _jacobian_mismatch(sf.phi2, z, h) < 1e-5
+            assert _jacobian_mismatch(sf.phi3, z, h) < 1e-5
+
+    @pytest.mark.parametrize("which", ["two_action", "pipeline"])
+    def test_doubled_qhat_block_fails_fd_but_not_symplectic_gate(self, which):
+        # the q_hat/phat block of Phi2 is small and symmetric, so doubling it
+        # keeps J^T Omega J - Omega far below the 1e-9 gate; only the
+        # comparison with the finite differences of apply can see it
+        from resoforge.acceptance import _benchmark_standard_form
+
+        sf = _benchmark_standard_form()[0] if which == "two_action" \
+            else _three_mode_standard_form()
+        n = sf.n
+
+        class Doubled(Phi2Map):
+            def jacobian(self, z):
+                J = super().jacobian(z)
+                J[n + 1:, 1:n] *= 2.0
+                return J
+
+        broken = Doubled(sf.fp, n)
+        h = 0.02 * sf.form.r
+        pts = _jacobian_points(sf, 3, seed=15)
+        assert symplectic_check(broken, pts) < 1e-9
+        assert max(_jacobian_mismatch(broken, z, h) for z in pts) > 0.1
+
+    def test_shear_jacobian_needs_hessian(self):
+        shear = ShearMap(2, lambda ph: 0.1 * ph[0], lambda ph: np.array([0.1]))
+        with pytest.raises(ValueError):
+            shear.jacobian(np.zeros(4))
