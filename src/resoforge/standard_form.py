@@ -50,7 +50,7 @@ import numpy as np
 from .cover import CoveringParams
 from .fourier import Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1, project_lattice
 from .genericity import c_s, threshold_N
-from .lieseries import AveragedNF, TaylorFourierSeries
+from .lieseries import AveragedNF, TaylorFourierSeries, ray_majorant
 from .morse import critical_points
 from .unimodular import DecouplingMatrix, UnimodularMatrix, complete_to_sl, decoupling_matrix
 
@@ -1095,7 +1095,7 @@ def standardize(
     for j, c in pk.coeffs.items():
         diff.add_term(tuple(j * v for v in k), zero_m, -c)
         diff.add_term(tuple(-j * v for v in k), zero_m, -complex(np.conj(c)))
-    g_diff_maj = _ray_strip_majorant(diff, k, r_y, chars.s_breve)
+    g_diff_maj = ray_majorant([diff], k, r_y, chars.s_breve)
     theta_o_bound = max(eps_k * g_o_maj, eps_k * g_diff_maj, 1e-300)
 
     form = build_phi1(secular, params, r=chars.r, s_breve=chars.s_breve,
@@ -1105,11 +1105,3 @@ def standardize(
     U = np.array([[float(x) for x in row] for row in dm.U])
     phi1 = LinearSymplectic(U)
     return build_phi2_phi3(fp, chars, G_bar, phi1=phi1)
-
-
-def _ray_strip_majorant(series: TaylorFourierSeries, k: Mode, r: float,
-                        width: float) -> float:
-    return float(sum(
-        abs(c) * r ** sum(m) * math.exp(abs(j) * width)
-        for (j, m, c) in series.ray_terms(k)
-    ))

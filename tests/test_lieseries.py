@@ -18,6 +18,7 @@ from resoforge.lieseries import (
     lie_step_nonres,
     lie_step_res,
     nf_remainder_norm,
+    ray_majorant,
     solve_homological,
     verify_conjugacy,
 )
@@ -114,6 +115,146 @@ class TestSeriesAlgebra:
                 (F.evaluate(y, x + e).real - F.evaluate(y, x - e).real) / (2 * h),
                 abs=1e-6,
             )
+
+
+def reference_poisson(F, G, ledger):
+    """{F, G} term pair by term pair: the double loop the array kernel replaced."""
+    out = F.like()
+    for (k1, m1), c1 in F.terms.items():
+        for (k2, m2), c2 in G.terms.items():
+            ksum = tuple(a + b for a, b in zip(k1, k2))
+            base = c1 * c2
+            for j in range(F.n):
+                coef = 1j * (k1[j] * m2[j] - k2[j] * m1[j])
+                if coef == 0:
+                    continue
+                msum = list(m1)
+                for i in range(F.n):
+                    msum[i] += m2[i]
+                msum[j] -= 1
+                out.add_term(ksum, tuple(msum), base * coef, ledger)
+    return out
+
+
+def random_real_series(rng, n, deg, cutoff, count):
+    """A real series (c_{-k,m} = conj c_{k,m}) with random terms plus one
+    term at |k|_1 = cutoff and one at |m| = max_degree."""
+    F = TaylorFourierSeries(n, rng.uniform(-1, 1, n), deg, cutoff)
+    edge_k = (cutoff,) + (0,) * (n - 1)
+    edge_m = (0,) * (n - 1) + (deg,)
+    picks = [(edge_k, (1,) + (0,) * (n - 1)), ((1,) + (0,) * (n - 1), edge_m)]
+    while len(picks) < count:
+        k = tuple(int(v) for v in rng.integers(-cutoff, cutoff + 1, n))
+        m = tuple(int(v) for v in rng.integers(0, deg + 1, n))
+        if sum(abs(v) for v in k) <= cutoff and sum(m) <= deg:
+            picks.append((k, m))
+    for k, m in picks:
+        c = complex(rng.normal(), rng.normal())
+        F.add_term(k, m, c)
+        F.add_term(tuple(-v for v in k), m, c.conjugate())
+    return F
+
+
+def assert_bracket_matches(out, ref, led_out, led_ref, norm=None):
+    """Coefficients within 1e-13 of the output's l1 norm (or of `norm`),
+    dropped mass per grade within 1e-12 relative."""
+    if norm is None:
+        norm = sum(abs(c) for c in ref.terms.values())
+    for key in set(out.terms) | set(ref.terms):
+        assert abs(out.terms.get(key, 0.0) - ref.terms.get(key, 0.0)) <= 1e-13 * norm, key
+    assert set(led_out.by_grade) == set(led_ref.by_grade)
+    for g, mass in led_ref.by_grade.items():
+        assert led_out.by_grade[g] == pytest.approx(mass, rel=1e-12)
+
+
+class TestArrayBracket:
+    @pytest.mark.parametrize("n, deg, cutoff", [(2, 3, 6), (2, 5, 8), (3, 3, 5), (3, 4, 4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_reference(self, n, deg, cutoff, seed):
+        rng = np.random.default_rng([n, deg, cutoff, seed])
+        F = random_real_series(rng, n, deg, cutoff, 40)
+        G = random_real_series(rng, n, deg, cutoff, 25)
+        G.base_point = F.base_point
+        led_out, led_ref = TruncationLedger(grade=2), TruncationLedger(grade=2)
+        out = F.poisson(G, led_out)
+        ref = reference_poisson(F, G, led_ref)
+        assert ref.terms and led_ref.by_grade[2] > 0
+        # the truncation edges are exercised: kept terms sit on both of them
+        assert max(sum(abs(v) for v in k) for k, _m in ref.terms) == cutoff
+        assert max(sum(m) for _k, m in ref.terms) == deg
+        assert_bracket_matches(out, ref, led_out, led_ref)
+        assert out.reality_defect() <= 1e-13 * sum(abs(c) for c in ref.terms.values())
+
+    def test_block_boundaries(self, monkeypatch):
+        # rows of self span several blocks, and a block is a single row
+        import resoforge.lieseries as ls
+        rng = np.random.default_rng(7)
+        F = random_real_series(rng, 2, 4, 6, 60)
+        G = random_real_series(rng, 2, 4, 6, 30)
+        led_ref = TruncationLedger()
+        ref = reference_poisson(F, G, led_ref)
+        for pairs in (1, 7, 100):
+            monkeypatch.setattr(ls, "_BLOCK_PAIRS", pairs)
+            led_out = TruncationLedger()
+            assert_bracket_matches(F.poisson(G, led_out), ref, led_out, led_ref)
+
+    def test_empty_operand(self):
+        rng = np.random.default_rng(3)
+        F = random_real_series(rng, 3, 3, 4, 10)
+        empty = F.like()
+        led = TruncationLedger()
+        assert F.poisson(empty, led).is_empty
+        assert empty.poisson(F, led).is_empty
+        assert led.by_grade == {}
+
+    def test_cancelling_contributions(self):
+        # {F, F} = 0: the pair (a, b) cancels (b, a); with one conjugate pair
+        # every output key gets exactly c and -c, and no zero is kept
+        F = series(deg=3, cutoff=5)
+        F.add_term((2, 1), (1, 1), 0.3 + 0.2j)
+        F.add_term((-2, -1), (1, 1), 0.3 - 0.2j)
+        led_out, led_ref = TruncationLedger(), TruncationLedger()
+        assert F.poisson(F, led_out).is_empty
+        assert reference_poisson(F, F, led_ref).is_empty
+        # many terms: cancellation leaves rounding residue, the same as the loop's
+        rng = np.random.default_rng(4)
+        F = random_real_series(rng, 2, 3, 5, 30)
+        led_out, led_ref = TruncationLedger(), TruncationLedger()
+        scale = sum(abs(c) for c in F.terms.values()) ** 2
+        assert_bracket_matches(F.poisson(F, led_out), reference_poisson(F, F, led_ref),
+                               led_out, led_ref, scale)
+        # partial cancellation: {F, F + G} = {F, G} up to that residue
+        G = random_real_series(rng, 2, 3, 5, 12)
+        G.base_point = F.base_point
+        led_out, led_ref = TruncationLedger(), TruncationLedger()
+        assert_bracket_matches(F.poisson(F.plus(G), led_out),
+                               reference_poisson(F, F.plus(G), led_ref), led_out, led_ref)
+
+    def test_compiled_arrays_follow_in_place_writes(self):
+        rng = np.random.default_rng(5)
+        F = random_real_series(rng, 2, 3, 5, 12)
+        G = random_real_series(rng, 2, 3, 5, 8)
+        G.base_point = F.base_point
+        y, x = F.base_point + 0.1, np.array([0.3, 1.1])
+        before = F.evaluate(y, x)
+        F.poisson(G)                        # both operands are compiled now
+        (k, m), c = next(iter(F.terms.items()))
+        F.terms[(k, m)] = c + 0.25          # same length, one new coefficient
+        after = before + 0.25 * np.prod((y - F.base_point) ** np.array(m)) * np.exp(1j * np.dot(k, x))
+        assert F.evaluate(y, x) == pytest.approx(after, rel=1e-14)
+        led_out, led_ref = TruncationLedger(), TruncationLedger()
+        assert_bracket_matches(F.poisson(G, led_out), reference_poisson(F, G, led_ref),
+                               led_out, led_ref)
+        # replacing the dict at equal length is a write too
+        F.terms = {key: 2.0 * c for key, c in F.terms.items()}
+        assert F.evaluate(y, x) == pytest.approx(2.0 * after, rel=1e-14)
+
+    def test_deterministic_order(self):
+        rng = np.random.default_rng(6)
+        F = random_real_series(rng, 3, 3, 5, 30)
+        G = random_real_series(rng, 3, 3, 5, 20)
+        a, b = F.poisson(G), F.copy().poisson(G.copy())
+        assert list(a.terms.items()) == list(b.terms.items())
 
 
 class TestHomological:
@@ -271,6 +412,17 @@ class TestRemainderNorm:
         assert lhs <= rhs * (1 + 1e-12)
 
 
+    def test_ray_majorant_hand_value(self):
+        F = series()
+        F.add_term((2, 2), (1, 0), 0.3)       # j = 2 on the ray of (1, 1)
+        F.add_term((-1, -1), (0, 0), 0.4j)    # j = -1
+        G = series()
+        G.add_term((0, 0), (0, 2), -0.5)      # j = 0
+        r, w = 0.2, 0.7
+        expected = 0.3 * r * math.exp(2 * w) + 0.4 * math.exp(w) + 0.5 * r ** 2
+        assert ray_majorant([F, G], (1, 1), r, w) == pytest.approx(expected, rel=1e-15)
+
+
 class TestConjugacy:
     def test_zero_perturbation(self):
         f = TrigPoly(2, {})
@@ -295,6 +447,32 @@ class TestConjugacy:
             res[eps] = verify_conjugacy(ham, nf, pts, rtol=1e-13, atol=1e-14)
         ratio = res[1e-2].max_residual / res[5e-3].max_residual
         assert ratio == pytest.approx(4.0, rel=0.2)
+
+    def test_order_three_richardson_ratio(self):
+        # criterion 10's pair potential, points and tolerances one order up:
+        # the order-3 defect scales as eps^4, so halving eps divides it by 16
+        f = TrigPoly.from_cosines(2, {(1, 0): 1.0, (1, 1): 0.7})
+        params = free_params(2, 1.0, alpha=0.02, K0=2, K=8)
+        y0 = np.array([0.7, 0.31])
+        rng = np.random.default_rng(3)
+        pts = [(y0 + rng.uniform(-0.01, 0.01, 2), rng.uniform(0, TWO_PI, 2))
+               for _ in range(6)]
+
+        def ratio(strip_grade=None):
+            res = []
+            for eps in (5e-3, 2.5e-3):
+                ham = NaturalHam(2, eps, f)
+                nf = lie_step_nonres(ham, params, y0, order=3, max_degree=6)
+                nf.chi = [(j, chi) for j, chi in nf.chi if j != strip_grade]
+                res.append(verify_conjugacy(ham, nf, pts, rtol=1e-13, atol=1e-14).max_residual)
+            return res[0] / res[1]
+
+        def gate(r):
+            return abs(r - 16.0) <= 0.25 * 16.0
+
+        assert gate(ratio())
+        # without the grade-3 generator the defect is O(eps^3): ratio about 8
+        assert not gate(ratio(strip_grade=3))
 
     def test_displacement_threshold_reported(self):
         f = TrigPoly.from_cosines(2, {(1, 0): 1.0})
