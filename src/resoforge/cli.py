@@ -26,6 +26,7 @@ from .cover import (
     derive_params,
     free_params,
     measure_R2,
+    sample_chunks,
     _sample_ball,
 )
 from .fourier import NotAGeneratorError, lacunary_potential, load_potential, save_potential, two_mode_potential
@@ -154,9 +155,15 @@ def cmd_cover_measure(args) -> int:
     params = _load_params(args.params)
     est = measure_R2(params, args.samples, args.seed)
     if args.csv:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
+        if args.csv_rows < 0:
+            raise ConfigError("--csv-rows must be nonnegative")
+        # the first csv_rows points measure_R2 classified, chunk by chunk
         m = min(args.samples, args.csv_rows)
-        Y = _sample_ball(rng, m, params.n)
+        Y = np.empty((0, params.n))
+        for rng, size in sample_chunks(args.samples, args.seed):
+            if len(Y) == m:
+                break
+            Y = np.concatenate([Y, _sample_ball(rng, size, params.n)[: m - len(Y)]])
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -182,19 +189,14 @@ def cmd_cover_raster(args) -> int:
         raise ConfigError("raster export is two-dimensional")
     g = args.grid
     axis = np.linspace(-0.99, 0.99, g)
+    pts = np.column_stack([np.repeat(axis, g), np.tile(axis, g)])
+    pts = pts[np.linalg.norm(pts, axis=1) < 1.0]
+    codes = classify_batch(pts, params).codes
     with open(args.csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y1", "y2", "region_code"])
-        for y1 in axis:
-            row_pts = np.column_stack([np.full(g, y1), axis])
-            inside = np.linalg.norm(row_pts, axis=1) < 1.0
-            codes = np.full(g, -1, dtype=int)
-            if np.any(inside):
-                batch = classify_batch(row_pts[inside], params)
-                codes[inside] = batch.codes
-            for y2, code in zip(axis, codes):
-                if code >= 0:
-                    writer.writerow([f"{y1:.6f}", f"{y2:.6f}", int(code)])
+        for (y1, y2), code in zip(pts, codes):
+            writer.writerow([f"{y1:.6f}", f"{y2:.6f}", int(code)])
     print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -325,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--params", required=True)
     pm.add_argument("--samples", type=int, default=10 ** 6)
     pm.add_argument("--seed", type=int, default=1)
-    pm.add_argument("--csv", default=None, help="per-sample label CSV")
+    pm.add_argument("--csv", default=None,
+                    help="label CSV of the first --csv-rows points the measure sampled")
     pm.add_argument("--csv-rows", type=int, default=10 ** 4)
     pm.add_argument("--out", default=None)
     pm.set_defaults(func=cmd_cover_measure)

@@ -120,6 +120,17 @@ class CoveringParams:
     def generators_K(self) -> list[Mode]:
         return generators(self.n, self.K)
 
+    @cached_property
+    def transverse_generators(self) -> dict[Mode, tuple[list[Mode], np.ndarray]]:
+        """For each k in generators_K0, the order-K generators off the line
+        Z k (every generator but k itself), in generator order, with their
+        float matrix of shape (len, n)."""
+        out = {}
+        for k in self.generators_K0:
+            others = [ell for ell in self.generators_K if ell != k]
+            out[k] = (others, np.array(others, dtype=float).reshape(-1, self.n))
+        return out
+
     @property
     def alpha_reachable(self) -> bool:
         """Whether alpha/2 is below the ball scale, so R0 can be nonempty."""
@@ -197,8 +208,8 @@ def classify_point(y, params: CoveringParams, all_pairs: bool = True) -> list[Re
 
     Always nonempty: a point not in R0 has some |y.k| <= alpha/2 < alpha, and
     for that k either the transverse gaps all hold (R1_k) or some witnessing
-    l produces an R2_{k,l} label.  With all_pairs=False only the first
-    witnessing l per k is enumerated.
+    l produces an R2_{k,l} label.  Witnesses are listed in generator order;
+    with all_pairs=False only the first witnessing l per k is enumerated.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (params.n,):
@@ -215,22 +226,14 @@ def classify_point(y, params: CoveringParams, all_pairs: bool = True) -> list[Re
             continue
         e_k = np.asarray(k, dtype=float) / _euclid(k)
         y_perp = y - np.dot(y, e_k) * e_k
-        threshold = params.r1_threshold(k)
-        witnesses = []
-        ok = True
-        for ell in params.generators_K:
-            if ell == k:
-                continue
-            val = abs(float(np.dot(y_perp, ell)))
-            if val <= threshold:
-                ok = False
-                witnesses.append(ell)
-                if not all_pairs:
-                    break
-        if ok:
+        others, G = params.transverse_generators[k]
+        witnesses = np.flatnonzero(np.abs(G @ y_perp) <= params.r1_threshold(k))
+        if witnesses.size == 0:
             labels.append(RegionLabel("R1", k=k))
         else:
-            labels.extend(RegionLabel("R2", k=k, l=ell) for ell in witnesses)
+            if not all_pairs:
+                witnesses = witnesses[:1]
+            labels.extend(RegionLabel("R2", k=k, l=others[j]) for j in witnesses)
     return labels
 
 
@@ -249,35 +252,48 @@ class BatchClassification:
 
 
 def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification:
+    """Classify the rows of Y, shape (m, n), with the inequalities of
+    classify_point.
+
+    The kernel works on a coordinate-major (n, m) copy, so every step is a
+    whole-row operation over the m points: the squared norms are n row
+    products, and |k.y| is one (n,) @ (n, m) product per k in generators_K0
+    (no (m, len(generators_K0)) array is formed).  For each k only the points
+    with |y.k| < alpha are gathered; their P_k^perp y meet the order-K
+    generators off the line Z k in one product, and the minimum over those
+    generators is compared with the R1 threshold.
+    """
     Y = np.asarray(Y, dtype=float)
-    if np.any(np.linalg.norm(Y, axis=1) >= 1.0):
+    if Y.ndim != 2 or Y.shape[1] != params.n:
+        raise ValueError(f"points must have shape (m, {params.n})")
+    Yt = np.ascontiguousarray(Y.T)
+    sq = Yt[0] * Yt[0]
+    for row in Yt[1:]:
+        sq += row * row
+    if np.any(sq >= 1.0):
         raise OutsideDomainError("outside unit ball")
-    gens0 = params.generators_K0
-    G0 = np.array(gens0, dtype=float)
-    P = np.abs(Y @ G0.T)
-    is_r0 = np.all(P > params.alpha / 2.0, axis=1)
-    is_r1 = np.zeros(len(Y), dtype=bool)
-    is_r2 = np.zeros(len(Y), dtype=bool)
-    GK = np.array(params.generators_K, dtype=float)
-    for i, k in enumerate(gens0):
-        near = P[:, i] < params.alpha
-        if not np.any(near):
-            continue
+    m = Y.shape[0]
+    is_r0 = np.ones(m, dtype=bool)
+    is_r1 = np.zeros(m, dtype=bool)
+    is_r2 = np.zeros(m, dtype=bool)
+    for k in params.generators_K0:
         kv = np.asarray(k, dtype=float)
+        p_k = kv @ Yt
+        np.abs(p_k, out=p_k)
+        is_r0 &= p_k > params.alpha / 2.0
+        idx = np.flatnonzero(p_k < params.alpha)
+        if idx.size == 0:
+            continue
         e_k = kv / _euclid(k)
-        Yn = Y[near]
-        Yperp = Yn - np.outer(Yn @ e_k, e_k)
-        Q = np.abs(Yperp @ GK.T)
-        mask_same = np.array([ell == k for ell in params.generators_K])
-        Q[:, mask_same] = np.inf
-        min_q = Q.min(axis=1)
-        thr = params.r1_threshold(k)
-        r1_here = min_q > thr
-        idx = np.nonzero(near)[0]
+        Yn = Yt.take(idx, axis=1)
+        Yperp = Yn - np.outer(e_k, e_k @ Yn)
+        Q = params.transverse_generators[k][1] @ Yperp
+        min_q = np.abs(Q, out=Q).min(axis=0, initial=np.inf)
+        r1_here = min_q > params.r1_threshold(k)
         is_r1[idx[r1_here]] = True
         is_r2[idx[~r1_here]] = True
     covered = is_r0 | is_r1 | is_r2
-    codes = np.where(is_r0, 0, np.where(is_r1, 1, 2)).astype(np.int8)
+    codes = np.where(is_r0, np.int8(0), np.subtract(2, is_r1, dtype=np.int8))
     return BatchClassification(covered, is_r0, is_r1, is_r2, codes)
 
 
@@ -370,11 +386,19 @@ def ball_volume(n: int) -> float:
 
 def _sample_ball(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """Uniform points of the open unit ball: normalized Gaussians times a
-    U^{1/n} radial factor."""
+    U^{1/n} radial factor.
+
+    The squared norm is summed coordinate by coordinate, the order in which
+    np.linalg.norm(g, axis=1) adds along an axis shorter than 8, so the
+    points are the same bit for bit."""
     g = rng.standard_normal((m, n))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    sq = g[:, 0] * g[:, 0]
+    for j in range(1, n):
+        sq += g[:, j] * g[:, j]
+    g /= np.sqrt(sq, out=sq)[:, None]
     radii = rng.uniform(0.0, 1.0, size=m) ** (1.0 / n)
-    return g * radii[:, None]
+    g *= radii[:, None]
+    return g
 
 
 @dataclass
@@ -406,6 +430,18 @@ class R2MeasureEstimate:
 _CHUNK = 1 << 16  # fixed so results depend on the seed only, not on workers
 
 
+def sample_chunks(samples: int, seed: int) -> list[tuple[np.random.Generator, int]]:
+    """The sampling chunks of measure_R2: one Philox generator per chunk,
+    spawned from SeedSequence(seed), and the chunk's point count.  Chunk i
+    holds points i*_CHUNK onward, drawn by _sample_ball(rng, size, n)."""
+    n_chunks = (samples + _CHUNK - 1) // _CHUNK
+    streams = np.random.SeedSequence(seed).spawn(n_chunks)
+    return [
+        (np.random.Generator(np.random.Philox(ss)), min(_CHUNK, samples - i * _CHUNK))
+        for i, ss in enumerate(streams)
+    ]
+
+
 def measure_R2(params: CoveringParams, samples: int, seed: int) -> R2MeasureEstimate:
     """Monte-Carlo measure of the doubly-resonant set inside the unit ball.
 
@@ -417,13 +453,9 @@ def measure_R2(params: CoveringParams, samples: int, seed: int) -> R2MeasureEsti
     """
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    sizes = [min(_CHUNK, samples - i * _CHUNK) for i in range(n_chunks)]
 
-    def work(args) -> tuple[int, int]:
-        ss, m = args
-        rng = np.random.Generator(np.random.Philox(ss))
+    def work(chunk) -> tuple[int, int]:
+        rng, m = chunk
         Y = _sample_ball(rng, m, params.n)
         batch = classify_batch(Y, params)
         any_r2 = int(np.count_nonzero(batch.is_r2))
@@ -431,7 +463,7 @@ def measure_R2(params: CoveringParams, samples: int, seed: int) -> R2MeasureEsti
         return any_r2, only_r2
 
     threads = int(os.environ.get("RESOFORGE_THREADS", "1") or "1")
-    jobs = list(zip(streams, sizes))
+    jobs = sample_chunks(samples, seed)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, jobs))

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from resoforge import cover
 from resoforge.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 
 
@@ -85,6 +87,73 @@ class TestCover:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "sample_index,y1,y2,label_kind,k,l"
         assert len(lines) == 101
+
+    @staticmethod
+    def _csv_points(csv_path):
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        return rows, np.array([[float(v) for v in row[1:3]] for row in rows])
+
+    def test_csv_rows_are_first_points_of_chunk_zero(self, free_params_file, tmp_path):
+        csv_path = tmp_path / "labels.csv"
+        main(["cover", "measure", "--params", free_params_file, "--samples", "20000",
+              "--seed", "4", "--csv", str(csv_path), "--csv-rows", "50"])
+        rows, Y = self._csv_points(csv_path)
+        rng, size = cover.sample_chunks(20000, 4)[0]
+        measured = cover._sample_ball(rng, size, 2)
+        assert np.array_equal(Y, measured[:50])
+        params = cover.free_params(2, 1.0, alpha=0.05, K0=2, K=5)
+        for row, y in zip(rows, Y):
+            lab = cover.classify_point(y, params, all_pairs=False)[0]
+            assert row[3:] == [lab.kind, " ".join(map(str, lab.k)) if lab.k else "",
+                               " ".join(map(str, lab.l)) if lab.l else ""]
+
+    def test_csv_rows_continue_into_the_next_chunk(self, free_params_file, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(cover, "_CHUNK", 1000)
+        csv_path = tmp_path / "labels.csv"
+        main(["cover", "measure", "--params", free_params_file, "--samples", "3500",
+              "--seed", "6", "--csv", str(csv_path), "--csv-rows", "1300"])
+        rows, Y = self._csv_points(csv_path)
+        chunks = cover.sample_chunks(3500, 6)
+        assert [size for _, size in chunks] == [1000, 1000, 1000, 500]
+        want = np.concatenate([cover._sample_ball(rng, size, 2) for rng, size in chunks[:2]])
+        assert [int(row[0]) for row in rows] == list(range(1300))
+        assert np.array_equal(Y, want[:1300])
+
+    def test_csv_rows_bounds(self, free_params_file, tmp_path, capsys):
+        csv_path = tmp_path / "labels.csv"
+        args = ["cover", "measure", "--params", free_params_file, "--samples", "2000",
+                "--seed", "1", "--csv", str(csv_path), "--csv-rows"]
+        assert main(args + ["0"]) == EXIT_OK
+        assert csv_path.read_text().strip().splitlines() == ["sample_index,y1,y2,label_kind,k,l"]
+        assert main(args + ["5000"]) == EXIT_OK  # capped at --samples
+        assert len(csv_path.read_text().strip().splitlines()) == 2001
+        assert main(args + ["-1"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("alpha,K0,K,grid",[(0.05, 2, 5, 57), (0.03, 4, 9, 40)])
+    def test_raster_matches_row_by_row_output(self, tmp_path, alpha, K0, K, grid):
+        # the raster used to classify one grid row per classify_batch call;
+        # one call over the whole grid must write the same bytes
+        params_path = tmp_path / "params.json"
+        params_path.write_text(json.dumps(
+            {"mode": "free", "n": 2, "s": 1.0, "alpha": alpha, "K0": K0, "K": K}))
+        csv_path = tmp_path / "raster.csv"
+        assert main(["cover", "raster", "--params", str(params_path),
+                     "--grid", str(grid), "--csv", str(csv_path)]) == EXIT_OK
+        params = cover.free_params(2, 1.0, alpha=alpha, K0=K0, K=K)
+        ref_path = tmp_path / "row_by_row.csv"
+        axis = np.linspace(-0.99, 0.99, grid)
+        with open(ref_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["y1", "y2", "region_code"])
+            for y1 in axis:
+                row_pts = np.column_stack([np.full(grid, y1), axis])
+                inside = np.linalg.norm(row_pts, axis=1) < 1.0
+                codes = cover.classify_batch(row_pts[inside], params).codes
+                for y2, code in zip(axis[inside], codes):
+                    writer.writerow([f"{y1:.6f}", f"{y2:.6f}", int(code)])
+        assert csv_path.read_bytes() == ref_path.read_bytes()
 
     def test_raster(self, free_params_file, tmp_path, capsys):
         csv_path = tmp_path / "raster.csv"

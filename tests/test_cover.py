@@ -8,6 +8,8 @@ from resoforge.cover import (
     ContractionHypothesisError,
     CutoffOrderError,
     OutsideDomainError,
+    BatchClassification,
+    _euclid,
     _sample_ball,
     ball_volume,
     classify_batch,
@@ -20,6 +22,108 @@ from resoforge.cover import (
     nonresonance_certificate,
     projections,
 )
+
+
+# --------------------------------------------------------------------------
+# reference kernels: the row-major (m, n) versions of classify_batch,
+# classify_point and _sample_ball, kept here to check the library's kernels
+# --------------------------------------------------------------------------
+
+def reference_classify_batch(Y, params):
+    Y = np.asarray(Y, dtype=float)
+    if np.any(np.linalg.norm(Y, axis=1) >= 1.0):
+        raise OutsideDomainError("outside unit ball")
+    gens0 = params.generators_K0
+    G0 = np.array(gens0, dtype=float)
+    P = np.abs(Y @ G0.T)
+    is_r0 = np.all(P > params.alpha / 2.0, axis=1)
+    is_r1 = np.zeros(len(Y), dtype=bool)
+    is_r2 = np.zeros(len(Y), dtype=bool)
+    GK = np.array(params.generators_K, dtype=float)
+    for i, k in enumerate(gens0):
+        near = P[:, i] < params.alpha
+        if not np.any(near):
+            continue
+        kv = np.asarray(k, dtype=float)
+        e_k = kv / _euclid(k)
+        Yn = Y[near]
+        Yperp = Yn - np.outer(Yn @ e_k, e_k)
+        Q = np.abs(Yperp @ GK.T)
+        mask_same = np.array([ell == k for ell in params.generators_K])
+        Q[:, mask_same] = np.inf
+        min_q = Q.min(axis=1)
+        thr = params.r1_threshold(k)
+        r1_here = min_q > thr
+        idx = np.nonzero(near)[0]
+        is_r1[idx[r1_here]] = True
+        is_r2[idx[~r1_here]] = True
+    covered = is_r0 | is_r1 | is_r2
+    codes = np.where(is_r0, 0, np.where(is_r1, 1, 2)).astype(np.int8)
+    return BatchClassification(covered, is_r0, is_r1, is_r2, codes)
+
+
+def reference_classify_point(y, params, all_pairs=True):
+    y = np.asarray(y, dtype=float)
+    labels = []
+    gens0 = params.generators_K0
+    prods = np.array([float(np.dot(y, k)) for k in gens0])
+    if np.all(np.abs(prods) > params.alpha / 2.0):
+        labels.append(("R0", None, None))
+    for i, k in enumerate(gens0):
+        if abs(prods[i]) >= params.alpha:
+            continue
+        e_k = np.asarray(k, dtype=float) / _euclid(k)
+        y_perp = y - np.dot(y, e_k) * e_k
+        threshold = params.r1_threshold(k)
+        witnesses = []
+        for ell in params.generators_K:
+            if ell == k:
+                continue
+            if abs(float(np.dot(y_perp, ell))) <= threshold:
+                witnesses.append(ell)
+                if not all_pairs:
+                    break
+        if witnesses:
+            labels.extend(("R2", k, ell) for ell in witnesses)
+        else:
+            labels.append(("R1", k, None))
+    return labels
+
+
+def reference_sample_ball(rng, m, n):
+    g = rng.standard_normal((m, n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    radii = rng.uniform(0.0, 1.0, size=m) ** (1.0 / n)
+    return g * radii[:, None]
+
+
+MASKS = ("covered", "is_r0", "is_r1", "is_r2", "codes")
+
+# (alpha, K0, K) per dimension
+KERNEL_PARAMS = {1: (0.05, 2, 5), 2: (0.05, 2, 5), 3: (0.03, 2, 4), 4: (0.03, 2, 3)}
+
+
+def kernel_params(n, alpha=None):
+    a, K0, K = KERNEL_PARAMS[n]
+    return free_params(n, 1.0, alpha=a if alpha is None else alpha, K0=K0, K=K)
+
+
+def assert_masks_match_reference(Y, params):
+    got = classify_batch(Y, params)
+    want = reference_classify_batch(Y, params)
+    for name in MASKS:
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    return got
+
+
+def philox(*seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(seed))))
+
+
+def ulps(x):
+    """x one ulp below, x, and x one ulp above."""
+    return np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)
 
 
 class TestParams:
@@ -87,21 +191,147 @@ class TestClassification:
         assert bool(batch.covered.all())
 
     def test_batch_matches_pointwise(self):
-        rng = np.random.default_rng(1)
-        Y = _sample_ball(rng, 200, 2)
-        batch = classify_batch(Y, self.params)
-        for i, y in enumerate(Y):
-            labels = classify_point(y, self.params, all_pairs=False)
-            kinds = {lab.kind for lab in labels}
-            assert batch.is_r0[i] == ("R0" in kinds)
-            assert batch.is_r1[i] == ("R1" in kinds)
-            assert batch.is_r2[i] == ("R2" in kinds)
+        for n, params in ((2, self.params), (3, free_params(3, 1.0, alpha=0.01, K0=2, K=4))):
+            rng = np.random.default_rng(1)
+            Y = _sample_ball(rng, 200, n)
+            batch = classify_batch(Y, params)
+            for i, y in enumerate(Y):
+                labels = classify_point(y, params, all_pairs=False)
+                kinds = {lab.kind for lab in labels}
+                assert batch.is_r0[i] == ("R0" in kinds)
+                assert batch.is_r1[i] == ("R1" in kinds)
+                assert batch.is_r2[i] == ("R2" in kinds)
+            assert batch.is_r1.any() and batch.is_r2.any()
 
     def test_three_dimensional_coverage(self):
         params = free_params(3, 1.0, alpha=0.03, K0=2, K=4)
         rng = np.random.default_rng(2)
         Y = _sample_ball(rng, 20_000, 3)
         assert bool(classify_batch(Y, params).covered.all())
+
+
+# tails that keep every k in generators_K0 other than e_1 far from the
+# alpha/2 and alpha gates, so only |y.e_1| = y_1 decides
+GATE_TAILS = {2: (0.6,), 3: (0.5, 0.3), 4: (0.5, 0.3, 0.1)}
+# (alpha, y_1, tail): y_1 < alpha puts the point near e_1; with P^perp y =
+# (0, t, *tail) the minimum of |P^perp y . l| over l != e_1 is |t|, attained
+# only by the l with l_2 = +-1 and no other nonzero entry past l_1, and the
+# next value is at least twice the R1 threshold
+R1_TAILS = {2: (0.05, 0.01, ()), 3: (0.01, 0.002, (0.6,)), 4: (0.01, 0.002, (0.5, 0.8))}
+
+
+class TestBatchKernel:
+    """The coordinate-major classify_batch and _sample_ball against the
+    row-major references: every mask and every sample exactly equal."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_masks_match_reference_on_seeded_samples(self, n):
+        seen = np.zeros(3, dtype=int)
+        for alpha in (KERNEL_PARAMS[n][0], 0.01):
+            params = kernel_params(n, alpha)
+            for seed in range(3):
+                Y = reference_sample_ball(philox(n, seed), 1 << 15, n)
+                batch = assert_masks_match_reference(Y, params)
+                assert batch.covered.all()
+                seen += [batch.is_r0.sum(), batch.is_r1.sum(), batch.is_r2.sum()]
+        assert (seen > 0).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_masks_match_reference_near_resonances(self, n):
+        # points crowded into the resonance zones, where the R1/R2 split and
+        # the R0 gate are decided
+        params = kernel_params(n)
+        rng = philox(7, n)
+        Y = reference_sample_ball(rng, 1 << 13, n)
+        k = np.array(params.generators_K0[-1], dtype=float)
+        Y -= np.outer(Y @ k - rng.uniform(-params.alpha, params.alpha, len(Y)), k / (k @ k))
+        Y = Y[np.linalg.norm(Y, axis=1) < 1.0]
+        batch = assert_masks_match_reference(Y, params)
+        assert batch.is_r1.any() or batch.is_r2.any()
+
+    def test_alpha_zero_matches_reference(self):
+        Y = reference_sample_ball(philox(3), 1 << 12, 2)
+        Y[:10, 0] = 0.0  # on the resonance y.(1,0) = 0
+        batch = assert_masks_match_reference(Y, kernel_params(2, 0.0))
+        assert not batch.is_r0[:10].any() and not (batch.is_r1 | batch.is_r2).any()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_r0_gate_at_one_ulp(self, n):
+        params = kernel_params(n)
+        Y = np.array([(t, *GATE_TAILS[n]) for t in ulps(params.alpha / 2.0)])
+        Y = np.vstack([Y, -Y])
+        batch = assert_masks_match_reference(Y, params)
+        # |y.k| > alpha/2 is strict: the point at alpha/2 is not in R0
+        assert batch.is_r0.tolist() == [False, False, True] * 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_near_gate_at_one_ulp(self, n):
+        params = kernel_params(n)
+        Y = np.array([(t, *GATE_TAILS[n]) for t in ulps(params.alpha)])
+        batch = assert_masks_match_reference(Y, params)
+        # only points with |y.k| < alpha (strict) are checked against R1_k
+        assert (batch.is_r1 | batch.is_r2).tolist() == [True, False, False]
+        assert batch.is_r0.all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_r1_threshold_at_one_ulp(self, n):
+        alpha, y1, tail = R1_TAILS[n]
+        params = kernel_params(n, alpha)
+        e1 = (1,) + (0,) * (n - 1)
+        thr = params.r1_threshold(e1)
+        others, G = params.transverse_generators[e1]
+        values = np.abs(G @ np.array((0.0, thr, *tail)))
+        assert values.min() == thr and np.sort(values[values > thr])[0] >= 2.0 * thr
+        Y = np.array([(y1, t, *tail) for t in ulps(thr)])
+        batch = assert_masks_match_reference(Y, params)
+        # the transverse gap min |P^perp y . l| > threshold is strict
+        assert batch.is_r1.tolist() == [False, False, True]
+        assert batch.is_r2.tolist() == [True, True, False]
+
+    def test_ball_boundary_matches_reference(self):
+        one_minus = np.nextafter(1.0, 0.0)
+        rows = [(one_minus, 0.0), (0.0, -one_minus), (1.0, 0.0), (0.6, 0.8), (0.8, 0.6),
+                (math.sqrt(0.5), math.sqrt(0.5)), (one_minus * math.sqrt(0.5),) * 2]
+        for row in rows:
+            Y = np.array([row])
+            try:
+                want = reference_classify_batch(Y, kernel_params(2))
+            except OutsideDomainError:
+                with pytest.raises(OutsideDomainError):
+                    classify_batch(Y, kernel_params(2))
+            else:
+                got = classify_batch(Y, kernel_params(2))
+                for name in MASKS:
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+        with pytest.raises(OutsideDomainError):
+            classify_batch(np.array([[0.3, 0.3], [1.0, 0.0]]), kernel_params(2))
+        classify_batch(np.array([[one_minus, 0.0]]), kernel_params(2))
+
+    def test_empty_and_misshapen_batches(self):
+        batch = assert_masks_match_reference(np.zeros((0, 2)), kernel_params(2))
+        assert batch.codes.shape == (0,)
+        with pytest.raises(ValueError):
+            classify_batch(np.zeros((4, 3)), kernel_params(2))
+        with pytest.raises(ValueError):
+            classify_batch(np.zeros(2), kernel_params(2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_sample_ball_bit_identical(self, n):
+        for seed, m in ((0, 1), (1, 1000), (2, 1 << 16)):
+            got = _sample_ball(philox(n, seed), m, n)
+            want = reference_sample_ball(philox(n, seed), m, n)
+            assert got.shape == want.shape == (m, n)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_point_labels_match_reference(self, n):
+        params = kernel_params(n, 0.05 if n == 2 else 0.01)
+        Y = np.vstack([np.zeros((1, n)), reference_sample_ball(philox(11, n), 300, n)])
+        for y in Y:
+            for all_pairs in (True, False):
+                got = [(lab.kind, lab.k, lab.l)
+                       for lab in classify_point(y, params, all_pairs=all_pairs)]
+                assert got == reference_classify_point(y, params, all_pairs=all_pairs)
 
 
 class TestCertificates:
