@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .cover import (
+    ContractionHypothesisError,
     CoveringParams,
     classify_batch,
     classify_point,
@@ -31,8 +32,8 @@ from .cover import (
 )
 from .fourier import NotAGeneratorError, lacunary_potential, load_potential, save_potential, two_mode_potential
 from .genericity import GenericityParams, check_membership, sample_product_measure
-from .lieseries import NaturalHam, SmallDivisorError, lie_step_nonres, lie_step_res
-from .standard_form import standardize, verify_standard
+from .lieseries import GeneratorFlowError, NaturalHam, SmallDivisorError, lie_step_nonres, lie_step_res
+from .standard_form import FixedPointDivergence, standardize, verify_standard
 from .unimodular import NotAGeneratorError as UmNotAGenerator
 from .unimodular import complete_to_sl, decoupling_matrix
 
@@ -383,7 +384,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SmallDivisorError as exc:
+    except (SmallDivisorError, FixedPointDivergence, ContractionHypothesisError,
+            GeneratorFlowError) as exc:
+        # the inputs were well-formed but a hypothesis of the construction failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ConfigError, NotAGeneratorError, UmNotAGenerator, ValueError) as exc:

@@ -45,6 +45,10 @@ class SmallDivisorError(RuntimeError):
         self.value = value
 
 
+class GeneratorFlowError(RuntimeError):
+    """The numerical time-1 flow of a Lie generator did not complete."""
+
+
 @dataclass
 class TruncationLedger:
     """Accumulated absolute mass of coefficients dropped by truncation.
@@ -774,7 +778,7 @@ def _flow_time1(chi: TaylorFourierSeries, scale: float, z0: np.ndarray,
 
     sol = solve_ivp(rhs, (0.0, 1.0), z0, method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
-        raise RuntimeError(f"generator flow failed: {sol.message}")
+        raise GeneratorFlowError(f"generator flow failed: {sol.message}")
     return sol.y[:, -1]
 
 

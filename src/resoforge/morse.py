@@ -143,9 +143,10 @@ def _refine_extremum(fun, theta0: float, h: float, minimum: bool = True) -> floa
 def critical_points(F: OneDTrigPoly, tol: float = NEWTON_TOL) -> MorseReport:
     """Locate all roots of F' on the circle and assemble the Morse report.
 
-    Dense-grid bracketing (2^14 points) plus Newton polishing on F'; duplicate
-    roots within 1e-8 are merged.  min(|F'|+|F''|) and max|F''| are grid
-    minima/maxima refined by local bounded search.
+    Dense-grid bracketing (2^14 points; the grids of F, F' and F'' are one
+    inverse real FFT each, see OneDTrigPoly.values_on_grid) plus Newton
+    polishing on F'; duplicate roots within 1e-8 are merged.  min(|F'|+|F''|)
+    and max|F''| are grid minima/maxima refined by local bounded search.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from resoforge import cover
+from resoforge import cli, cover
 from resoforge.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from resoforge.lieseries import GeneratorFlowError
 
 
 @pytest.fixture
@@ -233,3 +234,42 @@ class TestStandardize:
         assert doc["fixed_point"]["hypothesis_ok"] is True
         assert doc["reduction_identity_residual"] < 1e-8
         assert len(doc["grids"]["G_bar"]) == 64
+
+
+class TestInvariantErrors:
+    """Failed hypotheses exit 1 with one error line, not a traceback."""
+
+    def test_fixed_point_divergence(self, tmp_path, capsys):
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(
+            {"mode": "free", "n": 2, "s": 1.0, "alpha": 0.03, "K0": 2, "K": 6}
+        ))
+        code = main(["standardize", "--potential", "random:n=2,s=0.3,kmax=6,seed=1",
+                     "--eps", "10", "--k", "1,1", "--params", str(params),
+                     "--y0", "0.5,-0.5"])
+        assert code == EXIT_INVARIANT
+        assert capsys.readouterr().err.startswith("error: contraction failed")
+
+    @staticmethod
+    def _raising(exc):
+        def fail(*_args, **_kwargs):
+            raise exc
+        return fail
+
+    def test_contraction_hypothesis_error(self, monkeypatch, free_params_file, capsys):
+        # no CLI input reaches contraction_preimage; the command raises it instead
+        exc = cover.ContractionHypothesisError("hypothesis violated")
+        monkeypatch.setattr(cli, "classify_point", self._raising(exc))
+        code = main(["cover", "classify", "--y", "0.3,0.2", "--params", free_params_file])
+        assert code == EXIT_INVARIANT
+        assert capsys.readouterr().err == "error: hypothesis violated\n"
+
+    def test_generator_flow_error(self, monkeypatch, capsys):
+        # verify_conjugacy is not a CLI command; normalize raises it instead
+        exc = GeneratorFlowError("generator flow failed: step size too small")
+        monkeypatch.setattr(cli, "lie_step_nonres", self._raising(exc))
+        code = main(["normalize", "--potential", "two-mode:s=1.0", "--eps", "1e-3",
+                     "--k0", "2", "--K", "6", "--alpha", "0.02",
+                     "--base-point", "0.7,0.31"])
+        assert code == EXIT_INVARIANT
+        assert capsys.readouterr().err == f"error: {exc}\n"

@@ -216,6 +216,54 @@ class TestEvaluate:
         assert finite.evaluation_tail_bound(0.5) == 0.0
 
 
+def reference_values_on_grid(F, m, order=0):
+    """Direct-sum evaluator: the (degree x m) phase matrix, no FFT, no folding."""
+    theta = np.arange(m) * (2 * math.pi / m)
+    if not F.coeffs:
+        return np.zeros(m)
+    js = np.array(sorted(F.coeffs), dtype=float)
+    cs = np.array([F.coeffs[int(j)] for j in js]) * (1j * js) ** order
+    return 2.0 * np.real(cs @ np.exp(1j * np.outer(js, theta)))
+
+
+class TestValuesOnGrid:
+    # (m, degree): 2*degree >= m folds modes into r = 0, r = m/2 and r > m/2
+    CASES = [(1, 3), (2, 3), (7, 9), (8, 9), (16, 20), (17, 20), (64, 5), (1 << 14, 12)]
+
+    @staticmethod
+    def poly(degree, seed):
+        rng = np.random.default_rng(seed)
+        return OneDTrigPoly({j: complex(rng.normal(), rng.normal())
+                             for j in range(1, degree + 1)})
+
+    @pytest.mark.parametrize("order", range(4))
+    @pytest.mark.parametrize("m,degree", CASES)
+    def test_matches_direct_sum(self, m, degree, order):
+        F = self.poly(degree, seed=m * 100 + degree)
+        scale = sum(j ** order * abs(c) for j, c in F.coeffs.items())
+        got = F.values_on_grid(m, order)
+        assert got.shape == (m,)
+        np.testing.assert_allclose(got, reference_values_on_grid(F, m, order),
+                                   rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_single_aliased_modes(self, m):
+        # j = m lands on r = 0, m/2 on the Nyquist bin when m is even,
+        # m - 1 on r > m/2, and 2m + 3 wraps twice onto r = 3
+        for j in (m, m // 2, m - 1, 2 * m + 3):
+            F = OneDTrigPoly({j: 0.3 - 0.7j})
+            for order in range(4):
+                np.testing.assert_allclose(F.values_on_grid(m, order),
+                                           reference_values_on_grid(F, m, order),
+                                           rtol=0, atol=1e-13 * j ** order)
+
+    @pytest.mark.parametrize("m", [1, 7, 8])
+    def test_empty_polynomial(self, m):
+        for order in range(4):
+            got = OneDTrigPoly({}).values_on_grid(m, order)
+            assert got.shape == (m,) and not got.any()
+
+
 class TestJson:
     def test_round_trip(self, tmp_path):
         f = TrigPoly(2, {(1, 0): 0.5 + 0.25j, (0, 1): -0.125})
