@@ -424,22 +424,11 @@ class SecularHam:
         y = at @ np.asarray(yt, dtype=float)
         zero_x = np.zeros(len(self.base_point))
         g_o = self.g_o_series.evaluate(y, zero_x).real
-        # the g series depends on x only through theta = k.x; evaluate on a
-        # representative x with k.x = theta via the ray decomposition
-        g = _ray_value(self.g_series, self.k, y, theta)
+        # the g series lives on the ray Z k, so it depends on x only through
+        # theta = k.x; x = theta k/|k|^2 is a representative with k.x = theta
+        kv = np.array(self.k, dtype=float)
+        g = self.g_series.evaluate(y, theta * kv / (kv @ kv)).real
         return 0.5 * float(y @ y) + self.eps * (g_o + g)
-
-
-def _ray_value(series: TaylorFourierSeries, k: Mode, y, theta: float) -> float:
-    total = 0.0 + 0.0j
-    w = np.asarray(y, dtype=float) - series.base_point
-    for (j, m, c) in series.ray_terms(k):
-        mono = 1.0
-        for wi, mi in zip(w, m):
-            if mi:
-                mono *= wi ** mi
-        total += c * mono * np.exp(1j * j * theta)
-    return float(total.real)
 
 
 @dataclass

@@ -257,6 +257,117 @@ class TestArrayBracket:
         assert list(a.terms.items()) == list(b.terms.items())
 
 
+def reference_eval_grads(F, y, x):
+    """(value, dF/dy, dF/dx) at one real point: the per-coordinate loop the
+    compiled evaluator replaced, with its recompute where w_l = 0."""
+    if not F.terms:
+        return 0.0, np.zeros(F.n), np.zeros(F.n)
+    K = np.array([k for k, _ in F.terms], dtype=np.int64).reshape(len(F.terms), F.n)
+    M = np.array([m for _, m in F.terms], dtype=np.int64).reshape(len(F.terms), F.n)
+    C = np.array(list(F.terms.values()), dtype=complex)
+
+    def powers(w, M):
+        table = np.power(w[:, None], np.arange(F.max_degree + 1))
+        table[:, 0] = 1.0
+        return table[np.arange(F.n), M]
+
+    w = np.asarray(y, dtype=float) - F.base_point
+    mono = np.prod(powers(w, M), axis=1)
+    base = C * np.exp(1j * (K @ np.asarray(x, dtype=float)))
+    val = float(np.real(np.sum(base * mono)))
+    dy = np.zeros(F.n)
+    for lcomp in range(F.n):
+        ml = M[:, lcomp]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reduced = np.where(ml > 0, mono * ml / np.where(w[lcomp] != 0, w[lcomp], 1.0), 0.0)
+        if w[lcomp] == 0:
+            sel = ml > 0
+            if np.any(sel):
+                Msel = M[sel].copy()
+                Msel[:, lcomp] -= 1
+                reduced = np.zeros_like(mono)
+                reduced[sel] = np.prod(powers(w, Msel), axis=1) * ml[sel]
+        dy[lcomp] = float(np.real(np.sum(base * reduced)))
+    dx = np.real((1j * base * mono) @ K)
+    return val, dy, np.asarray(dx, dtype=float)
+
+
+class TestCompiledEvaluator:
+    @staticmethod
+    def tolerance(F):
+        return 1e-14 * sum(abs(c) * (1 + sum(abs(v) for v in k)) for (k, _m), c in F.terms.items())
+
+    def assert_matches_reference(self, F, ys, xs):
+        tol = self.tolerance(F)
+        val, dy, dx = F.eval_grads(ys, xs)
+        values = F.evaluate(ys, xs)
+        assert val.shape == (len(ys),) and dy.shape == dx.shape == (len(ys), F.n)
+        for p, (y, x) in enumerate(zip(ys, xs)):
+            ref_val, ref_dy, ref_dx = reference_eval_grads(F, y, x)
+            assert abs(val[p] - ref_val) <= tol
+            assert abs(values[p].real - ref_val) <= tol
+            assert np.max(np.abs(dy[p] - ref_dy)) <= tol
+            assert np.max(np.abs(dx[p] - ref_dx)) <= tol
+
+    @pytest.mark.parametrize("n, deg, cutoff", [(2, 3, 6), (2, 5, 8), (3, 3, 5), (3, 4, 4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_points(self, n, deg, cutoff, seed):
+        rng = np.random.default_rng([n, deg, cutoff, seed, 1])
+        F = random_real_series(rng, n, deg, cutoff, 30)
+        ys = F.base_point + rng.uniform(-0.5, 0.5, (6, n))
+        xs = rng.uniform(0, TWO_PI, (6, n))
+        self.assert_matches_reference(F, ys, xs)
+
+    @pytest.mark.parametrize("n, deg", [(2, 3), (3, 4)])
+    def test_zero_offsets(self, n, deg):
+        # every w_l = 0 at the base point, then one w_l = 0 at a time: the
+        # d/dy_l monomials with m_l = 1 are the only nonzero ones there
+        rng = np.random.default_rng([n, deg, 2])
+        F = random_real_series(rng, n, deg, 5, 30)
+        ys = [F.base_point.copy()]
+        for lcomp in range(n):
+            y = F.base_point + rng.uniform(-0.5, 0.5, n)
+            y[lcomp] = F.base_point[lcomp]
+            ys.append(y)
+        xs = rng.uniform(0, TWO_PI, (len(ys), n))
+        self.assert_matches_reference(F, np.array(ys), xs)
+        _val, dy, _dx = F.eval_grads(F.base_point, xs[0])
+        assert np.abs(dy).max() > 0
+
+    def test_degree_zero_and_empty(self):
+        rng = np.random.default_rng(8)
+        F = random_real_series(rng, 2, 0, 4, 10)
+        ys = F.base_point + rng.uniform(-0.5, 0.5, (4, 2))
+        xs = rng.uniform(0, TWO_PI, (4, 2))
+        self.assert_matches_reference(F, ys, xs)
+        assert np.all(F.eval_grads(ys, xs)[1] == 0.0)
+        empty = F.like()
+        val, dy, dx = empty.eval_grads(ys[0], xs[0])
+        assert val == 0.0 and dy.shape == dx.shape == (2,) and not dy.any() and not dx.any()
+        val, dy, dx = empty.eval_grads(ys, xs)
+        assert val.shape == (4,) and dy.shape == dx.shape == (4, 2)
+        assert empty.evaluate(ys[0], xs[0]) == 0.0
+
+    def test_single_point_matches_batch(self):
+        rng = np.random.default_rng(9)
+        F = random_real_series(rng, 3, 4, 5, 40)
+        tol = self.tolerance(F)
+        ys = F.base_point + rng.uniform(-0.5, 0.5, (5, 3))
+        xs = rng.uniform(0, TWO_PI, (5, 3))
+        val, dy, dx = F.eval_grads(ys, xs)
+        values = F.evaluate(ys, xs)
+        for p in range(5):
+            for y, x in ((ys[p], xs[p]), (ys[p:p + 1], xs[p:p + 1])):
+                one_val, one_dy, one_dx = F.eval_grads(y, x)
+                assert np.shape(one_val) == np.shape(y)[:-1]
+                assert one_dy.shape == one_dx.shape == np.shape(y)
+                assert abs(one_val - val[p]) <= tol
+                assert np.max(np.abs(one_dy - dy[p])) <= tol
+                assert np.max(np.abs(one_dx - dx[p])) <= tol
+                assert np.max(np.abs(F.evaluate(y, x) - values[p])) <= tol
+            assert isinstance(F.eval_grads(ys[p], xs[p])[0], float)
+
+
 class TestHomological:
     def test_single_mode_inverse(self):
         # chi for B = cos(k.x) must be sin(k.x)/(y0.k) at degree zero
@@ -291,6 +402,92 @@ class TestHomological:
         low = {key: c for key, c in resid.terms.items() if sum(key[1]) < 4}
         worst = max((abs(c) for c in low.values()), default=0.0)
         assert worst < 1e-14
+
+
+def reference_solve_homological(B, y0, min_divisor, context):
+    """solve_homological as it was before per-degree candidate levels: each
+    degree rescans every solved monomial and sorts a fresh candidate set."""
+    y0 = np.asarray(y0, dtype=float)
+    n = B.n
+    chi = B.like()
+    log = []
+    by_mode = {}
+    for (k, m), c in B.terms.items():
+        by_mode.setdefault(k, {})[m] = c
+    overflow = 0.0
+    for k, monos in by_mode.items():
+        div = float(np.dot(y0, k))
+        if abs(div) <= min_divisor:
+            raise SmallDivisorError(context, mode=k, value=abs(div))
+        log.append((k, abs(div)))
+        solved = {}
+        for deg in range(B.max_degree + 1):
+            candidates = {m for m in monos if sum(m) == deg}
+            for m_low in solved:
+                if sum(m_low) != deg - 1:
+                    continue
+                for j in range(n):
+                    if k[j] != 0:
+                        up = list(m_low)
+                        up[j] += 1
+                        candidates.add(tuple(up))
+            for m in sorted(candidates):
+                acc = complex(monos.get(m, 0.0))
+                for j in range(n):
+                    if k[j] == 0 or m[j] == 0:
+                        continue
+                    lower = list(m)
+                    lower[j] -= 1
+                    prev = solved.get(tuple(lower))
+                    if prev is not None:
+                        acc -= 1j * k[j] * prev
+                solved[m] = acc / (1j * div)
+        for m, c in solved.items():
+            chi.add_term(k, m, c)
+            if sum(m) == B.max_degree:
+                overflow += sum(abs(k[j]) for j in range(n)) * abs(c)
+    return chi, log, overflow
+
+
+# one mode from each l1 shell 1, 2, 3 with amplitudes 0.15-0.5 and random
+# phases: the averaging benchmark's draw of three-mode potentials
+SHELLS = (((1, 0), (0, 1)), ((1, 1), (1, -1)), ((1, 2), (2, 1), (1, -2), (2, -1)))
+
+
+def averaging_potential(rng, must_have=None):
+    modes = [must_have if must_have in shell else shell[int(rng.integers(len(shell)))]
+             for shell in SHELLS]
+    return TrigPoly(2, {k: 0.5 * rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0, TWO_PI))
+                        for k in modes})
+
+
+class TestHomologicalLevels:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chi_bit_identical_to_reference(self, seed, monkeypatch):
+        # every band the averaging steps solve, nonresonant and resonant, at
+        # orders up to 4 and degree 3: same keys, order, values and overflow
+        import resoforge.lieseries as ls
+        solve = ls.solve_homological
+        calls = []
+
+        def spy(B, y0, min_divisor, context):
+            out = solve(B, y0, min_divisor, context)
+            ref = reference_solve_homological(B, y0, min_divisor, context)
+            assert list(out[0].terms.items()) == list(ref[0].terms.items())
+            assert out[1] == ref[1] and out[2] == ref[2]
+            calls.append(len(out[0].terms))
+            return out
+
+        monkeypatch.setattr(ls, "solve_homological", spy)
+        rng = np.random.default_rng([2, seed, 0])
+        ham = NaturalHam(2, 1e-3, averaging_potential(rng))
+        lie_step_nonres(ham, free_params(2, 1.0, alpha=0.02, K0=2, K=8),
+                        np.array([0.7, 0.31]), order=4, max_degree=3)
+        k = (1, 1)
+        ham = NaturalHam(2, 1e-3, averaging_potential(rng, must_have=k))
+        lie_step_res(ham, k, free_params(2, 1.0, alpha=0.03, K0=2, K=6),
+                     np.array([0.5, -0.5]), order=4, max_degree=3)
+        assert len(calls) >= 6 and max(calls) > 20
 
 
 def nonres_setup(eps=1e-3, order=1, deg=2, f=None):
@@ -432,6 +629,23 @@ class TestConjugacy:
         rep = verify_conjugacy(ham, nf, [(np.array([0.7, 0.31]), np.zeros(2))])
         assert rep.max_residual == 0.0
         assert rep.max_displacement == 0.0
+
+    @pytest.mark.parametrize("order, deg", [(1, 3), (2, 3), (3, 4)])
+    def test_stacked_flow_matches_single_points(self, order, deg):
+        # all points as one DOP853 state against one point per call
+        f = TrigPoly.from_cosines(2, {(1, 0): 1.0, (1, 1): 0.7, (1, -2): 0.4})
+        ham, nf, _, y0 = nonres_setup(eps=5e-3, order=order, deg=deg, f=f)
+        rng = np.random.default_rng([order, deg])
+        pts = [(y0 + rng.uniform(-0.01, 0.01, 2), rng.uniform(0, TWO_PI, 2))
+               for _ in range(5)]
+        pts.append((y0, np.zeros(2)))
+        rep = verify_conjugacy(ham, nf, pts)
+        singles = [verify_conjugacy(ham, nf, [pt]) for pt in pts]
+        assert rep.residuals.shape == rep.displacements.shape == (len(pts),)
+        assert np.max(rep.residuals) > 0
+        for p, one in enumerate(singles):
+            assert abs(rep.residuals[p] - one.residuals[0]) <= 1e-12
+            assert abs(rep.displacements[p] - one.displacements[0]) <= 1e-12
 
     def test_order_one_richardson_ratio(self):
         f = TrigPoly.from_cosines(2, {(1, 0): 1.0})
