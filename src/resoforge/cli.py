@@ -34,7 +34,6 @@ from .fourier import NotAGeneratorError, lacunary_potential, load_potential, sav
 from .genericity import GenericityParams, check_membership, sample_product_measure
 from .lieseries import GeneratorFlowError, NaturalHam, SmallDivisorError, lie_step_nonres, lie_step_res
 from .standard_form import FixedPointDivergence, standardize, verify_standard
-from .unimodular import NotAGeneratorError as UmNotAGenerator
 from .unimodular import complete_to_sl, decoupling_matrix
 
 EXIT_OK = 0
@@ -389,7 +388,7 @@ def main(argv=None) -> int:
         # the inputs were well-formed but a hypothesis of the construction failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ConfigError, NotAGeneratorError, UmNotAGenerator, ValueError) as exc:
+    except (ConfigError, NotAGeneratorError, ValueError) as exc:
         # malformed inputs, non-generator vectors, cutoff ordering, points
         # outside the domain: all configuration-level failures
         print(f"error: {exc}", file=sys.stderr)

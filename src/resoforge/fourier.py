@@ -261,20 +261,6 @@ class TrigPoly:
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
-    def from_modes(cls, n: int, modes: Mapping[Mode, complex]) -> "TrigPoly":
-        """Build from arbitrary-sign modes, folding -k entries by conjugation."""
-        folded: dict[Mode, complex] = {}
-        for k, c in modes.items():
-            k = tuple(int(v) for v in k)
-            if all(v == 0 for v in k):
-                if c != 0:
-                    raise ValueError("zero-average functions only (f_0 must vanish)")
-                continue
-            rep, flipped = canonical_form(k)
-            folded[rep] = folded.get(rep, 0.0) + (np.conj(c) if flipped else complex(c))
-        return cls(n, folded)
-
-    @classmethod
     def from_cosines(cls, n: int, amplitudes: Mapping[Mode, float]) -> "TrigPoly":
         """f = sum_k a_k cos(k.x) for canonical k (coefficients a_k / 2)."""
         return cls(n, {tuple(k): a / 2.0 for k, a in amplitudes.items()})

@@ -328,18 +328,6 @@ class TaylorFourierSeries:
         return (sums[:, n].real.reshape(lead)[()], sums[:, :n].real.reshape(lead + (n,)),
                 -sums[:, n + 1:].imag.reshape(lead + (n,)))
 
-    def directional_derivative(self, v) -> "TaylorFourierSeries":
-        """d/dt F(y + t v)|_{t=0} as a series (exact polynomial calculus)."""
-        v = np.asarray(v, dtype=float)
-        out = self.like()
-        for (k, m), c in self.terms.items():
-            for j in range(self.n):
-                if m[j] > 0 and v[j] != 0:
-                    mm = list(m)
-                    mm[j] -= 1
-                    out.add_term(k, tuple(mm), c * m[j] * v[j])
-        return out
-
     def majorant(self, r: float, s_width: float) -> float:
         """sum |c| r^{|m|} e^{|k|_1 s_width}: bounds the sup over the
         polydisk |y_i - y0_i| <= r times the x-strip of width s_width."""

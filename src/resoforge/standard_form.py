@@ -25,13 +25,15 @@ reference potential Gbar = eps_k pi_k f, characteristics
 
 which is independent of the resonance label k.
 
-Evaluation: the decoupled potentials are array-valued.  Y1 and q1 broadcast
-against each other, so the fixed point is solved on a whole q1 grid at once
-(each entry stops on its own step, exactly as the pointwise iteration would).
-The Jacobians of Phi2 and Phi3 are exact: dp/dphat and d2p/dphat2 come from
-first- and second-order implicit differentiation of p + 0.5 d_{Y1} Gf(p) = 0,
-with the potential derivatives in closed form (PolyTrig1) or as exact
-directional derivatives of the series (SecularSeriesPotential).
+Evaluation: one kernel, PolyTrig1, evaluates every decoupled potential.  The
+pipeline's secular series is re-expanded exactly into its terms
+Y1^d phat^m (a cos j q1 + b sin j q1) about the averaging base point, so all
+derivatives are closed-form.  The potentials are array-valued: Y1 and q1
+broadcast against each other, so the fixed point is solved on a whole q1 grid
+at once (each entry stops on its own step, exactly as the pointwise iteration
+would).  The Jacobians of Phi2 and Phi3 are exact: dp/dphat and d2p/dphat2
+come from first- and second-order implicit differentiation of
+p + 0.5 d_{Y1} Gf(p) = 0.
 
 Config note: the fully certified asymptotic regime additionally requires the
 inner cutoff K0 to exceed a dimensional gate (at least c2, plus an inexplicit
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -63,15 +66,109 @@ _THETA = np.arange(GRID) * (TWO_PI / GRID)
 # decoupled potentials: value/dY1/d2Y1/d3Y1/dY1_dq1/dY1_dph/d2Y1_dph/dY1_dph2
 # --------------------------------------------------------------------------
 
-class _Potential:
-    """The derivative interface of a decoupled potential Gf(Y1, phat, q1).
+def _distinct(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values and the position of each value among them."""
+    distinct = sorted(set(values))
+    return (np.array(distinct, dtype=float),
+            np.array([distinct.index(v) for v in values], dtype=int))
 
-    A subclass provides one primitive, `_sum(Y1, ph, q1, dy, dphs, dq)`:
-    d^dy/dY1^dy d^dq/dq1^dq (dq <= 1) followed, for each index tuple in
-    dphs, by d/dphat_i for every i in the tuple, one tuple per entry of the
-    last axis.  Y1 and q1 broadcast against each other (scalars or arrays);
-    phat is one point.  The phat derivatives append one axis per index.
+
+@dataclass
+class PolyTrig1:
+    """The decoupled potential Gf(Y1, phat, q1): the real function
+    sum v1^d vhat^m (a cos(j q1) + b sin(j q1)) of the offsets
+    (v1, vhat) = (Y1, phat) - center from an expansion point.
+
+    terms: dict[(d, m, j)] -> (a, b) with j >= 0; the terms are compiled into
+    arrays once, at construction.  center is 0 for hand-built forms;
+    `from_series` expands the pipeline's series about the averaging base
+    point.  Every method is closed-form; Y1 and q1 broadcast against each
+    other (scalars or arrays), phat is one point, and each phat derivative
+    appends one axis per index.
     """
+
+    n_hat: int
+    terms: dict[tuple[int, tuple[int, ...], int], tuple[float, float]]
+    center: np.ndarray | None = None
+
+    def __post_init__(self):
+        keys = list(self.terms)
+        count = len(keys)
+        self.center = (np.zeros(self.n_hat + 1) if self.center is None
+                       else np.asarray(self.center, dtype=float))
+        self._d = np.array([d for d, _, _ in keys], dtype=float)
+        self._m = np.array([m for _, m, _ in keys], dtype=float).reshape(count, self.n_hat)
+        self._j = np.array([j for _, _, j in keys], dtype=float)
+        # trig and Y1 powers are evaluated once per distinct j and d
+        self._ju, self._jinv = _distinct([j for _, _, j in keys])
+        self._du, self._dinv = _distinct([d for d, _, _ in keys])
+        self._a, self._b = np.array([self.terms[key] for key in keys],
+                                    dtype=float).reshape(count, 2).T
+
+    @classmethod
+    def from_series(cls, series: TaylorFourierSeries, k: Mode, affine: np.ndarray,
+                    scale: float) -> "PolyTrig1":
+        """scale * Re g(affine @ (Y1, phat), q1 k/|k|^2) for a series g whose
+        modes lie on Z k, re-expanded exactly about center = affine^-1 y0
+        (y0 the series' base point).  With v = (Y1, phat) - center, each
+        (y - y0)^m = (affine v)^m is a multinomial product, and the mode j k
+        folds onto |j| by Re(z e^{ijq}) = Re z cos jq -/+ Im z sin jq."""
+        n = len(affine)
+        # row i of affine as the linear form {exponents of v: coefficient}
+        rows = [{tuple(int(i == l) for i in range(n)): a for l, a in enumerate(row) if a != 0}
+                for row in affine]
+
+        @cache
+        def expand(m: tuple[int, ...]) -> dict:
+            """(affine v)^m as {exponents of v: coefficient}."""
+            if not any(m):
+                return {(0,) * n: 1.0}
+            i = next(i for i, e in enumerate(m) if e)
+            out: dict = {}
+            for e1, c1 in expand(m[:i] + (m[i] - 1,) + m[i + 1:]).items():
+                for e2, c2 in rows[i].items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    out[e] = out.get(e, 0.0) + c1 * c2
+            return out
+
+        terms: dict = {}
+        for j, m, c in series.ray_terms(k):
+            sign = (j > 0) - (j < 0)
+            for e, coeff in expand(m).items():
+                z = scale * c * coeff
+                key = (e[0], e[1:], abs(j))
+                a, b = terms.get(key, (0.0, 0.0))
+                terms[key] = (a + z.real, b - sign * z.imag)
+        return cls(n - 1, terms, np.linalg.solve(affine, series.base_point))
+
+    def _sum(self, Y1, ph, q1, dy: int, dphs=((),), dq: int = 0) -> np.ndarray:
+        """d^dy/dY1^dy d^dq/dq1^dq (dq <= 1) followed, for each index tuple in
+        dphs, by d/dphat_i for every i in the tuple, one tuple per entry of
+        the last axis.  Each derivative multiplies a term by its exponent,
+        then lowers it."""
+        ph = np.asarray(ph, dtype=float) - self.center[1:]
+        coeff = np.ones(len(self._d))
+        for k in range(dy):
+            coeff = coeff * (self._d - k)
+        rows = []
+        for idx in dphs:
+            c, m = coeff, self._m.copy()
+            for i in idx:
+                c = c * m[:, i]
+                m[:, i] -= 1.0
+            rows.append(c * np.prod(ph ** np.maximum(m, 0.0), axis=1))
+        jq = np.asarray(q1, dtype=float)[..., None] * self._ju
+        cos, sin = np.cos(jq)[..., self._jinv], np.sin(jq)[..., self._jinv]
+        if dq == 0:
+            trig = self._a * cos + self._b * sin
+        else:
+            trig = self._j * (self._b * cos - self._a * sin)
+        du = np.maximum(self._du - dy, 0.0)
+        v1 = np.asarray(Y1, dtype=float) - self.center[0]
+        base = (v1[..., None] ** du)[..., self._dinv] * trig
+        # the gathers come out term-major; a contiguous term axis is summed
+        # pairwise, as it is for one point, so arrays equal pointwise calls
+        return np.sum(np.ascontiguousarray(np.array(rows) * base[..., None, :]), axis=-1)
 
     def _singles(self):
         return [(i,) for i in range(self.n_hat)]
@@ -102,135 +199,14 @@ class _Potential:
         out = self._sum(Y1, ph, q1, 1, [(i, j) for i in range(n) for j in range(n)])
         return out.reshape(out.shape[:-1] + (n, n))
 
-
-def _distinct(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values and the position of each value among them."""
-    distinct = sorted(set(values))
-    return (np.array(distinct, dtype=float),
-            np.array([distinct.index(v) for v in values], dtype=int))
-
-
-@dataclass
-class PolyTrig1(_Potential):
-    """Real function sum c Y1^d phat^m (a cos(j q1) + b sin(j q1)).
-
-    terms: dict[(d, m, j)] -> (a, b); the benchmark implementation of the
-    decoupled potential with closed-form derivatives.  The terms are compiled
-    into arrays once, at construction.
-    """
-
-    n_hat: int
-    terms: dict[tuple[int, tuple[int, ...], int], tuple[float, float]]
-
-    def __post_init__(self):
-        keys = list(self.terms)
-        count = len(keys)
-        self._d = np.array([d for d, _, _ in keys], dtype=float)
-        self._m = np.array([m for _, m, _ in keys], dtype=float).reshape(count, self.n_hat)
-        self._j = np.array([j for _, _, j in keys], dtype=float)
-        # trig and Y1 powers are evaluated once per distinct j and d
-        self._ju, self._jinv = _distinct([j for _, _, j in keys])
-        self._du, self._dinv = _distinct([d for d, _, _ in keys])
-        self._a, self._b = np.array([self.terms[key] for key in keys],
-                                    dtype=float).reshape(count, 2).T
-
-    def _sum(self, Y1, ph, q1, dy: int, dphs=((),), dq: int = 0) -> np.ndarray:
-        """Each derivative multiplies a term by its exponent, then lowers it."""
-        ph = np.asarray(ph, dtype=float)
-        coeff = np.ones(len(self._d))
-        for k in range(dy):
-            coeff = coeff * (self._d - k)
-        rows = []
-        for idx in dphs:
-            c, m = coeff, self._m.copy()
-            for i in idx:
-                c = c * m[:, i]
-                m[:, i] -= 1.0
-            rows.append(c * np.prod(ph ** np.maximum(m, 0.0), axis=1))
-        jq = np.asarray(q1, dtype=float)[..., None] * self._ju
-        cos, sin = np.cos(jq)[..., self._jinv], np.sin(jq)[..., self._jinv]
-        if dq == 0:
-            trig = self._a * cos + self._b * sin
-        else:
-            trig = self._j * (self._b * cos - self._a * sin)
-        du = np.maximum(self._du - dy, 0.0)
-        base = (np.asarray(Y1, dtype=float)[..., None] ** du)[..., self._dinv] * trig
-        return np.sum(np.array(rows) * base[..., None, :], axis=-1)
-
     def dep_majorant(self, rY1: float, rph: float, width: float) -> float:
-        """Bound on the Y1- or phat-dependent part over |Y1| <= rY1,
-        |phat_i| <= rph, |Im q1| <= width."""
+        """Bound on the Y1- or phat-dependent part over |Y1 - c_0| <= rY1,
+        |phat_i - c_i| <= rph, |Im q1| <= width (c the expansion point)."""
         total = 0.0
         for (d, m, j), (a, b) in self.terms.items():
             if d == 0 and sum(m) == 0:
                 continue
             total += (abs(a) + abs(b)) * rY1 ** d * rph ** sum(m) * math.exp(j * width)
-        return total
-
-
-class SecularSeriesPotential(_Potential):
-    """Pipeline implementation: eps_k * g(A^T U Y, theta) with g a resonance-line
-    Taylor x Fourier series around the averaging base point.  Every
-    derivative is an exact directional derivative of the series along the
-    columns of `affine`; the q1 derivative is a factor i j on each term."""
-
-    def __init__(self, series: TaylorFourierSeries, k: Mode, affine: np.ndarray,
-                 base_point: np.ndarray, scale: float):
-        self.k = tuple(int(v) for v in k)
-        self.affine = affine            # y = affine @ (Y1, phat)
-        self.base_point = base_point
-        self.scale = scale
-        self.n = len(base_point)
-        self.n_hat = self.n - 1
-        # (dy, phat indices) -> the compiled derivative series
-        derivs = {(0, ()): series}
-        for dy in (1, 2, 3):
-            derivs[(dy, ())] = derivs[(dy - 1, ())].directional_derivative(affine[:, 0])
-        for i in range(self.n_hat):
-            for dy in (1, 2):
-                derivs[(dy, (i,))] = derivs[(dy, ())].directional_derivative(affine[:, i + 1])
-            for j in range(self.n_hat):
-                derivs[(1, (i, j))] = derivs[(1, (i,))].directional_derivative(
-                    affine[:, j + 1])
-        self._compiled = {key: self._compile(s) for key, s in derivs.items()}
-
-    def _compile(self, series: TaylorFourierSeries):
-        terms = series.ray_terms(self.k)
-        if not terms:
-            return None
-        J = np.array([t[0] for t in terms], dtype=float)
-        M = np.array([t[1] for t in terms], dtype=float).reshape(len(terms), self.n)
-        C = np.array([t[2] for t in terms])
-        return J, M, C
-
-    def _eval(self, compiled, Y1, ph, q1, dq: int):
-        if compiled is None:
-            return np.zeros(np.broadcast(Y1, q1).shape)
-        J, M, C = compiled
-        if dq:
-            C = C * (1j * J)
-        shift = self.affine[:, 1:] @ np.asarray(ph, dtype=float)
-        w = np.asarray(Y1, dtype=float)[..., None] * self.affine[:, 0] + shift - self.base_point
-        wp = np.where(M > 0, np.power(w[..., None, :], M), 1.0)
-        phase = np.exp(1j * J * np.asarray(q1, dtype=float)[..., None])
-        return self.scale * np.real(np.sum(C * np.prod(wp, axis=-1) * phase, axis=-1))
-
-    def _sum(self, Y1, ph, q1, dy: int, dphs=((),), dq: int = 0) -> np.ndarray:
-        return np.stack([self._eval(self._compiled[(dy, tuple(idx))], Y1, ph, q1, dq)
-                         for idx in dphs], axis=-1)
-
-
-class CombinedPotential(_Potential):
-    """Sum of potentials sharing the derivative interface."""
-
-    def __init__(self, *parts):
-        self.parts = [p for p in parts if p is not None]
-        self.n_hat = self.parts[0].n_hat if self.parts else None
-
-    def _sum(self, Y1, ph, q1, dy: int, dphs=((),), dq: int = 0) -> np.ndarray:
-        total = np.zeros(np.broadcast(Y1, q1).shape + (len(dphs),))
-        for part in self.parts:
-            total = total + part._sum(Y1, ph, q1, dy, dphs, dq)
         return total
 
 
@@ -436,8 +412,8 @@ class DecoupledForm:
     """Hsharp(Y, X1) = Y1^2 + Gf(Y1, phat, X1) with Gf = Gsharp_o + Gsharp,
     plus the adiabatic part 0.5|P_k^perp Ahat^T phat|^2 split off by Phi1."""
 
-    Gf: object                 # combined potential with the derivative interface
-    G_osc: object | None       # the oscillatory part alone (zero q1 average)
+    Gf: PolyTrig1
+    G_osc: PolyTrig1 | None    # the oscillatory part alone (zero q1 average)
     adiabatic: object          # callable(phat) -> float
     r: float
     s_breve: float
@@ -477,12 +453,9 @@ def build_phi1(secular: SecularHam, params: CoveringParams,
     affine = at @ U  # y = affine @ Y; first column equals k exactly
     n = um.n
 
-    g_o_pot = SecularSeriesPotential(
-        secular.g_o_series, k, affine, secular.base_point, eps_k
-    ) if not secular.g_o_series.is_empty else None
-    g_pot = SecularSeriesPotential(
-        secular.g_series, k, affine, secular.base_point, eps_k
-    ) if not secular.g_series.is_empty else None
+    g = secular.g_series
+    Gf = PolyTrig1.from_series(secular.g_o_series.plus(g), k, affine, eps_k)
+    G_osc = PolyTrig1.from_series(g, k, affine, eps_k)
     ahat_t = np.array(um.A_hat, dtype=float).T
     kv = np.array(k, dtype=float)
 
@@ -494,8 +467,8 @@ def build_phi1(secular: SecularHam, params: CoveringParams,
     if r is None or s_breve is None or theta_o_bound is None:
         raise ValueError("build_phi1 needs the domain data (r, s_breve, theta_o_bound)")
     return DecoupledForm(
-        Gf=CombinedPotential(g_o_pot, g_pot),
-        G_osc=g_pot,
+        Gf=Gf,
+        G_osc=G_osc,
         adiabatic=adiabatic,
         r=r,
         s_breve=s_breve,
@@ -875,11 +848,6 @@ class StandardFormHam:
         pts = p_o + _GL_T * (np.asarray(P1, dtype=float)[..., None] - p_o)
         vals = self.form.Gf.d2Y1(pts, ph, np.asarray(q1, dtype=float)[..., None])
         return np.sum(_GL_W * (1.0 - _GL_T) * vals, axis=-1)
-
-    def nu_tilde(self, P1, phat, q1):
-        """int_0^1 (1-t) d2_{Y1} Gf(p_o + t(P1 - p_o)) dt."""
-        ph = np.asarray(phat, dtype=float)
-        return self._taylor_integral(P1, self.fp.p_o(ph), ph, q1)
 
     def nu(self, p1, phat, q1):
         ph = np.asarray(phat, dtype=float)

@@ -24,11 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import Mode, is_generator
-
-
-class NotAGeneratorError(ValueError):
-    pass
+from .fourier import Mode, NotAGeneratorError, is_generator
 
 
 IntMatrix = list[list[int]]

@@ -396,13 +396,13 @@ class TestArgmaxInvariance:
 # array-valued potentials, the masked solver and the exact Jacobians
 # --------------------------------------------------------------------------
 
-def _three_mode_standard_form():
+def _three_mode_standard_form(phase=0.0):
     # the (1, 2) line with a third mode on it, at order 3: both the averaged
     # and the oscillatory decoupled potentials depend on Y1, so p varies
     # with q1 and phat and neither Phi2 nor Phi3 is the identity
     a = math.exp(-2.0)
     k = (1, 2)
-    f = TrigPoly(2, {(1, 1): complex(a), (1, -1): complex(a), k: complex(0.7 * a)})
+    f = TrigPoly(2, {(1, 1): complex(a), (1, -1): complex(a), k: 0.7 * a * np.exp(1j * phase)})
     u = np.array([-2.0, 1.0]) / math.sqrt(5.0)
     return standardize(f, 1.0, 1e-4, k, free_params(2, 1.0, alpha=0.03, K0=2, K=6),
                        0.6 * u, beta=0.05, order=3)
@@ -418,6 +418,13 @@ def _potential_cases():
         cases.append((form.Gf, rng.uniform(-form.r, form.r, n_hat), form.r))
     sf = _three_mode_standard_form()
     cases.append((sf.form.Gf, sf.fp.base_phat + 0.3 * sf.chars.r, sf.chars.r))
+    # twelve terms: numpy sums a contiguous axis pairwise from 8 entries on,
+    # and an array call must sum each point's terms as a pointwise call does
+    keys = [(d, m, j) for d in range(3) for m in ((0, 0), (1, 0), (0, 1), (1, 1))
+            for j in range(3)]
+    pick = rng.choice(len(keys), 12, replace=False)
+    G = PolyTrig1(2, {keys[i]: tuple(rng.uniform(-1e-3, 1e-3, 2)) for i in pick})
+    cases.append((G, rng.uniform(-0.05, 0.05, 2), 0.05))
     return cases
 
 
@@ -464,7 +471,7 @@ def _jacobian_points(sf, count, seed):
 
 
 class TestArrayPotentials:
-    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("case", range(4))
     def test_array_equals_pointwise_loop(self, case):
         G, ph, r = _potential_cases()[case]
         rng = np.random.default_rng(12)
@@ -478,7 +485,7 @@ class TestArrayPotentials:
             grid = method(Y[:5, None], ph, q[None, :7])
             assert np.array_equal(grid[2, 3], method(Y[2], ph, q[3])), name
 
-    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("case", range(4))
     def test_derivatives_match_fd(self, case):
         # each derivative against a fourth-order difference of the method one
         # order below it; the potentials are polynomials of degree <= 3 in
@@ -513,7 +520,7 @@ class TestArrayPotentials:
             scale = max(float(np.max(np.abs(exact))), 1e-300)
             assert np.max(np.abs(exact - fd)) <= 1e-6 * scale, name
 
-    @pytest.mark.parametrize("case", range(3))
+    @pytest.mark.parametrize("case", range(4))
     def test_masked_solve_equals_scalar_iteration(self, case):
         G, ph, r = _potential_cases()[case]
         fp = solve_fixed_point(trivial_form(G, n_hat=len(ph), r=r), ph)
@@ -536,6 +543,99 @@ class TestArrayPotentials:
         G = PolyTrig1(1, terms)
         assert G.terms == terms
         assert G.dep_majorant(0.1, 0.1, 0.5) > 0.0
+
+
+# --------------------------------------------------------------------------
+# the re-expanded pipeline potentials against the series they come from
+# --------------------------------------------------------------------------
+
+# method -> (order in Y1, order in phat, order in q1)
+DERIVATIVE_ORDERS = {
+    "value": (0, 0, 0), "dY1": (1, 0, 0), "d2Y1": (2, 0, 0), "d3Y1": (3, 0, 0),
+    "dY1_dq1": (1, 0, 1), "dY1_dph": (1, 1, 0), "d2Y1_dph": (2, 1, 0), "dY1_dph2": (1, 2, 0),
+}
+
+
+def _directional_derivative(series, v):
+    """d/dt F(y + t v)|_{t=0} as a series (exact polynomial calculus)."""
+    out = series.like()
+    for (k, m), c in series.terms.items():
+        for j in range(series.n):
+            if m[j] > 0 and v[j] != 0:
+                mm = list(m)
+                mm[j] -= 1
+                out.add_term(k, tuple(mm), c * m[j] * v[j])
+    return out
+
+
+def reference_series_potential(form, parts):
+    """eps_k times the sum over `parts` (series on the ray Z k around the
+    averaging base point) of Re g(affine @ (Y1, phat), theta), evaluated term
+    by term at y - y0 (test-only).  Every derivative is an exact directional
+    derivative of the series along the columns of affine; the q1 derivative
+    is a factor i j on each term.  Returns evaluate(method, Y1, phat, q1)."""
+    sec = form.secular
+    U = np.array([[float(x) for x in row] for row in form.dm.U])
+    affine = np.array(sec.um.rows, dtype=float).T @ U
+
+    def series_sum(series, Y1, ph, q1, dq):
+        terms = series.ray_terms(sec.k)
+        if not terms:
+            return np.zeros(np.broadcast(Y1, q1).shape)
+        J = np.array([t[0] for t in terms], dtype=float)
+        M = np.array([t[1] for t in terms], dtype=float).reshape(len(terms), len(affine))
+        C = np.array([t[2] for t in terms])
+        if dq:
+            C = C * (1j * J)
+        w = Y1[..., None] * affine[:, 0] + affine[:, 1:] @ ph - sec.base_point
+        wp = np.where(M > 0, np.power(w[..., None, :], M), 1.0)
+        phase = np.exp(1j * J * q1[..., None])
+        return form.eps_k * np.real(np.sum(C * np.prod(wp, axis=-1) * phase, axis=-1))
+
+    def evaluate(method, Y1, ph, q1):
+        dy, dph, dq = DERIVATIVE_ORDERS[method]
+        Y1, ph, q1 = (np.asarray(v, dtype=float) for v in (Y1, ph, q1))
+        out = np.zeros(np.broadcast(Y1, q1).shape + (form.n_hat,) * dph)
+        for idx in np.ndindex((form.n_hat,) * dph):
+            for series in parts:
+                for i in [-1] * dy + list(idx):
+                    series = _directional_derivative(series, affine[:, i + 1])
+                out[(...,) + idx] += series_sum(series, Y1, ph, q1, dq)
+        return out
+
+    return evaluate
+
+
+def _reexpansion_form(which):
+    # an even f gives real series coefficients; the phase gives complex ones,
+    # whose imaginary parts carry the sin terms of the folded modes
+    if which == "three_mode":
+        return _three_mode_standard_form()
+    if which == "three_mode_phased":
+        return _three_mode_standard_form(phase=0.5)
+    k = np.array(which, dtype=float)
+    y0 = 0.5 * np.array([-k[1], k[0]])
+    return standardize(two_mode_potential(1.0), 1.0, 1e-4, which,
+                       free_params(2, 1.0, alpha=0.03, K0=2, K=6), y0, beta=0.05, order=3)
+
+
+class TestSeriesReexpansion:
+    @pytest.mark.parametrize("which", ["three_mode", "three_mode_phased", (1, 1), (1, -1)], ids=str)
+    def test_methods_match_series_reference(self, which):
+        sf = _reexpansion_form(which)
+        form, sec = sf.form, sf.form.secular
+        rng = np.random.default_rng(17)
+        r = sf.chars.r
+        ph = sf.fp.base_phat + rng.uniform(-r, r, form.n_hat)
+        Y = rng.uniform(-4 * r, 4 * r, 40)
+        q = rng.uniform(0, TWO_PI, 40)
+        for G, parts in ((form.Gf, [sec.g_o_series, sec.g_series]),
+                         (form.G_osc, [sec.g_series])):
+            reference = reference_series_potential(form, parts)
+            for name in POTENTIAL_METHODS:
+                ref = reference(name, Y, ph, q)
+                err = np.max(np.abs(getattr(G, name)(Y, ph, q) - ref))
+                assert err <= 1e-13 * np.max(np.abs(ref)) + 1e-30, name
 
 
 class TestExactJacobians:

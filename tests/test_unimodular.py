@@ -100,6 +100,12 @@ class TestCompletion:
         with pytest.raises(NotAGeneratorError):
             complete_to_sl((0, 0))
 
+    def test_one_not_a_generator_error(self):
+        # cli.main catches the fourier name, so the two must be one class
+        from resoforge import fourier
+
+        assert NotAGeneratorError is fourier.NotAGeneratorError
+
     def test_exact_inverse(self):
         for k in ((2, 3), (3, -2, 1), (0, 1, 2)):
             um = complete_to_sl(k)
