@@ -133,7 +133,7 @@ def cmd_check_generic(args) -> int:
     f, s = _load_potential_arg(args.potential)
     params = GenericityParams(n=f.n, s=s, delta=args.delta, beta=args.beta,
                               K_max=args.kmax)
-    report = check_membership(f, params, tol=args.tol)
+    report = check_membership(f, params)
     doc = _report_skeleton(args)
     doc["report"] = report.to_dict()
     _emit(doc, args.out)
@@ -311,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--kmax", type=float, default=80)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="critical-point root tolerance override")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_generic)
 

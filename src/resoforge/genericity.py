@@ -136,9 +136,7 @@ def check_lower_bound(
     return failures, count, worst
 
 
-def check_low_mode_morse(
-    f: TrigPoly, params: GenericityParams, tol: float = 1e-12
-) -> tuple[list[Failure], int, float]:
+def check_low_mode_morse(f: TrigPoly, params: GenericityParams) -> tuple[list[Failure], int, float]:
     """Check that pi_k f is beta-Morse with distinct values for |k|_1 <= N.
 
     A vanishing projection is recorded as a failure, not raised.  Returns
@@ -155,7 +153,7 @@ def check_low_mode_morse(
             worst = -params.beta
             continue
         try:
-            report = critical_points(F, tol=tol)
+            report = critical_points(F)
         except ConstantFunctionError:
             failures.append(Failure(k, "morse"))
             worst = -params.beta
@@ -168,11 +166,10 @@ def check_low_mode_morse(
     return failures, count, worst
 
 
-def check_membership(f: TrigPoly, params: GenericityParams,
-                     tol: float = 1e-12) -> MembershipReport:
+def check_membership(f: TrigPoly, params: GenericityParams) -> MembershipReport:
     """Full class check over the finite window; reports window and margins."""
     lb_failures, n_lb, lb_margin = check_lower_bound(f, params)
-    morse_failures, n_m, morse_margin = check_low_mode_morse(f, params, tol=tol)
+    morse_failures, n_m, morse_margin = check_low_mode_morse(f, params)
     failures = lb_failures + morse_failures
     proved = False
     if f.rule is not None and not lb_failures:

@@ -1,8 +1,9 @@
 """Morse analysis of 1-D lattice projections and cosine-likeness certificates.
 
 A periodic F is beta-Morse when min(|F'| + |F''|) >= beta on the circle and
-all critical-value gaps are >= beta.  For projections pi_k f with a dominant
-+-k mode pair the oscillatory residual
+all critical-value gaps are >= beta; critical_points measures both with one
+root primitive (_zeros).  For projections pi_k f with a dominant +-k mode
+pair the oscillatory residual
 
     F*(theta) = (1 / 2|f_k|) sum_{|j| >= 2} f_{jk} e^{i j theta}
 
@@ -18,14 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .fourier import Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1, on_ray, project_lattice
 
 GRID_SIZE = 1 << 14          # dense localization grid on [0, 2pi)
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
-MERGE_TOL = 1e-8             # duplicate roots merged within this distance
 COSINE_LIKE_THRESHOLD = 2.0 ** -40
 
 
@@ -129,138 +126,140 @@ class HighModeMorseResult:
     report: MorseReport
 
 
-def _refine_extremum(fun, theta0: float, h: float, minimum: bool = True) -> float:
-    sign = 1.0 if minimum else -1.0
-    res = minimize_scalar(
-        lambda t: sign * fun(t),
-        bounds=(theta0 - h, theta0 + h),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    return sign * float(res.fun)
+def _values(C: np.ndarray, js: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """2 Re sum_j C[r, j] e^{ijt} for every row r of C and every t: (len(t), rows)."""
+    return 2.0 * (np.exp(1j * np.outer(t, js)) @ C.T).real
 
 
-def critical_points(F: OneDTrigPoly, tol: float = NEWTON_TOL) -> MorseReport:
-    """Locate all roots of F' on the circle and assemble the Morse report.
-
-    Dense-grid bracketing (2^14 points; the grids of F, F' and F'' are one
-    inverse real FFT each, see OneDTrigPoly.values_on_grid) plus Newton
-    polishing on F'; duplicate roots within 1e-8 are merged.  min(|F'|+|F''|)
-    and max|F''| are grid minima/maxima refined by local bounded search.
+def _zeros(C: np.ndarray, js: np.ndarray, cells: np.ndarray, v_lo: np.ndarray,
+           v_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, zero) for the zeros of P_r = 2 Re sum_j C[r, j] e^{ijt} in the grid
+    cells [t_i, t_{i+1}], i = cells[k], t_i = 2 pi i / GRID_SIZE, with end
+    values v_lo[r, k], v_hi[r, k].  One scan of the stack takes one zero from
+    each cell with a sign change or a zero at its left end, polished inside
+    the cell ([t_{i-1}, t_{i+1}] for a grid zero); nothing needs merging.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if F.is_zero:
+    zero = v_lo == 0.0
+    change = (np.signbit(v_lo) != np.signbit(v_hi)) & ~(zero | (v_hi == 0.0))
+    row, k = np.divmod(np.flatnonzero(change | zero), v_lo.shape[1])
+    on_node = zero[row, k]
+    hi = v_hi[row, k]
+    # a grid zero is bracketed as a simple zero at its bracket's midpoint
+    lo = np.where(on_node, -hi, v_lo[row, k])
+    h = TWO_PI / GRID_SIZE
+    return row, _polish(C[row], js, (cells[k] - on_node) * h, (cells[k] + 1) * h, lo, hi) % TWO_PI
+
+
+def _polish(coef: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
+    """The zero of P_b = 2 Re sum_j coef[b, j] e^{ijt} in [lo_b, hi_b] (end values
+    v_lo_b, v_hi_b of opposite signs) by safeguarded Newton on all brackets at
+    once from the secant point: a step solves the quadratic Taylor model (twice
+    the Newton step if it has no real root), or bisects if it would leave the
+    bracket or fails to halve the step before last (rtsafe, Numerical Recipes
+    9.4).  Done at |P_b(t)| <= 4 eps sum_j |coef[b, j]| or a step below 1 ulp.
+    """
+    t = lo + (hi - lo) * v_lo / (v_lo - v_hi)
+    ijs = 1j * js
+    cd = 2.0 * np.stack([coef, coef * ijs, coef * ijs * ijs], axis=1)
+    floor = 4.0 * np.finfo(float).eps * np.abs(coef).sum(axis=1)
+    ulp = np.spacing(TWO_PI)
+    adx = adx_old = hi - lo
+    live = np.ones(len(t), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            p, dp, d2p = (cd @ np.exp(np.outer(t, ijs))[:, :, None]).real[:, :, 0].T
+            root = np.sqrt(np.maximum(dp * dp - 2.0 * p * d2p, 0.0))
+            step = 2.0 * p / (dp + np.copysign(root, dp))
+            live &= (np.abs(p) > floor) & (np.abs(step) >= ulp)
+            if not live.any():
+                return t
+            lo_side = (p < 0) == (v_lo < 0)
+            lo, hi = np.where(lo_side, t, lo), np.where(lo_side, hi, t)
+            t_new = t - step
+            keep = (t_new >= lo) & (t_new <= hi) & (np.abs(step + step) <= adx_old)
+            t_new = np.where(keep, t_new, 0.5 * (lo + hi))
+            adx_old, adx = adx, np.abs(t_new - t)
+            t = np.where(live, t_new, t)
+            live &= adx >= ulp
+
+
+def _derivative_rows(F: OneDTrigPoly, orders) -> tuple[np.ndarray, np.ndarray]:
+    """(js, rows): row k holds the coefficients c_j (ij)^orders[k] of F^(orders[k])."""
+    js = np.fromiter(F.coeffs, dtype=float, count=len(F.coeffs))
+    c = np.fromiter(F.coeffs.values(), dtype=complex, count=len(js))
+    return js, np.stack([c * (1j * js) ** k for k in orders])
+
+
+def critical_points(F: OneDTrigPoly) -> MorseReport:
+    """The zeros of F' (one per 3.8e-4 grid cell) and the Morse report of F.
+
+    The 2^14-point grids of F' and F'' pick the cells: each sign change of F',
+    and each cell where |F'| + |F''| or |F''| could pass its grid extreme (in
+    half a cell of width h they move by at most h sum_j (j^2 + j^3)|c_j| and
+    h sum_j j^3 |c_j|).  There _zeros finds the zeros of F', of F'' and
+    F'' +- F''' (the kinks and stationary points of |F'| + |F''|) and of F'''.
+    """
+    m, h = GRID_SIZE, TWO_PI / GRID_SIZE
+    f1, f2 = (F.values_on_grid(m, order=k) for k in (1, 2))
+    a1, a2 = np.abs(f1), np.abs(f2)
+    if float(np.max(a1)) < 1e-300:
         raise ConstantFunctionError("constant function")
-    m = GRID_SIZE
-    theta = np.arange(m) * (TWO_PI / m)
-    f0 = F.values_on_grid(m, order=0)
-    f1 = F.values_on_grid(m, order=1)
-    f2 = F.values_on_grid(m, order=2)
-    deriv_scale = float(np.max(np.abs(f1)))
-    if deriv_scale < 1e-300:
-        raise ConstantFunctionError("constant function")
-    # root tolerance is relative to max|F'| so rescaled inputs behave identically
-    tol_eff = tol * deriv_scale
-
-    d1 = F.derivative(1)
-    d2 = F.derivative(2)
-
-    def fp(t: float) -> float:
-        return d1.evaluate(t).real
-
-    def fpp(t: float) -> float:
-        return d2.evaluate(t).real
-
-    roots: list[float] = []
+    js, rows = _derivative_rows(F, range(4))
+    c2, c3 = rows[2], rows[3]
+    lip2, lip3 = h * np.abs(c2).sum(), h * np.abs(c3).sum()
+    gph = a1 + a2
+    gph_min = float(np.min(gph))
     f1_next = np.roll(f1, -1)
-    for i in np.nonzero((f1 * f1_next < 0) | (f1 == 0.0))[0]:
-        a = theta[i]
-        b = theta[i] + TWO_PI / m
-        t = 0.5 * (a + b) if f1[i] != 0.0 else a
-        converged = False
-        for _ in range(NEWTON_MAX_ITER):
-            val = fp(t)
-            if abs(val) < tol_eff:
-                converged = True
-                break
-            der = fpp(t)
-            if der == 0.0:
-                break
-            t_new = t - val / der
-            if not (a - TWO_PI / m <= t_new <= b + TWO_PI / m):
-                break
-            t = t_new
-        if not converged and f1[i] * f1_next[i] < 0:
-            lo, hi = a, b
-            flo = fp(lo)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = fp(mid)
-                if abs(fm) < tol_eff:
-                    break
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            t = 0.5 * (lo + hi)
-        roots.append(t % TWO_PI)
-
-    roots.sort()
-    merged: list[float] = []
-    for t in roots:
-        if merged and (abs(t - merged[-1]) < MERGE_TOL):
-            continue
-        merged.append(t)
-    if len(merged) >= 2 and (merged[0] + TWO_PI) - merged[-1] < MERGE_TOL:
-        merged.pop()
-    pts = np.array(merged)
-    vals = np.array([F.evaluate(t).real for t in pts])
-
-    g = np.abs(f1) + np.abs(f2)
-    i_min = int(np.argmin(g))
-    min_gph = _refine_extremum(
-        lambda t: abs(fp(t)) + abs(fpp(t)), theta[i_min], TWO_PI / m, minimum=True
-    )
-    i_max = int(np.argmax(np.abs(f2)))
-    max_f2 = _refine_extremum(lambda t: abs(fpp(t)), theta[i_max], TWO_PI / m, minimum=False)
-
-    if len(pts) >= 2:
-        diffs = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        min_gap = float(np.min(diffs))
-    else:
-        min_gap = math.inf
-    value_scale = float(np.max(np.abs(f0)))
-    distinct = bool(min_gap > 1e-9 * max(value_scale, 1e-300))
-
-    return MorseReport(
-        critical_points=pts,
-        critical_values=vals,
-        beta=min(min_gph, min_gap),
-        min_value_gap=min_gap,
-        min_grad_plus_hess=min_gph,
-        distinct_values=distinct,
-        max_second_derivative=max_f2,
-    )
+    cells = np.flatnonzero((f1 * f1_next <= 0)
+                           | (np.minimum(gph, np.roll(gph, -1)) <= gph_min + lip2 + lip3)
+                           | (np.maximum(a2, np.roll(a2, -1)) >= np.max(a2) - lip3))
+    d2, d3 = _values(rows[2:], js, np.r_[cells, cells + 1] * h).T
+    v = np.stack([np.r_[f1[cells], f1_next[cells]], d2, d2 + d3, d2 - d3, d3])
+    row, t = _zeros(np.stack([rows[1], c2, c2 + c3, c2 - c3, c3]), js, cells,
+                    v[:, :len(cells)], v[:, len(cells):])
+    at = _values(rows[:3], js, t)
+    crit = np.flatnonzero(row == 0)[np.argsort(t[row == 0])]
+    pts, vals = t[crit], at[crit, 0]
+    kinks = np.abs(at[row <= 3, 1:]).sum(axis=1)
+    # a pair of zeros of F'' (two more kinks) inside one cell shows only as a
+    # zero z of F''' where F'' has the other sign than at both cell ends
+    z, g = t[row == 4], at[row == 4, 2]
+    max_f2 = max(float(np.max(a2)), float(np.max(np.abs(g), initial=0.0)))
+    i = (z // h).astype(int) % m
+    pair = (np.sign(g) == -np.sign(f2[i])) & (np.sign(f2[i]) == np.sign(f2[(i + 1) % m]))
+    if pair.any():
+        z, g, i = z[pair], g[pair], i[pair]
+        tz = _polish(np.broadcast_to(c2, (2 * len(z), len(js))), js, np.r_[i * h, z],
+                     np.r_[z, (i + 1) * h], np.r_[f2[i], g], np.r_[g, f2[(i + 1) % m]])
+        kinks = np.r_[kinks, np.abs(_values(rows[1:3], js, tz)).sum(axis=1)]
+    min_gph = min(gph_min, float(np.min(kinks, initial=math.inf)))
+    min_gap = float(np.min(np.diff(np.sort(vals)), initial=math.inf))
+    # max|F| is attained at a critical point
+    value_scale = float(np.max(np.abs(vals), initial=0.0))
+    return MorseReport(critical_points=pts, critical_values=vals, beta=min(min_gph, min_gap),
+                       min_value_gap=min_gap, min_grad_plus_hess=min_gph,
+                       distinct_values=bool(min_gap > 1e-9 * max(value_scale, 1e-300)),
+                       max_second_derivative=max_f2)
 
 
 def c2_distance_to_cosine(F: OneDTrigPoly, theta0: float) -> float:
-    """max over derivative orders 0..2 of sup_T |d^j(F - cos(theta+theta0))|."""
+    """max over k = 0..2 of sup_T |delta^(k)|, delta = F - cos(theta + theta0):
+    the grid maximum, or |delta^(k)| at a zero of delta^(k+1) in a cell whose
+    ends come within h sum_j j^(k+1) |c_j| of it (its most in half a cell)."""
     delta = F.plus(OneDTrigPoly.from_cosine(-1.0, theta0))
     if delta.is_zero:
         return 0.0
-    m = GRID_SIZE
-    grid = np.arange(m) * (TWO_PI / m)
-    worst = 0.0
-    for order in range(3):
-        d = delta.derivative(order)
-        vals = np.abs(delta.values_on_grid(m, order=order))
-        i = int(np.argmax(vals))
-        worst = max(worst, _refine_extremum(
-            lambda t: abs(d.evaluate(t).real), grid[i], TWO_PI / m, minimum=False
-        ))
-    return worst
+    js, rows = _derivative_rows(delta, range(4))
+    a = [np.abs(delta.values_on_grid(GRID_SIZE, order=k)) for k in range(3)]
+    best = float(max(map(np.max, a)))
+    reach = best - TWO_PI / GRID_SIZE * np.abs(rows[1:]).sum(axis=1)
+    cells = np.unique(np.concatenate([np.flatnonzero(np.maximum(x, np.roll(x, -1)) >= r)
+                                      for x, r in zip(a, reach) if np.max(x) >= r]))
+    v = _values(rows[1:], js, np.r_[cells, cells + 1] * (TWO_PI / GRID_SIZE)).T
+    row, t = _zeros(rows[1:], js, cells, v[:, :len(cells)], v[:, len(cells):])
+    at = np.abs(_values(rows[:3], js, t))
+    return float(np.max(at[np.arange(len(t)), row], initial=best))
 
 
 def two_point_morse_check(F: OneDTrigPoly, c: float) -> MorseReport:

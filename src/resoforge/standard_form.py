@@ -930,11 +930,7 @@ class StandardFormReport:
         return {"flags": self.flags, "passed": self.passed}
 
 
-def verify_standard(
-    sf: StandardFormHam,
-    phat_samples: np.ndarray,
-    morse_oracle: bool = True,
-) -> StandardFormReport:
+def verify_standard(sf: StandardFormHam, phat_samples: np.ndarray) -> StandardFormReport:
     """Check every standard-form estimate with margins.
 
     sup|Gbar| vs eps_hat, sup|G - Gbar| vs eps_hat*lambda, sup|nu| vs lambda,
@@ -994,7 +990,7 @@ def verify_standard(
     put("eps_hat_le_r2_216", ch.eps_hat, ch.r ** 2 / 2 ** 16,
         ch.eps_hat <= ch.r ** 2 / 2 ** 16)
 
-    if morse_oracle and not sf.G_bar.is_zero:
+    if not sf.G_bar.is_zero:
         rep = critical_points(sf.G_bar)
         put("gbar_morse_ge_m", ch.m, rep.beta, rep.beta >= ch.m * (1 - 1e-9))
         flags["gbar_morse_computed"] = {"value": rep.beta, "bound": ch.m,

@@ -5,11 +5,13 @@ Each test delegates to the corresponding criterion in resoforge.acceptance
 and prints the one-line pass/fail summary.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from resoforge import acceptance
+from resoforge.morse import critical_points
 
 
 def _run(fn, **kwargs):
@@ -37,6 +39,18 @@ def test_criterion_03_morse_oracle():
     result = _run(acceptance.criterion_3_morse_oracle, instances=500)
     assert result.details["beta_2cos_error"] <= 1e-9
     assert result.details["failures"] == 0
+
+
+def test_criterion_03_rejects_a_dropped_critical_point(monkeypatch):
+    def drop_one(F):
+        rep = critical_points(F)
+        return dataclasses.replace(rep, critical_points=rep.critical_points[1:],
+                                   critical_values=rep.critical_values[1:])
+
+    monkeypatch.setattr(acceptance, "critical_points", drop_one)
+    result = acceptance.criterion_3_morse_oracle(instances=5)
+    assert not result.passed
+    assert result.details["failures"] == 5
 
 
 def test_criterion_04_cosine_likeness():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resoforge.fourier import OneDTrigPoly, TrigPoly, lacunary_potential, project_lattice
-from resoforge.genericity import threshold_N
+from resoforge.genericity import sample_product_measure, threshold_N
 from resoforge.morse import (
     ConstantFunctionError,
     CosineLikenessError,
@@ -92,10 +92,28 @@ class TestCriticalPoints:
             assert np.allclose(np.sort(shifted.critical_points), expected, atol=1e-10)
 
     def test_scaling_tiny_amplitudes(self):
-        # relative root tolerance keeps rescaled inputs identical
+        # the rounding floor scales with the coefficients, so rescaled inputs
+        # behave identically
         rep = critical_points(OneDTrigPoly.from_cosine(2e-25))
         assert rep.beta == pytest.approx(2e-25, rel=1e-9)
         assert rep.count == 2
+
+    def test_min_grad_plus_hess_not_above_a_finer_grid(self):
+        # two basins of |F'| + |F''| nearly tie; refining the grid argmin
+        # within one cell lands in the wrong one and overstates the minimum
+        F = project_lattice(sample_product_measure(2, 8.0, 17.353691669127937, [101, 8, 12]),
+                            (0, 1))
+        assert F.degree() == 17
+        # |F'| + |F''| by direct summation on 2^20 points, in chunks
+        js = np.array(sorted(F.coeffs), dtype=float)
+        d1 = np.array([F.coeffs[int(j)] for j in js]) * (1j * js)
+        fine = math.inf
+        for theta in np.split(np.arange(1 << 20) * (TWO_PI / (1 << 20)), 16):
+            e = np.exp(1j * np.outer(js, theta))
+            g = np.abs(2.0 * (d1 @ e).real) + np.abs(2.0 * ((d1 * 1j * js) @ e).real)
+            fine = min(fine, float(np.min(g)))
+        assert fine == pytest.approx(2.5048690e-4, rel=1e-7)
+        assert critical_points(F).min_grad_plus_hess <= fine
 
 
 def close_pair_family(sep, amplitude=1.3, shift=0.4):
@@ -106,22 +124,65 @@ def close_pair_family(sep, amplitude=1.3, shift=0.4):
     return OneDTrigPoly({1: 0.5 * amplitude, 2: -amplitude * a / 8.0}).shifted(shift)
 
 
+def mp_critical_count(F, centre, halfwidth=1e-4, coarse=1 << 10, fine=2001):
+    """Independent oracle for the stored coefficients: sign changes and exact
+    zeros of F' at 400-bit precision, on a uniform grid of the circle merged
+    with a fine grid of spacing 1e-7 over centre +- halfwidth."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(400):
+        terms = [(j, mpmath.mpf(c.real), mpmath.mpf(c.imag)) for j, c in F.coeffs.items()]
+        window = [(centre + halfwidth * (2.0 * k / (fine - 1) - 1.0)) % TWO_PI for k in range(fine)]
+        nodes = sorted({2 * mpmath.pi * i / coarse for i in range(coarse)}
+                       | {mpmath.mpf(t) for t in window})
+        # F' = -2 sum_j j (Re c_j sin jt + Im c_j cos jt)
+        signs = [mpmath.sign(sum(j * (a * mpmath.sin(j * t) + b * mpmath.cos(j * t))
+                                 for j, a, b in terms)) for t in nodes]
+    return sum(1 for s, s_next in zip(signs, signs[1:] + signs[:1]) if s * s_next < 0 or s == 0)
+
+
 class TestCloseCriticalPoints:
     """Known defect: the 2^14-point grid cell is 3.8e-4, and the census
-    merges the three zeros of F' that fall inside one cell."""
+    counts one zero of F' per cell, so three zeros inside one cell count once.
+
+    Below a separation of about 1e-5 the rounded phases of the shifted family
+    leave its stored coefficients with two critical points only; the
+    unshifted family has real coefficients, so F'(0) = 0 exactly and the
+    stored polynomial keeps all four."""
 
     @pytest.mark.parametrize("sep", [1.0, 1e-1, 1e-2, 1e-3])
     def test_four_points_above_the_grid_cell(self, sep):
         F = close_pair_family(sep)
         assert critical_points(F).count == brute_force_critical_count(F) == 4
 
-    @pytest.mark.parametrize("sep", [
-        pytest.param(sep, marks=pytest.mark.xfail(
-            strict=True, reason="grid census merges roots closer than 2π/2^14"))
-        for sep in (1e-4, 1e-6)
+    @pytest.mark.parametrize("sep, shift", [
+        pytest.param(sep, shift, marks=pytest.mark.xfail(
+            strict=True, reason="grid census counts one zero per 2π/2^14 cell"))
+        for sep, shift in ((1e-4, 0.4), (1e-6, 0.0))
     ])
-    def test_four_points_below_the_grid_cell(self, sep):
-        assert critical_points(close_pair_family(sep)).count == 4
+    def test_four_points_below_the_grid_cell(self, sep, shift):
+        assert critical_points(close_pair_family(sep, shift=shift)).count == 4
+
+    @pytest.mark.parametrize("sep, shift", [(1e-4, 0.4), (1e-6, 0.0)])
+    def test_stored_polynomial_of_each_witness_has_four(self, sep, shift):
+        assert mp_critical_count(close_pair_family(sep, shift=shift), -shift % TWO_PI) == 4
+
+    @pytest.mark.parametrize("sep", [1e-5, 1e-6])
+    def test_census_matches_stored_count_below_the_grid_cell(self, sep):
+        F = close_pair_family(sep)
+        assert critical_points(F).count == mp_critical_count(F, -0.4 % TWO_PI) == 2
+
+    @pytest.mark.parametrize("sep", [1e-4, 3e-5, 2e-5, 1e-5])
+    def test_points_sit_on_zeros_of_the_derivative(self, sep):
+        # polished inside its cell, each point is a zero of F' to rounding
+        # and lies in the cluster; it is not a point where F' is merely small
+        shift = 0.4
+        F = close_pair_family(sep, shift=shift)
+        d1 = F.derivative(1)
+        scale = sum(j * abs(c) for j, c in F.coeffs.items())
+        roots = np.array([0.0, math.pi, sep / 2.0, -sep / 2.0]) - shift
+        for t in critical_points(F).critical_points:
+            assert abs(d1.evaluate(t).real) <= 1e-14 * scale
+            assert np.min(np.abs((t - roots + math.pi) % TWO_PI - math.pi)) <= 1e-5
 
 
 class TestC2Distance:
