@@ -168,7 +168,8 @@ def criterion_3_morse_oracle(instances: int = 500, seed: int = 42) -> CriterionR
         target = rng.uniform(0.02, 0.39)
         scale = target / c_raw
         F = OneDTrigPoly.from_cosine(1.0, shift).plus(raw.scaled(scale))
-        c = c2_distance_to_cosine(F, shift)
+        # delta^(k) = scale * raw^(k), so the distance of F scales with it
+        c = scale * c_raw
         if not c < 0.4:
             failures += 1
             continue

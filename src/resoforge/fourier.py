@@ -112,7 +112,7 @@ def generators(n: int, K: float, min_order: int = 1) -> list[Mode]:
 
 
 def on_ray(kp: Mode, k: Mode) -> int | None:
-    """Return j >= 1 with kp == j*k, or None if kp is not on the ray of k."""
+    """The signed j != 0 with kp == j*k (on_ray(-k, k) == -1); None if kp is 0 or off Z k."""
     j = None
     for a, b in zip(kp, k):
         if b == 0:
@@ -126,9 +126,7 @@ def on_ray(kp: Mode, k: Mode) -> int | None:
                 j = q
             elif q != j:
                 return None
-    if j is None or j < 1:
-        return None
-    return int(j)
+    return int(j) if j else None
 
 
 # --------------------------------------------------------------------------

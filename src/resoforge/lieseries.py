@@ -18,7 +18,8 @@ level and shows up only in the conjugacy defect.
 
 Small divisors y0.k are logged for every killed mode and checked against the
 covering thresholds (alpha/2, respectively 2 alpha K/|k|); a divisor below
-threshold raises with the witness mode.
+threshold raises with the witness mode.  Both kinds run one step loop,
+`_average`; a mode l is on Z k when `fourier.on_ray(l, k)` is its multiple.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class TruncationLedger:
     """Accumulated absolute mass of coefficients dropped by truncation.
 
     Mass is recorded per eps-grade where the producer knows it (grade 0 is
-    used otherwise); eps_weighted(eps) gives the effective dropped size.
+    used otherwise).
     """
 
     by_grade: dict[int, float] = field(default_factory=dict)
@@ -68,9 +69,6 @@ class TruncationLedger:
     def drop(self, amount: float, grade: int | None = None) -> None:
         g = self.grade if grade is None else grade
         self.by_grade[g] = self.by_grade.get(g, 0.0) + abs(amount)
-
-    def eps_weighted(self, eps: float) -> float:
-        return sum(eps ** g * m for g, m in self.by_grade.items())
 
 
 class _Terms(dict):
@@ -340,15 +338,9 @@ class TaylorFourierSeries:
         """Terms as (j, m, c) with mode = j * k_res (requires all modes on Z k_res)."""
         out = []
         for (k, m), c in self.terms.items():
-            if all(v == 0 for v in k):
-                out.append((0, m, c))
-                continue
-            j = on_ray(k, k_res)
+            j = on_ray(k, k_res) if any(k) else 0
             if j is None:
-                neg = on_ray(tuple(-v for v in k), k_res)
-                if neg is None:
-                    raise ValueError(f"mode {k} is not on the ray of {k_res}")
-                j = -neg
+                raise ValueError(f"mode {k} is not on the ray of {k_res}")
             out.append((j, m, c))
         return out
 
@@ -506,16 +498,6 @@ def lie_transform(
     return out
 
 
-def _is_zero_mode(k: Mode) -> bool:
-    return all(v == 0 for v in k)
-
-
-def _on_line(k: Mode, k_res: Mode) -> bool:
-    if _is_zero_mode(k):
-        return False
-    return on_ray(k, k_res) is not None or on_ray(tuple(-v for v in k), k_res) is not None
-
-
 @dataclass
 class AveragedNF:
     """Output of the averaging steps.
@@ -573,7 +555,7 @@ class AveragedNF:
                     if 0 < l1(k) <= self.K0:
                         worst = max(worst, abs(c))
                 else:
-                    if _on_line(k, self.res_k):
+                    if on_ray(k, self.res_k) is not None:
                         worst = max(worst, abs(c))
         return worst
 
@@ -614,17 +596,21 @@ class AveragedNF:
         return doc
 
 
-def _run_steps(
-    ham: NaturalHam,
-    y0,
-    order: int,
-    band_pred,
-    min_divisor: float,
-    context: str,
-    cutoff: int,
-    max_degree: int,
-) -> tuple[list[TaylorFourierSeries], list, list, TruncationLedger]:
+def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree: int,
+             cutoff: int | None, k: Mode | None) -> AveragedNF:
+    """The averaging steps of both kinds: nonresonant for k None, else resonant
+    along k.  The kind sets the killed band, the divisor threshold and the
+    error context; the resonant kind keeps the part on Z k as g_res."""
     y0 = np.asarray(y0, dtype=float)
+    cutoff = params.K if cutoff is None else cutoff
+    if k is None:
+        band_pred = lambda kk: 0 < l1(kk) <= params.K0
+        min_divisor, context = params.alpha / 2.0, "resonant at base point"
+    else:
+        k = tuple(int(v) for v in k)
+        band_pred = lambda kk: any(kk) and l1(kk) <= params.K and on_ray(kk, k) is None
+        min_divisor = 2.0 * params.alpha * params.K / math.sqrt(sum(v * v for v in k))
+        context = f"small divisor off the line Z{k}"
     ledger = TruncationLedger()
     ledger.grade = 1
     grades = [kinetic_series(ham.n, y0, max_degree, cutoff)]
@@ -643,7 +629,21 @@ def _run_steps(
         log.extend(divisors)
         grades = lie_transform(grades, chi, j, band, ledger)
         chis.append((j, chi))
-    return grades, chis, log, ledger
+    g_o, g_res, f_rem = [grades[0].like()], [grades[0].like()], [grades[0].like()]
+    for j in range(1, order + 1):
+        osc, zero = grades[j].split(any)
+        g_o.append(zero)
+        if k is not None:
+            line, osc = osc.split(lambda kk: on_ray(kk, k) is not None)
+            g_res.append(line)
+        f_rem.append(osc)
+    return AveragedNF(
+        kind="nonresonant" if k is None else "resonant", n=ham.n, epsilon=ham.epsilon,
+        order=order, base_point=y0, kinetic=grades[0], g_o=g_o, f_rem=f_rem, chi=chis,
+        divisor_log=log, dropped_mass=ledger.dropped, dropped_by_grade=dict(ledger.by_grade),
+        K0=params.K0, K=params.K, max_degree=max_degree,
+        res_k=k, g_res=None if k is None else g_res,
+    )
 
 
 def lie_step_nonres(
@@ -661,34 +661,7 @@ def lie_step_nonres(
     otherwise).  The remainder's band support is exactly empty; the
     conjugacy defect of the order-D form scales as eps^{D+1}.
     """
-    cutoff = params.K if cutoff is None else cutoff
-    band_pred = lambda k: 0 < l1(k) <= params.K0
-    grades, chis, log, ledger = _run_steps(
-        ham, y0, order, band_pred, params.alpha / 2.0,
-        "resonant at base point", cutoff, max_degree,
-    )
-    g_o, f_rem = [grades[0].like()], [grades[0].like()]
-    for j in range(1, order + 1):
-        osc, rest = grades[j].split(lambda k: not _is_zero_mode(k))
-        g_o.append(rest)
-        f_rem.append(osc)
-    return AveragedNF(
-        kind="nonresonant",
-        n=ham.n,
-        epsilon=ham.epsilon,
-        order=order,
-        base_point=np.asarray(y0, dtype=float),
-        kinetic=grades[0],
-        g_o=g_o,
-        f_rem=f_rem,
-        chi=chis,
-        divisor_log=log,
-        dropped_mass=ledger.dropped,
-        dropped_by_grade=dict(ledger.by_grade),
-        K0=params.K0,
-        K=params.K,
-        max_degree=max_degree,
-    )
+    return _average(ham, params, y0, order, max_degree, cutoff, None)
 
 
 def lie_step_res(
@@ -706,43 +679,7 @@ def lie_step_res(
     must reach 2 alpha K / |k|.  The Z k band is collected into g_res (at
     order one exactly the lattice projection of f); pi_k f_rem = 0 exactly.
     """
-    k = tuple(int(v) for v in k)
-    cutoff = params.K if cutoff is None else cutoff
-    band_pred = lambda kk: (
-        (not _is_zero_mode(kk)) and l1(kk) <= params.K and not _on_line(kk, k)
-    )
-    k_euclid = math.sqrt(sum(v * v for v in k))
-    min_div = 2.0 * params.alpha * params.K / k_euclid
-    grades, chis, log, ledger = _run_steps(
-        ham, y0, order, band_pred, min_div,
-        f"small divisor off the line Z{k}", cutoff, max_degree,
-    )
-    g_o, g_res, f_rem = [grades[0].like()], [grades[0].like()], [grades[0].like()]
-    for j in range(1, order + 1):
-        osc, zero = grades[j].split(lambda kk: not _is_zero_mode(kk))
-        line, rest = osc.split(lambda kk: _on_line(kk, k))
-        g_o.append(zero)
-        g_res.append(line)
-        f_rem.append(rest)
-    return AveragedNF(
-        kind="resonant",
-        n=ham.n,
-        epsilon=ham.epsilon,
-        order=order,
-        base_point=np.asarray(y0, dtype=float),
-        kinetic=grades[0],
-        g_o=g_o,
-        f_rem=f_rem,
-        chi=chis,
-        divisor_log=log,
-        dropped_mass=ledger.dropped,
-        dropped_by_grade=dict(ledger.by_grade),
-        K0=params.K0,
-        K=params.K,
-        max_degree=max_degree,
-        res_k=k,
-        g_res=g_res,
-    )
+    return _average(ham, params, y0, order, max_degree, cutoff, k)
 
 
 def nf_remainder_norm(nf: AveragedNF, r: float, s_prime: float) -> float:

@@ -59,6 +59,7 @@ from .unimodular import DecouplingMatrix, UnimodularMatrix, complete_to_sl, deco
 
 GRID = 256            # q1 collocation grid (spectral accuracy for analytic data)
 GAUSS_NODES = 32      # Taylor-integral quadrature nodes
+FIXED_POINT_TOL = 1e-14  # fixed-point iteration stops once a step is below this
 _THETA = np.arange(GRID) * (TWO_PI / GRID)
 
 
@@ -413,12 +414,12 @@ class DecoupledForm:
     plus the adiabatic part 0.5|P_k^perp Ahat^T phat|^2 split off by Phi1."""
 
     Gf: PolyTrig1
-    G_osc: PolyTrig1 | None    # the oscillatory part alone (zero q1 average)
     adiabatic: object          # callable(phat) -> float
     r: float
     s_breve: float
     theta_o_bound: float
     n_hat: int
+    G_osc: PolyTrig1 | None = None  # unused; perfbench/workloads.py passes G_osc=None
     um: UnimodularMatrix | None = None
     dm: DecouplingMatrix | None = None
     secular: SecularHam | None = None
@@ -435,9 +436,8 @@ class DecoupledForm:
         )
 
 
-def build_phi1(secular: SecularHam, params: CoveringParams,
-               r: float | None = None, s_breve: float | None = None,
-               theta_o_bound: float | None = None) -> DecoupledForm:
+def build_phi1(secular: SecularHam, r: float, s_breve: float,
+               theta_o_bound: float) -> DecoupledForm:
     """Apply the rational shear and return the decoupled 1-DOF form.
 
     The exact identity Hsec o Phi1 = (|k|^2/2) Hsharp + adiabatic holds by the
@@ -453,9 +453,7 @@ def build_phi1(secular: SecularHam, params: CoveringParams,
     affine = at @ U  # y = affine @ Y; first column equals k exactly
     n = um.n
 
-    g = secular.g_series
-    Gf = PolyTrig1.from_series(secular.g_o_series.plus(g), k, affine, eps_k)
-    G_osc = PolyTrig1.from_series(g, k, affine, eps_k)
+    Gf = PolyTrig1.from_series(secular.g_o_series.plus(secular.g_series), k, affine, eps_k)
     ahat_t = np.array(um.A_hat, dtype=float).T
     kv = np.array(k, dtype=float)
 
@@ -464,11 +462,8 @@ def build_phi1(secular: SecularHam, params: CoveringParams,
         v = v - (v @ kv) / (kv @ kv) * kv
         return 0.5 * float(v @ v)
 
-    if r is None or s_breve is None or theta_o_bound is None:
-        raise ValueError("build_phi1 needs the domain data (r, s_breve, theta_o_bound)")
     return DecoupledForm(
         Gf=Gf,
-        G_osc=G_osc,
         adiabatic=adiabatic,
         r=r,
         s_breve=s_breve,
@@ -529,14 +524,13 @@ class FixedPointSolution:
     pitale_bound: float
     pitale_ok: bool
     base_phat: np.ndarray = None
-    tol: float = 1e-14
 
     # -- the masked solver --------------------------------------------------
 
     def solve_at(self, phat, q1):
         """Iterate u <- -0.5 d_{Y1} Gf(u, phat, q1) from u = 0 on every entry
         of q1 at once; each entry freezes at the first iterate whose own step
-        is below tol, so it equals the scalar iteration at that q1."""
+        is below FIXED_POINT_TOL, so it equals the scalar iteration at that q1."""
         Gf = self.form.Gf
         ph = np.asarray(phat, dtype=float)
         q = np.asarray(q1, dtype=float)
@@ -544,7 +538,7 @@ class FixedPointSolution:
         live = np.ones(q.shape, dtype=bool)
         for _ in range(200):
             nxt = -0.5 * Gf.dY1(u[live], ph, q[live])
-            moving = ~(np.abs(nxt - u[live]) < self.tol)
+            moving = ~(np.abs(nxt - u[live]) < FIXED_POINT_TOL)
             u[live] = nxt
             live[live] = moving
             if not live.any():
@@ -625,7 +619,7 @@ class FixedPointSolution:
         return -self._antiderivative_at(self.p_phph(phat, _THETA), q1)
 
 
-def solve_fixed_point(form: DecoupledForm, phat, tol: float = 1e-14) -> FixedPointSolution:
+def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
     """Iterate u <- -0.5 d_{Y1} Gf(u, phat, .) on the spectral grid.
 
     Records the empirical contraction factor and residual; checks the |p|
@@ -652,10 +646,10 @@ def solve_fixed_point(form: DecoupledForm, phat, tol: float = 1e-14) -> FixedPoi
                 raise FixedPointDivergence(f"contraction failed: step ratio {ratio:.3f}")
         prev_step = step
         u, nxt = nxt, after
-        if residual < tol:
+        if residual < FIXED_POINT_TOL:
             break
     else:
-        raise FixedPointDivergence(f"no convergence below {tol}")
+        raise FixedPointDivergence(f"no convergence below {FIXED_POINT_TOL}")
     theta_o = form.theta_o_bound
     p_sup = float(np.max(np.abs(u)))
     pitale = theta_o / (3.0 * form.r)
@@ -669,7 +663,6 @@ def solve_fixed_point(form: DecoupledForm, phat, tol: float = 1e-14) -> FixedPoi
         pitale_bound=pitale,
         pitale_ok=p_sup < pitale,
         base_phat=ph.copy(),
-        tol=tol,
     )
 
 
@@ -1051,8 +1044,7 @@ def standardize(
     g_diff_maj = ray_majorant([diff], k, r_y, chars.s_breve)
     theta_o_bound = max(eps_k * g_o_maj, eps_k * g_diff_maj, 1e-300)
 
-    form = build_phi1(secular, params, r=chars.r, s_breve=chars.s_breve,
-                      theta_o_bound=theta_o_bound)
+    form = build_phi1(secular, r=chars.r, s_breve=chars.s_breve, theta_o_bound=theta_o_bound)
     fp = solve_fixed_point(form, phat0)
     G_bar = pk.scaled(eps_k)
     U = np.array([[float(x) for x in row] for row in dm.U])

@@ -9,6 +9,9 @@ from resoforge.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
 from resoforge.lieseries import GeneratorFlowError
 
 
+NORMALIZE = ["normalize", "--potential", "two-mode:s=1.0", "--eps", "1e-3", "--k0", "2", "--K", "6"]
+
+
 @pytest.fixture
 def free_params_file(tmp_path):
     path = tmp_path / "params.json"
@@ -166,13 +169,27 @@ class TestCover:
         codes = {line.split(",")[2] for line in lines[1:]}
         assert codes <= {"0", "1", "2"} and codes
 
-    def test_determinism_modulo_timestamp(self, free_params_file, tmp_path):
+    # the configurations of TestNormalize and TestStandardize
+    @pytest.mark.parametrize("params, argv", [
+        ({"alpha": 0.05, "K": 5}, ["cover", "measure", "--params", "PARAMS",
+                                   "--samples", "5000", "--seed", "9"]),
+        (None, [*NORMALIZE, "--alpha", "0.03", "--order", "2", "--degree", "3",
+                "--base-point", "0.5,-0.5", "--resonant-k", "1,1"]),
+        (None, [*NORMALIZE, "--alpha", "0.02", "--base-point", "0.7,0.31"]),
+        ({"alpha": 0.03, "K": 6}, ["standardize", "--potential", "two-mode:s=1.0",
+                                   "--eps", "1e-6", "--k", "1,1", "--params", "PARAMS",
+                                   "--y0", "0.5,-0.5", "--beta", "0.05"]),
+    ], ids=["cover_measure", "normalize_resonant", "normalize_nonresonant", "standardize"])
+    def test_determinism_modulo_timestamp(self, params, argv, tmp_path):
+        path = tmp_path / "params.json"
+        if params is not None:
+            path.write_text(json.dumps({"mode": "free", "n": 2, "s": 1.0, "K0": 2, **params}))
+        argv = [str(path) if a == "PARAMS" else a for a in argv]
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub / "est.json"
             out.parent.mkdir()
-            main(["cover", "measure", "--params", free_params_file,
-                  "--samples", "5000", "--seed", "9", "--out", str(out)])
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
             doc = json.loads(out.read_text())
             doc.pop("timestamp")
             doc["config"].pop("out")

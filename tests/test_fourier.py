@@ -20,6 +20,7 @@ from resoforge.fourier import (
     load_potential,
     norm_majorant,
     norm_weighted_sup,
+    on_ray,
     project_lattice,
     save_potential,
     strip_sup_interval,
@@ -147,6 +148,38 @@ class TestNorms:
             for m in range(1, 9):
                 want = sum(1 for k in generators(n, m) if l1(k) == m)
                 assert _count_generator_shell(n, m) == want
+
+
+class TestOnRay:
+    """on_ray gives the signed multiple j != 0 with kp == j k, else None."""
+
+    @pytest.mark.parametrize("k", [(1, 1), (1, -1), (2, -1), (1, 0), (0, 1), (1, -2, 3)], ids=str)
+    def test_signed_multiples(self, k):
+        for j in (-3, -2, -1, 1, 2, 5):
+            assert on_ray(tuple(j * v for v in k), k) == j
+
+    def test_negative_entries_in_k(self):
+        assert on_ray((1, -1), (-1, 1)) == -1
+        assert on_ray((-2, 2), (-1, 1)) == 2
+        assert on_ray((0, -3), (0, -1)) == 3
+        assert on_ray((4, -2), (-2, 1)) == -2
+
+    def test_non_multiples(self):
+        assert on_ray((1, 2), (1, 1)) is None
+        assert on_ray((2, 1), (1, 2)) is None
+        assert on_ray((1, 0), (2, 0)) is None
+        assert on_ray((-1, 0), (2, 0)) is None
+        assert on_ray((1, 1), (1, 0)) is None
+        assert on_ray((3, -2), (-2, 1)) is None
+        assert on_ray((2, 4, 7), (1, 2, 3)) is None
+
+    def test_zero_mode(self):
+        assert on_ray((0, 0), (1, 1)) is None
+        assert on_ray((0, 0, 0), (1, -2, 3)) is None
+        assert on_ray((1, 1), (0, 0)) is None
+
+    def test_integer_result(self):
+        assert type(on_ray((np.int64(-2), np.int64(2)), (1, -1))) is int
 
 
 class TestProjection:

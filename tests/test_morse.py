@@ -200,6 +200,21 @@ class TestC2Distance:
         F = OneDTrigPoly({1: 0.5, 2: b / 2})
         assert c2_distance_to_cosine(F, 0.0) == pytest.approx(4 * b, rel=1e-10)
 
+    def test_distance_scales_with_the_perturbation(self):
+        # delta^(k) of cos + s raw is s raw^(k), so its distance is s times that
+        # of cos + raw; criterion 3 draws its instances this way and uses it
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            shift = rng.uniform(0.0, TWO_PI)
+            pert = {j: (rng.normal() + 1j * rng.normal()) * 0.1
+                    for j in range(1, 6) if rng.uniform() < 0.7}
+            raw = OneDTrigPoly(pert) if pert else OneDTrigPoly({2: 0.01})
+            base = OneDTrigPoly.from_cosine(1.0, shift)
+            c_raw = c2_distance_to_cosine(base.plus(raw), shift)
+            s = rng.uniform(0.02, 0.39) / c_raw
+            c = c2_distance_to_cosine(base.plus(raw.scaled(s)), shift)
+            assert c == pytest.approx(s * c_raw, rel=1e-12, abs=0.0)
+
 
 class TestTwoPointCheck:
     def test_pure_cosine(self):
