@@ -523,9 +523,6 @@ def contraction_preimage(
     y0,
     r: float,
     M: float,
-    tol: float = 1e-13,
-    max_iter: int = 500,
-    hypothesis_samples: int = 64,
     seed: int = 0,
 ) -> PreimageResult:
     """Solve phi(y) = y0 for y in the closed r-ball around y0.
@@ -541,7 +538,7 @@ def contraction_preimage(
         raise ContractionHypothesisError(f"need M < r, got M={M}, r={r}")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(hypothesis_samples):
+    for _ in range(64):
         direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         direction /= np.linalg.norm(direction)
         z = y0 + direction * (2.0 * r * rng.uniform(0.0, 1.0))
@@ -554,11 +551,11 @@ def contraction_preimage(
     w = np.zeros(n, dtype=complex)
     prev_step = None
     contraction = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 501):
         y = y0 + w
         defect = np.asarray(phi(y)) - y
         residual = float(np.linalg.norm(defect + w))  # |phi(y) - y0|
-        if residual < tol:
+        if residual < 1e-13:
             return PreimageResult(y, residual, it, contraction, worst)
         w_new = -defect
         step = float(np.linalg.norm(w_new - w))
@@ -570,7 +567,7 @@ def contraction_preimage(
         prev_step = step
         w = w_new
     raise ContractionHypothesisError(
-        f"no convergence to {tol} within {max_iter} iterations"
+        "no convergence to 1e-13 within 500 iterations"
     )
 
 

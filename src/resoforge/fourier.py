@@ -160,12 +160,12 @@ class LacunaryRule:
             return self.amplitude
         return self.amplitude * math.exp(-(self.s - s_eval))
 
-    def majorant_norm(self, s_eval: float, tol: float = 1e-16) -> float:
+    def majorant_norm(self, s_eval: float) -> float:
         """Sum over all modes (both half-lattices) of |f_k| e^{|k|_1 s_eval}.
 
         The support is the generator set, counted exactly per ell^1 shell by
         Moebius inversion; the series is summed until the (larger) full-shell
-        term falls below tol relative to the accumulated value.
+        term falls below 1e-16 relative to the accumulated value.
         """
         if s_eval >= self.s:
             raise NormDivergesError("norm diverges")
@@ -176,7 +176,7 @@ class LacunaryRule:
             gens2 = 2 * _count_generator_shell(self.n, m)  # both halves
             total += self.amplitude * gens2 * math.exp(-rate * m)
             gauge = self.amplitude * _count_l1_shell(self.n, m) * math.exp(-rate * m)
-            if gauge < tol * max(total, 1.0) and m > 2 * self.n / rate:
+            if gauge < 1e-16 * max(total, 1.0) and m > 2 * self.n / rate:
                 break
             m += 1
             if m > 100_000:
@@ -433,7 +433,7 @@ def norm_majorant(f: TrigPoly | OneDTrigPoly, s: float) -> float:
     return finite
 
 
-def project_lattice(f: TrigPoly, k: Mode, j_max: int | None = None) -> OneDTrigPoly:
+def project_lattice(f: TrigPoly, k: Mode) -> OneDTrigPoly:
     """Fourier projection pi_k f(theta) = sum_j f_{jk} e^{i j theta}, k a generator.
 
     The decomposition f(x) = sum_{k in G^n} (pi_k f)(k.x) over the support is
@@ -449,10 +449,8 @@ def project_lattice(f: TrigPoly, k: Mode, j_max: int | None = None) -> OneDTrigP
             coeffs[j] = c
     tail = 0.0
     if f.rule is not None:
-        jm = j_max
-        if jm is None:
-            cutoff = f.rule_cutoff if f.rule_cutoff is not None else f.max_order()
-            jm = max(2, int(cutoff // max(l1(k), 1)) + 2)
+        cutoff = f.rule_cutoff if f.rule_cutoff is not None else f.max_order()
+        jm = max(2, int(cutoff // max(l1(k), 1)) + 2)
         for j in range(1, jm + 1):
             c = f.rule.coeff(tuple(j * v for v in k))
             if c != 0:

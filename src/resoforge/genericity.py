@@ -38,7 +38,7 @@ from .fourier import (
     l1,
     project_lattice,
 )
-from .morse import ConstantFunctionError, MorseReport, critical_points
+from .morse import ConstantFunctionError, _derivative_rows, _polish, _values, critical_points
 
 
 class CutoffBelowThresholdError(ValueError):
@@ -110,23 +110,19 @@ class MembershipReport:
         }
 
 
-def check_lower_bound(
-    f: TrigPoly, params: GenericityParams, k_min: float | None = None
-) -> tuple[list[Failure], int, float]:
+def check_lower_bound(f: TrigPoly, params: GenericityParams) -> tuple[list[Failure], int, float]:
     """Verify |f_k| >= delta |k|_1^{-n} e^{-|k|_1 s} on the window [N, K_max].
 
     Returns (failures, number of generators checked, worst margin), where the
     margin is the minimum over checked k of |f_k|/(delta |k|_1^{-n} e^{-|k|_1 s}) - 1.
-    Boundary equality passes.  k_min overrides the lower edge of the window
-    (free-mode verification below the derived threshold).
+    Boundary equality passes.
     """
-    lo = params.N if k_min is None else k_min
-    if params.K_max < lo:
+    if params.K_max < params.N:
         raise CutoffBelowThresholdError("cutoff below threshold")
     failures: list[Failure] = []
     worst = math.inf
     count = 0
-    for k in generators(f.n, params.K_max, min_order=max(1, math.ceil(lo))):
+    for k in generators(f.n, params.K_max, min_order=max(1, math.ceil(params.N))):
         count += 1
         bound = params.delta * l1(k) ** (-f.n) * math.exp(-l1(k) * params.s)
         ratio = abs(f.coeff(k)) / bound
@@ -329,22 +325,16 @@ class DegeneracyLocus:
         return d
 
 
-def _zeta(G: OneDTrigPoly, t1: float, t2: float) -> complex:
-    g1 = G.derivative(1)
-    if abs(np.exp(1j * t1) - np.exp(1j * t2)) < 1e-12:
-        g2 = G.derivative(2)
-        return complex(
-            (g2.evaluate(t1) + 1j * g1.evaluate(t1)) / (2.0 * np.exp(1j * t1))
-        )
-    num = (
-        g1.evaluate(t1) - g1.evaluate(t2)
-        + 1j * G.evaluate(t1) - 1j * G.evaluate(t2)
-    )
-    return complex(1j * num / (2.0 * (np.exp(1j * t1) - np.exp(1j * t2))))
+LOCUS_GRID = 512  # nodes per angle of the (t1, t2) grid on which g is contoured
 
 
-def degeneracy_locus(G: OneDTrigPoly, grid: int = 512) -> DegeneracyLocus:
-    """Sample the two degeneracy curves for a residual G with |j| >= 2 modes."""
+def degeneracy_locus(G: OneDTrigPoly) -> DegeneracyLocus:
+    """Sample the two degeneracy curves for a residual G with |j| >= 2 modes.
+
+    At t2 = t_j, g is a trig polynomial in t1 of degree deg G + 1.  The census
+    primitive _polish finds its zero in each grid cell with a sign change more
+    than two cells off the diagonal; g is symmetric, so transposes complete the set.
+    """
     if any(j < 2 for j in G.coeffs):
         raise ValueError("residual must have modes |j| >= 2 only")
     if G.is_zero:
@@ -361,61 +351,37 @@ def degeneracy_locus(G: OneDTrigPoly, grid: int = 512) -> DegeneracyLocus:
     gamma1 = 0.5 * np.exp(-1j * theta) * (1j * gp + gpp)
 
     # g(t1, t2) = (1 - cos(t1-t2)) (G'(t1) + G'(t2)) - sin(t1-t2)(G(t1) - G(t2))
-    t = np.arange(grid) * (TWO_PI / grid)
-    g0 = G.values_on_grid(grid, order=0)
-    g1v = G.values_on_grid(grid, order=1)
+    m, h = LOCUS_GRID, TWO_PI / LOCUS_GRID
+    cell = np.arange(m)
+    t = cell * h
+    g0, g1v = (G.values_on_grid(m, order=k) for k in (0, 1))
     D = t[:, None] - t[None, :]
     gmat = (1.0 - np.cos(D)) * (g1v[:, None] + g1v[None, :]) - np.sin(D) * (
         g0[:, None] - g0[None, :]
     )
 
-    gprime = G.derivative(1)
+    # row j: spectra k = -d-2..d+2 of a = G'(t1) + G'(t_j), b = G(t1) - G(t_j); w = e^{-i t_j}
+    js, rows = _derivative_rows(G, (1, 0))
+    d = G.degree()
+    at = d + 2 + js.astype(int)
+    a, b = np.zeros((2, m, 2 * d + 5), dtype=complex)
+    a[:, at], a[:, 2 * d + 4 - at], a[:, d + 2] = rows[0], rows[0].conj(), g1v
+    b[:, at], b[:, 2 * d + 4 - at], b[:, d + 2] = rows[1], rows[1].conj(), -g0
+    w = np.exp(-1j * t)[:, None]
+    km, k0, kp = slice(d + 1, 2 * d + 3), slice(d + 2, 2 * d + 4), slice(d + 3, 2 * d + 5)
+    coef = (a[:, k0] - 0.5 * (w * a[:, km] + w.conj() * a[:, kp])
+            + 0.5j * (w * b[:, km] - w.conj() * b[:, kp]))
+    coef[:, 0] *= 0.5
 
-    def g_at(t1: float, t2: float) -> float:
-        d = t1 - t2
-        return float(
-            (1.0 - math.cos(d)) * (gprime.evaluate(t1).real + gprime.evaluate(t2).real)
-            - math.sin(d) * (G.evaluate(t1).real - G.evaluate(t2).real)
-        )
-
-    h = TWO_PI / grid
-    zeros: list[tuple[float, float]] = []
-    # the diagonal is a trivial zero line (it reproduces gamma1); skip a band
-    # of two cells around it and contour the rest by edge bisection
-    diag_skip = 2
-    for i in range(grid):
-        for j in range(grid):
-            di = min((i - j) % grid, (j - i) % grid)
-            if di <= diag_skip:
-                continue
-            a = gmat[i, j]
-            b = gmat[(i + 1) % grid, j]
-            if a == 0.0:
-                zeros.append((t[i], t[j]))
-            elif a * b < 0:
-                lo, hi_ = t[i], t[i] + h
-                fa = a
-                for _ in range(40):
-                    mid = 0.5 * (lo + hi_)
-                    fm = g_at(mid, t[j])
-                    if fa * fm <= 0:
-                        hi_ = mid
-                    else:
-                        lo, fa = mid, fm
-                zeros.append((0.5 * (lo + hi_), t[j]))
-            c = gmat[i, (j + 1) % grid]
-            if a * c < 0:
-                lo, hi_ = t[j], t[j] + h
-                fa = a
-                for _ in range(40):
-                    mid = 0.5 * (lo + hi_)
-                    fm = g_at(t[i], mid)
-                    if fa * fm <= 0:
-                        hi_ = mid
-                    else:
-                        lo, fa = mid, fm
-                zeros.append((t[i], 0.5 * (lo + hi_)))
-
-    zero_pairs = np.array(zeros) if zeros else np.zeros((0, 2))
-    gamma2 = np.array([_zeta(G, t1, t2) for t1, t2 in zeros], dtype=complex)
+    off = np.minimum((cell[:, None] - cell) % m, (cell - cell[:, None]) % m) > 2
+    nxt = np.roll(gmat, -1, axis=0)
+    i, j = np.nonzero(off & (gmat * nxt < 0))
+    t1 = _polish(coef[j], np.arange(d + 2.0), t[i], t[i] + h, gmat[i, j], nxt[i, j])
+    zi, zj = np.nonzero(off & (gmat == 0.0))
+    zero_pairs = np.stack([np.r_[t1, t[j], t[zi]], np.r_[t[j], t1, t[zj]]], axis=1)
+    v = _values(rows, js, zero_pairs.T.ravel()).reshape(2, -1, 2)
+    # zeta = i (G'(t1) - G'(t2) + i G(t1) - i G(t2)) / (2 (e^{i t1} - e^{i t2}))
+    e1, e2 = np.exp(1j * zero_pairs.T)
+    dv = v[0] - v[1]
+    gamma2 = 1j * (dv[:, 0] + 1j * dv[:, 1]) / (2.0 * (e1 - e2))
     return DegeneracyLocus(gamma1=gamma1, gamma2=gamma2, zero_pairs=zero_pairs)

@@ -597,24 +597,23 @@ class AveragedNF:
 
 
 def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree: int,
-             cutoff: int | None, k: Mode | None) -> AveragedNF:
+             k: Mode | None) -> AveragedNF:
     """The averaging steps of both kinds: nonresonant for k None, else resonant
     along k.  The kind sets the killed band, the divisor threshold and the
     error context; the resonant kind keeps the part on Z k as g_res."""
     y0 = np.asarray(y0, dtype=float)
-    cutoff = params.K if cutoff is None else cutoff
     if k is None:
         band_pred = lambda kk: 0 < l1(kk) <= params.K0
         min_divisor, context = params.alpha / 2.0, "resonant at base point"
     else:
         k = tuple(int(v) for v in k)
-        band_pred = lambda kk: any(kk) and l1(kk) <= params.K and on_ray(kk, k) is None
+        band_pred = lambda kk: any(kk) and on_ray(kk, k) is None
         min_divisor = 2.0 * params.alpha * params.K / math.sqrt(sum(v * v for v in k))
         context = f"small divisor off the line Z{k}"
     ledger = TruncationLedger()
     ledger.grade = 1
-    grades = [kinetic_series(ham.n, y0, max_degree, cutoff)]
-    grades.append(potential_series(ham.f, y0, max_degree, cutoff, ledger))
+    grades = [kinetic_series(ham.n, y0, max_degree, params.K)]
+    grades.append(potential_series(ham.f, y0, max_degree, params.K, ledger))
     ledger.grade = 0
     for _ in range(2, order + 1):
         grades.append(grades[0].like())
@@ -652,7 +651,6 @@ def lie_step_nonres(
     y0,
     order: int = 1,
     max_degree: int = 2,
-    cutoff: int | None = None,
 ) -> AveragedNF:
     """Nonresonant normal form at a base point with the R0 certificate.
 
@@ -661,7 +659,7 @@ def lie_step_nonres(
     otherwise).  The remainder's band support is exactly empty; the
     conjugacy defect of the order-D form scales as eps^{D+1}.
     """
-    return _average(ham, params, y0, order, max_degree, cutoff, None)
+    return _average(ham, params, y0, order, max_degree, None)
 
 
 def lie_step_res(
@@ -671,15 +669,14 @@ def lie_step_res(
     y0,
     order: int = 1,
     max_degree: int = 2,
-    cutoff: int | None = None,
 ) -> AveragedNF:
     """Simply-resonant normal form along k at a base point in R1_k.
 
-    Kills all modes off the line Z k with |l|_1 <= cutoff; divisors |y0.l|
+    Kills all modes off the line Z k with |l|_1 <= K; divisors |y0.l|
     must reach 2 alpha K / |k|.  The Z k band is collected into g_res (at
     order one exactly the lattice projection of f); pi_k f_rem = 0 exactly.
     """
-    return _average(ham, params, y0, order, max_degree, cutoff, k)
+    return _average(ham, params, y0, order, max_degree, k)
 
 
 def nf_remainder_norm(nf: AveragedNF, r: float, s_prime: float) -> float:
@@ -810,8 +807,6 @@ def cosine_rescale(
     f: TrigPoly,
     delta: float,
     params: CoveringParams,
-    n_check_points: int = 32,
-    seed: int = 0,
 ) -> CosineRescaledForm:
     """Rescale a resonant normal form by the leading cosine 2|f_k| eps.
 
@@ -861,9 +856,9 @@ def cosine_rescale(
     f_thr = math.exp(-params.K * params.s / 7.0)
 
     # reconstruction identity at sample points
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(n_check_points):
+    for _ in range(32):
         y = nf.base_point + rng.uniform(-0.25, 0.25, nf.n) * r_prime
         x = rng.uniform(0.0, 2.0 * math.pi, nf.n)
         theta = float(np.dot(k, x))

@@ -290,7 +290,7 @@ def two_point_morse_check(F: OneDTrigPoly, c: float) -> MorseReport:
     return report
 
 
-def cosine_certificate(f: TrigPoly, k: Mode, j_max: int | None = None) -> CosineCertificate:
+def cosine_certificate(f: TrigPoly, k: Mode) -> CosineCertificate:
     """Certify pi_k f ~ 2|f_k| cos(theta + theta_k) via the residual majorant.
 
     eta = 2|f_k|, e^{i theta_k} = f_k/|f_k|, and residual_majorant is the
@@ -307,9 +307,8 @@ def cosine_certificate(f: TrigPoly, k: Mode, j_max: int | None = None) -> Cosine
 
     # query the ray multiples directly: coeff() consults the rule beyond the
     # materialized support, so the sum is complete up to j_max
-    if j_max is None:
-        cutoff = f.rule_cutoff if f.rule_cutoff is not None else f.max_order()
-        j_max = max(1, int(cutoff // max(l1(k), 1)) + 1)
+    cutoff = f.rule_cutoff if f.rule_cutoff is not None else f.max_order()
+    j_max = max(1, int(cutoff // max(l1(k), 1)) + 1)
     residual = 0.0
     for j in range(2, j_max + 1):
         c = f.coeff(tuple(j * v for v in k))

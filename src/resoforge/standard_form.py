@@ -255,12 +255,11 @@ class DhatDomain:
                 return False
         return True
 
-    def sample(self, count: int, seed: int = 0, box: float = 1.0,
-               max_tries: int = 200_000) -> np.ndarray:
+    def sample(self, count: int, seed: int = 0, box: float = 1.0) -> np.ndarray:
         """Rejection sampling from the bounding box [-box, box]^{n-1}."""
         rng = np.random.default_rng(seed)
         out = []
-        for _ in range(max_tries):
+        for _ in range(200_000):
             cand = rng.uniform(-box, box, self.um.n - 1)
             if self.contains(cand):
                 out.append(cand)

@@ -12,6 +12,7 @@ import pytest
 
 from resoforge import acceptance
 from resoforge.morse import critical_points
+from resoforge.standard_form import PolyTrig1
 
 
 def _run(fn, **kwargs):
@@ -85,8 +86,22 @@ def test_criterion_08_symplecticity():
 
 def test_criterion_09_energy_identity():
     result = _run(acceptance.criterion_9_energy_identity, points=100)
-    assert result.details["relative_error"] <= 1e-10
+    assert result.details["relative_error"] <= 1e-12
     assert result.details["kinetic_split_residual"] == "0"
+    assert result.details["hypothesis_flag"]
+
+
+def test_criterion_09_rejects_a_wrong_expansion_point(monkeypatch):
+    expand = PolyTrig1.from_series
+
+    def about_zero(*args):
+        gf = expand(*args)
+        return PolyTrig1(gf.n_hat, gf.terms)  # center 0 instead of affine^-1 y0
+
+    monkeypatch.setattr(PolyTrig1, "from_series", about_zero)
+    result = acceptance.criterion_9_energy_identity(points=20)
+    assert not result.passed
+    assert result.details["relative_error"] > 1e-12
 
 
 def test_criterion_10_averaging_structure():
