@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -71,104 +73,140 @@ class TruncationLedger:
         self.by_grade[g] = self.by_grade.get(g, 0.0) + abs(amount)
 
 
-class _Terms(dict):
-    """A series' term dict that carries its compiled arrays; every write drops them."""
-
-    arrays = None
-
-
-def _dropping_arrays(name: str):
-    write = getattr(dict, name)
-
-    def method(self, *args, **kwargs):
-        self.arrays = None
-        return write(self, *args, **kwargs)
-
-    method.__name__ = name
-    return method
-
-
-for _name in ("__setitem__", "__delitem__", "__ior__", "pop", "popitem", "clear",
-              "update", "setdefault"):
-    setattr(_Terms, _name, _dropping_arrays(_name))
-
 # term pairs per block of the bracket's outer product
 _BLOCK_PAIRS = 4096
 
 
-@dataclass
+@cache
+def _key_weights(n: int, cutoff: int, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w_k, w_m) of the packed key sum_i w_k[i] (k_i + cutoff) + w_m[i] m_i:
+    mixed radix 2 cutoff + 1 per mode entry, max_degree + 1 per exponent."""
+    radix_k, radix_m, digits = 2 * cutoff + 1, max_degree + 1, np.arange(n, dtype=np.int64)
+    assert (radix_k * radix_m) ** n < 2 ** 63, "packed (k, m) key overflows int64"
+    return radix_m ** n * radix_k ** digits, radix_m ** digits
+
+
+def _summed(keys: np.ndarray, first: np.ndarray, re: np.ndarray, im: np.ndarray):
+    """Equal packed keys summed with np.unique + np.bincount, each from 0.0 in row
+    order; a key keeps the `first` of its first row.  Returns (keys, first, re, im)."""
+    keys, pos, inv = np.unique(keys, return_index=True, return_inverse=True)
+    return keys, first[pos], np.bincount(inv, re, len(keys)), np.bincount(inv, im, len(keys))
+
+
+def _kept(first: np.ndarray, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, coefficients) of the summed keys in order of `first`, exact zeros dropped."""
+    # positions are distinct; the stable sort is the one np.unique already
+    # loaded, so the first bracket pages in no second sort (~0.4 MB RSS)
+    order = np.argsort(first, kind="stable")
+    order = order[(re[order] != 0) | (im[order] != 0)]
+    C = np.empty(len(order), dtype=complex)
+    C.real, C.imag = re[order], im[order]
+    return order, C
+
+
+@dataclass(eq=False)
 class TaylorFourierSeries:
-    """sum_{k,m} c_{k,m} (y - y0)^m e^{i k.x} with |k|_1 <= cutoff, |m| <= max_degree.
+    """sum_t C_t (y - y0)^M_t e^{i K_t.x} with |K_t|_1 <= cutoff, |M_t| <= max_degree.
 
     Reality corresponds to c_{-k,m} = conj(c_{k,m}); all algebra preserves it.
-    `terms` is the storage; the int64 mode/monomial arrays and complex
-    coefficients that the bracket reads, and the evaluator's tables, are
-    compiled from it on first use and dropped by any write to it.
+    Rows of int64 K (T, n), int64 M (T, n) and complex C (T,) are the only
+    storage: keys (k, m) unique, no coefficient zero, rows in order of first
+    appearance.  The arrays are read-only and shared between series;
+    `add_term`, the one mutator, rebinds them and drops what was built from
+    them: the evaluator's tables and `terms`, a read-only {(k, m): c} view.
     """
 
     n: int
     base_point: np.ndarray
     max_degree: int
     cutoff: int
-    terms: dict[tuple[Mode, Mono], complex] = field(default_factory=_Terms)
 
-    def __setattr__(self, name, value):
-        if name == "terms" and type(value) is not _Terms:
-            value = _Terms(value)
-        object.__setattr__(self, name, value)
+    def __post_init__(self):
+        empty = np.empty((0, self.n), dtype=np.int64)
+        self._store(empty, empty, np.empty(0, dtype=complex))
 
-    def _with(self, terms: dict) -> "TaylorFourierSeries":
-        """A series of this algebra holding `terms`."""
-        return TaylorFourierSeries(self.n, self.base_point, self.max_degree, self.cutoff, terms)
+    def _store(self, K: np.ndarray, M: np.ndarray, C: np.ndarray) -> "TaylorFourierSeries":
+        """Hold the rows (K, M, C), read-only; drops what was built from the old rows."""
+        for rows in (K, M, C):
+            rows.setflags(write=False)
+        self.K, self.M, self.C = K, M, C
+        self._grad_tables = self._terms = None
+        return self
 
-    def copy(self) -> "TaylorFourierSeries":
-        return self._with(_Terms(self.terms))
+    def _with(self, K: np.ndarray, M: np.ndarray, C: np.ndarray) -> "TaylorFourierSeries":
+        """A series of this algebra holding (K, M, C), made without __init__'s empty rows."""
+        out = object.__new__(TaylorFourierSeries)
+        out.__dict__.update(self.__dict__)
+        return out._store(K, M, C)
 
     def like(self) -> "TaylorFourierSeries":
-        return self._with({})
+        return TaylorFourierSeries(self.n, self.base_point, self.max_degree, self.cutoff)
+
+    @property
+    def terms(self) -> Mapping[tuple[Mode, Mono], complex]:
+        if self._terms is None:
+            self._terms = MappingProxyType(dict(zip(
+                zip(map(tuple, self.K.tolist()), map(tuple, self.M.tolist())), self.C.tolist())))
+        return self._terms
 
     @property
     def is_empty(self) -> bool:
-        return not self.terms
+        return not len(self.C)
+
+    def _merged(self, *parts: tuple) -> tuple:
+        """The one merge of the algebra: the rows (K, M, C) of parts, within
+        this truncation, one part after another; equal keys summed from 0.0 in
+        row order and listed in order of first appearance, exact zeros dropped."""
+        K, M, C = (np.concatenate(rows) for rows in zip(*parts))
+        w_k, w_m = _key_weights(self.n, self.cutoff, self.max_degree)
+        _, first, re, im = _summed(K @ w_k + M @ w_m, np.arange(len(C)), C.real, C.imag)
+        order, C = _kept(first, re, im)
+        return K[first[order]], M[first[order]], C
+
+    def _sum(self, parts: list["TaylorFourierSeries"]) -> "TaylorFourierSeries":
+        """The merge of parts' rows (self among them); one nonempty part sums to C + 0.0."""
+        parts = [p for p in parts if not p.is_empty] or [self]
+        if len(parts) == 1:
+            return self._with(parts[0].K, parts[0].M, parts[0].C + 0.0)
+        return self._with(*self._merged(*((p.K, p.M, p.C) for p in parts)))
+
+    def _rows(self, rows, ledger: TruncationLedger | None = None) -> tuple:
+        """(K, M, C) of the nonzero terms (k, m, c) within this truncation, each c
+        summed from 0.0; the nonzero ones beyond it go to the ledger one by one."""
+        kept = []
+        for k, m, c in rows:
+            if c != 0 and l1(k) <= self.cutoff and sum(m) <= self.max_degree:
+                kept.append((k, m, c))
+            elif c != 0 and ledger is not None:
+                ledger.drop(abs(c))
+        K = np.array([k for k, _, _ in kept], dtype=np.int64).reshape(len(kept), self.n)
+        M = np.array([m for _, m, _ in kept], dtype=np.int64).reshape(len(kept), self.n)
+        return K, M, np.array([c for _, _, c in kept], dtype=complex) + 0.0
 
     def add_term(self, k: Mode, m: Mono, c: complex, ledger: TruncationLedger | None = None):
-        if c == 0:
-            return
-        if l1(k) > self.cutoff or sum(m) > self.max_degree:
-            if ledger is not None:
-                ledger.drop(abs(c))
-            return
-        key = (k, m)
-        new = self.terms.get(key, 0.0) + c
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        self._store(*self._merged((self.K, self.M, self.C), self._rows([(k, m, c)], ledger)))
 
     def plus(self, other: "TaylorFourierSeries") -> "TaylorFourierSeries":
         """self + other, other within this truncation (none of its terms is dropped)."""
         assert other.cutoff <= self.cutoff and other.max_degree <= self.max_degree
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            new = terms.get(key, 0.0) + c
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
-        return self._with(terms)
+        return self._sum([self, other])
 
     def scaled(self, a: complex) -> "TaylorFourierSeries":
-        out = self.like()
-        if a != 0:
-            out.terms.update((key, a * c) for key, c in self.terms.items())
-        return out
+        """a times every coefficient, each product formed as Python's
+        complex product forms it (so bitwise the scalar one)."""
+        if a == 0:
+            return self.like()
+        a = complex(a)
+        C = np.empty(len(self.C), dtype=complex)
+        C.real = a.real * self.C.real - a.imag * self.C.imag
+        C.imag = a.real * self.C.imag + a.imag * self.C.real
+        return self._with(self.K, self.M, C)
 
     def split(self, predicate) -> tuple["TaylorFourierSeries", "TaylorFourierSeries"]:
         """(terms with predicate(k) true, the rest); predicate is asked once per mode."""
-        sel, rest, predicate = {}, {}, cache(predicate)
-        for key, c in self.terms.items():
-            (sel if predicate(key[0]) else rest)[key] = c
-        return self._with(sel), self._with(rest)
+        sel = np.array(list(map(cache(predicate), map(tuple, self.K.tolist()))), dtype=bool)
+        return (self._with(self.K[sel], self.M[sel], self.C[sel]),
+                self._with(self.K[~sel], self.M[~sel], self.C[~sel]))
 
     def poisson(self, other: "TaylorFourierSeries", ledger: TruncationLedger | None = None
                 ) -> "TaylorFourierSeries":
@@ -177,24 +215,19 @@ class TaylorFourierSeries:
         The pair (k1, m1, c1) x (k2, m2, c2) contributes, for every coordinate
         j, i (k1_j m2_j - k2_j m1_j) c1 c2 at mode k1 + k2 and monomial
         m1 + m2 - e_j.  The outer product is formed block by block over the
-        rows of self; each (k, m) is packed into one int64 key (mixed radix
-        2 cutoff + 1 per mode entry, max_degree + 1 per exponent) and equal
-        keys are summed with np.unique + np.bincount into a running key list.
+        rows of self; each (k, m) is packed into one int64 key (`_key_weights`)
+        and equal keys are summed with `_summed` into a running key list.
         Every key is summed in term-pair order, starting from its first
         contribution, and the output lists keys in order of first
         contribution, so the result does not depend on the block size.
         Contributions beyond (cutoff, max_degree) go to the ledger as one drop.
         """
-        out = self.like()
-        if not self.terms or not other.terms:
-            return out
+        if self.is_empty or other.is_empty:
+            return self.like()
         n, cut, deg = self.n, self.cutoff, self.max_degree
-        K1, M1, C1 = self._compiled()
-        K2, M2, C2 = other._compiled()
-        radix_k, radix_m = 2 * cut + 1, deg + 1
-        assert (radix_k * radix_m) ** n < 2 ** 63, "packed (k, m) key overflows int64"
-        w_m = radix_m ** np.arange(n, dtype=np.int64)
-        w_k = radix_m ** n * radix_k ** np.arange(n, dtype=np.int64)
+        K1, M1, C1 = self.K, self.M, self.C
+        K2, M2, C2 = other.K, other.M, other.C
+        w_k, w_m = _key_weights(n, cut, deg)
         n2 = len(C2)
         rows = max(1, _BLOCK_PAIRS // n2)
         # blocks are laid out (coordinate, row of self, term of other), so every
@@ -223,8 +256,8 @@ class TaylorFourierSeries:
             # kept contributions in term-pair order: flat (row, term, coordinate)
             idx = np.flatnonzero((live & fits).transpose(1, 2, 0))
             at = idx % n * fits.size + idx // n
-            pair_key = np.tensordot(w_k, ksum + cut, 1) + np.tensordot(w_m, msum, 1)
-            return (a0 * n2 * n + idx, pair_key.ravel()[idx // n] - w_m[idx % n],
+            pair_key = w_k @ (ksum + cut).reshape(n, -1) + w_m @ msum.reshape(n, -1)
+            return (a0 * n2 * n + idx, pair_key[idx // n] - w_m[idx % n],
                     vr.ravel()[at], vi.ravel()[at], float(np.hypot(vr[lost], vi[lost]).sum()))
 
         keys = first = np.empty(0, dtype=np.int64)
@@ -232,49 +265,29 @@ class TaylorFourierSeries:
         dropped = 0.0
         for a0 in range(0, len(C1), rows):
             b_first, b_keys, b_re, b_im, b_lost = block(a0)
-            keys, pos, inv = np.unique(np.concatenate([keys, b_keys]),
-                                       return_index=True, return_inverse=True)
-            first = np.concatenate([first, b_first])[pos]
-            re = np.bincount(inv, np.concatenate([re, b_re]), len(keys))
-            im = np.bincount(inv, np.concatenate([im, b_im]), len(keys))
+            keys, first, re, im = _summed(
+                np.concatenate([keys, b_keys]), np.concatenate([first, b_first]),
+                np.concatenate([re, b_re]), np.concatenate([im, b_im]))
             dropped += b_lost
         if ledger is not None and dropped:
             ledger.drop(dropped)
-        # positions are distinct; the stable sort is the one np.unique already
-        # loaded, so the first bracket pages in no second sort (~0.4 MB RSS)
-        order = np.argsort(first, kind="stable")
-        order = order[(re[order] != 0) | (im[order] != 0)]
+        order, C = _kept(first, re, im)
         keys = keys[order]
-        coef = np.empty(len(keys), dtype=complex)
-        coef.real, coef.imag = re[order], im[order]
-        modes = (keys[:, None] // w_k) % radix_k - cut
-        monos = (keys[:, None] // w_m) % radix_m
-        out.terms.update(zip(zip(map(tuple, modes.tolist()), map(tuple, monos.tolist())),
-                             coef.tolist()))
-        return out
+        return self._with((keys[:, None] // w_k) % (2 * cut + 1) - cut,
+                          (keys[:, None] // w_m) % (deg + 1), C)
 
     def reality_defect(self) -> float:
-        worst = 0.0
-        for (k, m), c in self.terms.items():
-            mirror = self.terms.get((tuple(-v for v in k), m), 0.0)
+        worst, terms = 0.0, self.terms
+        for (k, m), c in terms.items():
+            mirror = terms.get((tuple(-v for v in k), m), 0.0)
             worst = max(worst, abs(np.conj(c) - mirror))
         return worst
 
     # -- evaluation ---------------------------------------------------------
 
-    def _compiled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(K, M, C): int64 modes and monomials, complex coefficients, in term order."""
-        terms = self.terms
-        if terms.arrays is None:
-            K = np.array([k for k, _ in terms], dtype=np.int64).reshape(len(terms), self.n)
-            M = np.array([m for _, m in terms], dtype=np.int64).reshape(len(terms), self.n)
-            C = np.array(list(terms.values()), dtype=complex)
-            terms.arrays = (K, M, C, None)
-        return terms.arrays[:3]
-
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Kt, S, R), compiled on first use beside (K, M, C), so a write to
-        `terms` drops them too.  Kt (n, T) holds the float modes.
+        """(Kt, S, R), built from (K, M, C) on first use and dropped by
+        `add_term`.  Kt (n, T) holds the float modes.
 
         Row j of S and R gives one sum over terms t: its real part is dF/dy_j
         for j < n and the value for j = n, its imaginary part -dF/dx_i for
@@ -284,15 +297,14 @@ class TaylorFourierSeries:
         column.  Coordinates lead, so their product runs on contiguous rows.
         R (2n+1, T) holds the rows M[t, j] c_t, then c_t, then K[t, i] c_t.
         """
-        K, M, C = self._compiled()
-        terms = self.terms
-        if terms.arrays[3] is None:
+        if self._grad_tables is None:
+            K, M, C = self.K, self.M, self.C
             n, width = self.n, self.max_degree + 2
             shifted = M.T[:, None, :] - np.eye(n, 2 * n + 1, dtype=np.int64)[:, :, None]
             S = shifted % width + width * np.arange(n)[:, None, None]
             R = np.vstack([M.T * C, C, K.T * C])
-            terms.arrays = (K, M, C, (K.T.astype(float), S, R))
-        return terms.arrays[3]
+            self._grad_tables = (K.T.astype(float), S, R)
+        return self._grad_tables
 
     def _sums(self, y, x, rows: slice) -> np.ndarray:
         """sum_t R_jt w^(S_jt) e^(i k_t.x) for the given rows j at P points,
@@ -357,29 +369,35 @@ def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSer
         raise ValueError("kinetic part needs max_degree >= 2")
     y0 = np.asarray(y0, dtype=float)
     n_ = len(y0)
-    h = TaylorFourierSeries(n_, y0, max_degree, cutoff)
-    zero_k = (0,) * n_
-    h.add_term(zero_k, (0,) * n_, 0.5 * float(np.dot(y0, y0)))
+    zero, e = (0,) * n_, np.eye(n_, dtype=int).tolist()
+    rows = [(zero, zero, 0.5 * float(np.dot(y0, y0)))]
     for j in range(n_):
-        m = [0] * n_
-        m[j] = 1
-        h.add_term(zero_k, tuple(m), float(y0[j]))
-        m[j] = 2
-        h.add_term(zero_k, tuple(m), 0.5)
-    return h
+        rows += [(zero, e[j], float(y0[j])), (zero, [2 * v for v in e[j]], 0.5)]
+    h = TaylorFourierSeries(n_, y0, max_degree, cutoff)
+    return h._store(*h._rows(rows))
+
+
+def _mode_pairs(n: int, coeffs) -> list[tuple[Mode, Mono, complex]]:
+    """The y-independent terms (k, 0, c) and (-k, 0, conj c) of each (k, c)."""
+    zero_m = (0,) * n
+    return [row for k, c in coeffs
+            for row in ((k, zero_m, c), (tuple(-v for v in k), zero_m, complex(np.conj(c))))]
 
 
 def potential_series(
     f: TrigPoly, y0, max_degree: int, cutoff: int, ledger: TruncationLedger
 ) -> TaylorFourierSeries:
-    """eps-grade-1 term: the potential as a y-independent series (both mode halves)."""
-    y0 = np.asarray(y0, dtype=float)
-    out = TaylorFourierSeries(f.n, y0, max_degree, cutoff)
-    zero_m = (0,) * f.n
-    for k, c in f.coeffs.items():
-        out.add_term(k, zero_m, c, ledger)
-        out.add_term(tuple(-v for v in k), zero_m, complex(np.conj(c)), ledger)
-    return out
+    """eps-grade-1 term: f as a y-independent series (both halves of its canonical modes)."""
+    out = TaylorFourierSeries(f.n, np.asarray(y0, dtype=float), max_degree, cutoff)
+    return out._store(*out._rows(_mode_pairs(f.n, f.coeffs.items()), ledger))
+
+
+def ray_series(like: TaylorFourierSeries, p: OneDTrigPoly, k: Mode) -> TaylorFourierSeries:
+    """p(k.x) = sum_j c_j e^{i j k.x} + conj, y-independent, in like's algebra (terms
+    beyond it are left out): the Z k series of pi_k f for p = project_lattice(f, k).
+    p stores only j >= 1, so every key is new."""
+    return like._with(*like._rows(
+        _mode_pairs(like.n, ((tuple(j * v for v in k), c) for j, c in p.coeffs.items()))))
 
 
 @dataclass(frozen=True)
@@ -418,7 +436,7 @@ def solve_homological(
     """
     y0 = np.asarray(y0, dtype=float)
     n = B.n
-    terms: dict[tuple[Mode, Mono], complex] = {}
+    rows: list[tuple[Mode, Mono, complex]] = []
     log: list[tuple[Mode, float]] = []
     by_mode: dict[Mode, dict[Mono, complex]] = {}
     for (k, m), c in B.terms.items():
@@ -451,11 +469,13 @@ def solve_homological(
                     if prev is not None:
                         acc -= 1j * k[j] * prev
                 solved[m] = acc / (1j * div)
-        # each (k, m) is new and in range; 0.0 + c is add_term's sum (-0.0 -> +0.0)
-        terms.update(((k, m), 0.0 + c) for m, c in solved.items() if c != 0)
+        # each (k, m) is new and in range; 0.0 + c is the merge's sum (-0.0 -> +0.0)
+        rows.extend((k, m, 0.0 + c) for m, c in solved.items() if c != 0)
         for m in level:
             overflow += l1(k) * abs(solved[m])
-    return B._with(terms), log, overflow
+    K = np.array([k for k, _, _ in rows], dtype=np.int64).reshape(len(rows), n)
+    M = np.array([m for _, m, _ in rows], dtype=np.int64).reshape(len(rows), n)
+    return B._with(K, M, np.array([c for _, _, c in rows], dtype=complex)), log, overflow
 
 
 def lie_transform(
@@ -467,35 +487,23 @@ def lie_transform(
 ) -> list[TaylorFourierSeries]:
     """exp(L_chi) applied to the graded Hamiltonian, chi at eps-grade j.
 
-    Uses {h, chi} = -B exactly (the homological identity), so the band part
-    of grade j cancels coefficientwise; all other chains are bracketed out
-    until they leave the retained grades.
+    The chain from grade g0 adds {...{grades[g0], chi}..., chi}/i! to grade
+    g0 + i j while that is retained; the kinetic chain's first term is
+    {h, chi} = -B exactly (the homological identity), so the band part of
+    grade j cancels coefficientwise.  Each grade is merged once per step.
     """
     D = len(grades) - 1
-    out = [g.copy() for g in grades]
-    # kinetic chain: h -> h - B + {-B, chi}/2! + ...
-    out[j] = out[j].plus(B.scaled(-1.0))
-    term = B.scaled(-1.0)
-    i = 1
-    while j * (i + 1) <= D:
-        i += 1
-        ledger.grade = j * i
-        term = term.poisson(chi, ledger).scaled(1.0 / i)
-        out[j * i] = out[j * i].plus(term)
-    # perturbation chains from every retained grade
-    for g0 in range(1, D + 1):
-        src = grades[g0]
-        if src.is_empty:
-            continue
-        term = src
+    parts = [[g] for g in grades]
+    for g0, term in enumerate(grades):
         i = 0
-        while g0 + (i + 1) * j <= D:
+        while not term.is_empty and g0 + (i + 1) * j <= D:
             i += 1
             ledger.grade = g0 + i * j
-            term = term.poisson(chi, ledger).scaled(1.0 / i)
-            out[g0 + i * j] = out[g0 + i * j].plus(term)
+            term = (B.scaled(-1.0) if g0 == 0 and i == 1
+                    else term.poisson(chi, ledger).scaled(1.0 / i))
+            parts[g0 + i * j].append(term)
     ledger.grade = 0
-    return out
+    return [p[0] if len(p) == 1 else p[0]._sum(p) for p in parts]
 
 
 @dataclass
@@ -548,16 +556,12 @@ class AveragedNF:
 
     def band_coefficient_maxima(self) -> float:
         """max |coefficient| of f_rem over the killed band (exact-zero check)."""
-        worst = 0.0
-        for j in range(1, self.order + 1):
-            for (k, _m), c in self.f_rem[j].terms.items():
-                if self.kind == "nonresonant":
-                    if 0 < l1(k) <= self.K0:
-                        worst = max(worst, abs(c))
-                else:
-                    if on_ray(k, self.res_k) is not None:
-                        worst = max(worst, abs(c))
-        return worst
+        if self.kind == "nonresonant":
+            killed = lambda k: 0 < l1(k) <= self.K0
+        else:
+            killed = lambda k: on_ray(k, self.res_k) is not None
+        return max([0.0] + [float(np.abs(t.split(killed)[0].C).max(initial=0.0))
+                            for t in self.f_rem[1:self.order + 1]])
 
     def to_dict(self) -> dict:
         doc = {
@@ -836,13 +840,8 @@ def cosine_rescale(
 
     # g_star grades: (g_res - pi_k f) / eta; the grade-1 projection cancels
     # coefficientwise, higher grades are divided through
-    pk_series = nf.g_res[1].like()
-    zero_m = (0,) * nf.n
-    for j, c in pk.coeffs.items():
-        pk_series.add_term(tuple(j * v for v in k), zero_m, c)
-        pk_series.add_term(tuple(-j * v for v in k), zero_m, complex(np.conj(c)))
     g_star = [nf.g_res[0].like()]
-    g_star.append(nf.g_res[1].plus(pk_series.scaled(-1.0)).scaled(1.0 / eta))
+    g_star.append(nf.g_res[1].plus(ray_series(nf.g_res[1], pk, k).scaled(-1.0)).scaled(1.0 / eta))
     for j in range(2, nf.order + 1):
         g_star.append(nf.g_res[j].scaled(nf.epsilon ** (j - 1) / eta))
     f_star = [nf.f_rem[0].like()]

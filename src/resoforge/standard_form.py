@@ -53,7 +53,7 @@ import numpy as np
 from .cover import CoveringParams
 from .fourier import Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1, project_lattice
 from .genericity import c_s, threshold_N
-from .lieseries import AveragedNF, TaylorFourierSeries, ray_majorant
+from .lieseries import AveragedNF, TaylorFourierSeries, ray_majorant, ray_series
 from .morse import critical_points
 from .unimodular import DecouplingMatrix, UnimodularMatrix, complete_to_sl, decoupling_matrix
 
@@ -1035,11 +1035,7 @@ def standardize(
     k_inf = max(abs(v) for v in k)
     r_y = (4.0 * chars.r + abs(Yc[0])) * k_inf + 4.0 * chars.r + 1e-15
     g_o_maj = secular.g_o_series.majorant(r_y, 0.0)
-    diff = secular.g_series.copy()
-    zero_m = (0,) * f.n
-    for j, c in pk.coeffs.items():
-        diff.add_term(tuple(j * v for v in k), zero_m, -c)
-        diff.add_term(tuple(-j * v for v in k), zero_m, -complex(np.conj(c)))
+    diff = secular.g_series.plus(ray_series(secular.g_series, pk, k).scaled(-1.0))
     g_diff_maj = ray_majorant([diff], k, r_y, chars.s_breve)
     theta_o_bound = max(eps_k * g_o_maj, eps_k * g_diff_maj, 1e-300)
 

@@ -1,11 +1,19 @@
 import math
+from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from resoforge.cover import free_params
-from resoforge.fourier import TrigPoly, lacunary_potential, project_lattice, two_mode_potential
+from resoforge.fourier import (
+    TrigPoly,
+    lacunary_potential,
+    on_ray,
+    project_lattice,
+    two_mode_potential,
+)
 from resoforge.genericity import threshold_N
 from resoforge.lieseries import (
     AveragedNF,
@@ -19,6 +27,7 @@ from resoforge.lieseries import (
     lie_step_res,
     nf_remainder_norm,
     ray_majorant,
+    ray_series,
     solve_homological,
     verify_conjugacy,
 )
@@ -117,9 +126,92 @@ class TestSeriesAlgebra:
             )
 
 
+@dataclass
+class RefSeries:
+    """The dict algebra the array storage replaced, kept as a test-only
+    reference: `terms` in insertion order, `add_term` pops exact zeros, and
+    `plus`, `scaled` and `split` are loops over the dict.  Its bracket is the
+    library kernel on the same rows (pinned to `reference_poisson` below)."""
+
+    n: int
+    base_point: np.ndarray
+    max_degree: int
+    cutoff: int
+    terms: dict = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, F):
+        """F's algebra holding a copy of F's terms, in F's order."""
+        return cls(F.n, F.base_point, F.max_degree, F.cutoff, dict(F.terms))
+
+    def _with(self, terms):
+        return RefSeries(self.n, self.base_point, self.max_degree, self.cutoff, terms)
+
+    def like(self):
+        return self._with({})
+
+    @property
+    def is_empty(self):
+        return not self.terms
+
+    def add_term(self, k, m, c, ledger=None):
+        if c == 0:
+            return
+        if sum(abs(v) for v in k) > self.cutoff or sum(m) > self.max_degree:
+            if ledger is not None:
+                ledger.drop(abs(c))
+            return
+        key = (k, m)
+        new = self.terms.get(key, 0.0) + c
+        if new == 0:
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = new
+
+    def plus(self, other):
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            new = terms.get(key, 0.0) + c
+            if new == 0:
+                terms.pop(key, None)
+            else:
+                terms[key] = new
+        return self._with(terms)
+
+    def scaled(self, a):
+        out = self.like()
+        if a != 0:
+            out.terms.update((key, a * c) for key, c in self.terms.items())
+        return out
+
+    def split(self, predicate):
+        sel, rest, predicate = {}, {}, cache(predicate)
+        for key, c in self.terms.items():
+            (sel if predicate(key[0]) else rest)[key] = c
+        return self._with(sel), self._with(rest)
+
+    def poisson(self, other, ledger=None):
+        return RefSeries.of(to_series(self).poisson(to_series(other), ledger))
+
+
+def to_series(F):
+    """A library series holding F's terms exactly (-0.0 parts included), in
+    F's order; F's keys are unique and its coefficients nonzero."""
+    terms = F.terms
+    K = np.array([k for k, _ in terms], dtype=np.int64).reshape(len(terms), F.n)
+    M = np.array([m for _, m in terms], dtype=np.int64).reshape(len(terms), F.n)
+    out = TaylorFourierSeries(F.n, F.base_point, F.max_degree, F.cutoff)
+    return out._store(K, M, np.array(list(terms.values()), dtype=complex))
+
+
+def exact_items(F):
+    """F's terms in order, each coefficient as its repr (which tells -0.0 from 0.0)."""
+    return [(key, repr(complex(c))) for key, c in F.terms.items()]
+
+
 def reference_poisson(F, G, ledger):
     """{F, G} term pair by term pair: the double loop the array kernel replaced."""
-    out = F.like()
+    out = RefSeries.of(F).like()
     for (k1, m1), c1 in F.terms.items():
         for (k2, m2), c2 in G.terms.items():
             ksum = tuple(a + b for a, b in zip(k1, k2))
@@ -231,29 +323,43 @@ class TestArrayBracket:
                                reference_poisson(F, F.plus(G), led_ref), led_out, led_ref)
 
     def test_compiled_arrays_follow_in_place_writes(self):
+        # `terms` and the arrays cannot be written; add_term is the one
+        # mutator, and the evaluator and the bracket both see what it adds
         rng = np.random.default_rng(5)
         F = random_real_series(rng, 2, 3, 5, 12)
         G = random_real_series(rng, 2, 3, 5, 8)
         G.base_point = F.base_point
         y, x = F.base_point + 0.1, np.array([0.3, 1.1])
-        before = F.evaluate(y, x)
-        F.poisson(G)                        # both operands are compiled now
+        before = F.evaluate(y, x)            # the evaluator's tables are built now
         (k, m), c = next(iter(F.terms.items()))
-        F.terms[(k, m)] = c + 0.25          # same length, one new coefficient
+        with pytest.raises(TypeError):
+            F.terms[(k, m)] = c + 0.25
+        with pytest.raises(AttributeError):
+            F.terms = {}
+        with pytest.raises(ValueError):
+            F.C[0] = c + 0.25
+        assert F.evaluate(y, x) == before
+        F.add_term(k, m, 0.25)               # same length, one new coefficient
         after = before + 0.25 * np.prod((y - F.base_point) ** np.array(m)) * np.exp(1j * np.dot(k, x))
         assert F.evaluate(y, x) == pytest.approx(after, rel=1e-14)
         led_out, led_ref = TruncationLedger(), TruncationLedger()
         assert_bracket_matches(F.poisson(G, led_out), reference_poisson(F, G, led_ref),
                                led_out, led_ref)
-        # replacing the dict at equal length is a write too
-        F.terms = {key: 2.0 * c for key, c in F.terms.items()}
-        assert F.evaluate(y, x) == pytest.approx(2.0 * after, rel=1e-14)
+        # a new key is one more row, seen by both as well
+        k_new, m_new = (0, 5), (1, 0)
+        assert (k_new, m_new) not in F.terms
+        F.add_term(k_new, m_new, 0.5)
+        after += 0.5 * (y - F.base_point)[0] * np.exp(1j * 5 * x[1])
+        assert F.evaluate(y, x) == pytest.approx(after, rel=1e-14)
+        led_out, led_ref = TruncationLedger(), TruncationLedger()
+        assert_bracket_matches(F.poisson(G, led_out), reference_poisson(F, G, led_ref),
+                               led_out, led_ref)
 
     def test_deterministic_order(self):
         rng = np.random.default_rng(6)
         F = random_real_series(rng, 3, 3, 5, 30)
         G = random_real_series(rng, 3, 3, 5, 20)
-        a, b = F.poisson(G), F.copy().poisson(G.copy())
+        a, b = F.poisson(G), to_series(RefSeries.of(F)).poisson(to_series(RefSeries.of(G)))
         assert list(a.terms.items()) == list(b.terms.items())
 
 
@@ -409,7 +515,7 @@ def reference_solve_homological(B, y0, min_divisor, context):
     degree rescans every solved monomial and sorts a fresh candidate set."""
     y0 = np.asarray(y0, dtype=float)
     n = B.n
-    chi = B.like()
+    chi = RefSeries.of(B).like()
     log = []
     by_mode = {}
     for (k, m), c in B.terms.items():
@@ -488,6 +594,194 @@ class TestHomologicalLevels:
         lie_step_res(ham, k, free_params(2, 1.0, alpha=0.03, K0=2, K=6),
                      np.array([0.5, -0.5]), order=4, max_degree=3)
         assert len(calls) >= 6 and max(calls) > 20
+
+
+def reference_lie_transform(grades, chi, j, B, ledger):
+    """lie_transform in the dict algebra: each bracket term is added to its
+    target grade by `plus` as soon as it is formed."""
+    D = len(grades) - 1
+    out = [RefSeries.of(g) for g in grades]
+    out[j] = out[j].plus(B.scaled(-1.0))
+    term = B.scaled(-1.0)
+    i = 1
+    while j * (i + 1) <= D:
+        i += 1
+        ledger.grade = j * i
+        term = term.poisson(chi, ledger).scaled(1.0 / i)
+        out[j * i] = out[j * i].plus(term)
+    for g0 in range(1, D + 1):
+        src = grades[g0]
+        if src.is_empty:
+            continue
+        term = src
+        i = 0
+        while g0 + (i + 1) * j <= D:
+            i += 1
+            ledger.grade = g0 + i * j
+            term = term.poisson(chi, ledger).scaled(1.0 / i)
+            out[g0 + i * j] = out[g0 + i * j].plus(term)
+    ledger.grade = 0
+    return out
+
+
+def reference_average(ham, params, y0, order, max_degree, k):
+    """The averaging steps in the dict algebra, built term by term with
+    add_term: (kinetic, g_o, g_res, f_rem, chis, divisor log, dropped mass
+    by grade), the grade lists indexed from grade 1."""
+    y0 = np.asarray(y0, dtype=float)
+    if k is None:
+        band_pred = lambda kk: 0 < sum(abs(v) for v in kk) <= params.K0
+        min_divisor = params.alpha / 2.0
+    else:
+        band_pred = lambda kk: any(kk) and on_ray(kk, k) is None
+        min_divisor = 2.0 * params.alpha * params.K / math.sqrt(sum(v * v for v in k))
+    n, ledger = ham.n, TruncationLedger()
+    zero = (0,) * n
+    h = RefSeries(n, y0, max_degree, params.K)
+    h.add_term(zero, zero, 0.5 * float(np.dot(y0, y0)))
+    for j in range(n):
+        e_j = tuple(int(i == j) for i in range(n))
+        h.add_term(zero, e_j, float(y0[j]))
+        h.add_term(zero, tuple(2 * v for v in e_j), 0.5)
+    f1 = h.like()
+    ledger.grade = 1
+    for kk, c in ham.f.coeffs.items():
+        f1.add_term(kk, zero, c, ledger)
+        f1.add_term(tuple(-v for v in kk), zero, complex(np.conj(c)), ledger)
+    ledger.grade = 0
+    grades = [h, f1] + [h.like() for _ in range(2, order + 1)]
+    chis, log = [], []
+    for j in range(1, order + 1):
+        band, _rest = grades[j].split(band_pred)
+        if band.is_empty:
+            continue
+        chi, divisors, overflow = reference_solve_homological(band, y0, min_divisor, "reference")
+        ledger.drop(overflow, grade=j)
+        log.extend(divisors)
+        grades = reference_lie_transform(grades, chi, j, band, ledger)
+        chis.append((j, chi))
+    g_o, g_res, f_rem = [], [], []
+    for j in range(1, order + 1):
+        osc, zero_part = grades[j].split(any)
+        g_o.append(zero_part)
+        if k is not None:
+            line, osc = osc.split(lambda kk: on_ray(kk, k) is not None)
+            g_res.append(line)
+        f_rem.append(osc)
+    return grades[0], g_o, g_res, f_rem, chis, log, dict(ledger.by_grade)
+
+
+def zero_part_series():
+    """Coefficients with exact zero real or imaginary parts, of both signs,
+    so that scaling makes -0.0 parts."""
+    Z = series(deg=2, cutoff=4)
+    for k, m, c in [((1, 0), (0, 0), 0.5j), ((-1, 0), (0, 0), -0.5j), ((0, 1), (1, 0), -0.25),
+                    ((0, -1), (1, 0), -0.25), ((1, 1), (0, 1), complex(-1.5, 0.0)),
+                    ((-1, -1), (0, 1), complex(-1.5, 0.0)), ((2, 0), (0, 0), -0.75j),
+                    ((-2, 0), (0, 0), 0.75j)]:
+        Z.add_term(k, m, c)
+    return Z
+
+
+class TestArrayStorage:
+    @pytest.mark.parametrize("seed, k", [(1, (1, 1)), (2, (1, -1)), (3, (1, 2))])
+    def test_averaging_matches_dict_reference(self, seed, k):
+        # lie_step_nonres and lie_step_res at orders 2-5 on the averaging
+        # benchmark's draws: every grade, chi, divisor and dropped mass is the
+        # dict algebra's, in the same order and bit for bit (-0.0 included)
+        rng = np.random.default_rng([2, seed, 0])
+        u = np.array([-k[1], k[0]], dtype=float)
+        cases = [(None, averaging_potential(rng), free_params(2, 1.0, alpha=0.02, K0=2, K=8),
+                  np.array([0.7, 0.31])),
+                 (k, averaging_potential(rng, must_have=k),
+                  free_params(2, 1.0, alpha=0.03, K0=2, K=6), 0.7 * u / np.linalg.norm(u))]
+        for kk, f, params, y0 in cases:
+            ham = NaturalHam(2, 1e-3, f)
+            for order in (2, 3, 4, 5):
+                if kk is None:
+                    nf = lie_step_nonres(ham, params, y0, order=order, max_degree=3)
+                else:
+                    nf = lie_step_res(ham, kk, params, y0, order=order, max_degree=3)
+                kinetic, g_o, g_res, f_rem, chis, log, dropped = reference_average(
+                    ham, params, y0, order, 3, kk)
+                assert exact_items(nf.kinetic) == exact_items(kinetic)
+                for j in range(1, order + 1):
+                    assert exact_items(nf.g_o[j]) == exact_items(g_o[j - 1])
+                    assert exact_items(nf.f_rem[j]) == exact_items(f_rem[j - 1])
+                    if kk is not None:
+                        assert exact_items(nf.g_res[j]) == exact_items(g_res[j - 1])
+                assert [(j, exact_items(c)) for j, c in nf.chi] == \
+                    [(j, exact_items(c)) for j, c in chis]
+                assert nf.divisor_log == log and nf.dropped_by_grade == dropped
+                assert len(nf.chi) == order and sum(len(c.terms) for _j, c in nf.chi) > 40
+
+    def test_exact_cancellation_zero_parts_and_empty_operands(self):
+        rng = np.random.default_rng(11)
+        F = random_real_series(rng, 2, 2, 4, 10)
+        Z = zero_part_series()
+        Z.base_point = F.base_point
+        empty = F.like()
+        # G cancels three of F's terms exactly, changes two and adds new ones
+        G = F.like()
+        for (kk, m), c in list(F.terms.items())[:5]:
+            G.add_term(kk, m, -c if len(G.terms) < 3 else 0.5 * c)
+        G = G.plus(Z)
+        minus = {a: x.scaled(-1.0) for a, x in (("F", F), ("Z", Z), ("G", G))}
+        assert F.plus(minus["F"]).is_empty and minus["F"].plus(F).is_empty
+        assert any(math.copysign(1.0, v) < 0 for c in minus["Z"].C for v in (c.real, c.imag)
+                   if v == 0)
+        for left in (F, G, Z, empty):
+            for right in (F, G, Z, empty, *minus.values()):
+                out = left.plus(right)
+                ref = RefSeries.of(left).plus(RefSeries.of(right))
+                assert exact_items(out) == exact_items(ref)
+                # a merge sums every key from 0.0, so no part is -0.0
+                assert not any(math.copysign(1.0, v) < 0 for c in out.C for v in (c.real, c.imag)
+                               if v == 0)
+        for x in (F, Z, G, empty):
+            for a in (-1.0, 0.5, np.float64(-2.0), 1j, complex(0.3, -0.0), -0.0, 0):
+                assert exact_items(x.scaled(a)) == exact_items(RefSeries.of(x).scaled(a))
+            for predicate in (any, lambda kk: kk[0] > 0, lambda kk: True, lambda kk: False):
+                for part, ref in zip(x.split(predicate), RefSeries.of(x).split(predicate)):
+                    assert exact_items(part) == exact_items(ref)
+
+    def test_add_term_sequence_matches_dict_reference(self):
+        # zero terms skipped, terms beyond the truncation to the ledger one by
+        # one, a cancelled key removed and appended again when it comes back
+        F, ref = series(deg=2, cutoff=3), RefSeries.of(series(deg=2, cutoff=3))
+        led, led_ref = TruncationLedger(), TruncationLedger()
+        steps = [((1, 0), (0, 0), 0.5), ((0, 1), (1, 0), 0.25j), ((1, 0), (0, 0), -0.5),
+                 ((2, 1), (0, 0), 0), ((3, 1), (0, 0), 1.5), ((0, 1), (1, 2), 2.0),
+                 ((-1, 1), (2, 0), complex(0.0, -0.0) - 0.3), ((1, 0), (0, 0), 0.125),
+                 ((0, 1), (1, 0), np.complex128(0.5 - 0.25j)), ((-1, 1), (2, 0), 0.3)]
+        for kk, m, c in steps:
+            F.add_term(kk, m, c, led)
+            ref.add_term(kk, m, c, led_ref)
+            assert exact_items(F) == exact_items(ref)
+        assert list(F.terms) == [((0, 1), (1, 0)), ((1, 0), (0, 0))]
+        assert led.by_grade == led_ref.by_grade == {0: 3.5}
+
+    @pytest.mark.parametrize("k", [(1, 1), (1, -1), (2, 1)])
+    def test_ray_series_matches_term_loops(self, k):
+        # the Z k series of pi_k f, and g - pi_k f as standardize forms it,
+        # against the per-term add_term loops they replaced
+        f = TrigPoly(2, {(1, 1): 0.3 - 0.1j, (2, 2): -0.05j, (1, -1): 0.2, (2, -2): 0.01 + 0.02j,
+                         (2, 1): 0.07, (4, 2): 0.003j, (6, 3): 1e-4, (3, 1): 0.2})
+        pk = project_lattice(f, k)
+        rng = np.random.default_rng(12)
+        g = random_real_series(rng, 2, 2, 6, 8)
+        for j, c in list(pk.coeffs.items())[:1]:
+            g.add_term(tuple(j * v for v in k), (0, 0), 0.5 * c)
+        zero = (0, 0)
+        ref, diff = RefSeries.of(g.like()), RefSeries.of(g)
+        for j, c in pk.coeffs.items():
+            ref.add_term(tuple(j * v for v in k), zero, c)
+            ref.add_term(tuple(-j * v for v in k), zero, complex(np.conj(c)))
+            diff.add_term(tuple(j * v for v in k), zero, -c)
+            diff.add_term(tuple(-j * v for v in k), zero, -complex(np.conj(c)))
+        assert len(pk.coeffs) >= 2 and not ref.is_empty
+        assert exact_items(ray_series(g, pk, k)) == exact_items(ref)
+        assert exact_items(g.plus(ray_series(g, pk, k).scaled(-1.0))) == exact_items(diff)
 
 
 def nonres_setup(eps=1e-3, order=1, deg=2, f=None):
