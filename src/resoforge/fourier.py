@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -234,10 +235,10 @@ def _count_generator_shell(n: int, m: int) -> int:
 class TrigPoly:
     """Zero-average real-analytic function on T^n as a sparse mode map.
 
-    coeffs maps canonical modes k in Z^n_* to f_k; the coefficient at -k is
-    conj(f_k).  An optional rule supplies coefficients beyond the materialized
-    support together with exact norm tails; rule_cutoff records up to which
-    |k|_1 the rule was materialized into coeffs.
+    coeffs maps canonical modes k in Z^n_* to f_k (conj(f_k) at -k) and is not
+    mutated after construction.  An optional rule supplies coefficients beyond
+    the materialized support with exact norm tails; rule_cutoff records up to
+    which |k|_1 the rule was materialized into coeffs.
     """
 
     n: int
@@ -281,6 +282,11 @@ class TrigPoly:
         return sorted(self.coeffs)
 
     def max_order(self) -> int:
+        """Largest |k|_1 over coeffs, computed once per potential."""
+        return self._max_order
+
+    @cached_property
+    def _max_order(self) -> int:
         return max((l1(k) for k in self.coeffs), default=0)
 
     def evaluate(self, x) -> complex:
@@ -434,29 +440,39 @@ def norm_majorant(f: TrigPoly | OneDTrigPoly, s: float) -> float:
 
 
 def project_lattice(f: TrigPoly, k: Mode) -> OneDTrigPoly:
-    """Fourier projection pi_k f(theta) = sum_j f_{jk} e^{i j theta}, k a generator.
+    """Fourier projection pi_k f(theta) = sum_j f_{jk} e^{i j theta}, k a generator:
+    lattice_projections(f, [k])[0]."""
+    return lattice_projections(f, [k])[0]
 
-    The decomposition f(x) = sum_{k in G^n} (pi_k f)(k.x) over the support is
-    exact because every nonzero mode lies on a unique generator ray.
+
+def lattice_projections(f: TrigPoly, gens: Iterable[Mode]) -> list[OneDTrigPoly]:
+    """pi_k f for every generator k of gens (all checked first), from one pass.
+
+    The rays partition the support: kp lies on the ray of kp/gcd(kp) at
+    j = gcd(kp).  One pass over f.coeffs fills this call's ray table in coeffs
+    order; a rule then adds f_{jk} up to its cutoff and the exact tail beyond.
     """
-    k = tuple(int(v) for v in k)
-    if not is_generator(k):
+    gens = [tuple(int(v) for v in k) for k in gens]
+    if not all(is_generator(k) for k in gens):
         raise NotAGeneratorError("not a generator")
-    coeffs: dict[int, complex] = {}
+    rays: dict[Mode, dict[int, complex]] = {k: {} for k in gens}
     for kp, c in f.coeffs.items():
-        j = on_ray(kp, k)
-        if j is not None:
-            coeffs[j] = c
-    tail = 0.0
-    if f.rule is not None:
-        cutoff = f.rule_cutoff if f.rule_cutoff is not None else f.max_order()
-        jm = max(2, int(cutoff // max(l1(k), 1)) + 2)
-        for j in range(1, jm + 1):
-            c = f.rule.coeff(tuple(j * v for v in k))
-            if c != 0:
-                coeffs[j] = c
-        tail = f.rule.line_tail_majorant(k, jm + 1, 1.0)
-    return OneDTrigPoly(coeffs, tail_strip1=tail)
+        j = math.gcd(*kp)
+        if (kbar := kp if j == 1 else tuple(v // j for v in kp)) in rays:
+            rays[kbar][j] = c
+    out = []
+    for k in gens:
+        coeffs, tail = rays[k], 0.0
+        if f.rule is not None:
+            cutoff = f.rule_cutoff if f.rule_cutoff is not None else f.max_order()
+            jm = max(2, int(cutoff // max(l1(k), 1)) + 2)
+            for j in range(1, jm + 1):
+                c = f.rule.coeff(tuple(j * v for v in k))
+                if c != 0:
+                    coeffs[j] = c
+            tail = f.rule.line_tail_majorant(k, jm + 1, 1.0)
+        out.append(OneDTrigPoly(coeffs, tail_strip1=tail))
+    return out
 
 
 def strip_sup_interval(

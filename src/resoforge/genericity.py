@@ -36,7 +36,7 @@ from .fourier import (
     is_generator,
     iter_half_ball,
     l1,
-    project_lattice,
+    lattice_projections,
 )
 from .morse import ConstantFunctionError, _derivative_rows, _polish, _values, critical_points
 
@@ -135,15 +135,14 @@ def check_lower_bound(f: TrigPoly, params: GenericityParams) -> tuple[list[Failu
 def check_low_mode_morse(f: TrigPoly, params: GenericityParams) -> tuple[list[Failure], int, float]:
     """Check that pi_k f is beta-Morse with distinct values for |k|_1 <= N.
 
-    A vanishing projection is recorded as a failure, not raised.  Returns
-    (failures, generators checked, worst beta margin = min computed beta - beta).
+    The projections come from one lattice_projections call.  A vanishing
+    projection is recorded as a failure, not raised.  Returns (failures,
+    generators checked, worst beta margin = min computed beta - beta).
     """
     failures: list[Failure] = []
-    count = 0
     worst = math.inf
-    for k in generators(f.n, params.N):
-        count += 1
-        F = project_lattice(f, k)
+    gens = generators(f.n, params.N)
+    for k, F in zip(gens, lattice_projections(f, gens)):
         if F.is_zero:
             failures.append(Failure(k, "morse"))
             worst = -params.beta
@@ -159,7 +158,7 @@ def check_low_mode_morse(f: TrigPoly, params: GenericityParams) -> tuple[list[Fa
             failures.append(Failure(k, "morse"))
         elif not report.distinct_values:
             failures.append(Failure(k, "distinct-values"))
-    return failures, count, worst
+    return failures, len(gens), worst
 
 
 def check_membership(f: TrigPoly, params: GenericityParams) -> MembershipReport:

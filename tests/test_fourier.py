@@ -17,6 +17,7 @@ from resoforge.fourier import (
     iter_half_ball,
     l1,
     lacunary_potential,
+    lattice_projections,
     load_potential,
     norm_majorant,
     norm_weighted_sup,
@@ -220,6 +221,122 @@ class TestProjection:
                     for k, F in projections.items()
                 )
                 assert total == pytest.approx(f.evaluate(x).real, abs=1e-12)
+
+
+def reference_project_lattice(f, k):
+    """pi_k f by the per-mode scan: on_ray of every stored mode against k."""
+    k = tuple(int(v) for v in k)
+    if not is_generator(k):
+        raise NotAGeneratorError("not a generator")
+    coeffs = {}
+    for kp, c in f.coeffs.items():
+        j = on_ray(kp, k)
+        if j is not None:
+            coeffs[j] = c
+    tail = 0.0
+    if f.rule is not None:
+        fresh = max((l1(kp) for kp in f.coeffs), default=0)
+        cutoff = f.rule_cutoff if f.rule_cutoff is not None else fresh
+        jm = max(2, int(cutoff // max(l1(k), 1)) + 2)
+        for j in range(1, jm + 1):
+            c = f.rule.coeff(tuple(j * v for v in k))
+            if c != 0:
+                coeffs[j] = c
+        tail = f.rule.line_tail_majorant(k, jm + 1, 1.0)
+    return OneDTrigPoly(coeffs, tail_strip1=tail)
+
+
+def random_ray_poly(rng, n, rays=4, j_max=6, noise=4):
+    """Multiples j k (2 <= #j <= j_max) on several generator rays, negative
+    entries included, plus a few scattered modes, inserted in shuffled order."""
+    gens = generators(n, 4)
+    modes = []
+    for i in rng.choice(len(gens), size=min(rays, len(gens)), replace=False):
+        js = rng.choice(np.arange(1, j_max + 1), size=int(rng.integers(2, j_max + 1)), replace=False)
+        modes += [tuple(int(j) * v for v in gens[i]) for j in js]
+    ball = list(iter_half_ball(n, 5))
+    modes += [ball[i] for i in rng.choice(len(ball), size=min(noise, len(ball)), replace=False)]
+    order = rng.permutation(len(modes))
+    return TrigPoly(n, {modes[i]: complex(rng.normal(), rng.normal()) for i in order})
+
+
+def projection_items(F):
+    return list(F.coeffs.items()), F.tail_strip1
+
+
+class TestLatticeProjections:
+    """lattice_projections and project_lattice against the per-mode scan:
+    the same coefficient items in the same order, and the same tail."""
+
+    def assert_matches_reference(self, f, gens):
+        want = [projection_items(reference_project_lattice(f, k)) for k in gens]
+        assert [projection_items(F) for F in lattice_projections(f, gens)] == want
+        assert [projection_items(project_lattice(f, k)) for k in gens] == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_ray_supports(self, n, seed):
+        rng = np.random.default_rng([n, seed])
+        f = random_ray_poly(rng, n)
+        gens = generators(n, f.max_order())
+        assert sum(len(F.coeffs) > 1 for F in lattice_projections(f, gens)) >= 1
+        self.assert_matches_reference(f, gens)
+        # any order and any subset of the generators
+        subset = [gens[i] for i in rng.permutation(len(gens))[: max(1, len(gens) // 2)]]
+        self.assert_matches_reference(f, subset)
+
+    @pytest.mark.parametrize("cutoff", [None, 9.0])
+    def test_rule_backed(self, cutoff):
+        # stored modes that disagree with the rule, so its coefficients show
+        coeffs = {(3, 3): 0.2, (1, 1): 0.05, (2, -4): 0.1j, (1, 0): 0.3, (4, 0): -0.1}
+        f = TrigPoly(2, coeffs, rule=LacunaryRule(n=2, s=1.0), rule_cutoff=cutoff)
+        gens = generators(2, 6)
+        got = lattice_projections(f, gens)
+        assert list(got[gens.index((1, 1))].coeffs) == [3, 1]
+        self.assert_matches_reference(f, gens)
+
+    def test_materialized_rule(self):
+        for f in (lacunary_potential(2, 1.0, k_max=12), lacunary_potential(3, 2.0, k_max=6)):
+            self.assert_matches_reference(f, generators(f.n, f.max_order() + 2))
+
+    def test_empty_support(self):
+        f = TrigPoly(2, {})
+        gens = generators(2, 3)
+        assert all(F.is_zero for F in lattice_projections(f, gens))
+        self.assert_matches_reference(f, gens)
+        assert lattice_projections(f, []) == []
+
+    @pytest.mark.parametrize("gens", [
+        [(2, 4)],
+        [(1, 0), (1, 1), (2, 4)],
+        [(0, 1), (-1, 1), (1, 0)],
+        [(1, 0), (0, 0)],
+        [(1, 2), (3, 0)],
+    ])
+    def test_non_generator_anywhere(self, gens):
+        f = random_ray_poly(np.random.default_rng(0), 2)
+        with pytest.raises(NotAGeneratorError, match="not a generator"):
+            lattice_projections(f, gens)
+
+    def test_generators_checked_before_the_support_is_read(self):
+        class Unread:
+            n, rule, rule_cutoff = 2, None, None
+
+            @property
+            def coeffs(self):
+                raise AssertionError("support read before the generators were checked")
+
+        with pytest.raises(NotAGeneratorError):
+            lattice_projections(Unread(), [(1, 0), (2, 2)])
+
+    def test_max_order_matches_fresh_recomputation(self):
+        rng = np.random.default_rng(8)
+        polys = [random_ray_poly(rng, n) for n in (1, 2, 3)]
+        polys += [TrigPoly(2, {}), lacunary_potential(2, 1.0, k_max=12)]
+        for f in polys:
+            fresh = max((l1(k) for k in f.coeffs), default=0)
+            # the second call reads the memoised value
+            assert (f.max_order(), f.max_order()) == (fresh, fresh)
 
 
 class TestEvaluate:

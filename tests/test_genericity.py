@@ -8,7 +8,9 @@ from resoforge.genericity import (
     LOCUS_GRID,
     CutoffBelowThresholdError,
     DegeneracyLocus,
+    Failure,
     GenericityParams,
+    MembershipReport,
     check_low_mode_morse,
     check_lower_bound,
     check_membership,
@@ -17,7 +19,8 @@ from resoforge.genericity import (
     sample_product_measure,
     threshold_N,
 )
-from resoforge.morse import critical_points
+from resoforge.morse import ConstantFunctionError, cosine_certificate, critical_points
+from test_fourier import reference_project_lattice
 
 
 class TestThreshold:
@@ -190,6 +193,97 @@ class TestMembership:
             rep = critical_points(F)
             assert rep.beta > 0
             assert rep.distinct_values
+
+
+def reference_check_membership(f, params):
+    """check_membership with each low-mode projection from the per-mode scan."""
+    lb_failures, n_lb, lb_margin = check_lower_bound(f, params)
+    failures, worst = [], math.inf
+    gens = generators(f.n, params.N)
+    for k in gens:
+        F = reference_project_lattice(f, k)
+        try:
+            report = None if F.is_zero else critical_points(F)
+        except ConstantFunctionError:
+            report = None
+        if report is None:
+            failures.append(Failure(k, "morse"))
+            worst = -params.beta
+            continue
+        worst = min(worst, report.beta - params.beta)
+        if report.beta < params.beta:
+            failures.append(Failure(k, "morse"))
+        elif not report.distinct_values:
+            failures.append(Failure(k, "distinct-values"))
+    failures = lb_failures + failures
+    proved = f.rule is not None and not lb_failures and f.rule.provable_lower_bound(params.delta)
+    return MembershipReport(
+        in_class=not failures, failures=failures, window=(params.N, params.K_max),
+        delta=params.delta, beta=params.beta, n_checked_lower=n_lb,
+        n_checked_morse=len(gens), proved_beyond_cutoff=proved,
+        margins={"lower_bound": lb_margin, "morse_beta": worst},
+    ).to_dict()
+
+
+def reference_cosine_certificate(f, k):
+    """(eta, theta0, residual, gamma) with the support's order recomputed."""
+    fk = f.coeff(k)
+    fresh = max((l1(kp) for kp in f.coeffs), default=0)
+    cutoff = f.rule_cutoff if f.rule_cutoff is not None else fresh
+    j_max = max(1, int(cutoff // l1(k)) + 1)
+    residual = 0.0
+    for j in range(2, j_max + 1):
+        c = f.coeff(tuple(j * v for v in k))
+        if c != 0:
+            residual += 2.0 * abs(c) * math.exp(j)
+    if f.rule is not None:
+        residual += f.rule.line_tail_majorant(k, j_max + 1, 1.0)
+    eta = 2.0 * abs(fk)
+    return eta, float(np.angle(fk)) % TWO_PI, residual, residual / eta
+
+
+class TestOneRayTable:
+    """Membership and cosine certificates read every projection from one ray
+    table and the support's order from one memoised value; both must give
+    what the per-mode scan and a fresh order give."""
+
+    @pytest.mark.parametrize("s", [5, 6, 8])
+    @pytest.mark.parametrize("i", range(2))
+    def test_membership_matches_per_mode_scan(self, s, i):
+        # the benchmark's membership setting: delta 0.1, window [N, N + 10]
+        # and beta half the coefficient scale of the top low-mode shell
+        N = threshold_N(2, float(s), 0.1)
+        params = GenericityParams(n=2, s=float(s), delta=0.1,
+                                  beta=0.5 * math.exp(-s * math.floor(N)), K_max=N + 10.0)
+        f = sample_product_measure(2, float(s), params.K_max, [101, s, i])
+        got = check_membership(f, params).to_dict()
+        assert got == reference_check_membership(f, params)
+        assert got["n_checked_morse"] == len(generators(2, N))
+
+    def test_rule_backed_membership_matches_per_mode_scan(self):
+        params = GenericityParams(n=2, s=4.0, delta=1.0, beta=1e-30, K_max=20)
+        f = lacunary_potential(2, 4.0, k_max=params.N - 3)
+        assert check_membership(f, params).to_dict() == reference_check_membership(f, params)
+
+    def test_rule_backed_cosine_certificate(self):
+        f = lacunary_potential(2, 1.0, k_max=12)
+        for k in generators(2, 16):
+            cert = cosine_certificate(f, k)
+            got = (cert.eta, cert.theta0, cert.residual_majorant, cert.gamma)
+            assert got == reference_cosine_certificate(f, k)
+
+    @pytest.mark.parametrize("s", [6.0, 8.0])
+    def test_cosine_certificate_unchanged_on_a_cosine_window(self, s):
+        N = threshold_N(2, s, 0.1)
+        lo, hi = math.ceil(N), N + 5.0
+        f = sample_product_measure(2, s, 2.0 * hi + 2.0, [7, int(s)])
+        window = generators(2, hi, min_order=lo)
+        for _ in range(2):  # the second pass reads the memoised order
+            for k in window:
+                cert = cosine_certificate(f, k)
+                got = (cert.eta, cert.theta0, cert.residual_majorant, cert.gamma)
+                assert got == reference_cosine_certificate(f, k)
+                assert cert.gamma < 2.0 ** -40
 
 
 class TestProductMeasure:
