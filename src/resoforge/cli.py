@@ -153,10 +153,10 @@ def cmd_cover_classify(args) -> int:
 
 def cmd_cover_measure(args) -> int:
     params = _load_params(args.params)
+    if args.csv and args.csv_rows < 0:
+        raise ConfigError("--csv-rows must be nonnegative")
     est = measure_R2(params, args.samples, args.seed)
     if args.csv:
-        if args.csv_rows < 0:
-            raise ConfigError("--csv-rows must be nonnegative")
         # the first csv_rows points measure_R2 classified, chunk by chunk
         m = min(args.samples, args.csv_rows)
         Y = np.empty((0, params.n))

@@ -255,14 +255,12 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
     """Classify the rows of Y, shape (m, n), with the inequalities of
     classify_point.
 
-    The kernel works on a coordinate-major (n, m) copy, so every step is a
-    whole-row operation over the m points: the squared norms are n row
-    products, and |k.y| is one (n,) @ (n, m) product per k in generators_K0
-    (no (m, len(generators_K0)) array is formed).  For each k only the points
-    with |y.k| < alpha are gathered; their P_k^perp y meet the order-K
-    generators off the line Z k in one product, and the minimum over those
-    generators is compared with the R1 threshold.
-    """
+    The kernel reads Yt = Y.T as a C-ordered (n, m) array, copied only when Y
+    is not such a view (_sample_ball's output is one), and never writes it.
+    The squared norms' buffer then holds |k.y|, one (n,) @ (n, m) product per
+    k in generators_K0; one bool buffer holds the R0 gate, then the strip
+    |y.k| < alpha, whose points' P_k^perp y meet the order-K generators off
+    the line Z k in one product; the minimum is set against the R1 threshold."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != params.n:
         raise ValueError(f"points must have shape (m, {params.n})")
@@ -273,15 +271,15 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
     if np.any(sq >= 1.0):
         raise OutsideDomainError("outside unit ball")
     m = Y.shape[0]
+    p_k, mask = sq, np.empty(m, dtype=bool)
     is_r0 = np.ones(m, dtype=bool)
     is_r1 = np.zeros(m, dtype=bool)
     is_r2 = np.zeros(m, dtype=bool)
     for k in params.generators_K0:
         kv = np.asarray(k, dtype=float)
-        p_k = kv @ Yt
-        np.abs(p_k, out=p_k)
-        is_r0 &= p_k > params.alpha / 2.0
-        idx = np.flatnonzero(p_k < params.alpha)
+        np.abs(np.matmul(kv, Yt, out=p_k), out=p_k)
+        is_r0 &= np.greater(p_k, params.alpha / 2.0, out=mask)
+        idx = np.flatnonzero(np.less(p_k, params.alpha, out=mask))
         if idx.size == 0:
             continue
         e_k = kv / _euclid(k)
@@ -388,17 +386,18 @@ def _sample_ball(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """Uniform points of the open unit ball: normalized Gaussians times a
     U^{1/n} radial factor.
 
-    The squared norm is summed coordinate by coordinate, the order in which
-    np.linalg.norm(g, axis=1) adds along an axis shorter than 8, so the
-    points are the same bit for bit."""
-    g = rng.standard_normal((m, n))
-    sq = g[:, 0] * g[:, 0]
-    for j in range(1, n):
-        sq += g[:, j] * g[:, j]
-    g /= np.sqrt(sq, out=sq)[:, None]
-    radii = rng.uniform(0.0, 1.0, size=m) ** (1.0 / n)
-    g *= radii[:, None]
-    return g
+    The (m, n) draw is transposed once to a C-ordered (n, m) array, which is
+    normalized and scaled in place; its (m, n) view is returned, so
+    classify_batch reads it without a copy.  The squared norm adds the rows
+    in order, as np.linalg.norm(g, axis=1) adds along an axis shorter than 8,
+    so the points are the same bit for bit."""
+    Yt = np.ascontiguousarray(rng.standard_normal((m, n)).T)
+    sq = Yt[0] * Yt[0]
+    for row in Yt[1:]:
+        sq += row * row
+    Yt /= np.sqrt(sq, out=sq)
+    Yt *= rng.uniform(0.0, 1.0, size=m) ** (1.0 / n)
+    return Yt.T
 
 
 @dataclass

@@ -125,7 +125,7 @@ class TestCover:
         assert [int(row[0]) for row in rows] == list(range(1300))
         assert np.array_equal(Y, want[:1300])
 
-    def test_csv_rows_bounds(self, free_params_file, tmp_path, capsys):
+    def test_csv_rows_bounds(self, free_params_file, tmp_path, capsys, monkeypatch):
         csv_path = tmp_path / "labels.csv"
         args = ["cover", "measure", "--params", free_params_file, "--samples", "2000",
                 "--seed", "1", "--csv", str(csv_path), "--csv-rows"]
@@ -133,7 +133,14 @@ class TestCover:
         assert csv_path.read_text().strip().splitlines() == ["sample_index,y1,y2,label_kind,k,l"]
         assert main(args + ["5000"]) == EXIT_OK  # capped at --samples
         assert len(csv_path.read_text().strip().splitlines()) == 2001
+
+        def no_measure(*_):
+            raise AssertionError("measure_R2 ran before --csv-rows was checked")
+
+        # a negative row count is rejected before the measure is sampled
+        monkeypatch.setattr(cli, "measure_R2", no_measure)
         assert main(args + ["-1"]) == EXIT_CONFIG
+        assert "--csv-rows must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("alpha,K0,K,grid",[(0.05, 2, 5, 57), (0.03, 4, 9, 40)])
     def test_raster_matches_row_by_row_output(self, tmp_path, alpha, K0, K, grid):

@@ -323,6 +323,25 @@ class TestBatchKernel:
             assert got.shape == want.shape == (m, n)
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_sample_ball_is_coordinate_major(self, n):
+        # classify_batch reads the transpose of sampled points without a copy
+        Y = _sample_ball(philox(n, 5), 1000, n)
+        assert Y.shape == (1000, n) and Y.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_masks_match_reference_in_every_layout(self, n):
+        # for coordinate-major input the kernel's Yt aliases the caller's
+        # points, so its reused buffers must never be that memory
+        params = kernel_params(n, 0.05 if n == 2 else 0.01)
+        sampled = _sample_ball(philox(13, n), 1 << 13, n)
+        rows = np.ascontiguousarray(sampled)
+        for Y in (rows, sampled, rows[::2]):
+            before = Y.tobytes()
+            batch = assert_masks_match_reference(Y, params)
+            assert Y.tobytes() == before
+            assert batch.is_r0.any() and batch.is_r1.any() and batch.is_r2.any()
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_point_labels_match_reference(self, n):
         params = kernel_params(n, 0.05 if n == 2 else 0.01)
