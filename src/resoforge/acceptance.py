@@ -27,7 +27,7 @@ from .fourier import (
 )
 from .genericity import empirical_genericity, threshold_N
 from .lieseries import NaturalHam, lie_step_nonres, verify_conjugacy
-from .morse import c2_distance_to_cosine, cosine_certificate, critical_points
+from .morse import c2_distance_to_cosine, cosine_certificate, critical_points_many
 from .standard_form import (
     DecoupledForm,
     LinearSymplectic,
@@ -150,11 +150,8 @@ def criterion_2_sl_completion() -> CriterionResult:
 def criterion_3_morse_oracle(instances: int = 500, seed: int = 42) -> CriterionResult:
     """beta(2 cos) = 2 within 1e-9; two-point property on random instances
     with c < 0.4 (exactly 2 critical points, beta >= 1 - 2c)."""
-    rep = critical_points(OneDTrigPoly.from_cosine(2.0))
-    beta_err = abs(rep.beta - 2.0)
-    ok = beta_err <= 1e-9 and rep.count == 2
     rng = np.random.default_rng(seed)
-    failures = 0
+    Fs, cs = [OneDTrigPoly.from_cosine(2.0)], []
     for _ in range(instances):
         shift = rng.uniform(0.0, TWO_PI)
         pert: dict[int, complex] = {}
@@ -168,14 +165,14 @@ def criterion_3_morse_oracle(instances: int = 500, seed: int = 42) -> CriterionR
         target = rng.uniform(0.02, 0.39)
         scale = target / c_raw
         F = OneDTrigPoly.from_cosine(1.0, shift).plus(raw.scaled(scale))
+        Fs.append(F)
         # delta^(k) = scale * raw^(k), so the distance of F scales with it
-        c = scale * c_raw
-        if not c < 0.4:
-            failures += 1
-            continue
-        r = critical_points(F)
-        if r.count != 2 or r.beta < (1.0 - 2.0 * c) - 1e-9:
-            failures += 1
+        cs.append(scale * c_raw)
+    rep, *reps = critical_points_many(Fs)
+    beta_err = abs(rep.beta - 2.0)
+    ok = beta_err <= 1e-9 and rep.count == 2
+    failures = sum(not c < 0.4 or r.count != 2 or r.beta < (1.0 - 2.0 * c) - 1e-9
+                   for r, c in zip(reps, cs))
     return CriterionResult(
         3, "Morse oracle and two-point property",
         ok and failures == 0,

@@ -369,25 +369,28 @@ class OneDTrigPoly:
         return complex(val)
 
     def values_on_grid(self, m: int, order: int = 0) -> np.ndarray:
-        """Real values of the order-th derivative on the grid theta_t = 2 pi t / m.
+        """Real values of the order-th derivative on the grid theta_t = 2 pi t / m."""
+        return self.grids(m, (order,))[0]
 
-        One inverse real FFT of the half spectrum X (length m//2 + 1) built
-        from c_j (ij)^order.  On the grid e^{ij theta_t} depends only on
-        r = j mod m, so every mode folds into X by aliasing: c goes to X[r]
-        when 0 < r < m/2, conj(c) to X[m - r] when r > m/2, and 2 Re c to
-        the real bins r = 0 and r = m/2.  The rounding error is of order
-        eps * log2(m) * sum_j j^order |c_j|.
+    def grids(self, m: int, orders) -> np.ndarray:
+        """Row r: real values of the orders[r]-th derivative on theta_t = 2 pi t / m.
+
+        One unnormalized inverse real FFT per row of the half spectrum X
+        (length m//2 + 1) built from c_j (ij)^order.  On the grid e^{ij theta_t}
+        depends only on r = j mod m, so every mode folds into X by aliasing:
+        c goes to X[r] when 0 < r < m/2, conj(c) to X[m - r] when r > m/2, and
+        2 Re c to the real bins r = 0 and r = m/2.  The rounding error is of
+        order eps * log2(m) * sum_j j^order |c_j|.
         """
         js = np.fromiter(self.coeffs, dtype=np.int64, count=len(self.coeffs))
         cs = np.fromiter(self.coeffs.values(), dtype=complex, count=len(js))
-        cs = cs * (1j * js) ** order
+        cs = np.stack([cs * (1j * js) ** k for k in orders])
         r = js % m
         low = r < m - r
-        vals = np.where(low, cs, np.conj(cs))
-        vals = np.where((r == 0) | (2 * r == m), 2.0 * cs.real, vals)
-        X = np.zeros(m // 2 + 1, dtype=complex)
-        np.add.at(X, np.where(low, r, m - r), vals)
-        return m * np.fft.irfft(X, n=m)
+        vals = np.where((r == 0) | (2 * r == m), 2.0 * cs.real, np.where(low, cs, np.conj(cs)))
+        X = np.zeros((len(cs), m // 2 + 1), dtype=complex)
+        np.add.at(X, (slice(None), np.where(low, r, m - r)), vals)
+        return np.stack([np.fft.irfft(x, n=m, norm="forward") for x in X])
 
     def shifted(self, shift: float) -> "OneDTrigPoly":
         """theta -> value at theta + shift."""

@@ -38,7 +38,7 @@ from .fourier import (
     l1,
     lattice_projections,
 )
-from .morse import ConstantFunctionError, _derivative_rows, _polish, _values, critical_points
+from .morse import _derivative_rows, _polish, _values, critical_points_many
 
 
 class CutoffBelowThresholdError(ValueError):
@@ -135,26 +135,17 @@ def check_lower_bound(f: TrigPoly, params: GenericityParams) -> tuple[list[Failu
 def check_low_mode_morse(f: TrigPoly, params: GenericityParams) -> tuple[list[Failure], int, float]:
     """Check that pi_k f is beta-Morse with distinct values for |k|_1 <= N.
 
-    The projections come from one lattice_projections call.  A vanishing
+    One lattice_projections call and one critical_points_many call; a vanishing
     projection is recorded as a failure, not raised.  Returns (failures,
     generators checked, worst beta margin = min computed beta - beta).
     """
     failures: list[Failure] = []
     worst = math.inf
     gens = generators(f.n, params.N)
-    for k, F in zip(gens, lattice_projections(f, gens)):
-        if F.is_zero:
-            failures.append(Failure(k, "morse"))
-            worst = -params.beta
-            continue
-        try:
-            report = critical_points(F)
-        except ConstantFunctionError:
-            failures.append(Failure(k, "morse"))
-            worst = -params.beta
-            continue
-        worst = min(worst, report.beta - params.beta)
-        if report.beta < params.beta:
+    for k, report in zip(gens, critical_points_many(lattice_projections(f, gens))):
+        # beta >= 0, so a vanishing projection sets the margin to -beta for good
+        worst = min(worst, (0.0 if report is None else report.beta) - params.beta)
+        if report is None or report.beta < params.beta:
             failures.append(Failure(k, "morse"))
         elif not report.distinct_values:
             failures.append(Failure(k, "distinct-values"))
@@ -345,15 +336,14 @@ def degeneracy_locus(G: OneDTrigPoly) -> DegeneracyLocus:
 
     m1 = 4096
     theta = np.arange(m1) * (TWO_PI / m1)
-    gp = G.values_on_grid(m1, order=1)
-    gpp = G.values_on_grid(m1, order=2)
+    gp, gpp = G.grids(m1, (1, 2))
     gamma1 = 0.5 * np.exp(-1j * theta) * (1j * gp + gpp)
 
     # g(t1, t2) = (1 - cos(t1-t2)) (G'(t1) + G'(t2)) - sin(t1-t2)(G(t1) - G(t2))
     m, h = LOCUS_GRID, TWO_PI / LOCUS_GRID
     cell = np.arange(m)
     t = cell * h
-    g0, g1v = (G.values_on_grid(m, order=k) for k in (0, 1))
+    g0, g1v = G.grids(m, (0, 1))
     D = t[:, None] - t[None, :]
     gmat = (1.0 - np.cos(D)) * (g1v[:, None] + g1v[None, :]) - np.sin(D) * (
         g0[:, None] - g0[None, :]

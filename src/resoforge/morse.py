@@ -2,7 +2,7 @@
 
 A periodic F is beta-Morse when min(|F'| + |F''|) >= beta on the circle and
 all critical-value gaps are >= beta; critical_points measures both with one
-root primitive (_zeros).  For projections pi_k f with a dominant +-k mode
+root primitive (_polish).  For projections pi_k f with a dominant +-k mode
 pair the oscillatory residual
 
     F*(theta) = (1 / 2|f_k|) sum_{|j| >= 2} f_{jk} e^{i j theta}
@@ -131,23 +131,18 @@ def _values(C: np.ndarray, js: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 2.0 * (np.exp(1j * np.outer(t, js)) @ C.T).real
 
 
-def _zeros(C: np.ndarray, js: np.ndarray, cells: np.ndarray, v_lo: np.ndarray,
-           v_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, zero) for the zeros of P_r = 2 Re sum_j C[r, j] e^{ijt} in the grid
-    cells [t_i, t_{i+1}], i = cells[k], t_i = 2 pi i / GRID_SIZE, with end
-    values v_lo[r, k], v_hi[r, k].  One scan of the stack takes one zero from
-    each cell with a sign change or a zero at its left end, polished inside
-    the cell ([t_{i-1}, t_{i+1}] for a grid zero); nothing needs merging.
-    """
+def _brackets(cells: np.ndarray, v_lo: np.ndarray, v_hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(k, row, t_lo, t_hi, v_lo, v_hi): one bracket of a zero of P_row in each
+    cell [t_i, t_{i+1}], i = cells[k], t_i = 2 pi i / GRID_SIZE, whose end values
+    v_lo[k, row], v_hi[k, row] change sign or vanish at t_i ([t_{i-1}, t_{i+1}])."""
     zero = v_lo == 0.0
     change = (np.signbit(v_lo) != np.signbit(v_hi)) & ~(zero | (v_hi == 0.0))
-    row, k = np.divmod(np.flatnonzero(change | zero), v_lo.shape[1])
-    on_node = zero[row, k]
-    hi = v_hi[row, k]
-    # a grid zero is bracketed as a simple zero at its bracket's midpoint
-    lo = np.where(on_node, -hi, v_lo[row, k])
+    k, row = np.divmod(np.flatnonzero(change | zero), v_lo.shape[1])
+    on_node = zero[k, row]
+    hi = v_hi[k, row]
     h = TWO_PI / GRID_SIZE
-    return row, _polish(C[row], js, (cells[k] - on_node) * h, (cells[k] + 1) * h, lo, hi) % TWO_PI
+    # a grid zero is bracketed as a simple zero at its bracket's midpoint
+    return k, row, (cells[k] - on_node) * h, (cells[k] + 1) * h, np.where(on_node, -hi, v_lo[k, row]), hi
 
 
 def _polish(coef: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -192,55 +187,89 @@ def _derivative_rows(F: OneDTrigPoly, orders) -> tuple[np.ndarray, np.ndarray]:
 
 
 def critical_points(F: OneDTrigPoly) -> MorseReport:
-    """The zeros of F' (one per 3.8e-4 grid cell) and the Morse report of F.
+    """The Morse report of F alone: critical_points_many([F])[0]."""
+    if (report := critical_points_many([F])[0]) is None:
+        raise ConstantFunctionError("constant function")
+    return report
+
+
+def critical_points_many(Fs) -> list[MorseReport | None]:
+    """For each F, the zeros of F' (one per 3.8e-4 grid cell) and the Morse
+    report of F, or None where F' vanishes.
 
     The 2^14-point grids of F' and F'' pick the cells: each sign change of F',
     and each cell where |F'| + |F''| or |F''| could pass its grid extreme (in
     half a cell of width h they move by at most h sum_j (j^2 + j^3)|c_j| and
-    h sum_j j^3 |c_j|).  There _zeros finds the zeros of F', of F'' and
-    F'' +- F''' (the kinks and stationary points of |F'| + |F''|) and of F'''.
+    h sum_j j^3 |c_j|).  There _polish finds the zeros of F', of F'' and
+    F'' +- F''' (the kinks and stationary points of |F'| + |F''|) and of F'''
+    in one call for all F with the same modes in the same order; a zero does
+    not depend on the other brackets of its call, so F gets its report alone.
     """
     m, h = GRID_SIZE, TWO_PI / GRID_SIZE
-    f1, f2 = (F.values_on_grid(m, order=k) for k in (1, 2))
-    a1, a2 = np.abs(f1), np.abs(f2)
-    if float(np.max(a1)) < 1e-300:
-        raise ConstantFunctionError("constant function")
-    js, rows = _derivative_rows(F, range(4))
-    c2, c3 = rows[2], rows[3]
-    lip2, lip3 = h * np.abs(c2).sum(), h * np.abs(c3).sum()
-    gph = a1 + a2
-    gph_min = float(np.min(gph))
-    f1_next = np.roll(f1, -1)
-    cells = np.flatnonzero((f1 * f1_next <= 0)
-                           | (np.minimum(gph, np.roll(gph, -1)) <= gph_min + lip2 + lip3)
-                           | (np.maximum(a2, np.roll(a2, -1)) >= np.max(a2) - lip3))
-    d2, d3 = _values(rows[2:], js, np.r_[cells, cells + 1] * h).T
-    v = np.stack([np.r_[f1[cells], f1_next[cells]], d2, d2 + d3, d2 - d3, d3])
-    row, t = _zeros(np.stack([rows[1], c2, c2 + c3, c2 - c3, c3]), js, cells,
-                    v[:, :len(cells)], v[:, len(cells):])
-    at = _values(rows[:3], js, t)
-    crit = np.flatnonzero(row == 0)[np.argsort(t[row == 0])]
-    pts, vals = t[crit], at[crit, 0]
-    kinks = np.abs(at[row <= 3, 1:]).sum(axis=1)
-    # a pair of zeros of F'' (two more kinks) inside one cell shows only as a
-    # zero z of F''' where F'' has the other sign than at both cell ends
-    z, g = t[row == 4], at[row == 4, 2]
-    max_f2 = max(float(np.max(a2)), float(np.max(np.abs(g), initial=0.0)))
-    i = (z // h).astype(int) % m
-    pair = (np.sign(g) == -np.sign(f2[i])) & (np.sign(f2[i]) == np.sign(f2[(i + 1) % m]))
-    if pair.any():
-        z, g, i = z[pair], g[pair], i[pair]
-        tz = _polish(np.broadcast_to(c2, (2 * len(z), len(js))), js, np.r_[i * h, z],
-                     np.r_[z, (i + 1) * h], np.r_[f2[i], g], np.r_[g, f2[(i + 1) % m]])
-        kinks = np.r_[kinks, np.abs(_values(rows[1:3], js, tz)).sum(axis=1)]
-    min_gph = min(gph_min, float(np.min(kinks, initial=math.inf)))
-    min_gap = float(np.min(np.diff(np.sort(vals)), initial=math.inf))
-    # max|F| is attained at a critical point
-    value_scale = float(np.max(np.abs(vals), initial=0.0))
-    return MorseReport(critical_points=pts, critical_values=vals, beta=min(min_gph, min_gap),
-                       min_value_gap=min_gap, min_grad_plus_hess=min_gph,
-                       distinct_values=bool(min_gap > 1e-9 * max(value_scale, 1e-300)),
-                       max_second_derivative=max_f2)
+    out: list[MorseReport | None] = [None] * len(Fs)
+    groups: dict[tuple, list[int]] = {}
+    for at, F in enumerate(Fs):
+        groups.setdefault(tuple(F.coeffs), []).append(at)
+    for key, ats in groups.items():
+        js = np.array(key, dtype=float)
+        c = np.array([list(Fs[at].coeffs.values()) for at in ats], dtype=complex)
+        rows = np.stack([c * (1j * js) ** k for k in range(4)], axis=1)  # [F, order, j]
+        scans = []
+        for at, r in zip(ats, rows):
+            f1, f2 = Fs[at].grids(m, (1, 2))
+            a1, a2 = np.abs(f1), np.abs(f2)
+            if float(np.max(a1)) < 1e-300:
+                continue
+            lip2, lip3 = h * np.abs(r[2]).sum(), h * np.abs(r[3]).sum()
+            gph = np.add(a1, a2, out=a1)
+            gph_min, max_f2 = float(np.min(gph)), float(np.max(a2))
+            near_extreme = (gph <= gph_min + lip2 + lip3) | (a2 >= max_f2 - lip3)
+            sign_change = np.append(f1[:-1] * f1[1:] <= 0, f1[-1] * f1[0] <= 0)
+            cells = np.flatnonzero(sign_change | near_extreme | np.roll(near_extreme, -1))
+            ends = np.concatenate([cells, cells + 1])
+            d2, d3 = _values(r[2:], js, ends * h).T
+            v_lo, v_hi = np.stack([f1[ends % m], d2, d2 + d3, d2 - d3, d3], axis=1).reshape(2, -1, 5)
+            # only the cells with a sign change or a zero at the left end hold brackets;
+            # a zero of F''' bracketed in cell i has t // h in i - 2 .. i + 1
+            keep = ((np.signbit(v_lo) != np.signbit(v_hi)) | (v_lo == 0.0)).any(axis=1)
+            scans.append((at, r, cells[keep], v_lo[keep], v_hi[keep], gph_min, max_f2,
+                          f2[(cells[keep, None] + np.arange(-2, 3)) % m]))
+        if not scans:
+            continue
+        ats, rows, cells, v_lo, v_hi, min_gph, max_f2, f2 = zip(*scans)
+        of = np.repeat(np.arange(len(ats)), [len(x) for x in cells])  # the F of each cell
+        rows, min_gph, max_f2, f2 = np.array(rows), np.array(min_gph), np.array(max_f2), np.concatenate(f2)
+        k, row, *bracket = _brackets(*map(np.concatenate, (cells, v_lo, v_hi)))
+        cell, of = np.concatenate(cells)[k], of[k]
+        c1, c2, c3 = rows[:, 1], rows[:, 2], rows[:, 3]
+        coef = np.stack([c1, c2, c2 + c3, c2 - c3, c3], axis=1)
+        t = _polish(coef[of, row], js, *bracket) % TWO_PI
+        bounds = np.searchsorted(of, np.arange(len(ats) + 1))  # of is sorted
+        vt = np.concatenate([_values(x[:3], js, t[a:b]) for x, a, b in zip(rows, bounds, bounds[1:])])
+        np.minimum.at(min_gph, of[row <= 3], np.abs(vt[row <= 3, 1:]).sum(axis=1))
+        # a pair of zeros of F'' (two more kinks) inside one cell shows only as a
+        # zero z of F''' where F'' has the other sign than at both cell ends
+        z, g, z_of, k, cell = t[row == 4], vt[row == 4, 2], of[row == 4], k[row == 4], cell[row == 4]
+        np.maximum.at(max_f2, z_of, np.abs(g))
+        i = (z // h).astype(int) % m
+        lo, hi = (f2[k, (x - cell + 2) % m] for x in (i, i + 1))
+        pair = (np.sign(g) == -np.sign(lo)) & (np.sign(lo) == np.sign(hi))
+        if pair.any():
+            z, g, i, lo, hi, z_of = z[pair], g[pair], i[pair], lo[pair], hi[pair], np.tile(z_of[pair], 2)
+            tz = _polish(c2[z_of], js, *map(np.concatenate, ([i * h, z], [z, (i + 1) * h],
+                                                                [lo, g], [g, hi])))
+            for p in np.unique(z_of):
+                kinks = np.abs(_values(rows[p, 1:3], js, tz[z_of == p])).sum(axis=1)
+                min_gph[p] = min(min_gph[p], np.min(kinks))
+        for p, (at, a, b) in enumerate(zip(ats, bounds, bounds[1:])):
+            crit = a + np.flatnonzero(row[a:b] == 0)[np.argsort(t[a:b][row[a:b] == 0])]
+            pts, vals = t[crit], vt[crit, 0]
+            gph_p, gap_p = float(min_gph[p]), float(np.min(np.diff(np.sort(vals)), initial=math.inf))
+            # max|F| is attained at a critical point
+            value_scale = float(np.max(np.abs(vals), initial=0.0))
+            out[at] = MorseReport(pts, vals, min(gph_p, gap_p), gap_p, gph_p,
+                                  bool(gap_p > 1e-9 * max(value_scale, 1e-300)), float(max_f2[p]))
+    return out
 
 
 def c2_distance_to_cosine(F: OneDTrigPoly, theta0: float) -> float:
@@ -251,13 +280,14 @@ def c2_distance_to_cosine(F: OneDTrigPoly, theta0: float) -> float:
     if delta.is_zero:
         return 0.0
     js, rows = _derivative_rows(delta, range(4))
-    a = [np.abs(delta.values_on_grid(GRID_SIZE, order=k)) for k in range(3)]
-    best = float(max(map(np.max, a)))
+    a = np.abs(delta.grids(GRID_SIZE, range(3)))
+    best = float(np.max(a))
     reach = best - TWO_PI / GRID_SIZE * np.abs(rows[1:]).sum(axis=1)
     cells = np.unique(np.concatenate([np.flatnonzero(np.maximum(x, np.roll(x, -1)) >= r)
                                       for x, r in zip(a, reach) if np.max(x) >= r]))
-    v = _values(rows[1:], js, np.r_[cells, cells + 1] * (TWO_PI / GRID_SIZE)).T
-    row, t = _zeros(rows[1:], js, cells, v[:, :len(cells)], v[:, len(cells):])
+    v = _values(rows[1:], js, np.r_[cells, cells + 1] * (TWO_PI / GRID_SIZE))
+    _, row, *bracket = _brackets(cells, v[:len(cells)], v[len(cells):])
+    t = _polish(rows[1:][row], js, *bracket) % TWO_PI
     at = np.abs(_values(rows[:3], js, t))
     return float(np.max(at[np.arange(len(t)), row], initial=best))
 

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from resoforge import acceptance
-from resoforge.morse import critical_points
+from resoforge.morse import critical_points_many
 from resoforge.standard_form import PolyTrig1
 
 
@@ -43,12 +43,12 @@ def test_criterion_03_morse_oracle():
 
 
 def test_criterion_03_rejects_a_dropped_critical_point(monkeypatch):
-    def drop_one(F):
-        rep = critical_points(F)
-        return dataclasses.replace(rep, critical_points=rep.critical_points[1:],
-                                   critical_values=rep.critical_values[1:])
+    def drop_one(Fs):
+        return [dataclasses.replace(rep, critical_points=rep.critical_points[1:],
+                                    critical_values=rep.critical_values[1:])
+                for rep in critical_points_many(Fs)]
 
-    monkeypatch.setattr(acceptance, "critical_points", drop_one)
+    monkeypatch.setattr(acceptance, "critical_points_many", drop_one)
     result = acceptance.criterion_3_morse_oracle(instances=5)
     assert not result.passed
     assert result.details["failures"] == 5

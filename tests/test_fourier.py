@@ -412,6 +412,51 @@ class TestValuesOnGrid:
         for order in range(4):
             got = OneDTrigPoly({}).values_on_grid(m, order)
             assert got.shape == (m,) and not got.any()
+        assert OneDTrigPoly({}).grids(m, range(3)).shape == (3, m)
+
+
+def per_order_values_on_grid(F, m, order=0):
+    """The single-order grid as one backward-normalized irfft scaled by m."""
+    js = np.fromiter(F.coeffs, dtype=np.int64, count=len(F.coeffs))
+    cs = np.fromiter(F.coeffs.values(), dtype=complex, count=len(js))
+    cs = cs * (1j * js) ** order
+    r = js % m
+    low = r < m - r
+    vals = np.where(low, cs, np.conj(cs))
+    vals = np.where((r == 0) | (2 * r == m), 2.0 * cs.real, vals)
+    X = np.zeros(m // 2 + 1, dtype=complex)
+    np.add.at(X, np.where(low, r, m - r), vals)
+    return m * np.fft.irfft(X, n=m)
+
+
+class TestMultiOrderGrid:
+    """grids(m, orders) takes every order from one unnormalized irfft per row.
+    For m a power of two, 1/m is exact, so each row has the bytes of the
+    per-order m * irfft; values_on_grid is its single-order row."""
+
+    @pytest.mark.parametrize("orders", [(0, 1, 2), (1, 2), (2, 0), (3,)])
+    @pytest.mark.parametrize("m", [1, 2, 8, 16, 64, 512, 4096, 1 << 14])
+    def test_rows_have_the_bytes_of_the_per_order_path(self, m, orders):
+        rng = np.random.default_rng(m)
+        for degree in (1, 5, 22, 3 * min(m, 64) + 1):
+            for scale in (1.0, 1e-25, 1e3):
+                js = rng.permutation(np.arange(1, degree + 1))[:max(1, degree // 2)]
+                F = OneDTrigPoly({int(j): scale * complex(rng.normal(), rng.normal()) for j in js})
+                got = F.grids(m, orders)
+                assert got.shape == (len(orders), m)
+                for row, order in zip(got, orders):
+                    want = per_order_values_on_grid(F, m, order)
+                    assert row.tobytes() == want.tobytes()
+                    assert F.values_on_grid(m, order).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m,degree", TestValuesOnGrid.CASES)
+    def test_rows_match_direct_sum(self, m, degree):
+        # odd m too, where the unnormalized transform skips the rounding of 1/m
+        F = TestValuesOnGrid.poly(degree, seed=m * 100 + degree)
+        for row, order in zip(F.grids(m, range(4)), range(4)):
+            scale = sum(j ** order * abs(c) for j, c in F.coeffs.items())
+            np.testing.assert_allclose(row, reference_values_on_grid(F, m, order),
+                                       rtol=0, atol=1e-13 * scale)
 
 
 class TestJson:

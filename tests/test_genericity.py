@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from resoforge.fourier import TWO_PI, OneDTrigPoly, TrigPoly, generators, l1, lacunary_potential
+from resoforge.fourier import (
+    TWO_PI,
+    OneDTrigPoly,
+    TrigPoly,
+    generators,
+    l1,
+    lacunary_potential,
+    project_lattice,
+)
 from resoforge.genericity import (
     LOCUS_GRID,
     CutoffBelowThresholdError,
@@ -119,6 +127,26 @@ class TestLowModeMorse:
         failures, _, _ = check_low_mode_morse(f, params)
         assert any(fail.reason == "morse" for fail in failures)
         assert not any(fail.k == (1, 0) for fail in failures)
+
+    def test_vanishing_derivative_between_others(self):
+        # one projection in the middle of the batch has max|F'| < 1e-300; it
+        # fails without aborting the census of the projections around it
+        params = GenericityParams(n=2, s=4.0, delta=1.0, beta=1e-30, K_max=20)
+        gens = generators(2, params.N)
+        tiny = gens[len(gens) // 2]
+        coeffs = {k: math.exp(-4.0 * l1(k)) for k in gens}
+        f = TrigPoly(2, coeffs | {tiny: 1e-310})
+        failures, checked, margin = check_low_mode_morse(f, params)
+        assert failures == [Failure(tiny, "morse")] and checked == len(gens) > 2
+        assert margin == -params.beta
+        with pytest.raises(ConstantFunctionError):
+            critical_points(project_lattice(f, tiny))
+        # with a regular coefficient at tiny every projection passes, and the
+        # margin is that of the weakest lone census
+        g = TrigPoly(2, coeffs)
+        failures, _, margin = check_low_mode_morse(g, params)
+        assert not failures
+        assert margin == min(critical_points(project_lattice(g, k)).beta for k in gens) - params.beta
 
     def test_beta_zero_trivially_passes_where_morse(self):
         params = GenericityParams(n=2, s=4.0, delta=1.0, beta=0.0, K_max=20)

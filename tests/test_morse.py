@@ -3,20 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from resoforge.fourier import OneDTrigPoly, TrigPoly, lacunary_potential, project_lattice
+from resoforge.fourier import (
+    OneDTrigPoly,
+    TrigPoly,
+    generators,
+    lacunary_potential,
+    lattice_projections,
+    project_lattice,
+)
 from resoforge.genericity import sample_product_measure, threshold_N
 from resoforge.morse import (
+    GRID_SIZE,
     ConstantFunctionError,
     CosineLikenessError,
+    MorseReport,
     NotCosineCloseError,
     VanishingLeadingModeError,
+    _derivative_rows,
+    _polish,
+    _values,
     c2_distance_to_cosine,
     cosine_certificate,
     critical_points,
+    critical_points_many,
     morse_constant_high_mode,
     two_point_morse_check,
 )
-from test_fourier import reference_values_on_grid
+from test_fourier import per_order_values_on_grid, reference_values_on_grid
 
 TWO_PI = 2 * math.pi
 
@@ -183,6 +196,164 @@ class TestCloseCriticalPoints:
         for t in critical_points(F).critical_points:
             assert abs(d1.evaluate(t).real) <= 1e-14 * scale
             assert np.min(np.abs((t - roots + math.pi) % TWO_PI - math.pi)) <= 1e-5
+
+
+def reference_critical_points(F):
+    """The per-polynomial census: F' and F'' from two per-order grids, the
+    cells picked with np.roll, and one _polish call for F's brackets alone."""
+    m, h = GRID_SIZE, TWO_PI / GRID_SIZE
+    f1, f2 = (per_order_values_on_grid(F, m, order=k) for k in (1, 2))
+    a1, a2 = np.abs(f1), np.abs(f2)
+    if float(np.max(a1)) < 1e-300:
+        raise ConstantFunctionError("constant function")
+    js, rows = _derivative_rows(F, range(4))
+    c2, c3 = rows[2], rows[3]
+    lip2, lip3 = h * np.abs(c2).sum(), h * np.abs(c3).sum()
+    gph = a1 + a2
+    gph_min = float(np.min(gph))
+    f1_next = np.roll(f1, -1)
+    cells = np.flatnonzero((f1 * f1_next <= 0)
+                           | (np.minimum(gph, np.roll(gph, -1)) <= gph_min + lip2 + lip3)
+                           | (np.maximum(a2, np.roll(a2, -1)) >= np.max(a2) - lip3))
+    d2, d3 = _values(rows[2:], js, np.r_[cells, cells + 1] * h).T
+    v_lo = np.stack([f1[cells], d2[:len(cells)], (d2 + d3)[:len(cells)],
+                     (d2 - d3)[:len(cells)], d3[:len(cells)]])
+    v_hi = np.stack([f1_next[cells], d2[len(cells):], (d2 + d3)[len(cells):],
+                     (d2 - d3)[len(cells):], d3[len(cells):]])
+    C = np.stack([rows[1], c2, c2 + c3, c2 - c3, c3])
+    zero = v_lo == 0.0
+    change = (np.signbit(v_lo) != np.signbit(v_hi)) & ~(zero | (v_hi == 0.0))
+    row, k = np.divmod(np.flatnonzero(change | zero), len(cells))
+    on_node = zero[row, k]
+    hi = v_hi[row, k]
+    lo = np.where(on_node, -hi, v_lo[row, k])
+    t = _polish(C[row], js, (cells[k] - on_node) * h, (cells[k] + 1) * h, lo, hi) % TWO_PI
+    at = _values(rows[:3], js, t)
+    crit = np.flatnonzero(row == 0)[np.argsort(t[row == 0])]
+    pts, vals = t[crit], at[crit, 0]
+    kinks = np.abs(at[row <= 3, 1:]).sum(axis=1)
+    z, g = t[row == 4], at[row == 4, 2]
+    max_f2 = max(float(np.max(a2)), float(np.max(np.abs(g), initial=0.0)))
+    i = (z // h).astype(int) % m
+    pair = (np.sign(g) == -np.sign(f2[i])) & (np.sign(f2[i]) == np.sign(f2[(i + 1) % m]))
+    if pair.any():
+        z, g, i = z[pair], g[pair], i[pair]
+        tz = _polish(np.broadcast_to(c2, (2 * len(z), len(js))), js, np.r_[i * h, z],
+                     np.r_[z, (i + 1) * h], np.r_[f2[i], g], np.r_[g, f2[(i + 1) % m]])
+        kinks = np.r_[kinks, np.abs(_values(rows[1:3], js, tz)).sum(axis=1)]
+    min_gph = min(gph_min, float(np.min(kinks, initial=math.inf)))
+    min_gap = float(np.min(np.diff(np.sort(vals)), initial=math.inf))
+    value_scale = float(np.max(np.abs(vals), initial=0.0))
+    return MorseReport(critical_points=pts, critical_values=vals, beta=min(min_gph, min_gap),
+                       min_value_gap=min_gap, min_grad_plus_hess=min_gph,
+                       distinct_values=bool(min_gap > 1e-9 * max(value_scale, 1e-300)),
+                       max_second_derivative=max_f2)
+
+
+def report_bytes(rep):
+    """Every MorseReport field, the floats as their bytes; None stays None."""
+    if rep is None:
+        return None
+    return (rep.critical_points.tobytes(), rep.critical_values.tobytes(),
+            *(np.float64(x).tobytes() for x in (rep.beta, rep.min_value_gap,
+                                                 rep.min_grad_plus_hess,
+                                                 rep.max_second_derivative)),
+            rep.distinct_values, type(rep.beta), type(rep.distinct_values))
+
+
+def mixed_batch(seed):
+    """Degrees 1-22 with the same modes in several insertion orders, tiny
+    amplitudes, the close-pair family and two constant polynomials, shuffled."""
+    rng = np.random.default_rng(seed)
+    Fs = []
+    for degree in range(1, 23):
+        modes = [j for j in range(1, degree + 1) if j == degree or rng.uniform() < 0.6]
+        for scale in (1.0, 1e-25):
+            coeffs = {j: scale * complex(rng.normal(), rng.normal()) * 0.7 ** j for j in modes}
+            for order in (modes, modes[::-1], list(rng.permutation(modes))):
+                Fs.append(OneDTrigPoly({int(j): coeffs[j] for j in order}))
+    for sep in (1.0, 1e-2, 1e-4, 1e-6):
+        Fs += [close_pair_family(sep, shift=shift) for shift in (0.0, 0.4, 2.5)]
+    Fs += [OneDTrigPoly({}), OneDTrigPoly({3: 1e-310})]
+    return [Fs[i] for i in rng.permutation(len(Fs))]
+
+
+class TestCensusBatch:
+    """critical_points_many polishes the brackets of all F with the same
+    modes in the same order in one call; each report must be the one F gets
+    alone, and the one of the per-polynomial reference census."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_batch_reports_equal_lone_reports(self, seed):
+        Fs = mixed_batch(seed)
+        assert len({tuple(F.coeffs) for F in Fs}) < len(Fs)  # groups of several F
+        for F, rep in zip(Fs, critical_points_many(Fs)):
+            if rep is None:
+                with pytest.raises(ConstantFunctionError):
+                    critical_points(F)
+            else:
+                assert report_bytes(rep) == report_bytes(critical_points(F))
+
+    def test_lone_reports_equal_reference(self):
+        for F in mixed_batch(2):
+            try:
+                want = reference_critical_points(F)
+            except ConstantFunctionError:
+                assert critical_points_many([F]) == [None]
+                continue
+            assert report_bytes(critical_points(F)) == report_bytes(want)
+
+    @pytest.mark.parametrize("s, pools", [(5, (0,)), (6, (0, 1)), (8, (0, 1, 2))])
+    def test_certify_pool_projections_equal_reference(self, s, pools):
+        # the low-mode projections of the benchmark's membership pools:
+        # delta 0.1, window [N, N + 10], pool seed [101, s, i]
+        N = threshold_N(2, float(s), 0.1)
+        gens = generators(2, N)
+        for i in pools:
+            f = sample_product_measure(2, float(s), N + 10.0, [101, s, i])
+            Fs = lattice_projections(f, gens)
+            got = critical_points_many(Fs)
+            assert [report_bytes(r) for r in got] == [report_bytes(reference_critical_points(F))
+                                                      for F in Fs]
+
+    @pytest.mark.parametrize("shift", [0.25, 0.5, 0.75])
+    def test_zero_in_the_last_grid_cell(self, shift):
+        # a critical point in (2pi - h, 2pi): its cell ends at the first node
+        h = TWO_PI / GRID_SIZE
+        Fs = [OneDTrigPoly.from_cosine(a, shift * h) for a in (1.0, -2.0)]
+        for F, rep in zip(Fs, critical_points_many(Fs)):
+            assert rep.count == 2
+            assert np.allclose(rep.critical_points, [math.pi - shift * h, TWO_PI - shift * h],
+                               rtol=0, atol=1e-12)
+            assert report_bytes(rep) == report_bytes(reference_critical_points(F))
+        # each critical point of a generic F in turn, where |F''| is not extreme
+        F = OneDTrigPoly({1: 0.5 - 0.2j, 2: 0.3j, 3: -0.15 + 0.1j, 4: 0.05})
+        base = critical_points(F)
+        Gs = [F.shifted(c - TWO_PI + shift * h) for c in base.critical_points]
+        for G, rep in zip(Gs, critical_points_many(Gs)):
+            assert rep.count == base.count
+            assert report_bytes(rep) == report_bytes(reference_critical_points(G))
+
+    def test_zeros_on_grid_nodes_equal_reference(self):
+        # dyadic cosine and sine series: derivatives vanish exactly at nodes,
+        # so some brackets come only from a zero at a cell's left end
+        Fs = [OneDTrigPoly({4: 1j}), OneDTrigPoly({4: -0.125 - 0.125j}),
+              OneDTrigPoly({1: 0.125j, 3: 2j, 5: 0.25j}),
+              OneDTrigPoly({2: -0.25, 3: -0.5, 4: -0.5, 5: 0.5}),
+              OneDTrigPoly({1: 3.0, 3: -2.0, 4: 0.5, 5: 0.0625})]
+        for F, rep in zip(Fs, critical_points_many(Fs)):
+            assert report_bytes(rep) == report_bytes(reference_critical_points(F))
+
+    def test_constant_entries_are_none_between_others(self):
+        F, G = OneDTrigPoly({1: 0.5, 3: 0.2}), OneDTrigPoly({1: 0.5, 3: 0.3})
+        tiny = OneDTrigPoly({1: 1e-310, 3: 1e-311})  # max|F'| < 1e-300
+        got = critical_points_many([F, tiny, OneDTrigPoly({}), G])
+        assert got[1] is None and got[2] is None
+        assert report_bytes(got[0]) == report_bytes(critical_points(F))
+        assert report_bytes(got[3]) == report_bytes(critical_points(G))
+        with pytest.raises(ConstantFunctionError, match="constant function"):
+            critical_points(tiny)
+        assert critical_points_many([]) == []
 
 
 class TestC2Distance:
