@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cover import classify_batch, free_params, measure_R2, fit_measure_constant, _sample_ball
+from .cover import ball_points, classify_batch, free_params, measure_R2, fit_measure_constant
 from .fourier import (
     OneDTrigPoly,
     TrigPoly,
@@ -208,16 +208,10 @@ def criterion_5_covering(samples: int = 10 ** 6, seed: int = 123) -> CriterionRe
     uncovered = {}
     for n, alpha, K0, K in ((2, 0.05, 2, 5), (3, 0.03, 2, 4)):
         params = free_params(n, 1.0, alpha=alpha, K0=K0, K=K)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed + n)))
-        miss = 0
-        done = 0
-        while done < samples:
-            m = min(1 << 17, samples - done)
-            Y = _sample_ball(rng, m, n)
-            batch = classify_batch(Y, params)
-            miss += int(np.count_nonzero(~batch.covered))
-            done += m
-        uncovered[f"n={n}"] = miss
+        uncovered[f"n={n}"] = sum(
+            int(np.count_nonzero(~classify_batch(Y, params).covered))
+            for Y in ball_points(n, samples, seed + n)
+        )
     ok = all(v == 0 for v in uncovered.values())
     return CriterionResult(
         5, "covering exhaustiveness (1e6 samples, n=2,3)",

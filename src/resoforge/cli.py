@@ -4,8 +4,7 @@ Subcommands: sample, check-generic, cover classify|measure|raster, bezout,
 normalize, standardize, report.  Reports are JSON (CSV for bulk samples and
 rasters) with the invoking configuration echoed, so a run is reproducible
 from its report.  Exit codes: 0 all hard checks passed, 1 an invariant
-failed, 2 configuration/input error.  RESOFORGE_THREADS caps the Monte-Carlo
-worker count.
+failed, 2 configuration/input error.
 """
 
 from __future__ import annotations
@@ -22,13 +21,12 @@ from . import __version__
 from .cover import (
     ContractionHypothesisError,
     CoveringParams,
+    ball_points,
     classify_batch,
     classify_point,
     derive_params,
     free_params,
     measure_R2,
-    sample_chunks,
-    _sample_ball,
 )
 from .fourier import NotAGeneratorError, lacunary_potential, load_potential, save_potential, two_mode_potential
 from .genericity import GenericityParams, check_membership, sample_product_measure
@@ -45,11 +43,22 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_vector(text: str, dtype=float):
+def _parse_vector(option: str, text: str, n: int | None = None, dtype=float) -> list:
+    """The comma-separated entries of an option, n of them when n is given."""
     try:
-        return [dtype(part) for part in text.split(",")]
+        vector = [dtype(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse vector {text!r}") from exc
+        raise ConfigError(f"{option}: cannot parse vector {text!r}") from exc
+    if n is not None and len(vector) != n:
+        raise ConfigError(f"{option} needs {n} entries, got {len(vector)}")
+    return vector
+
+
+def _parse_mode(option: str, text: str, n: int) -> tuple[int, ...]:
+    k = tuple(_parse_vector(option, text, n, int))
+    if not any(k):
+        raise ConfigError(f"{option} must be a nonzero integer vector")
+    return k
 
 
 def _load_params(path: str) -> CoveringParams:
@@ -105,8 +114,11 @@ def _load_potential_arg(source: str):
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=1, default=str, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write {out}: {exc}") from exc
     else:
         print(text)
 
@@ -142,7 +154,7 @@ def cmd_check_generic(args) -> int:
 
 def cmd_cover_classify(args) -> int:
     params = _load_params(args.params)
-    y = _parse_vector(args.y)
+    y = _parse_vector("--y", args.y, params.n)
     labels = classify_point(np.array(y), params)
     doc = _report_skeleton(args)
     doc["labels"] = [lab.to_dict() for lab in labels]
@@ -160,10 +172,9 @@ def cmd_cover_measure(args) -> int:
         # the first csv_rows points measure_R2 classified, chunk by chunk
         m = min(args.samples, args.csv_rows)
         Y = np.empty((0, params.n))
-        for rng, size in sample_chunks(args.samples, args.seed):
-            if len(Y) == m:
-                break
-            Y = np.concatenate([Y, _sample_ball(rng, size, params.n)[: m - len(Y)]])
+        chunks = ball_points(params.n, args.samples, args.seed)
+        while len(Y) < m:
+            Y = np.concatenate([Y, next(chunks)[: m - len(Y)]])
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -202,7 +213,7 @@ def cmd_cover_raster(args) -> int:
 
 
 def cmd_bezout(args) -> int:
-    k = tuple(_parse_vector(args.k, int))
+    k = tuple(_parse_vector("--k", args.k, dtype=int))
     um = complete_to_sl(k)
     dm = decoupling_matrix(um)
     doc = _report_skeleton(args)
@@ -218,10 +229,10 @@ def cmd_normalize(args) -> int:
         params = free_params(f.n, s, args.alpha, args.k0, args.K)
     else:
         params = derive_params(f.n, s, args.eps, args.k0, args.K)
-    y0 = np.array(_parse_vector(args.base_point))
+    y0 = np.array(_parse_vector("--base-point", args.base_point, f.n))
     ham = NaturalHam(f.n, args.eps, f)
     if args.resonant_k:
-        k = tuple(_parse_vector(args.resonant_k, int))
+        k = _parse_mode("--resonant-k", args.resonant_k, f.n)
         nf = lie_step_res(ham, k, params, y0, order=args.order,
                           max_degree=args.degree)
     else:
@@ -239,8 +250,12 @@ def cmd_normalize(args) -> int:
 def cmd_standardize(args) -> int:
     f, s = _load_potential_arg(args.potential)
     params = _load_params(args.params)
-    k = tuple(_parse_vector(args.k, int))
-    y0 = np.array(_parse_vector(args.y0))
+    if params.n != f.n:
+        raise ConfigError(f"--params is for n = {params.n}, the potential has n = {f.n}")
+    k = _parse_mode("--k", args.k, f.n)
+    y0 = np.array(_parse_vector("--y0", args.y0, f.n))
+    if args.order < 1:
+        raise ConfigError("--order must be at least 1")
     sf = standardize(f, s, args.eps, k, params, y0, beta=args.beta,
                      delta=args.delta, order=args.order)
     phat0 = sf.fp.base_phat

@@ -23,8 +23,7 @@ records which mode produced it.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -426,19 +425,18 @@ class R2MeasureEstimate:
         }
 
 
-_CHUNK = 1 << 16  # fixed so results depend on the seed only, not on workers
+_CHUNK = 1 << 16  # fixed so results depend on the seed only
 
 
-def sample_chunks(samples: int, seed: int) -> list[tuple[np.random.Generator, int]]:
-    """The sampling chunks of measure_R2: one Philox generator per chunk,
-    spawned from SeedSequence(seed), and the chunk's point count.  Chunk i
-    holds points i*_CHUNK onward, drawn by _sample_ball(rng, size, n)."""
+def ball_points(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
+    """The seeded points of measure_R2, one (m, n) chunk at a time.
+
+    Chunk i holds points i*_CHUNK onward, drawn by _sample_ball from its own
+    Philox stream spawned from SeedSequence(seed)."""
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    return [
-        (np.random.Generator(np.random.Philox(ss)), min(_CHUNK, samples - i * _CHUNK))
-        for i, ss in enumerate(streams)
-    ]
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        yield _sample_ball(np.random.Generator(np.random.Philox(ss)),
+                           min(_CHUNK, samples - i * _CHUNK), n)
 
 
 def measure_R2(params: CoveringParams, samples: int, seed: int) -> R2MeasureEstimate:
@@ -446,30 +444,16 @@ def measure_R2(params: CoveringParams, samples: int, seed: int) -> R2MeasureEsti
 
     Reports both the measure of points carrying any R2 label and of points
     carrying only R2 labels (no R0, no R1), with binomial confidence
-    intervals scaled by the ball volume.  Sampling is chunked with per-chunk
-    derived seeds; RESOFORGE_THREADS > 1 processes chunks in a thread pool
-    without changing the result.
+    intervals scaled by the ball volume.  The points are those of
+    ball_points(params.n, samples, seed).
     """
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
-
-    def work(chunk) -> tuple[int, int]:
-        rng, m = chunk
-        Y = _sample_ball(rng, m, params.n)
+    n_any = n_only = 0
+    for Y in ball_points(params.n, samples, seed):
         batch = classify_batch(Y, params)
-        any_r2 = int(np.count_nonzero(batch.is_r2))
-        only_r2 = int(np.count_nonzero(batch.is_r2 & ~batch.is_r0 & ~batch.is_r1))
-        return any_r2, only_r2
-
-    threads = int(os.environ.get("RESOFORGE_THREADS", "1") or "1")
-    jobs = sample_chunks(samples, seed)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-    n_any = sum(r[0] for r in results)
-    n_only = sum(r[1] for r in results)
+        n_any += int(np.count_nonzero(batch.is_r2))
+        n_only += int(np.count_nonzero(batch.is_r2 & ~batch.is_r0 & ~batch.is_r1))
 
     vol = ball_volume(params.n)
 

@@ -518,10 +518,8 @@ def lacunary_potential(n: int, s: float, k_max: float = 40, amplitude: float = 1
     return TrigPoly(n, coeffs, rule=rule, rule_cutoff=float(k_max))
 
 
-def two_mode_potential(s: float, n: int = 2) -> TrigPoly:
+def two_mode_potential(s: float) -> TrigPoly:
     """Two-cosine benchmark 2e^{-2s}(cos((1,1).x) + cos((1,-1).x)) (n = 2)."""
-    if n != 2:
-        raise ValueError("the two-mode preset is two-dimensional")
     a = math.exp(-2.0 * s)
     return TrigPoly.from_cosines(2, {(1, 1): 2 * a, (1, -1): 2 * a})
 

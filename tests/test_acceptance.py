@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from resoforge import acceptance
+from resoforge import acceptance, cover
 from resoforge.morse import critical_points_many
 from resoforge.standard_form import PolyTrig1
 
@@ -63,6 +63,23 @@ def test_criterion_04_cosine_likeness():
 def test_criterion_05_covering_exhaustiveness():
     result = _run(acceptance.criterion_5_covering, samples=10 ** 6)
     assert all(v == 0 for v in result.details["uncovered"].values())
+
+
+def test_criterion_05_rejects_an_uncovered_point(monkeypatch):
+    # a classifier that leaves the first point of every batch unlabelled
+    sizes = []
+
+    def leaky(Y, params):
+        sizes.append(len(Y))
+        batch = cover.classify_batch(Y, params)
+        batch.covered[0] = False
+        return batch
+
+    monkeypatch.setattr(acceptance, "classify_batch", leaky)
+    result = acceptance.criterion_5_covering(samples=70_000)
+    assert not result.passed
+    assert sizes == [65_536, 4_464] * 2
+    assert result.details["uncovered"] == {"n=2": 2, "n=3": 2}
 
 
 def test_criterion_06_measure_scaling():

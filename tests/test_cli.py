@@ -103,8 +103,7 @@ class TestCover:
         main(["cover", "measure", "--params", free_params_file, "--samples", "20000",
               "--seed", "4", "--csv", str(csv_path), "--csv-rows", "50"])
         rows, Y = self._csv_points(csv_path)
-        rng, size = cover.sample_chunks(20000, 4)[0]
-        measured = cover._sample_ball(rng, size, 2)
+        measured = next(cover.ball_points(2, 20000, 4))
         assert np.array_equal(Y, measured[:50])
         params = cover.free_params(2, 1.0, alpha=0.05, K0=2, K=5)
         for row, y in zip(rows, Y):
@@ -119,9 +118,9 @@ class TestCover:
         main(["cover", "measure", "--params", free_params_file, "--samples", "3500",
               "--seed", "6", "--csv", str(csv_path), "--csv-rows", "1300"])
         rows, Y = self._csv_points(csv_path)
-        chunks = cover.sample_chunks(3500, 6)
-        assert [size for _, size in chunks] == [1000, 1000, 1000, 500]
-        want = np.concatenate([cover._sample_ball(rng, size, 2) for rng, size in chunks[:2]])
+        chunks = list(cover.ball_points(2, 3500, 6))
+        assert [len(Y) for Y in chunks] == [1000, 1000, 1000, 500]
+        want = np.concatenate(chunks[:2])
         assert [int(row[0]) for row in rows] == list(range(1300))
         assert np.array_equal(Y, want[:1300])
 
@@ -258,6 +257,42 @@ class TestStandardize:
         assert doc["fixed_point"]["hypothesis_ok"] is True
         assert doc["reduction_identity_residual"] < 1e-8
         assert len(doc["grids"]["G_bar"]) == 64
+
+
+STANDARDIZE = ["standardize", "--potential", "two-mode:s=1.0", "--eps", "1e-6",
+               "--params", "PARAMS"]
+
+
+class TestConfigErrors:
+    """Malformed inputs exit 2 with one error line naming the argument."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (["cover", "classify", "--y", "0.3,0.1", "--params", "PARAMS",
+          "--out", "MISSING/x.json"], "--out"),
+        (["cover", "classify", "--y", "0.3", "--params", "PARAMS"], "--y"),
+        ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3,0.1",
+          "--resonant-k", "0,0"], "--resonant-k"),
+        ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3,0.1",
+          "--resonant-k", "1,1,1"], "--resonant-k"),
+        ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3"], "--base-point"),
+        ([*STANDARDIZE, "--k", "1,1", "--y0", "0.5,-0.5", "--order", "0"], "--order"),
+        ([*STANDARDIZE, "--k", "1,1", "--y0", "0.5"], "--y0"),
+        ([*STANDARDIZE, "--k", "0,0", "--y0", "0.5,-0.5"], "--k"),
+        ([*STANDARDIZE, "--k", "1,1,1", "--y0", "0.5,-0.5"], "--k"),
+        ([*STANDARDIZE, "--k", "1,x", "--y0", "0.5,-0.5"], "--k"),
+        ([*STANDARDIZE[:-1], "PARAMS3", "--k", "1,1", "--y0", "0.5,-0.5"], "--params"),
+    ], ids=["out_dir_missing", "y_length", "resonant_k_zero", "resonant_k_length",
+            "base_point_length", "order_zero", "y0_length", "k_zero", "k_length",
+            "k_unparsable", "params_dimension"])
+    def test_one_error_line(self, argv, option, free_params_file, tmp_path, capsys):
+        params3 = tmp_path / "params3.json"
+        params3.write_text(json.dumps(
+            {"mode": "free", "n": 3, "s": 1.0, "alpha": 0.03, "K0": 2, "K": 4}))
+        paths = {"PARAMS": free_params_file, "PARAMS3": str(params3)}
+        argv = [paths.get(a, a.replace("MISSING", str(tmp_path / "no"))) for a in argv]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}") and err.count("\n") == 1
 
 
 class TestInvariantErrors:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from resoforge import cover
 from resoforge.cover import (
     CertificateError,
     ContractionHypothesisError,
@@ -11,6 +12,7 @@ from resoforge.cover import (
     BatchClassification,
     _euclid,
     _sample_ball,
+    ball_points,
     ball_volume,
     classify_batch,
     classify_point,
@@ -95,6 +97,21 @@ def reference_sample_ball(rng, m, n):
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     radii = rng.uniform(0.0, 1.0, size=m) ** (1.0 / n)
     return g * radii[:, None]
+
+
+def reference_sample_chunks(samples, seed, chunk):
+    """The sampling chunks measure_R2 drew before ball_points: one Philox
+    generator per chunk, spawned from SeedSequence(seed), and its size."""
+    n_chunks = (samples + chunk - 1) // chunk
+    streams = np.random.SeedSequence(seed).spawn(n_chunks)
+    return [
+        (np.random.Generator(np.random.Philox(ss)), min(chunk, samples - i * chunk))
+        for i, ss in enumerate(streams)
+    ]
+
+
+def reference_ball_points(n, samples, seed, chunk):
+    return [_sample_ball(rng, m, n) for rng, m in reference_sample_chunks(samples, seed, chunk)]
 
 
 MASKS = ("covered", "is_r0", "is_r1", "is_r2", "codes")
@@ -353,6 +370,34 @@ class TestBatchKernel:
                 assert got == reference_classify_point(y, params, all_pairs=all_pairs)
 
 
+class TestBallPoints:
+    """ball_points yields the points of the chunk layout measure_R2 used
+    before it, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(n, samples, seed, chunk):
+        got = list(ball_points(n, samples, seed))
+        want = reference_ball_points(n, samples, seed, chunk)
+        assert [Y.shape for Y in got] == [Y.shape for Y in want]
+        assert sum(len(Y) for Y in got) == samples
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [0, 1000, 65_536, 65_537, 200_000])
+    def test_matches_chunk_reference(self, n, samples):
+        self.assert_matches_reference(n, samples, 29 + n, 1 << 16)
+
+    @pytest.mark.parametrize("samples", [999, 1000, 3000, 3500])
+    def test_matches_chunk_reference_at_a_small_chunk(self, samples, monkeypatch):
+        monkeypatch.setattr(cover, "_CHUNK", 1000)
+        self.assert_matches_reference(2, samples, 6, 1000)
+
+    def test_seed_picks_the_stream(self):
+        a, b = next(ball_points(2, 10, 1)), next(ball_points(2, 10, 2))
+        assert a.tobytes() == next(ball_points(2, 10, 1)).tobytes() != b.tobytes()
+
+
 class TestCertificates:
     def setup_method(self):
         self.params = free_params(2, 1.0, alpha=0.05, K0=2, K=5)
@@ -421,12 +466,15 @@ class TestMeasure:
         assert a.measure_any == b.measure_any
         assert a.measure_only == b.measure_only
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
+    def test_counts_the_points_of_ball_points(self, monkeypatch):
+        monkeypatch.setattr(cover, "_CHUNK", 1000)
         p = free_params(2, 1.0, alpha=0.03, K0=2, K=5)
-        base = measure_R2(p, 150_000, 13)
-        monkeypatch.setenv("RESOFORGE_THREADS", "4")
-        threaded = measure_R2(p, 150_000, 13)
-        assert base.measure_any == threaded.measure_any
+        batches = [classify_batch(Y, p) for Y in reference_ball_points(2, 3500, 13, 1000)]
+        est = measure_R2(p, 3500, 13)
+        assert est.fraction_any == sum(int(b.is_r2.sum()) for b in batches) / 3500
+        assert est.fraction_only == sum(
+            int((b.is_r2 & ~b.is_r0 & ~b.is_r1).sum()) for b in batches
+        ) / 3500
 
     def test_sample_floor(self):
         p = free_params(2, 1.0, alpha=0.03, K0=2, K=5)
