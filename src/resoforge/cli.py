@@ -230,6 +230,8 @@ def cmd_normalize(args) -> int:
     else:
         params = derive_params(f.n, s, args.eps, args.k0, args.K)
     y0 = np.array(_parse_vector("--base-point", args.base_point, f.n))
+    if args.order < 1:
+        raise ConfigError("--order must be at least 1")
     ham = NaturalHam(f.n, args.eps, f)
     if args.resonant_k:
         k = _parse_mode("--resonant-k", args.resonant_k, f.n)

@@ -40,6 +40,8 @@ def test_criterion_03_morse_oracle():
     result = _run(acceptance.criterion_3_morse_oracle, instances=500)
     assert result.details["beta_2cos_error"] <= 1e-9
     assert result.details["failures"] == 0
+    # the two-point property is tested up to its hypothesis bound c < 1/2
+    assert 0.48 < result.details["c_max"] < 0.5
 
 
 def test_criterion_03_rejects_a_dropped_critical_point(monkeypatch):

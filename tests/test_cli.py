@@ -275,6 +275,7 @@ class TestConfigErrors:
         ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3,0.1",
           "--resonant-k", "1,1,1"], "--resonant-k"),
         ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3"], "--base-point"),
+        ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3,0.1", "--order", "0"], "--order"),
         ([*STANDARDIZE, "--k", "1,1", "--y0", "0.5,-0.5", "--order", "0"], "--order"),
         ([*STANDARDIZE, "--k", "1,1", "--y0", "0.5"], "--y0"),
         ([*STANDARDIZE, "--k", "0,0", "--y0", "0.5,-0.5"], "--k"),
@@ -282,7 +283,7 @@ class TestConfigErrors:
         ([*STANDARDIZE, "--k", "1,x", "--y0", "0.5,-0.5"], "--k"),
         ([*STANDARDIZE[:-1], "PARAMS3", "--k", "1,1", "--y0", "0.5,-0.5"], "--params"),
     ], ids=["out_dir_missing", "y_length", "resonant_k_zero", "resonant_k_length",
-            "base_point_length", "order_zero", "y0_length", "k_zero", "k_length",
+            "base_point_length", "normalize_order_zero", "order_zero", "y0_length", "k_zero", "k_length",
             "k_unparsable", "params_dimension"])
     def test_one_error_line(self, argv, option, free_params_file, tmp_path, capsys):
         params3 = tmp_path / "params3.json"
