@@ -12,21 +12,15 @@ from .fourier import (
     is_generator,
     lacunary_potential,
     load_potential,
-    norm_majorant,
-    norm_weighted_sup,
     project_lattice,
     save_potential,
-    strip_sup_interval,
     two_mode_potential,
 )
 from .morse import (
     CosineCertificate,
     MorseReport,
-    c2_distance_to_cosine,
     cosine_certificate,
     critical_points,
-    morse_constant_high_mode,
-    two_point_morse_check,
 )
 from .genericity import (
     GenericityParams,
@@ -34,7 +28,6 @@ from .genericity import (
     check_low_mode_morse,
     check_lower_bound,
     check_membership,
-    degeneracy_locus,
     empirical_genericity,
     sample_product_measure,
     threshold_N,
@@ -44,18 +37,13 @@ from .cover import (
     RegionLabel,
     classify_batch,
     classify_point,
-    contraction_preimage,
     derive_params,
     free_params,
     measure_R2,
-    nonresonance_certificate,
-    projections,
 )
 from .unimodular import (
     DecouplingMatrix,
     UnimodularMatrix,
-    apply_lattice,
-    apply_phi1,
     complete_to_sl,
     decoupling_matrix,
 )
@@ -63,10 +51,8 @@ from .lieseries import (
     AveragedNF,
     NaturalHam,
     TaylorFourierSeries,
-    cosine_rescale,
     lie_step_nonres,
     lie_step_res,
-    nf_remainder_norm,
     verify_conjugacy,
 )
 from .standard_form import (

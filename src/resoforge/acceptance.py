@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,17 +23,16 @@ from .fourier import (
     TWO_PI,
     generators,
     lacunary_potential,
+    lattice_projections,
     two_mode_potential,
 )
 from .genericity import empirical_genericity, threshold_N
 from .lieseries import NaturalHam, lie_step_nonres, verify_conjugacy
-from .morse import c2_distances_to_cosine, cosine_certificate, critical_points_many
+from .morse import COSINE_LIKE_THRESHOLD, c2_distances_to_cosine, cosine_certificate, critical_points_many
 from .standard_form import (
     DecoupledForm,
     LinearSymplectic,
-    ComposedMap,
     PolyTrig1,
-    ShearMap,
     build_phi2_phi3,
     characteristics,
     kappa_uniform,
@@ -185,20 +184,23 @@ def criterion_3_morse_oracle(instances: int = 500, seed: int = 42) -> CriterionR
 @_timed
 def criterion_4_cosine_likeness() -> CriterionResult:
     """Lacunary preset at delta = 1: every generator with N <= |k|_1 <= N+10
-    has certificate gamma < 2^-40 (strict)."""
+    has certificate gamma < 2^-40 (strict), and its pi_k f, in one census,
+    exactly 2 critical points and beta >= |f_k| (the high-mode Morse claim)."""
     n, s, delta = 2, 1.0, 1.0
     N = threshold_N(n, s, delta)
     f = lacunary_potential(n, s, k_max=N + 12)
-    worst = -1.0
-    checked = 0
-    for k in generators(n, N + 10, min_order=math.ceil(N)):
-        cert = cosine_certificate(f, k)
-        worst = max(worst, cert.gamma)
-        checked += 1
-    ok = checked > 0 and worst < 2.0 ** -40
+    gens = generators(n, N + 10, min_order=math.ceil(N))
+    certs = [cosine_certificate(f, k) for k in gens]
+    worst = max((cert.gamma for cert in certs), default=-1.0)
+    # beta / |f_k| with |f_k| = eta / 2; 0 where the two-point conclusion fails
+    ratios = [2.0 * rep.beta / cert.eta if rep is not None and rep.count == 2 else 0.0
+              for cert, rep in zip(certs, critical_points_many(lattice_projections(f, gens)))]
+    morse_failures = sum(ratio < 1.0 for ratio in ratios)
+    ok = bool(gens) and worst < COSINE_LIKE_THRESHOLD and morse_failures == 0
     return CriterionResult(
         4, "high-mode cosine-likeness (lacunary)",
-        ok, {"checked": checked, "worst_gamma": worst, "threshold": 2.0 ** -40}, 0.0,
+        ok, {"checked": len(gens), "worst_gamma": worst, "threshold": COSINE_LIKE_THRESHOLD,
+             "morse_failures": morse_failures, "min_beta_over_fk": min(ratios, default=0.0)}, 0.0,
     )
 
 

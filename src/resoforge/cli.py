@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .cover import (
-    ContractionHypothesisError,
     CoveringParams,
     ball_points,
     classify_batch,
@@ -398,8 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SmallDivisorError, FixedPointDivergence, ContractionHypothesisError,
-            GeneratorFlowError) as exc:
+    except (SmallDivisorError, FixedPointDivergence, GeneratorFlowError) as exc:
         # the inputs were well-formed but a hypothesis of the construction failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

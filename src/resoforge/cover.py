@@ -10,7 +10,7 @@ For cutoffs K >= 6 K0 >= 12 and a divisor threshold alpha the ball splits into
 (|k| Euclidean in the per-k radii, ell^1 in the cutoff balls).  Every point of
 the ball receives at least one label.  R0 points are (alpha/2)-nonresonant up
 to order K0 and R1_k points are (2 alpha K/|k|)-nonresonant modulo Z k up to
-order K; both certificates are checked by reduction to generators.  The
+order K.  The
 doubly-resonant remainder R2 has measure O(alpha^2 K^{2n}), estimated here by
 Monte Carlo.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,19 +38,6 @@ class OutsideDomainError(ValueError):
 
 class CutoffOrderError(ValueError):
     """Paper-preset cutoffs must satisfy K >= 6 K0 >= 12."""
-
-
-class CertificateError(ValueError):
-    """A nonresonance certificate failed; carries the violating mode."""
-
-    def __init__(self, message: str, mode: Mode | None = None, value: float | None = None):
-        super().__init__(message)
-        self.mode = mode
-        self.value = value
-
-
-class ContractionHypothesisError(RuntimeError):
-    """The sampled displacement bound or the contraction property failed."""
 
 
 @dataclass(frozen=True)
@@ -100,9 +87,6 @@ class CoveringParams:
 
     def r_k(self, k: Mode) -> float:
         return self.alpha / _euclid(k)
-
-    def r_k_prime(self, k: Mode) -> float:
-        return self.r_k(k) / 2.0
 
     def s_k_prime(self, k: Mode) -> float:
         return l1(k) * self.s_star_prime
@@ -295,85 +279,6 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
 
 
 # --------------------------------------------------------------------------
-# certificates
-# --------------------------------------------------------------------------
-
-@dataclass
-class NonresonanceCertificate:
-    kind: str
-    min_value: float
-    minimizer: Mode
-    threshold: float
-    norm_convention: str
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "min_value": self.min_value,
-            "minimizer": list(self.minimizer),
-            "threshold": self.threshold,
-            "norm_convention": self.norm_convention,
-        }
-
-
-def nonresonance_certificate(
-    y,
-    params: CoveringParams,
-    kind: str,
-    k: Mode | None = None,
-    norm: str = "l1",
-) -> NonresonanceCertificate:
-    """Quantitative small-divisor certificate for an R0 or R1_k label.
-
-    R0: min over nonzero integer vectors up to order K0 of |y.k| must exceed
-    alpha/2.  R1_k: min over integer vectors off the line Z k up to order K of
-    |y.l| must be >= 2 alpha K/|k|.  Both minimizations reduce to generators
-    (a multiple j*kbar only scales |y.kbar| up).  norm selects the cutoff-ball
-    convention: "l1" (default, the generator-ball convention) or "euclid"
-    (the literal |k| <= K0 reading, a slightly larger ball).
-    """
-    y = np.asarray(y, dtype=float)
-    if kind not in ("R0", "R1"):
-        raise ValueError("kind must be 'R0' or 'R1'")
-
-    def gen_ball(cutoff: float) -> list[Mode]:
-        if norm == "l1":
-            return generators(params.n, cutoff)
-        if norm == "euclid":
-            ball = generators(params.n, math.floor(cutoff * math.sqrt(params.n)))
-            return [g for g in ball if _euclid(g) <= cutoff]
-        raise ValueError("norm must be 'l1' or 'euclid'")
-
-    if kind == "R0":
-        gens = gen_ball(params.K0)
-        vals = [abs(float(np.dot(y, g))) for g in gens]
-        i = int(np.argmin(vals))
-        threshold = params.alpha / 2.0
-        if vals[i] <= threshold:
-            raise CertificateError(
-                f"R0 certificate fails at k={gens[i]}: |y.k|={vals[i]:.3e}",
-                mode=gens[i],
-                value=vals[i],
-            )
-        return NonresonanceCertificate("R0", vals[i], gens[i], threshold, norm)
-
-    if k is None:
-        raise ValueError("R1 certificate needs the resonance label k")
-    k = tuple(int(v) for v in k)
-    gens = [g for g in gen_ball(params.K) if g != k]
-    vals = [abs(float(np.dot(y, g))) for g in gens]
-    i = int(np.argmin(vals))
-    threshold = 2.0 * params.alpha * params.K / _euclid(k)
-    if vals[i] < threshold:
-        raise CertificateError(
-            f"R1 certificate fails at l={gens[i]}: |y.l|={vals[i]:.3e}",
-            mode=gens[i],
-            value=vals[i],
-        )
-    return NonresonanceCertificate("R1", vals[i], gens[i], threshold, norm)
-
-
-# --------------------------------------------------------------------------
 # Monte-Carlo measure of the doubly-resonant set
 # --------------------------------------------------------------------------
 
@@ -486,80 +391,3 @@ def fit_measure_constant(estimates: list[R2MeasureEstimate]) -> float:
         est.measure_any / (est.params.alpha ** 2 * est.params.K ** (2 * est.params.n))
         for est in estimates
     )
-
-
-# --------------------------------------------------------------------------
-# contraction preimage (boundary-covering primitive)
-# --------------------------------------------------------------------------
-
-@dataclass
-class PreimageResult:
-    y: np.ndarray
-    residual: float
-    iterations: int
-    empirical_contraction: float
-    sampled_displacement: float
-
-
-def contraction_preimage(
-    phi,
-    y0,
-    r: float,
-    M: float,
-    seed: int = 0,
-) -> PreimageResult:
-    """Solve phi(y) = y0 for y in the closed r-ball around y0.
-
-    Requires sup_{D_2r(y0)} |phi(y) - y| <= M < r (spot-checked by sampling
-    the complex 2r-ball; analyticity is the caller's assertion), and iterates
-    w <- -(phi(y0 + w) - (y0 + w)), a contraction with ratio at most M/r.
-    Raises when the sampled bound or the contraction property fails.
-    """
-    y0 = np.asarray(y0, dtype=complex)
-    n = y0.size
-    if not M < r:
-        raise ContractionHypothesisError(f"need M < r, got M={M}, r={r}")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(64):
-        direction = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        direction /= np.linalg.norm(direction)
-        z = y0 + direction * (2.0 * r * rng.uniform(0.0, 1.0))
-        worst = max(worst, float(np.linalg.norm(np.asarray(phi(z)) - z)))
-    if worst > M:
-        raise ContractionHypothesisError(
-            f"sampled displacement {worst:.3e} exceeds the declared bound M={M:.3e}"
-        )
-
-    w = np.zeros(n, dtype=complex)
-    prev_step = None
-    contraction = 0.0
-    for it in range(1, 501):
-        y = y0 + w
-        defect = np.asarray(phi(y)) - y
-        residual = float(np.linalg.norm(defect + w))  # |phi(y) - y0|
-        if residual < 1e-13:
-            return PreimageResult(y, residual, it, contraction, worst)
-        w_new = -defect
-        step = float(np.linalg.norm(w_new - w))
-        if prev_step is not None and prev_step > 0:
-            ratio = step / prev_step
-            contraction = max(contraction, ratio)
-            if ratio >= 1.0:
-                raise ContractionHypothesisError("hypothesis violated")
-        prev_step = step
-        w = w_new
-    raise ContractionHypothesisError(
-        "no convergence to 1e-13 within 500 iterations"
-    )
-
-
-def projections(y, k):
-    """Orthogonal split (P_k y, P_k^perp y) along e_k = k/|k|; k must be nonzero."""
-    k = np.asarray(k, dtype=float)
-    if not np.any(k):
-        raise ValueError("k must be nonzero")
-    y = np.asarray(y, dtype=float)
-    e_k = k / np.linalg.norm(k)
-    para = np.dot(y, e_k) * e_k
-    return para, y - para

@@ -3,15 +3,9 @@
 A function f(x) = sum_k f_k e^{i k.x} with f_0 = 0 and f_{-k} = conj(f_k) is
 stored through its coefficients on the canonical half-lattice Z^n_* (integer
 vectors whose first nonzero component is positive); the conjugate half is
-implied.  Three norms are provided at analyticity width s > 0:
-
-    weighted sup     sup_k |f_k| e^{|k|_1 s}
-    strip sup        sup over the complex strip |Im x_j| < s   (interval only)
-    majorant         sum_k |f_k| e^{|k|_1 s}
-
-which satisfy weighted-sup <= strip-sup <= majorant.  Mode directions with
-coprime components ("generators") index the 1-D lattice projections
-pi_k f(theta) = sum_j f_{jk} e^{i j theta} used throughout the package.
+implied.  Mode directions with coprime components ("generators") index the
+1-D lattice projections pi_k f(theta) = sum_j f_{jk} e^{i j theta} used
+throughout the package.
 
 Potentials with infinite support are handled through a coefficient rule
 (currently the exponentially decaying lacunary family supported on the
@@ -152,14 +146,6 @@ class LacunaryRule:
         if is_generator(k):
             return complex(self.amplitude * math.exp(-self.s * l1(k)))
         return 0.0
-
-    def weighted_sup_norm(self, s_eval: float) -> float:
-        # sup over generators of amplitude * e^{-(s - s_eval)|k|_1}
-        if s_eval > self.s:
-            raise NormDivergesError("norm diverges")
-        if s_eval == self.s:
-            return self.amplitude
-        return self.amplitude * math.exp(-(self.s - s_eval))
 
     def majorant_norm(self, s_eval: float) -> float:
         """Sum over all modes (both half-lattices) of |f_k| e^{|k|_1 s_eval}.
@@ -369,28 +355,23 @@ class OneDTrigPoly:
         return complex(val)
 
     def values_on_grid(self, m: int, order: int = 0) -> np.ndarray:
-        """Real values of the order-th derivative on the grid theta_t = 2 pi t / m."""
-        return self.grids(m, (order,))[0]
+        """Real values of the order-th derivative on the grid theta_t = 2 pi t / m.
 
-    def grids(self, m: int, orders) -> np.ndarray:
-        """Row r: real values of the orders[r]-th derivative on theta_t = 2 pi t / m.
-
-        One unnormalized inverse real FFT per row of the half spectrum X
-        (length m//2 + 1) built from c_j (ij)^order.  On the grid e^{ij theta_t}
+        One unnormalized inverse real FFT of the half spectrum X (length
+        m//2 + 1) built from c_j (ij)^order.  On the grid e^{ij theta_t}
         depends only on r = j mod m, so every mode folds into X by aliasing:
         c goes to X[r] when 0 < r < m/2, conj(c) to X[m - r] when r > m/2, and
         2 Re c to the real bins r = 0 and r = m/2.  The rounding error is of
         order eps * log2(m) * sum_j j^order |c_j|.
         """
         js = np.fromiter(self.coeffs, dtype=np.int64, count=len(self.coeffs))
-        cs = np.fromiter(self.coeffs.values(), dtype=complex, count=len(js))
-        cs = np.stack([cs * (1j * js) ** k for k in orders])
+        cs = np.fromiter(self.coeffs.values(), dtype=complex, count=len(js)) * (1j * js) ** order
         r = js % m
         low = r < m - r
         vals = np.where((r == 0) | (2 * r == m), 2.0 * cs.real, np.where(low, cs, np.conj(cs)))
-        X = np.zeros((len(cs), m // 2 + 1), dtype=complex)
-        np.add.at(X, (slice(None), np.where(low, r, m - r)), vals)
-        return np.stack([np.fft.irfft(x, n=m, norm="forward") for x in X])
+        X = np.zeros(m // 2 + 1, dtype=complex)
+        np.add.at(X, np.where(low, r, m - r), vals)
+        return np.fft.irfft(X, n=m, norm="forward")
 
     def shifted(self, shift: float) -> "OneDTrigPoly":
         """theta -> value at theta + shift."""
@@ -413,34 +394,8 @@ class OneDTrigPoly:
 
 
 # --------------------------------------------------------------------------
-# norms and projections
+# lattice projections
 # --------------------------------------------------------------------------
-
-def norm_weighted_sup(f: TrigPoly | OneDTrigPoly, s: float) -> float:
-    """sup_k |f_k| e^{|k|_1 s} over the (possibly rule-extended) support."""
-    if s <= 0:
-        raise ValueError("width s must be positive")
-    if isinstance(f, OneDTrigPoly):
-        return max((abs(c) * math.exp(j * s) for j, c in f.coeffs.items()), default=0.0)
-    finite = max((abs(c) * math.exp(l1(k) * s) for k, c in f.coeffs.items()), default=0.0)
-    if f.rule is not None:
-        return max(finite, f.rule.weighted_sup_norm(s))
-    return finite
-
-
-def norm_majorant(f: TrigPoly | OneDTrigPoly, s: float) -> float:
-    """sum_k |f_k| e^{|k|_1 s} over both half-lattices (rule tails included)."""
-    if s < 0:
-        raise ValueError("width s must be nonnegative")
-    if isinstance(f, OneDTrigPoly):
-        tail = f.tail_strip1 if s <= 1 else (math.inf if f.tail_strip1 else 0.0)
-        return 2.0 * sum(abs(c) * math.exp(j * s) for j, c in f.coeffs.items()) + tail
-    finite = 2.0 * sum(abs(c) * math.exp(l1(k) * s) for k, c in f.coeffs.items())
-    if f.rule is not None and f.rule_cutoff is not None:
-        full = f.rule.majorant_norm(s)  # raises NormDivergesError when divergent
-        return max(full, finite)
-    return finite
-
 
 def project_lattice(f: TrigPoly, k: Mode) -> OneDTrigPoly:
     """Fourier projection pi_k f(theta) = sum_j f_{jk} e^{i j theta}, k a generator:
@@ -476,31 +431,6 @@ def lattice_projections(f: TrigPoly, gens: Iterable[Mode]) -> list[OneDTrigPoly]
             tail = f.rule.line_tail_majorant(k, jm + 1, 1.0)
         out.append(OneDTrigPoly(coeffs, tail_strip1=tail))
     return out
-
-
-def strip_sup_interval(
-    f: TrigPoly, s: float, samples: int = 4096, seed: int = 0
-) -> tuple[float, float]:
-    """Interval [grid lower bound, majorant upper bound] for sup over T^n_s.
-
-    The lower bound samples |f| at random real parts combined with random
-    corner imaginary parts Im x in {-s, +s}^n (suprema of strip-analytic
-    functions are approached at the strip boundary); the upper bound is the
-    ell^1 majorant, which dominates the strip sup exactly.
-    """
-    rng = np.random.default_rng(seed)
-    real = rng.uniform(0.0, TWO_PI, size=(samples, f.n))
-    signs = rng.choice((-s, s), size=(samples, f.n))
-    lo = 0.0
-    if f.coeffs:
-        modes = sorted(f.coeffs)
-        ks = np.array(modes, dtype=float)
-        cs = np.array([f.coeffs[k] for k in modes])
-        z = real + 1j * signs
-        phase = z @ ks.T
-        vals = np.exp(1j * phase) @ cs + np.exp(-1j * phase) @ np.conj(cs)
-        lo = float(np.max(np.abs(vals)))
-    return lo, norm_majorant(f, s)
 
 
 # --------------------------------------------------------------------------

@@ -14,10 +14,8 @@ c_d = 2^44 (2n/e)^n is calibrated so that beyond it every projection is
 only rule-backed potentials can carry a symbolic proof beyond the cutoff.
 
 The module also samples the product probability measure on coefficients
-(f_k = w_k e^{-|k|_1 s}, w_k uniform on the unit disk), estimates the measure
-of the admissible set empirically, and samples the degeneracy locus in the
-leading-coefficient plane outside of which a 1-D projection is automatically
-Morse with distinct critical values.
+(f_k = w_k e^{-|k|_1 s}, w_k uniform on the unit disk) and estimates the
+measure of the admissible set empirically.
 """
 
 from __future__ import annotations
@@ -27,18 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import (
-    Mode,
-    OneDTrigPoly,
-    TrigPoly,
-    TWO_PI,
-    generators,
-    is_generator,
-    iter_half_ball,
-    l1,
-    lattice_projections,
-)
-from .morse import _derivative_rows, _polish, _values, critical_points_many
+from .fourier import Mode, TrigPoly, generators, iter_half_ball, l1, lattice_projections
+from .morse import critical_points_many
 
 
 class CutoffBelowThresholdError(ValueError):
@@ -284,93 +272,3 @@ def empirical_genericity(
         window=window,
         delta=delta,
     )
-
-
-# --------------------------------------------------------------------------
-# degeneracy locus of the leading coefficient
-# --------------------------------------------------------------------------
-
-@dataclass
-class DegeneracyLocus:
-    """Sampled locus of leading coefficients z for which
-    F = z e^{i theta} + conj + G can fail to be Morse with distinct values.
-
-    gamma1 parametrizes z = (1/2) e^{-i theta}(i G'(theta) + G''(theta))
-    (degenerate critical point); gamma2 collects zeta over the located
-    off-diagonal zero set of the equal-critical-value function g.  The
-    diagonal of that zero set reproduces gamma1 and is excluded from the
-    contouring.  For G = 0 the locus is the single point {0}.
-    """
-
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    zero_pairs: np.ndarray
-
-    def distance(self, z: complex) -> float:
-        d = math.inf
-        if self.gamma1.size:
-            d = min(d, float(np.min(np.abs(self.gamma1 - z))))
-        if self.gamma2.size:
-            d = min(d, float(np.min(np.abs(self.gamma2 - z))))
-        return d
-
-
-LOCUS_GRID = 512  # nodes per angle of the (t1, t2) grid on which g is contoured
-
-
-def degeneracy_locus(G: OneDTrigPoly) -> DegeneracyLocus:
-    """Sample the two degeneracy curves for a residual G with |j| >= 2 modes.
-
-    At t2 = t_j, g is a trig polynomial in t1 of degree deg G + 1.  The census
-    primitive _polish finds its zero in each grid cell with a sign change more
-    than two cells off the diagonal; g is symmetric, so transposes complete the set.
-    """
-    if any(j < 2 for j in G.coeffs):
-        raise ValueError("residual must have modes |j| >= 2 only")
-    if G.is_zero:
-        return DegeneracyLocus(
-            gamma1=np.array([0.0 + 0.0j]),
-            gamma2=np.array([], dtype=complex),
-            zero_pairs=np.zeros((0, 2)),
-        )
-
-    m1 = 4096
-    theta = np.arange(m1) * (TWO_PI / m1)
-    gp, gpp = G.grids(m1, (1, 2))
-    gamma1 = 0.5 * np.exp(-1j * theta) * (1j * gp + gpp)
-
-    # g(t1, t2) = (1 - cos(t1-t2)) (G'(t1) + G'(t2)) - sin(t1-t2)(G(t1) - G(t2))
-    m, h = LOCUS_GRID, TWO_PI / LOCUS_GRID
-    cell = np.arange(m)
-    t = cell * h
-    g0, g1v = G.grids(m, (0, 1))
-    D = t[:, None] - t[None, :]
-    gmat = (1.0 - np.cos(D)) * (g1v[:, None] + g1v[None, :]) - np.sin(D) * (
-        g0[:, None] - g0[None, :]
-    )
-
-    # row j: spectra k = -d-2..d+2 of a = G'(t1) + G'(t_j), b = G(t1) - G(t_j); w = e^{-i t_j}
-    js, rows = _derivative_rows(G, (1, 0))
-    d = G.degree()
-    at = d + 2 + js.astype(int)
-    a, b = np.zeros((2, m, 2 * d + 5), dtype=complex)
-    a[:, at], a[:, 2 * d + 4 - at], a[:, d + 2] = rows[0], rows[0].conj(), g1v
-    b[:, at], b[:, 2 * d + 4 - at], b[:, d + 2] = rows[1], rows[1].conj(), -g0
-    w = np.exp(-1j * t)[:, None]
-    km, k0, kp = slice(d + 1, 2 * d + 3), slice(d + 2, 2 * d + 4), slice(d + 3, 2 * d + 5)
-    coef = (a[:, k0] - 0.5 * (w * a[:, km] + w.conj() * a[:, kp])
-            + 0.5j * (w * b[:, km] - w.conj() * b[:, kp]))
-    coef[:, 0] *= 0.5
-
-    off = np.minimum((cell[:, None] - cell) % m, (cell - cell[:, None]) % m) > 2
-    nxt = np.roll(gmat, -1, axis=0)
-    i, j = np.nonzero(off & (gmat * nxt < 0))
-    t1 = _polish(coef[j], np.arange(d + 2.0), t[i], t[i] + h, gmat[i, j], nxt[i, j])
-    zi, zj = np.nonzero(off & (gmat == 0.0))
-    zero_pairs = np.stack([np.r_[t1, t[j], t[zi]], np.r_[t[j], t1, t[zj]]], axis=1)
-    v = _values(rows, js, zero_pairs.T.ravel()).reshape(2, -1, 2)
-    # zeta = i (G'(t1) - G'(t2) + i G(t1) - i G(t2)) / (2 (e^{i t1} - e^{i t2}))
-    e1, e2 = np.exp(1j * zero_pairs.T)
-    dv = v[0] - v[1]
-    gamma2 = 1j * (dv[:, 0] + 1j * dv[:, 1]) / (2.0 * (e1 - e2))
-    return DegeneracyLocus(gamma1=gamma1, gamma2=gamma2, zero_pairs=zero_pairs)

@@ -34,8 +34,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .cover import CoveringParams
-from .fourier import Mode, OneDTrigPoly, TrigPoly, l1, on_ray, project_lattice
-from .genericity import threshold_N
+from .fourier import Mode, OneDTrigPoly, TrigPoly, l1, on_ray
 
 Mono = tuple[int, ...]
 
@@ -546,14 +545,6 @@ class AveragedNF:
             total += self.epsilon ** j * term
         return float(total.real)
 
-    def g_o_value(self, y) -> float:
-        """g(y) with eps*g(y) = sum_j eps^j g_o_j(y): the y-only normal part."""
-        x0 = np.zeros(self.n)
-        return float(sum(
-            self.epsilon ** (j - 1) * self.g_o[j].evaluate(y, x0).real
-            for j in range(1, self.order + 1)
-        ))
-
     def band_coefficient_maxima(self) -> float:
         """max |coefficient| of f_rem over the killed band (exact-zero check)."""
         if self.kind == "nonresonant":
@@ -683,15 +674,6 @@ def lie_step_res(
     return _average(ham, params, y0, order, max_degree, k)
 
 
-def nf_remainder_norm(nf: AveragedNF, r: float, s_prime: float) -> float:
-    """ell^1 majorant of the remainder sum_j eps^j f_rem_j over the y-polydisk
-    of radius r and the angle strip of width s_prime."""
-    return float(sum(
-        nf.epsilon ** j * nf.f_rem[j].majorant(r, s_prime)
-        for j in range(1, nf.order + 1)
-    ))
-
-
 # --------------------------------------------------------------------------
 # conjugacy verification by numerical time-1 flows
 # --------------------------------------------------------------------------
@@ -765,132 +747,6 @@ def verify_conjugacy(
         displacements=displacements,
         displacement_threshold=threshold,
         displacement_ok=ok,
-    )
-
-
-# --------------------------------------------------------------------------
-# cosine-like rescaling of the resonant form
-# --------------------------------------------------------------------------
-
-@dataclass
-class CosineRescaledForm:
-    """H^k recast as 0.5|y|^2 + eps g_o(y) + 2|f_k| eps [cos(theta + theta_k)
-    + F_star(theta) + g_star(y, theta) + f_star(y, x)], theta = k.x."""
-
-    theta_k: float
-    eta: float
-    F_star: OneDTrigPoly
-    g_star_grades: list[TaylorFourierSeries]
-    f_star_grades: list[TaylorFourierSeries]
-    epsilon: float
-    res_k: Mode
-    g_star_majorant: float
-    f_star_majorant: float
-    g_star_threshold: float
-    f_star_threshold: float
-    g_star_ok: bool
-    f_star_ok: bool
-    identity_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "theta_k": self.theta_k,
-            "eta": self.eta,
-            "g_star_majorant": self.g_star_majorant,
-            "f_star_majorant": self.f_star_majorant,
-            "g_star_threshold": self.g_star_threshold,
-            "f_star_threshold": self.f_star_threshold,
-            "g_star_ok": self.g_star_ok,
-            "f_star_ok": self.f_star_ok,
-            "identity_residual": self.identity_residual,
-        }
-
-
-def cosine_rescale(
-    nf: AveragedNF,
-    f: TrigPoly,
-    delta: float,
-    params: CoveringParams,
-) -> CosineRescaledForm:
-    """Rescale a resonant normal form by the leading cosine 2|f_k| eps.
-
-    Requires |k|_1 >= N(delta) and the lower bound |f_k| >= delta |k|_1^{-n}
-    e^{-|k|_1 s} at the resonance mode.  The majorants of g_star and f_star
-    are compared against the thresholds K^{-5n} and e^{-K s / 7}; the flags
-    report, they are never assumed.
-    """
-    if nf.kind != "resonant" or nf.res_k is None or nf.g_res is None:
-        raise ValueError("cosine_rescale needs a resonant normal form")
-    k = nf.res_k
-    fk = f.coeff(k)
-    if fk == 0:
-        raise ValueError("vanishing leading mode")
-    N = threshold_N(f.n, params.s, delta)
-    if l1(k) < N:
-        raise ValueError(f"|k|_1 = {l1(k)} below the threshold N = {N:.2f}")
-    if abs(fk) < delta * l1(k) ** (-f.n) * math.exp(-l1(k) * params.s):
-        raise ValueError("lower bound fails at the resonance mode")
-    eta = 2.0 * abs(fk)
-    theta_k = float(np.angle(fk)) % (2.0 * math.pi)
-    pk = project_lattice(f, k)
-    F_star = OneDTrigPoly(
-        {j: c / eta for j, c in pk.coeffs.items() if j >= 2},
-        tail_strip1=pk.tail_strip1 / eta,
-    )
-
-    # g_star grades: (g_res - pi_k f) / eta; the grade-1 projection cancels
-    # coefficientwise, higher grades are divided through
-    g_star = [nf.g_res[0].like()]
-    g_star.append(nf.g_res[1].plus(ray_series(nf.g_res[1], pk, k).scaled(-1.0)).scaled(1.0 / eta))
-    for j in range(2, nf.order + 1):
-        g_star.append(nf.g_res[j].scaled(nf.epsilon ** (j - 1) / eta))
-    f_star = [nf.f_rem[0].like()]
-    for j in range(1, nf.order + 1):
-        f_star.append(nf.f_rem[j].scaled(nf.epsilon ** (j - 1) / eta))
-
-    r_prime = params.r_k_prime(k)
-    g_maj = ray_majorant(g_star, k, r_prime, 1.0)
-    f_maj = float(sum(t.majorant(r_prime, params.s_star / 2.0) for t in f_star))
-    g_thr = float(params.K) ** (-5 * nf.n)
-    f_thr = math.exp(-params.K * params.s / 7.0)
-
-    # reconstruction identity at sample points
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(32):
-        y = nf.base_point + rng.uniform(-0.25, 0.25, nf.n) * r_prime
-        x = rng.uniform(0.0, 2.0 * math.pi, nf.n)
-        theta = float(np.dot(k, x))
-        lhs = nf.nf_value(y, x)
-        g_star_val = sum(t.evaluate(y, x).real for t in g_star[1:])
-        f_star_val = sum(t.evaluate(y, x).real for t in f_star[1:])
-        rhs = (
-            0.5 * float(np.dot(y, y))
-            + nf.epsilon * nf.g_o_value(y)
-            + eta * nf.epsilon * (
-                math.cos(theta + theta_k)
-                + F_star.evaluate(theta).real
-                + g_star_val
-                + f_star_val
-            )
-        )
-        worst = max(worst, abs(lhs - rhs))
-
-    return CosineRescaledForm(
-        theta_k=theta_k,
-        eta=eta,
-        F_star=F_star,
-        g_star_grades=g_star,
-        f_star_grades=f_star,
-        epsilon=nf.epsilon,
-        res_k=k,
-        g_star_majorant=g_maj,
-        f_star_majorant=f_maj,
-        g_star_threshold=g_thr,
-        f_star_threshold=f_thr,
-        g_star_ok=g_maj <= g_thr,
-        f_star_ok=f_maj <= f_thr,
-        identity_residual=worst,
     )
 
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1, on_ray, project_lattice
+from .fourier import Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1
 
-COSINE_LIKE_THRESHOLD = 2.0 ** -40
+COSINE_LIKE_THRESHOLD = 2.0 ** -40  # gamma below it: two critical points and beta >= |f_k|
 _HALF_PI = 0.5 * math.pi
 _EPS = float(np.finfo(float).eps)
 _OFFSET = 0.0618033988749895 - math.pi  # where the cells of _zeros start: far from k pi / m
@@ -38,20 +38,8 @@ class ConstantFunctionError(ValueError):
     """F' vanishes identically; critical points are undefined."""
 
 
-class NotCosineCloseError(ValueError):
-    """C^2 distance to every admissible shifted cosine exceeds the bound."""
-
-
 class VanishingLeadingModeError(ValueError):
     """The +-k coefficient pair vanishes; no cosine normalization exists."""
-
-
-class CosineLikenessError(ValueError):
-    """Certificate residual exceeds the requested cosine-likeness level."""
-
-    def __init__(self, message: str, witness: Mode | None = None):
-        super().__init__(message)
-        self.witness = witness
 
 
 @dataclass
@@ -126,14 +114,6 @@ class CosineCertificate:
         }
 
 
-@dataclass
-class HighModeMorseResult:
-    certified_lower_bound: float
-    computed_beta: float
-    certificate: CosineCertificate
-    report: MorseReport
-
-
 def _values(C: np.ndarray, js: np.ndarray, t: np.ndarray) -> np.ndarray:
     """2 Re sum_j C[r, j] e^{ijt} for every row r of C and every t: (len(t), rows)."""
     return 2.0 * (np.exp(1j * np.outer(t, js)) @ C.T).real
@@ -171,13 +151,6 @@ def _polish(coef: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             adx_old, adx = adx, np.abs(t_new - t)
             t = np.where(live, t_new, t)
             live &= adx >= ulp
-
-
-def _derivative_rows(F: OneDTrigPoly, orders) -> tuple[np.ndarray, np.ndarray]:
-    """(js, rows): row k holds the coefficients c_j (ij)^orders[k] of F^(orders[k])."""
-    js = np.fromiter(F.coeffs, dtype=float, count=len(F.coeffs))
-    c = np.fromiter(F.coeffs.values(), dtype=complex, count=len(js))
-    return js, np.stack([c * (1j * js) ** k for k in orders])
 
 
 def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,11 +419,6 @@ def critical_points_many(Fs) -> list[MorseReport | None]:
     return out
 
 
-def c2_distance_to_cosine(F: OneDTrigPoly, theta0: float) -> float:
-    """c2_distances_to_cosine([F], [theta0])[0]."""
-    return c2_distances_to_cosine([F], [theta0])[0]
-
-
 def c2_distances_to_cosine(Fs, theta0s) -> list[float]:
     """For each F and theta0, max over k = 0..2 of sup_T |delta^(k)|, delta =
     F - cos(theta + theta0), each taken at the zeros of delta^(k+1): one
@@ -466,34 +434,6 @@ def c2_distances_to_cosine(Fs, theta0s) -> list[float]:
             for at, x in zip(ats, sup.tolist()):
                 out[at] = x
     return out
-
-
-def two_point_morse_check(F: OneDTrigPoly, c: float) -> MorseReport:
-    """Check the two-critical-point conclusion for F within C^2 distance c of
-    a shifted cosine; the shift is read off the phase of the j = 1 coefficient.
-
-    Requires c < 1/2.  On success the report has exactly two critical points
-    and beta >= 1 - 2c.
-    """
-    if not 0 <= c < 0.5:
-        raise NotCosineCloseError("not cosine-close")
-    c1 = F.coeff(1)
-    if c1 == 0:
-        raise NotCosineCloseError("not cosine-close")
-    theta_bar = float(np.angle(c1)) % TWO_PI
-    dist = c2_distance_to_cosine(F, theta_bar)
-    if dist > c + 1e-12:
-        raise NotCosineCloseError("not cosine-close")
-    report = critical_points(F)
-    if report.count != 2:
-        raise RuntimeError(
-            f"two-point conclusion failed: {report.count} critical points at c={c}"
-        )
-    if report.beta < (1.0 - 2.0 * c) - 1e-9:
-        raise RuntimeError(
-            f"Morse constant {report.beta} below certified 1-2c = {1 - 2 * c}"
-        )
-    return report
 
 
 def cosine_certificate(f: TrigPoly, k: Mode) -> CosineCertificate:
@@ -524,35 +464,4 @@ def cosine_certificate(f: TrigPoly, k: Mode) -> CosineCertificate:
         residual += f.rule.line_tail_majorant(k, j_max + 1, 1.0)
     return CosineCertificate(
         eta=eta, theta0=theta0, residual_majorant=residual, gamma=residual / eta
-    )
-
-
-def morse_constant_high_mode(f: TrigPoly, k: Mode) -> HighModeMorseResult:
-    """Certified Morse lower bound |f_k| for pi_k f at cosine-like modes.
-
-    Requires the certificate residual gamma <= 2^-40 (the high-mode
-    hypothesis); the numerically computed beta of pi_k f is returned alongside
-    and must dominate the certified bound.
-    """
-    cert = cosine_certificate(f, k)
-    if cert.gamma > COSINE_LIKE_THRESHOLD:
-        witness = None
-        best = 0.0
-        for kp, c in f.coeffs.items():
-            j = on_ray(kp, tuple(int(v) for v in k))
-            if j is not None and j >= 2:
-                contrib = 2.0 * abs(c) * math.exp(j)
-                if contrib > best:
-                    best, witness = contrib, kp
-        raise CosineLikenessError(
-            f"cosine-likeness hypothesis fails at mode {k}: gamma={cert.gamma:.3e}",
-            witness=witness,
-        )
-    F = project_lattice(f, tuple(int(v) for v in k))
-    report = critical_points(F)
-    return HighModeMorseResult(
-        certified_lower_bound=abs(f.coeff(k)),
-        computed_beta=report.beta,
-        certificate=cert,
-        report=report,
     )

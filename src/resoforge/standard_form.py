@@ -475,21 +475,6 @@ def build_phi1(secular: SecularHam, r: float, s_breve: float,
     )
 
 
-def phi1_identity_residual(form: DecoupledForm, points, thetas) -> float:
-    """max |Hsec(Phi1(Y, X1)) - ((|k|^2/2) Hsharp + adiabatic)| over samples."""
-    sec = form.secular
-    U = np.array([[float(x) for x in row] for row in form.dm.U])
-    kk2 = float(sum(v * v for v in sec.k))
-    worst = 0.0
-    for Y, theta in zip(points, thetas):
-        Y = np.asarray(Y, dtype=float)
-        yt = U @ Y
-        lhs = sec.value(yt, theta)
-        rhs = 0.5 * kk2 * form.value(Y[0], Y[1:], theta) + form.adiabatic(Y[1:])
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
 # --------------------------------------------------------------------------
 # fixed point of the momentum shift (Phi2) and the final translation (Phi3)
 # --------------------------------------------------------------------------
@@ -799,20 +784,6 @@ def symplectic_check(transform, points) -> float:
     """max over points of |J^T Omega J - Omega| (max entry)."""
     return max((symplectic_defect(transform.jacobian(np.asarray(z, dtype=float)))
                 for z in points), default=0.0)
-
-
-def shear_group_residual(a: ShearMap, b: ShearMap, points) -> float:
-    """max |Psi_a(Psi_b(z)) - Psi_{a+b}(z)|: the abelian group law."""
-    ab = ShearMap(
-        a.n,
-        lambda ph: a.tau(ph) + b.tau(ph),
-        lambda ph: np.asarray(a.dtau(ph)) + np.asarray(b.dtau(ph)),
-    )
-    worst = 0.0
-    for z in points:
-        z = np.asarray(z, dtype=float)
-        worst = max(worst, float(np.max(np.abs(a.apply(b.apply(z)) - ab.apply(z)))))
-    return worst
 
 
 # --------------------------------------------------------------------------

@@ -270,39 +270,6 @@ def decoupling_matrix(um: UnimodularMatrix) -> DecouplingMatrix:
     return DecouplingMatrix(um)
 
 
-def apply_lattice(um: UnimodularMatrix, y_tilde, x_tilde):
-    """The linear symplectic adaptation (y, x) = (A^T y_tilde, A^{-1} x_tilde).
-
-    Exact on Fraction/int inputs; in these variables x_tilde_1 = k.x.
-    """
-    at = mat_transpose([list(r) for r in um.rows])
-    ainv = [list(r) for r in um.inverse]
-    return mat_vec(at, list(y_tilde)), mat_vec(ainv, list(x_tilde))
-
-
-def apply_lattice_inverse(um: UnimodularMatrix, y, x):
-    at_inv = mat_transpose([list(r) for r in um.inverse])
-    a = [list(r) for r in um.rows]
-    return mat_vec(at_inv, list(y)), mat_vec(a, list(x))
-
-
-def apply_phi1(dm: DecouplingMatrix, Y, X):
-    """The kinetic-decoupling map (y_tilde, x_tilde) = (U Y, U^{-T} X).
-
-    Exact on Fraction inputs; block Jacobian diag(U, U^{-T}) is symplectic
-    identically, so the rational symplecticity residual vanishes.
-    """
-    u = dm.U
-    uinv_t = mat_transpose(dm.U_inv)
-    return mat_vec(u, list(Y)), mat_vec(uinv_t, list(X))
-
-
-def apply_phi1_inverse(dm: DecouplingMatrix, y_tilde, x_tilde):
-    uinv = dm.U_inv
-    ut = mat_transpose(dm.U)
-    return mat_vec(uinv, list(y_tilde)), mat_vec(ut, list(x_tilde))
-
-
 def symplectic_residual_exact(dm: DecouplingMatrix) -> int:
     """max |J^T Omega J - Omega| over entries, J = diag(U, U^{-T}), in exact
     rationals (expected to be exactly zero)."""

@@ -8,6 +8,7 @@ and prints the one-line pass/fail summary.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from resoforge import acceptance, cover
@@ -59,7 +60,28 @@ def test_criterion_03_rejects_a_dropped_critical_point(monkeypatch):
 def test_criterion_04_cosine_likeness():
     result = _run(acceptance.criterion_4_cosine_likeness)
     assert result.details["worst_gamma"] < 2.0 ** -40
+    assert result.details["checked"] == 792
+    assert result.details["morse_failures"] == 0
+    # each pi_k f is the pure cosine 2|f_k| cos(theta + theta_k), so beta = 2|f_k|
+    assert result.details["min_beta_over_fk"] == pytest.approx(2.0, rel=1e-9)
     assert result.runtime < 10.0
+
+
+@pytest.mark.parametrize("break_one", [
+    lambda rep: dataclasses.replace(rep, critical_points=np.r_[rep.critical_points, 1.0],
+                                    critical_values=np.r_[rep.critical_values, 0.0]),
+    lambda rep: dataclasses.replace(rep, beta=0.49 * rep.beta),
+], ids=["extra-critical-point", "beta-times-0.49"])
+def test_criterion_04_rejects_a_failed_high_mode_census(monkeypatch, break_one):
+    def census(Fs):
+        reps = critical_points_many(Fs)
+        reps[len(reps) // 2] = break_one(reps[len(reps) // 2])
+        return reps
+
+    monkeypatch.setattr(acceptance, "critical_points_many", census)
+    result = acceptance.criterion_4_cosine_likeness()
+    assert not result.passed
+    assert result.details["morse_failures"] == 1
 
 
 def test_criterion_05_covering_exhaustiveness():

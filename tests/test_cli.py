@@ -316,14 +316,6 @@ class TestInvariantErrors:
             raise exc
         return fail
 
-    def test_contraction_hypothesis_error(self, monkeypatch, free_params_file, capsys):
-        # no CLI input reaches contraction_preimage; the command raises it instead
-        exc = cover.ContractionHypothesisError("hypothesis violated")
-        monkeypatch.setattr(cli, "classify_point", self._raising(exc))
-        code = main(["cover", "classify", "--y", "0.3,0.2", "--params", free_params_file])
-        assert code == EXIT_INVARIANT
-        assert capsys.readouterr().err == "error: hypothesis violated\n"
-
     def test_generator_flow_error(self, monkeypatch, capsys):
         # verify_conjugacy is not a CLI command; normalize raises it instead
         exc = GeneratorFlowError("generator flow failed: step size too small")

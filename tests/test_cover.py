@@ -5,8 +5,6 @@ import pytest
 
 from resoforge import cover
 from resoforge.cover import (
-    CertificateError,
-    ContractionHypothesisError,
     CutoffOrderError,
     OutsideDomainError,
     BatchClassification,
@@ -16,13 +14,10 @@ from resoforge.cover import (
     ball_volume,
     classify_batch,
     classify_point,
-    contraction_preimage,
     derive_params,
     fit_measure_constant,
     free_params,
     measure_R2,
-    nonresonance_certificate,
-    projections,
 )
 
 
@@ -200,6 +195,22 @@ class TestClassification:
     def test_outside_ball_rejected(self):
         with pytest.raises(OutsideDomainError, match="outside unit ball"):
             classify_point((0.8, 0.7), self.params)
+
+    def test_labels_carry_their_nonresonance_bounds(self):
+        # R0: |y.k| > alpha/2 for every order-K0 generator; R1_k: |y.l| >= 2 alpha K/|k|
+        # for every order-K generator l off Z k (a multiple j l only scales |y.l| up)
+        p, seen = self.params, {"R0": 0, "R1": 0}
+        for y in _sample_ball(np.random.default_rng(3), 300, 2):
+            for lab in classify_point(y, p, all_pairs=False):
+                if lab.kind == "R0":
+                    for k in p.generators_K0:
+                        assert abs(float(np.dot(y, k))) > p.alpha / 2
+                elif lab.kind == "R1":
+                    for ell in p.generators_K:
+                        if ell != lab.k:
+                            assert abs(float(np.dot(y, ell))) >= 2 * p.alpha * p.K / _euclid(lab.k)
+                seen[lab.kind] = seen.get(lab.kind, 0) + 1
+        assert seen["R0"] > 0 and seen["R1"] > 0
 
     def test_exhaustiveness_sampled(self):
         rng = np.random.default_rng(0)
@@ -398,43 +409,6 @@ class TestBallPoints:
         assert a.tobytes() == next(ball_points(2, 10, 1)).tobytes() != b.tobytes()
 
 
-class TestCertificates:
-    def setup_method(self):
-        self.params = free_params(2, 1.0, alpha=0.05, K0=2, K=5)
-
-    def test_r0_certificate_and_minimizer(self):
-        y = np.array([0.31, 0.47])
-        cert = nonresonance_certificate(y, self.params, "R0")
-        direct = min(
-            abs(float(np.dot(y, k))) for k in self.params.generators_K0
-        )
-        assert cert.min_value == pytest.approx(direct)
-        assert cert.min_value > self.params.alpha / 2
-
-    def test_certificates_match_labels_on_samples(self):
-        rng = np.random.default_rng(3)
-        Y = _sample_ball(rng, 300, 2)
-        for y in Y:
-            for lab in classify_point(y, self.params, all_pairs=False):
-                if lab.kind == "R0":
-                    nonresonance_certificate(y, self.params, "R0")
-                elif lab.kind == "R1":
-                    nonresonance_certificate(y, self.params, "R1", k=lab.k)
-
-    def test_resonant_point_fails_r0(self):
-        y = np.array([0.0, 0.6])  # on the hyperplane y.(1,0) = 0
-        with pytest.raises(CertificateError) as err:
-            nonresonance_certificate(y, self.params, "R0")
-        assert err.value.mode == (1, 0)
-
-    def test_euclid_reading_is_stricter(self):
-        # the euclidean ball contains the l1 ball, so its minimum is <= too
-        y = np.array([0.31, 0.47])
-        l1_cert = nonresonance_certificate(y, self.params, "R0", norm="l1")
-        eu_cert = nonresonance_certificate(y, self.params, "R0", norm="euclid")
-        assert eu_cert.min_value <= l1_cert.min_value + 1e-15
-
-
 class TestMeasure:
     def test_alpha_scaling(self):
         pa = free_params(2, 1.0, alpha=0.04, K0=2, K=5)
@@ -484,79 +458,3 @@ class TestMeasure:
     def test_ball_volume(self):
         assert ball_volume(2) == pytest.approx(math.pi)
         assert ball_volume(3) == pytest.approx(4 * math.pi / 3)
-
-
-class TestContraction:
-    def test_identity_map(self):
-        res = contraction_preimage(lambda y: y, np.array([0.3, -0.2]), 0.1, 0.05)
-        assert np.allclose(res.y, [0.3, -0.2])
-        assert res.residual < 1e-13
-
-    def test_translation_inverted_exactly(self):
-        c = 0.03
-        res = contraction_preimage(lambda y: y + c, np.full(2, 0.5), 0.1, 0.05)
-        assert np.allclose(res.y, 0.5 - c, atol=1e-14)
-
-    def test_sin_perturbation(self):
-        res = contraction_preimage(
-            lambda y: y + 0.1 * np.sin(y), np.array([0.2]), 0.5, 0.16
-        )
-        assert res.residual < 1e-13
-        assert res.empirical_contraction <= 0.16 / 0.5 + 1e-9
-
-    def test_hypothesis_violation_detected(self):
-        with pytest.raises(ContractionHypothesisError):
-            contraction_preimage(lambda y: y + 0.2, np.zeros(1), 0.1, 0.05)
-
-    def test_noncontraction_rejected(self):
-        with pytest.raises(ContractionHypothesisError):
-            contraction_preimage(lambda y: 3.0 * y + 0.001, np.zeros(1), 0.1, 0.05)
-
-    def test_randomized_maps(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            r = rng.uniform(0.05, 0.3)
-            amp = rng.uniform(0.05, 0.8) * r / 2
-            freq = rng.uniform(0.5, 2.0)
-            phase = rng.uniform(0, 2 * np.pi)
-            y0 = rng.uniform(-0.5, 0.5, 2)
-
-            def phi(y, amp=amp, freq=freq, phase=phase):
-                return y + amp * np.sin(freq * y + phase)
-
-            # |phi - id| <= amp sqrt(2) cosh(2 r freq) on the complex 2r-ball
-            M = amp * math.sqrt(2.0) * np.cosh(freq * 2 * r) * 1.001
-            if M >= r:
-                continue
-            res = contraction_preimage(phi, y0, r, M, seed=int(rng.integers(1 << 30)))
-            assert res.residual < 1e-13
-            assert res.empirical_contraction <= M / r + 1e-9
-
-
-class TestProjections:
-    def test_parallel(self):
-        para, perp = projections([2.0, 4.0], [1, 2])
-        assert np.allclose(para, [2.0, 4.0]) and np.allclose(perp, 0.0)
-
-    def test_orthogonal(self):
-        para, perp = projections([2.0, -1.0], [1, 2])
-        assert np.allclose(para, 0.0) and np.allclose(perp, [2.0, -1.0])
-
-    def test_coordinate_case(self):
-        para, perp = projections([1.0, 1.0], [1, 0])
-        assert np.allclose(para, [1.0, 0.0]) and np.allclose(perp, [0.0, 1.0])
-
-    def test_decomposition_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            y = rng.normal(size=3)
-            k = rng.integers(-4, 5, size=3)
-            if not np.any(k):
-                continue
-            para, perp = projections(y, k)
-            assert np.allclose(para + perp, y, atol=1e-14)
-            assert abs(np.dot(perp, k)) < 1e-12
-
-    def test_zero_direction_rejected(self):
-        with pytest.raises(ValueError):
-            projections([1.0, 2.0], [0, 0])

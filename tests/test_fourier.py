@@ -19,12 +19,9 @@ from resoforge.fourier import (
     lacunary_potential,
     lattice_projections,
     load_potential,
-    norm_majorant,
-    norm_weighted_sup,
     on_ray,
     project_lattice,
     save_potential,
-    strip_sup_interval,
     two_mode_potential,
 )
 
@@ -81,59 +78,10 @@ class TestGenerators:
 
 
 class TestNorms:
-    def test_lacunary_weighted_sup_is_one(self):
-        f = lacunary_potential(2, 1.0, k_max=25)
-        assert norm_weighted_sup(f, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_function(self):
-        z = TrigPoly(2, {})
-        assert norm_weighted_sup(z, 1.0) == 0.0
-        assert norm_majorant(z, 1.0) == 0.0
-
-    def test_single_mode_weighted(self):
-        f = TrigPoly(2, {(1, 0): 0.5})
-        assert norm_weighted_sup(f, 1.0) == pytest.approx(0.5 * math.e, rel=1e-14)
-
-    def test_majorant_single_pair(self):
-        a, s = 0.7, 0.9
-        f = TrigPoly(2, {(1, 0): a})
-        assert norm_majorant(f, s) == pytest.approx(2 * a * math.exp(s), rel=1e-14)
-
-    def test_majorant_two_pairs_s0(self):
-        f = TrigPoly(2, {(1, 0): 1.0, (0, 1): 1.0})
-        assert norm_majorant(f, 0.0) == pytest.approx(4.0)
-
-    def test_norm_chain_on_random_potentials(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            f = random_poly(rng)
-            s = rng.uniform(0.2, 1.0)
-            lo, hi = strip_sup_interval(f, s, samples=4096, seed=1)
-            w = norm_weighted_sup(f, s)
-            assert w <= lo * (1 + 1e-6) + 1e-12
-            assert lo <= hi + 1e-12
-
-    def test_smoothing_property(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            N = int(rng.integers(2, 5))
-            modes = {}
-            for k in iter_half_ball(2, 6):
-                if l1(k) >= N and rng.uniform() < 0.4:
-                    modes[k] = complex(rng.normal(), rng.normal())
-            if not modes:
-                continue
-            f = TrigPoly(2, modes)
-            s = 1.0
-            sp = rng.uniform(0.1, 1.0)
-            assert norm_majorant(f, sp) <= math.exp(-(s - sp) * N) * norm_majorant(f, s) * (1 + 1e-12)
-
     def test_rule_norm_diverges(self):
         f = lacunary_potential(2, 0.5, k_max=10)
         with pytest.raises(NormDivergesError, match="norm diverges"):
-            norm_weighted_sup(f, 0.6)
-        with pytest.raises(NormDivergesError):
-            norm_majorant(f, 0.5)
+            f.rule.majorant_norm(0.5)
 
     def test_rule_majorant_matches_materialization(self):
         # at width 0 the tail beyond the materialization window is ~e^{-30}
@@ -412,7 +360,6 @@ class TestValuesOnGrid:
         for order in range(4):
             got = OneDTrigPoly({}).values_on_grid(m, order)
             assert got.shape == (m,) and not got.any()
-        assert OneDTrigPoly({}).grids(m, range(3)).shape == (3, m)
 
 
 def per_order_values_on_grid(F, m, order=0):
@@ -430,9 +377,9 @@ def per_order_values_on_grid(F, m, order=0):
 
 
 class TestMultiOrderGrid:
-    """grids(m, orders) takes every order from one unnormalized irfft per row.
-    For m a power of two, 1/m is exact, so each row has the bytes of the
-    per-order m * irfft; values_on_grid is its single-order row."""
+    """values_on_grid takes each order from one unnormalized irfft.  For m a
+    power of two, 1/m is exact, so it has the bytes of the per-order
+    m * irfft."""
 
     @pytest.mark.parametrize("orders", [(0, 1, 2), (1, 2), (2, 0), (3,)])
     @pytest.mark.parametrize("m", [1, 2, 8, 16, 64, 512, 4096, 1 << 14])
@@ -442,20 +389,17 @@ class TestMultiOrderGrid:
             for scale in (1.0, 1e-25, 1e3):
                 js = rng.permutation(np.arange(1, degree + 1))[:max(1, degree // 2)]
                 F = OneDTrigPoly({int(j): scale * complex(rng.normal(), rng.normal()) for j in js})
-                got = F.grids(m, orders)
-                assert got.shape == (len(orders), m)
-                for row, order in zip(got, orders):
+                for order in orders:
                     want = per_order_values_on_grid(F, m, order)
-                    assert row.tobytes() == want.tobytes()
                     assert F.values_on_grid(m, order).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m,degree", TestValuesOnGrid.CASES)
     def test_rows_match_direct_sum(self, m, degree):
         # odd m too, where the unnormalized transform skips the rounding of 1/m
         F = TestValuesOnGrid.poly(degree, seed=m * 100 + degree)
-        for row, order in zip(F.grids(m, range(4)), range(4)):
+        for order in range(4):
             scale = sum(j ** order * abs(c) for j, c in F.coeffs.items())
-            np.testing.assert_allclose(row, reference_values_on_grid(F, m, order),
+            np.testing.assert_allclose(F.values_on_grid(m, order), reference_values_on_grid(F, m, order),
                                        rtol=0, atol=1e-13 * scale)
 
 

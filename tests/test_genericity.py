@@ -13,16 +13,13 @@ from resoforge.fourier import (
     project_lattice,
 )
 from resoforge.genericity import (
-    LOCUS_GRID,
     CutoffBelowThresholdError,
-    DegeneracyLocus,
     Failure,
     GenericityParams,
     MembershipReport,
     check_low_mode_morse,
     check_lower_bound,
     check_membership,
-    degeneracy_locus,
     empirical_genericity,
     sample_product_measure,
     threshold_N,
@@ -361,165 +358,3 @@ class TestEmpiricalGenericity:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             empirical_genericity(2, 1.0, 0.5, 0, 1)
-
-
-class TestDegeneracyLocus:
-    def test_zero_residual_gives_origin(self):
-        locus = degeneracy_locus(OneDTrigPoly({}))
-        assert locus.gamma1.tolist() == [0j]
-        assert locus.gamma2.size == 0
-        assert locus.distance(0.3 + 0.1j) == pytest.approx(abs(0.3 + 0.1j))
-
-    def test_cos_two_theta_curve_value(self):
-        # z(0) = (i G'(0) + G''(0))/2 = -2 for G = cos 2 theta
-        G = OneDTrigPoly({2: 0.5})
-        locus = degeneracy_locus(G)
-        assert locus.distance(-2.0 + 0.0j) < 1e-3
-
-    def test_rejects_low_modes(self):
-        with pytest.raises(ValueError):
-            degeneracy_locus(OneDTrigPoly({1: 0.5}))
-
-    def test_far_coefficients_give_morse_distinct(self):
-        G = OneDTrigPoly({2: 0.15, 3: 0.1j})
-        locus = degeneracy_locus(G)
-        rng = np.random.default_rng(17)
-        for _ in range(12):
-            z = rng.normal() + 1j * rng.normal()
-            if locus.distance(z) < 0.3:
-                continue
-            F = OneDTrigPoly({1: z, **G.coeffs})
-            rep = critical_points(F)
-            assert rep.beta > 0
-            assert rep.distinct_values
-
-
-def _reference_zeta(G: OneDTrigPoly, t1: float, t2: float) -> complex:
-    g1 = G.derivative(1)
-    if abs(np.exp(1j * t1) - np.exp(1j * t2)) < 1e-12:
-        g2 = G.derivative(2)
-        return complex(
-            (g2.evaluate(t1) + 1j * g1.evaluate(t1)) / (2.0 * np.exp(1j * t1))
-        )
-    num = (
-        g1.evaluate(t1) - g1.evaluate(t2)
-        + 1j * G.evaluate(t1) - 1j * G.evaluate(t2)
-    )
-    return complex(1j * num / (2.0 * (np.exp(1j * t1) - np.exp(1j * t2))))
-
-
-# the per-cell contouring by 40-step bisection that degeneracy_locus replaced
-def reference_degeneracy_locus(G: OneDTrigPoly, grid: int = 512) -> DegeneracyLocus:
-    """Sample the two degeneracy curves for a residual G with |j| >= 2 modes."""
-    if any(j < 2 for j in G.coeffs):
-        raise ValueError("residual must have modes |j| >= 2 only")
-    if G.is_zero:
-        return DegeneracyLocus(
-            gamma1=np.array([0.0 + 0.0j]),
-            gamma2=np.array([], dtype=complex),
-            zero_pairs=np.zeros((0, 2)),
-        )
-
-    m1 = 4096
-    theta = np.arange(m1) * (TWO_PI / m1)
-    gp = G.values_on_grid(m1, order=1)
-    gpp = G.values_on_grid(m1, order=2)
-    gamma1 = 0.5 * np.exp(-1j * theta) * (1j * gp + gpp)
-
-    # g(t1, t2) = (1 - cos(t1-t2)) (G'(t1) + G'(t2)) - sin(t1-t2)(G(t1) - G(t2))
-    t = np.arange(grid) * (TWO_PI / grid)
-    g0 = G.values_on_grid(grid, order=0)
-    g1v = G.values_on_grid(grid, order=1)
-    D = t[:, None] - t[None, :]
-    gmat = (1.0 - np.cos(D)) * (g1v[:, None] + g1v[None, :]) - np.sin(D) * (
-        g0[:, None] - g0[None, :]
-    )
-
-    gprime = G.derivative(1)
-
-    def g_at(t1: float, t2: float) -> float:
-        d = t1 - t2
-        return float(
-            (1.0 - math.cos(d)) * (gprime.evaluate(t1).real + gprime.evaluate(t2).real)
-            - math.sin(d) * (G.evaluate(t1).real - G.evaluate(t2).real)
-        )
-
-    h = TWO_PI / grid
-    zeros: list[tuple[float, float]] = []
-    # the diagonal is a trivial zero line (it reproduces gamma1); skip a band
-    # of two cells around it and contour the rest by edge bisection
-    diag_skip = 2
-    for i in range(grid):
-        for j in range(grid):
-            di = min((i - j) % grid, (j - i) % grid)
-            if di <= diag_skip:
-                continue
-            a = gmat[i, j]
-            b = gmat[(i + 1) % grid, j]
-            if a == 0.0:
-                zeros.append((t[i], t[j]))
-            elif a * b < 0:
-                lo, hi_ = t[i], t[i] + h
-                fa = a
-                for _ in range(40):
-                    mid = 0.5 * (lo + hi_)
-                    fm = g_at(mid, t[j])
-                    if fa * fm <= 0:
-                        hi_ = mid
-                    else:
-                        lo, fa = mid, fm
-                zeros.append((0.5 * (lo + hi_), t[j]))
-            c = gmat[i, (j + 1) % grid]
-            if a * c < 0:
-                lo, hi_ = t[j], t[j] + h
-                fa = a
-                for _ in range(40):
-                    mid = 0.5 * (lo + hi_)
-                    fm = g_at(t[i], mid)
-                    if fa * fm <= 0:
-                        hi_ = mid
-                    else:
-                        lo, fa = mid, fm
-                zeros.append((t[i], 0.5 * (lo + hi_)))
-
-    zero_pairs = np.array(zeros) if zeros else np.zeros((0, 2))
-    gamma2 = np.array([_reference_zeta(G, t1, t2) for t1, t2 in zeros], dtype=complex)
-    return DegeneracyLocus(gamma1=gamma1, gamma2=gamma2, zero_pairs=zero_pairs)
-
-
-def _trig(G: OneDTrigPoly, t: np.ndarray, order: int) -> np.ndarray:
-    """The order-th derivative of G at the points t, summed mode by mode."""
-    return sum(2.0 * (c * (1j * j) ** order * np.exp(1j * j * t)).real
-               for j, c in G.coeffs.items())
-
-
-RESIDUALS = [{2: 0.5}, {2: 0.15, 3: 0.1j}, {2: 0.3, 3: 0.1 - 0.2j, 5: 0.05}]
-
-
-class TestDegeneracyLocusAgainstReference:
-    @pytest.mark.parametrize("coeffs", RESIDUALS[:2])
-    def test_matches_bisection_reference(self, coeffs):
-        G = OneDTrigPoly(coeffs)
-        ref, new = reference_degeneracy_locus(G), degeneracy_locus(G)
-        assert np.array_equal(new.gamma1, ref.gamma1)
-        assert len(new.zero_pairs) == len(ref.zero_pairs) > 0
-        dist = np.abs(ref.zero_pairs[:, None, :] - new.zero_pairs[None, :, :]).max(axis=2)
-        nearest, matched = dist.argmin(axis=1), dist.min(axis=1) <= 1e-9
-        # where a grid edge carries three zeros the two methods may pick different ones
-        assert matched.mean() >= 0.999
-        assert np.max(np.abs(new.gamma2[nearest[matched]] - ref.gamma2[matched])) <= 1e-9
-
-    @pytest.mark.parametrize("coeffs", RESIDUALS)
-    def test_zero_pairs_are_symmetric_off_diagonal_zeros(self, coeffs):
-        G = OneDTrigPoly(coeffs)
-        locus = degeneracy_locus(G)
-        t1, t2 = locus.zero_pairs.T
-        assert locus.gamma2.shape == t1.shape and t1.size > 0
-        g = (1.0 - np.cos(t1 - t2)) * (_trig(G, t1, 1) + _trig(G, t2, 1)) - np.sin(t1 - t2) * (
-            _trig(G, t1, 0) - _trig(G, t2, 0))
-        assert np.max(np.abs(g)) <= 1e-13
-        gap = np.abs(t1 - t2) % TWO_PI
-        assert np.min(np.minimum(gap, TWO_PI - gap)) > 2 * TWO_PI / LOCUS_GRID
-        pairs = locus.zero_pairs[np.lexsort(locus.zero_pairs.T[::-1])]
-        swapped = locus.zero_pairs[:, ::-1]
-        assert np.array_equal(pairs, swapped[np.lexsort(swapped.T[::-1])])

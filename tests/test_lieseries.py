@@ -9,23 +9,19 @@ from scipy.integrate import solve_ivp
 from resoforge.cover import free_params
 from resoforge.fourier import (
     TrigPoly,
-    lacunary_potential,
     on_ray,
     project_lattice,
     two_mode_potential,
 )
-from resoforge.genericity import threshold_N
 from resoforge.lieseries import (
     AveragedNF,
     NaturalHam,
     SmallDivisorError,
     TaylorFourierSeries,
     TruncationLedger,
-    cosine_rescale,
     kinetic_series,
     lie_step_nonres,
     lie_step_res,
-    nf_remainder_norm,
     ray_majorant,
     ray_series,
     solve_homological,
@@ -871,6 +867,11 @@ class TestResonantStep:
             lie_step_res(ham, self.k, params, np.array([0.05, -0.04]), order=1)
 
 
+def nf_remainder_norm(nf, r, s_prime):
+    """ell^1 majorant of sum_j eps^j f_rem_j on the r-polydisk and the s_prime-strip."""
+    return sum(nf.epsilon ** j * nf.f_rem[j].majorant(r, s_prime) for j in range(1, nf.order + 1))
+
+
 class TestRemainderNorm:
     def test_zero_remainder(self):
         f = TrigPoly.from_cosines(2, {(1, 1): 0.8})
@@ -1009,53 +1010,3 @@ class TestConjugacy:
         e0 = ham.value(z0[:2], z0[2:])
         e1 = ham.value(sol.y[:2, -1], sol.y[2:, -1])
         assert abs(e1 - e0) < 1e-10
-
-
-class TestCosineRescale:
-    def setup_method(self):
-        # wide strip so the threshold N is desk-scale; k = (4,3) sits above it
-        self.s = 8.0
-        self.n = 2
-        self.k = (4, 3)
-        self.params = free_params(2, self.s, alpha=1e-3, K0=7, K=42)
-        self.y0 = np.array([0.48, -0.64])
-
-    def test_pure_line_identity_exact(self):
-        a = math.exp(-self.s * 7)
-        f = TrigPoly(2, {self.k: a})
-        ham = NaturalHam(2, 1e-3, f)
-        nf = lie_step_res(ham, self.k, self.params, self.y0, order=1)
-        form = cosine_rescale(nf, f, 1.0, self.params)
-        assert form.F_star.is_zero
-        assert all(t.is_empty for t in form.g_star_grades)
-        assert form.identity_residual < 1e-15
-        assert form.eta == pytest.approx(2 * a)
-
-    def test_lacunary_f_star_below_threshold(self):
-        f = lacunary_potential(2, self.s, k_max=9)
-        ham = NaturalHam(2, 1e-4, f)
-        nf = lie_step_res(ham, self.k, self.params, self.y0, order=1)
-        form = cosine_rescale(nf, f, 1.0, self.params)
-        # lacunary rays carry no |j| >= 2 modes at all
-        assert 2 * abs(f.coeff(self.k)) * form.F_star.tail_strip1 <= 2 ** -40
-        assert form.F_star.is_zero
-        assert form.identity_residual < 1e-12
-
-    def test_theta_k_scale_invariant(self):
-        f = lacunary_potential(2, self.s, k_max=9)
-        ham = NaturalHam(2, 1e-4, f)
-        nf = lie_step_res(ham, self.k, self.params, self.y0, order=1)
-        base = cosine_rescale(nf, f, 1.0, self.params)
-        scaled_f = TrigPoly(2, {k: 7.0 * c for k, c in f.coeffs.items()})
-        nf2 = lie_step_res(NaturalHam(2, 1e-4, scaled_f), self.k, self.params,
-                           self.y0, order=1)
-        scaled = cosine_rescale(nf2, scaled_f, 1.0, self.params)
-        assert scaled.theta_k == pytest.approx(base.theta_k, abs=1e-12)
-
-    def test_below_threshold_rejected(self):
-        f = lacunary_potential(2, 1.0, k_max=8)
-        params = free_params(2, 1.0, alpha=1e-3, K0=2, K=12)
-        ham = NaturalHam(2, 1e-4, f)
-        nf = lie_step_res(ham, (1, 1), params, np.array([0.5, -0.5]), order=1)
-        with pytest.raises(ValueError, match="below the threshold"):
-            cosine_rescale(nf, f, 1.0, params)

@@ -15,24 +15,18 @@ from resoforge import morse
 from resoforge.genericity import sample_product_measure, threshold_N
 from resoforge.morse import (
     ConstantFunctionError,
-    CosineLikenessError,
     MorseReport,
-    NotCosineCloseError,
     VanishingLeadingModeError,
     _bernstein as bernstein,
-    _derivative_rows,
     _exact_zeros as exact_zeros,
     _polish,
     _roots01 as roots01,
     _squarefree as squarefree,
     _values,
-    c2_distance_to_cosine,
     c2_distances_to_cosine,
     cosine_certificate,
     critical_points,
     critical_points_many,
-    morse_constant_high_mode,
-    two_point_morse_check,
 )
 from test_fourier import per_order_values_on_grid, reference_values_on_grid
 
@@ -201,6 +195,13 @@ class TestCloseCriticalPoints:
             assert np.min(np.abs((t - roots + math.pi) % TWO_PI - math.pi)) <= 1e-5
 
 
+def derivative_rows(F, orders):
+    """(js, rows): row k holds the coefficients c_j (ij)^orders[k] of F^(orders[k])."""
+    js = np.fromiter(F.coeffs, dtype=float, count=len(F.coeffs))
+    c = np.fromiter(F.coeffs.values(), dtype=complex, count=len(js))
+    return js, np.stack([c * (1j * js) ** k for k in orders])
+
+
 def reference_critical_points(F):
     """The per-polynomial census: F' and F'' from two per-order grids, the
     cells picked with np.roll, and one _polish call for F's brackets alone."""
@@ -209,7 +210,7 @@ def reference_critical_points(F):
     a1, a2 = np.abs(f1), np.abs(f2)
     if float(np.max(a1)) < 1e-300:
         raise ConstantFunctionError("constant function")
-    js, rows = _derivative_rows(F, range(4))
+    js, rows = derivative_rows(F, range(4))
     c2, c3 = rows[2], rows[3]
     lip2, lip3 = h * np.abs(c2).sum(), h * np.abs(c3).sum()
     gph = a1 + a2
@@ -541,22 +542,22 @@ class TestC2Distance:
             Fs.append(OneDTrigPoly.from_cosine(1.0, shifts[-1]).plus(OneDTrigPoly(pert)))
         assert len({tuple(F.coeffs) for F in Fs}) < len(Fs)
         got = c2_distances_to_cosine(Fs, shifts)
-        assert got == [c2_distance_to_cosine(F, shift) for F, shift in zip(Fs, shifts)]
+        assert got == [c2_distances_to_cosine([F], [shift])[0] for F, shift in zip(Fs, shifts)]
         assert got[0] == 0.0
 
     def test_exact_match_is_zero(self):
         F = OneDTrigPoly.from_cosine(1.0, 0.77)
-        assert c2_distance_to_cosine(F, 0.77) == 0.0
+        assert c2_distances_to_cosine([F], [0.77]) == [0.0]
 
     def test_scaled_cosine(self):
         a = 0.3
         F = OneDTrigPoly.from_cosine(1.0 + a)
-        assert c2_distance_to_cosine(F, 0.0) == pytest.approx(a, rel=1e-12)
+        assert c2_distances_to_cosine([F], [0.0])[0] == pytest.approx(a, rel=1e-12)
 
     def test_second_harmonic_dominated_by_second_derivative(self):
         b = 0.07
         F = OneDTrigPoly({1: 0.5, 2: b / 2})
-        assert c2_distance_to_cosine(F, 0.0) == pytest.approx(4 * b, rel=1e-10)
+        assert c2_distances_to_cosine([F], [0.0])[0] == pytest.approx(4 * b, rel=1e-10)
 
     def test_distance_scales_with_the_perturbation(self):
         # delta^(k) of cos + s raw is s raw^(k), so its distance is s times that
@@ -568,30 +569,27 @@ class TestC2Distance:
                     for j in range(1, 6) if rng.uniform() < 0.7}
             raw = OneDTrigPoly(pert) if pert else OneDTrigPoly({2: 0.01})
             base = OneDTrigPoly.from_cosine(1.0, shift)
-            c_raw = c2_distance_to_cosine(base.plus(raw), shift)
+            c_raw, = c2_distances_to_cosine([base.plus(raw)], [shift])
             s = rng.uniform(0.02, 0.49) / c_raw
-            c = c2_distance_to_cosine(base.plus(raw.scaled(s)), shift)
+            c, = c2_distances_to_cosine([base.plus(raw.scaled(s))], [shift])
             assert c == pytest.approx(s * c_raw, rel=1e-12, abs=0.0)
 
 
 class TestTwoPointCheck:
+    """Within C^2 distance c < 1/2 of a shifted cosine, F has exactly two
+    critical points and beta >= 1 - 2c; criterion 3 checks this in batches."""
+
     def test_pure_cosine(self):
-        rep = two_point_morse_check(OneDTrigPoly.from_cosine(1.0), 0.0)
+        rep = critical_points(OneDTrigPoly.from_cosine(1.0))
         assert rep.count == 2
         assert rep.beta >= 1.0 - 1e-12
 
     def test_small_sin3_perturbation(self):
         F = OneDTrigPoly({1: 0.5, 3: 0.05 / (2j)})
-        c = c2_distance_to_cosine(F, 0.0)
-        rep = two_point_morse_check(F, c)
+        c, = c2_distances_to_cosine([F], [0.0])
+        rep = critical_points(F)
         assert rep.count == 2
         assert rep.beta >= 1 - 2 * c - 1e-9
-
-    def test_rejects_far_functions(self):
-        with pytest.raises(NotCosineCloseError, match="not cosine-close"):
-            two_point_morse_check(OneDTrigPoly({2: 0.5}), 0.1)
-        with pytest.raises(NotCosineCloseError):
-            two_point_morse_check(OneDTrigPoly.from_cosine(1.0), 0.6)
 
     def test_randomized_property(self):
         rng = np.random.default_rng(11)
@@ -601,10 +599,10 @@ class TestTwoPointCheck:
                     for j in range(2, 6)}
             raw = OneDTrigPoly(pert)
             base = OneDTrigPoly.from_cosine(1.0, shift)
-            c_raw = c2_distance_to_cosine(base.plus(raw), shift)
+            c_raw, = c2_distances_to_cosine([base.plus(raw)], [shift])
             scale = rng.uniform(0.05, 0.49) / c_raw
             F = base.plus(raw.scaled(scale))
-            c = c2_distance_to_cosine(F, shift)
+            c, = c2_distances_to_cosine([F], [shift])
             assert c < 0.5
             rep = critical_points(F)
             assert rep.count == 2
@@ -657,25 +655,19 @@ class TestCosineCertificate:
 
 
 class TestHighModeMorse:
+    """A 2^-40-cosine-like pi_k f has beta >= |f_k|; criterion 4 checks this
+    on every generator of its window in one census."""
+
     def test_lacunary_certified_bound(self):
         f = lacunary_potential(2, 1.0, k_max=16)
         for k in ((2, 1), (3, -2)):
-            res = morse_constant_high_mode(f, k)
-            assert res.computed_beta >= res.certified_lower_bound
+            beta = critical_points(project_lattice(f, k)).beta
+            assert beta >= abs(f.coeff(k))
             # pure cosine projection: beta = 2|f_k|
-            assert res.computed_beta == pytest.approx(
-                2 * abs(f.coeff(k)), rel=1e-9
-            )
-
-    def test_hypothesis_failure_carries_witness(self):
-        f = TrigPoly(2, {(1, 0): 1.0, (2, 0): 0.3})
-        with pytest.raises(CosineLikenessError) as err:
-            morse_constant_high_mode(f, (1, 0))
-        assert err.value.witness == (2, 0)
+            assert beta == pytest.approx(2 * abs(f.coeff(k)), rel=1e-9)
 
     def test_projection_beta_dominates_certificate(self):
         # within the cosine-like regime the certified chain applies
         f = TrigPoly(2, {(1, 0): 1.0, (2, 0): 1e-14})
-        res = morse_constant_high_mode(f, (1, 0))
-        assert res.certificate.gamma <= 2.0 ** -40
-        assert res.computed_beta >= 1.0
+        assert cosine_certificate(f, (1, 0)).gamma <= 2.0 ** -40
+        assert critical_points(project_lattice(f, (1, 0))).beta >= 1.0

@@ -7,15 +7,12 @@ import pytest
 from resoforge.fourier import generators
 from resoforge.unimodular import (
     NotAGeneratorError,
-    apply_lattice,
-    apply_lattice_inverse,
-    apply_phi1,
-    apply_phi1_inverse,
     complete_to_sl,
     decoupling_matrix,
     int_adjugate,
     int_det,
     kinetic_split_residual,
+    mat_transpose,
     mat_vec,
     symplectic_residual_exact,
 )
@@ -160,31 +157,30 @@ class TestSymplecticMaps:
             assert symplectic_residual_exact(dm) == 0
 
     def test_phi1_composition_with_inverse(self):
+        # Phi1 (Y, X) -> (U Y, U^{-T} X) and its inverse (U^{-1} y, U^T x), exactly
         rng = np.random.default_rng(3)
         dm = decoupling_matrix(complete_to_sl((3, -1, 2)))
         for _ in range(100):
             Y = random_rational_vector(rng, 3)
             X = random_rational_vector(rng, 3)
-            yt, xt = apply_phi1(dm, Y, X)
-            Y2, X2 = apply_phi1_inverse(dm, yt, xt)
-            assert Y2 == Y and X2 == X
+            yt, xt = mat_vec(dm.U, Y), mat_vec(mat_transpose(dm.U_inv), X)
+            assert mat_vec(dm.U_inv, yt) == Y and mat_vec(mat_transpose(dm.U), xt) == X
 
     def test_identity_decoupling_is_fixed_point(self):
         dm = decoupling_matrix(complete_to_sl((1, 0, 0)))
         Y = [Fraction(1, 3), Fraction(2, 7), Fraction(-1, 2)]
         X = [Fraction(5, 9), Fraction(0), Fraction(3, 4)]
-        yt, xt = apply_phi1(dm, Y, X)
-        assert yt == Y and xt == X
+        assert mat_vec(dm.U, Y) == Y and mat_vec(mat_transpose(dm.U_inv), X) == X
 
     def test_lattice_adaptation_angle_identity(self):
-        # x_tilde_1 = k.x exactly in rationals under the lattice map
+        # x_tilde = A x has x_tilde_1 = k.x, and (A^T y_tilde, A^{-1} x_tilde)
+        # inverts it, exactly in rationals
         rng = np.random.default_rng(4)
         for k in ((2, 3), (1, -2, 2)):
             um = complete_to_sl(k)
             for _ in range(50):
                 y = random_rational_vector(rng, len(k))
                 x = random_rational_vector(rng, len(k))
-                yt, xt = apply_lattice_inverse(um, y, x)
+                yt, xt = mat_vec(mat_transpose(um.inverse), y), mat_vec(um.rows, x)
                 assert xt[0] == sum(Fraction(ki) * xi for ki, xi in zip(k, x))
-                y2, x2 = apply_lattice(um, yt, xt)
-                assert y2 == y and x2 == x
+                assert mat_vec(mat_transpose(um.rows), yt) == y and mat_vec(um.inverse, xt) == x
