@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -76,31 +76,59 @@ class TruncationLedger:
 _BLOCK_PAIRS = 4096
 
 
+class _Slots(NamedTuple):
+    """The admissible keys (k, m) of an algebra, |k|_1 <= cutoff and |m| <=
+    max_degree, one compact slot each: mode rank x len(monos) + monomial rank.
+    A mode is ranked by a lookup over its packed digits (k_i + cutoff, radix
+    2 cutoff + 1), a monomial over its digits (m_i, radix max_degree + 1)."""
+
+    cutoff: int
+    modes: np.ndarray      # (n_modes, n), in packed order
+    monos: np.ndarray      # (n_monos, n), in packed order
+    w_k: np.ndarray        # digit weights of a packed mode
+    w_m: np.ndarray        # digit weights of a packed monomial
+    mode_base: np.ndarray  # packed mode -> its rank x n_monos (negative off the algebra)
+    mono_rank: np.ndarray  # packed monomial -> its rank (-1 off the algebra)
+
+    def of(self, K: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """The slots of the admissible rows (K, M)."""
+        return self.mode_base[(K + self.cutoff) @ self.w_k] + self.mono_rank[M @ self.w_m]
+
+
 @cache
-def _key_weights(n: int, cutoff: int, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """(w_k, w_m) of the packed key sum_i w_k[i] (k_i + cutoff) + w_m[i] m_i:
-    mixed radix 2 cutoff + 1 per mode entry, max_degree + 1 per exponent."""
-    radix_k, radix_m, digits = 2 * cutoff + 1, max_degree + 1, np.arange(n, dtype=np.int64)
-    assert (radix_k * radix_m) ** n < 2 ** 63, "packed (k, m) key overflows int64"
-    return radix_m ** n * radix_k ** digits, radix_m ** digits
+def _slots(n: int, cutoff: int, max_degree: int) -> _Slots:
+    def ranked(radix: int, shift: int, bound: int):
+        """(rows with l1 norm <= bound, digit weights, packed -> rank) over the
+        digit box of the given radix, digits shifted down by shift."""
+        box = np.indices((radix,) * n).reshape(n, -1).T - shift
+        keep = np.abs(box).sum(axis=1) <= bound
+        rank = np.full(len(box), -1)
+        rank[keep] = np.arange(keep.sum())
+        return box[keep], radix ** np.arange(n)[::-1], rank
+
+    modes, w_k, mode_rank = ranked(2 * cutoff + 1, cutoff, cutoff)
+    monos, w_m, mono_rank = ranked(max_degree + 1, 0, max_degree)
+    return _Slots(cutoff, modes, monos, w_k, w_m, mode_rank * len(monos), mono_rank)
 
 
-def _summed(keys: np.ndarray, first: np.ndarray, re: np.ndarray, im: np.ndarray):
-    """Equal packed keys summed with np.unique + np.bincount, each from 0.0 in row
-    order; a key keeps the `first` of its first row.  Returns (keys, first, re, im)."""
-    keys, pos, inv = np.unique(keys, return_index=True, return_inverse=True)
-    return keys, first[pos], np.bincount(inv, re, len(keys)), np.bincount(inv, im, len(keys))
-
-
-def _kept(first: np.ndarray, re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, coefficients) of the summed keys in order of `first`, exact zeros dropped."""
-    # positions are distinct; the stable sort is the one np.unique already
-    # loaded, so the first bracket pages in no second sort (~0.4 MB RSS)
-    order = np.argsort(first, kind="stable")
-    order = order[(re[order] != 0) | (im[order] != 0)]
-    C = np.empty(len(order), dtype=complex)
-    C.real, C.imag = re[order], im[order]
-    return order, C
+def _fold(table: _Slots, slot: np.ndarray, re: np.ndarray, im: np.ndarray) -> tuple:
+    """(K, M, C) of the contributions re + i im at `slot`, taken in order:
+    equal slots summed from 0.0 in that order, keys listed in order of first
+    contribution, exact zeros dropped.  Sort-free: np.minimum.at gives each
+    slot its first position, and np.bincount sums over those positions, so
+    only the slots in use are touched and no array grows with the algebra."""
+    at = np.arange(len(slot))
+    first = np.empty(len(table.modes) * len(table.monos), dtype=np.int64)
+    first[slot] = len(slot)
+    np.minimum.at(first, slot, at)
+    label = first[slot]
+    pos = np.flatnonzero(label == at)
+    re, im = np.bincount(label, re, len(slot))[pos], np.bincount(label, im, len(slot))[pos]
+    live = (re != 0) | (im != 0)
+    s = slot[pos[live]]
+    C = np.empty(len(s), dtype=complex)
+    C.real, C.imag = re[live], im[live]
+    return table.modes[s // len(table.monos)], table.monos[s % len(table.monos)], C
 
 
 @dataclass(eq=False)
@@ -157,10 +185,8 @@ class TaylorFourierSeries:
         this truncation, one part after another; equal keys summed from 0.0 in
         row order and listed in order of first appearance, exact zeros dropped."""
         K, M, C = (np.concatenate(rows) for rows in zip(*parts))
-        w_k, w_m = _key_weights(self.n, self.cutoff, self.max_degree)
-        _, first, re, im = _summed(K @ w_k + M @ w_m, np.arange(len(C)), C.real, C.imag)
-        order, C = _kept(first, re, im)
-        return K[first[order]], M[first[order]], C
+        table = _slots(self.n, self.cutoff, self.max_degree)
+        return _fold(table, table.of(K, M), C.real, C.imag)
 
     def _sum(self, parts: list["TaylorFourierSeries"]) -> "TaylorFourierSeries":
         """The merge of parts' rows (self among them); one nonempty part sums to C + 0.0."""
@@ -214,19 +240,19 @@ class TaylorFourierSeries:
         The pair (k1, m1, c1) x (k2, m2, c2) contributes, for every coordinate
         j, i (k1_j m2_j - k2_j m1_j) c1 c2 at mode k1 + k2 and monomial
         m1 + m2 - e_j.  The outer product is formed block by block over the
-        rows of self; each (k, m) is packed into one int64 key (`_key_weights`)
-        and equal keys are summed with `_summed` into a running key list.
-        Every key is summed in term-pair order, starting from its first
-        contribution, and the output lists keys in order of first
-        contribution, so the result does not depend on the block size.
-        Contributions beyond (cutoff, max_degree) go to the ledger as one drop.
+        rows of self, and each kept contribution gets the slot of its (k, m)
+        in the algebra (`_slots`).  `_fold` sums the contributions of all
+        blocks at once, each key in term-pair order from 0.0, and lists the
+        keys in order of first contribution, so the result does not depend on
+        the block size.  Contributions beyond (cutoff, max_degree) go to the
+        ledger as one drop.
         """
         if self.is_empty or other.is_empty:
             return self.like()
         n, cut, deg = self.n, self.cutoff, self.max_degree
         K1, M1, C1 = self.K, self.M, self.C
         K2, M2, C2 = other.K, other.M, other.C
-        w_k, w_m = _key_weights(n, cut, deg)
+        table = _slots(n, cut, deg)
         n2 = len(C2)
         rows = max(1, _BLOCK_PAIRS // n2)
         # blocks are laid out (coordinate, row of self, term of other), so every
@@ -236,51 +262,38 @@ class TaylorFourierSeries:
         c1r, c1i, c2r, c2i = C1.real.copy(), C1.imag.copy(), C2.real.copy(), C2.imag.copy()
 
         def block(a0: int):
-            """(positions, keys, real and imaginary parts) of the kept
-            contributions of rows a0.. of self, in term-pair order, and the
-            mass of the dropped ones.  Its temporaries are gone before the merge."""
+            """(slots, real and imaginary parts) of the kept contributions of
+            rows a0.. of self, in term-pair order, and the mass of the dropped ones."""
             k1, m1 = K1t[:, a0:a0 + rows, None], M1t[:, a0:a0 + rows, None]
             ar, ai = c1r[a0:a0 + rows, None], c1i[a0:a0 + rows, None]
             ksum, msum = k1 + K2t, m1 + M2t
             d = k1 * M2t - K2t * m1
-            # c1 c2 (i d) spelled out in real arithmetic, operation by operation
-            # as Python's complex product forms it, so every contribution is
-            # bitwise the scalar one (numpy's vectorised complex multiply is not)
+            # c1 c2 (i d) = (br + i bi)(i d) = -bi d + i br d, with br + i bi
+            # formed as Python's complex product forms it; Python's product
+            # with i d differs only in the sign of zero parts, which neither a
+            # sum from +0.0 nor hypot can see
             br, bi = ar * c2r - ai * c2i, ar * c2i + ai * c2r
-            dr = 0.0 * d - 0.0
-            vr, vi = br * dr - bi * d, br * d + bi * dr
-            live = (d != 0) & ((vr != 0) | (vi != 0))
+            live = (d != 0) & ((br != 0) | (bi != 0))
             fits = (np.abs(ksum).sum(axis=0) <= cut) & (msum.sum(axis=0) <= deg + 1)
-            lost = live & ~fits
+            # dropped contributions, their mass summed in (coordinate, row, term) order
+            at = np.flatnonzero(live & ~fits)
+            pair, d_lost = at % fits.size, d.ravel()[at].astype(float)
+            lost = float(np.hypot(bi.ravel()[pair] * d_lost, br.ravel()[pair] * d_lost).sum())
             # kept contributions in term-pair order: flat (row, term, coordinate)
-            idx = np.flatnonzero((live & fits).transpose(1, 2, 0))
-            at = idx % n * fits.size + idx // n
-            pair_key = w_k @ (ksum + cut).reshape(n, -1) + w_m @ msum.reshape(n, -1)
-            return (a0 * n2 * n + idx, pair_key[idx // n] - w_m[idx % n],
-                    vr.ravel()[at], vi.ravel()[at], float(np.hypot(vr[lost], vi[lost]).sum()))
+            pair, j = np.divmod(np.flatnonzero((live & fits).transpose(1, 2, 0)), n)
+            d_kept = d.reshape(n, -1)[j, pair].astype(float)
+            # read at kept pairs only, whose digits are in range; d_j != 0 needs
+            # m1_j or m2_j >= 1, so msum - e_j is a monomial
+            mode = table.w_k @ (ksum + cut).reshape(n, -1)
+            mono = table.w_m @ msum.reshape(n, -1)
+            slot = table.mode_base[mode[pair]] + table.mono_rank[mono[pair] - table.w_m[j]]
+            return slot, -(bi.ravel()[pair] * d_kept), br.ravel()[pair] * d_kept, lost
 
-        keys = first = np.empty(0, dtype=np.int64)
-        re = im = np.empty(0)
-        dropped = 0.0
-        for a0 in range(0, len(C1), rows):
-            b_first, b_keys, b_re, b_im, b_lost = block(a0)
-            keys, first, re, im = _summed(
-                np.concatenate([keys, b_keys]), np.concatenate([first, b_first]),
-                np.concatenate([re, b_re]), np.concatenate([im, b_im]))
-            dropped += b_lost
+        blocks = [block(a0) for a0 in range(0, len(C1), rows)]
+        dropped = sum(b[3] for b in blocks)
         if ledger is not None and dropped:
             ledger.drop(dropped)
-        order, C = _kept(first, re, im)
-        keys = keys[order]
-        return self._with((keys[:, None] // w_k) % (2 * cut + 1) - cut,
-                          (keys[:, None] // w_m) % (deg + 1), C)
-
-    def reality_defect(self) -> float:
-        worst, terms = 0.0, self.terms
-        for (k, m), c in terms.items():
-            mirror = terms.get((tuple(-v for v in k), m), 0.0)
-            worst = max(worst, abs(np.conj(c) - mirror))
-        return worst
+        return self._with(*_fold(table, *(np.concatenate([b[i] for b in blocks]) for i in range(3))))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -410,17 +423,6 @@ class NaturalHam:
     def value(self, y, x) -> float:
         y = np.asarray(y, dtype=float)
         return 0.5 * float(np.dot(y, y)) + self.epsilon * self.f.evaluate(x).real
-
-    def grad(self, y, x) -> tuple[np.ndarray, np.ndarray]:
-        """(dH/dy, dH/dx) at real points."""
-        y = np.asarray(y, dtype=float)
-        x = np.asarray(x, dtype=float)
-        dx = np.zeros(self.n)
-        for k, c in self.f.coeffs.items():
-            kv = np.asarray(k, dtype=float)
-            phase = c * np.exp(1j * float(kv @ x))
-            dx += -2.0 * kv * phase.imag  # d/dx 2 Re(c e^{ikx}) = -2 k Im(c e^{ikx})
-        return y, self.epsilon * dx
 
 
 def solve_homological(

@@ -393,15 +393,6 @@ class TestMultiOrderGrid:
                     want = per_order_values_on_grid(F, m, order)
                     assert F.values_on_grid(m, order).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("m,degree", TestValuesOnGrid.CASES)
-    def test_rows_match_direct_sum(self, m, degree):
-        # odd m too, where the unnormalized transform skips the rounding of 1/m
-        F = TestValuesOnGrid.poly(degree, seed=m * 100 + degree)
-        for order in range(4):
-            scale = sum(j ** order * abs(c) for j, c in F.coeffs.items())
-            np.testing.assert_allclose(F.values_on_grid(m, order), reference_values_on_grid(F, m, order),
-                                       rtol=0, atol=1e-13 * scale)
-
 
 class TestJson:
     def test_round_trip(self, tmp_path):

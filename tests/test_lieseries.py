@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -24,6 +25,7 @@ from resoforge.lieseries import (
     lie_step_res,
     ray_majorant,
     ray_series,
+    _slots,
     solve_homological,
     verify_conjugacy,
 )
@@ -33,6 +35,27 @@ TWO_PI = 2 * math.pi
 
 def series(n=2, y0=(0.7, 0.31), deg=2, cutoff=8):
     return TaylorFourierSeries(n, np.asarray(y0, dtype=float), deg, cutoff)
+
+
+def reality_defect(F):
+    """max |conj c_{k,m} - c_{-k,m}| over F's terms: 0 for a real series."""
+    worst, terms = 0.0, F.terms
+    for (k, m), c in terms.items():
+        mirror = terms.get((tuple(-v for v in k), m), 0.0)
+        worst = max(worst, abs(np.conj(c) - mirror))
+    return worst
+
+
+def natural_grad(ham, y, x):
+    """(dH/dy, dH/dx) of the natural Hamiltonian ham at real points."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    dx = np.zeros(ham.n)
+    for k, c in ham.f.coeffs.items():
+        kv = np.asarray(k, dtype=float)
+        phase = c * np.exp(1j * float(kv @ x))
+        dx += -2.0 * kv * phase.imag  # d/dx 2 Re(c e^{ikx}) = -2 k Im(c e^{ikx})
+    return y, ham.epsilon * dx
 
 
 class TestSeriesAlgebra:
@@ -91,7 +114,7 @@ class TestSeriesAlgebra:
         G = series()
         G.add_term((1, 1), (1, 0), 0.1j)
         G.add_term((-1, -1), (1, 0), -0.1j)
-        assert F.poisson(G, TruncationLedger()).reality_defect() < 1e-15
+        assert reality_defect(F.poisson(G, TruncationLedger())) < 1e-15
 
     def test_truncation_ledger(self):
         F = series(deg=1, cutoff=2)
@@ -256,7 +279,8 @@ def assert_bracket_matches(out, ref, led_out, led_ref, norm=None):
 
 
 class TestArrayBracket:
-    @pytest.mark.parametrize("n, deg, cutoff", [(2, 3, 6), (2, 5, 8), (3, 3, 5), (3, 4, 4)])
+    @pytest.mark.parametrize("n, deg, cutoff", [(2, 3, 6), (2, 5, 8), (3, 3, 5), (3, 4, 4),
+                                                (3, 3, 12)])
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_reference(self, n, deg, cutoff, seed):
         rng = np.random.default_rng([n, deg, cutoff, seed])
@@ -271,7 +295,7 @@ class TestArrayBracket:
         assert max(sum(abs(v) for v in k) for k, _m in ref.terms) == cutoff
         assert max(sum(m) for _k, m in ref.terms) == deg
         assert_bracket_matches(out, ref, led_out, led_ref)
-        assert out.reality_defect() <= 1e-13 * sum(abs(c) for c in ref.terms.values())
+        assert reality_defect(out) <= 1e-13 * sum(abs(c) for c in ref.terms.values())
 
     def test_block_boundaries(self, monkeypatch):
         # rows of self span several blocks, and a block is a single row
@@ -281,10 +305,33 @@ class TestArrayBracket:
         G = random_real_series(rng, 2, 4, 6, 30)
         led_ref = TruncationLedger()
         ref = reference_poisson(F, G, led_ref)
+        # every key is summed in term-pair order, so the coefficients have the same bytes
+        whole = exact_items(F.poisson(G))
         for pairs in (1, 7, 100):
             monkeypatch.setattr(ls, "_BLOCK_PAIRS", pairs)
             led_out = TruncationLedger()
-            assert_bracket_matches(F.poisson(G, led_out), ref, led_out, led_ref)
+            out = F.poisson(G, led_out)
+            assert_bracket_matches(out, ref, led_out, led_ref)
+            assert exact_items(out) == whole
+
+    @pytest.mark.parametrize("n, deg, cutoff, size", [(2, 3, 8, 1450), (2, 0, 3, 25),
+                                                      (3, 3, 12, 52500), (3, 4, 4, 4515)])
+    def test_one_slot_per_admissible_key(self, n, deg, cutoff, size):
+        # the accumulator has one slot per (k, m) with |k|_1 <= cutoff, |m| <= deg,
+        # numbered 0.. without gaps, not one per entry of the packed digit box
+        table = _slots(n, cutoff, deg)
+        keys = [(k, m) for k in itertools.product(range(-cutoff, cutoff + 1), repeat=n)
+                if sum(map(abs, k)) <= cutoff
+                for m in itertools.product(range(deg + 1), repeat=n) if sum(m) <= deg]
+        assert len(keys) == size == len(table.modes) * len(table.monos)
+        K = np.array([k for k, _m in keys]).reshape(-1, n)
+        M = np.array([m for _k, m in keys]).reshape(-1, n)
+        slot = table.of(K, M)
+        assert sorted(slot.tolist()) == list(range(size))
+        # a slot decodes to its key
+        monos = len(table.monos)
+        assert np.array_equal(table.modes[slot // monos], K)
+        assert np.array_equal(table.monos[slot % monos], M)
 
     def test_empty_operand(self):
         rng = np.random.default_rng(3)
@@ -1001,7 +1048,7 @@ class TestConjugacy:
         ham = NaturalHam(2, 1e-2, f)
 
         def rhs(_t, z):
-            dy, dx = ham.grad(z[:2], z[2:])
+            dy, dx = natural_grad(ham, z[:2], z[2:])
             return np.concatenate([-dx, dy])
 
         z0 = np.array([0.4, -0.3, 1.0, 2.0])
