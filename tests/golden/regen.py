@@ -5,9 +5,10 @@ The sha256 of `json.dumps(doc, sort_keys=True)` for
   orders 2-5 and degree 3, on the draws of
   `TestArrayStorage::test_averaging_matches_dict_reference` (non-resonant at
   K = 8, resonant at K = 6);
-- the `normalize` (resonant and non-resonant) and `standardize` CLI documents
-  on the two-mode preset, without the timestamp and with file paths cut to
-  their names.
+- the CLI documents of `normalize` (resonant and non-resonant) and
+  `standardize` on the two-mode preset, `check-generic` on a lacunary and a
+  random preset, `cover measure` and `bezout`, without the timestamp and with
+  file paths cut to their names.
 A change that moves one byte of a coefficient (-0.0 included), the order of
 the terms, a divisor or a dropped mass changes a digest.
 
@@ -39,13 +40,23 @@ from test_lieseries import averaging_potential  # noqa: E402
 CASES = ((1, (1, 1)), (2, (1, -1)), (3, (1, 2)))
 
 NORMALIZE = ["normalize", "--potential", "two-mode:s=1.0", "--eps", "1e-3", "--k0", "2", "--K", "6"]
+FREE_N2 = {"mode": "free", "n": 2, "s": 1.0, "K0": 2, "alpha": 0.03, "K": 6}
+# name -> (params file or None, argv, exit code)
 CLI_RUNS = {
     "normalize_resonant": (None, [*NORMALIZE, "--alpha", "0.03", "--order", "2", "--degree", "3",
-                                  "--base-point", "0.5,-0.5", "--resonant-k", "1,1"]),
-    "normalize_nonresonant": (None, [*NORMALIZE, "--alpha", "0.02", "--base-point", "0.7,0.31"]),
-    "standardize": ({"mode": "free", "n": 2, "s": 1.0, "K0": 2, "alpha": 0.03, "K": 6},
-                    ["standardize", "--potential", "two-mode:s=1.0", "--eps", "1e-6", "--k", "1,1",
-                     "--params", "PARAMS", "--y0", "0.5,-0.5", "--beta", "0.05"]),
+                                  "--base-point", "0.5,-0.5", "--resonant-k", "1,1"], 0),
+    "normalize_nonresonant": (None, [*NORMALIZE, "--alpha", "0.02", "--base-point", "0.7,0.31"], 0),
+    "standardize": (FREE_N2, ["standardize", "--potential", "two-mode:s=1.0", "--eps", "1e-6",
+                              "--k", "1,1", "--params", "PARAMS", "--y0", "0.5,-0.5",
+                              "--beta", "0.05"], 0),
+    "check_generic_lacunary": (None, ["check-generic", "--potential", "lacunary:n=2,s=4.0,kmax=20",
+                                      "--delta", "1", "--beta", "1e-30", "--kmax", "20"], 0),
+    # not in the class; the census runs on every low-mode projection
+    "check_generic_random": (None, ["check-generic", "--potential", "random:n=2,s=1.0,kmax=70,seed=7",
+                                    "--delta", "0.1", "--beta", "0.05", "--kmax", "70"], 1),
+    "cover_measure": (FREE_N2, ["cover", "measure", "--params", "PARAMS", "--samples", "20000",
+                                "--seed", "1"], 0),
+    "bezout": (None, ["bezout", "--k", "3,5,7"], 0),
 }
 
 
@@ -77,13 +88,13 @@ def averaging_digests() -> dict[str, str]:
 def cli_digests() -> dict[str, str]:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (params, argv) in CLI_RUNS.items():
+        for name, (params, argv, code) in CLI_RUNS.items():
             path, doc_path = pathlib.Path(tmp, "params.json"), pathlib.Path(tmp, f"{name}.json")
             if params is not None:
                 path.write_text(json.dumps(params))
             argv = [str(path) if a == "PARAMS" else a for a in argv]
-            if main([*argv, "--out", str(doc_path)]) != 0:
-                raise RuntimeError(f"{name}: nonzero exit")
+            if main([*argv, "--out", str(doc_path)]) != code:
+                raise RuntimeError(f"{name}: exit code other than {code}")
             doc = json.loads(doc_path.read_text())
             doc.pop("timestamp")
             doc["config"].pop("out")

@@ -1,4 +1,4 @@
-"""The series algebra's outputs, byte for byte, against committed digests.
+"""The series algebra's and the CLI's outputs, byte for byte, against committed digests.
 
 `tests/golden/averaging.json` holds sha256 digests of normal forms and CLI
 documents (see `tests/golden/regen.py`).  Every other bracket and merge test
@@ -24,7 +24,7 @@ def _regen():
 def test_digests_match_golden():
     regen = _regen()
     golden = json.loads(regen.GOLDEN.read_text())
-    assert len(golden) == 27
+    assert len(golden) == 31
     now = regen.digests()
     assert sorted(now) == sorted(golden)
     assert [name for name in golden if now[name] != golden[name]] == []
