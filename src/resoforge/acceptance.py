@@ -344,8 +344,7 @@ def _benchmark_standard_form(seed: int = 5):
     fp = solve_fixed_point(form, np.array([0.01, -0.02]))
     params = free_params(3, 1.0, alpha=0.05, K0=4, K=24)
     um = complete_to_sl((1, 1, 2))
-    ch = characteristics((1, 1, 2), 3, 1.0, 1e-6, 0.1,
-                         lacunary_potential(3, 1.0, 8), params, um=um)
+    ch = characteristics((1, 1, 2), 3, 1.0, 1e-6, 0.1, lacunary_potential(3, 1.0, 8), params)
     U = np.array([[float(x) for x in row]
                   for row in decoupling_matrix(um).U])
     sf = build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}), phi1=LinearSymplectic(U))

@@ -83,27 +83,35 @@ def _load_params(path: str) -> CoveringParams:
     raise ConfigError(f"unknown params mode {mode!r}")
 
 
+_PRESET_KEYS = {"lacunary": ("n", "s", "kmax"), "two-mode": ("s",), "random": ("n", "s", "kmax", "seed")}
+
+
 def _load_potential_arg(source: str):
     """A potential source: a JSON path or a preset name
     lacunary:n=2,s=1.0[,kmax=40] / two-mode:s=1.0 / random:n=2,s=1.0,kmax=20,seed=7."""
     if ":" in source and not source.endswith(".json"):
         name, _, rest = source.partition(":")
-        kv = dict(part.split("=") for part in rest.split(",") if part)
-        if name == "lacunary":
-            s = float(kv.get("s", 1.0))
-            f = lacunary_potential(int(kv.get("n", 2)), s, float(kv.get("kmax", 40)))
-            return f, s
+        if name not in _PRESET_KEYS:
+            raise ConfigError(f"--potential {source}: unknown preset {name!r}")
+        kv = {}
+        for part in filter(None, rest.split(",")):
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise ConfigError(f"--potential {source}: {part!r} is not key=value")
+            if key not in _PRESET_KEYS[name]:
+                raise ConfigError(f"--potential {source}: unknown key {key!r} for {name} "
+                                  f"(known: {', '.join(_PRESET_KEYS[name])})")
+            kv[key] = value
+        try:
+            s, n, seed = float(kv.get("s", 1.0)), int(kv.get("n", 2)), int(kv.get("seed", 0))
+            kmax = float(kv.get("kmax", 40 if name == "lacunary" else 20))
+        except ValueError as exc:
+            raise ConfigError(f"--potential {source}: {exc}") from exc
         if name == "two-mode":
-            s = float(kv.get("s", 1.0))
             return two_mode_potential(s), s
-        if name == "random":
-            s = float(kv.get("s", 1.0))
-            f = sample_product_measure(
-                int(kv.get("n", 2)), s, float(kv.get("kmax", 20)),
-                int(kv.get("seed", 0)),
-            )
-            return f, s
-        raise ConfigError(f"unknown potential preset {name!r}")
+        if name == "lacunary":
+            return lacunary_potential(n, s, kmax), s
+        return sample_product_measure(n, s, kmax, seed), s
     try:
         return load_potential(source)
     except (OSError, ValueError) as exc:
@@ -231,6 +239,8 @@ def cmd_normalize(args) -> int:
     y0 = np.array(_parse_vector("--base-point", args.base_point, f.n))
     if args.order < 1:
         raise ConfigError("--order must be at least 1")
+    if args.degree < 2:
+        raise ConfigError("--degree must be at least 2")
     ham = NaturalHam(f.n, args.eps, f)
     if args.resonant_k:
         k = _parse_mode("--resonant-k", args.resonant_k, f.n)

@@ -66,16 +66,8 @@ class CoveringParams:
         return self.alpha / (16.0 * self.K0)
 
     @property
-    def r_o_prime(self) -> float:
-        return self.r_o / 2.0
-
-    @property
     def s_o(self) -> float:
         return self.s * (1.0 - 1.0 / self.K0)
-
-    @property
-    def s_o_prime(self) -> float:
-        return self.s_o * (1.0 - 1.0 / self.K0)
 
     @property
     def s_star(self) -> float:

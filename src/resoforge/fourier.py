@@ -10,7 +10,7 @@ throughout the package.
 Potentials with infinite support are handled through a coefficient rule
 (currently the exponentially decaying lacunary family supported on the
 generator set) materialized up to a recorded cutoff; the rule supplies exact
-coefficients beyond the cutoff and exact or certified tail bounds for norms.
+coefficients beyond the cutoff and a majorant of the tail of each lattice ray.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ import numpy as np
 Mode = tuple[int, ...]
 
 TWO_PI = 2.0 * math.pi
-
-
-class NormDivergesError(ValueError):
-    """Requested weighted norm diverges for the attached coefficient rule."""
 
 
 class NotAGeneratorError(ValueError):
@@ -147,29 +143,6 @@ class LacunaryRule:
             return complex(self.amplitude * math.exp(-self.s * l1(k)))
         return 0.0
 
-    def majorant_norm(self, s_eval: float) -> float:
-        """Sum over all modes (both half-lattices) of |f_k| e^{|k|_1 s_eval}.
-
-        The support is the generator set, counted exactly per ell^1 shell by
-        Moebius inversion; the series is summed until the (larger) full-shell
-        term falls below 1e-16 relative to the accumulated value.
-        """
-        if s_eval >= self.s:
-            raise NormDivergesError("norm diverges")
-        rate = self.s - s_eval
-        total = 0.0
-        m = 1
-        while True:
-            gens2 = 2 * _count_generator_shell(self.n, m)  # both halves
-            total += self.amplitude * gens2 * math.exp(-rate * m)
-            gauge = self.amplitude * _count_l1_shell(self.n, m) * math.exp(-rate * m)
-            if gauge < 1e-16 * max(total, 1.0) and m > 2 * self.n / rate:
-                break
-            m += 1
-            if m > 100_000:
-                break
-        return total
-
     def line_tail_majorant(self, k: Mode, j_from: int, width: float) -> float:
         """Bound on sum_{|j| >= j_from} |f_{jk}| e^{|j| width}; zero here."""
         return 0.0
@@ -177,40 +150,6 @@ class LacunaryRule:
     def provable_lower_bound(self, delta: float) -> bool:
         """|f_k| >= delta |k|_1^{-n} e^{-s|k|_1} holds for all generators."""
         return delta <= self.amplitude
-
-
-def _count_l1_shell(n: int, m: int) -> int:
-    """Number of k in Z^n (all signs) with |k|_1 = m, m >= 1."""
-    total = 0
-    for j in range(1, min(n, m) + 1):
-        total += (2 ** j) * math.comb(n, j) * math.comb(m - 1, j - 1)
-    return total
-
-
-def _mobius(m: int) -> int:
-    mu, p = 1, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    if m > 1:
-        mu = -mu
-    return mu
-
-
-def _count_generator_shell(n: int, m: int) -> int:
-    """Number of generators (canonical, gcd 1) with |k|_1 = m, by Moebius
-    inversion of the canonical shell counts."""
-    total = 0
-    for d in range(1, m + 1):
-        if m % d == 0:
-            mu = _mobius(d)
-            if mu:
-                total += mu * _count_l1_shell(n, m // d)
-    return total // 2
 
 
 # --------------------------------------------------------------------------
@@ -222,9 +161,9 @@ class TrigPoly:
     """Zero-average real-analytic function on T^n as a sparse mode map.
 
     coeffs maps canonical modes k in Z^n_* to f_k (conj(f_k) at -k) and is not
-    mutated after construction.  An optional rule supplies coefficients beyond
-    the materialized support with exact norm tails; rule_cutoff records up to
-    which |k|_1 the rule was materialized into coeffs.
+    mutated after construction.  An optional rule supplies exact coefficients
+    beyond the materialized support; rule_cutoff records up to which |k|_1 the
+    rule was materialized into coeffs.
     """
 
     n: int
@@ -263,10 +202,6 @@ class TrigPoly:
             c = 0.0
         return complex(np.conj(c)) if flipped else complex(c)
 
-    @property
-    def support(self) -> list[Mode]:
-        return sorted(self.coeffs)
-
     def max_order(self) -> int:
         """Largest |k|_1 over coeffs, computed once per potential."""
         return self._max_order
@@ -284,33 +219,15 @@ class TrigPoly:
             val += c * np.exp(phase) + np.conj(c) * np.exp(-phase)
         return complex(val)
 
-    def evaluation_tail_bound(self, im_radius: float) -> float:
-        """Truncation-error bound for evaluate on |Im x_j| <= im_radius.
-
-        Zero for finite support; for rule-backed potentials the tail of the
-        majorant beyond the materialized cutoff.
-        """
-        if self.rule is None or self.rule_cutoff is None:
-            return 0.0
-        full = self.rule.majorant_norm(im_radius)
-        mat = sum(2 * abs(c) * math.exp(l1(k) * im_radius) for k, c in self.coeffs.items())
-        return max(full - mat, 0.0)
-
-    def scaled(self, factor: float) -> "TrigPoly":
-        return TrigPoly(self.n, {k: factor * c for k, c in self.coeffs.items()})
-
 
 @dataclass(frozen=True)
 class OneDTrigPoly:
     """Zero-average real-analytic function of one angle, c_{-j} = conj(c_j).
 
-    Coefficients are stored for j >= 1.  tail_strip1 optionally carries a
-    certified bound on the strip-1 majorant of modes dropped at construction
-    (nonzero only for rule-derived projections truncated in j).
+    Coefficients are stored for j >= 1.
     """
 
     coeffs: dict[int, complex]
-    tail_strip1: float = 0.0
 
     def __post_init__(self):
         clean = {}
@@ -328,24 +245,9 @@ class OneDTrigPoly:
         """amplitude * cos(theta + shift)."""
         return cls({1: 0.5 * amplitude * np.exp(1j * shift)})
 
-    def coeff(self, j: int) -> complex:
-        if j == 0:
-            return 0.0
-        if j >= 1:
-            return self.coeffs.get(j, 0.0)
-        return complex(np.conj(self.coeffs.get(-j, 0.0)))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
-
-    def derivative(self, order: int = 1) -> "OneDTrigPoly":
-        if order == 0:
-            return self
-        return OneDTrigPoly({j: ((1j * j) ** order) * c for j, c in self.coeffs.items()})
 
     def evaluate(self, theta) -> complex:
         theta = complex(theta)
@@ -375,22 +277,16 @@ class OneDTrigPoly:
 
     def shifted(self, shift: float) -> "OneDTrigPoly":
         """theta -> value at theta + shift."""
-        return OneDTrigPoly(
-            {j: c * np.exp(1j * j * shift) for j, c in self.coeffs.items()},
-            tail_strip1=self.tail_strip1,
-        )
+        return OneDTrigPoly({j: c * np.exp(1j * j * shift) for j, c in self.coeffs.items()})
 
     def scaled(self, factor: complex) -> "OneDTrigPoly":
-        return OneDTrigPoly(
-            {j: factor * c for j, c in self.coeffs.items()},
-            tail_strip1=abs(factor) * self.tail_strip1,
-        )
+        return OneDTrigPoly({j: factor * c for j, c in self.coeffs.items()})
 
     def plus(self, other: "OneDTrigPoly") -> "OneDTrigPoly":
         out = dict(self.coeffs)
         for j, c in other.coeffs.items():
             out[j] = out.get(j, 0.0) + c
-        return OneDTrigPoly(out, tail_strip1=self.tail_strip1 + other.tail_strip1)
+        return OneDTrigPoly(out)
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +304,7 @@ def lattice_projections(f: TrigPoly, gens: Iterable[Mode]) -> list[OneDTrigPoly]
 
     The rays partition the support: kp lies on the ray of kp/gcd(kp) at
     j = gcd(kp).  One pass over f.coeffs fills this call's ray table in coeffs
-    order; a rule then adds f_{jk} up to its cutoff and the exact tail beyond.
+    order; a rule then adds f_{jk} up to its cutoff.
     """
     gens = [tuple(int(v) for v in k) for k in gens]
     if not all(is_generator(k) for k in gens):
@@ -420,7 +316,7 @@ def lattice_projections(f: TrigPoly, gens: Iterable[Mode]) -> list[OneDTrigPoly]
             rays[kbar][j] = c
     out = []
     for k in gens:
-        coeffs, tail = rays[k], 0.0
+        coeffs = rays[k]
         if f.rule is not None:
             cutoff = f.rule_cutoff if f.rule_cutoff is not None else f.max_order()
             jm = max(2, int(cutoff // max(l1(k), 1)) + 2)
@@ -428,8 +324,7 @@ def lattice_projections(f: TrigPoly, gens: Iterable[Mode]) -> list[OneDTrigPoly]
                 c = f.rule.coeff(tuple(j * v for v in k))
                 if c != 0:
                     coeffs[j] = c
-            tail = f.rule.line_tail_majorant(k, jm + 1, 1.0)
-        out.append(OneDTrigPoly(coeffs, tail_strip1=tail))
+        out.append(OneDTrigPoly(coeffs))
     return out
 
 

@@ -138,9 +138,10 @@ class TaylorFourierSeries:
     Reality corresponds to c_{-k,m} = conj(c_{k,m}); all algebra preserves it.
     Rows of int64 K (T, n), int64 M (T, n) and complex C (T,) are the only
     storage: keys (k, m) unique, no coefficient zero, rows in order of first
-    appearance.  The arrays are read-only and shared between series;
-    `add_term`, the one mutator, rebinds them and drops what was built from
-    them: the evaluator's tables and `terms`, a read-only {(k, m): c} view.
+    appearance.  The arrays are read-only and shared between series, and no
+    method changes a series once built: every operation returns a new one.
+    The evaluator's tables and `terms`, a read-only {(k, m): c} view, are
+    built from the rows on first use.
     """
 
     n: int
@@ -207,9 +208,6 @@ class TaylorFourierSeries:
         K = np.array([k for k, _, _ in kept], dtype=np.int64).reshape(len(kept), self.n)
         M = np.array([m for _, m, _ in kept], dtype=np.int64).reshape(len(kept), self.n)
         return K, M, np.array([c for _, _, c in kept], dtype=complex) + 0.0
-
-    def add_term(self, k: Mode, m: Mono, c: complex, ledger: TruncationLedger | None = None):
-        self._store(*self._merged((self.K, self.M, self.C), self._rows([(k, m, c)], ledger)))
 
     def plus(self, other: "TaylorFourierSeries") -> "TaylorFourierSeries":
         """self + other, other within this truncation (none of its terms is dropped)."""
@@ -298,8 +296,8 @@ class TaylorFourierSeries:
     # -- evaluation ---------------------------------------------------------
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Kt, S, R), built from (K, M, C) on first use and dropped by
-        `add_term`.  Kt (n, T) holds the float modes.
+        """(Kt, S, R), built from (K, M, C) on first use.  Kt (n, T) holds the
+        float modes.
 
         Row j of S and R gives one sum over terms t: its real part is dF/dy_j
         for j < n and the value for j = n, its imaginary part -dF/dx_i for

@@ -63,21 +63,6 @@ class MorseReport:
     def count(self) -> int:
         return len(self.critical_points)
 
-    def count_bound(self) -> float:
-        """pi * sqrt(2 max|F''| / beta), valid whenever beta > 0."""
-        if self.beta <= 0:
-            return math.inf
-        return math.pi * math.sqrt(2.0 * self.max_second_derivative / self.beta)
-
-    def alternates(self) -> bool:
-        """Maxima and minima alternate around the circle."""
-        v = self.critical_values
-        if len(v) < 2 or len(v) % 2 != 0:
-            return False
-        w = np.concatenate([v, v[:1]])
-        signs = np.sign(np.diff(w))
-        return bool(np.all(signs[:-1] * signs[1:] < 0))
-
     def to_dict(self) -> dict:
         return {
             "critical_points": self.critical_points.tolist(),

@@ -18,12 +18,13 @@ is driven through three exact symplectic maps:
 
 The outcome is the 1-DOF Hamiltonian (1 + nu(p, q1)) p1^2 + G(phat, q1) with
 reference potential Gbar = eps_k pi_k f, characteristics
-(Dhat, R, r, sigma, m, eps_hat, lambda) and the single scale parameter
+(R, r, sigma, m, eps_hat, lambda) and the single scale parameter
 
     kappa = max{c2, 4 c_s, c_s / beta},   c2 = 4 n^{3/2} c1,
     c1 = 5 n (n-1)^{(n-1)/2},             c_s = max{1, 1/s},
 
-which is independent of the resonance label k.
+which is independent of the resonance label k.  The adiabatic-action domain
+Dhat of the characteristics is not materialized, because no check reads it.
 
 Evaluation: one kernel, PolyTrig1, evaluates every decoupled potential.  The
 pipeline's secular series is re-expanded exactly into its terms
@@ -229,50 +230,8 @@ def kappa_uniform(n: int, s: float, beta: float) -> float:
 
 
 @dataclass
-class DhatDomain:
-    """Adiabatic-action domain: |P_k^perp Ahat^T phat| < 1 and all transverse
-    gaps |(P_k^perp Ahat^T phat).l| >= 3 alpha K/|k| off the line Z k."""
-
-    um: UnimodularMatrix
-    params: CoveringParams
-
-    def _pulled(self, phat) -> np.ndarray:
-        ahat_t = np.array(self.um.A_hat, dtype=float).T
-        v = ahat_t @ np.asarray(phat, dtype=float)
-        k = np.array(self.um.k, dtype=float)
-        return v - (v @ k) / (k @ k) * k
-
-    def contains(self, phat) -> bool:
-        v = self._pulled(phat)
-        if np.linalg.norm(v) >= 1.0:
-            return False
-        k = self.um.k
-        thr = self.params.r1_threshold(k)
-        for ell in self.params.generators_K:
-            if ell == k:
-                continue
-            if abs(float(v @ np.array(ell, dtype=float))) < thr:
-                return False
-        return True
-
-    def sample(self, count: int, seed: int = 0, box: float = 1.0) -> np.ndarray:
-        """Rejection sampling from the bounding box [-box, box]^{n-1}."""
-        rng = np.random.default_rng(seed)
-        out = []
-        for _ in range(200_000):
-            cand = rng.uniform(-box, box, self.um.n - 1)
-            if self.contains(cand):
-                out.append(cand)
-                if len(out) == count:
-                    break
-        if len(out) < count:
-            raise RuntimeError("adiabatic domain sampling failed; box too large?")
-        return np.array(out)
-
-
-@dataclass
 class Characteristics:
-    """(Dhat, R, r, sigma, m, eps_hat, lam) plus kappa and branch data."""
+    """(R, r, sigma, m, eps_hat, lam) plus kappa and branch data."""
 
     k: Mode
     n: int
@@ -292,7 +251,6 @@ class Characteristics:
     c2: float
     c_s: float
     N: float
-    D_hat: DhatDomain | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -324,7 +282,7 @@ def characteristics(
     f: TrigPoly,
     params: CoveringParams,
     delta: float = 1.0,
-    um: UnimodularMatrix | None = None,
+    um: UnimodularMatrix | None = None,  # unused; perfbench/workloads.py passes um=
 ) -> Characteristics:
     """Analyticity characteristics of the standard form at resonance k.
 
@@ -356,11 +314,10 @@ def characteristics(
         sigma = 1.0
         s_breve = 1.0
     eps_hat = 4.0 * cs * eps_k * chi
-    dhat = DhatDomain(um, params) if um is not None else None
     return Characteristics(
         k=k, n=n, s=s, R=R, r=r, sigma=sigma, m=m, eps_hat=eps_hat, lam=lam,
         kappa=kappa_uniform(n, s, beta), eps_k=eps_k, chi_k=chi, s_breve=s_breve,
-        branch=branch, c1=c1, c2=c2, c_s=cs, N=N, D_hat=dhat,
+        branch=branch, c1=c1, c2=c2, c_s=cs, N=N,
     )
 
 
@@ -423,9 +380,6 @@ class DecoupledForm:
     dm: DecouplingMatrix | None = None
     secular: SecularHam | None = None
     eps_k: float | None = None
-
-    def value(self, Y1, ph, q1) -> float:
-        return Y1 * Y1 + self.Gf.value(Y1, ph, q1)
 
     def hypothesis_ok(self) -> bool:
         """Smallness gate theta_o/r^2 < 2^-10 s_breve/(pi + s_breve)."""
@@ -551,9 +505,6 @@ class FixedPointSolution:
         j = np.arange(1, coeff.shape[-1])
         terms = coeff[..., 1:] * (np.exp(1j * j * x) - 1.0) / (1j * j)
         return 2.0 * np.real(np.sum(terms, axis=-1))
-
-    def phi(self, phat, x1: float) -> float:
-        return float(self._antiderivative_at(self.p_grid(phat), x1))
 
     def _implicit(self, phat, q1):
         """(p, D, dp/dphat) with D = 1 + 0.5 d2_{Y1} Gf(p): differentiating
@@ -989,7 +940,7 @@ def standardize(
     nf = lie_step_res(ham, k, params, y0, order=order, max_degree=max_degree)
     um = complete_to_sl(k)
     secular = SecularHam.from_averaged(nf, um)
-    chars = characteristics(k, f.n, s, eps, beta, f, params, delta=delta, um=um)
+    chars = characteristics(k, f.n, s, eps, beta, f, params, delta=delta)
 
     # standard-form coordinates of the averaging base point: Y_c = U^{-1} A^{-T} y0
     dm = decoupling_matrix(um)

@@ -276,15 +276,25 @@ class TestConfigErrors:
           "--resonant-k", "1,1,1"], "--resonant-k"),
         ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3"], "--base-point"),
         ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3,0.1", "--order", "0"], "--order"),
+        ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3,0.1", "--degree", "1"], "--degree"),
         ([*STANDARDIZE, "--k", "1,1", "--y0", "0.5,-0.5", "--order", "0"], "--order"),
         ([*STANDARDIZE, "--k", "1,1", "--y0", "0.5"], "--y0"),
         ([*STANDARDIZE, "--k", "0,0", "--y0", "0.5,-0.5"], "--k"),
         ([*STANDARDIZE, "--k", "1,1,1", "--y0", "0.5,-0.5"], "--k"),
         ([*STANDARDIZE, "--k", "1,x", "--y0", "0.5,-0.5"], "--k"),
         ([*STANDARDIZE[:-1], "PARAMS3", "--k", "1,1", "--y0", "0.5,-0.5"], "--params"),
+        (["check-generic", "--potential", "lacunary:n=2,sx=3", "--delta", "1", "--beta", "0.1"],
+         "--potential"),
+        (["normalize", "--potential", "two-mode:s=1,n=3", *NORMALIZE[3:], "--alpha", "0.05",
+          "--base-point", "0.3,0.1"], "--potential"),
+        (["check-generic", "--potential", "random:n=2,s=1,kmax=6,seed=1,beta=2", "--delta", "1",
+          "--beta", "0.1"], "--potential"),
+        (["check-generic", "--potential", "lacunary:n=2,s", "--delta", "1", "--beta", "0.1"],
+         "--potential"),
     ], ids=["out_dir_missing", "y_length", "resonant_k_zero", "resonant_k_length",
-            "base_point_length", "normalize_order_zero", "order_zero", "y0_length", "k_zero", "k_length",
-            "k_unparsable", "params_dimension"])
+            "base_point_length", "normalize_order_zero", "normalize_degree_one", "order_zero",
+            "y0_length", "k_zero", "k_length", "k_unparsable", "params_dimension",
+            "lacunary_unknown_key", "two_mode_unknown_key", "random_unknown_key", "preset_part_without_value"])
     def test_one_error_line(self, argv, option, free_params_file, tmp_path, capsys):
         params3 = tmp_path / "params3.json"
         params3.write_text(json.dumps(

@@ -149,9 +149,7 @@ class TestParams:
     def test_preset_radii(self):
         p = derive_params(2, 1.0, 1e-4, 2, 12)
         assert p.r_o == pytest.approx(p.alpha / 32)
-        assert p.r_o_prime == pytest.approx(p.r_o / 2)
         assert p.s_o == pytest.approx(0.5)
-        assert p.s_o_prime == pytest.approx(0.25)
         assert p.s_star == pytest.approx(1 - 1 / 12)
         assert p.r_k((2, 1)) == pytest.approx(p.alpha / math.sqrt(5))
         assert p.s_k_prime((1, 1)) == pytest.approx(2 * p.s_star_prime)

@@ -37,6 +37,12 @@ def series(n=2, y0=(0.7, 0.31), deg=2, cutoff=8):
     return TaylorFourierSeries(n, np.asarray(y0, dtype=float), deg, cutoff)
 
 
+def add_term(F, k, m, c, ledger=None):
+    """Add c (y - y0)^m e^{i k.x} to F in place through the series' own merge:
+    a zero c is skipped and a term beyond the truncation goes to the ledger."""
+    F._store(*F._merged((F.K, F.M, F.C), F._rows([(k, m, c)], ledger)))
+
+
 def reality_defect(F):
     """max |conj c_{k,m} - c_{-k,m}| over F's terms: 0 for a real series."""
     worst, terms = 0.0, F.terms
@@ -71,15 +77,15 @@ class TestSeriesAlgebra:
     def test_poisson_bracket_vs_finite_differences(self):
         rng = np.random.default_rng(1)
         F = series(deg=3)
-        F.add_term((1, 0), (1, 0), 0.3 + 0.1j)
-        F.add_term((-1, 0), (1, 0), 0.3 - 0.1j)
-        F.add_term((0, 2), (0, 1), 0.2)
-        F.add_term((0, -2), (0, 1), 0.2)
+        add_term(F, (1, 0), (1, 0), 0.3 + 0.1j)
+        add_term(F, (-1, 0), (1, 0), 0.3 - 0.1j)
+        add_term(F, (0, 2), (0, 1), 0.2)
+        add_term(F, (0, -2), (0, 1), 0.2)
         G = series(deg=3)
-        G.add_term((1, 1), (0, 0), 0.5)
-        G.add_term((-1, -1), (0, 0), 0.5)
-        G.add_term((0, 1), (2, 0), -0.1j)
-        G.add_term((0, -1), (2, 0), 0.1j)
+        add_term(G, (1, 1), (0, 0), 0.5)
+        add_term(G, (-1, -1), (0, 0), 0.5)
+        add_term(G, (0, 1), (2, 0), -0.1j)
+        add_term(G, (0, -1), (2, 0), 0.1j)
         bracket = F.poisson(G, TruncationLedger())
 
         def fd_bracket(y, x, h=1e-6):
@@ -109,25 +115,25 @@ class TestSeriesAlgebra:
 
     def test_reality_preserved(self):
         F = series()
-        F.add_term((1, 0), (0, 0), 0.3 + 0.2j)
-        F.add_term((-1, 0), (0, 0), 0.3 - 0.2j)
+        add_term(F, (1, 0), (0, 0), 0.3 + 0.2j)
+        add_term(F, (-1, 0), (0, 0), 0.3 - 0.2j)
         G = series()
-        G.add_term((1, 1), (1, 0), 0.1j)
-        G.add_term((-1, -1), (1, 0), -0.1j)
+        add_term(G, (1, 1), (1, 0), 0.1j)
+        add_term(G, (-1, -1), (1, 0), -0.1j)
         assert reality_defect(F.poisson(G, TruncationLedger())) < 1e-15
 
     def test_truncation_ledger(self):
         F = series(deg=1, cutoff=2)
         led = TruncationLedger()
-        F.add_term((3, 0), (0, 0), 2.0, led)       # beyond cutoff
-        F.add_term((1, 0), (1, 1), 1.5, led)       # beyond degree
+        add_term(F, (3, 0), (0, 0), 2.0, led)       # beyond cutoff
+        add_term(F, (1, 0), (1, 1), 1.5, led)       # beyond degree
         assert led.dropped == pytest.approx(3.5)
         assert F.is_empty
 
     def test_gradients(self):
         F = series(deg=2)
-        F.add_term((1, 1), (1, 0), 0.2 + 0.05j)
-        F.add_term((-1, -1), (1, 0), 0.2 - 0.05j)
+        add_term(F, (1, 1), (1, 0), 0.2 + 0.05j)
+        add_term(F, (-1, -1), (1, 0), 0.2 - 0.05j)
         y = np.array([0.75, 0.28])
         x = np.array([0.4, 1.3])
         val, dy, dx = F.eval_grads(y, x)
@@ -261,8 +267,8 @@ def random_real_series(rng, n, deg, cutoff, count):
             picks.append((k, m))
     for k, m in picks:
         c = complex(rng.normal(), rng.normal())
-        F.add_term(k, m, c)
-        F.add_term(tuple(-v for v in k), m, c.conjugate())
+        add_term(F, k, m, c)
+        add_term(F, tuple(-v for v in k), m, c.conjugate())
     return F
 
 
@@ -346,8 +352,8 @@ class TestArrayBracket:
         # {F, F} = 0: the pair (a, b) cancels (b, a); with one conjugate pair
         # every output key gets exactly c and -c, and no zero is kept
         F = series(deg=3, cutoff=5)
-        F.add_term((2, 1), (1, 1), 0.3 + 0.2j)
-        F.add_term((-2, -1), (1, 1), 0.3 - 0.2j)
+        add_term(F, (2, 1), (1, 1), 0.3 + 0.2j)
+        add_term(F, (-2, -1), (1, 1), 0.3 - 0.2j)
         led_out, led_ref = TruncationLedger(), TruncationLedger()
         assert F.poisson(F, led_out).is_empty
         assert reference_poisson(F, F, led_ref).is_empty
@@ -366,8 +372,9 @@ class TestArrayBracket:
                                reference_poisson(F, F.plus(G), led_ref), led_out, led_ref)
 
     def test_compiled_arrays_follow_in_place_writes(self):
-        # `terms` and the arrays cannot be written; add_term is the one
-        # mutator, and the evaluator and the bracket both see what it adds
+        # `terms` and the arrays cannot be written; rebinding the rows, as
+        # add_term does, drops the evaluator's tables, so the evaluator and
+        # the bracket both see what it adds
         rng = np.random.default_rng(5)
         F = random_real_series(rng, 2, 3, 5, 12)
         G = random_real_series(rng, 2, 3, 5, 8)
@@ -382,7 +389,7 @@ class TestArrayBracket:
         with pytest.raises(ValueError):
             F.C[0] = c + 0.25
         assert F.evaluate(y, x) == before
-        F.add_term(k, m, 0.25)               # same length, one new coefficient
+        add_term(F, k, m, 0.25)               # same length, one new coefficient
         after = before + 0.25 * np.prod((y - F.base_point) ** np.array(m)) * np.exp(1j * np.dot(k, x))
         assert F.evaluate(y, x) == pytest.approx(after, rel=1e-14)
         led_out, led_ref = TruncationLedger(), TruncationLedger()
@@ -391,7 +398,7 @@ class TestArrayBracket:
         # a new key is one more row, seen by both as well
         k_new, m_new = (0, 5), (1, 0)
         assert (k_new, m_new) not in F.terms
-        F.add_term(k_new, m_new, 0.5)
+        add_term(F, k_new, m_new, 0.5)
         after += 0.5 * (y - F.base_point)[0] * np.exp(1j * 5 * x[1])
         assert F.evaluate(y, x) == pytest.approx(after, rel=1e-14)
         led_out, led_ref = TruncationLedger(), TruncationLedger()
@@ -522,8 +529,8 @@ class TestHomological:
         # chi for B = cos(k.x) must be sin(k.x)/(y0.k) at degree zero
         y0 = np.array([0.7, 0.31])
         B = series(deg=2, cutoff=4)
-        B.add_term((1, 1), (0, 0), 0.5)
-        B.add_term((-1, -1), (0, 0), 0.5)
+        add_term(B, (1, 1), (0, 0), 0.5)
+        add_term(B, (-1, -1), (0, 0), 0.5)
         chi, log, _ = solve_homological(B, y0, 1e-6, "test")
         div = float(y0 @ [1, 1])
         assert chi.terms[((1, 1), (0, 0))] == pytest.approx(0.5 / (1j * div))
@@ -532,7 +539,7 @@ class TestHomological:
     def test_small_divisor_raises_with_witness(self):
         y0 = np.array([0.5, -0.5])
         B = series(deg=2, cutoff=4)
-        B.add_term((1, 1), (0, 0), 0.5)
+        add_term(B, (1, 1), (0, 0), 0.5)
         with pytest.raises(SmallDivisorError) as err:
             solve_homological(B, y0, 1e-6, "test")
         assert err.value.mode == (1, 1)
@@ -542,10 +549,10 @@ class TestHomological:
         y0 = np.array([0.7, 0.31])
         h = kinetic_series(2, y0, 4, 6)
         B = series(deg=4, cutoff=6)
-        B.add_term((1, 1), (0, 0), 0.5)
-        B.add_term((-1, -1), (0, 0), 0.5)
-        B.add_term((1, 0), (1, 0), 0.2)
-        B.add_term((-1, 0), (1, 0), 0.2)
+        add_term(B, (1, 1), (0, 0), 0.5)
+        add_term(B, (-1, -1), (0, 0), 0.5)
+        add_term(B, (1, 0), (1, 0), 0.2)
+        add_term(B, (-1, 0), (1, 0), 0.2)
         chi, _, _ = solve_homological(B, y0, 1e-6, "test")
         resid = h.poisson(chi, TruncationLedger()).plus(B)
         low = {key: c for key, c in resid.terms.items() if sum(key[1]) < 4}
@@ -722,7 +729,7 @@ def zero_part_series():
                     ((0, -1), (1, 0), -0.25), ((1, 1), (0, 1), complex(-1.5, 0.0)),
                     ((-1, -1), (0, 1), complex(-1.5, 0.0)), ((2, 0), (0, 0), -0.75j),
                     ((-2, 0), (0, 0), 0.75j)]:
-        Z.add_term(k, m, c)
+        add_term(Z, k, m, c)
     return Z
 
 
@@ -767,7 +774,7 @@ class TestArrayStorage:
         # G cancels three of F's terms exactly, changes two and adds new ones
         G = F.like()
         for (kk, m), c in list(F.terms.items())[:5]:
-            G.add_term(kk, m, -c if len(G.terms) < 3 else 0.5 * c)
+            add_term(G, kk, m, -c if len(G.terms) < 3 else 0.5 * c)
         G = G.plus(Z)
         minus = {a: x.scaled(-1.0) for a, x in (("F", F), ("Z", Z), ("G", G))}
         assert F.plus(minus["F"]).is_empty and minus["F"].plus(F).is_empty
@@ -798,7 +805,7 @@ class TestArrayStorage:
                  ((-1, 1), (2, 0), complex(0.0, -0.0) - 0.3), ((1, 0), (0, 0), 0.125),
                  ((0, 1), (1, 0), np.complex128(0.5 - 0.25j)), ((-1, 1), (2, 0), 0.3)]
         for kk, m, c in steps:
-            F.add_term(kk, m, c, led)
+            add_term(F, kk, m, c, led)
             ref.add_term(kk, m, c, led_ref)
             assert exact_items(F) == exact_items(ref)
         assert list(F.terms) == [((0, 1), (1, 0)), ((1, 0), (0, 0))]
@@ -814,7 +821,7 @@ class TestArrayStorage:
         rng = np.random.default_rng(12)
         g = random_real_series(rng, 2, 2, 6, 8)
         for j, c in list(pk.coeffs.items())[:1]:
-            g.add_term(tuple(j * v for v in k), (0, 0), 0.5 * c)
+            add_term(g, tuple(j * v for v in k), (0, 0), 0.5 * c)
         zero = (0, 0)
         ref, diff = RefSeries.of(g.like()), RefSeries.of(g)
         for j, c in pk.coeffs.items():
@@ -932,7 +939,7 @@ class TestRemainderNorm:
         params = free_params(2, 1.0, alpha=0.02, K0=2, K=8)
         nf = lie_step_nonres(NaturalHam(2, 0.5, f), params, np.array([0.7, 0.31]))
         a, m = 0.37, 3
-        nf.f_rem[1].add_term((2, 1), (0, 0), a)
+        add_term(nf.f_rem[1], (2, 1), (0, 0), a)
         assert nf_remainder_norm(nf, 0.1, 0.8) == pytest.approx(
             0.5 * a * math.exp(m * 0.8)
         )
@@ -953,10 +960,10 @@ class TestRemainderNorm:
 
     def test_ray_majorant_hand_value(self):
         F = series()
-        F.add_term((2, 2), (1, 0), 0.3)       # j = 2 on the ray of (1, 1)
-        F.add_term((-1, -1), (0, 0), 0.4j)    # j = -1
+        add_term(F, (2, 2), (1, 0), 0.3)       # j = 2 on the ray of (1, 1)
+        add_term(F, (-1, -1), (0, 0), 0.4j)    # j = -1
         G = series()
-        G.add_term((0, 0), (0, 2), -0.5)      # j = 0
+        add_term(G, (0, 0), (0, 2), -0.5)      # j = 0
         r, w = 0.2, 0.7
         expected = 0.3 * r * math.exp(2 * w) + 0.4 * math.exp(w) + 0.5 * r ** 2
         assert ray_majorant([F, G], (1, 1), r, w) == pytest.approx(expected, rel=1e-15)

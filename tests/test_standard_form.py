@@ -9,7 +9,6 @@ from resoforge.standard_form import (
     FIXED_POINT_TOL,
     ComposedMap,
     DecoupledForm,
-    DhatDomain,
     FixedPointDivergence,
     LinearSymplectic,
     Phi2Map,
@@ -27,6 +26,7 @@ from resoforge.standard_form import (
     verify_standard,
 )
 from resoforge.unimodular import complete_to_sl, decoupling_matrix
+from test_lieseries import add_term
 
 TWO_PI = 2 * math.pi
 
@@ -34,6 +34,16 @@ TWO_PI = 2 * math.pi
 def trivial_form(G, n_hat=1, r=0.1, sb=0.5, theta_o=1e-5):
     return DecoupledForm(Gf=G, G_osc=None, adiabatic=lambda ph: 0.0,
                          r=r, s_breve=sb, theta_o_bound=theta_o, n_hat=n_hat)
+
+
+def hsharp(form, Y1, ph, q1):
+    """Hsharp(Y, X1) = Y1^2 + Gf(Y1, phat, X1) of a decoupled form."""
+    return Y1 * Y1 + form.Gf.value(Y1, ph, q1)
+
+
+def phi(fp, phat, x1):
+    """The periodic primitive phi(phat, x1) = int_0^x1 ptilde of a fixed point."""
+    return float(fp._antiderivative_at(fp.p_grid(phat), x1))
 
 
 def oscillatory_part(form):
@@ -96,17 +106,6 @@ class TestCharacteristics:
         }
         assert len(values) == 1
 
-    def test_dhat_membership_and_sampling(self):
-        params = free_params(2, 1.0, alpha=0.03, K0=2, K=6)
-        um = complete_to_sl((1, 1))
-        dom = DhatDomain(um, params)
-        assert dom.contains([-1.0])
-        assert not dom.contains([0.0])   # transverse part vanishes
-        samples = dom.sample(10, seed=1, box=1.3)
-        assert len(samples) == 10
-        for ph in samples:
-            assert dom.contains(ph)
-
 
 class TestFixedPoint:
     def test_y1_independent_potential_gives_zero(self):
@@ -128,7 +127,7 @@ class TestFixedPoint:
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
         assert fp.solve_at([0.0], 0.7) == pytest.approx(-e / 2 * math.cos(0.7), rel=1e-12)
         assert fp.p_o([0.0]) == pytest.approx(0.0, abs=1e-16)
-        assert fp.phi([0.0], math.pi / 3) == pytest.approx(
+        assert phi(fp, [0.0], math.pi / 3) == pytest.approx(
             -e / 2 * math.sin(math.pi / 3), rel=1e-12
         )
 
@@ -138,7 +137,7 @@ class TestFixedPoint:
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
         grid = fp.p_grid(np.zeros(1))
         assert abs(np.mean(grid - fp.p_o([0.0]))) < 1e-15
-        assert abs(fp.phi([0.0], TWO_PI) - fp.phi([0.0], 0.0)) < 1e-13
+        assert abs(phi(fp, [0.0], TWO_PI) - phi(fp, [0.0], 0.0)) < 1e-13
 
     def test_divergence_detected(self):
         G = PolyTrig1(1, {(2, (0,), 0): (40.0, 0.0), (1, (0,), 1): (3.0, 0.0)})
@@ -204,7 +203,7 @@ def phi1_identity_residual(form, points, thetas):
     sec = form.secular
     U = np.array([[float(x) for x in row] for row in form.dm.U])
     kk2 = float(sum(v * v for v in sec.k))
-    return max(abs(sec.value(U @ Y, theta) - (0.5 * kk2 * form.value(Y[0], Y[1:], theta) + form.adiabatic(Y[1:])))
+    return max(abs(sec.value(U @ Y, theta) - (0.5 * kk2 * hsharp(form, Y[0], Y[1:], theta) + form.adiabatic(Y[1:])))
                for Y, theta in zip(points, thetas))
 
 
@@ -268,7 +267,7 @@ class TestPipeline:
             Y1 = rng.uniform(-0.3, 0.3)
             ph = rng.uniform(-1.5, 1.5, 1)
             q1 = rng.uniform(0, TWO_PI)
-            assert form.value(Y1, ph, q1) == Y1 * Y1
+            assert hsharp(form, Y1, ph, q1) == Y1 * Y1
             ahat_t = np.array(um.A_hat, dtype=float).T
             v = ahat_t @ ph
             kv = np.array([1.0, 1.0])
@@ -318,7 +317,7 @@ class TestPipeline:
         sf = standardize(self.f, 1.0, 1e-4, (1, 1), self.params, self.y0,
                          beta=0.05, order=2)
         a = math.exp(-2.0)
-        assert sf.G_bar.coeff(1) == pytest.approx(sf.chars.eps_k * a)
+        assert sf.G_bar.coeffs[1] == pytest.approx(sf.chars.eps_k * a)
 
     def test_verify_standard_flags(self):
         # deep perturbative regime: every standard-form estimate holds
@@ -584,7 +583,7 @@ def _directional_derivative(series, v):
             if m[j] > 0 and v[j] != 0:
                 mm = list(m)
                 mm[j] -= 1
-                out.add_term(k, tuple(mm), c * m[j] * v[j])
+                add_term(out, k, tuple(mm), c * m[j] * v[j])
     return out
 
 
