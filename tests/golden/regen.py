@@ -8,7 +8,12 @@ The sha256 of `json.dumps(doc, sort_keys=True)` for
 - the CLI documents of `normalize` (resonant and non-resonant) and
   `standardize` on the two-mode preset, `check-generic` on a lacunary and a
   random preset, `cover measure` and `bezout`, without the timestamp and with
-  file paths cut to their names.
+  file paths cut to their names;
+- the standard-form maps of criterion 8's two-action form
+  (`acceptance._benchmark_standard_form`) and of the three-mode pipeline form
+  (`test_standard_form._three_mode_standard_form`) at 20 seeded points each:
+  `jacobian` and `apply` of Phi2, Phi3 and `phi_diamond()`, Phi3's inverse
+  round trip, `StandardFormHam.value`, `h0` and `check_reduction_identity`.
 A change that moves one byte of a coefficient (-0.0 included), the order of
 the terms, a divisor or a dropped mass changes a digest.
 
@@ -31,10 +36,12 @@ HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "averaging.json"
 sys.path.insert(0, str(HERE.parent))
 
+from resoforge.acceptance import _benchmark_standard_form  # noqa: E402
 from resoforge.cli import main  # noqa: E402
 from resoforge.cover import free_params  # noqa: E402
 from resoforge.lieseries import NaturalHam, lie_step_nonres, lie_step_res  # noqa: E402
 from test_lieseries import averaging_potential  # noqa: E402
+from test_standard_form import _three_mode_standard_form  # noqa: E402
 
 # (seed, k) of the averaging draws
 CASES = ((1, (1, 1)), (2, (1, -1)), (3, (1, 2)))
@@ -104,8 +111,29 @@ def cli_digests() -> dict[str, str]:
     return out
 
 
+def map_digests() -> dict[str, str]:
+    out = {}
+    forms = {"two_action": lambda: _benchmark_standard_form()[0], "three_mode": _three_mode_standard_form}
+    for name, build in forms.items():
+        sf = build()
+        n, r = sf.n, sf.form.r
+        rng = np.random.default_rng(20)
+        pts = [np.concatenate([rng.uniform(-r, r, 1), sf.fp.base_phat + rng.uniform(-r, r, n - 1),
+                               rng.uniform(0, 2 * np.pi, n)]) for _ in range(20)]
+        inverse = sf.phi3.inverse()
+        for label, transform in (("phi2", sf.phi2), ("phi3", sf.phi3), ("composite", sf.phi_diamond())):
+            out[f"maps/{name}/{label}/jacobian"] = _sha([transform.jacobian(z).tolist() for z in pts])
+            out[f"maps/{name}/{label}/apply"] = _sha([transform.apply(z).tolist() for z in pts])
+        out[f"maps/{name}/phi3/round_trip"] = _sha([inverse.apply(sf.phi3.apply(z)).tolist() for z in pts])
+        out[f"maps/{name}/value"] = _sha([float(sf.value(z[:n], z[n])) for z in pts])
+        out[f"maps/{name}/h0"] = _sha([float(sf.h0(z[1:n])) for z in pts])
+        out[f"maps/{name}/reduction_identity"] = _sha(
+            float(sf.check_reduction_identity([z[:n] for z in pts], [z[n] for z in pts])))
+    return out
+
+
 def digests() -> dict[str, str]:
-    return {**averaging_digests(), **cli_digests()}
+    return {**averaging_digests(), **cli_digests(), **map_digests()}
 
 
 if __name__ == "__main__":
