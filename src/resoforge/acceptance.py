@@ -406,7 +406,8 @@ def criterion_9_energy_identity(points: int = 100, seed: int = 31) -> CriterionR
         p1 = rng.uniform(-sf.chars.r, sf.chars.r)
         ph = phat0 + rng.uniform(-sf.chars.r, sf.chars.r, 1)
         q1 = rng.uniform(0, TWO_PI)
-        Y1 = p1 + sf.fp.p_o(ph) + sf.fp.p_tilde(ph, q1)
+        p_o = sf.fp.shear(ph, 0)[0]
+        Y1 = p1 + p_o + (sf.fp.jet(ph, q1, 0)[0] - p_o)
         yt = U @ np.concatenate([[Y1], ph])
         lhs = sec.value(yt, q1)
         rhs = kk2 / 2.0 * (sf.value(np.concatenate([[p1], ph]), q1) + sf.h0(ph))

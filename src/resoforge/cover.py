@@ -60,7 +60,7 @@ class CoveringParams:
         if self.alpha < 0 or (self.alpha == 0 and self.mode != "free"):
             raise ValueError("alpha must be positive (zero allowed in free mode)")
 
-    # analyticity radii of the averaging domains; r_k uses the Euclidean |k|
+    # analyticity radii of the averaging domains
     @property
     def r_o(self) -> float:
         return self.alpha / (16.0 * self.K0)
@@ -76,9 +76,6 @@ class CoveringParams:
     @property
     def s_star_prime(self) -> float:
         return self.s_star * (1.0 - 1.0 / self.K)
-
-    def r_k(self, k: Mode) -> float:
-        return self.alpha / _euclid(k)
 
     def s_k_prime(self, k: Mode) -> float:
         return l1(k) * self.s_star_prime

@@ -698,11 +698,6 @@ def _flow_time1(chi: TaylorFourierSeries, scale: float, z0: np.ndarray,
 @dataclass
 class ConjugacyReport:
     max_residual: float
-    max_displacement: float
-    residuals: np.ndarray
-    displacements: np.ndarray
-    displacement_threshold: float | None = None
-    displacement_ok: bool | None = None
 
 
 def verify_conjugacy(
@@ -711,43 +706,21 @@ def verify_conjugacy(
     points: list[tuple[np.ndarray, np.ndarray]],
     rtol: float = 1e-12,
     atol: float = 1e-13,
-    params: CoveringParams | None = None,
 ) -> ConjugacyReport:
     """max |H(Psi(y,x)) - nf(y,x)| over sample points, Psi the composed
     time-1 flows of the generating Hamiltonians (applied highest grade first,
-    matching H o Phi_1 o ... o Phi_D), plus the action displacement
-    sup |pi_y Psi - y|.  The residual sits at the formal order eps^{order+1}.
-    All points flow together, as one DOP853 state per generator grade, driven
-    by `eval_grads` on the stored generators, so the check does not run the
-    bracket kernel that built the normal form.
-    When covering params are supplied the displacement is compared (report
-    only) against the preset displacement threshold r_o/(2^7 K0), resp.
-    r_k/(2^7 K).
+    matching H o Phi_1 o ... o Phi_D).  The residual sits at the formal order
+    eps^{order+1}.  All points flow together, as one DOP853 state per
+    generator grade, driven by `eval_grads` on the stored generators, so the
+    check does not run the bracket kernel that built the normal form.
     """
     ys = np.array([y for y, _x in points], dtype=float)
     xs = np.array([x for _y, x in points], dtype=float)
     z = np.hstack([ys, xs])
     for j, chi in sorted(nf.chi, key=lambda t: -t[0]):
         z = _flow_time1(chi, nf.epsilon ** j, z, rtol, atol)
-    residuals = np.array([abs(ham.value(zi[: nf.n], zi[nf.n:]) - nf.nf_value(y, x))
-                          for zi, y, x in zip(z, ys, xs)])
-    displacements = np.linalg.norm(z[:, : nf.n] - ys, axis=1)
-    threshold = None
-    ok = None
-    if params is not None:
-        if nf.kind == "nonresonant":
-            threshold = params.r_o / (2.0 ** 7 * params.K0)
-        else:
-            threshold = params.r_k(nf.res_k) / (2.0 ** 7 * params.K)
-        ok = bool(displacements.max() <= threshold)
-    return ConjugacyReport(
-        max_residual=float(residuals.max()),
-        max_displacement=float(displacements.max()),
-        residuals=residuals,
-        displacements=displacements,
-        displacement_threshold=threshold,
-        displacement_ok=ok,
-    )
+    return ConjugacyReport(max_residual=float(max(
+        abs(ham.value(zi[: nf.n], zi[nf.n:]) - nf.nf_value(y, x)) for zi, y, x in zip(z, ys, xs))))
 
 
 def ray_majorant(grades: list[TaylorFourierSeries], k_res: Mode, r: float,

@@ -32,9 +32,11 @@ Y1^d phat^m (a cos j q1 + b sin j q1) about the averaging base point, so all
 derivatives are closed-form.  The potentials are array-valued: Y1 and q1
 broadcast against each other, so the fixed point is solved on a whole q1 grid
 at once (each entry stops on its own step, exactly as the pointwise iteration
-would).  The Jacobians of Phi2 and Phi3 are exact: dp/dphat and d2p/dphat2
-come from first- and second-order implicit differentiation of
-p + 0.5 d_{Y1} Gf(p) = 0.
+would).  One call, `FixedPointSolution.jet`, solves once and returns p with
+dp/dphat, dp/dq1 and d2p/dphat2 up to the order its caller reads, from first-
+and second-order implicit differentiation of p + 0.5 d_{Y1} Gf(p) = 0, so the
+Jacobians of Phi2 and Phi3 are exact.  Every map call and every standard-form
+value reads one jet on the q1 grid per phat and at most one at its q1.
 
 Config note: the fully certified asymptotic regime additionally requires the
 inner cutoff K0 to exceed a dimensional gate (at least c2, plus an inexplicit
@@ -442,15 +444,30 @@ _GL_T = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 
 
+def _antiderivative_at(values: np.ndarray, x):
+    """int_0^x of the zero-average trig interpolant of grid values; the grid
+    runs along the first axis, the other axes are kept."""
+    m = len(values)
+    vals = np.moveaxis(values, 0, -1)
+    vals = vals - vals.mean(axis=-1, keepdims=True)
+    coeff = np.fft.rfft(vals, axis=-1) / m
+    j = np.arange(1, coeff.shape[-1])
+    terms = coeff[..., 1:] * (np.exp(1j * j * x) - 1.0) / (1j * j)
+    return 2.0 * np.real(np.sum(terms, axis=-1))
+
+
 @dataclass
 class FixedPointSolution:
     """Solution p(phat, q1) of p = -0.5 d_{Y1} Gf(p, phat, q1).
 
-    p_o is the angle average, ptilde = p - p_o; phi is the periodic primitive
-    of ptilde and q_hat = -d_phat phi.  The empirical contraction factor must
-    stay below 1/8 (+ roundoff) whenever the smallness hypothesis holds.
-    Every q1 argument may be a scalar or an array; nothing is cached, so each
-    call solves afresh on the points it is given.
+    `jet` solves once, on a scalar q1 or an array of them, and returns p with
+    its exact derivatives up to the requested order.  On the q1 grid the jet
+    gives everything else: the angle average p_o and its derivatives
+    (`shear`, the tau of Phi3), ptilde = p - p_o, and through the periodic
+    primitive phi of ptilde the map q_hat = -d_phat phi of Phi2.  Nothing is
+    cached, so each call solves afresh on the points it is given.  The
+    empirical contraction factor must stay below 1/8 (+ roundoff) whenever the
+    smallness hypothesis holds.
     """
 
     form: DecoupledForm
@@ -458,12 +475,8 @@ class FixedPointSolution:
     contraction: float
     iterations: int
     hypothesis_ok: bool
-    p_sup: float
-    pitale_bound: float
     pitale_ok: bool
     base_phat: np.ndarray = None
-
-    # -- the masked solver --------------------------------------------------
 
     def solve_at(self, phat, q1):
         """Iterate u <- -0.5 d_{Y1} Gf(u, phat, q1) from u = 0 on every entry
@@ -483,75 +496,34 @@ class FixedPointSolution:
                 return u[()]
         raise FixedPointDivergence("pointwise fixed-point iteration stalled")
 
-    def p_grid(self, phat) -> np.ndarray:
-        return self.solve_at(phat, _THETA)
-
-    def p_o(self, phat) -> float:
-        return float(np.mean(self.p_grid(phat)))
-
-    def p_tilde(self, phat, q1):
-        return self.solve_at(phat, q1) - self.p_o(phat)
-
-    # -- spectral antiderivative and phat derivatives -----------------------
-
-    @staticmethod
-    def _antiderivative_at(values: np.ndarray, x: float):
-        """int_0^x of the zero-average trig interpolant of grid values; the
-        grid runs along the first axis, the other axes are kept."""
-        m = len(values)
-        vals = np.moveaxis(values, 0, -1)
-        vals = vals - vals.mean(axis=-1, keepdims=True)
-        coeff = np.fft.rfft(vals, axis=-1) / m
-        j = np.arange(1, coeff.shape[-1])
-        terms = coeff[..., 1:] * (np.exp(1j * j * x) - 1.0) / (1j * j)
-        return 2.0 * np.real(np.sum(terms, axis=-1))
-
-    def _implicit(self, phat, q1):
-        """(p, D, dp/dphat) with D = 1 + 0.5 d2_{Y1} Gf(p): differentiating
-        p + 0.5 d_{Y1} Gf(p, phat, q1) = 0 gives D p_i = -0.5 G_{Y i}."""
-        Gf = self.form.Gf
-        ph = np.asarray(phat, dtype=float)
-        p = self.solve_at(ph, q1)
-        denom = 1.0 + 0.5 * Gf.d2Y1(p, ph, q1)
-        return p, denom, -0.5 * Gf.dY1_dph(p, ph, q1) / np.asarray(denom)[..., None]
-
-    def p_ph(self, phat, q1) -> np.ndarray:
-        """d p / d phat by implicit differentiation of the fixed-point equation."""
-        return self._implicit(phat, q1)[2]
-
-    def p_q(self, phat, q1):
-        Gf = self.form.Gf
-        ph = np.asarray(phat, dtype=float)
-        p = self.solve_at(ph, q1)
-        denom = 1.0 + 0.5 * Gf.d2Y1(p, ph, q1)
-        return -0.5 * Gf.dY1_dq1(p, ph, q1) / denom
-
-    def p_phph(self, phat, q1) -> np.ndarray:
-        """d^2 p / d phat_i d phat_j: differentiating D p_i + 0.5 G_{Y i} = 0
-        once more gives
+    def jet(self, phat, q1, order: int):
+        """(p, dp/dphat, dp/dq1, d2p/dphat2) at q1 from one solve; entries
+        above `order` are None.  Differentiating p + 0.5 d_{Y1} Gf(p) = 0
+        gives D p_i = -0.5 G_{Y i} and D p_q = -0.5 G_{Y q} with
+        D = 1 + 0.5 G_YY, and once more
         D p_ij = -0.5 (G_YYY p_i p_j + G_{YY i} p_j + G_{YY j} p_i + G_{Y ij})."""
         Gf = self.form.Gf
         ph = np.asarray(phat, dtype=float)
-        p, denom, pi = self._implicit(ph, q1)
+        p = self.solve_at(ph, q1)
+        if order < 1:
+            return p, None, None, None
+        denom = 1.0 + 0.5 * Gf.d2Y1(p, ph, q1)
+        pi = -0.5 * Gf.dY1_dph(p, ph, q1) / np.asarray(denom)[..., None]
+        pq = -0.5 * Gf.dY1_dq1(p, ph, q1) / denom
+        if order < 2:
+            return p, pi, pq, None
         cross = Gf.d2Y1_dph(p, ph, q1)[..., :, None] * pi[..., None, :]
         total = (np.asarray(Gf.d3Y1(p, ph, q1))[..., None, None]
                  * pi[..., :, None] * pi[..., None, :]
                  + cross + np.swapaxes(cross, -1, -2) + Gf.dY1_dph2(p, ph, q1))
-        return -0.5 * total / np.asarray(denom)[..., None, None]
+        return p, pi, pq, -0.5 * total / np.asarray(denom)[..., None, None]
 
-    def d_po_dph(self, phat) -> np.ndarray:
-        return self.p_ph(phat, _THETA).mean(axis=0)
-
-    def d2_po_dph2(self, phat) -> np.ndarray:
-        return self.p_phph(phat, _THETA).mean(axis=0)
-
-    def q_hat(self, phat, q1: float) -> np.ndarray:
-        """-d_phat phi(phat, q1), componentwise spectral antiderivative."""
-        return -self._antiderivative_at(self.p_ph(phat, _THETA), q1)
-
-    def q_hat_ph(self, phat, q1: float) -> np.ndarray:
-        """d q_hat / d phat: minus the antiderivative of d^2 p / d phat^2."""
-        return -self._antiderivative_at(self.p_phph(phat, _THETA), q1)
+    def shear(self, phat, order: int):
+        """(p_o, d p_o/dphat, d2 p_o/dphat2), the angle average of p and its
+        derivatives, from one grid jet; entries above `order` are None."""
+        p, pi, _pq, pij = self.jet(phat, _THETA, order)
+        return (float(np.mean(p)), None if pi is None else pi.mean(axis=0),
+                None if pij is None else pij.mean(axis=0))
 
 
 def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
@@ -585,18 +557,13 @@ def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
             break
     else:
         raise FixedPointDivergence(f"no convergence below {FIXED_POINT_TOL}")
-    theta_o = form.theta_o_bound
-    p_sup = float(np.max(np.abs(u)))
-    pitale = theta_o / (3.0 * form.r)
     return FixedPointSolution(
         form=form,
         residual=residual,
         contraction=contraction,
         iterations=it,
         hypothesis_ok=form.hypothesis_ok(),
-        p_sup=p_sup,
-        pitale_bound=pitale,
-        pitale_ok=p_sup < pitale,
+        pitale_ok=float(np.max(np.abs(u))) < form.theta_o_bound / (3.0 * form.r),
         base_phat=ph.copy(),
     )
 
@@ -614,49 +581,43 @@ def omega_matrix(n: int) -> np.ndarray:
 
 class ShearMap:
     """Momentum-shear group element: (p, q) -> (p1 + tau(phat), phat, q1,
-    qhat - q1 dtau(phat)); symplectic for every smooth tau.  The Jacobian
-    needs the Hessian d2tau."""
+    qhat - q1 dtau(phat)); symplectic for every smooth tau.  `jet(phat,
+    order)` returns (tau, dtau, d2tau) with the entries above `order` None;
+    `apply` reads order 1, and `jacobian` order 2, which needs the Hessian."""
 
-    def __init__(self, n: int, tau, dtau, d2tau=None):
+    def __init__(self, n: int, jet):
         self.n = n
-        self.tau = tau
-        self.dtau = dtau
-        self.d2tau = d2tau
+        self.jet = jet
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         n = self.n
         p, q = z[:n], z[n:]
-        ph = p[1:]
+        tau, dtau, _ = self.jet(p[1:], 1)
         out = z.astype(float).copy()
-        out[0] = p[0] + float(self.tau(ph))
-        out[n + 1:] = q[1:] - q[0] * np.asarray(self.dtau(ph))
+        out[0] = p[0] + float(tau)
+        out[n + 1:] = q[1:] - q[0] * np.asarray(dtau)
         return out
 
     def inverse(self) -> "ShearMap":
-        return ShearMap(
-            self.n,
-            lambda ph: -self.tau(ph),
-            lambda ph: -np.asarray(self.dtau(ph)),
-            None if self.d2tau is None else (lambda ph: -np.asarray(self.d2tau(ph))),
-        )
+        return ShearMap(self.n, lambda ph, order: tuple(
+            None if v is None else -np.asarray(v) for v in self.jet(ph, order)))
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
-        if self.d2tau is None:
-            raise ValueError("ShearMap.jacobian needs the Hessian d2tau")
         n = self.n
-        ph = z[1:n]
-        q1 = z[n]
+        _, dtau, d2tau = self.jet(z[1:n], 2)
+        if d2tau is None:
+            raise ValueError("ShearMap.jacobian needs the Hessian d2tau")
         J = np.eye(2 * n)
-        dtau = np.asarray(self.dtau(ph))
         J[0, 1:n] = dtau
-        J[n + 1:, 1:n] = -q1 * np.asarray(self.d2tau(ph))
-        J[n + 1:, n] = -dtau
+        J[n + 1:, 1:n] = -z[n] * np.asarray(d2tau)
+        J[n + 1:, n] = -np.asarray(dtau)
         return J
 
 
 class Phi2Map:
     """The generating-function map of the fixed-point shift:
-    Y1 = P1 + ptilde(Phat, Q1), X̂ = Q̂ + q_hat(Phat, Q1)."""
+    Y1 = P1 + ptilde(Phat, Q1), X̂ = Q̂ + q_hat(Phat, Q1).  Each call reads
+    one jet on the q1 grid and one at Q1."""
 
     def __init__(self, fp: FixedPointSolution, n: int):
         self.fp = fp
@@ -666,21 +627,23 @@ class Phi2Map:
         n = self.n
         P, Q = z[:n], z[n:]
         ph = P[1:]
+        grid, grid_ph, _, _ = self.fp.jet(ph, _THETA, 1)
         out = z.astype(float).copy()
-        out[0] = P[0] + self.fp.p_tilde(ph, Q[0])
-        out[n + 1:] = Q[1:] + self.fp.q_hat(ph, Q[0])
+        out[0] = P[0] + (self.fp.jet(ph, Q[0], 0)[0] - float(np.mean(grid)))
+        out[n + 1:] = Q[1:] - _antiderivative_at(grid_ph, Q[0])
         return out
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         n = self.n
-        fp = self.fp
         ph = z[1:n]
         q1 = z[n]
+        _, grid_ph, _, grid_phph = self.fp.jet(ph, _THETA, 2)
+        _, p_ph, p_q, _ = self.fp.jet(ph, q1, 1)
         J = np.eye(2 * n)
-        p_ph = fp.p_ph(ph, q1) - fp.d_po_dph(ph)      # d ptilde / d phat
+        p_ph = p_ph - grid_ph.mean(axis=0)              # d ptilde / d phat
         J[0, 1:n] = p_ph
-        J[0, n] = fp.p_q(ph, q1)                       # d ptilde / d q1
-        J[n + 1:, 1:n] = fp.q_hat_ph(ph, q1)
+        J[0, n] = p_q                                    # d ptilde / d q1
+        J[n + 1:, 1:n] = -_antiderivative_at(grid_phph, q1)
         J[n + 1:, n] = -p_ph
         return J
 
@@ -756,40 +719,42 @@ class StandardFormHam:
     phi2: Phi2Map
     phi3: ShearMap
 
-    def _taylor_integral(self, P1, p_o: float, ph, q1):
-        """int_0^1 (1-t) d2_{Y1} Gf(p_o + t(P1 - p_o)) dt by Gauss-Legendre,
-        all nodes at once; P1 and q1 broadcast."""
-        pts = p_o + _GL_T * (np.asarray(P1, dtype=float)[..., None] - p_o)
+    def _on_grid(self, ph: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """p_o(phat), G0(phat) and G(phat, .) on the q1 grid, from one grid solve."""
+        pg = self.fp.jet(ph, _THETA, 0)[0]
+        gvals = self.form.Gf.value(pg, ph, _THETA)
+        G0 = float(np.mean(pg ** 2) + np.mean(gvals))
+        return float(np.mean(pg)), G0, pg * pg + gvals - G0
+
+    def _nu(self, p1, p_o: float, ph, q1):
+        """int_0^1 (1-t) d2_{Y1} Gf(p_o + t p1) dt by Gauss-Legendre, all
+        nodes at once; p1 and q1 broadcast."""
+        pts = p_o + _GL_T * ((p_o + np.asarray(p1, dtype=float))[..., None] - p_o)
         vals = self.form.Gf.d2Y1(pts, ph, np.asarray(q1, dtype=float)[..., None])
         return np.sum(_GL_W * (1.0 - _GL_T) * vals, axis=-1)
 
+    def _G(self, p, G0: float, ph, q1):
+        """G(phat, q1) from p(phat, q1) and G0(phat)."""
+        return p * p + self.form.Gf.value(p, ph, q1) - G0
+
     def nu(self, p1, phat, q1):
         ph = np.asarray(phat, dtype=float)
-        p_o = self.fp.p_o(ph)
-        return self._taylor_integral(p_o + np.asarray(p1, dtype=float), p_o, ph, q1)
-
-    def _G_on_grid(self, ph: np.ndarray, pg: np.ndarray) -> tuple[float, np.ndarray]:
-        """G0(phat) and G(phat, .) on the q1 grid, from p on that grid."""
-        gvals = self.form.Gf.value(pg, ph, _THETA)
-        G0 = float(np.mean(pg ** 2) + np.mean(gvals))
-        return G0, pg * pg + gvals - G0
-
-    def G0(self, phat) -> float:
-        ph = np.asarray(phat, dtype=float)
-        return self._G_on_grid(ph, self.fp.p_grid(ph))[0]
+        return self._nu(p1, self._on_grid(ph)[0], ph, q1)
 
     def G(self, phat, q1):
         ph = np.asarray(phat, dtype=float)
-        p = self.fp.solve_at(ph, q1)
-        return p * p + self.form.Gf.value(p, ph, q1) - self.G0(ph)
+        return self._G(self.fp.jet(ph, q1, 0)[0], self._on_grid(ph)[1], ph, q1)
 
     def h0(self, phat) -> float:
         kk2 = float(sum(v * v for v in self.k))
-        return self.G0(phat) + 2.0 * self.form.adiabatic(phat) / kk2
+        return self._on_grid(np.asarray(phat, dtype=float))[1] + 2.0 * self.form.adiabatic(phat) / kk2
 
     def value(self, p, q1: float) -> float:
         p = np.asarray(p, dtype=float)
-        return (1.0 + self.nu(p[0], p[1:], q1)) * p[0] ** 2 + self.G(p[1:], q1)
+        ph = p[1:]
+        p_o, G0, _ = self._on_grid(ph)
+        return ((1.0 + self._nu(p[0], p_o, ph, q1)) * p[0] ** 2
+                + self._G(self.fp.jet(ph, q1, 0)[0], G0, ph, q1))
 
     def phi_diamond(self) -> ComposedMap:
         maps = [self.phi2, self.phi3]
@@ -803,13 +768,11 @@ class StandardFormHam:
         for p, q1 in zip(points, q1s):
             p = np.asarray(p, dtype=float)
             ph = p[1:]
-            Y1 = p[0] + self.fp.p_o(ph) + self.fp.p_tilde(ph, q1)
+            p_o, G0, _ = self._on_grid(ph)
+            pq = self.fp.jet(ph, q1, 0)[0]
+            Y1 = p[0] + p_o + (pq - p_o)
             lhs = Y1 * Y1 + self.form.Gf.value(Y1, ph, q1)
-            rhs = (
-                (1.0 + self.nu(p[0], ph, q1)) * p[0] ** 2
-                + self.G0(ph)
-                + self.G(ph, q1)
-            )
+            rhs = (1.0 + self._nu(p[0], p_o, ph, q1)) * p[0] ** 2 + G0 + self._G(pq, G0, ph, q1)
             worst = max(worst, abs(lhs - rhs))
         return worst
 
@@ -821,7 +784,7 @@ def build_phi2_phi3(fp: FixedPointSolution, chars: Characteristics,
     fixed point."""
     form = fp.form
     n = form.n_hat + 1
-    phi3 = ShearMap(n, fp.p_o, fp.d_po_dph, fp.d2_po_dph2)
+    phi3 = ShearMap(n, fp.shear)
     phi2 = Phi2Map(fp, n)
     eps = chars.eps_k * float(sum(v * v for v in chars.k)) / 2.0
     return StandardFormHam(
@@ -876,13 +839,11 @@ def verify_standard(sf: StandardFormHam, phat_samples: np.ndarray) -> StandardFo
     rng = np.random.default_rng(7)
     for ph in phat_samples:
         ph = np.asarray(ph, dtype=float)
-        pg = sf.fp.p_grid(ph)
-        G0, gv = sf._G_on_grid(ph, pg)
+        p_o, G0, gv = sf._on_grid(ph)
         worst_dev = max(worst_dev, float(np.max(np.abs(gv - gbar_grid))))
         q1 = rng.uniform(0, TWO_PI, 8)
         p1 = rng.uniform(-ch.r, ch.r, 8)
-        p_o = float(np.mean(pg))
-        nu = sf._taylor_integral(p_o + p1, p_o, ph, q1)
+        nu = sf._nu(p1, p_o, ph, q1)
         worst_nu = max(worst_nu, float(np.max(np.abs(nu))))
         worst_h0 = max(worst_h0, abs(G0))
     put("g_minus_gbar_le_eps_hat_lambda", worst_dev, ch.eps_hat * ch.lam,

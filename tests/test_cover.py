@@ -151,7 +151,6 @@ class TestParams:
         assert p.r_o == pytest.approx(p.alpha / 32)
         assert p.s_o == pytest.approx(0.5)
         assert p.s_star == pytest.approx(1 - 1 / 12)
-        assert p.r_k((2, 1)) == pytest.approx(p.alpha / math.sqrt(5))
         assert p.s_k_prime((1, 1)) == pytest.approx(2 * p.s_star_prime)
 
     def test_free_mode_passthrough(self):

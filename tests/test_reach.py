@@ -11,8 +11,11 @@ module-level definition or member of src/resoforge/, or anywhere in
 perfbench/*.py, whose tracer also names its targets in strings.  References
 made only by unreached definitions do not count, so a helper of an unreached
 function or method is unreached too, and so is every member of an unreached
-class.  A member is known by its name alone, so one that shares its name with
-a reached attribute of another object is not seen.
+class.  A field of a dataclass is reached only when live library code loads
+it as an attribute, or perfbench/*.py names it in an identifier or string:
+a field that is only ever passed to the constructor or assigned is written
+and never read.  A member or field is known by its name alone, so one that
+shares its name with a reached attribute of another object is not seen.
 """
 
 import ast
@@ -21,17 +24,22 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
+# what a reference can name: a module-level name, also a member, also a field
+NAME, MEMBER, FIELD = 0, 1, 2
+
+
 def _identifiers(node, strings=False):
-    """(identifier, whether it can name a member) for each reference under node."""
+    """(identifier, what it can name) for each reference under node; in
+    perfbench (strings=True) every reference can name anything."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            yield sub.id, strings
+            yield sub.id, FIELD if strings else NAME
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr, True
+            yield sub.attr, FIELD if strings or isinstance(sub.ctx, ast.Load) else MEMBER
         elif isinstance(sub, ast.keyword) and sub.arg:
-            yield sub.arg, True
+            yield sub.arg, FIELD if strings else MEMBER
         elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            yield from ((part, True) for part in sub.value.split("."))
+            yield from ((part, FIELD) for part in sub.value.split("."))
 
 
 def _defined(node):
@@ -48,11 +56,18 @@ def _is_member(node):
             and not (node.name.startswith("__") and node.name.endswith("__")))
 
 
+def _fields(node):
+    """The annotated fields of a class decorated with dataclass."""
+    if not any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+        return []
+    return [sub.target.id for sub in node.body if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)]
+
+
 def unreached_names(root=ROOT):
-    """Sorted "module.name" and "module.Class.member" of everything unreached under root."""
-    module = {}   # every module-level name and "Class.member" of the library -> its module
-    members = {}  # "Class.member" -> (class name, member name)
-    refs = []     # (holders of the referring code, identifier, whether it can name a member)
+    """Sorted "module.name", "module.Class.member" and "module.Class.field" of everything unreached under root."""
+    module = {}   # every module-level name, "Class.member" and "Class.field" -> its module
+    members = {}  # "Class.member" and "Class.field" -> (class name, name, what can name it)
+    refs = []     # (holders of the referring code, identifier, what it can name)
     for path in sorted((root / "src" / "resoforge").glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -62,8 +77,11 @@ def unreached_names(root=ROOT):
             inner = [sub for sub in node.body if _is_member(sub)] if isinstance(node, ast.ClassDef) else []
             for sub in inner:
                 key = f"{node.name}.{sub.name}"
-                module[key], members[key] = path.stem, (node.name, sub.name)
+                module[key], members[key] = path.stem, (node.name, sub.name, MEMBER)
                 refs += [([key], *ident) for ident in _identifiers(sub)]
+            for name in _fields(node) if isinstance(node, ast.ClassDef) else []:
+                module[f"{node.name}.{name}"] = path.stem
+                members[f"{node.name}.{name}"] = (node.name, name, FIELD)
             rest = [sub for sub in ast.iter_child_nodes(node) if not any(sub is m for m in inner)]
             refs += [(holders, *ident) for sub in rest for ident in _identifiers(sub)]
     for path in sorted((root / "perfbench").glob("*.py")):
@@ -71,16 +89,16 @@ def unreached_names(root=ROOT):
     unreached: set[str] = set()
     while True:
         # a statement binding nothing (an import, the __main__ guard) is always live
-        live = [(holders, ident, attr) for holders, ident, attr in refs
+        live = [(holders, ident, kind) for holders, ident, kind in refs
                 if not holders or any(h not in unreached for h in holders)]
         named = {ident for holders, ident, _ in live if ident not in holders}
-        attrs = {}  # member-capable identifier -> the holders that use it
-        for holders, ident, attr in live:
-            if attr:
-                attrs.setdefault(ident, set()).update(holders or [None])
+        attrs = {}  # (identifier, what it can name) -> the holders that use it
+        for holders, ident, kind in live:
+            for level in range(MEMBER, kind + 1):
+                attrs.setdefault((ident, level), set()).update(holders or [None])
         now = {name for name in module if name not in members and name not in named}
-        now |= {key for key, (cls, name) in members.items()
-                if cls in now or not attrs.get(name, set()) - {key}}
+        now |= {key for key, (cls, name, kind) in members.items()
+                if cls in now or not attrs.get((name, kind), set()) - {key}}
         if now == unreached:
             return sorted(f"{module[name]}.{name}" for name in unreached)
         unreached = now
@@ -97,10 +115,11 @@ def test_scan_follows_helpers_and_perfbench_strings(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "src" / "resoforge" / "__init__.py").write_text("from .a import dead, helper, used\n")
     (tmp_path / "src" / "resoforge" / "a.py").write_text(
+        "from dataclasses import dataclass\n"
         "LIMIT = 2\n"
         "def helper():\n    return LIMIT\n"
         "def dead():\n    return helper() + dead()\n"
-        "def used():\n    return Box().size + _private()\n"
+        "def used():\n    return Box().size + _private() + report()\n"
         "def _private():\n    return 1\n"
         "def _unused():\n    return 1\n"
         "def traced():\n    return 1\n"
@@ -113,8 +132,16 @@ def test_scan_follows_helpers_and_perfbench_strings(tmp_path):
         "    def traced_method(self):\n        return 1\n"
         "def _grid():\n    return 1\n"
         "_CAP = 3\n"
+        "@dataclass(frozen=False)\n"
+        "class Report:\n"
+        "    read: int\n"
+        "    written: int\n"
+        "    stored: int = 0\n"
+        "    traced: int = 0\n"
+        "def report():\n    rep = Report(read=1, written=2)\n    rep.stored = 3\n    return rep.read\n"
     )
     (tmp_path / "perfbench" / "run.py").write_text(
-        "from resoforge.a import used\nTARGETS = ['a.traced', 'Box.traced_method']\nused()\n")
+        "from resoforge.a import used\nTARGETS = ['a.traced', 'Box.traced_method', 'Report.traced']\nused()\n")
     assert unreached_names(tmp_path) == [
-        "a.Box.dead_method", "a.Box.inner", "a.LIMIT", "a._grid", "a._unused", "a.dead", "a.helper"]
+        "a.Box.dead_method", "a.Box.inner", "a.LIMIT", "a.Report.stored", "a.Report.written",
+        "a._grid", "a._unused", "a.dead", "a.helper"]

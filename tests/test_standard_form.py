@@ -10,6 +10,7 @@ from resoforge.standard_form import (
     ComposedMap,
     DecoupledForm,
     FixedPointDivergence,
+    FixedPointSolution,
     LinearSymplectic,
     Phi2Map,
     PolyTrig1,
@@ -24,6 +25,8 @@ from resoforge.standard_form import (
     standardize,
     symplectic_check,
     verify_standard,
+    _antiderivative_at,
+    _THETA,
 )
 from resoforge.unimodular import complete_to_sl, decoupling_matrix
 from test_lieseries import add_term
@@ -43,7 +46,12 @@ def hsharp(form, Y1, ph, q1):
 
 def phi(fp, phat, x1):
     """The periodic primitive phi(phat, x1) = int_0^x1 ptilde of a fixed point."""
-    return float(fp._antiderivative_at(fp.p_grid(phat), x1))
+    return float(_antiderivative_at(fp.jet(phat, _THETA, 0)[0], x1))
+
+
+def shear_jet(tau, dtau, d2tau=None):
+    """A ShearMap jet from closed forms of tau, dtau and (optionally) d2tau."""
+    return lambda ph, order: (tau(ph), dtau(ph), None if d2tau is None else d2tau(ph))
 
 
 def oscillatory_part(form):
@@ -126,7 +134,7 @@ class TestFixedPoint:
         G = PolyTrig1(1, {(1, (0,), 1): (e, 0.0)})
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
         assert fp.solve_at([0.0], 0.7) == pytest.approx(-e / 2 * math.cos(0.7), rel=1e-12)
-        assert fp.p_o([0.0]) == pytest.approx(0.0, abs=1e-16)
+        assert fp.shear([0.0], 0)[0] == pytest.approx(0.0, abs=1e-16)
         assert phi(fp, [0.0], math.pi / 3) == pytest.approx(
             -e / 2 * math.sin(math.pi / 3), rel=1e-12
         )
@@ -135,8 +143,8 @@ class TestFixedPoint:
         G = PolyTrig1(1, {(1, (0,), 1): (0.01, 0.005), (2, (0,), 2): (0.002, 0.0),
                           (0, (0,), 1): (0.02, 0.0)})
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        grid = fp.p_grid(np.zeros(1))
-        assert abs(np.mean(grid - fp.p_o([0.0]))) < 1e-15
+        grid = fp.jet(np.zeros(1), _THETA, 0)[0]
+        assert abs(np.mean(grid - fp.shear([0.0], 0)[0])) < 1e-15
         assert abs(phi(fp, [0.0], TWO_PI) - phi(fp, [0.0], 0.0)) < 1e-13
 
     def test_divergence_detected(self):
@@ -150,7 +158,7 @@ class TestFixedPoint:
         h = 1e-6
         for q1 in (0.3, 2.2):
             fd = (fp.solve_at([0.03 + h], q1) - fp.solve_at([0.03 - h], q1)) / (2 * h)
-            assert fp.p_ph([0.03], q1)[0] == pytest.approx(fd, abs=1e-9)
+            assert fp.jet([0.03], q1, 1)[1][0] == pytest.approx(fd, abs=1e-9)
 
     def test_implicit_q1_derivative(self):
         G = PolyTrig1(1, {(1, (0,), 1): (0.02, 0.01), (2, (0,), 2): (0.004, 0.0)})
@@ -158,7 +166,7 @@ class TestFixedPoint:
         h = 1e-6
         for q1 in (0.5, 4.0):
             fd = (fp.solve_at([0.0], q1 + h) - fp.solve_at([0.0], q1 - h)) / (2 * h)
-            assert fp.p_q([0.0], q1) == pytest.approx(fd, abs=1e-9)
+            assert fp.jet([0.0], q1, 1)[2] == pytest.approx(fd, abs=1e-9)
 
 
 class TestReduction:
@@ -210,22 +218,22 @@ def phi1_identity_residual(form, points, thetas):
 class TestMaps:
     def test_shear_group_law(self):
         rng = np.random.default_rng(2)
-        a = ShearMap(3, lambda ph: 0.1 * ph[0] - 0.05 * ph[1] ** 2,
-                     lambda ph: np.array([0.1, -0.1 * ph[1]]))
-        b = ShearMap(3, lambda ph: 0.02 * ph[0] * ph[1],
-                     lambda ph: np.array([0.02 * ph[1], 0.02 * ph[0]]))
+        ta, dta = lambda ph: 0.1 * ph[0] - 0.05 * ph[1] ** 2, lambda ph: np.array([0.1, -0.1 * ph[1]])
+        tb, dtb = lambda ph: 0.02 * ph[0] * ph[1], lambda ph: np.array([0.02 * ph[1], 0.02 * ph[0]])
+        a = ShearMap(3, shear_jet(ta, dta))
+        b = ShearMap(3, shear_jet(tb, dtb))
         pts = [rng.normal(size=6) for _ in range(100)]
         # Psi_a o Psi_b = Psi_{a+b}
-        ab = ShearMap(3, lambda ph: a.tau(ph) + b.tau(ph), lambda ph: a.dtau(ph) + b.dtau(ph))
+        ab = ShearMap(3, shear_jet(lambda ph: ta(ph) + tb(ph), lambda ph: dta(ph) + dtb(ph)))
         assert max(float(np.max(np.abs(a.apply(b.apply(z)) - ab.apply(z)))) for z in pts) < 1e-12
         inv = a.inverse()
         worst = max(float(np.max(np.abs(inv.apply(a.apply(z)) - z))) for z in pts)
         assert worst < 1e-12
 
     def test_shear_symplectic(self):
-        a = ShearMap(3, lambda ph: 0.1 * ph[0] - 0.05 * ph[1] ** 2,
-                     lambda ph: np.array([0.1, -0.1 * ph[1]]),
-                     d2tau=lambda ph: np.array([[0.0, 0.0], [0.0, -0.1]]))
+        a = ShearMap(3, shear_jet(lambda ph: 0.1 * ph[0] - 0.05 * ph[1] ** 2,
+                                  lambda ph: np.array([0.1, -0.1 * ph[1]]),
+                                  lambda ph: np.array([[0.0, 0.0], [0.0, -0.1]])))
         rng = np.random.default_rng(3)
         pts = [rng.normal(size=6) for _ in range(50)]
         assert symplectic_check(a, pts) < 1e-12
@@ -239,7 +247,7 @@ class TestMaps:
     def test_composition_associates(self):
         U = np.array([[1.0, 0.5], [0.0, 1.0]])
         lin = LinearSymplectic(U)
-        shear = ShearMap(2, lambda ph: 0.1 * ph[0], lambda ph: np.array([0.1]))
+        shear = ShearMap(2, shear_jet(lambda ph: 0.1 * ph[0], lambda ph: np.array([0.1])))
         comp = ComposedMap([lin, shear])
         z = np.array([0.3, -0.2, 1.0, 2.0])
         assert np.allclose(comp.apply(z), lin.apply(shear.apply(z)))
@@ -308,7 +316,8 @@ class TestPipeline:
             p1 = rng.uniform(-sf.chars.r, sf.chars.r)
             ph = phat0 + rng.uniform(-sf.chars.r, sf.chars.r, 1)
             q1 = rng.uniform(0, TWO_PI)
-            Y1 = p1 + sf.fp.p_o(ph) + sf.fp.p_tilde(ph, q1)
+            p_o = sf.fp.shear(ph, 0)[0]
+            Y1 = p1 + p_o + (sf.fp.jet(ph, q1, 0)[0] - p_o)
             lhs = sec.value(U @ np.concatenate([[Y1], ph]), q1)
             rhs = 1.0 * (sf.value(np.concatenate([[p1], ph]), q1) + sf.h0(ph))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
@@ -359,12 +368,9 @@ class TestPipeline:
             (np.array(um.A_hat, dtype=float) @ np.array(um.k, dtype=float))[0]
         )
         kk2 = float(sum(v * v for v in um.k))
-        shear = ShearMap(
-            2,
-            lambda ph: -ahat_k * ph[0] / kk2,
-            lambda ph: np.array([-ahat_k / kk2]),
-            d2tau=lambda ph: np.zeros((1, 1)),
-        )
+        shear = ShearMap(2, shear_jet(lambda ph: -ahat_k * ph[0] / kk2,
+                                      lambda ph: np.array([-ahat_k / kk2]),
+                                      lambda ph: np.zeros((1, 1))))
         rng = np.random.default_rng(9)
         for _ in range(50):
             z = rng.normal(size=4)
@@ -667,15 +673,15 @@ class TestExactJacobians:
         ph = fp.base_phat + np.array([0.004, -0.007])
         h = 1e-4
         q = np.array([0.3, 2.2, 5.0])
-        exact = fp.p_phph(ph, q)
-        dtau2 = sf.phi3.d2tau(ph)
+        exact = fp.jet(ph, q, 2)[3]
+        dtau2 = sf.phi3.jet(ph, 2)[2]
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (fp.p_ph(ph + e, q) - fp.p_ph(ph - e, q)) / (2 * h)
+            fd = (fp.jet(ph + e, q, 1)[1] - fp.jet(ph - e, q, 1)[1]) / (2 * h)
             scale = np.max(np.abs(exact))
             assert np.max(np.abs(exact[:, :, j] - fd)) <= 1e-6 * scale
-            fd_tau = (fp.d_po_dph(ph + e) - fp.d_po_dph(ph - e)) / (2 * h)
+            fd_tau = (fp.shear(ph + e, 1)[1] - fp.shear(ph - e, 1)[1]) / (2 * h)
             assert np.max(np.abs(dtau2[:, j] - fd_tau)) <= 1e-6 * np.max(np.abs(dtau2))
         assert np.allclose(exact, np.swapaxes(exact, -1, -2), rtol=0, atol=1e-12 * scale)
 
@@ -714,6 +720,67 @@ class TestExactJacobians:
         assert max(_jacobian_mismatch(broken, z, h) for z in pts) > 0.1
 
     def test_shear_jacobian_needs_hessian(self):
-        shear = ShearMap(2, lambda ph: 0.1 * ph[0], lambda ph: np.array([0.1]))
+        shear = ShearMap(2, shear_jet(lambda ph: 0.1 * ph[0], lambda ph: np.array([0.1])))
         with pytest.raises(ValueError):
             shear.jacobian(np.zeros(4))
+
+
+class TestOneSolvePerJet:
+    def test_lower_orders_are_prefixes(self):
+        # entries above the order are None, the others equal the full jet's
+        from resoforge.acceptance import _benchmark_standard_form
+
+        fp = _benchmark_standard_form()[0].fp
+        ph = fp.base_phat + np.array([0.003, 0.002])
+        for q1 in (1.1, _THETA):
+            full = fp.jet(ph, q1, 2)
+            for order, width in ((0, 1), (1, 3)):
+                part = fp.jet(ph, q1, order)
+                assert part[width:] == (None,) * (4 - width)
+                for a, b in zip(part[:width], full):
+                    assert np.array_equal(a, b)
+        tau = fp.shear(ph, 2)
+        assert fp.shear(ph, 0)[1:] == (None, None)
+        assert tau[0] == float(np.mean(fp.jet(ph, _THETA, 0)[0]))
+
+    def test_solve_counts(self, monkeypatch):
+        # grid and point solves per call: one grid jet and one point jet for
+        # Phi2, one grid jet for Phi3, and one of each per identity sample
+        from resoforge.acceptance import _benchmark_standard_form
+
+        sf, rng = _benchmark_standard_form()
+        n = sf.n
+        z = np.concatenate([[0.01], sf.fp.base_phat + rng.uniform(-0.01, 0.01, n - 1),
+                            rng.uniform(0, TWO_PI, n)])
+        calls = []
+        solve = FixedPointSolution.solve_at
+
+        def counting(fp, phat, q1):
+            calls.append(np.ndim(q1))
+            return solve(fp, phat, q1)
+
+        monkeypatch.setattr(FixedPointSolution, "solve_at", counting)
+
+        def solves(call):
+            calls.clear()
+            call()
+            return calls.count(1), calls.count(0)
+
+        samples = [z[:n]] * 3
+        counts = {
+            "phi2.jacobian": solves(lambda: sf.phi2.jacobian(z)),
+            "phi2.apply": solves(lambda: sf.phi2.apply(z)),
+            "phi3.jacobian": solves(lambda: sf.phi3.jacobian(z)),
+            "phi3.apply": solves(lambda: sf.phi3.apply(z)),
+            "phi_diamond.jacobian": solves(lambda: sf.phi_diamond().jacobian(z)),
+            "check_reduction_identity, 3 samples": solves(
+                lambda: sf.check_reduction_identity(samples, [z[n]] * 3)),
+        }
+        assert counts == {
+            "phi2.jacobian": (1, 1),
+            "phi2.apply": (1, 1),
+            "phi3.jacobian": (1, 0),
+            "phi3.apply": (1, 0),
+            "phi_diamond.jacobian": (4, 2),
+            "check_reduction_identity, 3 samples": (3, 3),
+        }
