@@ -354,7 +354,11 @@ def _benchmark_standard_form(seed: int = 5):
 @_timed
 def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
     """Phi1 rational residual exactly zero; Phi2, Phi3 and the composite
-    within 1e-9 over sampled points; shear group law to 1e-12."""
+    within 1e-9 over sampled points, absolutely and relative to the largest
+    entry of J - I; shear group law to 1e-12.  Doubling one off-diagonal
+    entry of Phi2's q_hat-phat Hessian block fails only the relative gate.
+    Doubling the whole symmetric block, or dp/dq1, stays symplectic by
+    construction, so neither is a witness here."""
     um = complete_to_sl((2, 3))
     dm = decoupling_matrix(um)
     exact = symplectic_residual_exact(dm)
@@ -382,8 +386,9 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
         float(np.max(np.abs(inv.apply(a.apply(z)) - z))) for z in pts
     )
     details["group_law"] = group
-    ok = (phi1_exact_zero and details["phi2"] <= 1e-9 and details["phi3"] <= 1e-9
-          and details["composite"] <= 1e-9 and group <= 1e-12)
+    ok = (phi1_exact_zero and group <= 1e-12
+          and all(details[name] <= 1e-9 and details[name + "_relative"] <= 1e-9
+                  for name in ("phi2", "phi3", "composite")))
     return CriterionResult(8, "symplecticity of the reduction transforms", ok, details, 0.0)
 
 
@@ -406,11 +411,9 @@ def criterion_9_energy_identity(points: int = 100, seed: int = 31) -> CriterionR
         p1 = rng.uniform(-sf.chars.r, sf.chars.r)
         ph = phat0 + rng.uniform(-sf.chars.r, sf.chars.r, 1)
         q1 = rng.uniform(0, TWO_PI)
-        p_o = sf.fp.shear(ph, 0)[0]
-        Y1 = p1 + p_o + (sf.fp.jet(ph, q1, 0)[0] - p_o)
-        yt = U @ np.concatenate([[Y1], ph])
-        lhs = sec.value(yt, q1)
-        rhs = kk2 / 2.0 * (sf.value(np.concatenate([[p1], ph]), q1) + sf.h0(ph))
+        Y1, kinetic, G0, G, _ = sf._read(np.concatenate([[p1], ph]), q1)
+        lhs = sec.value(U @ np.concatenate([[Y1], ph]), q1)
+        rhs = kk2 / 2.0 * ((kinetic + G) + sf._h0(G0, ph))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
 
     # exact rational kinetic-split identity

@@ -30,7 +30,7 @@ from .cover import (
 from .fourier import NotAGeneratorError, lacunary_potential, load_potential, save_potential, two_mode_potential
 from .genericity import GenericityParams, check_membership, sample_product_measure
 from .lieseries import GeneratorFlowError, NaturalHam, SmallDivisorError, lie_step_nonres, lie_step_res
-from .standard_form import FixedPointDivergence, standardize, verify_standard
+from .standard_form import GRID, FixedPointDivergence, standardize, verify_standard, _THETA
 from .unimodular import complete_to_sl, decoupling_matrix
 
 EXIT_OK = 0
@@ -274,7 +274,9 @@ def cmd_standardize(args) -> int:
     samples = phat0[None, :] + rng.uniform(-sf.chars.r, sf.chars.r,
                                            (8, f.n - 1))
     report = verify_standard(sf, samples)
-    theta = np.linspace(0.0, 2 * np.pi, 65)[:-1]
+    # 64 nodes of the q1 grid, so G and nu come from one grid solve
+    p_o, _, g_grid = sf._on_grid(phat0)
+    theta = _THETA[::GRID // 64]
     doc = _report_skeleton(args)
     doc["characteristics"] = sf.chars.to_dict()
     doc["kappa"] = sf.chars.kappa
@@ -288,8 +290,8 @@ def cmd_standardize(args) -> int:
     doc["grids"] = {
         "q1": theta.tolist(),
         "G_bar": [sf.G_bar.evaluate(t).real for t in theta],
-        "G": sf.G(phat0, theta).tolist(),
-        "nu": sf.nu(0.0, phat0, theta).tolist(),
+        "G": g_grid[::GRID // 64].tolist(),
+        "nu": sf._nu(0.0, p_o, phat0, theta).tolist(),
     }
     # hard invariant: the Taylor reduction identity at a sample point
     ident = sf.check_reduction_identity(

@@ -26,17 +26,17 @@ reference potential Gbar = eps_k pi_k f, characteristics
 which is independent of the resonance label k.  The adiabatic-action domain
 Dhat of the characteristics is not materialized, because no check reads it.
 
-Evaluation: one kernel, PolyTrig1, evaluates every decoupled potential.  The
+Evaluation: one kernel, PolyTrig1, holds every decoupled potential.  The
 pipeline's secular series is re-expanded exactly into its terms
 Y1^d phat^m (a cos j q1 + b sin j q1) about the averaging base point, so all
-derivatives are closed-form.  The potentials are array-valued: Y1 and q1
-broadcast against each other, so the fixed point is solved on a whole q1 grid
-at once (each entry stops on its own step, exactly as the pointwise iteration
-would).  One call, `FixedPointSolution.jet`, solves once and returns p with
-dp/dphat, dp/dq1 and d2p/dphat2 up to the order its caller reads, from first-
-and second-order implicit differentiation of p + 0.5 d_{Y1} Gf(p) = 0, so the
-Jacobians of Phi2 and Phi3 are exact.  Every map call and every standard-form
-value reads one jet on the q1 grid per phat and at most one at its q1.
+derivatives are closed-form.  `PolyTrig1.at(phat, q1)` binds one phat and a
+q1 grid (or point) and gives any derivative at an array of Y1 in one pass
+over the terms, so the fixed point is solved on the whole grid at once (each
+entry stops on its own step, exactly as the pointwise iteration would).
+`FixedPointSolution.jet` solves once and differentiates p + 0.5 d_{Y1} Gf(p)
+= 0 implicitly on the same evaluator, so the Jacobians of Phi2 and Phi3 are
+exact.  Every map call and every standard-form value reads one solve on the
+q1 grid per phat and at most one at its q1.
 
 Config note: the fully certified asymptotic regime additionally requires the
 inner cutoff K0 to exceed a dimensional gate (at least c2, plus an inexplicit
@@ -47,6 +47,7 @@ exact algebraic identities hold at any parameter values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -67,7 +68,7 @@ _THETA = np.arange(GRID) * (TWO_PI / GRID)
 
 
 # --------------------------------------------------------------------------
-# decoupled potentials: value/dY1/d2Y1/d3Y1/dY1_dq1/dY1_dph/d2Y1_dph/dY1_dph2
+# the decoupled potential and its evaluator bound to one (phat, q1)
 # --------------------------------------------------------------------------
 
 def _distinct(values: list) -> tuple[np.ndarray, np.ndarray]:
@@ -86,9 +87,7 @@ class PolyTrig1:
     terms: dict[(d, m, j)] -> (a, b) with j >= 0; the terms are compiled into
     arrays once, at construction.  center is 0 for hand-built forms;
     `from_series` expands the pipeline's series about the averaging base
-    point.  Every method is closed-form; Y1 and q1 broadcast against each
-    other (scalars or arrays), phat is one point, and each phat derivative
-    appends one axis per index.
+    point.  `at(phat, q1)` gives the closed-form value and derivatives.
     """
 
     n_hat: int
@@ -145,63 +144,9 @@ class PolyTrig1:
                 terms[key] = (a + z.real, b - sign * z.imag)
         return cls(n - 1, terms, np.linalg.solve(affine, series.base_point))
 
-    def _sum(self, Y1, ph, q1, dy: int, dphs=((),), dq: int = 0) -> np.ndarray:
-        """d^dy/dY1^dy d^dq/dq1^dq (dq <= 1) followed, for each index tuple in
-        dphs, by d/dphat_i for every i in the tuple, one tuple per entry of
-        the last axis.  Each derivative multiplies a term by its exponent,
-        then lowers it."""
-        ph = np.asarray(ph, dtype=float) - self.center[1:]
-        coeff = np.ones(len(self._d))
-        for k in range(dy):
-            coeff = coeff * (self._d - k)
-        rows = []
-        for idx in dphs:
-            c, m = coeff, self._m.copy()
-            for i in idx:
-                c = c * m[:, i]
-                m[:, i] -= 1.0
-            rows.append(c * np.prod(ph ** np.maximum(m, 0.0), axis=1))
-        jq = np.asarray(q1, dtype=float)[..., None] * self._ju
-        cos, sin = np.cos(jq)[..., self._jinv], np.sin(jq)[..., self._jinv]
-        if dq == 0:
-            trig = self._a * cos + self._b * sin
-        else:
-            trig = self._j * (self._b * cos - self._a * sin)
-        du = np.maximum(self._du - dy, 0.0)
-        v1 = np.asarray(Y1, dtype=float) - self.center[0]
-        base = (v1[..., None] ** du)[..., self._dinv] * trig
-        # the gathers come out term-major; a contiguous term axis is summed
-        # pairwise, as it is for one point, so arrays equal pointwise calls
-        return np.sum(np.ascontiguousarray(np.array(rows) * base[..., None, :]), axis=-1)
-
-    def _singles(self):
-        return [(i,) for i in range(self.n_hat)]
-
-    def value(self, Y1, ph, q1):
-        return self._sum(Y1, ph, q1, 0)[..., 0]
-
-    def dY1(self, Y1, ph, q1):
-        return self._sum(Y1, ph, q1, 1)[..., 0]
-
-    def d2Y1(self, Y1, ph, q1):
-        return self._sum(Y1, ph, q1, 2)[..., 0]
-
-    def d3Y1(self, Y1, ph, q1):
-        return self._sum(Y1, ph, q1, 3)[..., 0]
-
-    def dY1_dq1(self, Y1, ph, q1):
-        return self._sum(Y1, ph, q1, 1, dq=1)[..., 0]
-
-    def dY1_dph(self, Y1, ph, q1) -> np.ndarray:
-        return self._sum(Y1, ph, q1, 1, self._singles())
-
-    def d2Y1_dph(self, Y1, ph, q1) -> np.ndarray:
-        return self._sum(Y1, ph, q1, 2, self._singles())
-
-    def dY1_dph2(self, Y1, ph, q1) -> np.ndarray:
-        n = self.n_hat
-        out = self._sum(Y1, ph, q1, 1, [(i, j) for i in range(n) for j in range(n)])
-        return out.reshape(out.shape[:-1] + (n, n))
+    def at(self, phat, q1) -> "BoundPotential":
+        """This potential bound to one phat and one q1 (scalar or array)."""
+        return BoundPotential(self, phat, q1)
 
     def dep_majorant(self, rY1: float, rph: float, width: float) -> float:
         """Bound on the Y1- or phat-dependent part over |Y1 - c_0| <= rY1,
@@ -212,6 +157,63 @@ class PolyTrig1:
                 continue
             total += (abs(a) + abs(b)) * rY1 ** d * rph ** sum(m) * math.exp(j * width)
         return total
+
+
+class BoundPotential:
+    """Gf bound to one phat and one q1 (scalar or array).
+
+    `ev(Y1, dy, dph=0, dq=0)` is d^dy/dY1^dy d^dq/dq1^dq (dq <= 1) followed
+    by dph derivatives in phat, one trailing axis of length n_hat each; Y1
+    broadcasts against q1.  The trig table of each dq and the coefficient
+    rows of each (dy, dph) are built on first use and kept, so a call pays
+    only the Y1 powers and one pass over the terms.
+    """
+
+    def __init__(self, G: PolyTrig1, phat, q1):
+        self.G = G
+        self.ph = np.asarray(phat, dtype=float) - G.center[1:]
+        self.q1 = np.asarray(q1, dtype=float)
+        self._rows = {}
+        self._trig = {}
+
+    def _coefficient_rows(self, dy: int, dph: int) -> np.ndarray:
+        """One row per phat index tuple of order dph.  Each derivative
+        multiplies a term by its exponent, then lowers it."""
+        if (dy, dph) not in self._rows:
+            G = self.G
+            coeff = np.ones(len(G._d))
+            for k in range(dy):
+                coeff = coeff * (G._d - k)
+            rows = []
+            for idx in itertools.product(range(G.n_hat), repeat=dph):
+                c, m = coeff, G._m.copy()
+                for i in idx:
+                    c = c * m[:, i]
+                    m[:, i] -= 1.0
+                rows.append(c * np.prod(self.ph ** np.maximum(m, 0.0), axis=1))
+            self._rows[dy, dph] = np.array(rows)
+        return self._rows[dy, dph]
+
+    def _trig_table(self, dq: int) -> np.ndarray:
+        """a cos(j q1) + b sin(j q1) per term (dq = 0), or its q1 derivative."""
+        if dq not in self._trig:
+            G = self.G
+            jq = self.q1[..., None] * G._ju
+            cos, sin = np.cos(jq)[..., G._jinv], np.sin(jq)[..., G._jinv]
+            self._trig[dq] = (G._a * cos + G._b * sin if dq == 0
+                              else G._j * (G._b * cos - G._a * sin))
+        return self._trig[dq]
+
+    def __call__(self, Y1, dy: int, dph: int = 0, dq: int = 0) -> np.ndarray:
+        G = self.G
+        du = np.maximum(G._du - dy, 0.0)
+        v1 = np.asarray(Y1, dtype=float) - G.center[0]
+        base = (v1[..., None] ** du)[..., G._dinv] * self._trig_table(dq)
+        # the gathers come out term-major; a contiguous term axis is summed
+        # pairwise, as it is for one point, so arrays equal pointwise calls
+        rows = self._coefficient_rows(dy, dph)
+        out = np.sum(np.ascontiguousarray(rows * base[..., None, :]), axis=-1)
+        return out.reshape(out.shape[:-1] + (G.n_hat,) * dph)
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +463,7 @@ class FixedPointSolution:
     """Solution p(phat, q1) of p = -0.5 d_{Y1} Gf(p, phat, q1).
 
     `jet` solves once, on a scalar q1 or an array of them, and returns p with
-    its exact derivatives up to the requested order.  On the q1 grid the jet
+    its exact phat derivatives up to the requested order.  On the q1 grid the jet
     gives everything else: the angle average p_o and its derivatives
     (`shear`, the tau of Phi3), ptilde = p - p_o, and through the periodic
     primitive phi of ptilde the map q_hat = -d_phat phi of Phi2.  Nothing is
@@ -478,50 +480,45 @@ class FixedPointSolution:
     pitale_ok: bool
     base_phat: np.ndarray = None
 
-    def solve_at(self, phat, q1):
-        """Iterate u <- -0.5 d_{Y1} Gf(u, phat, q1) from u = 0 on every entry
-        of q1 at once; each entry freezes at the first iterate whose own step
-        is below FIXED_POINT_TOL, so it equals the scalar iteration at that q1."""
-        Gf = self.form.Gf
-        ph = np.asarray(phat, dtype=float)
-        q = np.asarray(q1, dtype=float)
-        u = np.zeros(q.shape)
-        live = np.ones(q.shape, dtype=bool)
+    def solve_at(self, ev: BoundPotential):
+        """Iterate u <- -0.5 d_{Y1} Gf(u) from u = 0 on every entry of the
+        evaluator's q1 at once; each entry freezes at the first iterate whose
+        own step is below FIXED_POINT_TOL, so it equals the scalar iteration
+        at that q1."""
+        u = np.zeros(ev.q1.shape)
+        live = np.ones(ev.q1.shape, dtype=bool)
         for _ in range(200):
-            nxt = -0.5 * Gf.dY1(u[live], ph, q[live])
-            moving = ~(np.abs(nxt - u[live]) < FIXED_POINT_TOL)
-            u[live] = nxt
-            live[live] = moving
+            nxt = -0.5 * ev(u, 1)
+            moving = ~(np.abs(nxt - u) < FIXED_POINT_TOL)
+            u = np.where(live, nxt, u)
+            live &= moving
             if not live.any():
                 return u[()]
         raise FixedPointDivergence("pointwise fixed-point iteration stalled")
 
     def jet(self, phat, q1, order: int):
-        """(p, dp/dphat, dp/dq1, d2p/dphat2) at q1 from one solve; entries
-        above `order` are None.  Differentiating p + 0.5 d_{Y1} Gf(p) = 0
-        gives D p_i = -0.5 G_{Y i} and D p_q = -0.5 G_{Y q} with
+        """(p, dp/dphat, d2p/dphat2) at q1 from one solve and its evaluator;
+        entries above `order` are None.  Differentiating
+        p + 0.5 d_{Y1} Gf(p) = 0 gives D p_i = -0.5 G_{Y i} with
         D = 1 + 0.5 G_YY, and once more
         D p_ij = -0.5 (G_YYY p_i p_j + G_{YY i} p_j + G_{YY j} p_i + G_{Y ij})."""
-        Gf = self.form.Gf
-        ph = np.asarray(phat, dtype=float)
-        p = self.solve_at(ph, q1)
+        ev = self.form.Gf.at(phat, q1)
+        p = self.solve_at(ev)
         if order < 1:
-            return p, None, None, None
-        denom = 1.0 + 0.5 * Gf.d2Y1(p, ph, q1)
-        pi = -0.5 * Gf.dY1_dph(p, ph, q1) / np.asarray(denom)[..., None]
-        pq = -0.5 * Gf.dY1_dq1(p, ph, q1) / denom
+            return p, None, None
+        denom = np.asarray(1.0 + 0.5 * ev(p, 2))
+        pi = -0.5 * ev(p, 1, 1) / denom[..., None]
         if order < 2:
-            return p, pi, pq, None
-        cross = Gf.d2Y1_dph(p, ph, q1)[..., :, None] * pi[..., None, :]
-        total = (np.asarray(Gf.d3Y1(p, ph, q1))[..., None, None]
-                 * pi[..., :, None] * pi[..., None, :]
-                 + cross + np.swapaxes(cross, -1, -2) + Gf.dY1_dph2(p, ph, q1))
-        return p, pi, pq, -0.5 * total / np.asarray(denom)[..., None, None]
+            return p, pi, None
+        cross = ev(p, 2, 1)[..., :, None] * pi[..., None, :]
+        total = (ev(p, 3)[..., None, None] * pi[..., :, None] * pi[..., None, :]
+                 + cross + np.swapaxes(cross, -1, -2) + ev(p, 1, 2))
+        return p, pi, -0.5 * total / denom[..., None, None]
 
     def shear(self, phat, order: int):
         """(p_o, d p_o/dphat, d2 p_o/dphat2), the angle average of p and its
         derivatives, from one grid jet; entries above `order` are None."""
-        p, pi, _pq, pij = self.jet(phat, _THETA, order)
+        p, pi, pij = self.jet(phat, _THETA, order)
         return (float(np.mean(p)), None if pi is None else pi.mean(axis=0),
                 None if pij is None else pij.mean(axis=0))
 
@@ -536,14 +533,14 @@ def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
     is the next step, so each iteration evaluates d_{Y1} Gf once.
     """
     ph = np.asarray(phat, dtype=float)
-    Gf = form.Gf
+    ev = form.Gf.at(ph, _THETA)
     u = np.zeros(GRID)
-    nxt = -0.5 * Gf.dY1(u, ph, _THETA)
+    nxt = -0.5 * ev(u, 1)
     contraction = 0.0
     prev_step = None
     residual = math.inf
     for it in range(1, 200):
-        after = -0.5 * Gf.dY1(nxt, ph, _THETA)
+        after = -0.5 * ev(nxt, 1)
         step = float(np.max(np.abs(nxt - u)))
         residual = float(np.max(np.abs(nxt - after)))
         if prev_step is not None and prev_step > 0:
@@ -617,7 +614,7 @@ class ShearMap:
 class Phi2Map:
     """The generating-function map of the fixed-point shift:
     Y1 = P1 + ptilde(Phat, Q1), X̂ = Q̂ + q_hat(Phat, Q1).  Each call reads
-    one jet on the q1 grid and one at Q1."""
+    one jet on the q1 grid and one solve at Q1."""
 
     def __init__(self, fp: FixedPointSolution, n: int):
         self.fp = fp
@@ -627,7 +624,7 @@ class Phi2Map:
         n = self.n
         P, Q = z[:n], z[n:]
         ph = P[1:]
-        grid, grid_ph, _, _ = self.fp.jet(ph, _THETA, 1)
+        grid, grid_ph, _ = self.fp.jet(ph, _THETA, 1)
         out = z.astype(float).copy()
         out[0] = P[0] + (self.fp.jet(ph, Q[0], 0)[0] - float(np.mean(grid)))
         out[n + 1:] = Q[1:] - _antiderivative_at(grid_ph, Q[0])
@@ -637,12 +634,16 @@ class Phi2Map:
         n = self.n
         ph = z[1:n]
         q1 = z[n]
-        _, grid_ph, _, grid_phph = self.fp.jet(ph, _THETA, 2)
-        _, p_ph, p_q, _ = self.fp.jet(ph, q1, 1)
+        _, grid_ph, grid_phph = self.fp.jet(ph, _THETA, 2)
+        # the first-order jet at q1 with dp/dq1, which only this map reads:
+        # D p_q = -0.5 G_{Y q}, as for dp/dphat
+        ev = self.fp.form.Gf.at(ph, q1)
+        p = self.fp.solve_at(ev)
+        denom = 1.0 + 0.5 * ev(p, 2)
         J = np.eye(2 * n)
-        p_ph = p_ph - grid_ph.mean(axis=0)              # d ptilde / d phat
+        p_ph = -0.5 * ev(p, 1, 1) / denom - grid_ph.mean(axis=0)  # d ptilde / d phat
         J[0, 1:n] = p_ph
-        J[0, n] = p_q                                    # d ptilde / d q1
+        J[0, n] = -0.5 * ev(p, 1, dq=1) / denom                   # d ptilde / d q1
         J[n + 1:, 1:n] = -_antiderivative_at(grid_phph, q1)
         J[n + 1:, n] = -p_ph
         return J
@@ -721,8 +722,9 @@ class StandardFormHam:
 
     def _on_grid(self, ph: np.ndarray) -> tuple[float, float, np.ndarray]:
         """p_o(phat), G0(phat) and G(phat, .) on the q1 grid, from one grid solve."""
-        pg = self.fp.jet(ph, _THETA, 0)[0]
-        gvals = self.form.Gf.value(pg, ph, _THETA)
+        ev = self.form.Gf.at(ph, _THETA)
+        pg = self.fp.solve_at(ev)
+        gvals = ev(pg, 0)
         G0 = float(np.mean(pg ** 2) + np.mean(gvals))
         return float(np.mean(pg)), G0, pg * pg + gvals - G0
 
@@ -730,31 +732,28 @@ class StandardFormHam:
         """int_0^1 (1-t) d2_{Y1} Gf(p_o + t p1) dt by Gauss-Legendre, all
         nodes at once; p1 and q1 broadcast."""
         pts = p_o + _GL_T * ((p_o + np.asarray(p1, dtype=float))[..., None] - p_o)
-        vals = self.form.Gf.d2Y1(pts, ph, np.asarray(q1, dtype=float)[..., None])
-        return np.sum(_GL_W * (1.0 - _GL_T) * vals, axis=-1)
+        ev = self.form.Gf.at(ph, np.asarray(q1, dtype=float)[..., None])
+        return np.sum(_GL_W * (1.0 - _GL_T) * ev(pts, 2), axis=-1)
 
-    def _G(self, p, G0: float, ph, q1):
-        """G(phat, q1) from p(phat, q1) and G0(phat)."""
-        return p * p + self.form.Gf.value(p, ph, q1) - G0
-
-    def nu(self, p1, phat, q1):
-        ph = np.asarray(phat, dtype=float)
-        return self._nu(p1, self._on_grid(ph)[0], ph, q1)
-
-    def G(self, phat, q1):
-        ph = np.asarray(phat, dtype=float)
-        return self._G(self.fp.jet(ph, q1, 0)[0], self._on_grid(ph)[1], ph, q1)
-
-    def h0(self, phat) -> float:
-        kk2 = float(sum(v * v for v in self.k))
-        return self._on_grid(np.asarray(phat, dtype=float))[1] + 2.0 * self.form.adiabatic(phat) / kk2
-
-    def value(self, p, q1: float) -> float:
+    def _read(self, p, q1):
+        """At (p, q1), from one grid solve and one solve at q1: the Y1 that
+        Phi2 o Phi3 sends it to, (1 + nu) p1^2, G0(phat), G(phat, q1), and
+        the evaluator at (phat, q1)."""
         p = np.asarray(p, dtype=float)
         ph = p[1:]
         p_o, G0, _ = self._on_grid(ph)
-        return ((1.0 + self._nu(p[0], p_o, ph, q1)) * p[0] ** 2
-                + self._G(self.fp.jet(ph, q1, 0)[0], G0, ph, q1))
+        ev = self.form.Gf.at(ph, q1)
+        pq = self.fp.solve_at(ev)
+        return (p[0] + p_o + (pq - p_o), (1.0 + self._nu(p[0], p_o, ph, q1)) * p[0] ** 2,
+                G0, pq * pq + ev(pq, 0) - G0, ev)
+
+    def _h0(self, G0: float, phat) -> float:
+        """h0(phat) = G0(phat) + 2 adiabatic(phat)/|k|^2."""
+        return G0 + 2.0 * self.form.adiabatic(phat) / float(sum(v * v for v in self.k))
+
+    def value(self, p, q1: float) -> float:
+        _, kinetic, _, G, _ = self._read(p, q1)
+        return kinetic + G
 
     def phi_diamond(self) -> ComposedMap:
         maps = [self.phi2, self.phi3]
@@ -766,14 +765,8 @@ class StandardFormHam:
         """max |Hsharp(Phi2(Phi3(p, q1))) - ((1+nu)p1^2 + G0 + G)|."""
         worst = 0.0
         for p, q1 in zip(points, q1s):
-            p = np.asarray(p, dtype=float)
-            ph = p[1:]
-            p_o, G0, _ = self._on_grid(ph)
-            pq = self.fp.jet(ph, q1, 0)[0]
-            Y1 = p[0] + p_o + (pq - p_o)
-            lhs = Y1 * Y1 + self.form.Gf.value(Y1, ph, q1)
-            rhs = (1.0 + self._nu(p[0], p_o, ph, q1)) * p[0] ** 2 + G0 + self._G(pq, G0, ph, q1)
-            worst = max(worst, abs(lhs - rhs))
+            Y1, kinetic, G0, G, ev = self._read(p, q1)
+            worst = max(worst, abs(Y1 * Y1 + ev(Y1, 0) - (kinetic + G0 + G)))
         return worst
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from resoforge import acceptance, cover
 from resoforge.morse import critical_points_many
-from resoforge.standard_form import PolyTrig1
+from resoforge.standard_form import Phi2Map, PolyTrig1
 
 
 def _run(fn, **kwargs):
@@ -122,7 +122,25 @@ def test_criterion_08_symplecticity():
     assert result.details["phi1_rational_residual"] == "0"
     for key in ("phi2", "phi3", "composite"):
         assert result.details[key] <= 1e-9
+        assert result.details[key + "_relative"] <= 1e-9
     assert result.details["group_law"] <= 1e-12
+
+
+def test_criterion_08_rejects_one_doubled_hessian_entry(monkeypatch):
+    # one off-diagonal entry of Phi2's q_hat-phat Hessian block doubled: the
+    # absolute defect stays far below its gate, the relative one does not
+    jacobian = Phi2Map.jacobian
+
+    def doubled(self, z):
+        J = jacobian(self, z)
+        J[self.n + 1, 2] *= 2.0
+        return J
+
+    monkeypatch.setattr(Phi2Map, "jacobian", doubled)
+    result = acceptance.criterion_8_symplecticity(points=20)
+    assert not result.passed
+    assert result.details["phi2"] <= 1e-9
+    assert result.details["phi2_relative"] > 1e-9
 
 
 def test_criterion_09_energy_identity():

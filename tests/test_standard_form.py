@@ -7,6 +7,7 @@ from resoforge.cover import free_params
 from resoforge.fourier import OneDTrigPoly, TrigPoly, generators, lacunary_potential, two_mode_potential
 from resoforge.standard_form import (
     FIXED_POINT_TOL,
+    BoundPotential,
     ComposedMap,
     DecoupledForm,
     FixedPointDivergence,
@@ -41,7 +42,7 @@ def trivial_form(G, n_hat=1, r=0.1, sb=0.5, theta_o=1e-5):
 
 def hsharp(form, Y1, ph, q1):
     """Hsharp(Y, X1) = Y1^2 + Gf(Y1, phat, X1) of a decoupled form."""
-    return Y1 * Y1 + form.Gf.value(Y1, ph, q1)
+    return Y1 * Y1 + form.Gf.at(ph, q1)(Y1, 0)
 
 
 def phi(fp, phat, x1):
@@ -119,21 +120,21 @@ class TestFixedPoint:
     def test_y1_independent_potential_gives_zero(self):
         G = PolyTrig1(1, {(0, (0,), 1): (0.3, 0.1)})
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        assert fp.solve_at([0.0], 1.2) == 0.0
+        assert fp.jet([0.0], 1.2, 0)[0] == 0.0
         assert fp.residual == 0.0
 
     def test_linear_potential_exact(self):
         c = 0.3
         G = PolyTrig1(1, {(1, (0,), 0): (c, 0.0)})
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        assert fp.solve_at([0.0], 0.3) == pytest.approx(-c / 2, rel=1e-14)
+        assert fp.jet([0.0], 0.3, 0)[0] == pytest.approx(-c / 2, rel=1e-14)
         assert fp.iterations <= 3
 
     def test_cosine_coupling_first_order(self):
         e = 0.01
         G = PolyTrig1(1, {(1, (0,), 1): (e, 0.0)})
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        assert fp.solve_at([0.0], 0.7) == pytest.approx(-e / 2 * math.cos(0.7), rel=1e-12)
+        assert fp.jet([0.0], 0.7, 0)[0] == pytest.approx(-e / 2 * math.cos(0.7), rel=1e-12)
         assert fp.shear([0.0], 0)[0] == pytest.approx(0.0, abs=1e-16)
         assert phi(fp, [0.0], math.pi / 3) == pytest.approx(
             -e / 2 * math.sin(math.pi / 3), rel=1e-12
@@ -157,16 +158,18 @@ class TestFixedPoint:
         fp = solve_fixed_point(trivial_form(G), np.array([0.03]))
         h = 1e-6
         for q1 in (0.3, 2.2):
-            fd = (fp.solve_at([0.03 + h], q1) - fp.solve_at([0.03 - h], q1)) / (2 * h)
+            fd = (fp.jet([0.03 + h], q1, 0)[0] - fp.jet([0.03 - h], q1, 0)[0]) / (2 * h)
             assert fp.jet([0.03], q1, 1)[1][0] == pytest.approx(fd, abs=1e-9)
 
     def test_implicit_q1_derivative(self):
+        # dp/dq1 = d ptilde/dq1 is the (P1, Q1) entry of Phi2's Jacobian
         G = PolyTrig1(1, {(1, (0,), 1): (0.02, 0.01), (2, (0,), 2): (0.004, 0.0)})
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
         h = 1e-6
         for q1 in (0.5, 4.0):
-            fd = (fp.solve_at([0.0], q1 + h) - fp.solve_at([0.0], q1 - h)) / (2 * h)
-            assert fp.jet([0.0], q1, 1)[2] == pytest.approx(fd, abs=1e-9)
+            fd = (fp.jet([0.0], q1 + h, 0)[0] - fp.jet([0.0], q1 - h, 0)[0]) / (2 * h)
+            J = Phi2Map(fp, 2).jacobian(np.array([0.0, 0.0, q1, 0.0]))
+            assert J[0, 2] == pytest.approx(fd, abs=1e-9)
 
 
 class TestReduction:
@@ -178,8 +181,10 @@ class TestReduction:
         ch = characteristics((1, 0), 2, 1.0, 1e-6, 0.1,
                              lacunary_potential(2, 1.0, 10), params)
         sf = build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}))
-        assert sf.nu(0.37, [0.0], 1.1) == pytest.approx(a, rel=1e-12)
-        assert sf.G([0.0], 1.3) == pytest.approx(0.0, abs=1e-15)
+        ph = np.zeros(1)
+        assert sf._nu(0.37, sf._on_grid(ph)[0], ph, 1.1) == pytest.approx(a, rel=1e-12)
+        # at p1 = 0 the standard form is G
+        assert sf.value(np.zeros(2), 1.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_theta_independent_potential(self):
         G = PolyTrig1(1, {(2, (0,), 0): (0.03, 0.0), (1, (0,), 0): (0.01, 0.0)})
@@ -190,7 +195,7 @@ class TestReduction:
         sf = build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}))
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert sf.G([0.0], rng.uniform(0, TWO_PI)) == pytest.approx(0.0, abs=1e-14)
+            assert sf.value(np.zeros(2), rng.uniform(0, TWO_PI)) == pytest.approx(0.0, abs=1e-14)
 
     def test_reduction_identity_sampled(self):
         G = PolyTrig1(1, {(1, (0,), 1): (0.01, 0.004), (2, (0,), 1): (0.003, 0.0),
@@ -293,7 +298,7 @@ class TestPipeline:
         ph = np.array([-1.0])
         G_osc = oscillatory_part(sf.form)
         assert G_osc.terms
-        vals = np.array([G_osc.value(0.01, ph, t) for t in theta])
+        vals = G_osc.at(ph, theta)(0.01, 0)
         assert abs(vals.mean()) < 1e-15
 
     def test_phi1_identity(self):
@@ -316,10 +321,9 @@ class TestPipeline:
             p1 = rng.uniform(-sf.chars.r, sf.chars.r)
             ph = phat0 + rng.uniform(-sf.chars.r, sf.chars.r, 1)
             q1 = rng.uniform(0, TWO_PI)
-            p_o = sf.fp.shear(ph, 0)[0]
-            Y1 = p1 + p_o + (sf.fp.jet(ph, q1, 0)[0] - p_o)
+            Y1, kinetic, G0, G, _ = sf._read(np.concatenate([[p1], ph]), q1)
             lhs = sec.value(U @ np.concatenate([[Y1], ph]), q1)
-            rhs = 1.0 * (sf.value(np.concatenate([[p1], ph]), q1) + sf.h0(ph))
+            rhs = 1.0 * ((kinetic + G) + sf._h0(G0, ph))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_gbar_is_scaled_projection(self):
@@ -398,7 +402,7 @@ class TestArgmaxInvariance:
             fp = solve_fixed_point(trivial_form(G, r=0.2, theta_o=8 * eps), np.zeros(1))
             sf = build_phi2_phi3(fp, ch, gbar)
             theta = np.linspace(0, TWO_PI, 2048, endpoint=False)
-            vals = sf.G([0.0], theta)
+            vals = sf.value(np.zeros(2), theta)  # G, since p1 = 0
             # locate extrema of G by quadratic refinement around grid extrema
             shifts = []
             for idx in (int(np.argmax(vals)), int(np.argmin(vals))):
@@ -453,8 +457,11 @@ def _potential_cases():
     return cases
 
 
-POTENTIAL_METHODS = ("value", "dY1", "d2Y1", "d3Y1", "dY1_dq1", "dY1_dph", "d2Y1_dph",
-                     "dY1_dph2")
+# (order in Y1, order in phat, order in q1) of every derivative the fixed
+# point and the standard form read: the value, G_Y, G_YY, G_YYY, G_Yq,
+# G_{Y i}, G_{YY i} and G_{Y ij}
+POTENTIAL_ORDERS = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (1, 0, 1), (1, 1, 0),
+                    (2, 1, 0), (1, 2, 0))
 
 
 def _fd_jacobian(apply, z, h):
@@ -502,19 +509,33 @@ class TestArrayPotentials:
         rng = np.random.default_rng(12)
         Y = rng.uniform(-r, r, 40)
         q = rng.uniform(0, TWO_PI, 40)
-        for name in POTENTIAL_METHODS:
-            method = getattr(G, name)
-            loop = np.array([method(Y[i], ph, q[i]) for i in range(len(Y))])
-            assert np.array_equal(method(Y, ph, q), loop), name
+        for orders in POTENTIAL_ORDERS:
+            loop = np.array([G.at(ph, q[i])(Y[i], *orders) for i in range(len(Y))])
+            assert np.array_equal(G.at(ph, q)(Y, *orders), loop), orders
             # Y1 and q1 broadcast against each other
-            grid = method(Y[:5, None], ph, q[None, :7])
-            assert np.array_equal(grid[2, 3], method(Y[2], ph, q[3])), name
+            grid = G.at(ph, q[None, :7])(Y[:5, None], *orders)
+            assert np.array_equal(grid[2, 3], G.at(ph, q[3])(Y[2], *orders)), orders
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_lazy_tables_equal_fresh_evaluator(self, case):
+        # an evaluator builds its trig and phat tables on first use; whatever
+        # it was asked before, each call equals a freshly bound evaluator's
+        G, ph, r = _potential_cases()[case]
+        rng = np.random.default_rng(18)
+        q = rng.uniform(0, TWO_PI, 16)
+        sequence = list(POTENTIAL_ORDERS[::-1]) + [POTENTIAL_ORDERS[i] for i in
+                                                  rng.integers(0, len(POTENTIAL_ORDERS), 24)]
+        for q1 in (q, q[3]):
+            ev = G.at(ph, q1)
+            for orders in sequence:
+                Y = rng.uniform(-r, r, np.shape(q1))
+                assert np.array_equal(ev(Y, *orders), G.at(ph, q1)(Y, *orders)), orders
 
     @pytest.mark.parametrize("case", range(4))
     def test_derivatives_match_fd(self, case):
-        # each derivative against a fourth-order difference of the method one
-        # order below it; the potentials are polynomials of degree <= 3 in
-        # Y1 and phat, where the stencil is exact up to rounding
+        # each derivative against a fourth-order difference of the one a
+        # single order below it; the potentials are polynomials of degree
+        # <= 3 in Y1 and phat, where the stencil is exact up to rounding
         G, ph, r = _potential_cases()[case]
         rng = np.random.default_rng(16)
         Y = rng.uniform(-r, r, 6)
@@ -524,26 +545,17 @@ class TestArrayPotentials:
         def diff(f, step):
             return (8.0 * (f(step) - f(-step)) - (f(2 * step) - f(-2 * step))) / (12.0 * step)
 
-        def along_ph(method, i):
-            e = np.zeros(len(ph))
-            e[i] = 1.0
-            return diff(lambda t: method(Y, ph + t * e, q), h)
-
-        checks = [
-            ("dY1", G.dY1(Y, ph, q), diff(lambda t: G.value(Y + t, ph, q), h)),
-            ("d2Y1", G.d2Y1(Y, ph, q), diff(lambda t: G.dY1(Y + t, ph, q), h)),
-            ("d3Y1", G.d3Y1(Y, ph, q), diff(lambda t: G.d2Y1(Y + t, ph, q), h)),
-            ("dY1_dq1", G.dY1_dq1(Y, ph, q), diff(lambda t: G.dY1(Y, ph, q + t), hq)),
-            ("dY1_dph", G.dY1_dph(Y, ph, q),
-             np.stack([along_ph(G.dY1, i) for i in range(len(ph))], axis=-1)),
-            ("d2Y1_dph", G.d2Y1_dph(Y, ph, q),
-             np.stack([along_ph(G.d2Y1, i) for i in range(len(ph))], axis=-1)),
-            ("dY1_dph2", G.dY1_dph2(Y, ph, q),
-             np.stack([along_ph(G.dY1_dph, j) for j in range(len(ph))], axis=-1)),
-        ]
-        for name, exact, fd in checks:
+        for dy, dph, dq in POTENTIAL_ORDERS[1:]:
+            exact = G.at(ph, q)(Y, dy, dph, dq)
+            if dq:
+                fd = diff(lambda t: G.at(ph, q + t)(Y, dy, dph, dq - 1), hq)
+            elif dph:
+                fd = np.stack([diff(lambda t: G.at(ph + t * e, q)(Y, dy, dph - 1), h)
+                               for e in np.eye(len(ph))], axis=-1)
+            else:
+                fd = diff(lambda t: G.at(ph, q)(Y + t, dy - 1), h)
             scale = max(float(np.max(np.abs(exact))), 1e-300)
-            assert np.max(np.abs(exact - fd)) <= 1e-6 * scale, name
+            assert np.max(np.abs(exact - fd)) <= 1e-6 * scale, (dy, dph, dq)
 
     @pytest.mark.parametrize("case", range(4))
     def test_masked_solve_equals_scalar_iteration(self, case):
@@ -552,16 +564,17 @@ class TestArrayPotentials:
         q = np.random.default_rng(13).uniform(0, TWO_PI, 64)
 
         def scalar(q1):
+            ev = G.at(ph, q1)
             u = 0.0
             while True:
-                nxt = -0.5 * G.dY1(u, ph, q1)
+                nxt = -0.5 * ev(u, 1)
                 if abs(nxt - u) < FIXED_POINT_TOL:
                     return nxt
                 u = nxt
 
         expected = np.array([scalar(t) for t in q])
-        assert np.array_equal(fp.solve_at(ph, q), expected)
-        assert fp.solve_at(ph, q[5]) == expected[5]
+        assert np.array_equal(fp.solve_at(G.at(ph, q)), expected)
+        assert fp.solve_at(G.at(ph, q[5])) == expected[5]
 
     def test_terms_dict_is_kept(self):
         terms = {(1, (0,), 1): (0.01, 0.0), (0, (1,), 0): (0.02, 0.0)}
@@ -573,13 +586,6 @@ class TestArrayPotentials:
 # --------------------------------------------------------------------------
 # the re-expanded pipeline potentials against the series they come from
 # --------------------------------------------------------------------------
-
-# method -> (order in Y1, order in phat, order in q1)
-DERIVATIVE_ORDERS = {
-    "value": (0, 0, 0), "dY1": (1, 0, 0), "d2Y1": (2, 0, 0), "d3Y1": (3, 0, 0),
-    "dY1_dq1": (1, 0, 1), "dY1_dph": (1, 1, 0), "d2Y1_dph": (2, 1, 0), "dY1_dph2": (1, 2, 0),
-}
-
 
 def _directional_derivative(series, v):
     """d/dt F(y + t v)|_{t=0} as a series (exact polynomial calculus)."""
@@ -598,7 +604,8 @@ def reference_series_potential(form, parts):
     averaging base point) of Re g(affine @ (Y1, phat), theta), evaluated term
     by term at y - y0 (test-only).  Every derivative is an exact directional
     derivative of the series along the columns of affine; the q1 derivative
-    is a factor i j on each term.  Returns evaluate(method, Y1, phat, q1)."""
+    is a factor i j on each term.  Returns evaluate(orders, Y1, phat, q1) for
+    orders = (dy, dph, dq) as in POTENTIAL_ORDERS."""
     sec = form.secular
     U = np.array([[float(x) for x in row] for row in form.dm.U])
     affine = np.array(sec.um.rows, dtype=float).T @ U
@@ -617,8 +624,8 @@ def reference_series_potential(form, parts):
         phase = np.exp(1j * J * q1[..., None])
         return form.eps_k * np.real(np.sum(C * np.prod(wp, axis=-1) * phase, axis=-1))
 
-    def evaluate(method, Y1, ph, q1):
-        dy, dph, dq = DERIVATIVE_ORDERS[method]
+    def evaluate(orders, Y1, ph, q1):
+        dy, dph, dq = orders
         Y1, ph, q1 = (np.asarray(v, dtype=float) for v in (Y1, ph, q1))
         out = np.zeros(np.broadcast(Y1, q1).shape + (form.n_hat,) * dph)
         for idx in np.ndindex((form.n_hat,) * dph):
@@ -657,10 +664,10 @@ class TestSeriesReexpansion:
         for G, parts in ((form.Gf, [sec.g_o_series, sec.g_series]),
                          (oscillatory_part(form), [sec.g_series])):
             reference = reference_series_potential(form, parts)
-            for name in POTENTIAL_METHODS:
-                ref = reference(name, Y, ph, q)
-                err = np.max(np.abs(getattr(G, name)(Y, ph, q) - ref))
-                assert err <= 1e-13 * np.max(np.abs(ref)) + 1e-30, name
+            for orders in POTENTIAL_ORDERS:
+                ref = reference(orders, Y, ph, q)
+                err = np.max(np.abs(G.at(ph, q)(Y, *orders) - ref))
+                assert err <= 1e-13 * np.max(np.abs(ref)) + 1e-30, orders
 
 
 class TestExactJacobians:
@@ -673,7 +680,7 @@ class TestExactJacobians:
         ph = fp.base_phat + np.array([0.004, -0.007])
         h = 1e-4
         q = np.array([0.3, 2.2, 5.0])
-        exact = fp.jet(ph, q, 2)[3]
+        exact = fp.jet(ph, q, 2)[2]
         dtau2 = sf.phi3.jet(ph, 2)[2]
         for j in range(2):
             e = np.zeros(2)
@@ -734,19 +741,24 @@ class TestOneSolvePerJet:
         ph = fp.base_phat + np.array([0.003, 0.002])
         for q1 in (1.1, _THETA):
             full = fp.jet(ph, q1, 2)
-            for order, width in ((0, 1), (1, 3)):
+            for order, width in ((0, 1), (1, 2)):
                 part = fp.jet(ph, q1, order)
-                assert part[width:] == (None,) * (4 - width)
+                assert part[width:] == (None,) * (3 - width)
                 for a, b in zip(part[:width], full):
                     assert np.array_equal(a, b)
         tau = fp.shear(ph, 2)
         assert fp.shear(ph, 0)[1:] == (None, None)
         assert tau[0] == float(np.mean(fp.jet(ph, _THETA, 0)[0]))
 
-    def test_solve_counts(self, monkeypatch):
+    def test_solve_counts(self, monkeypatch, tmp_path):
         # grid and point solves per call: one grid jet and one point jet for
-        # Phi2, one grid jet for Phi3, and one of each per identity sample
+        # Phi2, one grid jet for Phi3, one of each per identity sample, and
+        # one of each per point of criterion 9
+        import json
+
+        from resoforge import acceptance
         from resoforge.acceptance import _benchmark_standard_form
+        from resoforge.cli import main
 
         sf, rng = _benchmark_standard_form()
         n = sf.n
@@ -755,9 +767,9 @@ class TestOneSolvePerJet:
         calls = []
         solve = FixedPointSolution.solve_at
 
-        def counting(fp, phat, q1):
-            calls.append(np.ndim(q1))
-            return solve(fp, phat, q1)
+        def counting(fp, ev):
+            calls.append(ev.q1.ndim)
+            return solve(fp, ev)
 
         monkeypatch.setattr(FixedPointSolution, "solve_at", counting)
 
@@ -766,6 +778,11 @@ class TestOneSolvePerJet:
             call()
             return calls.count(1), calls.count(0)
 
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"mode": "free", "n": 2, "s": 1.0, "K0": 2, "alpha": 0.03, "K": 6}))
+        standardize_cli = ["standardize", "--potential", "two-mode:s=1.0", "--eps", "1e-6",
+                           "--k", "1,1", "--params", str(params), "--y0", "0.5,-0.5",
+                           "--beta", "0.05", "--out", str(tmp_path / "sf.json")]
         samples = [z[:n]] * 3
         counts = {
             "phi2.jacobian": solves(lambda: sf.phi2.jacobian(z)),
@@ -775,6 +792,11 @@ class TestOneSolvePerJet:
             "phi_diamond.jacobian": solves(lambda: sf.phi_diamond().jacobian(z)),
             "check_reduction_identity, 3 samples": solves(
                 lambda: sf.check_reduction_identity(samples, [z[n]] * 3)),
+            "criterion 9, 10 points": solves(
+                lambda: acceptance.criterion_9_energy_identity(points=10)),
+            # 8 verify_standard samples, 1 for the G and nu grids, and 1 grid
+            # and 1 point solve for the reduction identity
+            "standardize CLI": solves(lambda: main(standardize_cli)),
         }
         assert counts == {
             "phi2.jacobian": (1, 1),
@@ -783,4 +805,29 @@ class TestOneSolvePerJet:
             "phi3.apply": (1, 0),
             "phi_diamond.jacobian": (4, 2),
             "check_reduction_identity, 3 samples": (3, 3),
+            "criterion 9, 10 points": (10, 10),
+            "standardize CLI": (10, 1),
         }
+
+    def test_only_phi2_point_jacobian_reads_dp_dq1(self, monkeypatch):
+        # dp/dq1 is read by no grid caller, so an order-2 grid jet makes no
+        # q1-derivative pass; Phi2's Jacobian makes one, at its own q1
+        from resoforge.acceptance import _benchmark_standard_form
+
+        sf, rng = _benchmark_standard_form()
+        n = sf.n
+        z = np.concatenate([[0.01], sf.fp.base_phat + rng.uniform(-0.01, 0.01, n - 1),
+                            rng.uniform(0, TWO_PI, n)])
+        passes = []
+        call = BoundPotential.__call__
+
+        def recording(ev, Y1, dy, dph=0, dq=0):
+            passes.append((ev.q1.ndim, dq))
+            return call(ev, Y1, dy, dph, dq)
+
+        monkeypatch.setattr(BoundPotential, "__call__", recording)
+        sf.fp.jet(z[1:n], _THETA, 2)
+        assert passes and all(dq == 0 for _, dq in passes)
+        passes.clear()
+        sf.phi2.jacobian(z)
+        assert [(ndim, dq) for ndim, dq in passes if dq] == [(0, 1)]
