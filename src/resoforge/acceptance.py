@@ -437,8 +437,8 @@ def criterion_9_energy_identity(points: int = 100, seed: int = 31) -> CriterionR
 @_timed
 def criterion_10_averaging(seed: int = 3) -> CriterionResult:
     """Exact band purity / resonance-line annihilation of the remainder;
-    Richardson remainder ratios 4 +- 20% (order 1, single mode) and
-    8 +- 25% (order 2, minimal parity-breaking pair)."""
+    Richardson remainder ratios 4 +- 20% (order 1, single mode) and 8 +- 25%
+    (order 2, minimal parity-breaking pair), each residual >= 100 flow errors."""
     from .lieseries import lie_step_res
 
     rng = np.random.default_rng(seed)
@@ -457,6 +457,7 @@ def criterion_10_averaging(seed: int = 3) -> CriterionResult:
 
     pts = [(y0 + rng.uniform(-0.01, 0.01, 2), rng.uniform(0, TWO_PI, 2))
            for _ in range(6)]
+    flow_shares = []
 
     def ratio(f, order, eps, deg):
         nfa = lie_step_nonres(NaturalHam(2, eps, f), params, y0, order=order,
@@ -467,6 +468,7 @@ def criterion_10_averaging(seed: int = 3) -> CriterionResult:
                               rtol=1e-13, atol=1e-14)
         rb = verify_conjugacy(NaturalHam(2, eps / 2, f), nfb, pts,
                               rtol=1e-13, atol=1e-14)
+        flow_shares.extend(r.flow_error / r.max_residual for r in (ra, rb))
         return ra.max_residual / rb.max_residual
 
     single = TrigPoly.from_cosines(2, {(1, 0): 1.0})
@@ -474,12 +476,12 @@ def criterion_10_averaging(seed: int = 3) -> CriterionResult:
     pair = TrigPoly.from_cosines(2, {(1, 0): 1.0, (1, 1): 0.7})
     r2 = ratio(pair, 2, 5e-3, 5)
     ok = (band_max == 0.0 and line_max == 0.0
-          and abs(r1 - 4.0) <= 0.8 and abs(r2 - 8.0) <= 2.0)
+          and abs(r1 - 4.0) <= 0.8 and abs(r2 - 8.0) <= 2.0 and max(flow_shares) <= 0.01)
     return CriterionResult(
         10, "averaging structure: exact supports and order scaling",
         ok,
         {"band_coeff_max": band_max, "line_coeff_max": line_max,
-         "ratio_order1": r1, "ratio_order2": r2},
+         "ratio_order1": r1, "ratio_order2": r2, "flow_error_share": max(flow_shares)},
         0.0,
     )
 

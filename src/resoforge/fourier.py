@@ -22,6 +22,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+import numpy.fft  # numpy loads these lazily: at import here, not inside the first call
+import numpy.random
 
 Mode = tuple[int, ...]
 

@@ -182,12 +182,13 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # a row whose live cells outgrow 8 (d + 1), twice what its simple zeros can
         # hold, sits on a region doubles cannot resolve: it goes exact now
         if (over := np.bincount(row, minlength=len(C))[row] > 8 * (d + 1)).any():
-            exact += [(at, i[over & (row == at)].tolist(), n << level) for at in np.unique(row[over])]
+            exact += [(at, i[over & (row == at)].tolist(), n << level)
+                      for at in np.flatnonzero(np.bincount(row[over], minlength=len(C)))]
             row, i = row[~over], i[~over]
         if level == last or not len(row):
             break
         row, i = np.repeat(row, 2), (2 * i[:, None] + np.arange(2)).ravel()
-    exact += [(at, i[row == at].tolist(), n << level) for at in np.unique(row)]
+    exact += [(at, i[row == at].tolist(), n << level) for at in np.flatnonzero(np.bincount(row, minlength=len(C)))]
     of, *bracket = map(np.concatenate, zip(*found))
     t = _polish(C[of], js, *bracket)
     for at, cells, ncells in exact:

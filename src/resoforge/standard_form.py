@@ -53,6 +53,8 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+import numpy.fft  # numpy loads these lazily: at import here, not inside the first call
+import numpy.random
 
 from .cover import CoveringParams
 from .fourier import Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1, project_lattice

@@ -169,6 +169,26 @@ def test_criterion_10_averaging_structure():
     assert result.details["line_coeff_max"] == 0.0
     assert result.details["ratio_order1"] == pytest.approx(4.0, abs=0.8)
     assert result.details["ratio_order2"] == pytest.approx(8.0, abs=2.0)
+    assert 0 < result.details["flow_error_share"] <= 0.01
+
+
+def test_criterion_10_rejects_an_unresolved_flow(monkeypatch):
+    # at criterion 10's eps the first refinement (1 against 2 RK4 steps)
+    # already estimates each flow's error below 1e-4 of the residual, whatever
+    # the tolerance, so the witness is a report whose flow error is 2% of its
+    # residual: the ratios still pass
+    verify = acceptance.verify_conjugacy
+
+    def unresolved(*args, **kwargs):
+        rep = verify(*args, **kwargs)
+        return dataclasses.replace(rep, flow_error=0.02 * rep.max_residual)
+
+    monkeypatch.setattr(acceptance, "verify_conjugacy", unresolved)
+    result = acceptance.criterion_10_averaging()
+    assert not result.passed
+    assert result.details["flow_error_share"] == pytest.approx(0.02)
+    assert result.details["ratio_order1"] == pytest.approx(4.0, abs=0.8)
+    assert result.details["ratio_order2"] == pytest.approx(8.0, abs=2.0)
 
 
 def test_criterion_11_kappa_uniformity():

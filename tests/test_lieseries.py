@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -16,6 +17,7 @@ from resoforge.fourier import (
 )
 from resoforge.lieseries import (
     AveragedNF,
+    GeneratorFlowError,
     NaturalHam,
     SmallDivisorError,
     TaylorFourierSeries,
@@ -981,7 +983,8 @@ class TestConjugacy:
 
     @pytest.mark.parametrize("order, deg", [(1, 3), (2, 3), (3, 4)])
     def test_stacked_flow_matches_single_points(self, order, deg):
-        # all points as one DOP853 state against one point per call
+        # all points stepped together against one point per call: the
+        # stacked flow takes the step count of its slowest point
         f = TrigPoly.from_cosines(2, {(1, 0): 1.0, (1, 1): 0.7, (1, -2): 0.4})
         ham, nf, _, y0 = nonres_setup(eps=5e-3, order=order, deg=deg, f=f)
         rng = np.random.default_rng([order, deg])
@@ -991,8 +994,8 @@ class TestConjugacy:
         z = np.array([np.concatenate(pt) for pt in pts])
         stacked = singles = z
         for j, chi in sorted(nf.chi, key=lambda t: -t[0]):
-            stacked = _flow_time1(chi, nf.epsilon ** j, stacked, 1e-12, 1e-13)
-            singles = np.vstack([_flow_time1(chi, nf.epsilon ** j, row[None, :], 1e-12, 1e-13)
+            stacked = _flow_time1(chi, nf.epsilon ** j, stacked, 1e-12, 1e-13)[0]
+            singles = np.vstack([_flow_time1(chi, nf.epsilon ** j, row[None, :], 1e-12, 1e-13)[0]
                                  for row in singles])
         assert np.max(np.abs(stacked[:, :2] - z[:, :2])) > 0
         assert np.max(np.abs(stacked - singles)) <= 1e-12
@@ -1000,6 +1003,58 @@ class TestConjugacy:
         assert rep.max_residual > 0
         one = max(verify_conjugacy(ham, nf, [pt]).max_residual for pt in pts)
         assert abs(rep.max_residual - one) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_flows_match_dop853(self, seed, order):
+        # scipy's DOP853 as the oracle, on the averaging benchmark's draws at
+        # eps 1e-3 and 1e-2: every generator grade, stacked and point by point
+        rng = np.random.default_rng([seed, order])
+        f = averaging_potential(rng)
+        for eps in (1e-3, 1e-2):
+            _ham, nf, _, y0 = nonres_setup(eps=eps, order=order, deg=3, f=f)
+            z = np.array([np.concatenate([y0 + rng.uniform(-0.01, 0.01, 2),
+                                          rng.uniform(0, TWO_PI, 2)]) for _ in range(4)])
+            for j, chi in nf.chi:
+                scale = eps ** j
+
+                def rhs(_t, w):
+                    _val, dy, dx = chi.eval_grads(w[:2], w[2:])
+                    return np.concatenate([-scale * dx, scale * dy])
+
+                want = np.array([solve_ivp(rhs, (0.0, 1.0), row, method="DOP853", rtol=1e-13,
+                                           atol=1e-14).y[:, -1] for row in z])
+                stacked = _flow_time1(chi, scale, z, 1e-13, 1e-14)[0]
+                singles = np.vstack([_flow_time1(chi, scale, row[None, :], 1e-13, 1e-14)[0]
+                                     for row in z])
+                assert np.max(np.abs(stacked - z)) > 1e-7
+                np.testing.assert_allclose(stacked, want, rtol=1e-13, atol=1e-14)
+                np.testing.assert_allclose(singles, want, rtol=1e-13, atol=1e-14)
+
+    def test_flow_error_within_tolerance(self):
+        ham, nf, _, y0 = nonres_setup(eps=1e-2, order=3, deg=4)
+        rng = np.random.default_rng(5)
+        pts = [(y0 + rng.uniform(-0.01, 0.01, 2), rng.uniform(0, TWO_PI, 2)) for _ in range(4)]
+        for rtol, atol in ((1e-13, 1e-14), (1e-4, 1e-5)):
+            z, total = np.array([np.concatenate(pt) for pt in pts]), 0.0
+            for j, chi in sorted(nf.chi, key=lambda t: -t[0]):
+                moved, err = _flow_time1(chi, nf.epsilon ** j, z, rtol, atol)
+                assert np.max(np.abs(moved - z)) > 0 and err > 0
+                assert err <= atol + rtol * np.max(np.abs(moved))
+                z, total = moved, total + err
+            rep = verify_conjugacy(ham, nf, pts, rtol=rtol, atol=atol)
+            assert rep.flow_error == total
+            assert rep.flow_error <= 0.01 * rep.max_residual
+
+    def test_step_cap_raises(self):
+        # a tolerance below double rounding is never met: the flow stops at
+        # the step cap instead of refining on
+        _ham, nf, _, y0 = nonres_setup(eps=1e-2, order=1, deg=3)
+        z = np.concatenate([y0, [0.4, 1.3]])[None, :]
+        t0 = time.perf_counter()
+        with pytest.raises(GeneratorFlowError, match="at 256 steps"):
+            _flow_time1(nf.chi[0][1], nf.epsilon, z, 1e-18, 0.0)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_order_one_richardson_ratio(self):
         f = TrigPoly.from_cosines(2, {(1, 0): 1.0})
