@@ -160,13 +160,6 @@ class RegionLabel:
     k: Mode | None = None
     l: Mode | None = None
 
-    def __str__(self):
-        if self.kind == "R0":
-            return "R0"
-        if self.kind == "R1":
-            return f"R1[k={self.k}]"
-        return f"R2[k={self.k},l={self.l}]"
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,

@@ -376,11 +376,8 @@ def load_potential(source) -> tuple[TrigPoly, float]:
     with modes restricted to Z^n_*, or the rule variant
     {"n":, "s":, "rule": "exp-lacunary", "params": {...}}.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as fh:
-            doc = json.load(fh)
-    else:
-        doc = dict(source)
+    with open(source) as fh:
+        doc = json.load(fh)
     try:
         n = int(doc["n"])
         s = float(doc["s"])

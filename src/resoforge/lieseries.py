@@ -694,10 +694,12 @@ def _flow_time1(chi: TaylorFourierSeries, scale: float, z0: np.ndarray,
         _val, dy, dx = chi.eval_grads(z[:, :n], z[:, n:])
         return np.hstack([-scale * dx, scale * dy])
 
+    start = rhs(z0)  # the first stage of every refinement level
+
     def rk4(steps: int) -> np.ndarray:
         z, h = z0, 1.0 / steps
-        for _ in range(steps):
-            k1 = rhs(z)
+        for step in range(steps):
+            k1 = rhs(z) if step else start
             k2 = rhs(z + 0.5 * h * k1)
             k3 = rhs(z + 0.5 * h * k2)
             k4 = rhs(z + h * k3)

@@ -46,57 +46,31 @@ class VanishingLeadingModeError(ValueError):
 class MorseReport:
     """Critical-point census of a 1-D projection.
 
-    beta = min(min_grad_plus_hess, min_value_gap) is the certified-Morse
-    constant of the sampled function; an even number of critical points with
-    alternating maxima/minima is expected for analytic Morse functions.
+    beta = min(min(|F'| + |F''|), smallest gap between critical values) is
+    the certified-Morse constant of F; distinct_values says that gap exceeds
+    1e-9 max|F|.  An even number of critical points with alternating
+    maxima/minima is expected for analytic Morse functions.
     """
 
     critical_points: np.ndarray
-    critical_values: np.ndarray
     beta: float
-    min_value_gap: float
-    min_grad_plus_hess: float
     distinct_values: bool
-    max_second_derivative: float
 
     @property
     def count(self) -> int:
         return len(self.critical_points)
 
-    def to_dict(self) -> dict:
-        return {
-            "critical_points": self.critical_points.tolist(),
-            "critical_values": self.critical_values.tolist(),
-            "beta": self.beta,
-            "min_value_gap": self.min_value_gap,
-            "min_grad_plus_hess": self.min_grad_plus_hess,
-            "distinct_values": self.distinct_values,
-            "max_second_derivative": self.max_second_derivative,
-            "count": self.count,
-        }
-
 
 @dataclass
 class CosineCertificate:
-    """Certified closeness of pi_k f to eta*cos(theta + theta0).
+    """Certified closeness of pi_k f to eta*cos(theta + theta_k).
 
-    residual_majorant bounds the strip-1 majorant of eta*F*, so
-    gamma = residual_majorant / eta satisfies |pi_k f - eta cos(.+theta0)|_1
+    gamma bounds the strip-1 majorant of F*, so |pi_k f - eta cos(.+theta_k)|_1
     <= eta*gamma; rescaling f leaves gamma unchanged.
     """
 
     eta: float
-    theta0: float
-    residual_majorant: float
     gamma: float
-
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "theta0": self.theta0,
-            "residual_majorant": self.residual_majorant,
-            "gamma": self.gamma,
-        }
 
 
 def _values(C: np.ndarray, js: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -379,29 +353,26 @@ def critical_points_many(Fs) -> list[MorseReport | None]:
     (sum_j j |c_j| < 1e-300).
 
     One _zeros call per group of F with the same modes in the same order finds
-    every zero of F', F'', F'' + F''', F'' - F''' and F''': the critical points
-    are the zeros of F'; min(|F'| + |F''|) is taken at the zeros of the first
-    four, where every kink and every stationary point of it lies, and max|F''|
-    at the zeros of F'''.  The zeros of a row do not depend on the other rows,
-    so F gets its report alone.
+    every zero of F', F'', F'' + F''' and F'' - F''': the critical points are
+    the zeros of F', and min(|F'| + |F''|) is taken at the zeros of all four,
+    where every kink and every stationary point of it lies.  The zeros of a
+    row do not depend on the other rows, so F gets its report alone.
     """
     out: list[MorseReport | None] = [None] * len(Fs)
     live = [at for at, F in enumerate(Fs) if sum(j * abs(c) for j, c in F.coeffs.items()) >= 1e-300]
     for ats, js, rows in _groups([Fs[at] for at in live]):
         c2, c3 = rows[:, 2], rows[:, 3]
-        of, t = _zeros(np.stack([rows[:, 1], c2, c2 + c3, c2 - c3, c3], axis=1).reshape(-1, len(js)), js)
-        of, kind = np.divmod(of, 5)
+        of, t = _zeros(np.stack([rows[:, 1], c2, c2 + c3, c2 - c3], axis=1).reshape(-1, len(js)), js)
+        of, kind = np.divmod(of, 4)
         bounds = np.searchsorted(of, np.arange(len(ats) + 1))
         for p, (at, a, b) in enumerate(zip(ats, bounds, bounds[1:])):
             v, kp = _values(rows[p, :3], js, t[a:b]), kind[a:b]
             pts, vals = t[a:b][kp == 0], v[kp == 0, 0]
-            gph = float(np.abs(v[kp <= 3, 1:]).sum(axis=1).min())
+            gph = float(np.abs(v[:, 1:]).sum(axis=1).min())
             gap = float(np.diff(np.sort(vals)).min(initial=math.inf))
             # max|F| is attained at a critical point
             value_scale = float(np.abs(vals).max(initial=0.0))
-            out[live[at]] = MorseReport(pts, vals, min(gph, gap), gap, gph,
-                                        bool(gap > 1e-9 * max(value_scale, 1e-300)),
-                                        float(np.abs(v[kp == 4, 2]).max()))
+            out[live[at]] = MorseReport(pts, min(gph, gap), bool(gap > 1e-9 * max(value_scale, 1e-300)))
     return out
 
 
@@ -425,17 +396,15 @@ def c2_distances_to_cosine(Fs, theta0s) -> list[float]:
 def cosine_certificate(f: TrigPoly, k: Mode) -> CosineCertificate:
     """Certify pi_k f ~ 2|f_k| cos(theta + theta_k) via the residual majorant.
 
-    eta = 2|f_k|, e^{i theta_k} = f_k/|f_k|, and residual_majorant is the
-    strip-1 ell^1 majorant sum_{|j|>=2} |f_{jk}| e^{|j|} of eta*F*; the
-    certificate level is gamma = residual_majorant / eta, invariant under
-    rescaling of f.
+    eta = 2|f_k| and e^{i theta_k} = f_k/|f_k|; the certificate level gamma
+    is the strip-1 ell^1 majorant sum_{|j|>=2} |f_{jk}| e^{|j|} of eta*F*
+    over eta, invariant under rescaling of f.
     """
     k = tuple(int(v) for v in k)
     fk = f.coeff(k)
     if fk == 0:
         raise VanishingLeadingModeError("vanishing leading mode")
     eta = 2.0 * abs(fk)
-    theta0 = float(np.angle(fk)) % TWO_PI
 
     # query the ray multiples directly: coeff() consults the rule beyond the
     # materialized support, so the sum is complete up to j_max
@@ -448,6 +417,4 @@ def cosine_certificate(f: TrigPoly, k: Mode) -> CosineCertificate:
             residual += 2.0 * abs(c) * math.exp(j)
     if f.rule is not None:
         residual += f.rule.line_tail_majorant(k, j_max + 1, 1.0)
-    return CosineCertificate(
-        eta=eta, theta0=theta0, residual_majorant=residual, gamma=residual / eta
-    )
+    return CosineCertificate(eta=eta, gamma=residual / eta)

@@ -240,8 +240,6 @@ class Characteristics:
     """(R, r, sigma, m, eps_hat, lam) plus kappa and branch data."""
 
     k: Mode
-    n: int
-    s: float
     R: float
     r: float
     sigma: float
@@ -321,7 +319,7 @@ def characteristics(
         s_breve = 1.0
     eps_hat = 4.0 * cs * eps_k * chi
     return Characteristics(
-        k=k, n=n, s=s, R=R, r=r, sigma=sigma, m=m, eps_hat=eps_hat, lam=lam,
+        k=k, R=R, r=r, sigma=sigma, m=m, eps_hat=eps_hat, lam=lam,
         kappa=kappa_uniform(n, s, beta), eps_k=eps_k, chi_k=chi, s_breve=s_breve,
         branch=branch, c1=c1, c2=c2, c_s=cs, N=N,
     )
@@ -677,11 +675,6 @@ class ComposedMap:
     def __init__(self, maps):
         self.maps = list(maps)
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        for m in reversed(self.maps):
-            z = m.apply(z)
-        return z
-
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         J = None
         for m in reversed(self.maps):
@@ -753,10 +746,6 @@ class StandardFormHam:
         """h0(phat) = G0(phat) + 2 adiabatic(phat)/|k|^2."""
         return G0 + 2.0 * self.form.adiabatic(phat) / float(sum(v * v for v in self.k))
 
-    def value(self, p, q1: float) -> float:
-        _, kinetic, _, G, _ = self._read(p, q1)
-        return kinetic + G
-
     def phi_diamond(self) -> ComposedMap:
         maps = [self.phi2, self.phi3]
         if self.phi1 is not None:
@@ -796,10 +785,6 @@ def build_phi2_phi3(fp: FixedPointSolution, chars: Characteristics,
 @dataclass
 class StandardFormReport:
     flags: dict
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"flags": self.flags, "passed": self.passed}
 
 
 def verify_standard(sf: StandardFormHam, phat_samples: np.ndarray) -> StandardFormReport:
@@ -867,8 +852,7 @@ def verify_standard(sf: StandardFormHam, phat_samples: np.ndarray) -> StandardFo
                                         "ok": rep.beta >= ch.m * (1 - 1e-9),
                                         "margin": rep.beta - ch.m}
 
-    passed = all(v["ok"] for v in flags.values())
-    return StandardFormReport(flags=flags, passed=passed)
+    return StandardFormReport(flags=flags)
 
 
 # --------------------------------------------------------------------------
@@ -885,7 +869,6 @@ def standardize(
     beta: float,
     delta: float = 1.0,
     order: int = 2,
-    max_degree: int = 3,
 ) -> StandardFormHam:
     """Run resonant averaging at k and reduce the secular Hamiltonian to
     Generic Standard Form; returns the assembled Hamiltonian with transforms."""
@@ -893,7 +876,7 @@ def standardize(
 
     k = tuple(int(v) for v in k)
     ham = NaturalHam(f.n, eps, f)
-    nf = lie_step_res(ham, k, params, y0, order=order, max_degree=max_degree)
+    nf = lie_step_res(ham, k, params, y0, order=order, max_degree=3)
     um = complete_to_sl(k)
     secular = SecularHam.from_averaged(nf, um)
     chars = characteristics(k, f.n, s, eps, beta, f, params, delta=delta)

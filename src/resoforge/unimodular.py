@@ -121,10 +121,8 @@ class UnimodularMatrix:
 
     @cached_property
     def inverse(self) -> tuple[tuple[int, ...], ...]:
-        adj = int_adjugate([list(r) for r in self.rows])
-        if self.det == -1:
-            adj = [[-x for x in row] for row in adj]
-        return tuple(tuple(row) for row in adj)
+        """adj(A), which is A^{-1} since complete_to_sl only builds det A = 1."""
+        return tuple(tuple(row) for row in int_adjugate([list(r) for r in self.rows]))
 
     def norm_inf(self, rows=None) -> int:
         rows = self.rows if rows is None else rows

@@ -47,8 +47,7 @@ def test_criterion_03_morse_oracle():
 
 def test_criterion_03_rejects_a_dropped_critical_point(monkeypatch):
     def drop_one(Fs):
-        return [dataclasses.replace(rep, critical_points=rep.critical_points[1:],
-                                    critical_values=rep.critical_values[1:])
+        return [dataclasses.replace(rep, critical_points=rep.critical_points[1:])
                 for rep in critical_points_many(Fs)]
 
     monkeypatch.setattr(acceptance, "critical_points_many", drop_one)
@@ -68,8 +67,7 @@ def test_criterion_04_cosine_likeness():
 
 
 @pytest.mark.parametrize("break_one", [
-    lambda rep: dataclasses.replace(rep, critical_points=np.r_[rep.critical_points, 1.0],
-                                    critical_values=np.r_[rep.critical_values, 0.0]),
+    lambda rep: dataclasses.replace(rep, critical_points=np.r_[rep.critical_points, 1.0]),
     lambda rep: dataclasses.replace(rep, beta=0.49 * rep.beta),
 ], ids=["extra-critical-point", "beta-times-0.49"])
 def test_criterion_04_rejects_a_failed_high_mode_census(monkeypatch, break_one):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from resoforge.fourier import (
-    TWO_PI,
     OneDTrigPoly,
     TrigPoly,
     generators,
@@ -160,7 +159,8 @@ class TestLowModeMorse:
         for a in (0.6, 0.8):
             F = OneDTrigPoly({**base, 2: a / 2})
             rep = critical_points(F)
-            if rep.count == 4 and rep.min_value_gap < 1e-9 * 2:
+            values = np.sort([F.evaluate(t).real for t in rep.critical_points])
+            if rep.count == 4 and np.diff(values).min() < 1e-9 * 2:
                 found = F
                 break
         assert found is not None
@@ -251,7 +251,7 @@ def reference_check_membership(f, params):
 
 
 def reference_cosine_certificate(f, k):
-    """(eta, theta0, residual, gamma) with the support's order recomputed."""
+    """(eta, gamma) with the support's order recomputed."""
     fk = f.coeff(k)
     fresh = max((l1(kp) for kp in f.coeffs), default=0)
     cutoff = f.rule_cutoff if f.rule_cutoff is not None else fresh
@@ -264,7 +264,7 @@ def reference_cosine_certificate(f, k):
     if f.rule is not None:
         residual += f.rule.line_tail_majorant(k, j_max + 1, 1.0)
     eta = 2.0 * abs(fk)
-    return eta, float(np.angle(fk)) % TWO_PI, residual, residual / eta
+    return eta, residual / eta
 
 
 class TestOneRayTable:
@@ -294,8 +294,7 @@ class TestOneRayTable:
         f = lacunary_potential(2, 1.0, k_max=12)
         for k in generators(2, 16):
             cert = cosine_certificate(f, k)
-            got = (cert.eta, cert.theta0, cert.residual_majorant, cert.gamma)
-            assert got == reference_cosine_certificate(f, k)
+            assert (cert.eta, cert.gamma) == reference_cosine_certificate(f, k)
 
     @pytest.mark.parametrize("s", [6.0, 8.0])
     def test_cosine_certificate_unchanged_on_a_cosine_window(self, s):
@@ -306,8 +305,7 @@ class TestOneRayTable:
         for _ in range(2):  # the second pass reads the memoised order
             for k in window:
                 cert = cosine_certificate(f, k)
-                got = (cert.eta, cert.theta0, cert.residual_majorant, cert.gamma)
-                assert got == reference_cosine_certificate(f, k)
+                assert (cert.eta, cert.gamma) == reference_cosine_certificate(f, k)
                 assert cert.gamma < 2.0 ** -40
 
 
@@ -351,10 +349,6 @@ class TestEmpiricalGenericity:
         est = empirical_genericity(2, 1.0, 0.01, 400, 11, window=(1, 6))
         assert est.fraction_pass >= 0.99
 
-    def test_confidence_interval_brackets(self):
-        est = empirical_genericity(2, 1.0, 0.4, 500, 3, window=(1, 6))
-        assert est.ci_low <= est.fraction_pass <= est.ci_high
-
     def test_trials_validation(self):
         with pytest.raises(ValueError):
-            empirical_genericity(2, 1.0, 0.5, 0, 1)
+            empirical_genericity(2, 1.0, 0.5, 0, 1, window=(1, 6))

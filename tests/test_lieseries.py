@@ -1031,20 +1031,28 @@ class TestConjugacy:
                 np.testing.assert_allclose(stacked, want, rtol=1e-13, atol=1e-14)
                 np.testing.assert_allclose(singles, want, rtol=1e-13, atol=1e-14)
 
-    def test_flow_error_within_tolerance(self):
+    def test_flow_error_within_tolerance(self, monkeypatch):
         ham, nf, _, y0 = nonres_setup(eps=1e-2, order=3, deg=4)
         rng = np.random.default_rng(5)
         pts = [(y0 + rng.uniform(-0.01, 0.01, 2), rng.uniform(0, TWO_PI, 2)) for _ in range(4)]
+        calls, grads = [], TaylorFourierSeries.eval_grads
+        monkeypatch.setattr(TaylorFourierSeries, "eval_grads",
+                            lambda chi, y, x: calls.append(1) or grads(chi, y, x))
         for rtol, atol in ((1e-13, 1e-14), (1e-4, 1e-5)):
-            z, total = np.array([np.concatenate(pt) for pt in pts]), 0.0
+            z, total, stages = np.array([np.concatenate(pt) for pt in pts]), 0.0, []
             for j, chi in sorted(nf.chi, key=lambda t: -t[0]):
+                calls.clear()
                 moved, err = _flow_time1(chi, nf.epsilon ** j, z, rtol, atol)
+                stages.append(len(calls))
                 assert np.max(np.abs(moved - z)) > 0 and err > 0
                 assert err <= atol + rtol * np.max(np.abs(moved))
                 z, total = moved, total + err
             rep = verify_conjugacy(ham, nf, pts, rtol=rtol, atol=atol)
             assert rep.flow_error == total
             assert rep.flow_error <= 0.01 * rep.max_residual
+        # the loose tolerance settles every flow at N = 2: 4 + 8 stages, less
+        # the first stage at the start point, which both levels share
+        assert stages == [11, 11, 11]
 
     def test_step_cap_raises(self):
         # a tolerance below double rounding is never met: the flow stops at

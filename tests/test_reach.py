@@ -16,12 +16,35 @@ it as an attribute, or perfbench/*.py names it in an identifier or string:
 a field that is only ever passed to the constructor or assigned is written
 and never read.  A member or field is known by its name alone, so one that
 shares its name with a reached attribute of another object is not seen.
+
+So the static half covers names and dataclass fields, and a dynamic half
+covers every def that is entered: run as a script,
+
+    PYTHONPATH=src python tests/test_reach.py
+
+it runs every CLI subcommand, `report --quick` and round 0 of seed 1 of each
+benchmark workload in one process under sys.setprofile, and exits 1 on any
+def of src/resoforge/*.py (module function, method, nested helper or
+explicit dunder) whose code object none of them entered.  A def may stay
+unentered only when it is listed in INPUT_DEPENDENT with the input that
+reaches it, and a tier-1 test reaches it through that input.  Neither half
+sees a field or instance attribute that is written and never read while its
+name is shared with one that is read.
 """
 
 import ast
+import importlib.util
+import json
 import pathlib
+import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# a def that only some inputs reach -> the input that reaches it
+INPUT_DEPENDENT = {
+    "morse._squarefree": "a multiple zero of a census row (tests/test_morse.py, a double zero)",
+}
 
 
 # what a reference can name: a module-level name, also a member, also a field
@@ -104,6 +127,84 @@ def unreached_names(root=ROOT):
         unreached = now
 
 
+def _defs(path):
+    """(first line, "module.Class.name") of every def in a module, nested ones
+    included; the first line of a decorated def is its first decorator's."""
+    out = []
+
+    def walk(node, prefix):
+        for sub in ast.iter_child_nodes(node):
+            scope = isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if scope and not isinstance(sub, ast.ClassDef):
+                out.append(((sub.decorator_list or [sub])[0].lineno, prefix + sub.name))
+            walk(sub, prefix + sub.name + "." if scope else prefix)
+
+    walk(ast.parse(path.read_text()), path.stem + ".")
+    return out
+
+
+def never_entered(run, root=ROOT):
+    """Sorted "module.Class.name" of every def under root/src/resoforge/*.py
+    whose code object run() never entered, apart from INPUT_DEPENDENT."""
+    entered = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(before)
+    seen = {(pathlib.Path(code.co_filename).resolve(), code.co_firstlineno) for code in entered}
+    return sorted(name for path in sorted((root / "src" / "resoforge").glob("*.py"))
+                  for line, name in _defs(path)
+                  if (path.resolve(), line) not in seen and name not in INPUT_DEPENDENT)
+
+
+def entry_points():
+    """Every CLI subcommand, `report --quick`, and round 0 of seed 1 of each
+    benchmark workload (each job's run, check and record), in one process."""
+    sys.path[:0] = [str(ROOT / "tests" / "golden"), str(ROOT / "perfbench")]
+    import regen
+    import workloads
+    from resoforge.cli import main
+
+    regen.cli_digests()  # the golden CLI runs, each at its exit code
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        (tmp / "free.json").write_text(json.dumps(regen.FREE_N2))
+        (tmp / "preset.json").write_text(
+            json.dumps({"mode": "paper-preset", "n": 2, "s": 1.0, "epsilon": 1e-4, "K0": 2, "K": 12}))
+        runs = [
+            (["sample", "--s", "4.0", "--kmax", "20", "--seed", "3", "--out", f"{tmp}/f.json"], 0),
+            (["check-generic", "--potential", f"{tmp}/f.json", "--delta", "0.1", "--beta", "1e-30",
+              "--kmax", "20", "--out", f"{tmp}/g.json"], 0),
+            (["cover", "classify", "--y", "0.3,0.1", "--params", f"{tmp}/preset.json",
+              "--out", f"{tmp}/c.json"], 0),
+            (["cover", "raster", "--params", f"{tmp}/free.json", "--grid", "16", "--csv", f"{tmp}/r.csv"], 0),
+            (["cover", "measure", "--params", f"{tmp}/free.json", "--samples", "2000",
+              "--csv", f"{tmp}/m.csv", "--csv-rows", "50", "--out", f"{tmp}/m.json"], 0),
+            # the paper preset's divisor threshold is far above 1: a small divisor
+            (["normalize", "--potential", "two-mode:s=1.0", "--eps", "1e-3", "--k0", "2", "--K", "12",
+              "--base-point", "0.7,0.31", "--out", f"{tmp}/n.json"], 1),
+            (["report", "--quick"], 0),
+        ]
+        for argv, code in runs:
+            got = main(argv)
+            if got != code:
+                raise RuntimeError(f"{' '.join(argv)}: exit code {got}, not {code}")
+    pins = workloads.load_pins()
+    for name in workloads.WORKLOADS:
+        for job in workloads.build(name, 1, range(1), pins):
+            out = job.run(job.make() if job.make is not None else None)
+            job.check(out)
+            if job.record is not None:
+                job.record(out)
+
+
 def test_every_public_name_is_reached():
     # module-level names and class members, public and private alike
     names = unreached_names()
@@ -145,3 +246,37 @@ def test_scan_follows_helpers_and_perfbench_strings(tmp_path):
     assert unreached_names(tmp_path) == [
         "a.Box.dead_method", "a.Box.inner", "a.LIMIT", "a.Report.stored", "a.Report.written",
         "a._grid", "a._unused", "a.dead", "a.helper"]
+
+
+def test_dynamic_scan_finds_every_def_never_entered(tmp_path, monkeypatch):
+    (tmp_path / "src" / "resoforge").mkdir(parents=True)
+    path = tmp_path / "src" / "resoforge" / "a.py"
+    path.write_text(
+        "import functools\n"
+        "def dead():\n    return 1\n"
+        "def rare():\n    return 2\n"
+        "@functools.cache\n"
+        "def used(x):\n"
+        "    def inner():\n        return x\n"
+        "    def dead_inner():\n        return -x\n"
+        "    return Box(inner()).size\n"
+        "class Box:\n"
+        "    def __init__(self, n):\n        self.n = n\n"
+        "    @property\n    def size(self):\n        return self.n\n"
+        "    def dead_method(self):\n        return 0\n"
+        "    def __repr__(self):\n        return 'Box'\n"
+    )
+    spec = importlib.util.spec_from_file_location("reach_self_test", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setitem(INPUT_DEPENDENT, "a.rare", "an input this run does not give")
+    # used and size are decorated: each is known by its decorator's line
+    assert never_entered(lambda: module.used(3), tmp_path) == [
+        "a.Box.__repr__", "a.Box.dead_method", "a.dead", "a.used.dead_inner"]
+
+
+if __name__ == "__main__":
+    findings = never_entered(entry_points)
+    for name in findings:
+        print(f"never entered: {name}")
+    sys.exit(1 if findings else 0)

@@ -55,6 +55,12 @@ def shear_jet(tau, dtau, d2tau=None):
     return lambda ph, order: (tau(ph), dtau(ph), None if d2tau is None else d2tau(ph))
 
 
+def standard_value(sf, p, q1):
+    """(1 + nu) p1^2 + G(phat, q1), read as the reduction identity reads it."""
+    _, kinetic, _, G, _ = sf._read(p, q1)
+    return kinetic + G
+
+
 def oscillatory_part(form):
     """The decoupled potential of the secular g series alone (zero q1
     average), re-expanded with the affine map and scale that build Gf."""
@@ -184,7 +190,7 @@ class TestReduction:
         ph = np.zeros(1)
         assert sf._nu(0.37, sf._on_grid(ph)[0], ph, 1.1) == pytest.approx(a, rel=1e-12)
         # at p1 = 0 the standard form is G
-        assert sf.value(np.zeros(2), 1.3) == pytest.approx(0.0, abs=1e-15)
+        assert standard_value(sf, np.zeros(2), 1.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_theta_independent_potential(self):
         G = PolyTrig1(1, {(2, (0,), 0): (0.03, 0.0), (1, (0,), 0): (0.01, 0.0)})
@@ -195,7 +201,7 @@ class TestReduction:
         sf = build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}))
         rng = np.random.default_rng(0)
         for _ in range(10):
-            assert sf.value(np.zeros(2), rng.uniform(0, TWO_PI)) == pytest.approx(0.0, abs=1e-14)
+            assert standard_value(sf, np.zeros(2), rng.uniform(0, TWO_PI)) == pytest.approx(0.0, abs=1e-14)
 
     def test_reduction_identity_sampled(self):
         G = PolyTrig1(1, {(1, (0,), 1): (0.01, 0.004), (2, (0,), 1): (0.003, 0.0),
@@ -250,12 +256,15 @@ class TestMaps:
         assert symplectic_check(lin, pts) < 1e-15
 
     def test_composition_associates(self):
-        U = np.array([[1.0, 0.5], [0.0, 1.0]])
+        U = np.array([[1.0, 0.5], [0.25, 1.0]])
         lin = LinearSymplectic(U)
-        shear = ShearMap(2, shear_jet(lambda ph: 0.1 * ph[0], lambda ph: np.array([0.1])))
+        shear = ShearMap(2, shear_jet(lambda ph: 0.1 * ph[0] ** 2, lambda ph: np.array([0.2 * ph[0]]),
+                                      lambda ph: np.array([[0.2]])))
         comp = ComposedMap([lin, shear])
         z = np.array([0.3, -0.2, 1.0, 2.0])
-        assert np.allclose(comp.apply(z), lin.apply(shear.apply(z)))
+        # the rightmost map acts first: the chain rule reads its Jacobian at z
+        assert np.allclose(comp.jacobian(z), lin.jacobian(shear.apply(z)) @ shear.jacobian(z))
+        assert not np.allclose(comp.jacobian(z), shear.jacobian(lin.apply(z)) @ lin.jacobian(z))
 
 
 class TestPipeline:
@@ -340,7 +349,8 @@ class TestPipeline:
         rng = np.random.default_rng(7)
         samples = phat0[None, :] + rng.uniform(-sf.chars.r, sf.chars.r, (6, 1))
         report = verify_standard(sf, samples)
-        assert report.passed, {k: v for k, v in report.flags.items() if not v["ok"]}
+        assert all(flag["ok"] for flag in report.flags.values()), \
+            {k: v for k, v in report.flags.items() if not v["ok"]}
 
     def test_moderate_eps_reports_margins(self):
         # at desk-scale eps the smallness flags may fail but are reported
@@ -402,7 +412,7 @@ class TestArgmaxInvariance:
             fp = solve_fixed_point(trivial_form(G, r=0.2, theta_o=8 * eps), np.zeros(1))
             sf = build_phi2_phi3(fp, ch, gbar)
             theta = np.linspace(0, TWO_PI, 2048, endpoint=False)
-            vals = sf.value(np.zeros(2), theta)  # G, since p1 = 0
+            vals = standard_value(sf, np.zeros(2), theta)  # G, since p1 = 0
             # locate extrema of G by quadratic refinement around grid extrema
             shifts = []
             for idx in (int(np.argmax(vals)), int(np.argmin(vals))):
