@@ -41,10 +41,9 @@ Mono = tuple[int, ...]
 class SmallDivisorError(RuntimeError):
     """A divisor |y0.k| fell below the admissible threshold."""
 
-    def __init__(self, message: str, mode: Mode, value: float):
+    def __init__(self, message: str, mode: Mode):
         super().__init__(message)
         self.mode = mode
-        self.value = value
 
 
 class GeneratorFlowError(RuntimeError):
@@ -79,11 +78,12 @@ class _Slots(NamedTuple):
     """The admissible keys (k, m) of an algebra, |k|_1 <= cutoff and |m| <=
     max_degree, one compact slot each: mode rank x len(monos) + monomial rank.
     A mode is ranked by a lookup over its packed digits (k_i + cutoff, radix
-    2 cutoff + 1), a monomial over its digits (m_i, radix max_degree + 1)."""
+    2 cutoff + 1), a monomial over its digits (m_i, radix max_degree + 1);
+    both are ranked by l1 norm, then in packed (lex) order."""
 
     cutoff: int
-    modes: np.ndarray      # (n_modes, n), in packed order
-    monos: np.ndarray      # (n_monos, n), in packed order
+    modes: np.ndarray      # (n_modes, n), in rank order
+    monos: np.ndarray      # (n_monos, n), in rank order: by degree, then lex
     w_k: np.ndarray        # digit weights of a packed mode
     w_m: np.ndarray        # digit weights of a packed monomial
     mode_base: np.ndarray  # packed mode -> its rank x n_monos (negative off the algebra)
@@ -100,14 +100,28 @@ def _slots(n: int, cutoff: int, max_degree: int) -> _Slots:
         """(rows with l1 norm <= bound, digit weights, packed -> rank) over the
         digit box of the given radix, digits shifted down by shift."""
         box = np.indices((radix,) * n).reshape(n, -1).T - shift
-        keep = np.abs(box).sum(axis=1) <= bound
+        norm = np.abs(box).sum(axis=1)
+        keep = np.flatnonzero(norm <= bound)
+        keep = keep[np.argsort(norm[keep], kind="stable")]
         rank = np.full(len(box), -1)
-        rank[keep] = np.arange(keep.sum())
+        rank[keep] = np.arange(len(keep))
         return box[keep], radix ** np.arange(n)[::-1], rank
 
     modes, w_k, mode_rank = ranked(2 * cutoff + 1, cutoff, cutoff)
     monos, w_m, mono_rank = ranked(max_degree + 1, 0, max_degree)
     return _Slots(cutoff, modes, monos, w_k, w_m, mode_rank * len(monos), mono_rank)
+
+
+@cache
+def _levels(n: int, max_degree: int) -> tuple[list[int], np.ndarray]:
+    """`solve_homological`'s sweep over the monomials of `_slots`: (starts,
+    lower), the ranks of degree d being starts[d]:starts[d + 1] and lower[j]
+    (n, n_monos) the rank of m - e_j, or n_monos (a zero row) where m_j = 0."""
+    table = _slots(n, 0, max_degree)  # monomial ranks do not depend on the cutoff
+    monos = table.monos
+    # m - e_j is read for every m and kept where m_j > 0
+    lower = np.where(monos.T > 0, table.mono_rank[monos @ table.w_m - table.w_m[:, None]], len(monos))
+    return np.searchsorted(monos.sum(axis=1), np.arange(max_degree + 2)).tolist(), lower
 
 
 def _fold(table: _Slots, slot: np.ndarray, re: np.ndarray, im: np.ndarray) -> tuple:
@@ -237,8 +251,9 @@ class TaylorFourierSeries:
         The pair (k1, m1, c1) x (k2, m2, c2) contributes, for every coordinate
         j, i (k1_j m2_j - k2_j m1_j) c1 c2 at mode k1 + k2 and monomial
         m1 + m2 - e_j.  The outer product is formed block by block over the
-        rows of self, and each kept contribution gets the slot of its (k, m)
-        in the algebra (`_slots`).  `_fold` sums the contributions of all
+        rows of self; slots (`_slots`) are looked up at the kept contributions
+        only, from packed keys that add, since packing is linear in the
+        digits.  `_fold` sums the contributions of all
         blocks at once, each key in term-pair order from 0.0, and lists the
         keys in order of first contribution, so the result does not depend on
         the block size.  Contributions beyond (cutoff, max_degree) go to the
@@ -257,13 +272,17 @@ class TaylorFourierSeries:
         K1t, M1t = np.ascontiguousarray(K1.T), np.ascontiguousarray(M1.T)
         K2t, M2t = np.ascontiguousarray(K2.T)[:, None, :], np.ascontiguousarray(M2.T)[:, None, :]
         c1r, c1i, c2r, c2i = C1.real.copy(), C1.imag.copy(), C2.real.copy(), C2.imag.copy()
+        # (k1 + k2 + cut) . w_k = (k1 + cut) . w_k + k2 . w_k
+        mode1, mode2 = (K1 + cut) @ table.w_k, K2 @ table.w_k
+        mono1, mono2 = M1 @ table.w_m, M2 @ table.w_m
+        deg1, deg2 = M1.sum(axis=1), M2.sum(axis=1)
 
         def block(a0: int):
             """(slots, real and imaginary parts) of the kept contributions of
             rows a0.. of self, in term-pair order, and the mass of the dropped ones."""
             k1, m1 = K1t[:, a0:a0 + rows, None], M1t[:, a0:a0 + rows, None]
             ar, ai = c1r[a0:a0 + rows, None], c1i[a0:a0 + rows, None]
-            ksum, msum = k1 + K2t, m1 + M2t
+            ksum = k1 + K2t
             d = k1 * M2t - K2t * m1
             # c1 c2 (i d) = (br + i bi)(i d) = -bi d + i br d, with br + i bi
             # formed as Python's complex product forms it; Python's product
@@ -271,7 +290,7 @@ class TaylorFourierSeries:
             # sum from +0.0 nor hypot can see
             br, bi = ar * c2r - ai * c2i, ar * c2i + ai * c2r
             live = (d != 0) & ((br != 0) | (bi != 0))
-            fits = (np.abs(ksum).sum(axis=0) <= cut) & (msum.sum(axis=0) <= deg + 1)
+            fits = (np.abs(ksum).sum(axis=0) <= cut) & (deg1[a0:a0 + rows, None] + deg2 <= deg + 1)
             # dropped contributions, their mass summed in (coordinate, row, term) order
             at = np.flatnonzero(live & ~fits)
             pair, d_lost = at % fits.size, d.ravel()[at].astype(float)
@@ -279,11 +298,11 @@ class TaylorFourierSeries:
             # kept contributions in term-pair order: flat (row, term, coordinate)
             pair, j = np.divmod(np.flatnonzero((live & fits).transpose(1, 2, 0)), n)
             d_kept = d.reshape(n, -1)[j, pair].astype(float)
-            # read at kept pairs only, whose digits are in range; d_j != 0 needs
-            # m1_j or m2_j >= 1, so msum - e_j is a monomial
-            mode = table.w_k @ (ksum + cut).reshape(n, -1)
-            mono = table.w_m @ msum.reshape(n, -1)
-            slot = table.mode_base[mode[pair]] + table.mono_rank[mono[pair] - table.w_m[j]]
+            # slots of kept pairs only, whose digits are in range; d_j != 0 needs
+            # m1_j or m2_j >= 1, so m1 + m2 - e_j is a monomial
+            mode = (mode1[a0:a0 + rows, None] + mode2).ravel()[pair]
+            mono = (mono1[a0:a0 + rows, None] + mono2).ravel()[pair] - table.w_m[j]
+            slot = table.mode_base[mode] + table.mono_rank[mono]
             return slot, -(bi.ravel()[pair] * d_kept), br.ravel()[pair] * d_kept, lost
 
         blocks = [block(a0) for a0 in range(0, len(C1), rows)]
@@ -427,53 +446,53 @@ def solve_homological(
 ) -> tuple[TaylorFourierSeries, list[tuple[Mode, float]], float]:
     """chi with {h, chi} = -B within the truncated degrees.
 
-    Solved mode by mode and degree by degree:
+    Solved for all modes at once, degree by degree:
         i (y0.k) chi_{k,m} + i sum_j k_j chi_{k,m-e_j} = B_{k,m}.
-    Returns (chi, divisor log, dropped overflow majorant); raises
-    SmallDivisorError when |y0.k| <= min_divisor for a killed mode.
+    B's modes, in order of first appearance, index dense tables over the
+    monomial ranks (`_levels`).  Each degree level starts from B, adds the
+    parts of Python's acc -= 1j k_j chi_{m-e_j} coordinate by coordinate,
+    and divides as Python's complex division by (0, y0.k) does, so every
+    coefficient is bitwise the scalar recursion's up to the sign of zeros;
+    monomials no B entry reaches solve to zero.  chi lists the nonzero
+    coefficients, each + 0.0, mode by mode and within a mode in (degree,
+    lex) order.  Returns (chi, divisor log, dropped overflow majorant summed
+    in that order over the top degree); raises SmallDivisorError at the
+    first mode, in row order, with |y0.k| <= min_divisor.
     """
     y0 = np.asarray(y0, dtype=float)
-    n = B.n
-    rows: list[tuple[Mode, Mono, complex]] = []
-    log: list[tuple[Mode, float]] = []
-    by_mode: dict[Mode, dict[Mono, complex]] = {}
-    for (k, m), c in B.terms.items():
-        by_mode.setdefault(k, {})[m] = c
-    overflow = 0.0
-    for k, monos in by_mode.items():
-        div = float(np.dot(y0, k))
+    table = _slots(B.n, B.cutoff, B.max_degree)
+    starts, lower = _levels(B.n, B.max_degree)
+    width = len(table.monos)
+    group: dict[int, int] = {}
+    u = [group.setdefault(key, len(group)) for key in ((B.K + B.cutoff) @ table.w_k).tolist()]
+    Ku = table.modes[table.mode_base[list(group)] // width]
+    kf, modes = Ku.astype(float), list(map(tuple, Ku.tolist()))
+    divs = [float(np.dot(y0, row)) for row in kf]
+    for k, div in zip(modes, divs):
         if abs(div) <= min_divisor:
-            raise SmallDivisorError(
-                f"{context}: divisor |y0.k| = {abs(div):.3e} <= {min_divisor:.3e} "
-                f"at mode {k}",
-                mode=k,
-                value=abs(div),
-            )
-        log.append((k, abs(div)))
-        steps = [j for j in range(n) if k[j] != 0]
-        solved: dict[Mono, complex] = {}
-        level: list[Mono] = []
-        for deg in range(B.max_degree + 1):
-            # candidate monomials at this degree: direct B entries plus those
-            # fed by the (w.k) recursion from the level solved just below
-            level = sorted({m for m in monos if sum(m) == deg}.union(
-                m[:j] + (m[j] + 1,) + m[j + 1:] for m in level for j in steps))
-            for m in level:
-                acc = complex(monos.get(m, 0.0))
-                for j in steps:
-                    if m[j] == 0:
-                        continue
-                    prev = solved.get(m[:j] + (m[j] - 1,) + m[j + 1:])
-                    if prev is not None:
-                        acc -= 1j * k[j] * prev
-                solved[m] = acc / (1j * div)
-        # each (k, m) is new and in range; 0.0 + c is the merge's sum (-0.0 -> +0.0)
-        rows.extend((k, m, 0.0 + c) for m, c in solved.items() if c != 0)
-        for m in level:
-            overflow += l1(k) * abs(solved[m])
-    K = np.array([k for k, _, _ in rows], dtype=np.int64).reshape(len(rows), n)
-    M = np.array([m for _, m, _ in rows], dtype=np.int64).reshape(len(rows), n)
-    return B._with(K, M, np.array([c for _, _, c in rows], dtype=complex)), log, overflow
+            raise SmallDivisorError(f"{context}: divisor |y0.k| = {abs(div):.3e} <= "
+                                    f"{min_divisor:.3e} at mode {k}", mode=k)
+    # X[monomial rank, part, mode]: (Re, Im) of B until its level is solved,
+    # then (Im, -Re) of chi; row `width` stays zero
+    X, neg_div = np.zeros((width + 1, 2, len(Ku))), -np.array(divs)
+    mono = table.mono_rank[B.M @ table.w_m]
+    X[mono, 0, u], X[mono, 1, u] = B.C.real, B.C.imag
+    k_lower = kf.T[:, None, None, :]
+    for lo, hi in zip(starts, starts[1:]):
+        acc = X[lo:hi]
+        for term in k_lower * X.take(lower[:, lo:hi], axis=0):
+            acc += term  # (re, im) += k_j (Im, -Re) chi_{m-e_j}, j = 0, 1, ...
+        # (Im, -Re) chi = (-re, -im) / div: chi = (im / div, -re / div)
+        np.divide(acc, neg_div, out=acc)
+    top = X[starts[-2]:width]
+    overflow = 0.0
+    for v in (np.abs(Ku).sum(axis=1) * np.hypot(top[:, 1], top[:, 0])).T.ravel().tolist():
+        overflow += v
+    re, im = -X[:width, 1].T, X[:width, 0].T
+    mode, mono = np.nonzero((re != 0) | (im != 0))
+    C = np.empty(len(mode), dtype=complex)
+    C.real, C.imag = re[mode, mono] + 0.0, im[mode, mono] + 0.0
+    return B._with(Ku[mode], table.monos[mono], C), [(k, abs(d)) for k, d in zip(modes, divs)], overflow
 
 
 def lie_transform(

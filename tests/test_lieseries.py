@@ -28,6 +28,7 @@ from resoforge.lieseries import (
     lie_step_res,
     ray_majorant,
     ray_series,
+    _levels,
     _slots,
     solve_homological,
     verify_conjugacy,
@@ -577,7 +578,7 @@ def reference_solve_homological(B, y0, min_divisor, context):
     for k, monos in by_mode.items():
         div = float(np.dot(y0, k))
         if abs(div) <= min_divisor:
-            raise SmallDivisorError(context, mode=k, value=abs(div))
+            raise SmallDivisorError(context, mode=k)
         log.append((k, abs(div)))
         solved = {}
         for deg in range(B.max_degree + 1):
@@ -620,24 +621,42 @@ def averaging_potential(rng, must_have=None):
                         for k in modes})
 
 
+def assert_solve_matches_reference(B, y0, min_divisor, context):
+    """solve_homological against the reference, byte for byte: K, M and C (the
+    reference's coefficients + 0.0, as chi stores them), log and overflow."""
+    out = solve_homological(B, y0, min_divisor, context)
+    ref = reference_solve_homological(B, y0, min_divisor, context)
+    want = to_series(ref[0])
+    assert out[0].K.tobytes() == want.K.tobytes() and out[0].M.tobytes() == want.M.tobytes()
+    assert out[0].C.tobytes() == (want.C + 0.0).tobytes()
+    assert out[1] == ref[1] and out[2] == ref[2]
+    return out
+
+
+def spy_solves(monkeypatch, calls):
+    """Route lieseries' solve_homological through the byte comparison,
+    recording each band it solves."""
+    import resoforge.lieseries as ls
+
+    def spy(B, y0, min_divisor, context):
+        calls.append(B)
+        return assert_solve_matches_reference(B, y0, min_divisor, context)
+
+    monkeypatch.setattr(ls, "solve_homological", spy)
+
+
+# modes of a three-dimensional potential: the resonance (1, 0, -1) and three
+# modes off it
+N3_MODES = ((1, 0, 0), (0, 1, -1), (1, 0, -1), (1, 1, 1))
+
+
 class TestHomologicalLevels:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_chi_bit_identical_to_reference(self, seed, monkeypatch):
         # every band the averaging steps solve, nonresonant and resonant, at
         # orders up to 4 and degree 3: same keys, order, values and overflow
-        import resoforge.lieseries as ls
-        solve = ls.solve_homological
         calls = []
-
-        def spy(B, y0, min_divisor, context):
-            out = solve(B, y0, min_divisor, context)
-            ref = reference_solve_homological(B, y0, min_divisor, context)
-            assert list(out[0].terms.items()) == list(ref[0].terms.items())
-            assert out[1] == ref[1] and out[2] == ref[2]
-            calls.append(len(out[0].terms))
-            return out
-
-        monkeypatch.setattr(ls, "solve_homological", spy)
+        spy_solves(monkeypatch, calls)
         rng = np.random.default_rng([2, seed, 0])
         ham = NaturalHam(2, 1e-3, averaging_potential(rng))
         lie_step_nonres(ham, free_params(2, 1.0, alpha=0.02, K0=2, K=8),
@@ -646,7 +665,64 @@ class TestHomologicalLevels:
         ham = NaturalHam(2, 1e-3, averaging_potential(rng, must_have=k))
         lie_step_res(ham, k, free_params(2, 1.0, alpha=0.03, K0=2, K=6),
                      np.array([0.5, -0.5]), order=4, max_degree=3)
-        assert len(calls) >= 6 and max(calls) > 20
+        assert len(calls) >= 6 and max(len(B.C) for B in calls) > 20
+
+    @pytest.mark.parametrize("deg", [3, 4])
+    def test_three_dimensional_bands(self, deg, monkeypatch):
+        # n = 3: a nonresonant step, and a resonant one along (1, 0, -1);
+        # band modes with a zero coordinate skip that coordinate's recursion
+        calls = []
+        spy_solves(monkeypatch, calls)
+        rng = np.random.default_rng([3, deg])
+        ham = NaturalHam(3, 1e-3, TrigPoly(3, {
+            k: 0.5 * rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0, TWO_PI)) for k in N3_MODES}))
+        lie_step_nonres(ham, free_params(3, 1.0, alpha=0.02, K0=2, K=5),
+                        np.array([0.7, 0.31, 0.53]), order=3, max_degree=deg)
+        lie_step_res(ham, (1, 0, -1), free_params(3, 1.0, alpha=0.002, K0=2, K=4),
+                     np.array([0.5, 0.3137, 0.5]), order=3, max_degree=deg)
+        assert len(calls) == 6 and max(len(B.C) for B in calls) > 300
+        assert all((B.K == 0).any() for B in calls)
+
+    @pytest.mark.parametrize("n, deg", [(2, 1), (3, 1), (2, 4), (3, 4)])
+    def test_random_bands(self, n, deg):
+        # y-dependent bands at every degree, degree 1 included (the averaging
+        # steps need degree >= 2 for the kinetic part)
+        rng = np.random.default_rng([n, deg])
+        B = random_real_series(rng, n, deg, 4, 30).split(any)[0]
+        y0 = np.array([0.7, 0.31, 0.53][:n]) + 1e-3 * rng.uniform(size=n)
+        chi, log, overflow = assert_solve_matches_reference(B, y0, 1e-9, "test")
+        assert max(sum(m) for _k, m in chi.terms) == deg and overflow > 0
+
+    def test_witness_is_first_small_divisor_in_row_order(self):
+        # both modes fall below the threshold; the later one is smaller, the
+        # earlier one is the witness, and the message is unchanged
+        y0 = np.array([0.52, -0.5])
+        B = series(deg=2, cutoff=4)
+        add_term(B, (2, 2), (0, 0), 0.5)
+        add_term(B, (1, 1), (1, 0), 0.25)
+        with pytest.raises(SmallDivisorError) as err:
+            solve_homological(B, y0, 0.05, "test")
+        assert err.value.mode == (2, 2)
+        assert str(err.value) == "test: divisor |y0.k| = 4.000e-02 <= 5.000e-02 at mode (2, 2)"
+        with pytest.raises(SmallDivisorError) as ref:
+            reference_solve_homological(B, y0, 0.05, "test")
+        assert ref.value.mode == (2, 2)
+
+    @pytest.mark.parametrize("n, deg", [(1, 3), (2, 0), (2, 3), (3, 1), (3, 4)])
+    def test_level_table(self, n, deg):
+        # every monomial once, by degree and then lex; lower[j] is m - e_j,
+        # or the zero row where m_j = 0
+        starts, lower = _levels(n, deg)
+        monos = [tuple(m) for m in _slots(n, 0, deg).monos.tolist()]
+        assert monos == sorted(itertools.product(range(deg + 1), repeat=n),
+                               key=lambda m: (sum(m), m))[:len(monos)]
+        assert len(monos) == math.comb(n + deg, n) and len(set(monos)) == len(monos)
+        assert starts == [sum(sum(m) < d for m in monos) for d in range(deg + 2)]
+        assert lower.shape == (n, len(monos))
+        for r, m in enumerate(monos):
+            for j in range(n):
+                want = monos.index(m[:j] + (m[j] - 1,) + m[j + 1:]) if m[j] else len(monos)
+                assert lower[j, r] == want
 
 
 def reference_lie_transform(grades, chi, j, B, ledger):
