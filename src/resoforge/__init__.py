@@ -3,7 +3,6 @@ reductions for nearly-integrable natural Hamiltonians 0.5|y|^2 + eps*f(x)."""
 
 from .fourier import (
     LacunaryRule,
-    NotAGeneratorError,
     OneDTrigPoly,
     TrigPoly,
     generators,

@@ -544,29 +544,24 @@ ALL_CRITERIA = [
     criterion_12_genericity_trend,
 ]
 
+# run_all(quick=True)'s arguments, by criterion
+QUICK = {
+    criterion_3_morse_oracle: {"instances": 100},
+    criterion_5_covering: {"samples": 10 ** 5},
+    criterion_6_measure_scaling: {"samples": 10 ** 5, "ratio_tol": 0.30},
+    criterion_7_contraction: {"instances": 30},
+    criterion_8_symplecticity: {"points": 20},
+    criterion_9_energy_identity: {"points": 20},
+    criterion_12_genericity_trend: {"trials": 400, "factor": 3.0},
+}
+
 
 def run_all(quick: bool = False) -> list[CriterionResult]:
     """Run the full battery; quick mode reduces Monte-Carlo sizes 10x and
     widens the statistical ratio bands accordingly."""
     results = []
     for fn in ALL_CRITERIA:
-        kwargs = {}
-        if quick:
-            if fn is criterion_5_covering:
-                kwargs = {"samples": 10 ** 5}
-            elif fn is criterion_6_measure_scaling:
-                kwargs = {"samples": 10 ** 5, "ratio_tol": 0.30}
-            elif fn is criterion_3_morse_oracle:
-                kwargs = {"instances": 100}
-            elif fn is criterion_7_contraction:
-                kwargs = {"instances": 30}
-            elif fn is criterion_8_symplecticity:
-                kwargs = {"points": 20}
-            elif fn is criterion_9_energy_identity:
-                kwargs = {"points": 20}
-            elif fn is criterion_12_genericity_trend:
-                kwargs = {"trials": 400, "factor": 3.0}
-        result = fn(**kwargs)
+        result = fn(**(QUICK.get(fn, {}) if quick else {}))
         results.append(result)
         print(result.line())
     return results

@@ -3,8 +3,11 @@
 Subcommands: sample, check-generic, cover classify|measure|raster, bezout,
 normalize, standardize, report.  Reports are JSON (CSV for bulk samples and
 rasters) with the invoking configuration echoed, so a run is reproducible
-from its report.  Exit codes: 0 all hard checks passed, 1 an invariant
-failed, 2 configuration/input error.
+from its report.  Exit codes: 0 all hard checks passed; 1 an invariant
+failed, or a hypothesis of the construction failed on well-formed inputs
+(fourier.HypothesisError); 2 an argument is not admissible
+(fourier.ConfigError).  Each error prints one `error:` line; any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -27,19 +30,15 @@ from .cover import (
     free_params,
     measure_R2,
 )
-from .fourier import NotAGeneratorError, lacunary_potential, load_potential, save_potential, two_mode_potential
+from .fourier import (ConfigError, HypothesisError, is_generator, lacunary_potential, load_potential,
+                      save_potential, two_mode_potential)
 from .genericity import GenericityParams, check_membership, sample_product_measure
-from .lieseries import GeneratorFlowError, NaturalHam, SmallDivisorError, lie_step_nonres, lie_step_res
-from .standard_form import GRID, FixedPointDivergence, standardize, verify_standard, _THETA
+from .lieseries import NaturalHam, lie_step_nonres, lie_step_res
+from .standard_form import GRID, standardize, verify_standard, _THETA
 from .unimodular import complete_to_sl, decoupling_matrix
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
-EXIT_CONFIG = 2
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _parse_vector(option: str, text: str, n: int | None = None, dtype=float) -> list:
@@ -53,10 +52,18 @@ def _parse_vector(option: str, text: str, n: int | None = None, dtype=float) -> 
     return vector
 
 
+def _nonnegative(option: str, value: int) -> int:
+    if value < 0:
+        raise ConfigError(f"{option} must be nonnegative")
+    return value
+
+
 def _parse_mode(option: str, text: str, n: int) -> tuple[int, ...]:
     k = tuple(_parse_vector(option, text, n, int))
     if not any(k):
         raise ConfigError(f"{option} must be a nonzero integer vector")
+    if not is_generator(k):
+        raise ConfigError(f"{option} must be a generator: coprime entries, the first nonzero one positive")
     return k
 
 
@@ -111,7 +118,7 @@ def _load_potential_arg(source: str):
             return two_mode_potential(s), s
         if name == "lacunary":
             return lacunary_potential(n, s, kmax), s
-        return sample_product_measure(n, s, kmax, seed), s
+        return sample_product_measure(n, s, kmax, _nonnegative(f"--potential {source}: seed", seed)), s
     try:
         return load_potential(source)
     except (OSError, ValueError) as exc:
@@ -142,7 +149,7 @@ def _report_skeleton(args: argparse.Namespace) -> dict:
 # -- subcommand handlers ------------------------------------------------------
 
 def cmd_sample(args) -> int:
-    f = sample_product_measure(args.n, args.s, args.kmax, args.seed)
+    f = sample_product_measure(args.n, args.s, args.kmax, _nonnegative("--seed", args.seed))
     save_potential(f, args.s, args.out)
     print(f"wrote {args.out} ({len(f.coeffs)} modes)")
     return EXIT_OK
@@ -172,9 +179,9 @@ def cmd_cover_classify(args) -> int:
 
 def cmd_cover_measure(args) -> int:
     params = _load_params(args.params)
-    if args.csv and args.csv_rows < 0:
-        raise ConfigError("--csv-rows must be nonnegative")
-    est = measure_R2(params, args.samples, args.seed)
+    if args.csv:
+        _nonnegative("--csv-rows", args.csv_rows)
+    est = measure_R2(params, args.samples, _nonnegative("--seed", args.seed))
     if args.csv:
         # the first csv_rows points measure_R2 classified, chunk by chunk
         m = min(args.samples, args.csv_rows)
@@ -205,7 +212,7 @@ def cmd_cover_raster(args) -> int:
     params = _load_params(args.params)
     if params.n != 2:
         raise ConfigError("raster export is two-dimensional")
-    g = args.grid
+    g = _nonnegative("--grid", args.grid)
     axis = np.linspace(-0.99, 0.99, g)
     pts = np.column_stack([np.repeat(axis, g), np.tile(axis, g)])
     pts = pts[np.linalg.norm(pts, axis=1) < 1.0]
@@ -409,15 +416,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SmallDivisorError, FixedPointDivergence, GeneratorFlowError) as exc:
-        # the inputs were well-formed but a hypothesis of the construction failed
+    except (ConfigError, HypothesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (ConfigError, NotAGeneratorError, ValueError) as exc:
-        # malformed inputs, non-generator vectors, cutoff ordering, points
-        # outside the domain: all configuration-level failures
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
 
 
 if __name__ == "__main__":

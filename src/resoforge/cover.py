@@ -29,15 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import Mode, generators, l1
-
-
-class OutsideDomainError(ValueError):
-    """Query point lies outside the open unit ball."""
-
-
-class CutoffOrderError(ValueError):
-    """Paper-preset cutoffs must satisfy K >= 6 K0 >= 12."""
+from .fourier import ConfigError, Mode, generators, l1
 
 
 @dataclass(frozen=True)
@@ -56,9 +48,9 @@ class CoveringParams:
 
     def __post_init__(self):
         if self.n < 1 or self.s <= 0:
-            raise ValueError("need n >= 1 and s > 0")
+            raise ConfigError("need n >= 1 and s > 0")
         if self.alpha < 0 or (self.alpha == 0 and self.mode != "free"):
-            raise ValueError("alpha must be positive (zero allowed in free mode)")
+            raise ConfigError("alpha must be positive (zero allowed in free mode)")
 
     # analyticity radii of the averaging domains
     @property
@@ -136,9 +128,9 @@ def derive_params(n: int, s: float, epsilon: float, K0: int, K: int) -> Covering
     regime is numerically unreachable and the params carry a warning flag.
     """
     if not (K >= 6 * K0 >= 12):
-        raise CutoffOrderError("paper-preset cutoffs must satisfy K >= 6*K0 >= 12")
+        raise ConfigError("paper-preset cutoffs must satisfy K >= 6*K0 >= 12")
     if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+        raise ConfigError("epsilon must be positive")
     nu = 4.5 * n + 2.0
     alpha = math.sqrt(epsilon) * float(K) ** nu
     return CoveringParams(
@@ -150,7 +142,7 @@ def free_params(n: int, s: float, alpha: float, K0: int, K: int) -> CoveringPara
     """Free-mode parameters: alpha decoupled from (eps, K) so that desk-scale
     property tests are meaningful; provenance recorded as 'free'."""
     if K < K0 or K0 < 1:
-        raise CutoffOrderError("need K >= K0 >= 1")
+        raise ConfigError("need K >= K0 >= 1")
     return CoveringParams(n=n, s=s, K0=K0, K=K, alpha=alpha, mode="free")
 
 
@@ -178,9 +170,9 @@ def classify_point(y, params: CoveringParams, all_pairs: bool = True) -> list[Re
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (params.n,):
-        raise ValueError(f"point must have dimension {params.n}")
+        raise ConfigError(f"point must have dimension {params.n}")
     if np.linalg.norm(y) >= 1.0:
-        raise OutsideDomainError("outside unit ball")
+        raise ConfigError("outside unit ball")
     labels: list[RegionLabel] = []
     gens0 = params.generators_K0
     prods = np.array([float(np.dot(y, k)) for k in gens0])
@@ -228,13 +220,13 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
     the line Z k in one product; the minimum is set against the R1 threshold."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != params.n:
-        raise ValueError(f"points must have shape (m, {params.n})")
+        raise ConfigError(f"points must have shape (m, {params.n})")
     Yt = np.ascontiguousarray(Y.T)
     sq = Yt[0] * Yt[0]
     for row in Yt[1:]:
         sq += row * row
     if np.any(sq >= 1.0):
-        raise OutsideDomainError("outside unit ball")
+        raise ConfigError("outside unit ball")
     m = Y.shape[0]
     p_k, mask = sq, np.empty(m, dtype=bool)
     is_r0 = np.ones(m, dtype=bool)
@@ -335,7 +327,7 @@ def measure_R2(params: CoveringParams, samples: int, seed: int) -> R2MeasureEsti
     ball_points(params.n, samples, seed).
     """
     if samples < 1000:
-        raise ValueError("need at least 10^3 samples")
+        raise ConfigError("need at least 10^3 samples")
     n_any = n_only = 0
     for Y in ball_points(params.n, samples, seed):
         batch = classify_batch(Y, params)

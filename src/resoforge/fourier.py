@@ -11,6 +11,11 @@ Potentials with infinite support are handled through a coefficient rule
 (currently the exponentially decaying lacunary family supported on the
 generator set) materialized up to a recorded cutoff; the rule supplies exact
 coefficients beyond the cutoff and a majorant of the tail of each lattice ray.
+
+The package's two error classes live here too, each with the exit code the
+CLI returns for it: ConfigError for an argument that is not admissible,
+HypothesisError for a hypothesis of the construction that fails on
+well-formed inputs.  Anything else a function raises is a bug.
 """
 
 from __future__ import annotations
@@ -30,8 +35,16 @@ Mode = tuple[int, ...]
 TWO_PI = 2.0 * math.pi
 
 
-class NotAGeneratorError(ValueError):
-    """Mode vector is not a generator (coprime, first nonzero positive)."""
+class ConfigError(ValueError):
+    """An argument is not admissible, such as a label k that is not a generator."""
+
+    exit_code = 2
+
+
+class HypothesisError(RuntimeError):
+    """A hypothesis of the construction failed on well-formed inputs, such as a small divisor."""
+
+    exit_code = 1
 
 
 def l1(k: Iterable[int]) -> int:
@@ -60,7 +73,7 @@ def canonical_form(k: Iterable[int]) -> tuple[Mode, bool]:
     neg = tuple(-c for c in k)
     if is_canonical(neg):
         return neg, True
-    raise ValueError("zero mode has no canonical form")
+    raise ConfigError("zero mode has no canonical form")
 
 
 def iter_half_ball(n: int, K: float) -> Iterator[Mode]:
@@ -89,9 +102,9 @@ def generators(n: int, K: float, min_order: int = 1) -> list[Mode]:
     maximal 1-D sublattice Z k and hence a simple resonance y.k = 0.
     """
     if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if K < 1:
-        raise ValueError("cutoff K must be >= 1")
+        raise ConfigError("dimension must be >= 1")
+    if not K >= 1:
+        raise ConfigError("cutoff K must be >= 1")
     out = []
     for k in iter_half_ball(n, K):
         if l1(k) < min_order:
@@ -178,9 +191,9 @@ class TrigPoly:
         for k, c in self.coeffs.items():
             k = tuple(int(v) for v in k)
             if len(k) != self.n:
-                raise ValueError(f"mode {k} has wrong dimension")
+                raise ConfigError(f"mode {k} has wrong dimension")
             if not is_canonical(k):
-                raise ValueError(f"mode {k} is not in the canonical half-lattice")
+                raise ConfigError(f"mode {k} is not in the canonical half-lattice")
             c = complex(c)
             if c != 0:
                 clean[k] = c
@@ -236,7 +249,7 @@ class OneDTrigPoly:
         for j, c in self.coeffs.items():
             j = int(j)
             if j < 1:
-                raise ValueError("store only j >= 1; the conjugate half is implied")
+                raise ConfigError("store only j >= 1; the conjugate half is implied")
             c = complex(c)
             if c != 0:
                 clean[j] = c
@@ -310,7 +323,7 @@ def lattice_projections(f: TrigPoly, gens: Iterable[Mode]) -> list[OneDTrigPoly]
     """
     gens = [tuple(int(v) for v in k) for k in gens]
     if not all(is_generator(k) for k in gens):
-        raise NotAGeneratorError("not a generator")
+        raise ConfigError("not a generator")
     rays: dict[Mode, dict[int, complex]] = {k: {} for k in gens}
     for kp, c in f.coeffs.items():
         j = math.gcd(*kp)
@@ -382,10 +395,10 @@ def load_potential(source) -> tuple[TrigPoly, float]:
         n = int(doc["n"])
         s = float(doc["s"])
     except KeyError as exc:
-        raise ValueError(f"potential file missing field {exc}") from exc
+        raise ConfigError(f"potential file missing field {exc}") from exc
     if "rule" in doc:
         if doc["rule"] != "exp-lacunary":
-            raise ValueError(f"unknown rule preset {doc['rule']!r}")
+            raise ConfigError(f"unknown rule preset {doc['rule']!r}")
         params = doc.get("params", {})
         return (
             lacunary_potential(
@@ -400,6 +413,6 @@ def load_potential(source) -> tuple[TrigPoly, float]:
     for entry in doc.get("modes", []):
         k = tuple(int(v) for v in entry["k"])
         if not is_canonical(k):
-            raise ValueError(f"mode {k} is not in the canonical half-lattice")
+            raise ConfigError(f"mode {k} is not in the canonical half-lattice")
         coeffs[k] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
     return TrigPoly(n, coeffs), s

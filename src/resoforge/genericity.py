@@ -25,12 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import Mode, TrigPoly, generators, iter_half_ball, l1, lattice_projections
+from .fourier import ConfigError, Mode, TrigPoly, generators, iter_half_ball, l1, lattice_projections
 from .morse import critical_points_many
-
-
-class CutoffBelowThresholdError(ValueError):
-    """Verification cutoff K_max lies below the threshold N(delta)."""
 
 
 def threshold_N(n: int, s: float, delta: float) -> float:
@@ -40,7 +36,7 @@ def threshold_N(n: int, s: float, delta: float) -> float:
     >= 2 max{1, 1/s}.
     """
     if n < 1 or s <= 0 or not 0 < delta <= 1:
-        raise ValueError("need n >= 1, s > 0, 0 < delta <= 1")
+        raise ConfigError("need n >= 1, s > 0, 0 < delta <= 1")
     c_d = 2.0 ** 44 * (2.0 * n / math.e) ** n
     return 2.0 * max(1.0, math.log(c_d / (s ** n * delta)) / s)
 
@@ -106,7 +102,7 @@ def check_lower_bound(f: TrigPoly, params: GenericityParams) -> tuple[list[Failu
     Boundary equality passes.
     """
     if params.K_max < params.N:
-        raise CutoffBelowThresholdError("cutoff below threshold")
+        raise ConfigError("cutoff below threshold")
     failures: list[Failure] = []
     worst = math.inf
     count = 0
@@ -219,11 +215,11 @@ def empirical_genericity(
     measure at desk scale.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError("trials must be >= 1")
     lo, hi = window
     gens = [k for k in generators(n, hi) if l1(k) >= lo]
     if not gens:
-        raise ValueError("empty generator window")
+        raise ConfigError("empty generator window")
     thresholds = np.array([delta * l1(k) ** (-n) for k in gens])
 
     streams = np.random.SeedSequence(seed).spawn(trials)

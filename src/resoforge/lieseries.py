@@ -33,21 +33,9 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .cover import CoveringParams
-from .fourier import Mode, OneDTrigPoly, TrigPoly, l1, on_ray
+from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, TrigPoly, l1, on_ray
 
 Mono = tuple[int, ...]
-
-
-class SmallDivisorError(RuntimeError):
-    """A divisor |y0.k| fell below the admissible threshold."""
-
-    def __init__(self, message: str, mode: Mode):
-        super().__init__(message)
-        self.mode = mode
-
-
-class GeneratorFlowError(RuntimeError):
-    """The numerical time-1 flow of a Lie generator did not complete."""
 
 
 @dataclass
@@ -380,7 +368,7 @@ class TaylorFourierSeries:
         for (k, m), c in self.terms.items():
             j = on_ray(k, k_res) if any(k) else 0
             if j is None:
-                raise ValueError(f"mode {k} is not on the ray of {k_res}")
+                raise ConfigError(f"mode {k} is not on the ray of {k_res}")
             out.append((j, m, c))
         return out
 
@@ -394,7 +382,7 @@ class TaylorFourierSeries:
 def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSeries:
     """0.5|y|^2 expanded exactly around y0 (degree 2)."""
     if max_degree < 2:
-        raise ValueError("kinetic part needs max_degree >= 2")
+        raise ConfigError("kinetic part needs max_degree >= 2")
     y0 = np.asarray(y0, dtype=float)
     n_ = len(y0)
     zero, e = (0,) * n_, np.eye(n_, dtype=int).tolist()
@@ -456,7 +444,7 @@ def solve_homological(
     monomials no B entry reaches solve to zero.  chi lists the nonzero
     coefficients, each + 0.0, mode by mode and within a mode in (degree,
     lex) order.  Returns (chi, divisor log, dropped overflow majorant summed
-    in that order over the top degree); raises SmallDivisorError at the
+    in that order over the top degree); raises HypothesisError at the
     first mode, in row order, with |y0.k| <= min_divisor.
     """
     y0 = np.asarray(y0, dtype=float)
@@ -470,8 +458,8 @@ def solve_homological(
     divs = [float(np.dot(y0, row)) for row in kf]
     for k, div in zip(modes, divs):
         if abs(div) <= min_divisor:
-            raise SmallDivisorError(f"{context}: divisor |y0.k| = {abs(div):.3e} <= "
-                                    f"{min_divisor:.3e} at mode {k}", mode=k)
+            raise HypothesisError(f"{context}: divisor |y0.k| = {abs(div):.3e} <= "
+                                  f"{min_divisor:.3e} at mode {k}")
     # X[monomial rank, part, mode]: (Re, Im) of B until its level is solved,
     # then (Im, -Re) of chi; row `width` stays zero
     X, neg_div = np.zeros((width + 1, 2, len(Ku))), -np.array(divs)
@@ -706,7 +694,7 @@ def _flow_time1(chi: TaylorFourierSeries, scale: float, z0: np.ndarray,
     RK4 at N and 2N equal steps, N = 1, 2, 4, ..., until the Richardson
     estimate e = max|z_2N - z_N| / 15 is at most atol + rtol max|z_2N|; the
     flow is z_2N + (z_2N - z_N) / 15 (Hairer, Norsett & Wanner, Solving ODEs
-    I, II.4).  GeneratorFlowError when _MAX_STEPS steps do not meet it."""
+    I, II.4).  HypothesisError when _MAX_STEPS steps do not meet it."""
     n = chi.n
 
     def rhs(z):
@@ -733,7 +721,7 @@ def _flow_time1(chi: TaylorFourierSeries, scale: float, z0: np.ndarray,
         if err <= atol + rtol * float(np.max(np.abs(fine))):
             return fine + (fine - coarse) / 15.0, err
         coarse = fine
-    raise GeneratorFlowError(f"generator flow failed: error estimate {err:.3e} at {steps} steps")
+    raise HypothesisError(f"generator flow failed: error estimate {err:.3e} at {steps} steps")
 
 
 @dataclass

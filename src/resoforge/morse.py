@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1
+from .fourier import ConfigError, Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1
 
 COSINE_LIKE_THRESHOLD = 2.0 ** -40  # gamma below it: two critical points and beta >= |f_k|
 _HALF_PI = 0.5 * math.pi
@@ -32,14 +32,6 @@ _EPS = float(np.finfo(float).eps)
 _OFFSET = 0.0618033988749895 - math.pi  # where the cells of _zeros start: far from k pi / m
 _LEVELS = 1                             # float levels of _zeros before the exact path, to degree 4
 _MARGIN = 64 * _EPS                     # > the rounding of a cell's float midpoint and ends
-
-
-class ConstantFunctionError(ValueError):
-    """F' vanishes identically; critical points are undefined."""
-
-
-class VanishingLeadingModeError(ValueError):
-    """The +-k coefficient pair vanishes; no cosine normalization exists."""
 
 
 @dataclass
@@ -333,7 +325,7 @@ def _refine(b: list[int]) -> float:
 def critical_points(F: OneDTrigPoly) -> MorseReport:
     """The Morse report of F alone: critical_points_many([F])[0]."""
     if (report := critical_points_many([F])[0]) is None:
-        raise ConstantFunctionError("constant function")
+        raise ConfigError("constant function")
     return report
 
 
@@ -403,7 +395,7 @@ def cosine_certificate(f: TrigPoly, k: Mode) -> CosineCertificate:
     k = tuple(int(v) for v in k)
     fk = f.coeff(k)
     if fk == 0:
-        raise VanishingLeadingModeError("vanishing leading mode")
+        raise ConfigError("vanishing leading mode")
     eta = 2.0 * abs(fk)
 
     # query the ray multiples directly: coeff() consults the rule beyond the

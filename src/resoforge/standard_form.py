@@ -57,7 +57,7 @@ import numpy.fft  # numpy loads these lazily: at import here, not inside the fir
 import numpy.random
 
 from .cover import CoveringParams
-from .fourier import Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1, project_lattice
+from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1, project_lattice
 from .genericity import c_s, threshold_N
 from .lieseries import AveragedNF, TaylorFourierSeries, ray_majorant, ray_series
 from .morse import critical_points
@@ -344,7 +344,7 @@ class SecularHam:
     @classmethod
     def from_averaged(cls, nf: AveragedNF, um: UnimodularMatrix) -> "SecularHam":
         if nf.kind != "resonant" or nf.g_res is None:
-            raise ValueError("secular Hamiltonian needs a resonant normal form")
+            raise ConfigError("secular Hamiltonian needs a resonant normal form")
         g_o = nf.g_o[1].like()
         g = nf.g_res[1].like()
         for j in range(1, nf.order + 1):
@@ -437,10 +437,6 @@ def build_phi1(secular: SecularHam, r: float, s_breve: float,
 # fixed point of the momentum shift (Phi2) and the final translation (Phi3)
 # --------------------------------------------------------------------------
 
-class FixedPointDivergence(RuntimeError):
-    pass
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_NODES)
 _GL_T = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
@@ -494,7 +490,7 @@ class FixedPointSolution:
             live &= moving
             if not live.any():
                 return u[()]
-        raise FixedPointDivergence("pointwise fixed-point iteration stalled")
+        raise HypothesisError("pointwise fixed-point iteration stalled")
 
     def jet(self, phat, q1, order: int):
         """(p, dp/dphat, d2p/dphat2) at q1 from one solve and its evaluator;
@@ -527,7 +523,7 @@ def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
     """Iterate u <- -0.5 d_{Y1} Gf(u, phat, .) on the spectral grid.
 
     Records the empirical contraction factor and residual; checks the |p|
-    bound theta_o/(3r).  A step ratio >= 1 raises FixedPointDivergence.  When
+    bound theta_o/(3r).  A step ratio >= 1 raises HypothesisError.  When
     the smallness hypothesis fails the solver still runs, flagged as outside
     the certified regime.  The residual |u + 0.5 d_{Y1} Gf(u)| of an iterate
     is the next step, so each iteration evaluates d_{Y1} Gf once.
@@ -547,13 +543,13 @@ def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
             ratio = step / prev_step
             contraction = max(contraction, ratio)
             if ratio >= 1.0:
-                raise FixedPointDivergence(f"contraction failed: step ratio {ratio:.3f}")
+                raise HypothesisError(f"contraction failed: step ratio {ratio:.3f}")
         prev_step = step
         u, nxt = nxt, after
         if residual < FIXED_POINT_TOL:
             break
     else:
-        raise FixedPointDivergence(f"no convergence below {FIXED_POINT_TOL}")
+        raise HypothesisError(f"no convergence below {FIXED_POINT_TOL}")
     return FixedPointSolution(
         form=form,
         residual=residual,
@@ -602,8 +598,6 @@ class ShearMap:
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         n = self.n
         _, dtau, d2tau = self.jet(z[1:n], 2)
-        if d2tau is None:
-            raise ValueError("ShearMap.jacobian needs the Hessian d2tau")
         J = np.eye(2 * n)
         J[0, 1:n] = dtau
         J[n + 1:, 1:n] = -z[n] * np.asarray(d2tau)

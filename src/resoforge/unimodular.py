@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import Mode, NotAGeneratorError, is_generator
+from .fourier import ConfigError, Mode, is_generator
 
 
 IntMatrix = list[list[int]]
@@ -80,21 +80,6 @@ def mat_transpose(matrix):
 def mat_mul(a, b):
     bt = mat_transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
 
 
 @dataclass(frozen=True)
@@ -185,11 +170,9 @@ def _complete(k: tuple[int, ...]) -> list[list[int]]:
     if g == 1:
         c, z = 0, 1
     else:
-        _, x, y = _ext_gcd(g, k_n)  # g x + k_n y = 1
-        z, c = x, -y               # z g - c k_n = 1
-        # reduce c into (-g/2, g/2] (exact integer rounding), adjusting z
-        t = -((g - 2 * c) // (2 * g))
-        c -= t * g
+        c = -pow(k_n, -1, g)  # c k_n = -1 mod g, so z g - c k_n = 1 below
+        # reduce c into (-g/2, g/2] (exact integer rounding), then solve for z
+        c += (g - 2 * c) // (2 * g) * g
         z = (1 + c * k_n) // g
     rows = [list(k)]
     for row in b_hat:
@@ -207,7 +190,7 @@ def complete_to_sl(k) -> UnimodularMatrix:
     """
     k = tuple(int(v) for v in k)
     if not is_generator(k):
-        raise NotAGeneratorError("not a generator")
+        raise ConfigError("not a generator")
     um = UnimodularMatrix(tuple(tuple(r) for r in _complete(k)))
     if um.det != 1:
         raise AssertionError(f"completion produced det {um.det} for k={k}")

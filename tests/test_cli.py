@@ -1,15 +1,24 @@
+import ast
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from resoforge import cli, cover
-from resoforge.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
-from resoforge.lieseries import GeneratorFlowError
+from resoforge.cli import EXIT_INVARIANT, EXIT_OK, main
+from resoforge.fourier import ConfigError, HypothesisError
 
 
+EXIT_CONFIG = ConfigError.exit_code
 NORMALIZE = ["normalize", "--potential", "two-mode:s=1.0", "--eps", "1e-3", "--k0", "2", "--K", "6"]
+
+
+def raising(exc):
+    def fail(*_args, **_kwargs):
+        raise exc
+    return fail
 
 
 @pytest.fixture
@@ -274,6 +283,10 @@ class TestConfigErrors:
           "--resonant-k", "0,0"], "--resonant-k"),
         ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3,0.1",
           "--resonant-k", "1,1,1"], "--resonant-k"),
+        ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.5,-0.5",
+          "--resonant-k", "2,2"], "--resonant-k"),
+        ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.5,-0.5",
+          "--resonant-k=-1,1"], "--resonant-k"),
         ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3"], "--base-point"),
         ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3,0.1", "--order", "0"], "--order"),
         ([*NORMALIZE, "--alpha", "0.05", "--base-point", "0.3,0.1", "--degree", "1"], "--degree"),
@@ -282,6 +295,8 @@ class TestConfigErrors:
         ([*STANDARDIZE, "--k", "0,0", "--y0", "0.5,-0.5"], "--k"),
         ([*STANDARDIZE, "--k", "1,1,1", "--y0", "0.5,-0.5"], "--k"),
         ([*STANDARDIZE, "--k", "1,x", "--y0", "0.5,-0.5"], "--k"),
+        ([*STANDARDIZE, "--k", "2,2", "--y0", "0.5,-0.5"], "--k"),
+        ([*STANDARDIZE, "--k=-1,1", "--y0", "0.5,-0.5"], "--k"),
         ([*STANDARDIZE[:-1], "PARAMS3", "--k", "1,1", "--y0", "0.5,-0.5"], "--params"),
         (["check-generic", "--potential", "lacunary:n=2,sx=3", "--delta", "1", "--beta", "0.1"],
          "--potential"),
@@ -291,10 +306,18 @@ class TestConfigErrors:
           "--beta", "0.1"], "--potential"),
         (["check-generic", "--potential", "lacunary:n=2,s", "--delta", "1", "--beta", "0.1"],
          "--potential"),
+        (["check-generic", "--potential", "random:n=2,s=1,kmax=6,seed=-1", "--delta", "1",
+          "--beta", "0.1"], "--potential"),
+        (["sample", "--seed", "-1", "--out", "MISSING.json"], "--seed"),
+        (["cover", "measure", "--params", "PARAMS", "--samples", "2000", "--seed", "-1"], "--seed"),
+        (["cover", "raster", "--params", "PARAMS", "--grid", "-1", "--csv", "MISSING.csv"], "--grid"),
     ], ids=["out_dir_missing", "y_length", "resonant_k_zero", "resonant_k_length",
-            "base_point_length", "normalize_order_zero", "normalize_degree_one", "order_zero",
-            "y0_length", "k_zero", "k_length", "k_unparsable", "params_dimension",
-            "lacunary_unknown_key", "two_mode_unknown_key", "random_unknown_key", "preset_part_without_value"])
+            "resonant_k_not_generator", "resonant_k_negative", "base_point_length",
+            "normalize_order_zero", "normalize_degree_one", "order_zero", "y0_length", "k_zero",
+            "k_length", "k_unparsable", "k_not_generator", "k_negative", "params_dimension",
+            "lacunary_unknown_key", "two_mode_unknown_key", "random_unknown_key",
+            "preset_part_without_value", "random_seed_negative", "sample_seed_negative",
+            "measure_seed_negative", "raster_grid_negative"])
     def test_one_error_line(self, argv, option, free_params_file, tmp_path, capsys):
         params3 = tmp_path / "params3.json"
         params3.write_text(json.dumps(
@@ -304,6 +327,54 @@ class TestConfigErrors:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"error: {option}") and err.count("\n") == 1
+
+
+class TestLibraryConfigErrors:
+    """Inputs that the library rejects exit 2 with its message as the one error line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check-generic", "--potential", "lacunary:n=2,s=4.0,kmax=20", "--delta", "2",
+          "--beta", "0.1"], "need n >= 1, s > 0, 0 < delta <= 1"),
+        (["cover", "measure", "--params", "PARAMS", "--samples", "10"], "need at least 10^3 samples"),
+        (["normalize", "--potential", "two-mode:s=1.0", "--eps", "0", "--k0", "2", "--K", "12",
+          "--base-point", "0.7,0.31"], "epsilon must be positive"),
+        ([*NORMALIZE, "--alpha", "-1", "--base-point", "0.7,0.31"],
+         "alpha must be positive (zero allowed in free mode)"),
+        (["cover", "classify", "--y", "0.9,0.9", "--params", "PARAMS"], "outside unit ball"),
+    ], ids=["delta_above_one", "too_few_samples", "preset_eps_zero", "alpha_negative",
+            "outside_ball"])
+    def test_message_is_the_error_line(self, argv, message, free_params_file, capsys):
+        argv = [free_params_file if a == "PARAMS" else a for a in argv]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        # a bug in a command is neither a configuration error nor a failed hypothesis
+        exc = ValueError("internal bug: shapes (3,) and (2,) not aligned")
+        monkeypatch.setattr(cli, "lie_step_nonres", raising(exc))
+        with pytest.raises(ValueError) as err:
+            main([*NORMALIZE, "--alpha", "0.02", "--base-point", "0.7,0.31"])
+        assert err.value is exc
+
+
+# the raises of src/resoforge/ that are neither class: internal invariants,
+# never caught, so a traceback and not an exit code if one ever fails
+INVARIANTS = {
+    ("acceptance.py", "ValueError"): "criterion 3 draws c from [0.02, 0.49], so c < 1/2 holds",
+    ("unimodular.py", "AssertionError"): "the completion of a generator has det 1",
+}
+
+
+def test_every_raise_is_an_error_class_or_an_invariant():
+    # an input check written as a bare ValueError again would exit with a traceback
+    others = []
+    for path in sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "resoforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:  # not a bare re-raise
+                name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+                if name not in ("ConfigError", "HypothesisError"):
+                    others.append((path.name, name))
+    assert sorted(others) == sorted(INVARIANTS)
 
 
 class TestInvariantErrors:
@@ -320,16 +391,10 @@ class TestInvariantErrors:
         assert code == EXIT_INVARIANT
         assert capsys.readouterr().err.startswith("error: contraction failed")
 
-    @staticmethod
-    def _raising(exc):
-        def fail(*_args, **_kwargs):
-            raise exc
-        return fail
-
     def test_generator_flow_error(self, monkeypatch, capsys):
         # verify_conjugacy is not a CLI command; normalize raises it instead
-        exc = GeneratorFlowError("generator flow failed: step size too small")
-        monkeypatch.setattr(cli, "lie_step_nonres", self._raising(exc))
+        exc = HypothesisError("generator flow failed: step size too small")
+        monkeypatch.setattr(cli, "lie_step_nonres", raising(exc))
         code = main(["normalize", "--potential", "two-mode:s=1.0", "--eps", "1e-3",
                      "--k0", "2", "--K", "6", "--alpha", "0.02",
                      "--base-point", "0.7,0.31"])

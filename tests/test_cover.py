@@ -5,8 +5,6 @@ import pytest
 
 from resoforge import cover
 from resoforge.cover import (
-    CutoffOrderError,
-    OutsideDomainError,
     BatchClassification,
     _euclid,
     _sample_ball,
@@ -19,6 +17,7 @@ from resoforge.cover import (
     free_params,
     measure_R2,
 )
+from resoforge.fourier import ConfigError
 
 
 # --------------------------------------------------------------------------
@@ -29,7 +28,7 @@ from resoforge.cover import (
 def reference_classify_batch(Y, params):
     Y = np.asarray(Y, dtype=float)
     if np.any(np.linalg.norm(Y, axis=1) >= 1.0):
-        raise OutsideDomainError("outside unit ball")
+        raise ConfigError("outside unit ball")
     gens0 = params.generators_K0
     G0 = np.array(gens0, dtype=float)
     P = np.abs(Y @ G0.T)
@@ -163,9 +162,9 @@ class TestParams:
         assert p.K == 12
 
     def test_cutoff_ordering_enforced(self):
-        with pytest.raises(CutoffOrderError):
+        with pytest.raises(ConfigError):
             derive_params(2, 1.0, 1e-4, 2, 11)
-        with pytest.raises(CutoffOrderError):
+        with pytest.raises(ConfigError):
             derive_params(2, 1.0, 1e-4, 1, 6)
 
 
@@ -190,7 +189,7 @@ class TestClassification:
         assert any(lab.kind == "R0" for lab in labels)
 
     def test_outside_ball_rejected(self):
-        with pytest.raises(OutsideDomainError, match="outside unit ball"):
+        with pytest.raises(ConfigError, match="outside unit ball"):
             classify_point((0.8, 0.7), self.params)
 
     def test_labels_carry_their_nonresonance_bounds(self):
@@ -321,23 +320,23 @@ class TestBatchKernel:
             Y = np.array([row])
             try:
                 want = reference_classify_batch(Y, kernel_params(2))
-            except OutsideDomainError:
-                with pytest.raises(OutsideDomainError):
+            except ConfigError:
+                with pytest.raises(ConfigError):
                     classify_batch(Y, kernel_params(2))
             else:
                 got = classify_batch(Y, kernel_params(2))
                 for name in MASKS:
                     assert np.array_equal(getattr(got, name), getattr(want, name))
-        with pytest.raises(OutsideDomainError):
+        with pytest.raises(ConfigError):
             classify_batch(np.array([[0.3, 0.3], [1.0, 0.0]]), kernel_params(2))
         classify_batch(np.array([[one_minus, 0.0]]), kernel_params(2))
 
     def test_empty_and_misshapen_batches(self):
         batch = assert_masks_match_reference(np.zeros((0, 2)), kernel_params(2))
         assert batch.codes.shape == (0,)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             classify_batch(np.zeros((4, 3)), kernel_params(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             classify_batch(np.zeros(2), kernel_params(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
@@ -449,7 +448,7 @@ class TestMeasure:
 
     def test_sample_floor(self):
         p = free_params(2, 1.0, alpha=0.03, K0=2, K=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             measure_R2(p, 100, 1)
 
     def test_ball_volume(self):

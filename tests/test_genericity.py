@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from resoforge.fourier import (
+    ConfigError,
     OneDTrigPoly,
     TrigPoly,
     generators,
@@ -12,7 +13,6 @@ from resoforge.fourier import (
     project_lattice,
 )
 from resoforge.genericity import (
-    CutoffBelowThresholdError,
     Failure,
     GenericityParams,
     MembershipReport,
@@ -23,7 +23,7 @@ from resoforge.genericity import (
     sample_product_measure,
     threshold_N,
 )
-from resoforge.morse import ConstantFunctionError, cosine_certificate, critical_points
+from resoforge.morse import cosine_certificate, critical_points
 from test_fourier import reference_project_lattice
 
 
@@ -55,9 +55,9 @@ class TestThreshold:
             assert lhs == pytest.approx(2 * math.log(2.0) / s, rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             threshold_N(0, 1.0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             threshold_N(2, 1.0, 1.5)
 
 
@@ -100,7 +100,7 @@ class TestLowerBound:
     def test_cutoff_below_threshold(self):
         params = GenericityParams(n=2, s=1.0, delta=1.0, beta=0.1, K_max=10)
         f = lacunary_potential(2, 1.0, k_max=10)
-        with pytest.raises(CutoffBelowThresholdError, match="cutoff below threshold"):
+        with pytest.raises(ConfigError, match="cutoff below threshold"):
             check_lower_bound(f, params)
 
 
@@ -135,7 +135,7 @@ class TestLowModeMorse:
         failures, checked, margin = check_low_mode_morse(f, params)
         assert failures == [Failure(tiny, "morse")] and checked == len(gens) > 2
         assert margin == -params.beta
-        with pytest.raises(ConstantFunctionError):
+        with pytest.raises(ConfigError):
             critical_points(project_lattice(f, tiny))
         # with a regular coefficient at tiny every projection passes, and the
         # margin is that of the weakest lone census
@@ -229,7 +229,7 @@ def reference_check_membership(f, params):
         F = reference_project_lattice(f, k)
         try:
             report = None if F.is_zero else critical_points(F)
-        except ConstantFunctionError:
+        except ConfigError:
             report = None
         if report is None:
             failures.append(Failure(k, "morse"))
@@ -350,5 +350,5 @@ class TestEmpiricalGenericity:
         assert est.fraction_pass >= 0.99
 
     def test_trials_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             empirical_genericity(2, 1.0, 0.5, 0, 1, window=(1, 6))

@@ -4,9 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resoforge.fourier import generators
+from resoforge.fourier import ConfigError, generators
 from resoforge.unimodular import (
-    NotAGeneratorError,
     complete_to_sl,
     decoupling_matrix,
     int_adjugate,
@@ -90,18 +89,18 @@ class TestCompletion:
             done += 1
 
     def test_rejects_non_generators(self):
-        with pytest.raises(NotAGeneratorError, match="not a generator"):
+        with pytest.raises(ConfigError, match="not a generator"):
             complete_to_sl((2, 4))
-        with pytest.raises(NotAGeneratorError):
+        with pytest.raises(ConfigError):
             complete_to_sl((-1, 2))
-        with pytest.raises(NotAGeneratorError):
+        with pytest.raises(ConfigError):
             complete_to_sl((0, 0))
 
     def test_one_not_a_generator_error(self):
-        # cli.main catches the fourier name, so the two must be one class
-        from resoforge import fourier
-
-        assert NotAGeneratorError is fourier.NotAGeneratorError
+        # cli.main maps the library's one ConfigError class to exit code 2
+        with pytest.raises(ConfigError) as err:
+            complete_to_sl((2, 4))
+        assert type(err.value) is ConfigError and err.value.exit_code == 2
 
     def test_exact_inverse(self):
         for k in ((2, 3), (3, -2, 1), (0, 1, 2)):
