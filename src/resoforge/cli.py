@@ -49,6 +49,8 @@ def _parse_vector(option: str, text: str, n: int | None = None, dtype=float) -> 
         raise ConfigError(f"{option}: cannot parse vector {text!r}") from exc
     if n is not None and len(vector) != n:
         raise ConfigError(f"{option} needs {n} entries, got {len(vector)}")
+    if not np.all(np.isfinite(vector)):
+        raise ConfigError(f"{option} entries must be finite, got {text!r}")
     return vector
 
 
@@ -274,6 +276,9 @@ def cmd_standardize(args) -> int:
     y0 = np.array(_parse_vector("--y0", args.y0, f.n))
     if args.order < 1:
         raise ConfigError("--order must be at least 1")
+    for option, value in (("--beta", args.beta), ("--eps", args.eps)):
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"{option} must be finite and positive")
     sf = standardize(f, s, args.eps, k, params, y0, beta=args.beta,
                      delta=args.delta, order=args.order)
     phat0 = sf.fp.base_phat

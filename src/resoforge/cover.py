@@ -171,7 +171,7 @@ def classify_point(y, params: CoveringParams, all_pairs: bool = True) -> list[Re
     y = np.asarray(y, dtype=float)
     if y.shape != (params.n,):
         raise ConfigError(f"point must have dimension {params.n}")
-    if np.linalg.norm(y) >= 1.0:
+    if not np.linalg.norm(y) < 1.0:
         raise ConfigError("outside unit ball")
     labels: list[RegionLabel] = []
     gens0 = params.generators_K0
@@ -225,7 +225,7 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
     sq = Yt[0] * Yt[0]
     for row in Yt[1:]:
         sq += row * row
-    if np.any(sq >= 1.0):
+    if not np.all(sq < 1.0):
         raise ConfigError("outside unit ball")
     m = Y.shape[0]
     p_k, mask = sq, np.empty(m, dtype=bool)

@@ -411,7 +411,10 @@ def load_potential(source) -> tuple[TrigPoly, float]:
         )
     coeffs = {}
     for entry in doc.get("modes", []):
-        k = tuple(int(v) for v in entry["k"])
+        k = entry.get("k")
+        if not (isinstance(k, list) and len(k) == n and all(type(v) is int for v in k)):
+            raise ConfigError(f'each mode needs "k", a list of {n} integers, got {k!r}')
+        k = tuple(k)
         if not is_canonical(k):
             raise ConfigError(f"mode {k} is not in the canonical half-lattice")
         coeffs[k] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))

@@ -161,16 +161,46 @@ def check_membership(f: TrigPoly, params: GenericityParams) -> MembershipReport:
 # product-measure sampling
 # --------------------------------------------------------------------------
 
-def _uniform_disk(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Uniform samples on the closed unit disk by rejection from the square."""
-    out = np.empty(size, dtype=complex)
-    remaining = np.arange(size)
-    while remaining.size:
-        cand = rng.uniform(-1.0, 1.0, size=(remaining.size, 2))
-        ok = cand[:, 0] ** 2 + cand[:, 1] ** 2 <= 1.0
-        out[remaining[ok]] = cand[ok, 0] + 1j * cand[ok, 1]
-        remaining = remaining[~ok]
-    return out
+_BLOCK = 64  # trials of empirical_genericity per array pass; memory is O(_BLOCK x size)
+
+
+def _disks(rngs: list[np.random.Generator], size: int) -> np.ndarray:
+    """Uniform samples on the closed unit disk, one row of `size` per stream.
+
+    Row i is what rejection from the square draws from rngs[i] round by
+    round: every open slot, in slot order, reads its stream's next unread
+    pair of uniform(-1, 1) draws and keeps x + 1j*y if x**2 + y**2 <= 1.
+    Each stream is drawn in one call of about 4/pi x size pairs plus slack,
+    and drawn on from where it stopped while its row keeps fewer than `size`
+    pairs; then all rows are replayed at once.
+    """
+    cap = int(4.0 / math.pi * size + 2.0 * math.sqrt(size)) + 2
+    pairs = np.empty((len(rngs), cap, 2))
+    for i, rng in enumerate(rngs):
+        pairs[i] = rng.uniform(-1.0, 1.0, size=(cap, 2))
+    while True:
+        m, cap = pairs.shape[:2]
+        ok = pairs[..., 0] ** 2 + pairs[..., 1] ** 2 <= 1.0
+        kept = ok.cumsum(1)
+        short = (kept[:, -1] < size).nonzero()[0]
+        if not short.size:
+            break
+        more = np.zeros((m, cap, 2))  # a row's reads end at its size-th kept pair
+        for i in short:
+            more[i] = rngs[i].uniform(-1.0, 1.0, size=(cap, 2))
+        pairs = np.concatenate([pairs, more], axis=1)
+    # the slots rejected in a round queue up in column order for the next,
+    # so the one rejected at column c reads column size + (pairs rejected
+    # before c) = c + size - (pairs kept before c), whichever round it is
+    at = np.arange(m * cap).reshape(m, cap)
+    nxt = np.where(ok, at, at + size - kept)
+    t = nxt[:, :size].ravel()
+    nxt = nxt.ravel()
+    # follow each slot's reads to the pair it keeps
+    while not ((u := nxt[t]) == t).all():
+        t = u
+    w = pairs.reshape(-1, 2)[t]
+    return (w[:, 0] + 1j * w[:, 1]).reshape(m, size)
 
 
 def _philox(seed) -> np.random.Generator:
@@ -187,8 +217,7 @@ def sample_product_measure(n: int, s: float, K_max: float, seed) -> TrigPoly:
     result is reproducible across platforms and chunkings.
     """
     modes = list(iter_half_ball(n, K_max))
-    rng = _philox(seed)
-    w = _uniform_disk(rng, len(modes))
+    w = _disks([_philox(seed)], len(modes))[0]
     coeffs = {k: w[i] * math.exp(-l1(k) * s) for i, k in enumerate(modes)}
     return TrigPoly(n, coeffs)
 
@@ -224,8 +253,7 @@ def empirical_genericity(
 
     streams = np.random.SeedSequence(seed).spawn(trials)
     n_pass = 0
-    for ss in streams:
-        w = _uniform_disk(_philox(ss), len(gens))
-        if np.all(np.abs(w) >= thresholds):
-            n_pass += 1
+    for i in range(0, trials, _BLOCK):
+        W = _disks([_philox(ss) for ss in streams[i:i + _BLOCK]], len(gens))
+        n_pass += int(np.count_nonzero(np.all(np.abs(W) >= thresholds, axis=1)))
     return GenericityEstimate(fraction_pass=n_pass / trials)

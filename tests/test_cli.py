@@ -311,13 +311,18 @@ class TestConfigErrors:
         (["sample", "--seed", "-1", "--out", "MISSING.json"], "--seed"),
         (["cover", "measure", "--params", "PARAMS", "--samples", "2000", "--seed", "-1"], "--seed"),
         (["cover", "raster", "--params", "PARAMS", "--grid", "-1", "--csv", "MISSING.csv"], "--grid"),
+        (["cover", "classify", "--y", "nan,0.1", "--params", "PARAMS"], "--y"),
+        ([*NORMALIZE, "--alpha", "0.05", "--base-point", "nan,0.31"], "--base-point"),
+        *[([*STANDARDIZE, "--k", "1,1", "--y0", "0.5,-0.5", f"{option}={value}"], option)
+          for option in ("--beta", "--eps") for value in ("0", "-1", "nan")],
     ], ids=["out_dir_missing", "y_length", "resonant_k_zero", "resonant_k_length",
             "resonant_k_not_generator", "resonant_k_negative", "base_point_length",
             "normalize_order_zero", "normalize_degree_one", "order_zero", "y0_length", "k_zero",
             "k_length", "k_unparsable", "k_not_generator", "k_negative", "params_dimension",
             "lacunary_unknown_key", "two_mode_unknown_key", "random_unknown_key",
             "preset_part_without_value", "random_seed_negative", "sample_seed_negative",
-            "measure_seed_negative", "raster_grid_negative"])
+            "measure_seed_negative", "raster_grid_negative", "y_nan", "base_point_nan",
+            "beta_zero", "beta_negative", "beta_nan", "eps_zero", "eps_negative", "eps_nan"])
     def test_one_error_line(self, argv, option, free_params_file, tmp_path, capsys):
         params3 = tmp_path / "params3.json"
         params3.write_text(json.dumps(

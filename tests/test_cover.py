@@ -331,6 +331,14 @@ class TestBatchKernel:
             classify_batch(np.array([[0.3, 0.3], [1.0, 0.0]]), kernel_params(2))
         classify_batch(np.array([[one_minus, 0.0]]), kernel_params(2))
 
+    @pytest.mark.parametrize("row", [(math.nan, 0.1), (0.2, math.nan), (math.inf, 0.0)])
+    def test_non_finite_point_outside_ball(self, row):
+        # NaN compares False both ways, so the ball test asks for norm < 1
+        with pytest.raises(ConfigError, match="outside unit ball"):
+            classify_batch(np.array([[0.3, 0.3], row]), kernel_params(2))
+        with pytest.raises(ConfigError, match="outside unit ball"):
+            classify_point(row, kernel_params(2))
+
     def test_empty_and_misshapen_batches(self):
         batch = assert_masks_match_reference(np.zeros((0, 2)), kernel_params(2))
         assert batch.codes.shape == (0,)

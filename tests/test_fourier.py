@@ -388,6 +388,14 @@ class TestJson:
         with pytest.raises(ConfigError, match="canonical"):
             load_potential(path)
 
+    @pytest.mark.parametrize("mode", [{}, {"k": 5}, {"k": [1, 0, 0]}],
+                             ids=["k_missing", "k_not_a_list", "k_wrong_length"])
+    def test_rejects_malformed_k(self, tmp_path, mode):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "s": 1.0, "modes": [{**mode, "re": 1.0, "im": 0.0}]}))
+        with pytest.raises(ConfigError, match='"k", a list of 2 integers'):
+            load_potential(path)
+
     def test_two_mode_preset(self):
         f = two_mode_potential(1.0)
         assert set(f.coeffs) == {(1, 1), (1, -1)}

@@ -16,6 +16,9 @@ from resoforge.genericity import (
     Failure,
     GenericityParams,
     MembershipReport,
+    _BLOCK,
+    _disks,
+    _philox,
     check_low_mode_morse,
     check_lower_bound,
     check_membership,
@@ -316,9 +319,7 @@ class TestProductMeasure:
         assert a.coeffs == b.coeffs
 
     def test_disk_second_moment(self):
-        from resoforge.genericity import _philox, _uniform_disk
-
-        w = _uniform_disk(_philox(7), 10 ** 5)
+        w = _disks([_philox(7)], 10 ** 5)[0]
         assert np.mean(np.abs(w) ** 2) == pytest.approx(0.5, abs=0.01)
 
     def test_weighted_coefficients_in_disk(self):
@@ -336,7 +337,72 @@ class TestProductMeasure:
         assert len(f.coeffs) == len(modes)
 
 
+def reference_uniform_disk(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The per-stream rejection loop that `_disks` replays for many streams."""
+    out = np.empty(size, dtype=complex)
+    remaining = np.arange(size)
+    while remaining.size:
+        cand = rng.uniform(-1.0, 1.0, size=(remaining.size, 2))
+        ok = cand[:, 0] ** 2 + cand[:, 1] ** 2 <= 1.0
+        out[remaining[ok]] = cand[ok, 0] + 1j * cand[ok, 1]
+        remaining = remaining[~ok]
+    return out
+
+
+class CountingRng:
+    """A generator that counts its uniform() calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = _philox(seed), 0
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+class TestDisks:
+    @pytest.mark.parametrize("size", [1, 2, 24, 500, 1700])
+    @pytest.mark.parametrize("streams, seeds", [(1, 20), (7, 20), (300, 3), (_BLOCK + 1, 3)])
+    def test_equals_the_rejection_loop_byte_for_byte(self, size, streams, seeds):
+        for seed in range(seeds):
+            ss = np.random.SeedSequence([seed, size]).spawn(streams)
+            got = _disks([_philox(s) for s in ss], size)
+            want = np.stack([reference_uniform_disk(_philox(s), size) for s in ss])
+            assert got.shape == (streams, size)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size, seeds", [(1, [979]), (24, [1, 3425, 2, 3, 8255, 4])])
+    def test_a_short_stream_is_extended_from_where_it_stopped(self, size, seeds):
+        # these streams need more pairs than their first buffer holds
+        rngs = [CountingRng(seed) for seed in seeds]
+        got = _disks(rngs, size)
+        want = np.stack([reference_uniform_disk(_philox(seed), size) for seed in seeds])
+        assert got.tobytes() == want.tobytes()
+        assert [rng.calls for rng in rngs] == [2 if seed in (979, 3425, 8255) else 1 for seed in seeds]
+
+    def test_no_modes(self):
+        assert _disks([_philox(1)], 0).shape == (1, 0)
+        assert sample_product_measure(2, 1.0, 0.5, 1).coeffs == {}
+
+
 class TestEmpiricalGenericity:
+    @pytest.mark.parametrize("trials", [1, _BLOCK, 2 * _BLOCK + 3])
+    def test_equals_the_per_trial_loop(self, trials):
+        gens = [k for k in generators(2, 6) if l1(k) >= 1]
+        for delta, seed in [(0.3, 5), (0.6, 6), (0.9, 7)]:
+            thresholds = np.array([delta * l1(k) ** -2.0 for k in gens])
+            want = sum(
+                bool(np.all(np.abs(reference_uniform_disk(_philox(ss), len(gens))) >= thresholds))
+                for ss in np.random.SeedSequence(seed).spawn(trials)
+            )
+            got = empirical_genericity(2, 1.0, delta, trials, seed, window=(1, 6))
+            assert got.fraction_pass == want / trials
+
+    def test_criterion_12_pass_counts(self):
+        # fail_fraction_delta 0.19 and fail_fraction_half 0.0565 of report
+        assert empirical_genericity(2, 1.0, 0.3, 2000, 99, window=(1, 6)).fraction_pass == 1620 / 2000
+        assert empirical_genericity(2, 1.0, 0.15, 2000, 100, window=(1, 6)).fraction_pass == 1887 / 2000
+
     def test_delta_squared_trend(self):
         a = empirical_genericity(2, 1.0, 0.3, 1500, 5, window=(1, 6))
         b = empirical_genericity(2, 1.0, 0.15, 1500, 6, window=(1, 6))
