@@ -75,21 +75,22 @@ def _load_params(path: str) -> CoveringParams:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read params file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"invalid params file {path}: expected a JSON object")
     mode = doc.get("mode", "free")
+    if mode not in ("paper-preset", "free"):
+        raise ConfigError(f"unknown params mode {mode!r}")
+    real = "epsilon" if mode == "paper-preset" else "alpha"
     try:
-        if mode == "paper-preset":
-            return derive_params(
-                int(doc["n"]), float(doc["s"]), float(doc["epsilon"]),
-                int(doc["K0"]), int(doc["K"]),
-            )
-        if mode == "free":
-            return free_params(
-                int(doc["n"]), float(doc["s"]), float(doc["alpha"]),
-                int(doc["K0"]), int(doc["K"]),
-            )
-    except (KeyError, ValueError) as exc:
+        n, K0, K = (doc[key] for key in ("n", "K0", "K"))
+        s, x = float(doc["s"]), float(doc[real])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params file {path}: {exc}") from exc
-    raise ConfigError(f"unknown params mode {mode!r}")
+    if not all(type(v) is int for v in (n, K0, K)):
+        raise ConfigError(f"invalid params file {path}: n, K0 and K must be integers")
+    if not (np.isfinite(s) and np.isfinite(x)):
+        raise ConfigError(f"invalid params file {path}: s and {real} must be finite")
+    return (derive_params if mode == "paper-preset" else free_params)(n, s, x, K0, K)
 
 
 _PRESET_KEYS = {"lacunary": ("n", "s", "kmax"), "two-mode": ("s",), "random": ("n", "s", "kmax", "seed")}

@@ -29,14 +29,15 @@ Dhat of the characteristics is not materialized, because no check reads it.
 Evaluation: one kernel, PolyTrig1, holds every decoupled potential.  The
 pipeline's secular series is re-expanded exactly into its terms
 Y1^d phat^m (a cos j q1 + b sin j q1) about the averaging base point, so all
-derivatives are closed-form.  `PolyTrig1.at(phat, q1)` binds one phat and a
-q1 grid (or point) and gives any derivative at an array of Y1 in one pass
-over the terms, so the fixed point is solved on the whole grid at once (each
-entry stops on its own step, exactly as the pointwise iteration would).
-`FixedPointSolution.jet` solves once and differentiates p + 0.5 d_{Y1} Gf(p)
-= 0 implicitly on the same evaluator, so the Jacobians of Phi2 and Phi3 are
-exact.  Every map call and every standard-form value reads one solve on the
-q1 grid per phat and at most one at its q1.
+derivatives are closed-form.  `PolyTrig1.at(phat, q1)` binds a phat, or a
+stack of them, with a q1 grid or points, and gives any derivative at an
+array of Y1 in one pass over the terms, so the fixed point is solved on the
+whole grid of every phat at once (each entry stops on its own step, exactly
+as the pointwise iteration would).  `FixedPointSolution.jet` solves once and
+differentiates p + 0.5 d_{Y1} Gf(p) = 0 implicitly on the same evaluator, so
+the Jacobians of Phi2 and Phi3 are exact.  A map call reads one solve on the
+q1 grid and at most one at its q1; `verify_standard` and the reduction
+identity read all their samples through one stacked solve of each kind.
 
 Config note: the fully certified asymptotic regime additionally requires the
 inner cutoff K0 to exceed a dimensional gate (at least c2, plus an inexplicit
@@ -147,7 +148,8 @@ class PolyTrig1:
         return cls(n - 1, terms, np.linalg.solve(affine, series.base_point))
 
     def at(self, phat, q1) -> "BoundPotential":
-        """This potential bound to one phat and one q1 (scalar or array)."""
+        """This potential bound to phat of shape L + (n_hat,) (L = () for one
+        phat) and q1 of shape L + S; see BoundPotential."""
         return BoundPotential(self, phat, q1)
 
     def dep_majorant(self, rY1: float, rph: float, width: float) -> float:
@@ -162,25 +164,29 @@ class PolyTrig1:
 
 
 class BoundPotential:
-    """Gf bound to one phat and one q1 (scalar or array).
+    """Gf bound to a stack of phat of shape L + (n_hat,), one phat being
+    L = (), and q1 of shape `shape` = L + S, where an axis of L may be 1.
 
     `ev(Y1, dy, dph=0, dq=0)` is d^dy/dY1^dy d^dq/dq1^dq (dq <= 1) followed
     by dph derivatives in phat, one trailing axis of length n_hat each; Y1
-    broadcasts against q1.  The trig table of each dq and the coefficient
-    rows of each (dy, dph) are built on first use and kept, so a call pays
-    only the Y1 powers and one pass over the terms.
+    broadcasts against q1.  The trig table of each dq, at q1's own shape, and
+    the coefficient rows of each (dy, dph) are built on first use and kept,
+    so a call pays only the Y1 powers and one pass over the terms.
     """
 
     def __init__(self, G: PolyTrig1, phat, q1):
         self.G = G
-        self.ph = np.asarray(phat, dtype=float) - G.center[1:]
+        ph = np.asarray(phat, dtype=float) - G.center[1:]
         self.q1 = np.asarray(q1, dtype=float)
+        # L + (1,) * len(S) + (n_hat,), so the rows broadcast against q1
+        self.ph = ph.reshape(ph.shape[:-1] + (1,) * (self.q1.ndim - ph.ndim + 1) + ph.shape[-1:])
+        self.shape = np.broadcast_shapes(self.ph.shape[:-1], self.q1.shape)
         self._rows = {}
         self._trig = {}
 
     def _coefficient_rows(self, dy: int, dph: int) -> np.ndarray:
-        """One row per phat index tuple of order dph.  Each derivative
-        multiplies a term by its exponent, then lowers it."""
+        """L + (1,) * len(S) + (one row per phat index tuple of order dph, one
+        column per term); a derivative multiplies by the exponent, then lowers it."""
         if (dy, dph) not in self._rows:
             G = self.G
             coeff = np.ones(len(G._d))
@@ -192,8 +198,8 @@ class BoundPotential:
                 for i in idx:
                     c = c * m[:, i]
                     m[:, i] -= 1.0
-                rows.append(c * np.prod(self.ph ** np.maximum(m, 0.0), axis=1))
-            self._rows[dy, dph] = np.array(rows)
+                rows.append(c * np.prod(self.ph[..., None, :] ** np.maximum(m, 0.0), axis=-1))
+            self._rows[dy, dph] = np.stack(rows, axis=-2)
         return self._rows[dy, dph]
 
     def _trig_table(self, dq: int) -> np.ndarray:
@@ -481,8 +487,8 @@ class FixedPointSolution:
         evaluator's q1 at once; each entry freezes at the first iterate whose
         own step is below FIXED_POINT_TOL, so it equals the scalar iteration
         at that q1."""
-        u = np.zeros(ev.q1.shape)
-        live = np.ones(ev.q1.shape, dtype=bool)
+        u = np.zeros(ev.shape)
+        live = np.ones(ev.shape, dtype=bool)
         for _ in range(200):
             nxt = -0.5 * ev(u, 1)
             moving = ~(np.abs(nxt - u) < FIXED_POINT_TOL)
@@ -709,31 +715,33 @@ class StandardFormHam:
     phi2: Phi2Map
     phi3: ShearMap
 
-    def _on_grid(self, ph: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """p_o(phat), G0(phat) and G(phat, .) on the q1 grid, from one grid solve."""
-        ev = self.form.Gf.at(ph, _THETA)
+    def _on_grid(self, ph: np.ndarray):
+        """p_o(phat) and G0(phat), shape L, and G(phat, .) on the q1 grid,
+        L + (GRID,), for phat of shape L + (n_hat,), from one grid solve."""
+        ev = self.form.Gf.at(ph, _THETA.reshape((1,) * (ph.ndim - 1) + (GRID,)))
         pg = self.fp.solve_at(ev)
         gvals = ev(pg, 0)
-        G0 = float(np.mean(pg ** 2) + np.mean(gvals))
-        return float(np.mean(pg)), G0, pg * pg + gvals - G0
+        G0 = np.mean(pg ** 2, axis=-1) + np.mean(gvals, axis=-1)
+        return np.mean(pg, axis=-1), G0, pg * pg + gvals - G0[..., None]
 
-    def _nu(self, p1, p_o: float, ph, q1):
+    def _nu(self, p1, p_o, ph, q1):
         """int_0^1 (1-t) d2_{Y1} Gf(p_o + t p1) dt by Gauss-Legendre, all
-        nodes at once; p1 and q1 broadcast."""
-        pts = p_o + _GL_T * ((p_o + np.asarray(p1, dtype=float))[..., None] - p_o)
+        nodes at once, for phat of shape L + (n_hat,) and p_o, p1, q1 broadcasting to L + S."""
+        p_o = np.asarray(p_o, dtype=float)[..., None]
+        pts = p_o + _GL_T * ((p_o + np.asarray(p1, dtype=float)[..., None]) - p_o)
         ev = self.form.Gf.at(ph, np.asarray(q1, dtype=float)[..., None])
         return np.sum(_GL_W * (1.0 - _GL_T) * ev(pts, 2), axis=-1)
 
     def _read(self, p, q1):
-        """At (p, q1), from one grid solve and one solve at q1: the Y1 that
-        Phi2 o Phi3 sends it to, (1 + nu) p1^2, G0(phat), G(phat, q1), and
-        the evaluator at (phat, q1)."""
+        """At p of shape L + (n,) and q1 of shape L, from one grid solve and
+        one at q1: the Y1 that Phi2 o Phi3 sends p to, (1 + nu) p1^2,
+        G0(phat), G(phat, q1), and the evaluator at (phat, q1)."""
         p = np.asarray(p, dtype=float)
-        ph = p[1:]
+        p1, ph = p[..., 0], p[..., 1:]
         p_o, G0, _ = self._on_grid(ph)
         ev = self.form.Gf.at(ph, q1)
         pq = self.fp.solve_at(ev)
-        return (p[0] + p_o + (pq - p_o), (1.0 + self._nu(p[0], p_o, ph, q1)) * p[0] ** 2,
+        return (p1 + p_o + (pq - p_o), (1.0 + self._nu(p1, p_o, ph, q1)) * p1 ** 2,
                 G0, pq * pq + ev(pq, 0) - G0, ev)
 
     def _h0(self, G0: float, phat) -> float:
@@ -747,12 +755,10 @@ class StandardFormHam:
         return ComposedMap(maps)
 
     def check_reduction_identity(self, points, q1s) -> float:
-        """max |Hsharp(Phi2(Phi3(p, q1))) - ((1+nu)p1^2 + G0 + G)|."""
-        worst = 0.0
-        for p, q1 in zip(points, q1s):
-            Y1, kinetic, G0, G, ev = self._read(p, q1)
-            worst = max(worst, abs(Y1 * Y1 + ev(Y1, 0) - (kinetic + G0 + G)))
-        return worst
+        """max |Hsharp(Phi2(Phi3(p, q1))) - ((1+nu)p1^2 + G0 + G)| over the
+        points, all read through one grid and one point solve."""
+        Y1, kinetic, G0, G, ev = self._read(points, q1s)
+        return float(np.max(np.abs(Y1 * Y1 + ev(Y1, 0) - (kinetic + G0 + G))))
 
 
 def build_phi2_phi3(fp: FixedPointSolution, chars: Characteristics,
@@ -806,20 +812,16 @@ def verify_standard(sf: StandardFormHam, phat_samples: np.ndarray) -> StandardFo
     )
     put("gbar_sup_le_eps_hat", gbar_sup, ch.eps_hat, gbar_sup <= ch.eps_hat)
 
-    # per phat sample: p on the q1 grid once, then G - Gbar on the grid,
-    # |nu| at 8 random (p1, q1), and |h0 - adiabatic pullback| = |G0|
-    gbar_grid = sf.G_bar.values_on_grid(GRID)
-    worst_dev = worst_nu = worst_h0 = 0.0
+    # all phat samples in one grid solve: G - Gbar on the grid, |nu| at 8
+    # random (q1, p1) drawn per sample, and |h0 - adiabatic pullback| = |G0|
+    ph = np.asarray(phat_samples, dtype=float)
     rng = np.random.default_rng(7)
-    for ph in phat_samples:
-        ph = np.asarray(ph, dtype=float)
-        p_o, G0, gv = sf._on_grid(ph)
-        worst_dev = max(worst_dev, float(np.max(np.abs(gv - gbar_grid))))
-        q1 = rng.uniform(0, TWO_PI, 8)
-        p1 = rng.uniform(-ch.r, ch.r, 8)
-        nu = sf._nu(p1, p_o, ph, q1)
-        worst_nu = max(worst_nu, float(np.max(np.abs(nu))))
-        worst_h0 = max(worst_h0, abs(G0))
+    q1, p1 = np.array([(rng.uniform(0, TWO_PI, 8), rng.uniform(-ch.r, ch.r, 8))
+                       for _ in ph]).transpose(1, 0, 2)
+    p_o, G0, gv = sf._on_grid(ph)
+    worst_dev = float(np.max(np.abs(gv - sf.G_bar.values_on_grid(GRID))))
+    worst_nu = float(np.max(np.abs(sf._nu(p1, p_o[:, None], ph, q1))))
+    worst_h0 = float(np.max(np.abs(G0)))
     put("g_minus_gbar_le_eps_hat_lambda", worst_dev, ch.eps_hat * ch.lam,
         worst_dev <= ch.eps_hat * ch.lam)
     put("nu_le_lambda", worst_nu, ch.lam, worst_nu <= ch.lam)
@@ -865,9 +867,13 @@ def standardize(
     order: int = 2,
 ) -> StandardFormHam:
     """Run resonant averaging at k and reduce the secular Hamiltonian to
-    Generic Standard Form; returns the assembled Hamiltonian with transforms."""
+    Generic Standard Form; returns the assembled Hamiltonian with transforms.
+    beta and eps must be finite and positive."""
     from .lieseries import NaturalHam, lie_step_res
 
+    for name, value in (("beta", beta), ("eps", eps)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and positive")
     k = tuple(int(v) for v in k)
     ham = NaturalHam(f.n, eps, f)
     nf = lie_step_res(ham, k, params, y0, order=order, max_degree=3)

@@ -272,6 +272,21 @@ STANDARDIZE = ["standardize", "--potential", "two-mode:s=1.0", "--eps", "1e-6",
                "--params", "PARAMS"]
 
 
+FREE = {"mode": "free", "n": 2, "s": 1.0, "alpha": 0.05, "K0": 2, "K": 5}
+# params files that are refused as a whole: not an object, a non-integer
+# cutoff or dimension (2.5 was truncated to 2, "2" parsed), a non-finite real
+BAD_PARAMS = {
+    "params_not_object": [FREE],
+    "params_K0_not_integer": {**FREE, "K0": 2.5},
+    "params_K_float": {**FREE, "K": 5.0},
+    "params_n_string": {**FREE, "n": "2"},
+    "params_alpha_nan": {**FREE, "alpha": "nan"},
+    "params_s_infinite": {**FREE, "s": float("inf")},
+    "params_epsilon_nan": {"mode": "paper-preset", "n": 2, "s": 1.0, "epsilon": "nan",
+                           "K0": 2, "K": 12},
+}
+
+
 class TestConfigErrors:
     """Malformed inputs exit 2 with one error line naming the argument."""
 
@@ -315,6 +330,8 @@ class TestConfigErrors:
         ([*NORMALIZE, "--alpha", "0.05", "--base-point", "nan,0.31"], "--base-point"),
         *[([*STANDARDIZE, "--k", "1,1", "--y0", "0.5,-0.5", f"{option}={value}"], option)
           for option in ("--beta", "--eps") for value in ("0", "-1", "nan")],
+        *[(["cover", "classify", "--y", "0.3,0.1", "--params", name], "invalid params file")
+          for name in BAD_PARAMS],
     ], ids=["out_dir_missing", "y_length", "resonant_k_zero", "resonant_k_length",
             "resonant_k_not_generator", "resonant_k_negative", "base_point_length",
             "normalize_order_zero", "normalize_degree_one", "order_zero", "y0_length", "k_zero",
@@ -322,12 +339,16 @@ class TestConfigErrors:
             "lacunary_unknown_key", "two_mode_unknown_key", "random_unknown_key",
             "preset_part_without_value", "random_seed_negative", "sample_seed_negative",
             "measure_seed_negative", "raster_grid_negative", "y_nan", "base_point_nan",
-            "beta_zero", "beta_negative", "beta_nan", "eps_zero", "eps_negative", "eps_nan"])
+            "beta_zero", "beta_negative", "beta_nan", "eps_zero", "eps_negative", "eps_nan",
+            *BAD_PARAMS])
     def test_one_error_line(self, argv, option, free_params_file, tmp_path, capsys):
         params3 = tmp_path / "params3.json"
         params3.write_text(json.dumps(
             {"mode": "free", "n": 3, "s": 1.0, "alpha": 0.03, "K0": 2, "K": 4}))
         paths = {"PARAMS": free_params_file, "PARAMS3": str(params3)}
+        for name, doc in BAD_PARAMS.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            pathlib.Path(paths[name]).write_text(json.dumps(doc))
         argv = [paths.get(a, a.replace("MISSING", str(tmp_path / "no"))) for a in argv]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err

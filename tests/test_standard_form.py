@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from resoforge.cover import free_params
-from resoforge.fourier import HypothesisError, OneDTrigPoly, TrigPoly, generators, lacunary_potential, two_mode_potential
+from resoforge.fourier import ConfigError, HypothesisError, OneDTrigPoly, TrigPoly, generators, lacunary_potential, two_mode_potential
 from resoforge.standard_form import (
     FIXED_POINT_TOL,
+    GRID,
     BoundPotential,
     ComposedMap,
     DecoupledForm,
@@ -271,6 +273,15 @@ class TestPipeline:
         self.f = two_mode_potential(1.0)
         self.params = free_params(2, 1.0, alpha=0.03, K0=2, K=6)
         self.y0 = np.array([0.5, -0.5])
+
+    @pytest.mark.parametrize("name", ["beta", "eps"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_beta_and_eps_not_finite_and_positive(self, name, value):
+        # beta = 0 used to raise ZeroDivisionError, eps <= 0 returned a form
+        args = {"eps": 1e-4, "beta": 0.05, name: value}
+        with pytest.raises(ConfigError, match=f"^{name} must be finite and positive$"):
+            standardize(self.f, 1.0, args["eps"], (1, 1), self.params, self.y0,
+                        beta=args["beta"])
 
     def test_vanishing_secular_series_gives_pure_kinetic(self):
         # with g_o = g = 0 the decoupled form is Y1^2 and the adiabatic part
@@ -756,8 +767,10 @@ class TestOneSolvePerJet:
 
     def test_solve_counts(self, monkeypatch, tmp_path):
         # grid and point solves per call: one grid jet and one point jet for
-        # Phi2, one grid jet for Phi3, one of each per identity sample, and
-        # one of each per point of criterion 9
+        # Phi2, one grid jet for Phi3, and one stacked solve of each kind for
+        # all the samples of the reduction identity, of criterion 9 and of
+        # verify_standard.  A call counts once, as a grid solve when its q1
+        # carries the GRID-node axis, however many phat it stacks
         import json
 
         from resoforge import acceptance
@@ -772,7 +785,7 @@ class TestOneSolvePerJet:
         solve = FixedPointSolution.solve_at
 
         def counting(fp, ev):
-            calls.append(ev.q1.ndim)
+            calls.append(ev.q1.shape[-1:] == (GRID,))
             return solve(fp, ev)
 
         monkeypatch.setattr(FixedPointSolution, "solve_at", counting)
@@ -780,7 +793,7 @@ class TestOneSolvePerJet:
         def solves(call):
             calls.clear()
             call()
-            return calls.count(1), calls.count(0)
+            return calls.count(True), calls.count(False)
 
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"mode": "free", "n": 2, "s": 1.0, "K0": 2, "alpha": 0.03, "K": 6}))
@@ -798,8 +811,8 @@ class TestOneSolvePerJet:
                 lambda: sf.check_reduction_identity(samples, [z[n]] * 3)),
             "criterion 9, 10 points": solves(
                 lambda: acceptance.criterion_9_energy_identity(points=10)),
-            # 8 verify_standard samples, 1 for the G and nu grids, and 1 grid
-            # and 1 point solve for the reduction identity
+            # 1 for the 8 verify_standard samples, 1 for the G and nu grids,
+            # and 1 grid and 1 point solve for the reduction identity
             "standardize CLI": solves(lambda: main(standardize_cli)),
         }
         assert counts == {
@@ -808,9 +821,9 @@ class TestOneSolvePerJet:
             "phi3.jacobian": (1, 0),
             "phi3.apply": (1, 0),
             "phi_diamond.jacobian": (4, 2),
-            "check_reduction_identity, 3 samples": (3, 3),
-            "criterion 9, 10 points": (10, 10),
-            "standardize CLI": (10, 1),
+            "check_reduction_identity, 3 samples": (1, 1),
+            "criterion 9, 10 points": (1, 1),
+            "standardize CLI": (3, 1),
         }
 
     def test_only_phi2_point_jacobian_reads_dp_dq1(self, monkeypatch):
@@ -835,3 +848,124 @@ class TestOneSolvePerJet:
         passes.clear()
         sf.phi2.jacobian(z)
         assert [(ndim, dq) for ndim, dq in passes if dq] == [(0, 1)]
+
+
+# --------------------------------------------------------------------------
+# stacked phat: one bind and one solve for every sample
+# --------------------------------------------------------------------------
+
+def reference_verify_standard(sf, phat_samples):
+    """verify_standard as a loop over the phat samples, one grid solve and
+    one nu quadrature each: the reference the stacked solve must equal."""
+    from resoforge.morse import critical_points
+
+    ch = sf.chars
+    flags = {}
+
+    def put(name, value, bound, ok, margin=None):
+        flags[name] = {"value": value, "bound": bound, "ok": bool(ok),
+                       "margin": (bound - value) if margin is None else margin}
+
+    gbar_sup = 2.0 * sum(abs(c) * math.exp(j * ch.sigma) for j, c in sf.G_bar.coeffs.items())
+    put("gbar_sup_le_eps_hat", gbar_sup, ch.eps_hat, gbar_sup <= ch.eps_hat)
+    gbar_grid = sf.G_bar.values_on_grid(GRID)
+    worst_dev = worst_nu = worst_h0 = 0.0
+    rng = np.random.default_rng(7)
+    for ph in phat_samples:
+        ph = np.asarray(ph, dtype=float)
+        p_o, G0, gv = sf._on_grid(ph)
+        worst_dev = max(worst_dev, float(np.max(np.abs(gv - gbar_grid))))
+        q1 = rng.uniform(0, TWO_PI, 8)
+        p1 = rng.uniform(-ch.r, ch.r, 8)
+        worst_nu = max(worst_nu, float(np.max(np.abs(sf._nu(p1, p_o, ph, q1)))))
+        worst_h0 = max(worst_h0, abs(G0))
+    put("g_minus_gbar_le_eps_hat_lambda", worst_dev, ch.eps_hat * ch.lam,
+        worst_dev <= ch.eps_hat * ch.lam)
+    put("nu_le_lambda", worst_nu, ch.lam, worst_nu <= ch.lam)
+    put("h0_dev_le_6_eps_k_lambda", worst_h0, 6.0 * ch.eps_k * ch.lam,
+        worst_h0 <= 6.0 * ch.eps_k * ch.lam)
+    ratio = ch.eps_hat / ch.m
+    put("eps_hat_over_m_band", ratio, [0.5, ch.kappa], 0.5 <= ratio <= ch.kappa,
+        margin=min(ratio - 0.5, ch.kappa - ratio))
+    put("sigma_band", ch.sigma, [1.0 / ch.kappa, 1.0], 1.0 / ch.kappa <= ch.sigma <= 1.0,
+        margin=min(ch.sigma - 1.0 / ch.kappa, 1.0 - ch.sigma))
+    rr = ch.R / ch.r
+    put("R_over_r_band", rr, [1.0, ch.kappa], 1.0 <= rr <= ch.kappa,
+        margin=min(rr - 1.0, ch.kappa - rr))
+    put("eps_hat_le_r2_216", ch.eps_hat, ch.r ** 2 / 2 ** 16, ch.eps_hat <= ch.r ** 2 / 2 ** 16)
+    if not sf.G_bar.is_zero:
+        rep = critical_points(sf.G_bar)
+        put("gbar_morse_ge_m", ch.m, rep.beta, rep.beta >= ch.m * (1 - 1e-9))
+        flags["gbar_morse_computed"] = {"value": rep.beta, "bound": ch.m,
+                                        "ok": rep.beta >= ch.m * (1 - 1e-9),
+                                        "margin": rep.beta - ch.m}
+    return flags
+
+
+def _stacked_case(which):
+    """A standard form and its decoupled form's radius: two pipeline forms
+    with one adiabatic action (the (1, 1) two-mode line at eps = 1e-6, and
+    the (1, 2) line with a third mode) and criterion 8's two-action form."""
+    if which == "two_action":
+        from resoforge.acceptance import _benchmark_standard_form
+
+        sf = _benchmark_standard_form()[0]
+    elif which == "two_mode":
+        sf = standardize(two_mode_potential(1.0), 1.0, 1e-6, (1, 1),
+                         free_params(2, 1.0, alpha=0.03, K0=2, K=6), np.array([0.5, -0.5]),
+                         beta=0.05)
+    else:
+        sf = _three_mode_standard_form()
+    return sf, sf.form.r
+
+
+class TestStackedSamples:
+    @pytest.mark.parametrize("which", ["two_mode", "three_mode", "two_action"])
+    @pytest.mark.parametrize("count", [1, 2, 8])
+    def test_verify_standard_equals_per_sample_loop(self, which, count):
+        sf, r = _stacked_case(which)
+        rng = np.random.default_rng(count)
+        samples = sf.fp.base_phat + rng.uniform(-r, r, (count, sf.form.n_hat))
+        assert verify_standard(sf, samples).flags == reference_verify_standard(sf, samples)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_stacked_bind_equals_per_phat_binds(self, case):
+        # byte for byte, for a stack of shape (2, 3) against each phat's own
+        # bind: q1 per phat (grid and point) and one q1 grid shared by all
+        G, ph, r = _potential_cases()[case]
+        rng = np.random.default_rng(21)
+        phs = ph + rng.uniform(-r, r, (2, 3, len(ph)))
+        q = rng.uniform(0, TWO_PI, (2, 3, 5))
+        Y = rng.uniform(-r, r, (2, 3, 5))
+        shared = rng.uniform(0, TWO_PI, 5)
+        for dy, dph, dq in itertools.product(range(4), range(3), range(2)):
+            for q1, y1, own in ((q, Y, lambda i, j: q[i, j]),
+                                (q[..., 0], Y[..., 0], lambda i, j: q[i, j, 0]),
+                                (shared[None, None], Y, lambda i, j: shared)):
+                got = G.at(phs, q1)(y1, dy, dph, dq)
+                want = np.array([[G.at(phs[i, j], own(i, j))(y1[i, j], dy, dph, dq)
+                                  for j in range(3)] for i in range(2)])
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+                    (dy, dph, dq, q1.shape)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_stacked_solve_equals_per_phat_solves(self, case):
+        G, ph, r = _potential_cases()[case]
+        fp = solve_fixed_point(trivial_form(G, n_hat=len(ph), r=r), ph)
+        phs = ph + np.random.default_rng(22).uniform(-r, r, (6, len(ph)))
+        got = fp.solve_at(G.at(phs, _THETA[None, :]))
+        want = np.array([fp.solve_at(G.at(p, _THETA)) for p in phs])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("which", ["two_mode", "three_mode", "two_action"])
+    def test_stacked_read_equals_per_point_reads(self, which):
+        sf, r = _stacked_case(which)
+        rng = np.random.default_rng(23)
+        n_hat = sf.form.n_hat
+        pts = np.concatenate([rng.uniform(-r, r, (7, 1)),
+                              sf.fp.base_phat + rng.uniform(-r, r, (7, n_hat))], axis=1)
+        q1s = rng.uniform(0, TWO_PI, 7)
+        got = sf._read(pts, q1s)[:4]
+        want = zip(*(sf._read(p, q1)[:4] for p, q1 in zip(pts, q1s)))
+        for a, b in zip(got, want):
+            assert a.tobytes() == np.array(b).tobytes()
