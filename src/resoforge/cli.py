@@ -54,6 +54,12 @@ def _parse_vector(option: str, text: str, n: int | None = None, dtype=float) -> 
     return vector
 
 
+def _finite(option: str, value: float) -> float:
+    if not np.isfinite(value):
+        raise ConfigError(f"{option} must be finite, got {value!r}")
+    return value
+
+
 def _nonnegative(option: str, value: int) -> int:
     if value < 0:
         raise ConfigError(f"{option} must be nonnegative")
@@ -117,6 +123,8 @@ def _load_potential_arg(source: str):
             kmax = float(kv.get("kmax", 40 if name == "lacunary" else 20))
         except ValueError as exc:
             raise ConfigError(f"--potential {source}: {exc}") from exc
+        for key, value in (("s", s), ("kmax", kmax)):
+            _finite(f"--potential {source}: {key}", value)
         if name == "two-mode":
             return two_mode_potential(s), s
         if name == "lacunary":
@@ -152,6 +160,8 @@ def _report_skeleton(args: argparse.Namespace) -> dict:
 # -- subcommand handlers ------------------------------------------------------
 
 def cmd_sample(args) -> int:
+    _finite("--s", args.s)
+    _finite("--kmax", args.kmax)
     f = sample_product_measure(args.n, args.s, args.kmax, _nonnegative("--seed", args.seed))
     save_potential(f, args.s, args.out)
     print(f"wrote {args.out} ({len(f.coeffs)} modes)")
@@ -242,8 +252,9 @@ def cmd_bezout(args) -> int:
 
 def cmd_normalize(args) -> int:
     f, s = _load_potential_arg(args.potential)
+    _finite("--eps", args.eps)
     if args.alpha is not None:
-        params = free_params(f.n, s, args.alpha, args.k0, args.K)
+        params = free_params(f.n, s, _finite("--alpha", args.alpha), args.k0, args.K)
     else:
         params = derive_params(f.n, s, args.eps, args.k0, args.K)
     y0 = np.array(_parse_vector("--base-point", args.base_point, f.n))
@@ -287,8 +298,9 @@ def cmd_standardize(args) -> int:
     samples = phat0[None, :] + rng.uniform(-sf.chars.r, sf.chars.r,
                                            (8, f.n - 1))
     report = verify_standard(sf, samples)
-    # 64 nodes of the q1 grid, so G and nu come from one grid solve
-    p_o, _, g_grid = sf._on_grid(phat0)
+    # 64 nodes of the q1 grid, so G, nu and the reduction identity below
+    # come from one grid solve
+    p_o, G0, g_grid = sf._on_grid(phat0)
     theta = _THETA[::GRID // 64]
     doc = _report_skeleton(args)
     doc["characteristics"] = sf.chars.to_dict()
@@ -308,7 +320,7 @@ def cmd_standardize(args) -> int:
     }
     # hard invariant: the Taylor reduction identity at a sample point
     ident = sf.check_reduction_identity(
-        [np.concatenate([[0.5 * sf.chars.r], phat0])], [1.0]
+        [np.concatenate([[0.5 * sf.chars.r], phat0])], [1.0], grid=(p_o, G0)
     )
     doc["reduction_identity_residual"] = ident
     _emit(doc, args.out)

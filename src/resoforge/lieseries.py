@@ -19,7 +19,8 @@ level and shows up only in the conjugacy defect.
 Small divisors y0.k are logged for every killed mode and checked against the
 covering thresholds (alpha/2, respectively 2 alpha K/|k|); a divisor below
 threshold raises with the witness mode.  Both kinds run one step loop,
-`_average`; a mode l is on Z k when `fourier.on_ray(l, k)` is its multiple.
+`_average`; a mode l is on Z k when it is an integer multiple of k, the
+test of `fourier.on_ray`, which `_on_line` makes over a mode array at once.
 """
 
 from __future__ import annotations
@@ -226,9 +227,12 @@ class TaylorFourierSeries:
         C.imag = a.real * self.C.imag + a.imag * self.C.real
         return self._with(self.K, self.M, C)
 
-    def split(self, predicate) -> tuple["TaylorFourierSeries", "TaylorFourierSeries"]:
-        """(terms with predicate(k) true, the rest); predicate is asked once per mode."""
-        sel = np.array(list(map(cache(predicate), map(tuple, self.K.tolist()))), dtype=bool)
+    def split(self, mask: np.ndarray) -> tuple["TaylorFourierSeries", "TaylorFourierSeries"]:
+        """(terms whose row of mask is true, the rest), each in row order; mask
+        is a boolean array over the rows of K, such as `_in_band(K, K0)`."""
+        sel = np.asarray(mask, dtype=bool)
+        if sel.shape != self.C.shape:
+            raise ConfigError(f"split mask of shape {sel.shape} for {len(self.C)} terms")
         return (self._with(self.K[sel], self.M[sel], self.C[sel]),
                 self._with(self.K[~sel], self.M[~sel], self.C[~sel]))
 
@@ -542,22 +546,25 @@ class AveragedNF:
     g_res: list[TaylorFourierSeries] | None = None
     dropped_by_grade: dict[int, float] = field(default_factory=dict)
 
-    def nf_value(self, y, x) -> float:
-        total = complex(self.kinetic.evaluate(y, x))
+    def nf_value(self, y, x):
+        """The normal form's value, real part, at real (y, x) of shape (n,) (a
+        float) or (P, n) (an array of P): each series is evaluated once over
+        all rows, and the grades are summed row by row as at one point."""
+        total = self.kinetic.evaluate(y, x)
         for j in range(1, self.order + 1):
             term = self.g_o[j].evaluate(y, x) + self.f_rem[j].evaluate(y, x)
             if self.g_res is not None:
-                term += self.g_res[j].evaluate(y, x)
-            total += self.epsilon ** j * term
-        return float(total.real)
+                term = term + self.g_res[j].evaluate(y, x)
+            total = total + self.epsilon ** j * term
+        return total.real if np.ndim(total) else float(total.real)
 
     def band_coefficient_maxima(self) -> float:
         """max |coefficient| of f_rem over the killed band (exact-zero check)."""
         if self.kind == "nonresonant":
-            killed = lambda k: 0 < l1(k) <= self.K0
+            killed = lambda K: _in_band(K, self.K0)
         else:
-            killed = lambda k: on_ray(k, self.res_k) is not None
-        return max([0.0] + [float(np.abs(t.split(killed)[0].C).max(initial=0.0))
+            killed = lambda K: _on_line(K, self.res_k)
+        return max([0.0] + [float(np.abs(t.C[killed(t.K)]).max(initial=0.0))
                             for t in self.f_rem[1:self.order + 1]])
 
     def to_dict(self) -> dict:
@@ -597,6 +604,23 @@ class AveragedNF:
         return doc
 
 
+def _in_band(K: np.ndarray, K0: int) -> np.ndarray:
+    """The rows k of the (T, n) mode array K with 0 < |k|_1 <= K0."""
+    norm = np.abs(K).sum(axis=1)
+    return (norm > 0) & (norm <= K0)
+
+
+def _on_line(K: np.ndarray, k: Mode) -> np.ndarray:
+    """The rows of the (T, n) mode array K that are j k for an integer j != 0,
+    the rows where `on_ray(row, k)` is not None: every 2x2 minor with k is
+    zero (so the row is t k with t = row.k / k.k) and k.k divides row.k != 0.
+    For a generator k the divisibility follows from the minors."""
+    k = np.asarray(k, dtype=np.int64)
+    parallel = (K[:, :, None] * k == K[:, None, :] * k[:, None]).all(axis=(1, 2))
+    dot = K @ k
+    return parallel & (dot != 0) & (dot % (k @ k) == 0)
+
+
 def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree: int,
              k: Mode | None) -> AveragedNF:
     """The averaging steps of both kinds: nonresonant for k None, else resonant
@@ -604,11 +628,11 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
     error context; the resonant kind keeps the part on Z k as g_res."""
     y0 = np.asarray(y0, dtype=float)
     if k is None:
-        band_pred = lambda kk: 0 < l1(kk) <= params.K0
+        killed = lambda K: _in_band(K, params.K0)
         min_divisor, context = params.alpha / 2.0, "resonant at base point"
     else:
         k = tuple(int(v) for v in k)
-        band_pred = lambda kk: any(kk) and on_ray(kk, k) is None
+        killed = lambda K: K.any(axis=1) & ~_on_line(K, k)
         min_divisor = 2.0 * params.alpha * params.K / math.sqrt(sum(v * v for v in k))
         context = f"small divisor off the line Z{k}"
     ledger = TruncationLedger()
@@ -621,7 +645,7 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
     chis = []
     log: list[tuple[Mode, float]] = []
     for j in range(1, order + 1):
-        band, _rest = grades[j].split(band_pred)
+        band, _rest = grades[j].split(killed(grades[j].K))
         if band.is_empty:
             continue
         chi, divisors, overflow = solve_homological(band, y0, min_divisor, context)
@@ -631,10 +655,10 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
         chis.append((j, chi))
     g_o, g_res, f_rem = [grades[0].like()], [grades[0].like()], [grades[0].like()]
     for j in range(1, order + 1):
-        osc, zero = grades[j].split(any)
+        osc, zero = grades[j].split(grades[j].K.any(axis=1))
         g_o.append(zero)
         if k is not None:
-            line, osc = osc.split(lambda kk: on_ray(kk, k) is not None)
+            line, osc = osc.split(_on_line(osc.K, k))
             g_res.append(line)
         f_rem.append(osc)
     return AveragedNF(
@@ -694,34 +718,45 @@ def _flow_time1(chi: TaylorFourierSeries, scale: float, z0: np.ndarray,
     RK4 at N and 2N equal steps, N = 1, 2, 4, ..., until the Richardson
     estimate e = max|z_2N - z_N| / 15 is at most atol + rtol max|z_2N|; the
     flow is z_2N + (z_2N - z_N) / 15 (Hairer, Norsett & Wanner, Solving ODEs
-    I, II.4).  HypothesisError when _MAX_STEPS steps do not meet it."""
+    I, II.4).  HypothesisError when _MAX_STEPS steps do not meet it.
+
+    Levels N = 1 and N = 2 share their first stage, at z0, so their first
+    steps are one step of the stacked state (2, P, 2n) with h = (1, 1/2)
+    per level: one `eval_grads` call per stage for both.  Level 2's second
+    step and the levels from N = 4 on run alone.  Every row goes through the
+    float operations of level-by-level stepping, so the flow does not depend
+    on the stacking."""
     n = chi.n
 
     def rhs(z):
-        _val, dy, dx = chi.eval_grads(z[:, :n], z[:, n:])
-        return np.hstack([-scale * dx, scale * dy])
+        _val, dy, dx = chi.eval_grads(z[..., :n], z[..., n:])
+        return np.concatenate([-scale * dx, scale * dy], axis=-1)
+
+    def step(z, h, k1):
+        """One RK4 step of size h (broadcasting against z) from z, k1 = rhs(z)."""
+        k2 = rhs(z + 0.5 * h * k1)
+        k3 = rhs(z + 0.5 * h * k2)
+        k4 = rhs(z + h * k3)
+        return z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     start = rhs(z0)  # the first stage of every refinement level
 
     def rk4(steps: int) -> np.ndarray:
         z, h = z0, 1.0 / steps
-        for step in range(steps):
-            k1 = rhs(z) if step else start
-            k2 = rhs(z + 0.5 * h * k1)
-            k3 = rhs(z + 0.5 * h * k2)
-            k4 = rhs(z + h * k3)
-            z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for i in range(steps):
+            z = step(z, h, rhs(z) if i else start)
         return z
 
-    coarse, steps = rk4(1), 1
-    while steps < _MAX_STEPS:
-        steps *= 2
-        fine = rk4(steps)
+    coarse, fine = step(z0, np.array([1.0, 0.5])[:, None, None], start)
+    fine, steps = step(fine, 0.5, rhs(fine)), 2
+    while True:
         err = float(np.max(np.abs(fine - coarse))) / 15.0
         if err <= atol + rtol * float(np.max(np.abs(fine))):
             return fine + (fine - coarse) / 15.0, err
-        coarse = fine
-    raise HypothesisError(f"generator flow failed: error estimate {err:.3e} at {steps} steps")
+        if steps >= _MAX_STEPS:
+            raise HypothesisError(f"generator flow failed: error estimate {err:.3e} at {steps} steps")
+        coarse, steps = fine, 2 * steps
+        fine = rk4(steps)
 
 
 @dataclass
@@ -743,7 +778,9 @@ def verify_conjugacy(
     eps^{order+1}.  All points flow together, one `_flow_time1` per generator
     grade driven by `eval_grads` on the stored generators, so the check does
     not run the bracket kernel that built the normal form; flow_error sums
-    the flows' error estimates, each at most atol + rtol max|z|.
+    the flows' error estimates, each at most atol + rtol max|z|.  The normal
+    form is read at all points in one `nf_value` call; H is evaluated point
+    by point from f's own coefficients, the check's independent side.
     """
     ys = np.array([y for y, _x in points], dtype=float)
     xs = np.array([x for _y, x in points], dtype=float)
@@ -752,7 +789,7 @@ def verify_conjugacy(
         z, err = _flow_time1(chi, nf.epsilon ** j, z, rtol, atol)
         flow_error += err
     return ConjugacyReport(flow_error=flow_error, max_residual=float(max(
-        abs(ham.value(zi[: nf.n], zi[nf.n:]) - nf.nf_value(y, x)) for zi, y, x in zip(z, ys, xs))))
+        abs(ham.value(zi[: nf.n], zi[nf.n:]) - v) for zi, v in zip(z, nf.nf_value(ys, xs)))))
 
 
 def ray_majorant(grades: list[TaylorFourierSeries], k_res: Mode, r: float,

@@ -732,13 +732,15 @@ class StandardFormHam:
         ev = self.form.Gf.at(ph, np.asarray(q1, dtype=float)[..., None])
         return np.sum(_GL_W * (1.0 - _GL_T) * ev(pts, 2), axis=-1)
 
-    def _read(self, p, q1):
+    def _read(self, p, q1, grid=None):
         """At p of shape L + (n,) and q1 of shape L, from one grid solve and
         one at q1: the Y1 that Phi2 o Phi3 sends p to, (1 + nu) p1^2,
-        G0(phat), G(phat, q1), and the evaluator at (phat, q1)."""
+        G0(phat), G(phat, q1), and the evaluator at (phat, q1).  grid, when
+        given, is (p_o, G0) of `_on_grid` at the points' phat and replaces
+        the grid solve."""
         p = np.asarray(p, dtype=float)
         p1, ph = p[..., 0], p[..., 1:]
-        p_o, G0, _ = self._on_grid(ph)
+        p_o, G0 = self._on_grid(ph)[:2] if grid is None else grid
         ev = self.form.Gf.at(ph, q1)
         pq = self.fp.solve_at(ev)
         return (p1 + p_o + (pq - p_o), (1.0 + self._nu(p1, p_o, ph, q1)) * p1 ** 2,
@@ -754,10 +756,11 @@ class StandardFormHam:
             maps.insert(0, self.phi1)
         return ComposedMap(maps)
 
-    def check_reduction_identity(self, points, q1s) -> float:
+    def check_reduction_identity(self, points, q1s, grid=None) -> float:
         """max |Hsharp(Phi2(Phi3(p, q1))) - ((1+nu)p1^2 + G0 + G)| over the
-        points, all read through one grid and one point solve."""
-        Y1, kinetic, G0, G, ev = self._read(points, q1s)
+        points, all read through one grid and one point solve; a caller that
+        has solved the points' grid passes its (p_o, G0) as grid (`_read`)."""
+        Y1, kinetic, G0, G, ev = self._read(points, q1s, grid)
         return float(np.max(np.abs(Y1 * Y1 + ev(Y1, 0) - (kinetic + G0 + G))))
 
 

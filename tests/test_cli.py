@@ -332,6 +332,18 @@ class TestConfigErrors:
           for option in ("--beta", "--eps") for value in ("0", "-1", "nan")],
         *[(["cover", "classify", "--y", "0.3,0.1", "--params", name], "invalid params file")
           for name in BAD_PARAMS],
+        (["normalize", "--potential", "two-mode:s=inf", *NORMALIZE[3:], "--alpha", "0.05",
+          "--base-point", "0.7,0.31"], "--potential"),
+        (["check-generic", "--potential", "lacunary:n=2,s=1,kmax=inf", "--delta", "1",
+          "--beta", "0.1"], "--potential"),
+        (["check-generic", "--potential", "random:n=2,s=nan,kmax=6,seed=1", "--delta", "1",
+          "--beta", "0.1"], "--potential"),
+        ([*NORMALIZE[:4], "nan", *NORMALIZE[5:], "--alpha", "0.05", "--base-point", "0.7,0.31"],
+         "--eps"),
+        ([*NORMALIZE[:4], "inf", *NORMALIZE[5:], "--base-point", "0.7,0.31"], "--eps"),
+        ([*NORMALIZE, "--alpha", "nan", "--base-point", "0.7,0.31"], "--alpha"),
+        (["sample", "--s", "nan", "--out", "MISSING.json"], "--s must be finite"),
+        (["sample", "--kmax", "inf", "--out", "MISSING.json"], "--kmax"),
     ], ids=["out_dir_missing", "y_length", "resonant_k_zero", "resonant_k_length",
             "resonant_k_not_generator", "resonant_k_negative", "base_point_length",
             "normalize_order_zero", "normalize_degree_one", "order_zero", "y0_length", "k_zero",
@@ -340,7 +352,9 @@ class TestConfigErrors:
             "preset_part_without_value", "random_seed_negative", "sample_seed_negative",
             "measure_seed_negative", "raster_grid_negative", "y_nan", "base_point_nan",
             "beta_zero", "beta_negative", "beta_nan", "eps_zero", "eps_negative", "eps_nan",
-            *BAD_PARAMS])
+            *BAD_PARAMS, "two_mode_s_inf", "lacunary_kmax_inf", "random_s_nan",
+            "normalize_eps_nan", "preset_eps_inf", "alpha_nan", "sample_s_nan",
+            "sample_kmax_inf"])
     def test_one_error_line(self, argv, option, free_params_file, tmp_path, capsys):
         params3 = tmp_path / "params3.json"
         params3.write_text(json.dumps(
@@ -353,6 +367,7 @@ class TestConfigErrors:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"error: {option}") and err.count("\n") == 1
+        assert not list(tmp_path.glob("no*"))  # a refused command writes no output
 
 
 class TestLibraryConfigErrors:

@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 
 from resoforge.cover import free_params
 from resoforge.fourier import (
+    ConfigError,
     HypothesisError,
     TrigPoly,
     on_ray,
@@ -22,6 +23,8 @@ from resoforge.lieseries import (
     TaylorFourierSeries,
     TruncationLedger,
     _flow_time1,
+    _in_band,
+    _on_line,
     kinetic_series,
     lie_step_nonres,
     lie_step_res,
@@ -687,7 +690,8 @@ class TestHomologicalLevels:
         # y-dependent bands at every degree, degree 1 included (the averaging
         # steps need degree >= 2 for the kinetic part)
         rng = np.random.default_rng([n, deg])
-        B = random_real_series(rng, n, deg, 4, 30).split(any)[0]
+        F = random_real_series(rng, n, deg, 4, 30)
+        B = F.split(F.K.any(axis=1))[0]
         y0 = np.array([0.7, 0.31, 0.53][:n]) + 1e-3 * rng.uniform(size=n)
         chi, log, overflow = assert_solve_matches_reference(B, y0, 1e-9, "test")
         assert max(sum(m) for _k, m in chi.terms) == deg and overflow > 0
@@ -810,6 +814,34 @@ def zero_part_series():
     return Z
 
 
+class TestSplitMasks:
+    @pytest.mark.parametrize("n, cutoff, k", [
+        (2, 8, (1, 1)), (2, 8, (1, -2)), (2, 8, (0, 1)), (2, 8, (2, 2)),
+        (3, 6, (1, 0, -1)), (3, 6, (1, 2, -1)), (3, 6, (0, 2, 3)), (3, 6, (2, 0, -4))])
+    def test_masks_match_predicates(self, n, cutoff, k):
+        # every mode with |k|_1 <= cutoff: the array masks of the band, of the
+        # nonzero modes and of Z k (k a generator or not) against the
+        # per-mode predicates they replaced
+        K = _slots(n, cutoff, 0).modes
+        modes = list(map(tuple, K.tolist()))
+        for K0 in range(cutoff + 1):
+            assert _in_band(K, K0).tolist() == [0 < sum(map(abs, kk)) <= K0 for kk in modes]
+        assert K.any(axis=1).tolist() == [any(kk) for kk in modes]
+        line = _on_line(K, k)
+        assert line.tolist() == [on_ray(kk, k) is not None for kk in modes]
+        assert 0 < line.sum() < len(modes) - 1
+
+    def test_split_keeps_row_order_and_rejects_other_shapes(self):
+        F = random_real_series(np.random.default_rng(4), 2, 2, 4, 12)
+        mask = F.K[:, 0] > 0
+        inside, rest = F.split(mask)
+        assert np.array_equal(inside.C, F.C[mask]) and np.array_equal(rest.C, F.C[~mask])
+        assert np.array_equal(inside.K, F.K[mask]) and np.array_equal(rest.M, F.M[~mask])
+        for bad in (any, mask[1:], np.stack([mask, mask])):
+            with pytest.raises(ConfigError, match="split mask"):
+                F.split(bad)
+
+
 class TestArrayStorage:
     @pytest.mark.parametrize("seed, k", [(1, (1, 1)), (2, (1, -1)), (3, (1, 2))])
     def test_averaging_matches_dict_reference(self, seed, k):
@@ -869,7 +901,8 @@ class TestArrayStorage:
             for a in (-1.0, 0.5, np.float64(-2.0), 1j, complex(0.3, -0.0), -0.0, 0):
                 assert exact_items(x.scaled(a)) == exact_items(RefSeries.of(x).scaled(a))
             for predicate in (any, lambda kk: kk[0] > 0, lambda kk: True, lambda kk: False):
-                for part, ref in zip(x.split(predicate), RefSeries.of(x).split(predicate)):
+                mask = [predicate(k) for k in map(tuple, x.K.tolist())]
+                for part, ref in zip(x.split(mask), RefSeries.of(x).split(predicate)):
                     assert exact_items(part) == exact_items(ref)
 
     def test_add_term_sequence_matches_dict_reference(self):
@@ -1046,7 +1079,131 @@ class TestRemainderNorm:
         assert ray_majorant([F, G], (1, 1), r, w) == pytest.approx(expected, rel=1e-15)
 
 
+def reference_flow_time1(chi, scale, z0, rtol, atol):
+    """_flow_time1 level by level, N = 1, 2, 4, ..., each level's first
+    stage the shared one at z0: the loop the stacked first step replaced."""
+    n = chi.n
+
+    def rhs(z):
+        _val, dy, dx = chi.eval_grads(z[:, :n], z[:, n:])
+        return np.hstack([-scale * dx, scale * dy])
+
+    start = rhs(z0)
+
+    def rk4(steps):
+        z, h = z0, 1.0 / steps
+        for step in range(steps):
+            k1 = rhs(z) if step else start
+            k2 = rhs(z + 0.5 * h * k1)
+            k3 = rhs(z + 0.5 * h * k2)
+            k4 = rhs(z + h * k3)
+            z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return z
+
+    coarse, steps = rk4(1), 1
+    while steps < 256:
+        steps *= 2
+        fine = rk4(steps)
+        err = float(np.max(np.abs(fine - coarse))) / 15.0
+        if err <= atol + rtol * float(np.max(np.abs(fine))):
+            return fine + (fine - coarse) / 15.0, err
+        coarse = fine
+    raise HypothesisError(f"generator flow failed: error estimate {err:.3e} at {steps} steps")
+
+
+def reference_nf_value(nf, y, x):
+    """nf's value at one point (y, x), one series evaluation at a time."""
+    total = complex(nf.kinetic.evaluate(y, x))
+    for j in range(1, nf.order + 1):
+        term = nf.g_o[j].evaluate(y, x) + nf.f_rem[j].evaluate(y, x)
+        if nf.g_res is not None:
+            term += nf.g_res[j].evaluate(y, x)
+        total += nf.epsilon ** j * term
+    return float(total.real)
+
+
+def reference_verify_conjugacy(ham, nf, points, rtol=1e-12, atol=1e-13):
+    """(max residual, flow error) of verify_conjugacy with level-by-level
+    flows and nf read point by point."""
+    ys = np.array([y for y, _x in points], dtype=float)
+    xs = np.array([x for _y, x in points], dtype=float)
+    z, flow_error = np.hstack([ys, xs]), 0.0
+    for j, chi in sorted(nf.chi, key=lambda t: -t[0]):
+        z, err = reference_flow_time1(chi, nf.epsilon ** j, z, rtol, atol)
+        flow_error += err
+    return float(max(abs(ham.value(zi[:nf.n], zi[nf.n:]) - reference_nf_value(nf, y, x))
+                     for zi, y, x in zip(z, ys, xs))), flow_error
+
+
+def conjugacy_points(rng, y0, count):
+    return [(y0 + rng.uniform(-0.01, 0.01, len(y0)), rng.uniform(0, TWO_PI, len(y0)))
+            for _ in range(count)]
+
+
 class TestConjugacy:
+    def test_stacked_levels_match_level_by_level(self, monkeypatch):
+        # levels N = 1 and 2 stepped as one stacked state against the loop
+        # that ran them one after the other: flows and error estimates equal,
+        # on flows that settle at N = 2, 4, 8 and 16 (8, 23, 54 and 117 calls:
+        # 3 fewer than level by level), stacked points and a single one
+        rng = np.random.default_rng(5)
+        _ham, nf, _, y0 = nonres_setup(eps=1e-3, order=2, deg=3, f=averaging_potential(rng))
+        z = np.array([np.concatenate(pt) for pt in conjugacy_points(rng, y0, 3)])
+        calls, grads = [], TaylorFourierSeries.eval_grads
+        monkeypatch.setattr(TaylorFourierSeries, "eval_grads",
+                            lambda chi, y, x: calls.append(1) or grads(chi, y, x))
+        for rows in (z, z[1:2]):
+            counts = []
+            for scale in (1e-3, 3e-3, 5e-3, 1e-2):
+                calls.clear()
+                flow, err = _flow_time1(nf.chi[0][1], scale, rows, 1e-12, 1e-13)
+                counts.append(len(calls))
+                want, want_err = reference_flow_time1(nf.chi[0][1], scale, rows, 1e-12, 1e-13)
+                assert np.array_equal(flow, want) and err == want_err
+                assert len(calls) == 2 * counts[-1] + 3
+            assert counts == [8, 23, 54, 117]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reports_match_point_by_point(self, seed):
+        # the benchmark's conjugacy draws, nonresonant and resonant (with
+        # g_res), against level-by-level flows and nf read point by point
+        rng = np.random.default_rng([2, seed, 0])
+        k = (1, 1)
+        u = 0.6 * np.array([-k[1], k[0]]) / math.sqrt(2.0)
+        cases = [(averaging_potential(rng), None, free_params(2, 1.0, alpha=0.02, K0=2, K=8),
+                  np.array([0.7, 0.31])),
+                 (averaging_potential(rng, must_have=k), k,
+                  free_params(2, 1.0, alpha=0.03, K0=2, K=6), u)]
+        for f, kk, params, y0 in cases:
+            ham = NaturalHam(2, 1e-3, f)
+            if kk is None:
+                nf = lie_step_nonres(ham, params, y0, order=2, max_degree=3)
+            else:
+                nf = lie_step_res(ham, kk, params, y0, order=2, max_degree=3)
+                assert any(not g.is_empty for g in nf.g_res)
+            pts = conjugacy_points(rng, y0, 3)
+            rep = verify_conjugacy(ham, nf, pts)
+            assert rep.max_residual > 0
+            assert (rep.max_residual, rep.flow_error) == reference_verify_conjugacy(ham, nf, pts)
+
+    @pytest.mark.parametrize("k", [None, (1, 1), (1, -2)])
+    def test_nf_value_rows_match_points(self, k):
+        # one evaluation per series over (P, n) rows equals P calls at (n,)
+        rng = np.random.default_rng(9)
+        if k is None:
+            _ham, nf, _, y0 = nonres_setup(eps=1e-2, order=3, deg=3, f=averaging_potential(rng))
+        else:
+            y0 = 0.6 * np.array([-k[1], k[0]]) / math.hypot(*k)
+            nf = lie_step_res(NaturalHam(2, 1e-2, averaging_potential(rng, must_have=k)), k,
+                              free_params(2, 1.0, alpha=0.03, K0=2, K=6), y0, order=3, max_degree=3)
+        pts = conjugacy_points(rng, y0, 5)
+        ys, xs = np.array([y for y, _ in pts]), np.array([x for _, x in pts])
+        rows = nf.nf_value(ys, xs)
+        assert rows.shape == (5,)
+        assert rows.tolist() == [nf.nf_value(y, x) for y, x in pts]
+        assert rows.tolist() == [reference_nf_value(nf, y, x) for y, x in pts]
+        assert type(nf.nf_value(*pts[0])) is float
+
     def test_zero_perturbation(self):
         f = TrigPoly(2, {})
         params = free_params(2, 1.0, alpha=0.02, K0=2, K=8)
@@ -1124,9 +1281,10 @@ class TestConjugacy:
             rep = verify_conjugacy(ham, nf, pts, rtol=rtol, atol=atol)
             assert rep.flow_error == total
             assert rep.flow_error <= 0.01 * rep.max_residual
-        # the loose tolerance settles every flow at N = 2: 4 + 8 stages, less
-        # the first stage at the start point, which both levels share
-        assert stages == [11, 11, 11]
+        # the loose tolerance settles every flow at N = 2: the stage at the
+        # start point, which both levels share, 3 stages of their stacked
+        # first steps and 4 of level 2's second step
+        assert stages == [8, 8, 8]
 
     def test_step_cap_raises(self):
         # a tolerance below double rounding is never met: the flow stops at

@@ -812,7 +812,7 @@ class TestOneSolvePerJet:
             "criterion 9, 10 points": solves(
                 lambda: acceptance.criterion_9_energy_identity(points=10)),
             # 1 for the 8 verify_standard samples, 1 for the G and nu grids,
-            # and 1 grid and 1 point solve for the reduction identity
+            # which the reduction identity reuses, and 1 point solve for it
             "standardize CLI": solves(lambda: main(standardize_cli)),
         }
         assert counts == {
@@ -823,7 +823,7 @@ class TestOneSolvePerJet:
             "phi_diamond.jacobian": (4, 2),
             "check_reduction_identity, 3 samples": (1, 1),
             "criterion 9, 10 points": (1, 1),
-            "standardize CLI": (3, 1),
+            "standardize CLI": (2, 1),
         }
 
     def test_only_phi2_point_jacobian_reads_dp_dq1(self, monkeypatch):
@@ -969,3 +969,9 @@ class TestStackedSamples:
         want = zip(*(sf._read(p, q1)[:4] for p, q1 in zip(pts, q1s)))
         for a, b in zip(got, want):
             assert a.tobytes() == np.array(b).tobytes()
+        # a grid solved by the caller, stacked or at one phat as the
+        # standardize CLI passes it, reads the same as the read's own
+        for a, b in zip(sf._read(pts, q1s, sf._on_grid(pts[:, 1:])[:2])[:4], got):
+            assert a.tobytes() == b.tobytes()
+        one = sf.check_reduction_identity(pts[:1], q1s[:1])
+        assert sf.check_reduction_identity(pts[:1], q1s[:1], sf._on_grid(pts[0, 1:])[:2]) == one
