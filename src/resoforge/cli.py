@@ -170,8 +170,8 @@ def cmd_sample(args) -> int:
 
 def cmd_check_generic(args) -> int:
     f, s = _load_potential_arg(args.potential)
-    params = GenericityParams(n=f.n, s=s, delta=args.delta, beta=args.beta,
-                              K_max=args.kmax)
+    params = GenericityParams(n=f.n, s=s, delta=_finite("--delta", args.delta),
+                              beta=_finite("--beta", args.beta), K_max=args.kmax)
     report = check_membership(f, params)
     doc = _report_skeleton(args)
     doc["report"] = report.to_dict()

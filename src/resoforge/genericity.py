@@ -56,6 +56,8 @@ class GenericityParams:
     N: float = field(init=False)
 
     def __post_init__(self):
+        if not 0.0 <= self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and nonnegative, got {self.beta!r}")
         object.__setattr__(self, "N", threshold_N(self.n, self.s, self.delta))
 
 

@@ -35,9 +35,11 @@ array of Y1 in one pass over the terms, so the fixed point is solved on the
 whole grid of every phat at once (each entry stops on its own step, exactly
 as the pointwise iteration would).  `FixedPointSolution.jet` solves once and
 differentiates p + 0.5 d_{Y1} Gf(p) = 0 implicitly on the same evaluator, so
-the Jacobians of Phi2 and Phi3 are exact.  A map call reads one solve on the
-q1 grid and at most one at its q1; `verify_standard` and the reduction
-identity read all their samples through one stacked solve of each kind.
+the Jacobians of Phi2 and Phi3 are exact.  A map takes points z of shape
+L + (2n,), one point being L = (), gives L + (2n,) or, as a Jacobian,
+L + (2n, 2n), and reads one stacked solve on the q1 grid and at most one at
+the points' q1; `verify_standard` and the reduction identity read all their
+samples the same way.
 
 Config note: the fully certified asymptotic regime additionally requires the
 inner cutoff K0 to exceed a dimensional gate (at least c2, plus an inexplicit
@@ -68,6 +70,11 @@ GRID = 256            # q1 collocation grid (spectral accuracy for analytic data
 GAUSS_NODES = 32      # Taylor-integral quadrature nodes
 FIXED_POINT_TOL = 1e-14  # fixed-point iteration stops once a step is below this
 _THETA = np.arange(GRID) * (TWO_PI / GRID)
+
+
+def _theta_for(phat) -> np.ndarray:
+    """The q1 grid shaped (1,) * len(L) + (GRID,) for phat of shape L + (n_hat,)."""
+    return _THETA.reshape((1,) * (np.ndim(phat) - 1) + (GRID,))
 
 
 # --------------------------------------------------------------------------
@@ -362,16 +369,17 @@ class SecularHam:
             base_point=nf.base_point, k=nf.res_k,
         )
 
-    def value(self, yt, theta: float) -> float:
+    def value(self, yt, theta):
+        """Hsec at yt of shape L + (n,) and theta of shape L; shape L."""
         at = np.array(self.um.rows, dtype=float).T
-        y = at @ np.asarray(yt, dtype=float)
+        y = (at @ np.asarray(yt, dtype=float)[..., None])[..., 0]
         zero_x = np.zeros(len(self.base_point))
         g_o = self.g_o_series.evaluate(y, zero_x).real
         # the g series lives on the ray Z k, so it depends on x only through
         # theta = k.x; x = theta k/|k|^2 is a representative with k.x = theta
         kv = np.array(self.k, dtype=float)
-        g = self.g_series.evaluate(y, theta * kv / (kv @ kv)).real
-        return 0.5 * float(y @ y) + self.eps * (g_o + g)
+        g = self.g_series.evaluate(y, np.asarray(theta, dtype=float)[..., None] * kv / (kv @ kv)).real
+        return 0.5 * np.vecdot(y, y) + self.eps * (g_o + g)
 
 
 @dataclass
@@ -380,7 +388,7 @@ class DecoupledForm:
     plus the adiabatic part 0.5|P_k^perp Ahat^T phat|^2 split off by Phi1."""
 
     Gf: PolyTrig1
-    adiabatic: object          # callable(phat) -> float
+    adiabatic: object          # callable(phat of shape L + (n_hat,)) -> shape L
     r: float
     s_breve: float
     theta_o_bound: float
@@ -420,10 +428,10 @@ def build_phi1(secular: SecularHam, r: float, s_breve: float,
     ahat_t = np.array(um.A_hat, dtype=float).T
     kv = np.array(k, dtype=float)
 
-    def adiabatic(phat) -> float:
-        v = ahat_t @ np.asarray(phat, dtype=float)
-        v = v - (v @ kv) / (kv @ kv) * kv
-        return 0.5 * float(v @ v)
+    def adiabatic(phat):
+        v = (ahat_t @ np.asarray(phat, dtype=float)[..., None])[..., 0]
+        v = v - (np.vecdot(v, kv) / (kv @ kv))[..., None] * kv
+        return 0.5 * np.vecdot(v, v)
 
     return DecoupledForm(
         Gf=Gf,
@@ -449,13 +457,13 @@ _GL_W = 0.5 * _GL_WEIGHTS
 
 
 def _antiderivative_at(values: np.ndarray, x):
-    """int_0^x of the zero-average trig interpolant of grid values; the grid
-    runs along the first axis, the other axes are kept."""
-    m = len(values)
-    vals = np.moveaxis(values, 0, -1)
+    """int_0^x, at x of shape L, of the zero-average trig interpolant of
+    grid values of shape L + (GRID,) + K; the result is L + K."""
+    vals = np.moveaxis(values, np.ndim(x), -1)
     vals = vals - vals.mean(axis=-1, keepdims=True)
-    coeff = np.fft.rfft(vals, axis=-1) / m
+    coeff = np.fft.rfft(vals, axis=-1) / vals.shape[-1]
     j = np.arange(1, coeff.shape[-1])
+    x = np.reshape(x, np.shape(x) + (1,) * (vals.ndim - np.ndim(x)))
     terms = coeff[..., 1:] * (np.exp(1j * j * x) - 1.0) / (1j * j)
     return 2.0 * np.real(np.sum(terms, axis=-1))
 
@@ -464,7 +472,7 @@ def _antiderivative_at(values: np.ndarray, x):
 class FixedPointSolution:
     """Solution p(phat, q1) of p = -0.5 d_{Y1} Gf(p, phat, q1).
 
-    `jet` solves once, on a scalar q1 or an array of them, and returns p with
+    `jet` solves once, on a stack of phat and q1 (see BoundPotential), and gives p with
     its exact phat derivatives up to the requested order.  On the q1 grid the jet
     gives everything else: the angle average p_o and its derivatives
     (`shear`, the tau of Phi3), ptilde = p - p_o, and through the periodic
@@ -519,10 +527,10 @@ class FixedPointSolution:
 
     def shear(self, phat, order: int):
         """(p_o, d p_o/dphat, d2 p_o/dphat2), the angle average of p and its
-        derivatives, from one grid jet; entries above `order` are None."""
-        p, pi, pij = self.jet(phat, _THETA, order)
-        return (float(np.mean(p)), None if pi is None else pi.mean(axis=0),
-                None if pij is None else pij.mean(axis=0))
+        derivatives at phat of shape L + (n_hat,); entries above `order` are None."""
+        p, pi, pij = self.jet(phat, _theta_for(phat), order)
+        return (np.mean(p, axis=-1), None if pi is None else pi.mean(axis=-2),
+                None if pij is None else pij.mean(axis=-3))
 
 
 def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
@@ -581,8 +589,9 @@ def omega_matrix(n: int) -> np.ndarray:
 class ShearMap:
     """Momentum-shear group element: (p, q) -> (p1 + tau(phat), phat, q1,
     qhat - q1 dtau(phat)); symplectic for every smooth tau.  `jet(phat,
-    order)` returns (tau, dtau, d2tau) with the entries above `order` None;
-    `apply` reads order 1, and `jacobian` order 2, which needs the Hessian."""
+    order)` takes phat of shape L + (n_hat,) and returns (tau, dtau, d2tau)
+    of shapes L, L + (n_hat,), L + (n_hat, n_hat), the entries above `order`
+    None; `apply` reads order 1, and `jacobian` order 2, which needs the Hessian."""
 
     def __init__(self, n: int, jet):
         self.n = n
@@ -590,11 +599,10 @@ class ShearMap:
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         n = self.n
-        p, q = z[:n], z[n:]
-        tau, dtau, _ = self.jet(p[1:], 1)
-        out = z.astype(float).copy()
-        out[0] = p[0] + float(tau)
-        out[n + 1:] = q[1:] - q[0] * np.asarray(dtau)
+        tau, dtau, _ = self.jet(z[..., 1:n], 1)
+        out = z.astype(float)
+        out[..., 0] = z[..., 0] + tau
+        out[..., n + 1:] = z[..., n + 1:] - z[..., n, None] * dtau
         return out
 
     def inverse(self) -> "ShearMap":
@@ -603,18 +611,18 @@ class ShearMap:
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         n = self.n
-        _, dtau, d2tau = self.jet(z[1:n], 2)
-        J = np.eye(2 * n)
-        J[0, 1:n] = dtau
-        J[n + 1:, 1:n] = -z[n] * np.asarray(d2tau)
-        J[n + 1:, n] = -np.asarray(dtau)
+        _, dtau, d2tau = self.jet(z[..., 1:n], 2)
+        J = np.tile(np.eye(2 * n), z.shape[:-1] + (1, 1))
+        J[..., 0, 1:n] = dtau
+        J[..., n + 1:, 1:n] = -z[..., n, None, None] * d2tau
+        J[..., n + 1:, n] = -dtau
         return J
 
 
 class Phi2Map:
     """The generating-function map of the fixed-point shift:
     Y1 = P1 + ptilde(Phat, Q1), X̂ = Q̂ + q_hat(Phat, Q1).  Each call reads
-    one jet on the q1 grid and one solve at Q1."""
+    one jet on the q1 grid and one solve at Q1, each stacked over its points."""
 
     def __init__(self, fp: FixedPointSolution, n: int):
         self.fp = fp
@@ -622,30 +630,28 @@ class Phi2Map:
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         n = self.n
-        P, Q = z[:n], z[n:]
-        ph = P[1:]
-        grid, grid_ph, _ = self.fp.jet(ph, _THETA, 1)
-        out = z.astype(float).copy()
-        out[0] = P[0] + (self.fp.jet(ph, Q[0], 0)[0] - float(np.mean(grid)))
-        out[n + 1:] = Q[1:] - _antiderivative_at(grid_ph, Q[0])
+        ph, q1 = z[..., 1:n], z[..., n]
+        grid, grid_ph, _ = self.fp.jet(ph, _theta_for(ph), 1)
+        out = z.astype(float)
+        out[..., 0] = z[..., 0] + (self.fp.jet(ph, q1, 0)[0] - np.mean(grid, axis=-1))
+        out[..., n + 1:] = z[..., n + 1:] - _antiderivative_at(grid_ph, q1)
         return out
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         n = self.n
-        ph = z[1:n]
-        q1 = z[n]
-        _, grid_ph, grid_phph = self.fp.jet(ph, _THETA, 2)
+        ph, q1 = z[..., 1:n], z[..., n]
+        _, grid_ph, grid_phph = self.fp.jet(ph, _theta_for(ph), 2)
         # the first-order jet at q1 with dp/dq1, which only this map reads:
         # D p_q = -0.5 G_{Y q}, as for dp/dphat
         ev = self.fp.form.Gf.at(ph, q1)
         p = self.fp.solve_at(ev)
         denom = 1.0 + 0.5 * ev(p, 2)
-        J = np.eye(2 * n)
-        p_ph = -0.5 * ev(p, 1, 1) / denom - grid_ph.mean(axis=0)  # d ptilde / d phat
-        J[0, 1:n] = p_ph
-        J[0, n] = -0.5 * ev(p, 1, dq=1) / denom                   # d ptilde / d q1
-        J[n + 1:, 1:n] = -_antiderivative_at(grid_phph, q1)
-        J[n + 1:, n] = -p_ph
+        J = np.tile(np.eye(2 * n), z.shape[:-1] + (1, 1))
+        p_ph = -0.5 * ev(p, 1, 1) / denom[..., None] - grid_ph.mean(axis=-2)  # d ptilde / d phat
+        J[..., 0, 1:n] = p_ph
+        J[..., 0, n] = -0.5 * ev(p, 1, dq=1) / denom                          # d ptilde / d q1
+        J[..., n + 1:, 1:n] = -_antiderivative_at(grid_phph, q1)
+        J[..., n + 1:, n] = -p_ph
         return J
 
 
@@ -653,17 +659,13 @@ class LinearSymplectic:
     """Block map (Y, X) -> (U Y, U^{-T} X)."""
 
     def __init__(self, U: np.ndarray):
-        self.U = U
-        self.Uinv_t = np.linalg.inv(U).T
         n = U.shape[0]
         self.J = np.zeros((2 * n, 2 * n))
         self.J[:n, :n] = U
-        self.J[n:, n:] = self.Uinv_t
-        self.n = n
+        self.J[n:, n:] = np.linalg.inv(U).T
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        n = self.n
-        return np.concatenate([self.U @ z[:n], self.Uinv_t @ z[n:]])
+        return (self.J @ z[..., None])[..., 0]
 
     def jacobian(self, _z: np.ndarray) -> np.ndarray:
         return self.J
@@ -685,15 +687,14 @@ class ComposedMap:
 
 
 def symplectic_defect(J: np.ndarray) -> float:
-    """max entry of |J^T Omega J - Omega|."""
-    O = omega_matrix(J.shape[0] // 2)
-    return float(np.max(np.abs(J.T @ O @ J - O)))
+    """max entry of |J^T Omega J - Omega| over Jacobians of shape L + (2n, 2n)."""
+    O = omega_matrix(J.shape[-1] // 2)
+    return float(np.max(np.abs(J.mT @ O @ J - O)))
 
 
 def symplectic_check(transform, points) -> float:
-    """max over points of |J^T Omega J - Omega| (max entry)."""
-    return max((symplectic_defect(transform.jacobian(np.asarray(z, dtype=float)))
-                for z in points), default=0.0)
+    """max entry of |J^T Omega J - Omega| over points of shape L + (2n,), in one call."""
+    return symplectic_defect(transform.jacobian(np.asarray(points, dtype=float)))
 
 
 # --------------------------------------------------------------------------
@@ -718,7 +719,7 @@ class StandardFormHam:
     def _on_grid(self, ph: np.ndarray):
         """p_o(phat) and G0(phat), shape L, and G(phat, .) on the q1 grid,
         L + (GRID,), for phat of shape L + (n_hat,), from one grid solve."""
-        ev = self.form.Gf.at(ph, _THETA.reshape((1,) * (ph.ndim - 1) + (GRID,)))
+        ev = self.form.Gf.at(ph, _theta_for(ph))
         pg = self.fp.solve_at(ev)
         gvals = ev(pg, 0)
         G0 = np.mean(pg ** 2, axis=-1) + np.mean(gvals, axis=-1)
@@ -746,8 +747,8 @@ class StandardFormHam:
         return (p1 + p_o + (pq - p_o), (1.0 + self._nu(p1, p_o, ph, q1)) * p1 ** 2,
                 G0, pq * pq + ev(pq, 0) - G0, ev)
 
-    def _h0(self, G0: float, phat) -> float:
-        """h0(phat) = G0(phat) + 2 adiabatic(phat)/|k|^2."""
+    def _h0(self, G0, phat):
+        """h0 = G0 + 2 adiabatic(phat)/|k|^2, for G0 of shape L and phat L + (n_hat,)."""
         return G0 + 2.0 * self.form.adiabatic(phat) / float(sum(v * v for v in self.k))
 
     def phi_diamond(self) -> ComposedMap:

@@ -13,7 +13,11 @@ The sha256 of `json.dumps(doc, sort_keys=True)` for
   (`acceptance._benchmark_standard_form`) and of the three-mode pipeline form
   (`test_standard_form._three_mode_standard_form`) at 20 seeded points each:
   `jacobian` of Phi2, Phi3 and `phi_diamond()`, `apply` of Phi2 and Phi3,
-  Phi3's inverse round trip, `h0` and `check_reduction_identity`.
+  Phi3's inverse round trip, `h0` and `check_reduction_identity`.  The maps
+  take a stack of points, but here each is called on one point at a time,
+  so the corpus pins the one-point path; `test_standard_form.py`'s
+  `TestMaps::test_stacked_calls_equal_per_point_calls` requires the stacked
+  call on the same points to give the same bytes.
 A change that moves one byte of a coefficient (-0.0 included), the order of
 the terms, a divisor or a dropped mass changes a digest.
 

@@ -131,7 +131,7 @@ def test_criterion_08_rejects_one_doubled_hessian_entry(monkeypatch):
 
     def doubled(self, z):
         J = jacobian(self, z)
-        J[self.n + 1, 2] *= 2.0
+        J[..., self.n + 1, 2] *= 2.0
         return J
 
     monkeypatch.setattr(Phi2Map, "jacobian", doubled)

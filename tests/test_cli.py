@@ -344,6 +344,11 @@ class TestConfigErrors:
         ([*NORMALIZE, "--alpha", "nan", "--base-point", "0.7,0.31"], "--alpha"),
         (["sample", "--s", "nan", "--out", "MISSING.json"], "--s must be finite"),
         (["sample", "--kmax", "inf", "--out", "MISSING.json"], "--kmax"),
+        *[(["check-generic", "--potential", "lacunary:n=2,s=4.0,kmax=20", "--kmax", "20",
+            *args], option)
+          for args, option in ((["--delta", "1", "--beta", "nan"], "--beta"),
+                               (["--delta", "1", "--beta", "inf"], "--beta"),
+                               (["--delta", "nan", "--beta", "0.1"], "--delta"))],
     ], ids=["out_dir_missing", "y_length", "resonant_k_zero", "resonant_k_length",
             "resonant_k_not_generator", "resonant_k_negative", "base_point_length",
             "normalize_order_zero", "normalize_degree_one", "order_zero", "y0_length", "k_zero",
@@ -354,7 +359,8 @@ class TestConfigErrors:
             "beta_zero", "beta_negative", "beta_nan", "eps_zero", "eps_negative", "eps_nan",
             *BAD_PARAMS, "two_mode_s_inf", "lacunary_kmax_inf", "random_s_nan",
             "normalize_eps_nan", "preset_eps_inf", "alpha_nan", "sample_s_nan",
-            "sample_kmax_inf"])
+            "sample_kmax_inf", "check_generic_beta_nan", "check_generic_beta_inf",
+            "check_generic_delta_nan"])
     def test_one_error_line(self, argv, option, free_params_file, tmp_path, capsys):
         params3 = tmp_path / "params3.json"
         params3.write_text(json.dumps(
@@ -382,8 +388,10 @@ class TestLibraryConfigErrors:
         ([*NORMALIZE, "--alpha", "-1", "--base-point", "0.7,0.31"],
          "alpha must be positive (zero allowed in free mode)"),
         (["cover", "classify", "--y", "0.9,0.9", "--params", "PARAMS"], "outside unit ball"),
+        (["check-generic", "--potential", "lacunary:n=2,s=4.0,kmax=20", "--delta", "1",
+          "--beta=-1"], "beta must be finite and nonnegative, got -1.0"),
     ], ids=["delta_above_one", "too_few_samples", "preset_eps_zero", "alpha_negative",
-            "outside_ball"])
+            "outside_ball", "check_generic_beta_negative"])
     def test_message_is_the_error_line(self, argv, message, free_params_file, capsys):
         argv = [free_params_file if a == "PARAMS" else a for a in argv]
         assert main(argv) == EXIT_CONFIG

@@ -68,6 +68,18 @@ def small_window_params(n=2, s=1.0, delta=0.5, beta=1e-3, K_max=70):
     return GenericityParams(n=n, s=s, delta=delta, beta=beta, K_max=K_max)
 
 
+class TestParams:
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0])
+    def test_rejects_beta_not_finite_and_nonnegative(self, beta):
+        # a NaN beta used to admit the lacunary potential: every comparison
+        # with it is false, so no projection failed the Morse test
+        with pytest.raises(ConfigError, match="^beta must be finite and nonnegative"):
+            GenericityParams(n=2, s=4.0, delta=1.0, beta=beta, K_max=20)
+
+    def test_beta_zero_is_admissible(self):
+        assert GenericityParams(n=2, s=4.0, delta=1.0, beta=0.0, K_max=20).beta == 0.0
+
+
 class TestLowerBound:
     def test_lacunary_passes_any_delta(self):
         params = small_window_params(delta=1.0)

@@ -52,7 +52,8 @@ def phi(fp, phat, x1):
 
 
 def shear_jet(tau, dtau, d2tau=None):
-    """A ShearMap jet from closed forms of tau, dtau and (optionally) d2tau."""
+    """A ShearMap jet from closed forms of tau, dtau and (optionally) d2tau;
+    a form that a stack of points reaches reads phat as ph[..., i]."""
     return lambda ph, order: (tau(ph), dtau(ph), None if d2tau is None else d2tau(ph))
 
 
@@ -243,8 +244,10 @@ class TestMaps:
         assert worst < 1e-12
 
     def test_shear_symplectic(self):
-        a = ShearMap(3, shear_jet(lambda ph: 0.1 * ph[0] - 0.05 * ph[1] ** 2,
-                                  lambda ph: np.array([0.1, -0.1 * ph[1]]),
+        # symplectic_check maps all 50 points as one stack
+        a = ShearMap(3, shear_jet(lambda ph: 0.1 * ph[..., 0] - 0.05 * ph[..., 1] ** 2,
+                                  lambda ph: np.stack([np.full(ph.shape[:-1], 0.1),
+                                                       -0.1 * ph[..., 1]], axis=-1),
                                   lambda ph: np.array([[0.0, 0.0], [0.0, -0.1]])))
         rng = np.random.default_rng(3)
         pts = [rng.normal(size=6) for _ in range(50)]
@@ -266,6 +269,38 @@ class TestMaps:
         # the rightmost map acts first: the chain rule reads its Jacobian at z
         assert np.allclose(comp.jacobian(z), lin.jacobian(shear.apply(z)) @ shear.jacobian(z))
         assert not np.allclose(comp.jacobian(z), shear.jacobian(lin.apply(z)) @ lin.jacobian(z))
+
+    @pytest.mark.parametrize("which", ["two_action", "three_mode"])
+    def test_stacked_calls_equal_per_point_calls(self, which):
+        # byte for byte: a stack of points runs the code that one point runs,
+        # and tests/golden/regen.py pins the one-point results; the points
+        # are the corpus's
+        from resoforge.acceptance import _benchmark_standard_form
+
+        sf = _benchmark_standard_form()[0] if which == "two_action" \
+            else _three_mode_standard_form()
+        n, r = sf.n, sf.form.r
+        rng = np.random.default_rng(20)
+        pts = np.array([np.concatenate([rng.uniform(-r, r, 1),
+                                        sf.fp.base_phat + rng.uniform(-r, r, n - 1),
+                                        rng.uniform(0, TWO_PI, n)]) for _ in range(20)])
+        inverse = sf.phi3.inverse()
+        calls = {
+            "phi2.apply": sf.phi2.apply,
+            "phi2.jacobian": sf.phi2.jacobian,
+            "phi3.apply": sf.phi3.apply,
+            "phi3.jacobian": sf.phi3.jacobian,
+            "phi_diamond.jacobian": sf.phi_diamond().jacobian,
+            "phi3 round trip": lambda z: inverse.apply(sf.phi3.apply(z)),
+            "h0": lambda z: sf._h0(sf._read(z[..., :n], z[..., n])[2], z[..., 1:n]),
+        }
+        if sf.form.secular is not None:  # criterion 8's form is built without one
+            calls["SecularHam.value"] = lambda z: sf.form.secular.value(
+                sf.phi1.apply(z)[..., :n], z[..., n])
+        for name, call in calls.items():
+            got = call(pts)
+            want = np.array([call(z) for z in pts])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 class TestPipeline:
@@ -737,7 +772,7 @@ class TestExactJacobians:
         class Doubled(Phi2Map):
             def jacobian(self, z):
                 J = super().jacobian(z)
-                J[n + 1:, 1:n] *= 2.0
+                J[..., n + 1:, 1:n] *= 2.0
                 return J
 
         broken = Doubled(sf.fp, n)
@@ -769,7 +804,9 @@ class TestOneSolvePerJet:
         # grid and point solves per call: one grid jet and one point jet for
         # Phi2, one grid jet for Phi3, and one stacked solve of each kind for
         # all the samples of the reduction identity, of criterion 9 and of
-        # verify_standard.  A call counts once, as a grid solve when its q1
+        # verify_standard.  A map call on a stack of points solves as one on
+        # a single point, so criterion 8 makes as many solves at 20 points
+        # as at 100.  A call counts once, as a grid solve when its q1
         # carries the GRID-node axis, however many phat it stacks
         import json
 
@@ -811,6 +848,9 @@ class TestOneSolvePerJet:
                 lambda: sf.check_reduction_identity(samples, [z[n]] * 3)),
             "criterion 9, 10 points": solves(
                 lambda: acceptance.criterion_9_energy_identity(points=10)),
+            "criterion 8, 20 points": solves(
+                lambda: acceptance.criterion_8_symplecticity(points=20)),
+            "symplectic_check(phi2), 5 points": solves(lambda: symplectic_check(sf.phi2, [z] * 5)),
             # 1 for the 8 verify_standard samples, 1 for the G and nu grids,
             # which the reduction identity reuses, and 1 point solve for it
             "standardize CLI": solves(lambda: main(standardize_cli)),
@@ -823,6 +863,8 @@ class TestOneSolvePerJet:
             "phi_diamond.jacobian": (4, 2),
             "check_reduction_identity, 3 samples": (1, 1),
             "criterion 9, 10 points": (1, 1),
+            "criterion 8, 20 points": (8, 3),
+            "symplectic_check(phi2), 5 points": (1, 1),
             "standardize CLI": (2, 1),
         }
 
