@@ -7,8 +7,8 @@ The sha256 of `json.dumps(doc, sort_keys=True)` for
   K = 8, resonant at K = 6);
 - the CLI documents of `normalize` (resonant and non-resonant) and
   `standardize` on the two-mode preset, `check-generic` on a lacunary and a
-  random preset, `cover measure` and `bezout`, without the timestamp and with
-  file paths cut to their names;
+  random preset, `cover measure`, `bezout` and `report --quick`, without the
+  timestamp or any criterion's runtime and with file paths cut to their names;
 - the standard-form maps of criterion 8's two-action form
   (`acceptance._benchmark_standard_form`) and of the three-mode pipeline form
   (`test_standard_form._three_mode_standard_form`) at 20 seeded points each:
@@ -68,6 +68,7 @@ CLI_RUNS = {
     "cover_measure": (FREE_N2, ["cover", "measure", "--params", "PARAMS", "--samples", "20000",
                                 "--seed", "1"], 0),
     "bezout": (None, ["bezout", "--k", "3,5,7"], 0),
+    "report_quick": (None, ["report", "--quick"], 0),
 }
 
 
@@ -108,6 +109,8 @@ def cli_digests() -> dict[str, str]:
                 raise RuntimeError(f"{name}: exit code other than {code}")
             doc = json.loads(doc_path.read_text())
             doc.pop("timestamp")
+            for result in doc.get("results", []):
+                result.pop("runtime")
             doc["config"].pop("out")
             if "params" in doc["config"]:
                 doc["config"]["params"] = pathlib.Path(doc["config"]["params"]).name
