@@ -171,7 +171,7 @@ def cmd_sample(args) -> int:
 def cmd_check_generic(args) -> int:
     f, s = _load_potential_arg(args.potential)
     params = GenericityParams(n=f.n, s=s, delta=_finite("--delta", args.delta),
-                              beta=_finite("--beta", args.beta), K_max=args.kmax)
+                              beta=_finite("--beta", args.beta), K_max=_finite("--kmax", args.kmax))
     report = check_membership(f, params)
     doc = _report_skeleton(args)
     doc["report"] = report.to_dict()
@@ -314,7 +314,7 @@ def cmd_standardize(args) -> int:
     }
     doc["grids"] = {
         "q1": theta.tolist(),
-        "G_bar": [sf.G_bar.evaluate(t).real for t in theta],
+        "G_bar": sf.G_bar.evaluate(theta).tolist(),
         "G": g_grid[::GRID // 64].tolist(),
         "nu": sf._nu(0.0, p_o, phat0, theta).tolist(),
     }

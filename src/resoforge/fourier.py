@@ -27,8 +27,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-import numpy.fft  # numpy loads these lazily: at import here, not inside the first call
-import numpy.random
+import numpy.random  # numpy loads it lazily: at import here, not inside the first call
 
 Mode = tuple[int, ...]
 
@@ -78,6 +77,8 @@ def canonical_form(k: Iterable[int]) -> tuple[Mode, bool]:
 
 def iter_half_ball(n: int, K: float) -> Iterator[Mode]:
     """Yield all k in Z^n_* with |k|_1 <= K in lexicographic order."""
+    if n < 1:
+        raise ConfigError("dimension must be >= 1")
     kmax = int(math.floor(K))
 
     def rec(prefix: list[int], budget: int, started: bool) -> Iterator[Mode]:
@@ -101,8 +102,6 @@ def generators(n: int, K: float, min_order: int = 1) -> list[Mode]:
     Generators are the k in Z^n_* with gcd(k_1, ..., k_n) = 1; each indexes a
     maximal 1-D sublattice Z k and hence a simple resonance y.k = 0.
     """
-    if n < 1:
-        raise ConfigError("dimension must be >= 1")
     if not K >= 1:
         raise ConfigError("cutoff K must be >= 1")
     out = []
@@ -226,13 +225,20 @@ class TrigPoly:
         return max((l1(k) for k in self.coeffs), default=0)
 
     def evaluate(self, x) -> complex:
-        """Value of the stored (truncated) mode sum at real or complex x."""
+        """Value of the stored (truncated) mode sum at real or complex x: a loop of its own,
+        as verify_conjugacy's ham.value shares no code with nf_value's series kernel."""
         x = np.asarray(x, dtype=complex)
         val = 0.0 + 0.0j
         for k, c in self.coeffs.items():
             phase = 1j * complex(np.dot(k, x))
             val += c * np.exp(phase) + np.conj(c) * np.exp(-phase)
         return complex(val)
+
+
+def trig_values(C: np.ndarray, js: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """2 Re sum_j C[r, j] e^{ijt} for every row r of C and every t: (len(t), rows);
+    the package's one evaluator of one-angle trig polynomials."""
+    return 2.0 * (np.exp(1j * np.outer(t, js)) @ C.T).real
 
 
 @dataclass(frozen=True)
@@ -260,35 +266,16 @@ class OneDTrigPoly:
         """amplitude * cos(theta + shift)."""
         return cls({1: 0.5 * amplitude * np.exp(1j * shift)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def evaluate(self, theta) -> np.ndarray:
+        """Real values at real angles theta of any shape, through trig_values at one angle
+        more: BLAS rounds one angle's dot product otherwise than two angles' matrix product."""
+        theta, js = np.asarray(theta, dtype=float), np.array(list(self.coeffs), dtype=float)
+        C = np.array([list(self.coeffs.values())], dtype=complex)
+        return trig_values(C, js, np.append(theta, 0.0))[:-1, 0].reshape(theta.shape)[()]
 
-    def evaluate(self, theta) -> complex:
-        theta = complex(theta)
-        val = 0.0 + 0.0j
-        for j, c in self.coeffs.items():
-            val += c * np.exp(1j * j * theta) + np.conj(c) * np.exp(-1j * j * theta)
-        return complex(val)
-
-    def values_on_grid(self, m: int, order: int = 0) -> np.ndarray:
-        """Real values of the order-th derivative on the grid theta_t = 2 pi t / m.
-
-        One unnormalized inverse real FFT of the half spectrum X (length
-        m//2 + 1) built from c_j (ij)^order.  On the grid e^{ij theta_t}
-        depends only on r = j mod m, so every mode folds into X by aliasing:
-        c goes to X[r] when 0 < r < m/2, conj(c) to X[m - r] when r > m/2, and
-        2 Re c to the real bins r = 0 and r = m/2.  The rounding error is of
-        order eps * log2(m) * sum_j j^order |c_j|.
-        """
-        js = np.fromiter(self.coeffs, dtype=np.int64, count=len(self.coeffs))
-        cs = np.fromiter(self.coeffs.values(), dtype=complex, count=len(js)) * (1j * js) ** order
-        r = js % m
-        low = r < m - r
-        vals = np.where((r == 0) | (2 * r == m), 2.0 * cs.real, np.where(low, cs, np.conj(cs)))
-        X = np.zeros(m // 2 + 1, dtype=complex)
-        np.add.at(X, np.where(low, r, m - r), vals)
-        return np.fft.irfft(X, n=m, norm="forward")
+    def values_on_grid(self, m: int) -> np.ndarray:
+        """Real values on the grid theta_t = 2 pi t / m, t = 0..m-1."""
+        return self.evaluate(np.arange(m) * (TWO_PI / m))
 
     def shifted(self, shift: float) -> "OneDTrigPoly":
         """theta -> value at theta + shift."""

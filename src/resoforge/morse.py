@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import ConfigError, Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1
+from .fourier import ConfigError, Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1, trig_values
 
 COSINE_LIKE_THRESHOLD = 2.0 ** -40  # gamma below it: two critical points and beta >= |f_k|
 _HALF_PI = 0.5 * math.pi
@@ -65,11 +65,6 @@ class CosineCertificate:
     gamma: float
 
 
-def _values(C: np.ndarray, js: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """2 Re sum_j C[r, j] e^{ijt} for every row r of C and every t: (len(t), rows)."""
-    return 2.0 * (np.exp(1j * np.outer(t, js)) @ C.T).real
-
-
 def _polish(coef: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
     """The zero of P_b = 2 Re sum_j coef[b, j] e^{ijt} in [lo_b, hi_b] (end values
@@ -78,6 +73,7 @@ def _polish(coef: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     the Newton step if it has no real root), or bisects if it would leave the
     bracket or fails to halve the step before last (rtsafe, Numerical Recipes
     9.4).  Done at |P_b(t)| <= 4 eps sum_j |coef[b, j]| or a step below 1 ulp.
+    Each P_b is taken at its own t_b alone; trig_values takes every row at every t.
     """
     t = lo + (hi - lo) * v_lo / (v_lo - v_hi)
     ijs = 1j * js
@@ -122,7 +118,8 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _MARGIN of the end of a certified cell.  Other cells split, for _LEVELS
     levels up to degree 4 and 40 above, where the exact path costs more;
     those of a row left after that, or once they outnumber 8 (d + 1), go to
-    _exact_zeros.
+    _exact_zeros.  A cell's row is taken at its midpoint alone, not through
+    trig_values, which would take N rows at N cells; these bits fix the census.
     """
     # a power of two per row: exact, and keeps the bounds clear of underflow
     d, e = int(js.max()), -np.frexp(np.abs(C).max(axis=1))[1][:, None]
@@ -358,7 +355,7 @@ def critical_points_many(Fs) -> list[MorseReport | None]:
         of, kind = np.divmod(of, 4)
         bounds = np.searchsorted(of, np.arange(len(ats) + 1))
         for p, (at, a, b) in enumerate(zip(ats, bounds, bounds[1:])):
-            v, kp = _values(rows[p, :3], js, t[a:b]), kind[a:b]
+            v, kp = trig_values(rows[p, :3], js, t[a:b]), kind[a:b]
             pts, vals = t[a:b][kp == 0], v[kp == 0, 0]
             gph = float(np.abs(v[:, 1:]).sum(axis=1).min())
             gap = float(np.diff(np.sort(vals)).min(initial=math.inf))
@@ -371,7 +368,8 @@ def critical_points_many(Fs) -> list[MorseReport | None]:
 def c2_distances_to_cosine(Fs, theta0s) -> list[float]:
     """For each F and theta0, max over k = 0..2 of sup_T |delta^(k)|, delta =
     F - cos(theta + theta0), each taken at the zeros of delta^(k+1): one
-    _zeros call per group of deltas with the same modes in the same order."""
+    _zeros call per group of deltas with the same modes in the same order, and
+    each row taken at its own zeros alone (trig_values takes every row at every t)."""
     deltas = [F.plus(OneDTrigPoly.from_cosine(-1.0, theta0)) for F, theta0 in zip(Fs, theta0s)]
     out = [0.0] * len(deltas)
     for ats, js, rows in _groups(deltas):

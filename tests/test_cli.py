@@ -349,6 +349,8 @@ class TestConfigErrors:
           for args, option in ((["--delta", "1", "--beta", "nan"], "--beta"),
                                (["--delta", "1", "--beta", "inf"], "--beta"),
                                (["--delta", "nan", "--beta", "0.1"], "--delta"))],
+        *[(["check-generic", "--potential", "lacunary:n=2,s=4.0,kmax=20", "--delta", "1",
+            "--beta", "0.1", "--kmax", kmax], "--kmax") for kmax in ("inf", "nan")],
     ], ids=["out_dir_missing", "y_length", "resonant_k_zero", "resonant_k_length",
             "resonant_k_not_generator", "resonant_k_negative", "base_point_length",
             "normalize_order_zero", "normalize_degree_one", "order_zero", "y0_length", "k_zero",
@@ -360,7 +362,7 @@ class TestConfigErrors:
             *BAD_PARAMS, "two_mode_s_inf", "lacunary_kmax_inf", "random_s_nan",
             "normalize_eps_nan", "preset_eps_inf", "alpha_nan", "sample_s_nan",
             "sample_kmax_inf", "check_generic_beta_nan", "check_generic_beta_inf",
-            "check_generic_delta_nan"])
+            "check_generic_delta_nan", "check_generic_kmax_inf", "check_generic_kmax_nan"])
     def test_one_error_line(self, argv, option, free_params_file, tmp_path, capsys):
         params3 = tmp_path / "params3.json"
         params3.write_text(json.dumps(
@@ -390,12 +392,15 @@ class TestLibraryConfigErrors:
         (["cover", "classify", "--y", "0.9,0.9", "--params", "PARAMS"], "outside unit ball"),
         (["check-generic", "--potential", "lacunary:n=2,s=4.0,kmax=20", "--delta", "1",
           "--beta=-1"], "beta must be finite and nonnegative, got -1.0"),
+        *[(["sample", "--n", n, "--out", "MISSING.json"], "dimension must be >= 1") for n in ("0", "-1")],
     ], ids=["delta_above_one", "too_few_samples", "preset_eps_zero", "alpha_negative",
-            "outside_ball", "check_generic_beta_negative"])
-    def test_message_is_the_error_line(self, argv, message, free_params_file, capsys):
-        argv = [free_params_file if a == "PARAMS" else a for a in argv]
+            "outside_ball", "check_generic_beta_negative", "sample_n_zero", "sample_n_negative"])
+    def test_message_is_the_error_line(self, argv, message, free_params_file, tmp_path, capsys):
+        argv = [free_params_file if a == "PARAMS" else a.replace("MISSING", str(tmp_path / "no"))
+                for a in argv]
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("no*"))
 
     def test_internal_value_error_propagates(self, monkeypatch):
         # a bug in a command is neither a configuration error nor a failed hypothesis

@@ -119,7 +119,7 @@ class TestProjection:
 
     def test_no_modes_on_ray(self):
         f = TrigPoly(2, {(1, 0): 1.0})
-        assert project_lattice(f, (0, 1)).is_zero
+        assert not project_lattice(f, (0, 1)).coeffs
 
     def test_direct_reindexing(self):
         a, b = 0.3 + 0.1j, -0.2 + 0.05j
@@ -225,7 +225,7 @@ class TestLatticeProjections:
     def test_empty_support(self):
         f = TrigPoly(2, {})
         gens = generators(2, 3)
-        assert all(F.is_zero for F in lattice_projections(f, gens))
+        assert all(not F.coeffs for F in lattice_projections(f, gens))
         self.assert_matches_reference(f, gens)
         assert lattice_projections(f, []) == []
 
@@ -263,17 +263,47 @@ class TestLatticeProjections:
 
 
 class TestEvaluate:
+    # m off-grid angles, a few of them far outside [0, 2 pi)
+    ANGLES = np.random.default_rng(11).uniform(-40.0, 40.0, 6)
+
+    @staticmethod
+    def direct_sum(F, theta):
+        """2 Re sum_j c_j e^{ij theta}, one angle and one mode at a time."""
+        return sum(2.0 * (c * complex(math.cos(j * theta), math.sin(j * theta))).real
+                   for j, c in F.coeffs.items())
+
     def test_cosine_at_zero(self):
         F = OneDTrigPoly.from_cosine(2.0)
         assert F.evaluate(0.0) == pytest.approx(2.0)
 
-    def test_cosine_at_i(self):
-        F = OneDTrigPoly.from_cosine(2.0)
-        assert F.evaluate(1j).real == pytest.approx(2 * math.cosh(1.0), rel=1e-14)
-
     def test_zero_everywhere(self):
         assert OneDTrigPoly({}).evaluate(1.234) == 0.0
         assert TrigPoly(2, {}).evaluate([0.3, 1.0]) == 0.0
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    def test_empty_polynomial_gives_zeros(self, shape):
+        got = OneDTrigPoly({}).evaluate(self.ANGLES[:math.prod(shape)].reshape(shape))
+        assert np.shape(got) == shape and not np.any(got)
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+    @pytest.mark.parametrize("degree", [1, 4, 17])
+    def test_off_grid_angles_match_direct_sum(self, degree, shape):
+        F = TestValuesOnGrid.poly(degree, seed=degree)
+        theta = self.ANGLES[:math.prod(shape)].reshape(shape)
+        got = F.evaluate(theta)
+        assert np.shape(got) == shape and np.asarray(got).dtype == float
+        want = np.vectorize(lambda t: self.direct_sum(F, t))(theta)
+        scale = sum(abs(c) for c in F.coeffs.values())
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("degree", [1, 2, 5, 17])
+    def test_array_call_has_the_bytes_of_scalar_calls(self, degree):
+        F = TestValuesOnGrid.poly(degree, seed=100 + degree)
+        theta = np.r_[self.ANGLES, np.arange(64) * (2 * math.pi / 64)]
+        scalars = np.array([F.evaluate(t) for t in theta])
+        assert F.evaluate(theta).tobytes() == scalars.tobytes()
+        assert F.evaluate(theta.reshape(2, -1)).tobytes() == scalars.tobytes()
+        assert F.evaluate(theta[:1]).tobytes() == scalars[:1].tobytes()
 
     def test_reality_on_real_points(self):
         rng = np.random.default_rng(5)
@@ -293,8 +323,13 @@ def reference_values_on_grid(F, m, order=0):
     return 2.0 * np.real(cs @ np.exp(1j * np.outer(js, theta)))
 
 
+def derivative(F, order):
+    """F^(order): the coefficients c_j (ij)^order."""
+    return OneDTrigPoly({j: (1j * j) ** order * c for j, c in F.coeffs.items()})
+
+
 class TestValuesOnGrid:
-    # (m, degree): 2*degree >= m folds modes into r = 0, r = m/2 and r > m/2
+    # (m, degree): 2*degree >= m puts modes at j = 0 and j = m/2 mod m
     CASES = [(1, 3), (2, 3), (7, 9), (8, 9), (16, 20), (17, 20), (64, 5), (1 << 14, 12)]
 
     @staticmethod
@@ -306,33 +341,38 @@ class TestValuesOnGrid:
     @pytest.mark.parametrize("order", range(4))
     @pytest.mark.parametrize("m,degree", CASES)
     def test_matches_direct_sum(self, m, degree, order):
+        # the order-th derivative's coefficients, as the Morse census evaluates them
         F = self.poly(degree, seed=m * 100 + degree)
         scale = sum(j ** order * abs(c) for j, c in F.coeffs.items())
-        got = F.values_on_grid(m, order)
+        got = derivative(F, order).values_on_grid(m)
         assert got.shape == (m,)
         np.testing.assert_allclose(got, reference_values_on_grid(F, m, order),
                                    rtol=0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("m", [7, 8])
     def test_single_aliased_modes(self, m):
-        # j = m lands on r = 0, m/2 on the Nyquist bin when m is even,
-        # m - 1 on r > m/2, and 2m + 3 wraps twice onto r = 3
+        # j = m is 1 on the grid, m/2 alternates in sign when m is even,
+        # and m - 1 and 2m + 3 alias onto r = m - 1 and r = 3
         for j in (m, m // 2, m - 1, 2 * m + 3):
             F = OneDTrigPoly({j: 0.3 - 0.7j})
-            for order in range(4):
-                np.testing.assert_allclose(F.values_on_grid(m, order),
-                                           reference_values_on_grid(F, m, order),
-                                           rtol=0, atol=1e-13 * j ** order)
+            np.testing.assert_allclose(F.values_on_grid(m), reference_values_on_grid(F, m),
+                                       rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("m", [1, 7, 8])
     def test_empty_polynomial(self, m):
-        for order in range(4):
-            got = OneDTrigPoly({}).values_on_grid(m, order)
-            assert got.shape == (m,) and not got.any()
+        got = OneDTrigPoly({}).values_on_grid(m)
+        assert got.shape == (m,) and not got.any()
+
+    @pytest.mark.parametrize("m,degree", CASES)
+    def test_has_the_bytes_of_evaluate_on_the_grid(self, m, degree):
+        F = self.poly(degree, seed=m * 100 + degree)
+        grid = np.arange(m) * (2 * math.pi / m)
+        assert F.values_on_grid(m).tobytes() == F.evaluate(grid).tobytes()
 
 
 def per_order_values_on_grid(F, m, order=0):
-    """The single-order grid as one backward-normalized irfft scaled by m."""
+    """The single-order grid as one backward-normalized irfft scaled by m: an
+    FFT oracle for the reference census of tests/test_morse.py."""
     js = np.fromiter(F.coeffs, dtype=np.int64, count=len(F.coeffs))
     cs = np.fromiter(F.coeffs.values(), dtype=complex, count=len(js))
     cs = cs * (1j * js) ** order
@@ -343,24 +383,6 @@ def per_order_values_on_grid(F, m, order=0):
     X = np.zeros(m // 2 + 1, dtype=complex)
     np.add.at(X, np.where(low, r, m - r), vals)
     return m * np.fft.irfft(X, n=m)
-
-
-class TestMultiOrderGrid:
-    """values_on_grid takes each order from one unnormalized irfft.  For m a
-    power of two, 1/m is exact, so it has the bytes of the per-order
-    m * irfft."""
-
-    @pytest.mark.parametrize("orders", [(0, 1, 2), (1, 2), (2, 0), (3,)])
-    @pytest.mark.parametrize("m", [1, 2, 8, 16, 64, 512, 4096, 1 << 14])
-    def test_rows_have_the_bytes_of_the_per_order_path(self, m, orders):
-        rng = np.random.default_rng(m)
-        for degree in (1, 5, 22, 3 * min(m, 64) + 1):
-            for scale in (1.0, 1e-25, 1e3):
-                js = rng.permutation(np.arange(1, degree + 1))[:max(1, degree // 2)]
-                F = OneDTrigPoly({int(j): scale * complex(rng.normal(), rng.normal()) for j in js})
-                for order in orders:
-                    want = per_order_values_on_grid(F, m, order)
-                    assert F.values_on_grid(m, order).tobytes() == want.tobytes()
 
 
 class TestJson:

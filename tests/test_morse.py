@@ -12,6 +12,7 @@ from resoforge.fourier import (
     lacunary_potential,
     lattice_projections,
     project_lattice,
+    trig_values,
 )
 from resoforge import morse
 from resoforge.genericity import sample_product_measure, threshold_N
@@ -21,7 +22,6 @@ from resoforge.morse import (
     _polish,
     _roots01 as roots01,
     _squarefree as squarefree,
-    _values,
     c2_distances_to_cosine,
     cosine_certificate,
     critical_points,
@@ -40,7 +40,7 @@ def derivative(F, order):
 
 def critical_values(F, rep):
     """F at the census's critical points, in their order."""
-    return np.array([F.evaluate(t).real for t in rep.critical_points])
+    return F.evaluate(rep.critical_points)
 
 
 def alternates(F, rep):
@@ -60,7 +60,7 @@ def count_bound(F, rep):
 
 def brute_force_critical_count(F, m=1 << 16):
     """Independent oracle: sign changes of F' on a fine grid, evaluated by
-    direct summation so it shares no code with the FFT grids of the census."""
+    direct summation so it shares no code with the census's trig_values."""
     vals = reference_values_on_grid(F, m, order=1)
     return int(np.count_nonzero(vals * np.roll(vals, -1) < 0) +
                np.count_nonzero(vals == 0.0))
@@ -248,7 +248,7 @@ def reference_critical_points(F):
     cells = np.flatnonzero((f1 * f1_next <= 0)
                            | (np.minimum(gph, np.roll(gph, -1)) <= gph_min + lip2 + lip3)
                            | (np.maximum(a2, np.roll(a2, -1)) >= np.max(a2) - lip3))
-    d2, d3 = _values(rows[2:], js, np.r_[cells, cells + 1] * h).T
+    d2, d3 = trig_values(rows[2:], js, np.r_[cells, cells + 1] * h).T
     v_lo = np.stack([f1[cells], d2[:len(cells)], (d2 + d3)[:len(cells)],
                      (d2 - d3)[:len(cells)], d3[:len(cells)]])
     v_hi = np.stack([f1_next[cells], d2[len(cells):], (d2 + d3)[len(cells):],
@@ -261,7 +261,7 @@ def reference_critical_points(F):
     hi = v_hi[row, k]
     lo = np.where(on_node, -hi, v_lo[row, k])
     t = _polish(C[row], js, (cells[k] - on_node) * h, (cells[k] + 1) * h, lo, hi) % TWO_PI
-    at = _values(rows[:3], js, t)
+    at = trig_values(rows[:3], js, t)
     crit = np.flatnonzero(row == 0)[np.argsort(t[row == 0])]
     pts, vals = t[crit], at[crit, 0]
     kinks = np.abs(at[row <= 3, 1:]).sum(axis=1)
@@ -272,7 +272,7 @@ def reference_critical_points(F):
         z, g, i = z[pair], g[pair], i[pair]
         tz = _polish(np.broadcast_to(c2, (2 * len(z), len(js))), js, np.r_[i * h, z],
                      np.r_[z, (i + 1) * h], np.r_[f2[i], g], np.r_[g, f2[(i + 1) % m]])
-        kinks = np.r_[kinks, np.abs(_values(rows[1:3], js, tz)).sum(axis=1)]
+        kinks = np.r_[kinks, np.abs(trig_values(rows[1:3], js, tz)).sum(axis=1)]
     min_gph = min(gph_min, float(np.min(kinks, initial=math.inf)))
     min_gap = float(np.min(np.diff(np.sort(vals)), initial=math.inf))
     value_scale = float(np.max(np.abs(vals), initial=0.0))

@@ -935,7 +935,7 @@ def reference_verify_standard(sf, phat_samples):
     put("R_over_r_band", rr, [1.0, ch.kappa], 1.0 <= rr <= ch.kappa,
         margin=min(rr - 1.0, ch.kappa - rr))
     put("eps_hat_le_r2_216", ch.eps_hat, ch.r ** 2 / 2 ** 16, ch.eps_hat <= ch.r ** 2 / 2 ** 16)
-    if not sf.G_bar.is_zero:
+    if sf.G_bar.coeffs:
         rep = critical_points(sf.G_bar)
         put("gbar_morse_ge_m", ch.m, rep.beta, rep.beta >= ch.m * (1 - 1e-9))
         flags["gbar_morse_computed"] = {"value": rep.beta, "bound": ch.m,
