@@ -226,7 +226,7 @@ class TrigPoly:
 
     def evaluate(self, x) -> complex:
         """Value of the stored (truncated) mode sum at real or complex x: a loop of its own,
-        as verify_conjugacy's ham.value shares no code with nf_value's series kernel."""
+        so that verify_conjugacy's ham.value shares no code with nf_value's series kernel."""
         x = np.asarray(x, dtype=complex)
         val = 0.0 + 0.0j
         for k, c in self.coeffs.items():
@@ -268,7 +268,7 @@ class OneDTrigPoly:
 
     def evaluate(self, theta) -> np.ndarray:
         """Real values at real angles theta of any shape, through trig_values at one angle
-        more: BLAS rounds one angle's dot product otherwise than two angles' matrix product."""
+        more: BLAS rounds one angle's dot product otherwise than a product of two or more."""
         theta, js = np.asarray(theta, dtype=float), np.array(list(self.coeffs), dtype=float)
         C = np.array([list(self.coeffs.values())], dtype=complex)
         return trig_values(C, js, np.append(theta, 0.0))[:-1, 0].reshape(theta.shape)[()]

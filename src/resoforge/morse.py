@@ -73,7 +73,7 @@ def _polish(coef: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     the Newton step if it has no real root), or bisects if it would leave the
     bracket or fails to halve the step before last (rtsafe, Numerical Recipes
     9.4).  Done at |P_b(t)| <= 4 eps sum_j |coef[b, j]| or a step below 1 ulp.
-    Each P_b is taken at its own t_b alone; trig_values takes every row at every t.
+    Each P_b is taken at its own t_b alone: trig_values, every row at every t, costs N^2.
     """
     t = lo + (hi - lo) * v_lo / (v_lo - v_hi)
     ijs = 1j * js
@@ -118,8 +118,8 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _MARGIN of the end of a certified cell.  Other cells split, for _LEVELS
     levels up to degree 4 and 40 above, where the exact path costs more;
     those of a row left after that, or once they outnumber 8 (d + 1), go to
-    _exact_zeros.  A cell's row is taken at its midpoint alone, not through
-    trig_values, which would take N rows at N cells; these bits fix the census.
+    _exact_zeros.  A cell's row is taken at its midpoint alone: trig_values,
+    every row at every cell, costs N^2; and these bits fix the census.
     """
     # a power of two per row: exact, and keeps the bounds clear of underflow
     d, e = int(js.max()), -np.frexp(np.abs(C).max(axis=1))[1][:, None]
@@ -369,7 +369,7 @@ def c2_distances_to_cosine(Fs, theta0s) -> list[float]:
     """For each F and theta0, max over k = 0..2 of sup_T |delta^(k)|, delta =
     F - cos(theta + theta0), each taken at the zeros of delta^(k+1): one
     _zeros call per group of deltas with the same modes in the same order, and
-    each row taken at its own zeros alone (trig_values takes every row at every t)."""
+    each row taken at its own zeros alone: trig_values, every row at every t, costs N^2."""
     deltas = [F.plus(OneDTrigPoly.from_cosine(-1.0, theta0)) for F, theta0 in zip(Fs, theta0s)]
     out = [0.0] * len(deltas)
     for ats, js, rows in _groups(deltas):

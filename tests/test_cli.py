@@ -392,7 +392,8 @@ class TestLibraryConfigErrors:
         (["cover", "classify", "--y", "0.9,0.9", "--params", "PARAMS"], "outside unit ball"),
         (["check-generic", "--potential", "lacunary:n=2,s=4.0,kmax=20", "--delta", "1",
           "--beta=-1"], "beta must be finite and nonnegative, got -1.0"),
-        *[(["sample", "--n", n, "--out", "MISSING.json"], "dimension must be >= 1") for n in ("0", "-1")],
+        *[(["sample", "--n", n, "--out", "MISSING.json"], "dimension must be >= 1")
+          for n in ("0", "-1")],
     ], ids=["delta_above_one", "too_few_samples", "preset_eps_zero", "alpha_negative",
             "outside_ball", "check_generic_beta_negative", "sample_n_zero", "sample_n_negative"])
     def test_message_is_the_error_line(self, argv, message, free_params_file, tmp_path, capsys):
