@@ -359,7 +359,9 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
     Doubling the whole symmetric block, or dp/dq1, stays symplectic by
     construction, so neither is a witness here.  composite_relative checks
     only the chain rule: Phi1's O(1) entries set its spread, so that Phi2
-    fault, at 3.2e-7 in phi2_relative, moves it only to 5.0e-13."""
+    fault, at 3.2e-7 in phi2_relative, moves it only to 5.0e-13.  Every map
+    call, the group law's too, reads one PointJet of the points: one grid
+    and one point solve at any number of points."""
     um = complete_to_sl((2, 3))
     dm = decoupling_matrix(um)
     exact = symplectic_residual_exact(dm)
@@ -373,9 +375,10 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
         rng.uniform(0, TWO_PI, 3),
     ]) for _ in range(points)])
     details = {"phi1_rational_residual": str(exact)}
+    jet = sf.fp.point_jet(pts)
     for name, transform in (("phi2", sf.phi2), ("phi3", sf.phi3),
                             ("composite", sf.phi_diamond())):
-        J = transform.jacobian(pts)
+        J = transform.jacobian(pts, jet)
         details[name] = symplectic_defect(J)
         # relative companion of the absolute gate: Phi2 and Phi3 are within
         # ~1e-7 of the identity, where the absolute defect says little
@@ -383,7 +386,7 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
         details[name + "_relative"] = details[name] / spread if spread > 0 else 0.0
 
     a = sf.phi3
-    details["group_law"] = float(np.max(np.abs(a.inverse().apply(a.apply(pts)) - pts)))
+    details["group_law"] = float(np.max(np.abs(a.inverse().apply(a.apply(pts, jet), jet) - pts)))
     ok = (phi1_exact_zero and details["group_law"] <= 1e-12
           and all(details[name] <= 1e-9 and details[name + "_relative"] <= 1e-9
                   for name in ("phi2", "phi3", "composite")))

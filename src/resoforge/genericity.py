@@ -103,8 +103,8 @@ def check_lower_bound(f: TrigPoly, params: GenericityParams) -> tuple[list[Failu
     margin is the minimum over checked k of |f_k|/(delta |k|_1^{-n} e^{-|k|_1 s}) - 1.
     Boundary equality passes.
     """
-    if params.K_max < params.N:
-        raise ConfigError("cutoff below threshold")
+    if params.K_max < math.ceil(params.N):  # orders are integers: an empty window has no margin
+        raise ConfigError("cutoff below threshold: no order |k|_1 in the window [N, K_max]")
     failures: list[Failure] = []
     worst = math.inf
     count = 0

@@ -33,13 +33,15 @@ derivatives are closed-form.  `PolyTrig1.at(phat, q1)` binds a phat, or a
 stack of them, with a q1 grid or points, and gives any derivative at an
 array of Y1 in one pass over the terms, so the fixed point is solved on the
 whole grid of every phat at once (each entry stops on its own step, exactly
-as the pointwise iteration would).  `FixedPointSolution.jet` solves once and
-differentiates p + 0.5 d_{Y1} Gf(p) = 0 implicitly on the same evaluator, so
-the Jacobians of Phi2 and Phi3 are exact.  A map takes points z of shape
+as the pointwise iteration would).  `_step` states the equation and
+`_implicit` its derivatives, once each: `FixedPointSolution.jet` solves once
+and differentiates p + 0.5 d_{Y1} Gf(p) = 0 on the same evaluator, so the
+Jacobians of Phi2 and Phi3 are exact.  A map takes points z of shape
 L + (2n,), one point being L = (), gives L + (2n,) or, as a Jacobian,
-L + (2n, 2n), and reads one stacked solve on the q1 grid and at most one at
-the points' q1; `verify_standard` and the reduction identity read all their
-samples the same way.
+L + (2n, 2n), and reads the PointJet it is passed (one grid and one point
+solve, made once for every map call at z) or solves its own;
+`verify_standard` and the reduction identity read all their samples the
+same way.
 
 Config note: the fully certified asymptotic regime additionally requires the
 inner cutoff K0 to exceed a dimensional gate (at least c2, plus an inexplicit
@@ -81,13 +83,6 @@ def _theta_for(phat) -> np.ndarray:
 # the decoupled potential and its evaluator bound to one (phat, q1)
 # --------------------------------------------------------------------------
 
-def _distinct(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values and the position of each value among them."""
-    distinct = sorted(set(values))
-    return (np.array(distinct, dtype=float),
-            np.array([distinct.index(v) for v in values], dtype=int))
-
-
 @dataclass
 class PolyTrig1:
     """The decoupled potential Gf(Y1, phat, q1): the real function
@@ -113,8 +108,8 @@ class PolyTrig1:
         self._m = np.array([m for _, m, _ in keys], dtype=float).reshape(count, self.n_hat)
         self._j = np.array([j for _, _, j in keys], dtype=float)
         # trig and Y1 powers are evaluated once per distinct j and d
-        self._ju, self._jinv = _distinct([j for _, _, j in keys])
-        self._du, self._dinv = _distinct([d for d, _, _ in keys])
+        self._ju, self._jinv = np.unique(self._j, return_inverse=True)
+        self._du, self._dinv = np.unique(self._d, return_inverse=True)
         self._a, self._b = np.array([self.terms[key] for key in keys],
                                     dtype=float).reshape(count, 2).T
 
@@ -270,24 +265,10 @@ class Characteristics:
     N: float
 
     def to_dict(self) -> dict:
-        return {
-            "k": list(self.k),
-            "R": self.R,
-            "r": self.r,
-            "sigma": self.sigma,
-            "m": self.m,
-            "eps_hat": self.eps_hat,
-            "lambda": self.lam,
-            "kappa": self.kappa,
-            "eps_k": self.eps_k,
-            "chi_k": self.chi_k,
-            "s_breve": self.s_breve,
-            "branch": self.branch,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c_s": self.c_s,
-            "N": self.N,
-        }
+        return {"k": list(self.k), "R": self.R, "r": self.r, "sigma": self.sigma, "m": self.m,
+                "eps_hat": self.eps_hat, "lambda": self.lam, "kappa": self.kappa,
+                "eps_k": self.eps_k, "chi_k": self.chi_k, "s_breve": self.s_breve,
+                "branch": self.branch, "c1": self.c1, "c2": self.c2, "c_s": self.c_s, "N": self.N}
 
 
 def characteristics(
@@ -468,17 +449,46 @@ def _antiderivative_at(values: np.ndarray, x):
     return 2.0 * np.real(np.sum(terms, axis=-1))
 
 
+def _step(ev: BoundPotential, u):
+    """u <- -0.5 d_{Y1} Gf(u), one step of the fixed-point equation of p."""
+    return -0.5 * ev(u, 1)
+
+
+def _implicit(D, rhs):
+    """x with D x = -0.5 rhs, D = 1 + 0.5 G_YY of shape L and rhs L + K: the
+    solve of every derivative of p + 0.5 d_{Y1} Gf(p) = 0."""
+    return -0.5 * rhs / D[(...,) + (None,) * (rhs.ndim - D.ndim)]
+
+
+class PointJet:
+    """The one grid and one point solve that the reduction maps read at points
+    z of shape L + (2n,): `grid` is the jet (p, dp/dphat, d2p/dphat2, None) on
+    each phat's q1 grid, `shear` its angle average (the tau of Phi3), `point`
+    the jet (p, dp/dphat, None, dp/dq1) at z's q1.  Phi2 and Phi3 leave phat
+    and q1 alone, so one jet serves a composition of them; `at(z)` refuses
+    points whose phat or q1, z[..., 1:n + 1], differ from its `key`."""
+
+    def __init__(self, key: np.ndarray, grid: tuple, shear: tuple, point: tuple):
+        self.key, self.grid, self.shear, self.point = key, grid, shear, point
+
+    def at(self, z) -> "PointJet":
+        if not np.array_equal(z[..., 1:self.key.shape[-1] + 1], self.key, equal_nan=True):
+            raise ConfigError("a jet was read at other phat or q1 than it was solved at")
+        return self
+
+
 @dataclass
 class FixedPointSolution:
     """Solution p(phat, q1) of p = -0.5 d_{Y1} Gf(p, phat, q1).
 
-    `jet` solves once, on a stack of phat and q1 (see BoundPotential), and gives p with
-    its exact phat derivatives up to the requested order.  On the q1 grid the jet
-    gives everything else: the angle average p_o and its derivatives
-    (`shear`, the tau of Phi3), ptilde = p - p_o, and through the periodic
-    primitive phi of ptilde the map q_hat = -d_phat phi of Phi2.  Nothing is
-    cached, so each call solves afresh on the points it is given.  The
-    empirical contraction factor must stay below 1/8 (+ roundoff) whenever the
+    `jet` solves once, on a stack of phat and q1 (see BoundPotential), and
+    gives p with its exact derivatives.  On the q1 grid the jet gives
+    everything else: the angle average p_o and its derivatives (`shear`, the
+    tau of Phi3), ptilde = p - p_o, and through the periodic primitive phi of
+    ptilde the map q_hat = -d_phat phi of Phi2.  Nothing is cached: each
+    call solves on the points it is given, and `point_jet` is the one solve
+    of each kind that every map reads at a stack of points.  The empirical
+    contraction factor must stay below 1/8 (+ roundoff) whenever the
     smallness hypothesis holds.
     """
 
@@ -491,14 +501,13 @@ class FixedPointSolution:
     base_phat: np.ndarray = None
 
     def solve_at(self, ev: BoundPotential):
-        """Iterate u <- -0.5 d_{Y1} Gf(u) from u = 0 on every entry of the
-        evaluator's q1 at once; each entry freezes at the first iterate whose
-        own step is below FIXED_POINT_TOL, so it equals the scalar iteration
-        at that q1."""
+        """Iterate `_step` from u = 0 on every entry of the evaluator's q1 at
+        once; each entry freezes at the first iterate whose own step is
+        below FIXED_POINT_TOL, so it equals the scalar iteration at that q1."""
         u = np.zeros(ev.shape)
         live = np.ones(ev.shape, dtype=bool)
         for _ in range(200):
-            nxt = -0.5 * ev(u, 1)
+            nxt = _step(ev, u)
             moving = ~(np.abs(nxt - u) < FIXED_POINT_TOL)
             u = np.where(live, nxt, u)
             live &= moving
@@ -506,31 +515,38 @@ class FixedPointSolution:
                 return u[()]
         raise HypothesisError("pointwise fixed-point iteration stalled")
 
-    def jet(self, phat, q1, order: int):
-        """(p, dp/dphat, d2p/dphat2) at q1 from one solve and its evaluator;
-        entries above `order` are None.  Differentiating
-        p + 0.5 d_{Y1} Gf(p) = 0 gives D p_i = -0.5 G_{Y i} with
-        D = 1 + 0.5 G_YY, and once more
+    def jet(self, phat, q1, order: int, dq1: bool = False):
+        """(p, dp/dphat, d2p/dphat2, dp/dq1) at q1 from one solve and its
+        evaluator; phat derivatives above `order`, and dp/dq1 unless dq1, are
+        None.  Differentiating p + 0.5 d_{Y1} Gf(p) = 0 gives D p_i = -0.5 G_{Y i}
+        and D p_q = -0.5 G_{Y q} with D = 1 + 0.5 G_YY, and once more
         D p_ij = -0.5 (G_YYY p_i p_j + G_{YY i} p_j + G_{YY j} p_i + G_{Y ij})."""
         ev = self.form.Gf.at(phat, q1)
         p = self.solve_at(ev)
-        if order < 1:
-            return p, None, None
-        denom = np.asarray(1.0 + 0.5 * ev(p, 2))
-        pi = -0.5 * ev(p, 1, 1) / denom[..., None]
-        if order < 2:
-            return p, pi, None
-        cross = ev(p, 2, 1)[..., :, None] * pi[..., None, :]
-        total = (ev(p, 3)[..., None, None] * pi[..., :, None] * pi[..., None, :]
-                 + cross + np.swapaxes(cross, -1, -2) + ev(p, 1, 2))
-        return p, pi, -0.5 * total / denom[..., None, None]
+        D = np.asarray(1.0 + 0.5 * ev(p, 2)) if order or dq1 else None
+        pi = _implicit(D, ev(p, 1, 1)) if order else None
+        pij = None
+        if order >= 2:
+            cross = ev(p, 2, 1)[..., :, None] * pi[..., None, :]
+            pij = _implicit(D, ev(p, 3)[..., None, None] * pi[..., :, None] * pi[..., None, :]
+                            + cross + np.swapaxes(cross, -1, -2) + ev(p, 1, 2))
+        return p, pi, pij, _implicit(D, ev(p, 1, dq=1)) if dq1 else None
 
-    def shear(self, phat, order: int):
+    def shear(self, phat, order: int, grid=None):
         """(p_o, d p_o/dphat, d2 p_o/dphat2), the angle average of p and its
-        derivatives at phat of shape L + (n_hat,); entries above `order` are None."""
-        p, pi, pij = self.jet(phat, _theta_for(phat), order)
+        derivatives at phat of shape L + (n_hat,), from grid, phat's jet on
+        the q1 grid, when given; entries above `order` are None."""
+        p, pi, pij, _ = self.jet(phat, _theta_for(phat), order) if grid is None else grid
         return (np.mean(p, axis=-1), None if pi is None else pi.mean(axis=-2),
                 None if pij is None else pij.mean(axis=-3))
+
+    def point_jet(self, z) -> PointJet:
+        """The PointJet of points z of shape L + (2n,)."""
+        n = self.form.n_hat + 1
+        ph = z[..., 1:n]
+        grid = self.jet(ph, _theta_for(ph), 2)
+        return PointJet(z[..., 1:n + 1].copy(), grid, self.shear(ph, 2, grid),
+                        self.jet(ph, z[..., n], 1, dq1=True))
 
 
 def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
@@ -545,12 +561,11 @@ def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
     ph = np.asarray(phat, dtype=float)
     ev = form.Gf.at(ph, _THETA)
     u = np.zeros(GRID)
-    nxt = -0.5 * ev(u, 1)
+    nxt = _step(ev, u)
     contraction = 0.0
     prev_step = None
-    residual = math.inf
     for it in range(1, 200):
-        after = -0.5 * ev(nxt, 1)
+        after = _step(ev, nxt)
         step = float(np.max(np.abs(nxt - u)))
         residual = float(np.max(np.abs(nxt - after)))
         if prev_step is not None and prev_step > 0:
@@ -579,39 +594,36 @@ def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
 # transform objects with Jacobians
 # --------------------------------------------------------------------------
 
-def omega_matrix(n: int) -> np.ndarray:
-    O = np.zeros((2 * n, 2 * n))
-    O[:n, n:] = np.eye(n)
-    O[n:, :n] = -np.eye(n)
-    return O
-
-
 class ShearMap:
     """Momentum-shear group element: (p, q) -> (p1 + tau(phat), phat, q1,
     qhat - q1 dtau(phat)); symplectic for every smooth tau.  `jet(phat,
     order)` takes phat of shape L + (n_hat,) and returns (tau, dtau, d2tau)
     of shapes L, L + (n_hat,), L + (n_hat, n_hat), the entries above `order`
-    None; `apply` reads order 1, and `jacobian` order 2, which needs the Hessian."""
+    None; `apply` reads order 1, and `jacobian` order 2, which needs the
+    Hessian.  A PointJet, when given, gives its `shear` instead; the inverse
+    is the map of sign -1."""
 
-    def __init__(self, n: int, jet):
-        self.n = n
-        self.jet = jet
+    def __init__(self, n: int, jet, sign: float = 1.0):
+        self.n, self.jet, self.sign = n, jet, sign
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def _tau(self, z: np.ndarray, order: int, jet: PointJet | None) -> list:
+        tau = self.jet(z[..., 1:self.n], order) if jet is None else jet.at(z).shear
+        return [None if v is None else self.sign * v for v in tau]
+
+    def apply(self, z: np.ndarray, jet: PointJet | None = None) -> np.ndarray:
         n = self.n
-        tau, dtau, _ = self.jet(z[..., 1:n], 1)
+        tau, dtau, _ = self._tau(z, 1, jet)
         out = z.astype(float)
         out[..., 0] = z[..., 0] + tau
         out[..., n + 1:] = z[..., n + 1:] - z[..., n, None] * dtau
         return out
 
     def inverse(self) -> "ShearMap":
-        return ShearMap(self.n, lambda ph, order: tuple(
-            None if v is None else -np.asarray(v) for v in self.jet(ph, order)))
+        return ShearMap(self.n, self.jet, -self.sign)
 
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
+    def jacobian(self, z: np.ndarray, jet: PointJet | None = None) -> np.ndarray:
         n = self.n
-        _, dtau, d2tau = self.jet(z[..., 1:n], 2)
+        _, dtau, d2tau = self._tau(z, 2, jet)
         J = np.tile(np.eye(2 * n), z.shape[:-1] + (1, 1))
         J[..., 0, 1:n] = dtau
         J[..., n + 1:, 1:n] = -z[..., n, None, None] * d2tau
@@ -621,74 +633,68 @@ class ShearMap:
 
 class Phi2Map:
     """The generating-function map of the fixed-point shift:
-    Y1 = P1 + ptilde(Phat, Q1), X̂ = Q̂ + q_hat(Phat, Q1).  Each call reads
-    one jet on the q1 grid and one solve at Q1, each stacked over its points."""
+    Y1 = P1 + ptilde(Phat, Q1), X̂ = Q̂ + q_hat(Phat, Q1).  Each call reads the
+    PointJet it is given, or solves its own."""
 
     def __init__(self, fp: FixedPointSolution, n: int):
-        self.fp = fp
-        self.n = n
+        self.fp, self.n = fp, n
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, jet: PointJet | None = None) -> np.ndarray:
         n = self.n
-        ph, q1 = z[..., 1:n], z[..., n]
-        grid, grid_ph, _ = self.fp.jet(ph, _theta_for(ph), 1)
+        jet = self.fp.point_jet(z) if jet is None else jet.at(z)
         out = z.astype(float)
-        out[..., 0] = z[..., 0] + (self.fp.jet(ph, q1, 0)[0] - np.mean(grid, axis=-1))
-        out[..., n + 1:] = z[..., n + 1:] - _antiderivative_at(grid_ph, q1)
+        out[..., 0] = z[..., 0] + (jet.point[0] - jet.shear[0])
+        out[..., n + 1:] = z[..., n + 1:] - _antiderivative_at(jet.grid[1], z[..., n])
         return out
 
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
+    def jacobian(self, z: np.ndarray, jet: PointJet | None = None) -> np.ndarray:
         n = self.n
-        ph, q1 = z[..., 1:n], z[..., n]
-        _, grid_ph, grid_phph = self.fp.jet(ph, _theta_for(ph), 2)
-        # the first-order jet at q1 with dp/dq1, which only this map reads:
-        # D p_q = -0.5 G_{Y q}, as for dp/dphat
-        ev = self.fp.form.Gf.at(ph, q1)
-        p = self.fp.solve_at(ev)
-        denom = 1.0 + 0.5 * ev(p, 2)
+        jet = self.fp.point_jet(z) if jet is None else jet.at(z)
         J = np.tile(np.eye(2 * n), z.shape[:-1] + (1, 1))
-        p_ph = -0.5 * ev(p, 1, 1) / denom[..., None] - grid_ph.mean(axis=-2)  # d ptilde / d phat
+        p_ph = jet.point[1] - jet.shear[1]  # d ptilde / d phat
         J[..., 0, 1:n] = p_ph
-        J[..., 0, n] = -0.5 * ev(p, 1, dq=1) / denom                          # d ptilde / d q1
-        J[..., n + 1:, 1:n] = -_antiderivative_at(grid_phph, q1)
+        J[..., 0, n] = jet.point[3]  # d ptilde / d q1
+        J[..., n + 1:, 1:n] = -_antiderivative_at(jet.grid[2], z[..., n])
         J[..., n + 1:, n] = -p_ph
         return J
 
 
 class LinearSymplectic:
-    """Block map (Y, X) -> (U Y, U^{-T} X)."""
+    """Block map (Y, X) -> (U Y, U^{-T} X).  It reads no jet, and has no
+    `apply`: as Phi1 it is only ever the last map of a composition."""
 
     def __init__(self, U: np.ndarray):
         n = U.shape[0]
         self.J = np.zeros((2 * n, 2 * n))
-        self.J[:n, :n] = U
-        self.J[n:, n:] = np.linalg.inv(U).T
+        self.J[:n, :n], self.J[n:, n:] = U, np.linalg.inv(U).T
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        return (self.J @ z[..., None])[..., 0]
-
-    def jacobian(self, _z: np.ndarray) -> np.ndarray:
+    def jacobian(self, _z: np.ndarray, _jet=None) -> np.ndarray:
         return self.J
 
 
 class ComposedMap:
-    """maps[0] o maps[1] o ... (rightmost applied first)."""
+    """maps[0] o maps[1] o ... (rightmost applied first).  A PointJet, given
+    or made by solve(z), is the one jet every map reads, so then only the
+    leftmost map may move phat or q1; without one each map solves its own."""
 
-    def __init__(self, maps):
-        self.maps = list(maps)
+    def __init__(self, maps, solve=None):
+        self.maps, self.solve = list(maps), solve
 
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        J = None
-        for m in reversed(self.maps):
-            Jm = m.jacobian(z)
-            J = Jm if J is None else Jm @ J
-            z = m.apply(z)
+    def jacobian(self, z: np.ndarray, jet: PointJet | None = None) -> np.ndarray:
+        jet = self.solve(z) if jet is None and self.solve is not None else jet
+        maps = self.maps[::-1]
+        J = maps[0].jacobian(z, jet)
+        for before, m in zip(maps, maps[1:]):
+            z = before.apply(z, jet)
+            J = m.jacobian(z, jet) @ J
         return J
 
 
 def symplectic_defect(J: np.ndarray) -> float:
     """max entry of |J^T Omega J - Omega| over Jacobians of shape L + (2n, 2n)."""
-    O = omega_matrix(J.shape[-1] // 2)
+    n = J.shape[-1] // 2
+    O = np.zeros((2 * n, 2 * n))
+    O[:n, n:], O[n:, :n] = np.eye(n), -np.eye(n)
     return float(np.max(np.abs(J.mT @ O @ J - O)))
 
 
@@ -707,7 +713,6 @@ class StandardFormHam:
 
     k: Mode
     n: int
-    eps: float
     chars: Characteristics
     fp: FixedPointSolution
     form: DecoupledForm
@@ -752,10 +757,8 @@ class StandardFormHam:
         return G0 + 2.0 * self.form.adiabatic(phat) / float(sum(v * v for v in self.k))
 
     def phi_diamond(self) -> ComposedMap:
-        maps = [self.phi2, self.phi3]
-        if self.phi1 is not None:
-            maps.insert(0, self.phi1)
-        return ComposedMap(maps)
+        maps = [self.phi2, self.phi3] if self.phi1 is None else [self.phi1, self.phi2, self.phi3]
+        return ComposedMap(maps, self.fp.point_jet)
 
     def check_reduction_identity(self, points, q1s, grid=None) -> float:
         """max |Hsharp(Phi2(Phi3(p, q1))) - ((1+nu)p1^2 + G0 + G)| over the
@@ -770,16 +773,9 @@ def build_phi2_phi3(fp: FixedPointSolution, chars: Characteristics,
                     ) -> StandardFormHam:
     """Assemble the standard form and its three transforms from a converged
     fixed point."""
-    form = fp.form
-    n = form.n_hat + 1
-    phi3 = ShearMap(n, fp.shear)
-    phi2 = Phi2Map(fp, n)
-    eps = chars.eps_k * float(sum(v * v for v in chars.k)) / 2.0
-    return StandardFormHam(
-        k=chars.k, n=n, eps=eps,
-        chars=chars, fp=fp, form=form, G_bar=G_bar,
-        phi1=phi1, phi2=phi2, phi3=phi3,
-    )
+    n = fp.form.n_hat + 1
+    return StandardFormHam(k=chars.k, n=n, chars=chars, fp=fp, form=fp.form, G_bar=G_bar,
+                           phi1=phi1, phi2=Phi2Map(fp, n), phi3=ShearMap(n, fp.shear))
 
 
 # --------------------------------------------------------------------------
@@ -906,7 +902,5 @@ def standardize(
 
     form = build_phi1(secular, r=chars.r, s_breve=chars.s_breve, theta_o_bound=theta_o_bound)
     fp = solve_fixed_point(form, phat0)
-    G_bar = pk.scaled(eps_k)
     U = np.array([[float(x) for x in row] for row in dm.U])
-    phi1 = LinearSymplectic(U)
-    return build_phi2_phi3(fp, chars, G_bar, phi1=phi1)
+    return build_phi2_phi3(fp, chars, pk.scaled(eps_k), phi1=LinearSymplectic(U))

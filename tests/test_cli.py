@@ -394,8 +394,13 @@ class TestLibraryConfigErrors:
           "--beta=-1"], "beta must be finite and nonnegative, got -1.0"),
         *[(["sample", "--n", n, "--out", "MISSING.json"], "dimension must be >= 1")
           for n in ("0", "-1")],
+        # N = 14.25 here, so [N, 14.5] holds no order |k|_1 and no margin to report
+        (["check-generic", "--potential", "lacunary:n=2,s=4.0,kmax=20", "--delta", "1",
+          "--beta", "0.1", "--kmax", "14.5"],
+         "cutoff below threshold: no order |k|_1 in the window [N, K_max]"),
     ], ids=["delta_above_one", "too_few_samples", "preset_eps_zero", "alpha_negative",
-            "outside_ball", "check_generic_beta_negative", "sample_n_zero", "sample_n_negative"])
+            "outside_ball", "check_generic_beta_negative", "sample_n_zero", "sample_n_negative",
+            "check_generic_empty_window"])
     def test_message_is_the_error_line(self, argv, message, free_params_file, tmp_path, capsys):
         argv = [free_params_file if a == "PARAMS" else a.replace("MISSING", str(tmp_path / "no"))
                 for a in argv]
@@ -410,6 +415,20 @@ class TestLibraryConfigErrors:
         with pytest.raises(ValueError) as err:
             main([*NORMALIZE, "--alpha", "0.02", "--base-point", "0.7,0.31"])
         assert err.value is exc
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_output_raises(value, monkeypatch, tmp_path, capsys):
+    # a non-finite number in a report is a bug, not a result: it raises, and
+    # no JSON with NaN or Infinity is printed or written
+    skeleton = cli._report_skeleton
+    monkeypatch.setattr(cli, "_report_skeleton", lambda args: {**skeleton(args), "x": value})
+    out = tmp_path / "out.json"
+    for argv in (["bezout", "--k", "2,3"], ["bezout", "--k", "2,3", "--out", str(out)]):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            main(argv)
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 # the raises of src/resoforge/ that are neither class: internal invariants,

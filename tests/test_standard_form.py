@@ -268,7 +268,7 @@ class TestMaps:
         z = np.array([0.3, -0.2, 1.0, 2.0])
         # the rightmost map acts first: the chain rule reads its Jacobian at z
         assert np.allclose(comp.jacobian(z), lin.jacobian(shear.apply(z)) @ shear.jacobian(z))
-        assert not np.allclose(comp.jacobian(z), shear.jacobian(lin.apply(z)) @ lin.jacobian(z))
+        assert not np.allclose(comp.jacobian(z), shear.jacobian(lin.J @ z) @ lin.jacobian(z))
 
     @pytest.mark.parametrize("which", ["two_action", "three_mode"])
     def test_stacked_calls_equal_per_point_calls(self, which):
@@ -296,7 +296,7 @@ class TestMaps:
         }
         if sf.form.secular is not None:  # criterion 8's form is built without one
             calls["SecularHam.value"] = lambda z: sf.form.secular.value(
-                sf.phi1.apply(z)[..., :n], z[..., n])
+                (sf.phi1.J @ z[..., None])[..., :n, 0], z[..., n])
         for name, call in calls.items():
             got = call(pts)
             want = np.array([call(z) for z in pts])
@@ -433,7 +433,7 @@ class TestPipeline:
         rng = np.random.default_rng(9)
         for _ in range(50):
             z = rng.normal(size=4)
-            assert np.allclose(lin.apply(z), shear.apply(z), atol=1e-14)
+            assert np.allclose(lin.J @ z, shear.apply(z), atol=1e-14)
 
 
 class TestArgmaxInvariance:
@@ -784,17 +784,23 @@ class TestExactJacobians:
 
 class TestOneSolvePerJet:
     def test_lower_orders_are_prefixes(self):
-        # entries above the order are None, the others equal the full jet's
+        # phat derivatives above the order are None, and dp/dq1 unless asked
+        # for; the others equal the full jet's
         from resoforge.acceptance import _benchmark_standard_form
 
         fp = _benchmark_standard_form()[0].fp
         ph = fp.base_phat + np.array([0.003, 0.002])
         for q1 in (1.1, _THETA):
-            full = fp.jet(ph, q1, 2)
-            for order, width in ((0, 1), (1, 2)):
+            full = fp.jet(ph, q1, 2, dq1=True)
+            assert full[3] is not None and np.shape(full[3]) == np.shape(full[0])
+            for order, width in ((0, 1), (1, 2), (2, 3)):
                 part = fp.jet(ph, q1, order)
-                assert part[width:] == (None,) * (3 - width)
+                assert part[width:] == (None,) * (4 - width)
                 for a, b in zip(part[:width], full):
+                    assert np.array_equal(a, b)
+                part = fp.jet(ph, q1, order, dq1=True)
+                assert part[width:3] == (None,) * (3 - width)
+                for a, b in zip(part[:width] + part[3:], full[:width] + full[3:]):
                     assert np.array_equal(a, b)
         tau = fp.shear(ph, 2)
         assert fp.shear(ph, 0)[1:] == (None, None)
@@ -805,9 +811,10 @@ class TestOneSolvePerJet:
         # Phi2, one grid jet for Phi3, and one stacked solve of each kind for
         # all the samples of the reduction identity, of criterion 9 and of
         # verify_standard.  A map call on a stack of points solves as one on
-        # a single point, so criterion 8 makes as many solves at 20 points
-        # as at 100.  A call counts once, as a grid solve when its q1
-        # carries the GRID-node axis, however many phat it stacks
+        # a single point, and the composite and criterion 8 solve one
+        # PointJet that every map call reads, so criterion 8 makes as many
+        # solves at 20 points as at 100.  A call counts once, as a grid solve
+        # when its q1 carries the GRID-node axis, however many phat it stacks
         import json
 
         from resoforge import acceptance
@@ -860,10 +867,10 @@ class TestOneSolvePerJet:
             "phi2.apply": (1, 1),
             "phi3.jacobian": (1, 0),
             "phi3.apply": (1, 0),
-            "phi_diamond.jacobian": (4, 2),
+            "phi_diamond.jacobian": (1, 1),
             "check_reduction_identity, 3 samples": (1, 1),
             "criterion 9, 10 points": (1, 1),
-            "criterion 8, 20 points": (8, 3),
+            "criterion 8, 20 points": (1, 1),
             "symplectic_check(phi2), 5 points": (1, 1),
             "standardize CLI": (2, 1),
         }
@@ -890,6 +897,52 @@ class TestOneSolvePerJet:
         passes.clear()
         sf.phi2.jacobian(z)
         assert [(ndim, dq) for ndim, dq in passes if dq] == [(0, 1)]
+
+
+class TestOneStatedEquation:
+    def test_one_step_moves_every_reader(self, monkeypatch):
+        # Gf = c Y1 + e Y1 cos q1 has p = -(c + e cos q1)/2.  Editing the one
+        # step to -0.45 moves solve_fixed_point's iterate (seen through its
+        # |p| bound, set between 0.45 and 0.5 of max |p|), the jet, the
+        # shear's p_o and Phi2's shift: the factor is written nowhere else
+        from resoforge import standard_form
+
+        c, e, r, q1 = 0.02, 0.01, 0.1, 0.7
+        G = PolyTrig1(1, {(1, (0,), 0): (c, 0.0), (1, (0,), 1): (e, 0.0)})
+        form = trivial_form(G, r=r, theta_o=3 * r * 0.475 * (c + e))
+        for factor in (0.5, 0.45):
+            if factor == 0.45:
+                monkeypatch.setattr(standard_form, "_step", lambda ev, u: -0.45 * ev(u, 1))
+            fp = solve_fixed_point(form, np.zeros(1))
+            assert fp.pitale_ok == (factor == 0.45)
+            p = fp.jet([0.0], q1, 0)[0]
+            assert p == pytest.approx(-factor * (c + e * math.cos(q1)), rel=1e-13)
+            assert fp.shear([0.0], 0)[0] == pytest.approx(-factor * c, rel=1e-13)
+            shift = Phi2Map(fp, 2).apply(np.array([0.0, 0.0, q1, 0.0]))[0]
+            assert shift == pytest.approx(-factor * e * math.cos(q1), rel=1e-12)
+
+    def test_mismatched_jet_is_refused(self):
+        # a PointJet holds for points of its own phat and q1 only: with P1 and
+        # qhat moved it gives the bits of the map's own solve, and with phat
+        # or q1 rolled over the stack, or another stack, it is refused
+        from resoforge.acceptance import _benchmark_standard_form
+
+        sf, rng = _benchmark_standard_form()
+        n, r = sf.n, sf.form.r
+        pts = np.concatenate([rng.uniform(-r, r, (5, 1)),
+                              sf.fp.base_phat + rng.uniform(-r, r, (5, n - 1)),
+                              rng.uniform(0, TWO_PI, (5, n))], axis=1)
+        jet = sf.fp.point_jet(pts)
+        moved, rolled_phat, rolled_q1 = pts.copy(), pts.copy(), pts.copy()
+        moved[:, [0, n + 1, n + 2]] += 0.5
+        rolled_phat[:, 1:n] = np.roll(pts[:, 1:n], 1, axis=0)
+        rolled_q1[:, n] = np.roll(pts[:, n], 1)
+        for call in (sf.phi2.apply, sf.phi2.jacobian, sf.phi3.apply, sf.phi3.jacobian,
+                     sf.phi3.inverse().apply, sf.phi_diamond().jacobian):
+            assert call(moved, jet).tobytes() == call(moved).tobytes()
+            for bad in (rolled_phat, rolled_q1, pts[:4]):
+                with pytest.raises(ConfigError, match="other phat or q1"):
+                    call(bad, jet)
 
 
 # --------------------------------------------------------------------------
