@@ -66,7 +66,7 @@ from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, TrigPoly,
 from .genericity import c_s, threshold_N
 from .lieseries import AveragedNF, TaylorFourierSeries, ray_majorant, ray_series
 from .morse import critical_points
-from .unimodular import DecouplingMatrix, UnimodularMatrix, complete_to_sl, decoupling_matrix
+from .unimodular import DecouplingMatrix, UnimodularMatrix, apply, complete_to_sl, decoupling_matrix, mat_transpose
 
 GRID = 256            # q1 collocation grid (spectral accuracy for analytic data)
 GAUSS_NODES = 32      # Taylor-integral quadrature nodes
@@ -114,17 +114,17 @@ class PolyTrig1:
                                     dtype=float).reshape(count, 2).T
 
     @classmethod
-    def from_series(cls, series: TaylorFourierSeries, k: Mode, affine: np.ndarray,
+    def from_series(cls, series: TaylorFourierSeries, k: Mode, dm: DecouplingMatrix,
                     scale: float) -> "PolyTrig1":
-        """scale * Re g(affine @ (Y1, phat), q1 k/|k|^2) for a series g whose
-        modes lie on Z k, re-expanded exactly about center = affine^-1 y0
-        (y0 the series' base point).  With v = (Y1, phat) - center, each
+        """scale * Re g(dm.affine (Y1, phat), q1 k/|k|^2) for a series g whose
+        modes lie on Z k, re-expanded about center = dm.affine_inv y0 (y0 the
+        series' base point).  With v = (Y1, phat) - center, each
         (y - y0)^m = (affine v)^m is a multinomial product, and the mode j k
         folds onto |j| by Re(z e^{ijq}) = Re z cos jq -/+ Im z sin jq."""
-        n = len(affine)
+        n = dm.um.n
         # row i of affine as the linear form {exponents of v: coefficient}
-        rows = [{tuple(int(i == l) for i in range(n)): a for l, a in enumerate(row) if a != 0}
-                for row in affine]
+        rows = [{tuple(int(i == l) for i in range(n)): float(a) for l, a in enumerate(row) if a != 0}
+                for row in dm.affine]
 
         @cache
         def expand(m: tuple[int, ...]) -> dict:
@@ -147,7 +147,7 @@ class PolyTrig1:
                 key = (e[0], e[1:], abs(j))
                 a, b = terms.get(key, (0.0, 0.0))
                 terms[key] = (a + z.real, b - sign * z.imag)
-        return cls(n - 1, terms, np.linalg.solve(affine, series.base_point))
+        return cls(n - 1, terms, apply(dm.affine_inv, series.base_point))
 
     def at(self, phat, q1) -> "BoundPotential":
         """This potential bound to phat of shape L + (n_hat,) (L = () for one
@@ -352,15 +352,14 @@ class SecularHam:
 
     def value(self, yt, theta):
         """Hsec at yt of shape L + (n,) and theta of shape L; shape L."""
-        at = np.array(self.um.rows, dtype=float).T
-        y = (at @ np.asarray(yt, dtype=float)[..., None])[..., 0]
+        y = apply(mat_transpose(self.um.rows), yt)
         zero_x = np.zeros(len(self.base_point))
         g_o = self.g_o_series.evaluate(y, zero_x).real
         # the g series lives on the ray Z k, so it depends on x only through
         # theta = k.x; x = theta k/|k|^2 is a representative with k.x = theta
         kv = np.array(self.k, dtype=float)
-        g = self.g_series.evaluate(y, np.asarray(theta, dtype=float)[..., None] * kv / (kv @ kv)).real
-        return 0.5 * np.vecdot(y, y) + self.eps * (g_o + g)
+        g = self.g_series.evaluate(y, np.asarray(theta, dtype=float)[..., None] * kv / sum(v * v for v in self.k)).real
+        return 0.5 * sum(y[..., i] * y[..., i] for i in range(y.shape[-1])) + self.eps * (g_o + g)
 
 
 @dataclass
@@ -378,7 +377,6 @@ class DecoupledForm:
     um: UnimodularMatrix | None = None
     dm: DecouplingMatrix | None = None
     secular: SecularHam | None = None
-    eps_k: float | None = None
 
     def hypothesis_ok(self) -> bool:
         """Smallness gate theta_o/r^2 < 2^-10 s_breve/(pi + s_breve)."""
@@ -388,31 +386,21 @@ class DecoupledForm:
         )
 
 
-def build_phi1(secular: SecularHam, r: float, s_breve: float,
+def build_phi1(secular: SecularHam, dm: DecouplingMatrix, r: float, s_breve: float,
                theta_o_bound: float) -> DecoupledForm:
-    """Apply the rational shear and return the decoupled 1-DOF form.
+    """Apply the rational shear dm of secular.um; return the decoupled 1-DOF form.
 
     The exact identity Hsec o Phi1 = (|k|^2/2) Hsharp + adiabatic holds by the
     kinetic split |A^T U Y|^2 = |k|^2 Y1^2 + |P_k^perp Ahat^T Yhat|^2.
     """
-    um = secular.um
-    dm = decoupling_matrix(um)
     k = secular.k
-    kk2 = float(sum(v * v for v in k))
-    eps_k = 2.0 * secular.eps / kk2
-    at = np.array(um.rows, dtype=float).T
-    U = np.array([[float(x) for x in row] for row in dm.U])
-    affine = at @ U  # y = affine @ Y; first column equals k exactly
-    n = um.n
-
-    Gf = PolyTrig1.from_series(secular.g_o_series.plus(secular.g_series), k, affine, eps_k)
-    ahat_t = np.array(um.A_hat, dtype=float).T
-    kv = np.array(k, dtype=float)
+    eps_k = 2.0 * secular.eps / float(sum(v * v for v in k))
+    Gf = PolyTrig1.from_series(secular.g_o_series.plus(secular.g_series), k, dm, eps_k)
+    perp = [row[1:] for row in dm.affine]  # P_k^perp Ahat^T, exactly
 
     def adiabatic(phat):
-        v = (ahat_t @ np.asarray(phat, dtype=float)[..., None])[..., 0]
-        v = v - (np.vecdot(v, kv) / (kv @ kv))[..., None] * kv
-        return 0.5 * np.vecdot(v, v)
+        v = apply(perp, phat)
+        return 0.5 * sum(v[..., i] * v[..., i] for i in range(v.shape[-1]))
 
     return DecoupledForm(
         Gf=Gf,
@@ -420,11 +408,10 @@ def build_phi1(secular: SecularHam, r: float, s_breve: float,
         r=r,
         s_breve=s_breve,
         theta_o_bound=theta_o_bound,
-        n_hat=n - 1,
-        um=um,
+        n_hat=dm.um.n - 1,
+        um=dm.um,
         dm=dm,
         secular=secular,
-        eps_k=eps_k,
     )
 
 
@@ -444,9 +431,10 @@ def _antiderivative_at(values: np.ndarray, x):
     vals = vals - vals.mean(axis=-1, keepdims=True)
     coeff = np.fft.rfft(vals, axis=-1) / vals.shape[-1]
     j = np.arange(1, coeff.shape[-1])
-    x = np.reshape(x, np.shape(x) + (1,) * (vals.ndim - np.ndim(x)))
-    terms = coeff[..., 1:] * (np.exp(1j * j * x) - 1.0) / (1j * j)
-    return 2.0 * np.real(np.sum(terms, axis=-1))
+    jx = j * np.reshape(x, np.shape(x) + (1,) * (vals.ndim - np.ndim(x)))
+    # 2 Re sum_j c_j (e^{ijx} - 1)/(ij), in real arithmetic
+    terms = (coeff.real[..., 1:] * np.sin(jx) + coeff.imag[..., 1:] * (np.cos(jx) - 1.0)) / j
+    return 2.0 * np.sum(terms, axis=-1)
 
 
 def _step(ev: BoundPotential, u):
@@ -660,13 +648,13 @@ class Phi2Map:
 
 
 class LinearSymplectic:
-    """Block map (Y, X) -> (U Y, U^{-T} X).  It reads no jet, and has no
-    `apply`: as Phi1 it is only ever the last map of a composition."""
+    """Block map (Y, X) -> (U Y, U^{-T} X), U exact from dm.  It reads no jet,
+    and has no `apply`: as Phi1 it is only ever the last map of a composition."""
 
-    def __init__(self, U: np.ndarray):
-        n = U.shape[0]
+    def __init__(self, dm: DecouplingMatrix):
+        n = dm.um.n
         self.J = np.zeros((2 * n, 2 * n))
-        self.J[:n, :n], self.J[n:, n:] = U, np.linalg.inv(U).T
+        self.J[:n, :n], self.J[n:, n:] = np.array(dm.U, dtype=float), np.array(dm.U_inv, dtype=float).T
 
     def jacobian(self, _z: np.ndarray, _jet=None) -> np.ndarray:
         return self.J
@@ -877,16 +865,12 @@ def standardize(
     k = tuple(int(v) for v in k)
     ham = NaturalHam(f.n, eps, f)
     nf = lie_step_res(ham, k, params, y0, order=order, max_degree=3)
-    um = complete_to_sl(k)
-    secular = SecularHam.from_averaged(nf, um)
+    dm = decoupling_matrix(complete_to_sl(k))
+    secular = SecularHam.from_averaged(nf, dm.um)
     chars = characteristics(k, f.n, s, eps, beta, f, params, delta=delta)
-
-    # standard-form coordinates of the averaging base point: Y_c = U^{-1} A^{-T} y0
-    dm = decoupling_matrix(um)
-    at_inv = np.array(um.inverse, dtype=float).T  # A^{-T}
-    Uinv = np.array([[float(x) for x in row] for row in dm.U_inv])
-    Yc = Uinv @ (at_inv @ np.asarray(y0, dtype=float))
-    phat0 = Yc[1:]
+    # Gf's center is the base point in standard-form coordinates,
+    # (Y1c, phat0) = U^{-1} A^{-T} y0; the bound below reads Y1c, so it is set after
+    form = build_phi1(secular, dm, r=chars.r, s_breve=chars.s_breve, theta_o_bound=math.inf)
 
     # certified bound on |Gf - Gbar| over the working domain: series majorants
     # around the base point; the Y-excursion |Y1 - Y1c| <= 4r maps to a
@@ -894,13 +878,10 @@ def standardize(
     eps_k = chars.eps_k
     pk = project_lattice(f, k)
     k_inf = max(abs(v) for v in k)
-    r_y = (4.0 * chars.r + abs(Yc[0])) * k_inf + 4.0 * chars.r + 1e-15
+    r_y = (4.0 * chars.r + abs(form.Gf.center[0])) * k_inf + 4.0 * chars.r + 1e-15
     g_o_maj = secular.g_o_series.majorant(r_y, 0.0)
     diff = secular.g_series.plus(ray_series(secular.g_series, pk, k).scaled(-1.0))
     g_diff_maj = ray_majorant([diff], k, r_y, chars.s_breve)
-    theta_o_bound = max(eps_k * g_o_maj, eps_k * g_diff_maj, 1e-300)
-
-    form = build_phi1(secular, r=chars.r, s_breve=chars.s_breve, theta_o_bound=theta_o_bound)
-    fp = solve_fixed_point(form, phat0)
-    U = np.array([[float(x) for x in row] for row in dm.U])
-    return build_phi2_phi3(fp, chars, pk.scaled(eps_k), phi1=LinearSymplectic(U))
+    form.theta_o_bound = max(eps_k * g_o_maj, eps_k * g_diff_maj, 1e-300)
+    fp = solve_fixed_point(form, form.Gf.center[1:])
+    return build_phi2_phi3(fp, chars, pk.scaled(eps_k), phi1=LinearSymplectic(dm))

@@ -82,6 +82,17 @@ def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
+def apply(matrix, v) -> np.ndarray:
+    """M v, shape L + (rows,), for an exact M (rows of ints or Fractions) and
+    floats v of shape L + (cols,): each entry of M is rounded once and each
+    row is summed in column order, so no BLAS kernel or SIMD path sets the bits."""
+    v = np.asarray(v, dtype=float)
+    out = [float(row[0]) * v[..., 0] for row in matrix]
+    for j in range(1, v.shape[-1]):
+        out = [acc + float(row[j]) * v[..., j] for acc, row in zip(out, matrix)]
+    return np.stack(out, axis=-1)
+
+
 @dataclass(frozen=True)
 class UnimodularMatrix:
     """A in SL(n, Z) with first row k, exact inverse, and norm bounds."""
@@ -233,10 +244,23 @@ class DecouplingMatrix:
             rows[0][j + 1] = -v
         return rows
 
+    @cached_property
+    def affine(self) -> list[list[Fraction]]:
+        """A^T U (y = affine Y): column 0 is k and column j >= 1 is
+        A_j + shear_j k = P_k^perp A_hat^T e_j, orthogonal to k."""
+        k, rows = self.um.k, self.um.rows
+        return [[Fraction(k[i])] + [rows[j + 1][i] + k[i] * s for j, s in enumerate(self.shear)]
+                for i in range(self.um.n)]
+
+    @cached_property
+    def affine_inv(self) -> list[list[Fraction]]:
+        """U^{-1} A^{-T}: row 0 is k/|k|^2, as affine's other columns are
+        orthogonal to k, and row i >= 1 is that of A^{-T}."""
+        k_sq = sum(v * v for v in self.um.k)
+        return [[Fraction(v, k_sq) for v in self.um.k]] + [list(c) for c in zip(*self.um.inverse)][1:]
+
     def operator_norms(self) -> tuple[float, float]:
-        u = np.array([[float(x) for x in row] for row in self.U])
-        ui = np.array([[float(x) for x in row] for row in self.U_inv])
-        return float(np.linalg.norm(u, 2)), float(np.linalg.norm(ui, 2))
+        return tuple(float(np.linalg.norm(np.array(m, dtype=float), 2)) for m in (self.U, self.U_inv))
 
     def to_dict(self) -> dict:
         return {

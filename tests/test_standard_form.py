@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from resoforge.standard_form import (
     _antiderivative_at,
     _THETA,
 )
-from resoforge.unimodular import complete_to_sl, decoupling_matrix
+from resoforge.unimodular import apply, complete_to_sl, decoupling_matrix
 from test_lieseries import add_term
 
 TWO_PI = 2 * math.pi
@@ -63,13 +64,16 @@ def standard_value(sf, p, q1):
     return kinetic + G
 
 
+def form_eps_k(form):
+    """The scale 2 eps/|k|^2 that build_phi1 gives Gf."""
+    return 2.0 * form.secular.eps / float(sum(v * v for v in form.secular.k))
+
+
 def oscillatory_part(form):
     """The decoupled potential of the secular g series alone (zero q1
     average), re-expanded with the affine map and scale that build Gf."""
     sec = form.secular
-    U = np.array([[float(x) for x in row] for row in form.dm.U])
-    affine = np.array(sec.um.rows, dtype=float).T @ U
-    return PolyTrig1.from_series(sec.g_series, sec.k, affine, form.eps_k)
+    return PolyTrig1.from_series(sec.g_series, sec.k, form.dm, form_eps_k(form))
 
 
 class TestCharacteristics:
@@ -222,9 +226,8 @@ class TestReduction:
 def phi1_identity_residual(form, points, thetas):
     """max |Hsec(Phi1(Y, X1)) - ((|k|^2/2) Hsharp + adiabatic)| over samples."""
     sec = form.secular
-    U = np.array([[float(x) for x in row] for row in form.dm.U])
     kk2 = float(sum(v * v for v in sec.k))
-    return max(abs(sec.value(U @ Y, theta) - (0.5 * kk2 * hsharp(form, Y[0], Y[1:], theta) + form.adiabatic(Y[1:])))
+    return max(abs(sec.value(apply(form.dm.U, Y), theta) - (0.5 * kk2 * hsharp(form, Y[0], Y[1:], theta) + form.adiabatic(Y[1:])))
                for Y, theta in zip(points, thetas))
 
 
@@ -254,14 +257,16 @@ class TestMaps:
         assert symplectic_check(a, pts) < 1e-12
 
     def test_linear_block_symplectic(self):
-        U = np.array([[1.0, -8.0 / 13.0], [0.0, 1.0]])
-        lin = LinearSymplectic(U)
+        lin = LinearSymplectic(decoupling_matrix(complete_to_sl((2, 3))))
         pts = [np.random.default_rng(4).normal(size=4)]
         assert symplectic_check(lin, pts) < 1e-15
 
     def test_composition_associates(self):
+        # a linear block map that moves phat; Phi1 is itself a shear, and
+        # shears commute, so it could not tell the two orders apart
         U = np.array([[1.0, 0.5], [0.25, 1.0]])
-        lin = LinearSymplectic(U)
+        J = np.block([[U, np.zeros((2, 2))], [np.zeros((2, 2)), np.linalg.inv(U).T]])
+        lin = SimpleNamespace(J=J, jacobian=lambda z, jet=None: J)
         shear = ShearMap(2, shear_jet(lambda ph: 0.1 * ph[0] ** 2, lambda ph: np.array([0.2 * ph[0]]),
                                       lambda ph: np.array([[0.2]])))
         comp = ComposedMap([lin, shear])
@@ -328,7 +333,7 @@ class TestPipeline:
         empty = TaylorFourierSeries(2, self.y0, 2, 6)
         sec = SecularHam(um=um, eps=1e-4, g_o_series=empty, g_series=empty,
                          base_point=self.y0, k=(1, 1))
-        form = build_phi1(sec, r=1e-3, s_breve=1.0, theta_o_bound=1e-300)
+        form = build_phi1(sec, decoupling_matrix(um), r=1e-3, s_breve=1.0, theta_o_bound=1e-300)
         rng = np.random.default_rng(10)
         for _ in range(20):
             Y1 = rng.uniform(-0.3, 0.3)
@@ -368,7 +373,6 @@ class TestPipeline:
         sf = standardize(self.f, 1.0, 1e-4, (1, 1), self.params, self.y0,
                          beta=0.05, order=2)
         sec = sf.form.secular
-        U = np.array([[float(x) for x in row] for row in sf.form.dm.U])
         rng = np.random.default_rng(6)
         phat0 = np.array([-1.0])
         for _ in range(30):
@@ -376,7 +380,7 @@ class TestPipeline:
             ph = phat0 + rng.uniform(-sf.chars.r, sf.chars.r, 1)
             q1 = rng.uniform(0, TWO_PI)
             Y1, kinetic, G0, G, _ = sf._read(np.concatenate([[p1], ph]), q1)
-            lhs = sec.value(U @ np.concatenate([[Y1], ph]), q1)
+            lhs = sec.value(apply(sf.form.dm.U, np.concatenate([[Y1], ph])), q1)
             rhs = 1.0 * ((kinetic + G) + sf._h0(G0, ph))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
@@ -420,9 +424,7 @@ class TestPipeline:
     def test_phi1_is_a_shear_group_member(self):
         # the linear decoupling equals the shear with tau = -(Ahat k).phat/|k|^2
         um = complete_to_sl((2, 3))
-        dm = decoupling_matrix(um)
-        U = np.array([[float(x) for x in row] for row in dm.U])
-        lin = LinearSymplectic(U)
+        lin = LinearSymplectic(decoupling_matrix(um))
         ahat_k = float(
             (np.array(um.A_hat, dtype=float) @ np.array(um.k, dtype=float))[0]
         )
@@ -662,8 +664,7 @@ def reference_series_potential(form, parts):
     is a factor i j on each term.  Returns evaluate(orders, Y1, phat, q1) for
     orders = (dy, dph, dq) as in POTENTIAL_ORDERS."""
     sec = form.secular
-    U = np.array([[float(x) for x in row] for row in form.dm.U])
-    affine = np.array(sec.um.rows, dtype=float).T @ U
+    affine = np.array(form.dm.affine, dtype=float)
 
     def series_sum(series, Y1, ph, q1, dq):
         terms = series.ray_terms(sec.k)
@@ -677,7 +678,7 @@ def reference_series_potential(form, parts):
         w = Y1[..., None] * affine[:, 0] + affine[:, 1:] @ ph - sec.base_point
         wp = np.where(M > 0, np.power(w[..., None, :], M), 1.0)
         phase = np.exp(1j * J * q1[..., None])
-        return form.eps_k * np.real(np.sum(C * np.prod(wp, axis=-1) * phase, axis=-1))
+        return form_eps_k(form) * np.real(np.sum(C * np.prod(wp, axis=-1) * phase, axis=-1))
 
     def evaluate(orders, Y1, ph, q1):
         dy, dph, dq = orders

@@ -6,11 +6,13 @@ import pytest
 
 from resoforge.fourier import ConfigError, generators
 from resoforge.unimodular import (
+    apply,
     complete_to_sl,
     decoupling_matrix,
     int_adjugate,
     int_det,
     kinetic_split_residual,
+    mat_mul,
     mat_transpose,
     mat_vec,
     symplectic_residual_exact,
@@ -139,6 +141,30 @@ class TestDecoupling:
             at = [list(r) for r in zip(*dm.um.rows)]
             w = mat_vec(at, mat_vec(dm.U, Y))
             assert sum(v * v for v in w) == sum(v * v for v in k)
+
+    def test_affine_maps_are_the_exact_products(self):
+        # the products built from U = I + e1 shear^T equal the generic ones,
+        # invert each other exactly, and affine has first column k and every
+        # other column orthogonal to k
+        for k in ((2, 3), (1, 1), (1, 2), (1, 0), (3, -1, 2), (0, 1, 2), (1, -2, 2, 1)):
+            dm = decoupling_matrix(complete_to_sl(k))
+            n = len(k)
+            assert dm.affine == mat_mul(mat_transpose(dm.um.rows), dm.U)
+            assert dm.affine_inv == mat_mul(dm.U_inv, mat_transpose(dm.um.inverse))
+            assert mat_mul(dm.affine, dm.affine_inv) == [[int(i == j) for j in range(n)] for i in range(n)]
+            assert [row[0] for row in dm.affine] == list(k)
+            assert all(sum(row[j] * v for row, v in zip(dm.affine, k)) == 0 for j in range(1, n))
+
+    def test_apply_rounds_each_entry_once_and_sums_in_column_order(self):
+        # the bits of a scalar loop in Python floats, for a stack of points
+        # and for one point
+        M = [[Fraction(1, 3), 2, Fraction(-2, 5)], [0, Fraction(7, 9), 1]]
+        v = np.random.default_rng(5).normal(size=(4, 5, 3))
+        want = np.array([[[(float(r[0]) * x[0] + float(r[1]) * x[1]) + float(r[2]) * x[2] for r in M]
+                          for x in row] for row in v.tolist()])
+        got = apply(M, v)
+        assert got.shape == (4, 5, 2) and got.tobytes() == want.tobytes()
+        assert apply(M, v[1, 2]).tobytes() == want[1, 2].tobytes()
 
     def test_operator_norm_bound(self):
         for k in ((2, 3), (3, -1, 2), (1, -2, 2, 1)):
