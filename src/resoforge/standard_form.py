@@ -832,9 +832,6 @@ def verify_standard(sf: StandardFormHam, phat_samples: np.ndarray) -> StandardFo
     if sf.G_bar.coeffs:
         rep = critical_points(sf.G_bar)
         put("gbar_morse_ge_m", ch.m, rep.beta, rep.beta >= ch.m * (1 - 1e-9))
-        flags["gbar_morse_computed"] = {"value": rep.beta, "bound": ch.m,
-                                        "ok": rep.beta >= ch.m * (1 - 1e-9),
-                                        "margin": rep.beta - ch.m}
 
     return StandardFormReport(flags=flags)
 

@@ -992,9 +992,6 @@ def reference_verify_standard(sf, phat_samples):
     if sf.G_bar.coeffs:
         rep = critical_points(sf.G_bar)
         put("gbar_morse_ge_m", ch.m, rep.beta, rep.beta >= ch.m * (1 - 1e-9))
-        flags["gbar_morse_computed"] = {"value": rep.beta, "bound": ch.m,
-                                        "ok": rep.beta >= ch.m * (1 - 1e-9),
-                                        "margin": rep.beta - ch.m}
     return flags
 
 
