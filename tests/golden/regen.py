@@ -23,14 +23,22 @@ the terms, a divisor or a dropped mass changes a digest.
 
     PYTHONPATH=src python tests/golden/regen.py    # rewrites averaging.json
 
-Run it only where the outputs are meant to change, and say why.
+Run it only where the outputs are meant to change, and say why.  It first
+starts one child interpreter per setting of `kernel_matrix()` (other
+OpenBLAS kernels, and numpy without its dispatch targets above the x86-64
+baseline), and rewrites nothing unless every child computes the same
+digests as this process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -40,6 +48,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "averaging.json"
 sys.path.insert(0, str(HERE.parent))
 
+import resoforge  # noqa: E402
 from resoforge.acceptance import _benchmark_standard_form  # noqa: E402
 from resoforge.cli import main  # noqa: E402
 from resoforge.cover import free_params  # noqa: E402
@@ -70,6 +79,33 @@ CLI_RUNS = {
     "bezout": (None, ["bezout", "--k", "3,5,7"], 0),
     "report_quick": (None, ["report", "--quick"], 0),
 }
+
+
+# numpy's dispatch targets above its x86-64 baseline
+NPY_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def kernel_matrix() -> dict[str, dict[str, str]]:
+    """name -> environment settings of each child interpreter of the
+    cross-kernel check: OpenBLAS's Haswell kernels, and its Prescott kernels
+    with numpy's targets above the baseline disabled.  Only targets that this
+    numpy reports as present are disabled: naming an absent one warns, and
+    the tests turn warnings into errors."""
+    found = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found") or []
+    prescott = {"OPENBLAS_CORETYPE": "Prescott"}
+    if any(t in found for t in NPY_TARGETS):
+        prescott["NPY_DISABLE_CPU_FEATURES"] = " ".join(t for t in NPY_TARGETS if t in found)
+    return {"haswell": {"OPENBLAS_CORETYPE": "Haswell"}, "prescott": prescott}
+
+
+def start_child(argv: list[str], setting: dict[str, str]) -> subprocess.Popen:
+    """A child interpreter running argv under setting, with the source tree of
+    the imported resoforge first on its path, from the repository root."""
+    src = str(pathlib.Path(resoforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, *argv], cwd=HERE.parents[1], text=True,
+                            env={**os.environ, **setting, "PYTHONPATH": path},
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
 
 
 def _sha(doc) -> str:
@@ -144,5 +180,21 @@ def digests() -> dict[str, str]:
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    if sys.argv[1:] == ["--print"]:  # a child of the matrix: the digests as one JSON line
+        with contextlib.redirect_stdout(io.StringIO()):
+            now = digests()
+        print(json.dumps(now))
+        sys.exit()
+    children = {name: start_child([__file__, "--print"], setting)
+                for name, setting in kernel_matrix().items()}
+    now = digests()
+    for name, child in children.items():
+        out = child.communicate()[0]
+        if child.returncode:
+            sys.exit(f"{name} child failed, {GOLDEN} not rewritten:\n{out}")
+        other = json.loads(out.splitlines()[-1])
+        differ = sorted(key for key in now if other.get(key) != now[key])
+        if differ:
+            sys.exit(f"under {name}, {differ} differ; {GOLDEN} not rewritten")
+    GOLDEN.write_text(json.dumps(now, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

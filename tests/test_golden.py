@@ -6,6 +6,14 @@ documents and the values and Jacobians of the reduction maps (see
 compares to a tolerance or with the library's own kernel; this one fails on
 any change in the bytes of a coefficient, the order of the terms or a dropped
 mass.
+
+The same digests, and the byte-equality of one-angle evaluation, must hold
+under other kernels: `test_digests_hold_across_kernels` reruns both tests in
+child interpreters with OpenBLAS's Haswell kernels, and with its Prescott
+kernels and numpy's dispatch targets above the x86-64 baseline disabled
+(`regen.kernel_matrix`).  Only x86-64 with numpy's bundled OpenBLAS is
+covered: aarch64, and other BLAS builds (where OPENBLAS_CORETYPE does
+nothing), are untested.
 """
 
 import importlib.util
@@ -29,3 +37,16 @@ def test_digests_match_golden():
     now = regen.digests()
     assert sorted(now) == sorted(golden)
     assert [name for name in golden if now[name] != golden[name]] == []
+
+
+def test_digests_hold_across_kernels():
+    # both children run at once; each fails if a digest or an evaluation's
+    # bytes differ under its kernels
+    regen = _regen()
+    tests = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "tests/test_golden.py::test_digests_match_golden",
+             "tests/test_fourier.py::TestEvaluate::test_off_grid_angles_match_direct_sum"]
+    children = {name: regen.start_child(tests, setting)
+                for name, setting in regen.kernel_matrix().items()}
+    outputs = {name: child.communicate()[0] for name, child in children.items()}
+    assert {name: out[-3000:] for name, out in outputs.items() if children[name].returncode} == {}

@@ -725,6 +725,16 @@ class TestSeriesReexpansion:
                 err = np.max(np.abs(G.at(ph, q)(Y, *orders) - ref))
                 assert err <= 1e-13 * np.max(np.abs(ref)) + 1e-30, orders
 
+    def test_expansion_center_is_exact(self):
+        # k.y0 = 0 in floats on the three-mode line k = (1, 2), so the center's
+        # Y1 = k.y0/|k|^2 is exactly 0 (a LAPACK solve gave 2.98e-17), and the
+        # fixed point's phat is the center's, byte for byte
+        sf = _three_mode_standard_form()
+        y0, center = sf.form.secular.base_point, sf.form.Gf.center
+        assert y0[0] + 2.0 * y0[1] == 0.0
+        assert center[0] == 0.0
+        assert sf.fp.base_phat.tobytes() == center[1:].tobytes()
+
 
 class TestExactJacobians:
     def test_second_phat_derivative_matches_fd(self):
