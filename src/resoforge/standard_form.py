@@ -358,7 +358,7 @@ class SecularHam:
         # the g series lives on the ray Z k, so it depends on x only through
         # theta = k.x; x = theta k/|k|^2 is a representative with k.x = theta
         kv = np.array(self.k, dtype=float)
-        g = self.g_series.evaluate(y, np.asarray(theta, dtype=float)[..., None] * kv / sum(v * v for v in self.k)).real
+        g = self.g_series.evaluate(y, np.asarray(theta, dtype=float)[..., None] * kv / (kv @ kv)).real
         return 0.5 * sum(y[..., i] * y[..., i] for i in range(y.shape[-1])) + self.eps * (g_o + g)
 
 

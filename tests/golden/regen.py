@@ -24,10 +24,10 @@ the terms, a divisor or a dropped mass changes a digest.
     PYTHONPATH=src python tests/golden/regen.py    # rewrites averaging.json
 
 Run it only where the outputs are meant to change, and say why.  It first
-starts one child interpreter per setting of `kernel_matrix()` (other
-OpenBLAS kernels, and numpy without its dispatch targets above the x86-64
-baseline), and rewrites nothing unless every child computes the same
-digests as this process.
+computes the digests in one child interpreter per setting of
+`kernel_matrix()` (other OpenBLAS kernels, and numpy without its dispatch
+targets above the x86-64 baseline), and rewrites nothing unless every child
+gives the digests that this process gives.
 """
 
 from __future__ import annotations
@@ -92,20 +92,31 @@ def kernel_matrix() -> dict[str, dict[str, str]]:
     numpy reports as present are disabled: naming an absent one warns, and
     the tests turn warnings into errors."""
     found = np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found") or []
-    prescott = {"OPENBLAS_CORETYPE": "Prescott"}
-    if any(t in found for t in NPY_TARGETS):
-        prescott["NPY_DISABLE_CPU_FEATURES"] = " ".join(t for t in NPY_TARGETS if t in found)
-    return {"haswell": {"OPENBLAS_CORETYPE": "Haswell"}, "prescott": prescott}
+    return {"haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+            "prescott": {"OPENBLAS_CORETYPE": "Prescott",
+                         "NPY_DISABLE_CPU_FEATURES": " ".join(t for t in NPY_TARGETS if t in found)}}
 
 
-def start_child(argv: list[str], setting: dict[str, str]) -> subprocess.Popen:
-    """A child interpreter running argv under setting, with the source tree of
-    the imported resoforge first on its path, from the repository root."""
+def run_children(argv: list[str], timeout: float = 600.0) -> dict[str, tuple[int, str]]:
+    """name -> (exit code, output) of argv run by one child interpreter per
+    `kernel_matrix()` setting, all at once, from the repository root with the
+    source tree of the imported resoforge first on the path; a child still
+    running after timeout seconds is killed."""
     src = str(pathlib.Path(resoforge.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.Popen([sys.executable, *argv], cwd=HERE.parents[1], text=True,
-                            env={**os.environ, **setting, "PYTHONPATH": path},
-                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    children = {name: subprocess.Popen([sys.executable, *argv], cwd=HERE.parents[1], text=True,
+                                       env={**os.environ, **setting, "PYTHONPATH": path},
+                                       stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+                for name, setting in kernel_matrix().items()}
+    done = {}
+    for name, child in children.items():
+        try:
+            out = child.communicate(timeout=timeout)[0]
+        except subprocess.TimeoutExpired:
+            child.kill()
+            out = child.communicate()[0] + f"\nkilled after {timeout} s"
+        done[name] = (child.returncode, out)
+    return done
 
 
 def _sha(doc) -> str:
@@ -185,12 +196,10 @@ if __name__ == "__main__":
             now = digests()
         print(json.dumps(now))
         sys.exit()
-    children = {name: start_child([__file__, "--print"], setting)
-                for name, setting in kernel_matrix().items()}
+    children = run_children([__file__, "--print"])
     now = digests()
-    for name, child in children.items():
-        out = child.communicate()[0]
-        if child.returncode:
+    for name, (code, out) in children.items():
+        if code:
             sys.exit(f"{name} child failed, {GOLDEN} not rewritten:\n{out}")
         other = json.loads(out.splitlines()[-1])
         differ = sorted(key for key in now if other.get(key) != now[key])

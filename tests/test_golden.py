@@ -40,13 +40,8 @@ def test_digests_match_golden():
 
 
 def test_digests_hold_across_kernels():
-    # both children run at once; each fails if a digest or an evaluation's
-    # bytes differ under its kernels
-    regen = _regen()
-    tests = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
-             "tests/test_golden.py::test_digests_match_golden",
-             "tests/test_fourier.py::TestEvaluate::test_off_grid_angles_match_direct_sum"]
-    children = {name: regen.start_child(tests, setting)
-                for name, setting in regen.kernel_matrix().items()}
-    outputs = {name: child.communicate()[0] for name, child in children.items()}
-    assert {name: out[-3000:] for name, out in outputs.items() if children[name].returncode} == {}
+    # a child fails if a digest or an evaluation's bytes differ under its kernels
+    children = _regen().run_children([
+        "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py::test_digests_match_golden",
+        "tests/test_fourier.py::TestEvaluate::test_off_grid_angles_match_direct_sum"])
+    assert {name: out[-3000:] for name, (code, out) in children.items() if code} == {}
