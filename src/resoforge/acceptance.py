@@ -282,7 +282,7 @@ def random_benchmark_form(rng: np.random.Generator, n_hat: int = 1) -> Decoupled
     scaled[(0, (0,) * n_hat, 1)] = (target_theta_o, 0.5 * target_theta_o)
     G = PolyTrig1(n_hat, scaled)
     return DecoupledForm(
-        Gf=G, G_osc=None, adiabatic=lambda ph: 0.0,
+        Gf=G, adiabatic=lambda ph: 0.0,
         r=r, s_breve=s_breve, theta_o_bound=target_theta_o, n_hat=n_hat,
     )
 
@@ -339,7 +339,7 @@ def _benchmark_standard_form():
     }
     G = PolyTrig1(2, terms)
     B = G.dep_majorant(4 * r, 4 * r, sb)
-    form = DecoupledForm(Gf=G, G_osc=None, adiabatic=lambda ph: 0.0,
+    form = DecoupledForm(Gf=G, adiabatic=lambda ph: 0.0,
                          r=r, s_breve=sb, theta_o_bound=max(B / 2, target), n_hat=2)
     fp = solve_fixed_point(form, np.array([0.01, -0.02]))
     params = free_params(3, 1.0, alpha=0.05, K0=4, K=24)
@@ -435,7 +435,8 @@ def criterion_9_energy_identity(points: int = 100) -> CriterionResult:
 
 @_timed
 def criterion_10_averaging() -> CriterionResult:
-    """Exact band purity / resonance-line annihilation of the remainder;
+    """Exact emptiness of the remainder on the killed set (the band, and in
+    the resonant case every mode off the line, read as `line_coeff_max`);
     Richardson remainder ratios 4 +- 20% (order 1, single mode) and 8 +- 25%
     (order 2, minimal parity-breaking pair), each residual >= 100 flow errors."""
     from .lieseries import lie_step_res

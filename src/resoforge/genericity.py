@@ -206,9 +206,7 @@ def _disks(rngs: list[np.random.Generator], size: int) -> np.ndarray:
 
 
 def _philox(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def sample_product_measure(n: int, s: float, K_max: float, seed) -> TrigPoly:

@@ -229,7 +229,7 @@ class TaylorFourierSeries:
 
     def split(self, mask: np.ndarray) -> tuple["TaylorFourierSeries", "TaylorFourierSeries"]:
         """(terms whose row of mask is true, the rest), each in row order; mask
-        is a boolean array over the rows of K, such as `_in_band(K, K0)`."""
+        is a boolean array over the rows of K, such as `_killed(K, K0, k)`."""
         sel = np.asarray(mask, dtype=bool)
         if sel.shape != self.C.shape:
             raise ConfigError(f"split mask of shape {sel.shape} for {len(self.C)} terms")
@@ -521,9 +521,9 @@ class AveragedNF:
 
     g_o[j]    y-only part of the eps^j term,
     g_res[j]  part supported on the resonance line Z k (resonant kind only),
-    f_rem[j]  remaining oscillatory part: support excludes the killed band
-              exactly (nonresonant: no modes 0 < |k|_1 <= K0; resonant:
-              no modes on Z k).
+    f_rem[j]  remaining oscillatory part: support excludes the killed set
+              `_killed` exactly (nonresonant: no modes 0 < |k|_1 <= K0;
+              resonant: no modes off Z k, so f_rem is empty).
     order counts homological steps = retained eps-grades; chi holds the
     generating series per step for building the conjugating flow.
     """
@@ -559,12 +559,9 @@ class AveragedNF:
         return total.real if np.ndim(total) else float(total.real)
 
     def band_coefficient_maxima(self) -> float:
-        """max |coefficient| of f_rem over the killed band (exact-zero check)."""
-        if self.kind == "nonresonant":
-            killed = lambda K: _in_band(K, self.K0)
-        else:
-            killed = lambda K: _on_line(K, self.res_k)
-        return max([0.0] + [float(np.abs(t.C[killed(t.K)]).max(initial=0.0))
+        """max |coefficient| of f_rem over the whole killed set `_killed`
+        (exact-zero check); a resonant f_rem is empty on correct code."""
+        return max([0.0] + [float(np.abs(t.C[_killed(t.K, self.K0, self.res_k)]).max(initial=0.0))
                             for t in self.f_rem[1:self.order + 1]])
 
     def to_dict(self) -> dict:
@@ -604,8 +601,11 @@ class AveragedNF:
         return doc
 
 
-def _in_band(K: np.ndarray, K0: int) -> np.ndarray:
-    """The rows k of the (T, n) mode array K with 0 < |k|_1 <= K0."""
+def _killed(K: np.ndarray, K0: int, k: Mode | None) -> np.ndarray:
+    """The rows l of the (T, n) mode array K that averaging kills: for k None
+    those with 0 < |l|_1 <= K0, else every l != 0 off the line Z k."""
+    if k is not None:
+        return K.any(axis=1) & ~_on_line(K, k)
     norm = np.abs(K).sum(axis=1)
     return (norm > 0) & (norm <= K0)
 
@@ -628,11 +628,9 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
     error context; the resonant kind keeps the part on Z k as g_res."""
     y0 = np.asarray(y0, dtype=float)
     if k is None:
-        killed = lambda K: _in_band(K, params.K0)
         min_divisor, context = params.alpha / 2.0, "resonant at base point"
     else:
         k = tuple(int(v) for v in k)
-        killed = lambda K: K.any(axis=1) & ~_on_line(K, k)
         min_divisor = 2.0 * params.alpha * params.K / math.sqrt(sum(v * v for v in k))
         context = f"small divisor off the line Z{k}"
     ledger = TruncationLedger()
@@ -645,7 +643,7 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
     chis = []
     log: list[tuple[Mode, float]] = []
     for j in range(1, order + 1):
-        band, _rest = grades[j].split(killed(grades[j].K))
+        band, _rest = grades[j].split(_killed(grades[j].K, params.K0, k))
         if band.is_empty:
             continue
         chi, divisors, overflow = solve_homological(band, y0, min_divisor, context)
@@ -699,7 +697,8 @@ def lie_step_res(
 
     Kills all modes off the line Z k with |l|_1 <= K; divisors |y0.l|
     must reach 2 alpha K / |k|.  The Z k band is collected into g_res (at
-    order one exactly the lattice projection of f); pi_k f_rem = 0 exactly.
+    order one exactly the lattice projection of f), so f_rem is empty, as
+    `band_coefficient_maxima` checks over the whole killed set.
     """
     return _average(ham, params, y0, order, max_degree, k)
 
@@ -791,12 +790,3 @@ def verify_conjugacy(
     return ConjugacyReport(flow_error=flow_error, max_residual=float(max(
         abs(ham.value(zi[: nf.n], zi[nf.n:]) - v) for zi, v in zip(z, nf.nf_value(ys, xs)))))
 
-
-def ray_majorant(grades: list[TaylorFourierSeries], k_res: Mode, r: float,
-                 width: float) -> float:
-    """sum over grades of sum |c| r^{|m|} e^{|j| width} for modes j*k_res."""
-    total = 0.0
-    for t in grades:
-        for (j, m, c) in t.ray_terms(k_res):
-            total += abs(c) * r ** sum(m) * math.exp(abs(j) * width)
-    return total

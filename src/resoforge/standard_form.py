@@ -64,7 +64,7 @@ import numpy.random
 from .cover import CoveringParams
 from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1, project_lattice
 from .genericity import c_s, threshold_N
-from .lieseries import AveragedNF, TaylorFourierSeries, ray_majorant, ray_series
+from .lieseries import AveragedNF, TaylorFourierSeries, ray_series
 from .morse import critical_points
 from .unimodular import DecouplingMatrix, UnimodularMatrix, apply, complete_to_sl, decoupling_matrix, mat_transpose
 
@@ -114,10 +114,10 @@ class PolyTrig1:
                                     dtype=float).reshape(count, 2).T
 
     @classmethod
-    def from_series(cls, series: TaylorFourierSeries, k: Mode, dm: DecouplingMatrix,
+    def from_series(cls, series: TaylorFourierSeries, dm: DecouplingMatrix,
                     scale: float) -> "PolyTrig1":
         """scale * Re g(dm.affine (Y1, phat), q1 k/|k|^2) for a series g whose
-        modes lie on Z k, re-expanded about center = dm.affine_inv y0 (y0 the
+        modes lie on Z k (k = dm.um.k), re-expanded about center = dm.affine_inv y0 (y0 the
         series' base point).  With v = (Y1, phat) - center, each
         (y - y0)^m = (affine v)^m is a multinomial product, and the mode j k
         folds onto |j| by Re(z e^{ijq}) = Re z cos jq -/+ Im z sin jq."""
@@ -140,7 +140,7 @@ class PolyTrig1:
             return out
 
         terms: dict = {}
-        for j, m, c in series.ray_terms(k):
+        for j, m, c in series.ray_terms(dm.um.k):
             sign = (j > 0) - (j < 0)
             for e, coeff in expand(m).items():
                 z = scale * c * coeff
@@ -289,14 +289,14 @@ def characteristics(
     the same for every k.
     """
     k = tuple(int(v) for v in k)
-    kk = math.sqrt(sum(v * v for v in k))
+    kk = float(sum(v * v for v in k))  # |k|^2, exact
     c1 = c1_constant(n)
     c2 = c2_constant(n)
     cs = c_s(s)
     N = threshold_N(n, s, delta)
-    R = params.alpha / kk ** 2
+    R = params.alpha / kk
     r = R / c2
-    eps_k = 2.0 * eps / kk ** 2
+    eps_k = 2.0 * eps / kk
     lam = float(params.K) ** (-5 * n)
     if l1(k) < N:
         branch = "low"
@@ -386,16 +386,14 @@ class DecoupledForm:
         )
 
 
-def build_phi1(secular: SecularHam, dm: DecouplingMatrix, r: float, s_breve: float,
+def build_phi1(secular: SecularHam, dm: DecouplingMatrix, chars: Characteristics,
                theta_o_bound: float) -> DecoupledForm:
-    """Apply the rational shear dm of secular.um; return the decoupled 1-DOF form.
+    """The decoupled 1-DOF form of secular under the shear dm, at chars' eps_k, r and s_breve.
 
     The exact identity Hsec o Phi1 = (|k|^2/2) Hsharp + adiabatic holds by the
     kinetic split |A^T U Y|^2 = |k|^2 Y1^2 + |P_k^perp Ahat^T Yhat|^2.
     """
-    k = secular.k
-    eps_k = 2.0 * secular.eps / float(sum(v * v for v in k))
-    Gf = PolyTrig1.from_series(secular.g_o_series.plus(secular.g_series), k, dm, eps_k)
+    Gf = PolyTrig1.from_series(secular.g_o_series.plus(secular.g_series), dm, chars.eps_k)
     perp = [row[1:] for row in dm.affine]  # P_k^perp Ahat^T, exactly
 
     def adiabatic(phat):
@@ -405,8 +403,8 @@ def build_phi1(secular: SecularHam, dm: DecouplingMatrix, r: float, s_breve: flo
     return DecoupledForm(
         Gf=Gf,
         adiabatic=adiabatic,
-        r=r,
-        s_breve=s_breve,
+        r=chars.r,
+        s_breve=chars.s_breve,
         theta_o_bound=theta_o_bound,
         n_hat=dm.um.n - 1,
         um=dm.um,
@@ -867,7 +865,7 @@ def standardize(
     chars = characteristics(k, f.n, s, eps, beta, f, params, delta=delta)
     # Gf's center is the base point in standard-form coordinates,
     # (Y1c, phat0) = U^{-1} A^{-T} y0; the bound below reads Y1c, so it is set after
-    form = build_phi1(secular, dm, r=chars.r, s_breve=chars.s_breve, theta_o_bound=math.inf)
+    form = build_phi1(secular, dm, chars, theta_o_bound=math.inf)
 
     # certified bound on |Gf - Gbar| over the working domain: series majorants
     # around the base point; the Y-excursion |Y1 - Y1c| <= 4r maps to a
@@ -878,7 +876,7 @@ def standardize(
     r_y = (4.0 * chars.r + abs(form.Gf.center[0])) * k_inf + 4.0 * chars.r + 1e-15
     g_o_maj = secular.g_o_series.majorant(r_y, 0.0)
     diff = secular.g_series.plus(ray_series(secular.g_series, pk, k).scaled(-1.0))
-    g_diff_maj = ray_majorant([diff], k, r_y, chars.s_breve)
+    g_diff_maj = diff.majorant(r_y, chars.s_breve / l1(k))  # e^{|j| s_breve} at mode j k
     form.theta_o_bound = max(eps_k * g_o_maj, eps_k * g_diff_maj, 1e-300)
     fp = solve_fixed_point(form, form.Gf.center[1:])
     return build_phi2_phi3(fp, chars, pk.scaled(eps_k), phi1=LinearSymplectic(dm))

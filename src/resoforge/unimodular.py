@@ -260,7 +260,10 @@ class DecouplingMatrix:
         return [[Fraction(v, k_sq) for v in self.um.k]] + [list(c) for c in zip(*self.um.inverse)][1:]
 
     def operator_norms(self) -> tuple[float, float]:
-        return tuple(float(np.linalg.norm(np.array(m, dtype=float), 2)) for m in (self.U, self.U_inv))
+        """(|U|_2, |U^{-1}|_2), both (|w| + (|w|^2 + 4)^{1/2}) / 2 for U = I + e1 w^T."""
+        w2 = float(sum(v * v for v in self.shear))  # |w|^2 of the shear w, exact
+        norm = (math.sqrt(w2) + math.sqrt(w2 + 4.0)) / 2.0
+        return norm, norm
 
     def to_dict(self) -> dict:
         return {

@@ -23,12 +23,11 @@ from resoforge.lieseries import (
     TaylorFourierSeries,
     TruncationLedger,
     _flow_time1,
-    _in_band,
+    _killed,
     _on_line,
     kinetic_series,
     lie_step_nonres,
     lie_step_res,
-    ray_majorant,
     ray_series,
     _levels,
     _slots,
@@ -825,11 +824,13 @@ class TestSplitMasks:
         K = _slots(n, cutoff, 0).modes
         modes = list(map(tuple, K.tolist()))
         for K0 in range(cutoff + 1):
-            assert _in_band(K, K0).tolist() == [0 < sum(map(abs, kk)) <= K0 for kk in modes]
+            assert _killed(K, K0, None).tolist() == [0 < sum(map(abs, kk)) <= K0 for kk in modes]
         assert K.any(axis=1).tolist() == [any(kk) for kk in modes]
         line = _on_line(K, k)
         assert line.tolist() == [on_ray(kk, k) is not None for kk in modes]
         assert 0 < line.sum() < len(modes) - 1
+        # the resonant kill takes every nonzero mode off Z k, whatever K0
+        assert _killed(K, 0, k).tolist() == [any(kk) and on_ray(kk, k) is None for kk in modes]
 
     def test_split_keeps_row_order_and_rejects_other_shapes(self):
         F = random_real_series(np.random.default_rng(4), 2, 2, 4, 12)
@@ -1016,6 +1017,15 @@ class TestResonantStep:
         ham = NaturalHam(2, 1e-3, self.f)
         nf = lie_step_res(ham, self.k, self.params, self.y0, order=2, max_degree=3)
         assert nf.band_coefficient_maxima() == 0.0
+        assert all(t.is_empty for t in nf.f_rem[1:])
+
+    def test_band_check_reads_the_whole_killed_set(self):
+        # one term off Z k left in the remainder, as a kill that stopped
+        # short of the cutoff would leave it, must show in the check
+        ham = NaturalHam(2, 1e-3, self.f)
+        nf = lie_step_res(ham, self.k, self.params, self.y0, order=2, max_degree=3)
+        add_term(nf.f_rem[2], (3, 1), (0, 0), 0.25)
+        assert nf.band_coefficient_maxima() == 0.25
 
     def test_pure_line_potential_untouched(self):
         f = TrigPoly.from_cosines(2, {(1, 1): 0.8})
@@ -1068,15 +1078,15 @@ class TestRemainderNorm:
         assert lhs <= rhs * (1 + 1e-12)
 
 
-    def test_ray_majorant_hand_value(self):
+    def test_majorant_on_ray_hand_value(self):
+        # on the ray of (1, 1) the strip width w / |k|_1 weighs mode j k by e^{|j| w}
         F = series()
-        add_term(F, (2, 2), (1, 0), 0.3)       # j = 2 on the ray of (1, 1)
+        add_term(F, (2, 2), (1, 0), 0.3)       # j = 2
         add_term(F, (-1, -1), (0, 0), 0.4j)    # j = -1
-        G = series()
-        add_term(G, (0, 0), (0, 2), -0.5)      # j = 0
+        add_term(F, (0, 0), (0, 2), -0.5)      # j = 0
         r, w = 0.2, 0.7
         expected = 0.3 * r * math.exp(2 * w) + 0.4 * math.exp(w) + 0.5 * r ** 2
-        assert ray_majorant([F, G], (1, 1), r, w) == pytest.approx(expected, rel=1e-15)
+        assert F.majorant(r, w / 2) == pytest.approx(expected, rel=1e-15)
 
 
 def reference_flow_time1(chi, scale, z0, rtol, atol):

@@ -38,7 +38,7 @@ TWO_PI = 2 * math.pi
 
 
 def trivial_form(G, n_hat=1, r=0.1, sb=0.5, theta_o=1e-5):
-    return DecoupledForm(Gf=G, G_osc=None, adiabatic=lambda ph: 0.0,
+    return DecoupledForm(Gf=G, adiabatic=lambda ph: 0.0,
                          r=r, s_breve=sb, theta_o_bound=theta_o, n_hat=n_hat)
 
 
@@ -72,8 +72,7 @@ def form_eps_k(form):
 def oscillatory_part(form):
     """The decoupled potential of the secular g series alone (zero q1
     average), re-expanded with the affine map and scale that build Gf."""
-    sec = form.secular
-    return PolyTrig1.from_series(sec.g_series, sec.k, form.dm, form_eps_k(form))
+    return PolyTrig1.from_series(form.secular.g_series, form.dm, form_eps_k(form))
 
 
 class TestCharacteristics:
@@ -95,6 +94,16 @@ class TestCharacteristics:
         assert ch.R == pytest.approx(0.05 / 2)
         assert ch.r == pytest.approx(ch.R / c2_constant(2))
         assert ch.eps_k == pytest.approx(2 * 1e-4 / 2)
+
+    def test_scales_divide_by_the_exact_square(self):
+        # R and eps_k divide by the integer k.k, not by a rounded sqrt(k.k)^2
+        for k, f in (((1, 1), lacunary_potential(2, 1.0, 10)), ((1, 2), lacunary_potential(2, 1.0, 10)),
+                     ((1, 1, 2), lacunary_potential(3, 1.0, 8))):
+            params = free_params(len(k), 1.0, alpha=0.03, K0=4, K=24)
+            ch = characteristics(k, len(k), 1.0, 1e-6, 0.1, f, params)
+            kk = sum(v * v for v in k)
+            assert ch.eps_k == 2 * 1e-6 / kk
+            assert ch.R == 0.03 / kk
 
     def test_branch_selection(self):
         params = free_params(2, 1.0, alpha=0.05, K0=3, K=12)
@@ -333,7 +342,8 @@ class TestPipeline:
         empty = TaylorFourierSeries(2, self.y0, 2, 6)
         sec = SecularHam(um=um, eps=1e-4, g_o_series=empty, g_series=empty,
                          base_point=self.y0, k=(1, 1))
-        form = build_phi1(sec, decoupling_matrix(um), r=1e-3, s_breve=1.0, theta_o_bound=1e-300)
+        chars = characteristics((1, 1), 2, 1.0, 1e-4, 0.05, self.f, self.params)
+        form = build_phi1(sec, decoupling_matrix(um), chars, theta_o_bound=1e-300)
         rng = np.random.default_rng(10)
         for _ in range(20):
             Y1 = rng.uniform(-0.3, 0.3)

@@ -174,6 +174,17 @@ class TestDecoupling:
             assert nu <= n ** 1.5 + 1e-9
             assert nui <= n ** 1.5 + 1e-9
 
+    def test_operator_norms_closed_form(self):
+        # (|w| + (|w|^2 + 4)^{1/2}) / 2 against an SVD of U and of U^{-1}, on
+        # every generator with n <= 4 and |k|_1 <= 8; the golden k's bits
+        assert decoupling_matrix(complete_to_sl((3, 5, 7))).operator_norms() == (1.0928925060735373,) * 2
+        for n in (2, 3, 4):
+            for k in generators(n, 8):
+                dm = decoupling_matrix(complete_to_sl(k))
+                for got, m in zip(dm.operator_norms(), (dm.U, dm.U_inv)):
+                    want = float(np.linalg.norm(np.array(m, dtype=float), 2))
+                    assert abs(got - want) <= 4 * math.ulp(want), k
+
 
 class TestSymplecticMaps:
     def test_phi1_symplectic_residual_exactly_zero(self):
