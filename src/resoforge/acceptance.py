@@ -359,7 +359,7 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
     construction, so neither is a witness here.  composite_relative checks
     only the chain rule: Phi1's O(1) entries set its spread, so that Phi2
     fault, at 3.2e-7 in phi2_relative, moves it only to 5.0e-13.  Every map
-    call, the group law's too, reads one PointJet of the points: one grid
+    call, the group law's too, reads one `fp.read` of the points: one grid
     and one point solve at any number of points."""
     um = complete_to_sl((2, 3))
     dm = decoupling_matrix(um)
@@ -374,10 +374,10 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
         rng.uniform(0, TWO_PI, 3),
     ]) for _ in range(points)])
     details = {"phi1_rational_residual": str(exact)}
-    jet = sf.fp.point_jet(pts)
+    rd = sf.fp.read(pts[:, 1:sf.n], pts[:, sf.n])
     for name, transform in (("phi2", sf.phi2), ("phi3", sf.phi3),
                             ("composite", sf.phi_diamond())):
-        J = transform.jacobian(pts, jet)
+        J = transform.jacobian(pts, rd)
         details[name] = symplectic_defect(J)
         # relative companion of the absolute gate: Phi2 and Phi3 are within
         # ~1e-7 of the identity, where the absolute defect says little
@@ -385,7 +385,7 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
         details[name + "_relative"] = details[name] / spread if spread > 0 else 0.0
 
     a = sf.phi3
-    details["group_law"] = float(np.max(np.abs(a.inverse().apply(a.apply(pts, jet), jet) - pts)))
+    details["group_law"] = float(np.max(np.abs(a.inverse().apply(a.apply(pts, rd), rd) - pts)))
     ok = (phi1_exact_zero and details["group_law"] <= 1e-12
           and all(details[name] <= 1e-9 and details[name + "_relative"] <= 1e-9
                   for name in ("phi2", "phi3", "composite")))
@@ -410,10 +410,11 @@ def criterion_9_energy_identity(points: int = 100) -> CriterionResult:
     pts = np.array([(rng.uniform(-r, r), *(phat0 + rng.uniform(-r, r, 1)), rng.uniform(0, TWO_PI))
                     for _ in range(points)])
     ph, q1 = pts[:, 1:-1], pts[:, -1]
-    Y1, kinetic, G0, G, _ = sf._read(pts[:, :-1], q1)
+    rd = sf.fp.read(ph, q1)
+    Y1, kinetic, G = sf._read(pts[:, 0], rd)
     # through U and then A^T, not their product, so the kinetic split is tested
     lhs = sec.value(apply(sf.form.dm.U, np.concatenate([Y1[:, None], ph], axis=-1)), q1)
-    rhs = kk2 / 2.0 * ((kinetic + G) + sf._h0(G0, ph))
+    rhs = kk2 / 2.0 * ((kinetic + G) + sf._h0(rd.G0, ph))
     worst = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-300)))
 
     # exact rational kinetic-split identity

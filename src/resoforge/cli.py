@@ -300,8 +300,8 @@ def cmd_standardize(args) -> int:
                                            (8, f.n - 1))
     report = verify_standard(sf, samples)
     # 64 nodes of the q1 grid, so G, nu and the reduction identity below
-    # come from one grid solve
-    p_o, G0, g_grid = sf._on_grid(phat0)
+    # read one grid solve
+    rd = sf.fp.read(phat0, 1.0)
     theta = _THETA[::GRID // 64]
     doc = _report_skeleton(args)
     doc["characteristics"] = sf.chars.to_dict()
@@ -316,13 +316,11 @@ def cmd_standardize(args) -> int:
     doc["grids"] = {
         "q1": theta.tolist(),
         "G_bar": sf.G_bar.evaluate(theta).tolist(),
-        "G": g_grid[::GRID // 64].tolist(),
-        "nu": sf._nu(0.0, p_o, phat0, theta).tolist(),
+        "G": rd.G[::GRID // 64].tolist(),
+        "nu": sf._nu(0.0, rd.tau, phat0, theta).tolist(),
     }
     # hard invariant: the Taylor reduction identity at a sample point
-    ident = sf.check_reduction_identity(
-        [np.concatenate([[0.5 * sf.chars.r], phat0])], [1.0], grid=(p_o, G0)
-    )
+    ident = sf.check_reduction_identity(np.concatenate([[0.5 * sf.chars.r], phat0]), 1.0, rd)
     doc["reduction_identity_residual"] = ident
     _emit(doc, args.out)
     return EXIT_OK if ident < 1e-8 else EXIT_INVARIANT

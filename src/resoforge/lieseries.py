@@ -528,7 +528,6 @@ class AveragedNF:
     generating series per step for building the conjugating flow.
     """
 
-    kind: str
     n: int
     epsilon: float
     order: int
@@ -566,7 +565,7 @@ class AveragedNF:
 
     def to_dict(self) -> dict:
         doc = {
-            "kind": self.kind,
+            "kind": "nonresonant" if self.res_k is None else "resonant",
             "n": self.n,
             "epsilon": self.epsilon,
             "order": self.order,
@@ -660,7 +659,7 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
             g_res.append(line)
         f_rem.append(osc)
     return AveragedNF(
-        kind="nonresonant" if k is None else "resonant", n=ham.n, epsilon=ham.epsilon,
+        n=ham.n, epsilon=ham.epsilon,
         order=order, base_point=y0, kinetic=grades[0], g_o=g_o, f_rem=f_rem, chi=chis,
         divisor_log=log, dropped_mass=ledger.dropped, dropped_by_grade=dict(ledger.by_grade),
         K0=params.K0, K=params.K, max_degree=max_degree,

@@ -34,14 +34,14 @@ stack of them, with a q1 grid or points, and gives any derivative at an
 array of Y1 in one pass over the terms, so the fixed point is solved on the
 whole grid of every phat at once (each entry stops on its own step, exactly
 as the pointwise iteration would).  `_step` states the equation and
-`_implicit` its derivatives, once each: `FixedPointSolution.jet` solves once
-and differentiates p + 0.5 d_{Y1} Gf(p) = 0 on the same evaluator, so the
-Jacobians of Phi2 and Phi3 are exact.  A map takes points z of shape
-L + (2n,), one point being L = (), gives L + (2n,) or, as a Jacobian,
-L + (2n, 2n), and reads the PointJet it is passed (one grid and one point
-solve, made once for every map call at z) or solves its own;
-`verify_standard` and the reduction identity read all their samples the
-same way.
+`_implicit` its derivatives, once each.  `FixedPointSolution.read(phat, q1)`
+is the one reading of the fixed point at a stack of points, a PointJet that
+solves, differentiates p + 0.5 d_{Y1} Gf(p) = 0 and averages over the q1
+grid only what is read, once each, so the Jacobians of Phi2 and Phi3 are
+exact.  A map takes points z of shape L + (2n,), one point being L = (),
+gives L + (2n,) or, as a Jacobian, L + (2n, 2n), and reads the reading it
+is passed or makes its own; `verify_standard` and the reduction identity
+read G0, G and p_o from one.
 
 Config note: the fully certified asymptotic regime additionally requires the
 inner cutoff K0 to exceed a dimensional gate (at least c2, plus an inexplicit
@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 import numpy.fft  # numpy loads these lazily: at import here, not inside the first call
@@ -72,11 +72,6 @@ GRID = 256            # q1 collocation grid (spectral accuracy for analytic data
 GAUSS_NODES = 32      # Taylor-integral quadrature nodes
 FIXED_POINT_TOL = 1e-14  # fixed-point iteration stops once a step is below this
 _THETA = np.arange(GRID) * (TWO_PI / GRID)
-
-
-def _theta_for(phat) -> np.ndarray:
-    """The q1 grid shaped (1,) * len(L) + (GRID,) for phat of shape L + (n_hat,)."""
-    return _THETA.reshape((1,) * (np.ndim(phat) - 1) + (GRID,))
 
 
 # --------------------------------------------------------------------------
@@ -333,11 +328,10 @@ class SecularHam:
     g_o_series: TaylorFourierSeries
     g_series: TaylorFourierSeries
     base_point: np.ndarray
-    k: Mode
 
     @classmethod
     def from_averaged(cls, nf: AveragedNF, um: UnimodularMatrix) -> "SecularHam":
-        if nf.kind != "resonant" or nf.g_res is None:
+        if nf.res_k is None:
             raise ConfigError("secular Hamiltonian needs a resonant normal form")
         g_o = nf.g_o[1].like()
         g = nf.g_res[1].like()
@@ -345,10 +339,7 @@ class SecularHam:
             w = nf.epsilon ** (j - 1)
             g_o = g_o.plus(nf.g_o[j].scaled(w))
             g = g.plus(nf.g_res[j].scaled(w))
-        return cls(
-            um=um, eps=nf.epsilon, g_o_series=g_o, g_series=g,
-            base_point=nf.base_point, k=nf.res_k,
-        )
+        return cls(um=um, eps=nf.epsilon, g_o_series=g_o, g_series=g, base_point=nf.base_point)
 
     def value(self, yt, theta):
         """Hsec at yt of shape L + (n,) and theta of shape L; shape L."""
@@ -357,7 +348,7 @@ class SecularHam:
         g_o = self.g_o_series.evaluate(y, zero_x).real
         # the g series lives on the ray Z k, so it depends on x only through
         # theta = k.x; x = theta k/|k|^2 is a representative with k.x = theta
-        kv = np.array(self.k, dtype=float)
+        kv = np.array(self.um.k, dtype=float)
         g = self.g_series.evaluate(y, np.asarray(theta, dtype=float)[..., None] * kv / (kv @ kv)).real
         return 0.5 * sum(y[..., i] * y[..., i] for i in range(y.shape[-1])) + self.eps * (g_o + g)
 
@@ -446,37 +437,84 @@ def _implicit(D, rhs):
     return -0.5 * rhs / D[(...,) + (None,) * (rhs.ndim - D.ndim)]
 
 
+class _Jet:
+    """p on one evaluator ev and its exact derivatives, each computed on first
+    read and kept.  Differentiating p + 0.5 d_{Y1} Gf(p) = 0 gives D p_i =
+    -0.5 G_{Y i} and D p_q = -0.5 G_{Y q} with D = 1 + 0.5 G_YY, and once more
+    D p_ij = -0.5 (G_YYY p_i p_j + G_{YY i} p_j + G_{YY j} p_i + G_{Y ij})."""
+
+    def __init__(self, fp: "FixedPointSolution", ev: BoundPotential):
+        self.fp, self.ev = fp, ev
+
+    @cached_property
+    def p(self):
+        return self.fp.solve_at(self.ev)
+
+    @cached_property
+    def D(self):
+        return np.asarray(1.0 + 0.5 * self.ev(self.p, 2))
+
+    @cached_property
+    def dp(self):  # dp/dphat
+        return _implicit(self.D, self.ev(self.p, 1, 1))
+
+    @cached_property
+    def d2p(self):  # d2p/dphat2
+        ev, p, pi = self.ev, self.p, self.dp
+        cross = ev(p, 2, 1)[..., :, None] * pi[..., None, :]
+        return _implicit(self.D, ev(p, 3)[..., None, None] * pi[..., :, None] * pi[..., None, :]
+                         + cross + np.swapaxes(cross, -1, -2) + ev(p, 1, 2))
+
+    @cached_property
+    def dq(self):  # dp/dq1
+        return _implicit(self.D, self.ev(self.p, 1, dq=1))
+
+    @cached_property
+    def value(self):  # Gf at p
+        return self.ev(self.p, 0)
+
+
 class PointJet:
-    """The one grid and one point solve that the reduction maps read at points
-    z of shape L + (2n,): `grid` is the jet (p, dp/dphat, d2p/dphat2, None) on
-    each phat's q1 grid, `shear` its angle average (the tau of Phi3), `point`
-    the jet (p, dp/dphat, None, dp/dq1) at z's q1.  Phi2 and Phi3 leave phat
-    and q1 alone, so one jet serves a composition of them; `at(z)` refuses
-    points whose phat or q1, z[..., 1:n + 1], differ from its `key`."""
+    """The reading of p at phat of shape L + (n_hat,) and, when given, q1 of
+    shape L: the _Jets `grid`, on each phat's q1 grid, and `point`, at q1.
+    Each entry is computed on first read and kept: tau = p_o, dtau and d2tau
+    (p's angle average and its phat derivatives, the shear of Phi3), and G0
+    and G on the grid, p^2 + Gf(p) = G0 + G.  Phi2 and Phi3 leave phat and
+    q1 alone, so one reading serves a composition of them."""
 
-    def __init__(self, key: np.ndarray, grid: tuple, shear: tuple, point: tuple):
-        self.key, self.grid, self.shear, self.point = key, grid, shear, point
+    def __init__(self, fp: "FixedPointSolution", phat, q1=None):
+        self.phat, self.q1 = np.array(phat, dtype=float), None if q1 is None else np.array(q1, dtype=float)
+        theta = _THETA.reshape((1,) * (self.phat.ndim - 1) + (GRID,))  # the q1 grid of each phat
+        self.grid = _Jet(fp, fp.form.Gf.at(self.phat, theta))
+        self.point = None if q1 is None else _Jet(fp, fp.form.Gf.at(self.phat, self.q1))
 
-    def at(self, z) -> "PointJet":
-        if not np.array_equal(z[..., 1:self.key.shape[-1] + 1], self.key, equal_nan=True):
-            raise ConfigError("a jet was read at other phat or q1 than it was solved at")
-        return self
+    @cached_property
+    def tau(self):
+        return np.mean(self.grid.p, axis=-1)
+
+    @cached_property
+    def dtau(self):
+        return self.grid.dp.mean(axis=-2)
+
+    @cached_property
+    def d2tau(self):
+        return self.grid.d2p.mean(axis=-3)
+
+    @cached_property
+    def G0(self):
+        return np.mean(self.grid.p ** 2, axis=-1) + np.mean(self.grid.value, axis=-1)
+
+    @cached_property
+    def G(self):
+        return self.grid.p * self.grid.p + self.grid.value - self.G0[..., None]
 
 
 @dataclass
 class FixedPointSolution:
-    """Solution p(phat, q1) of p = -0.5 d_{Y1} Gf(p, phat, q1).
-
-    `jet` solves once, on a stack of phat and q1 (see BoundPotential), and
-    gives p with its exact derivatives.  On the q1 grid the jet gives
-    everything else: the angle average p_o and its derivatives (`shear`, the
-    tau of Phi3), ptilde = p - p_o, and through the periodic primitive phi of
-    ptilde the map q_hat = -d_phat phi of Phi2.  Nothing is cached: each
-    call solves on the points it is given, and `point_jet` is the one solve
-    of each kind that every map reads at a stack of points.  The empirical
+    """Solution p(phat, q1) of p = -0.5 d_{Y1} Gf(p, phat, q1), read at a
+    stack of points as a PointJet by `read(phat, q1)`.  The empirical
     contraction factor must stay below 1/8 (+ roundoff) whenever the
-    smallness hypothesis holds.
-    """
+    smallness hypothesis holds."""
 
     form: DecoupledForm
     residual: float
@@ -501,38 +539,8 @@ class FixedPointSolution:
                 return u[()]
         raise HypothesisError("pointwise fixed-point iteration stalled")
 
-    def jet(self, phat, q1, order: int, dq1: bool = False):
-        """(p, dp/dphat, d2p/dphat2, dp/dq1) at q1 from one solve and its
-        evaluator; phat derivatives above `order`, and dp/dq1 unless dq1, are
-        None.  Differentiating p + 0.5 d_{Y1} Gf(p) = 0 gives D p_i = -0.5 G_{Y i}
-        and D p_q = -0.5 G_{Y q} with D = 1 + 0.5 G_YY, and once more
-        D p_ij = -0.5 (G_YYY p_i p_j + G_{YY i} p_j + G_{YY j} p_i + G_{Y ij})."""
-        ev = self.form.Gf.at(phat, q1)
-        p = self.solve_at(ev)
-        D = np.asarray(1.0 + 0.5 * ev(p, 2)) if order or dq1 else None
-        pi = _implicit(D, ev(p, 1, 1)) if order else None
-        pij = None
-        if order >= 2:
-            cross = ev(p, 2, 1)[..., :, None] * pi[..., None, :]
-            pij = _implicit(D, ev(p, 3)[..., None, None] * pi[..., :, None] * pi[..., None, :]
-                            + cross + np.swapaxes(cross, -1, -2) + ev(p, 1, 2))
-        return p, pi, pij, _implicit(D, ev(p, 1, dq=1)) if dq1 else None
-
-    def shear(self, phat, order: int, grid=None):
-        """(p_o, d p_o/dphat, d2 p_o/dphat2), the angle average of p and its
-        derivatives at phat of shape L + (n_hat,), from grid, phat's jet on
-        the q1 grid, when given; entries above `order` are None."""
-        p, pi, pij, _ = self.jet(phat, _theta_for(phat), order) if grid is None else grid
-        return (np.mean(p, axis=-1), None if pi is None else pi.mean(axis=-2),
-                None if pij is None else pij.mean(axis=-3))
-
-    def point_jet(self, z) -> PointJet:
-        """The PointJet of points z of shape L + (2n,)."""
-        n = self.form.n_hat + 1
-        ph = z[..., 1:n]
-        grid = self.jet(ph, _theta_for(ph), 2)
-        return PointJet(z[..., 1:n + 1].copy(), grid, self.shear(ph, 2, grid),
-                        self.jet(ph, z[..., n], 1, dq1=True))
+    def read(self, phat, q1=None) -> PointJet:
+        return PointJet(self, phat, q1)
 
 
 def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
@@ -580,39 +588,44 @@ def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
 # transform objects with Jacobians
 # --------------------------------------------------------------------------
 
+def _reading(read, phat, q1, rd: PointJet | None) -> PointJet:
+    """rd, refused unless it was made at phat and q1, or else read(phat, q1)."""
+    if rd is None:
+        return read(phat, q1)
+    if not (rd.q1 is not None and np.array_equal(phat, rd.phat, equal_nan=True)
+            and np.array_equal(q1, rd.q1, equal_nan=True)):
+        raise ConfigError("a reading was used at other phat or q1 than it was made at")
+    return rd
+
+
 class ShearMap:
     """Momentum-shear group element: (p, q) -> (p1 + tau(phat), phat, q1,
-    qhat - q1 dtau(phat)); symplectic for every smooth tau.  `jet(phat,
-    order)` takes phat of shape L + (n_hat,) and returns (tau, dtau, d2tau)
-    of shapes L, L + (n_hat,), L + (n_hat, n_hat), the entries above `order`
-    None; `apply` reads order 1, and `jacobian` order 2, which needs the
-    Hessian.  A PointJet, when given, gives its `shear` instead; the inverse
-    is the map of sign -1."""
+    qhat - q1 dtau(phat)); symplectic for every smooth tau.  read(phat, q1),
+    of shapes L + (n_hat,) and L, gives tau, dtau and d2tau of shapes L,
+    L + (n_hat,) and L + (n_hat, n_hat) (Phi3's is fp.read, whose tau is p_o),
+    unless a call is given a reading; the inverse is the map of sign -1."""
 
-    def __init__(self, n: int, jet, sign: float = 1.0):
-        self.n, self.jet, self.sign = n, jet, sign
+    def __init__(self, n: int, read, sign: float = 1.0):
+        self.n, self.read, self.sign = n, read, sign
 
-    def _tau(self, z: np.ndarray, order: int, jet: PointJet | None) -> list:
-        tau = self.jet(z[..., 1:self.n], order) if jet is None else jet.at(z).shear
-        return [None if v is None else self.sign * v for v in tau]
-
-    def apply(self, z: np.ndarray, jet: PointJet | None = None) -> np.ndarray:
+    def apply(self, z: np.ndarray, rd: PointJet | None = None) -> np.ndarray:
         n = self.n
-        tau, dtau, _ = self._tau(z, 1, jet)
+        rd = _reading(self.read, z[..., 1:n], z[..., n], rd)
         out = z.astype(float)
-        out[..., 0] = z[..., 0] + tau
-        out[..., n + 1:] = z[..., n + 1:] - z[..., n, None] * dtau
+        out[..., 0] = z[..., 0] + self.sign * rd.tau
+        out[..., n + 1:] = z[..., n + 1:] - z[..., n, None] * (self.sign * rd.dtau)
         return out
 
     def inverse(self) -> "ShearMap":
-        return ShearMap(self.n, self.jet, -self.sign)
+        return ShearMap(self.n, self.read, -self.sign)
 
-    def jacobian(self, z: np.ndarray, jet: PointJet | None = None) -> np.ndarray:
+    def jacobian(self, z: np.ndarray, rd: PointJet | None = None) -> np.ndarray:
         n = self.n
-        _, dtau, d2tau = self._tau(z, 2, jet)
+        rd = _reading(self.read, z[..., 1:n], z[..., n], rd)
+        dtau = self.sign * rd.dtau
         J = np.tile(np.eye(2 * n), z.shape[:-1] + (1, 1))
         J[..., 0, 1:n] = dtau
-        J[..., n + 1:, 1:n] = -z[..., n, None, None] * d2tau
+        J[..., n + 1:, 1:n] = -z[..., n, None, None] * (self.sign * rd.d2tau)
         J[..., n + 1:, n] = -dtau
         return J
 
@@ -620,59 +633,60 @@ class ShearMap:
 class Phi2Map:
     """The generating-function map of the fixed-point shift:
     Y1 = P1 + ptilde(Phat, Q1), X̂ = Q̂ + q_hat(Phat, Q1).  Each call reads the
-    PointJet it is given, or solves its own."""
+    reading it is given, or makes its own."""
 
     def __init__(self, fp: FixedPointSolution, n: int):
         self.fp, self.n = fp, n
 
-    def apply(self, z: np.ndarray, jet: PointJet | None = None) -> np.ndarray:
+    def apply(self, z: np.ndarray, rd: PointJet | None = None) -> np.ndarray:
         n = self.n
-        jet = self.fp.point_jet(z) if jet is None else jet.at(z)
+        rd = _reading(self.fp.read, z[..., 1:n], z[..., n], rd)
         out = z.astype(float)
-        out[..., 0] = z[..., 0] + (jet.point[0] - jet.shear[0])
-        out[..., n + 1:] = z[..., n + 1:] - _antiderivative_at(jet.grid[1], z[..., n])
+        out[..., 0] = z[..., 0] + (rd.point.p - rd.tau)
+        out[..., n + 1:] = z[..., n + 1:] - _antiderivative_at(rd.grid.dp, z[..., n])
         return out
 
-    def jacobian(self, z: np.ndarray, jet: PointJet | None = None) -> np.ndarray:
+    def jacobian(self, z: np.ndarray, rd: PointJet | None = None) -> np.ndarray:
         n = self.n
-        jet = self.fp.point_jet(z) if jet is None else jet.at(z)
+        rd = _reading(self.fp.read, z[..., 1:n], z[..., n], rd)
         J = np.tile(np.eye(2 * n), z.shape[:-1] + (1, 1))
-        p_ph = jet.point[1] - jet.shear[1]  # d ptilde / d phat
+        p_ph = rd.point.dp - rd.dtau  # d ptilde / d phat
         J[..., 0, 1:n] = p_ph
-        J[..., 0, n] = jet.point[3]  # d ptilde / d q1
-        J[..., n + 1:, 1:n] = -_antiderivative_at(jet.grid[2], z[..., n])
+        J[..., 0, n] = rd.point.dq  # d ptilde / d q1
+        J[..., n + 1:, 1:n] = -_antiderivative_at(rd.grid.d2p, z[..., n])
         J[..., n + 1:, n] = -p_ph
         return J
 
 
 class LinearSymplectic:
-    """Block map (Y, X) -> (U Y, U^{-T} X), U exact from dm.  It reads no jet,
-    and has no `apply`: as Phi1 it is only ever the last map of a composition."""
+    """Block map (Y, X) -> (U Y, U^{-T} X), U exact from dm.  It reads no
+    PointJet, and has no `apply`: as Phi1 it is only ever a composition's last map."""
 
     def __init__(self, dm: DecouplingMatrix):
         n = dm.um.n
         self.J = np.zeros((2 * n, 2 * n))
         self.J[:n, :n], self.J[n:, n:] = np.array(dm.U, dtype=float), np.array(dm.U_inv, dtype=float).T
 
-    def jacobian(self, _z: np.ndarray, _jet=None) -> np.ndarray:
+    def jacobian(self, _z: np.ndarray, _rd=None) -> np.ndarray:
         return self.J
 
 
 class ComposedMap:
-    """maps[0] o maps[1] o ... (rightmost applied first).  A PointJet, given
-    or made by solve(z), is the one jet every map reads, so then only the
-    leftmost map may move phat or q1; without one each map solves its own."""
+    """maps[0] o maps[1] o ... (rightmost applied first).  A reading, given
+    or made by read(phat, q1) at z, is the one every map reads, so then only
+    the leftmost map may move phat or q1; without one each map makes its own."""
 
-    def __init__(self, maps, solve=None):
-        self.maps, self.solve = list(maps), solve
+    def __init__(self, maps, read=None):
+        self.maps, self.read = list(maps), read
 
-    def jacobian(self, z: np.ndarray, jet: PointJet | None = None) -> np.ndarray:
-        jet = self.solve(z) if jet is None and self.solve is not None else jet
+    def jacobian(self, z: np.ndarray, rd: PointJet | None = None) -> np.ndarray:
+        n = z.shape[-1] // 2
+        rd = rd if self.read is None else _reading(self.read, z[..., 1:n], z[..., n], rd)
         maps = self.maps[::-1]
-        J = maps[0].jacobian(z, jet)
+        J = maps[0].jacobian(z, rd)
         for before, m in zip(maps, maps[1:]):
-            z = before.apply(z, jet)
-            J = m.jacobian(z, jet) @ J
+            z = before.apply(z, rd)
+            J = m.jacobian(z, rd) @ J
         return J
 
 
@@ -707,15 +721,6 @@ class StandardFormHam:
     phi2: Phi2Map
     phi3: ShearMap
 
-    def _on_grid(self, ph: np.ndarray):
-        """p_o(phat) and G0(phat), shape L, and G(phat, .) on the q1 grid,
-        L + (GRID,), for phat of shape L + (n_hat,), from one grid solve."""
-        ev = self.form.Gf.at(ph, _theta_for(ph))
-        pg = self.fp.solve_at(ev)
-        gvals = ev(pg, 0)
-        G0 = np.mean(pg ** 2, axis=-1) + np.mean(gvals, axis=-1)
-        return np.mean(pg, axis=-1), G0, pg * pg + gvals - G0[..., None]
-
     def _nu(self, p1, p_o, ph, q1):
         """int_0^1 (1-t) d2_{Y1} Gf(p_o + t p1) dt by Gauss-Legendre, all
         nodes at once, for phat of shape L + (n_hat,) and p_o, p1, q1 broadcasting to L + S."""
@@ -724,19 +729,12 @@ class StandardFormHam:
         ev = self.form.Gf.at(ph, np.asarray(q1, dtype=float)[..., None])
         return np.sum(_GL_W * (1.0 - _GL_T) * ev(pts, 2), axis=-1)
 
-    def _read(self, p, q1, grid=None):
-        """At p of shape L + (n,) and q1 of shape L, from one grid solve and
-        one at q1: the Y1 that Phi2 o Phi3 sends p to, (1 + nu) p1^2,
-        G0(phat), G(phat, q1), and the evaluator at (phat, q1).  grid, when
-        given, is (p_o, G0) of `_on_grid` at the points' phat and replaces
-        the grid solve."""
-        p = np.asarray(p, dtype=float)
-        p1, ph = p[..., 0], p[..., 1:]
-        p_o, G0 = self._on_grid(ph)[:2] if grid is None else grid
-        ev = self.form.Gf.at(ph, q1)
-        pq = self.fp.solve_at(ev)
-        return (p1 + p_o + (pq - p_o), (1.0 + self._nu(p1, p_o, ph, q1)) * p1 ** 2,
-                G0, pq * pq + ev(pq, 0) - G0, ev)
+    def _read(self, p1, rd: PointJet):
+        """At momenta p1 and rd's phat and q1, of shape L: the Y1 that Phi2 o Phi3
+        sends (p1, phat) to, (1 + nu) p1^2 and G(phat, q1), from rd's solves."""
+        p_o, pq = rd.tau, rd.point.p
+        return (p1 + p_o + (pq - p_o), (1.0 + self._nu(p1, p_o, rd.phat, rd.q1)) * p1 ** 2,
+                pq * pq + rd.point.value - rd.G0)
 
     def _h0(self, G0, phat):
         """h0 = G0 + 2 adiabatic(phat)/|k|^2, for G0 of shape L and phat L + (n_hat,)."""
@@ -744,14 +742,15 @@ class StandardFormHam:
 
     def phi_diamond(self) -> ComposedMap:
         maps = [self.phi2, self.phi3] if self.phi1 is None else [self.phi1, self.phi2, self.phi3]
-        return ComposedMap(maps, self.fp.point_jet)
+        return ComposedMap(maps, self.fp.read)
 
-    def check_reduction_identity(self, points, q1s, grid=None) -> float:
-        """max |Hsharp(Phi2(Phi3(p, q1))) - ((1+nu)p1^2 + G0 + G)| over the
-        points, all read through one grid and one point solve; a caller that
-        has solved the points' grid passes its (p_o, G0) as grid (`_read`)."""
-        Y1, kinetic, G0, G, ev = self._read(points, q1s, grid)
-        return float(np.max(np.abs(Y1 * Y1 + ev(Y1, 0) - (kinetic + G0 + G))))
+    def check_reduction_identity(self, points, q1s, rd: PointJet | None = None) -> float:
+        """max |Hsharp(Phi2(Phi3(p, q1))) - ((1+nu)p1^2 + G0 + G)| over the points,
+        all read through one grid and one point solve: rd's, if made there."""
+        p = np.asarray(points, dtype=float)
+        rd = _reading(self.fp.read, p[..., 1:], q1s, rd)
+        Y1, kinetic, G = self._read(p[..., 0], rd)
+        return float(np.max(np.abs(Y1 * Y1 + rd.point.ev(Y1, 0) - (kinetic + rd.G0 + G))))
 
 
 def build_phi2_phi3(fp: FixedPointSolution, chars: Characteristics,
@@ -761,7 +760,7 @@ def build_phi2_phi3(fp: FixedPointSolution, chars: Characteristics,
     fixed point."""
     n = fp.form.n_hat + 1
     return StandardFormHam(k=chars.k, n=n, chars=chars, fp=fp, form=fp.form, G_bar=G_bar,
-                           phi1=phi1, phi2=Phi2Map(fp, n), phi3=ShearMap(n, fp.shear))
+                           phi1=phi1, phi2=Phi2Map(fp, n), phi3=ShearMap(n, fp.read))
 
 
 # --------------------------------------------------------------------------
@@ -804,10 +803,10 @@ def verify_standard(sf: StandardFormHam, phat_samples: np.ndarray) -> StandardFo
     rng = np.random.default_rng(7)
     q1, p1 = np.array([(rng.uniform(0, TWO_PI, 8), rng.uniform(-ch.r, ch.r, 8))
                        for _ in ph]).transpose(1, 0, 2)
-    p_o, G0, gv = sf._on_grid(ph)
-    worst_dev = float(np.max(np.abs(gv - sf.G_bar.values_on_grid(GRID))))
-    worst_nu = float(np.max(np.abs(sf._nu(p1, p_o[:, None], ph, q1))))
-    worst_h0 = float(np.max(np.abs(G0)))
+    rd = sf.fp.read(ph)
+    worst_dev = float(np.max(np.abs(rd.G - sf.G_bar.values_on_grid(GRID))))
+    worst_nu = float(np.max(np.abs(sf._nu(p1, rd.tau[:, None], ph, q1))))
+    worst_h0 = float(np.max(np.abs(rd.G0)))
     put("g_minus_gbar_le_eps_hat_lambda", worst_dev, ch.eps_hat * ch.lam,
         worst_dev <= ch.eps_hat * ch.lam)
     put("nu_le_lambda", worst_nu, ch.lam, worst_nu <= ch.lam)

@@ -180,7 +180,7 @@ def map_digests() -> dict[str, str]:
         for label, transform in (("phi2", sf.phi2), ("phi3", sf.phi3)):
             out[f"maps/{name}/{label}/apply"] = _sha([transform.apply(z).tolist() for z in pts])
         out[f"maps/{name}/phi3/round_trip"] = _sha([inverse.apply(sf.phi3.apply(z)).tolist() for z in pts])
-        out[f"maps/{name}/h0"] = _sha([float(sf._h0(sf._read(z[:n], z[n])[2], z[1:n])) for z in pts])
+        out[f"maps/{name}/h0"] = _sha([float(sf._h0(sf.fp.read(z[1:n]).G0, z[1:n])) for z in pts])
         out[f"maps/{name}/reduction_identity"] = _sha(
             float(sf.check_reduction_identity([z[:n] for z in pts], [z[n] for z in pts])))
     return out

@@ -129,8 +129,8 @@ def test_criterion_08_rejects_one_doubled_hessian_entry(monkeypatch):
     # absolute defect stays far below its gate, the relative one does not
     jacobian = Phi2Map.jacobian
 
-    def doubled(self, z, jet=None):
-        J = jacobian(self, z, jet)
+    def doubled(self, z, rd=None):
+        J = jacobian(self, z, rd)
         J[..., self.n + 1, 2] *= 2.0
         return J
 

@@ -49,24 +49,25 @@ def hsharp(form, Y1, ph, q1):
 
 def phi(fp, phat, x1):
     """The periodic primitive phi(phat, x1) = int_0^x1 ptilde of a fixed point."""
-    return float(_antiderivative_at(fp.jet(phat, _THETA, 0)[0], x1))
+    return float(_antiderivative_at(fp.read(phat).grid.p, x1))
 
 
-def shear_jet(tau, dtau, d2tau=None):
-    """A ShearMap jet from closed forms of tau, dtau and (optionally) d2tau;
+def shear_reader(tau, dtau, d2tau=None):
+    """A ShearMap reader from closed forms of tau, dtau and (optionally) d2tau;
     a form that a stack of points reaches reads phat as ph[..., i]."""
-    return lambda ph, order: (tau(ph), dtau(ph), None if d2tau is None else d2tau(ph))
+    return lambda ph, q1: SimpleNamespace(tau=tau(ph), dtau=dtau(ph),
+                                          d2tau=None if d2tau is None else d2tau(ph))
 
 
 def standard_value(sf, p, q1):
     """(1 + nu) p1^2 + G(phat, q1), read as the reduction identity reads it."""
-    _, kinetic, _, G, _ = sf._read(p, q1)
+    _, kinetic, G = sf._read(p[..., 0], sf.fp.read(p[..., 1:], q1))
     return kinetic + G
 
 
 def form_eps_k(form):
     """The scale 2 eps/|k|^2 that build_phi1 gives Gf."""
-    return 2.0 * form.secular.eps / float(sum(v * v for v in form.secular.k))
+    return 2.0 * form.secular.eps / float(sum(v * v for v in form.secular.um.k))
 
 
 def oscillatory_part(form):
@@ -141,22 +142,22 @@ class TestFixedPoint:
     def test_y1_independent_potential_gives_zero(self):
         G = PolyTrig1(1, {(0, (0,), 1): (0.3, 0.1)})
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        assert fp.jet([0.0], 1.2, 0)[0] == 0.0
+        assert fp.read([0.0], 1.2).point.p == 0.0
         assert fp.residual == 0.0
 
     def test_linear_potential_exact(self):
         c = 0.3
         G = PolyTrig1(1, {(1, (0,), 0): (c, 0.0)})
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        assert fp.jet([0.0], 0.3, 0)[0] == pytest.approx(-c / 2, rel=1e-14)
+        assert fp.read([0.0], 0.3).point.p == pytest.approx(-c / 2, rel=1e-14)
         assert fp.iterations <= 3
 
     def test_cosine_coupling_first_order(self):
         e = 0.01
         G = PolyTrig1(1, {(1, (0,), 1): (e, 0.0)})
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        assert fp.jet([0.0], 0.7, 0)[0] == pytest.approx(-e / 2 * math.cos(0.7), rel=1e-12)
-        assert fp.shear([0.0], 0)[0] == pytest.approx(0.0, abs=1e-16)
+        assert fp.read([0.0], 0.7).point.p == pytest.approx(-e / 2 * math.cos(0.7), rel=1e-12)
+        assert fp.read([0.0]).tau == pytest.approx(0.0, abs=1e-16)
         assert phi(fp, [0.0], math.pi / 3) == pytest.approx(
             -e / 2 * math.sin(math.pi / 3), rel=1e-12
         )
@@ -165,8 +166,8 @@ class TestFixedPoint:
         G = PolyTrig1(1, {(1, (0,), 1): (0.01, 0.005), (2, (0,), 2): (0.002, 0.0),
                           (0, (0,), 1): (0.02, 0.0)})
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        grid = fp.jet(np.zeros(1), _THETA, 0)[0]
-        assert abs(np.mean(grid - fp.shear([0.0], 0)[0])) < 1e-15
+        rd = fp.read(np.zeros(1))
+        assert abs(np.mean(rd.grid.p - rd.tau)) < 1e-15
         assert abs(phi(fp, [0.0], TWO_PI) - phi(fp, [0.0], 0.0)) < 1e-13
 
     def test_divergence_detected(self):
@@ -179,8 +180,8 @@ class TestFixedPoint:
         fp = solve_fixed_point(trivial_form(G), np.array([0.03]))
         h = 1e-6
         for q1 in (0.3, 2.2):
-            fd = (fp.jet([0.03 + h], q1, 0)[0] - fp.jet([0.03 - h], q1, 0)[0]) / (2 * h)
-            assert fp.jet([0.03], q1, 1)[1][0] == pytest.approx(fd, abs=1e-9)
+            fd = (fp.read([0.03 + h], q1).point.p - fp.read([0.03 - h], q1).point.p) / (2 * h)
+            assert fp.read([0.03], q1).point.dp[0] == pytest.approx(fd, abs=1e-9)
 
     def test_implicit_q1_derivative(self):
         # dp/dq1 = d ptilde/dq1 is the (P1, Q1) entry of Phi2's Jacobian
@@ -188,9 +189,9 @@ class TestFixedPoint:
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
         h = 1e-6
         for q1 in (0.5, 4.0):
-            fd = (fp.jet([0.0], q1 + h, 0)[0] - fp.jet([0.0], q1 - h, 0)[0]) / (2 * h)
+            fd = (fp.read([0.0], q1 + h).point.p - fp.read([0.0], q1 - h).point.p) / (2 * h)
             J = Phi2Map(fp, 2).jacobian(np.array([0.0, 0.0, q1, 0.0]))
-            assert J[0, 2] == pytest.approx(fd, abs=1e-9)
+            assert J[0, 2] == fp.read([0.0], q1).point.dq == pytest.approx(fd, abs=1e-9)
 
 
 class TestReduction:
@@ -203,7 +204,7 @@ class TestReduction:
                              lacunary_potential(2, 1.0, 10), params)
         sf = build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}))
         ph = np.zeros(1)
-        assert sf._nu(0.37, sf._on_grid(ph)[0], ph, 1.1) == pytest.approx(a, rel=1e-12)
+        assert sf._nu(0.37, sf.fp.read(ph).tau, ph, 1.1) == pytest.approx(a, rel=1e-12)
         # at p1 = 0 the standard form is G
         assert standard_value(sf, np.zeros(2), 1.3) == pytest.approx(0.0, abs=1e-15)
 
@@ -235,7 +236,7 @@ class TestReduction:
 def phi1_identity_residual(form, points, thetas):
     """max |Hsec(Phi1(Y, X1)) - ((|k|^2/2) Hsharp + adiabatic)| over samples."""
     sec = form.secular
-    kk2 = float(sum(v * v for v in sec.k))
+    kk2 = float(sum(v * v for v in sec.um.k))
     return max(abs(sec.value(apply(form.dm.U, Y), theta) - (0.5 * kk2 * hsharp(form, Y[0], Y[1:], theta) + form.adiabatic(Y[1:])))
                for Y, theta in zip(points, thetas))
 
@@ -245,11 +246,11 @@ class TestMaps:
         rng = np.random.default_rng(2)
         ta, dta = lambda ph: 0.1 * ph[0] - 0.05 * ph[1] ** 2, lambda ph: np.array([0.1, -0.1 * ph[1]])
         tb, dtb = lambda ph: 0.02 * ph[0] * ph[1], lambda ph: np.array([0.02 * ph[1], 0.02 * ph[0]])
-        a = ShearMap(3, shear_jet(ta, dta))
-        b = ShearMap(3, shear_jet(tb, dtb))
+        a = ShearMap(3, shear_reader(ta, dta))
+        b = ShearMap(3, shear_reader(tb, dtb))
         pts = [rng.normal(size=6) for _ in range(100)]
         # Psi_a o Psi_b = Psi_{a+b}
-        ab = ShearMap(3, shear_jet(lambda ph: ta(ph) + tb(ph), lambda ph: dta(ph) + dtb(ph)))
+        ab = ShearMap(3, shear_reader(lambda ph: ta(ph) + tb(ph), lambda ph: dta(ph) + dtb(ph)))
         assert max(float(np.max(np.abs(a.apply(b.apply(z)) - ab.apply(z)))) for z in pts) < 1e-12
         inv = a.inverse()
         worst = max(float(np.max(np.abs(inv.apply(a.apply(z)) - z))) for z in pts)
@@ -257,7 +258,7 @@ class TestMaps:
 
     def test_shear_symplectic(self):
         # symplectic_check maps all 50 points as one stack
-        a = ShearMap(3, shear_jet(lambda ph: 0.1 * ph[..., 0] - 0.05 * ph[..., 1] ** 2,
+        a = ShearMap(3, shear_reader(lambda ph: 0.1 * ph[..., 0] - 0.05 * ph[..., 1] ** 2,
                                   lambda ph: np.stack([np.full(ph.shape[:-1], 0.1),
                                                        -0.1 * ph[..., 1]], axis=-1),
                                   lambda ph: np.array([[0.0, 0.0], [0.0, -0.1]])))
@@ -275,8 +276,8 @@ class TestMaps:
         # shears commute, so it could not tell the two orders apart
         U = np.array([[1.0, 0.5], [0.25, 1.0]])
         J = np.block([[U, np.zeros((2, 2))], [np.zeros((2, 2)), np.linalg.inv(U).T]])
-        lin = SimpleNamespace(J=J, jacobian=lambda z, jet=None: J)
-        shear = ShearMap(2, shear_jet(lambda ph: 0.1 * ph[0] ** 2, lambda ph: np.array([0.2 * ph[0]]),
+        lin = SimpleNamespace(J=J, jacobian=lambda z, rd=None: J)
+        shear = ShearMap(2, shear_reader(lambda ph: 0.1 * ph[0] ** 2, lambda ph: np.array([0.2 * ph[0]]),
                                       lambda ph: np.array([[0.2]])))
         comp = ComposedMap([lin, shear])
         z = np.array([0.3, -0.2, 1.0, 2.0])
@@ -306,7 +307,7 @@ class TestMaps:
             "phi3.jacobian": sf.phi3.jacobian,
             "phi_diamond.jacobian": sf.phi_diamond().jacobian,
             "phi3 round trip": lambda z: inverse.apply(sf.phi3.apply(z)),
-            "h0": lambda z: sf._h0(sf._read(z[..., :n], z[..., n])[2], z[..., 1:n]),
+            "h0": lambda z: sf._h0(sf.fp.read(z[..., 1:n]).G0, z[..., 1:n]),
         }
         if sf.form.secular is not None:  # criterion 8's form is built without one
             calls["SecularHam.value"] = lambda z: sf.form.secular.value(
@@ -340,8 +341,7 @@ class TestPipeline:
 
         um = complete_to_sl((1, 1))
         empty = TaylorFourierSeries(2, self.y0, 2, 6)
-        sec = SecularHam(um=um, eps=1e-4, g_o_series=empty, g_series=empty,
-                         base_point=self.y0, k=(1, 1))
+        sec = SecularHam(um=um, eps=1e-4, g_o_series=empty, g_series=empty, base_point=self.y0)
         chars = characteristics((1, 1), 2, 1.0, 1e-4, 0.05, self.f, self.params)
         form = build_phi1(sec, decoupling_matrix(um), chars, theta_o_bound=1e-300)
         rng = np.random.default_rng(10)
@@ -389,9 +389,10 @@ class TestPipeline:
             p1 = rng.uniform(-sf.chars.r, sf.chars.r)
             ph = phat0 + rng.uniform(-sf.chars.r, sf.chars.r, 1)
             q1 = rng.uniform(0, TWO_PI)
-            Y1, kinetic, G0, G, _ = sf._read(np.concatenate([[p1], ph]), q1)
+            rd = sf.fp.read(ph, q1)
+            Y1, kinetic, G = sf._read(p1, rd)
             lhs = sec.value(apply(sf.form.dm.U, np.concatenate([[Y1], ph])), q1)
-            rhs = 1.0 * ((kinetic + G) + sf._h0(G0, ph))
+            rhs = 1.0 * ((kinetic + G) + sf._h0(rd.G0, ph))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_gbar_is_scaled_projection(self):
@@ -399,6 +400,26 @@ class TestPipeline:
                          beta=0.05, order=2)
         a = math.exp(-2.0)
         assert sf.G_bar.coeffs[1] == pytest.approx(sf.chars.eps_k * a)
+
+    def test_ray_weighted_majorant_sets_theta_o_bound(self):
+        # the off-line modes (2, 1) and (1, 2) meet on 3 (1, 1) at second
+        # order, so g - pi_k f has 12 terms (j = +-3), and its majorant, at
+        # strip weight e^{|j| s_breve} on mode j k, sets theta_o far above the
+        # g_o part; another strip weight gives another bound
+        from resoforge.fourier import project_lattice
+        from resoforge.lieseries import ray_series
+
+        f = TrigPoly.from_cosines(2, {(2, 1): 0.3, (1, 2): 0.3, (1, 1): 0.2})
+        k = (1, 1)
+        sf = standardize(f, 1.0, 1e-6, k, self.params, self.y0, beta=0.05, order=2)
+        sec, ch = sf.form.secular, sf.chars
+        diff = sec.g_series.plus(ray_series(sec.g_series, project_lattice(f, k), k).scaled(-1.0))
+        terms = diff.ray_terms(k)
+        assert len(terms) == 12
+        r_y = (4.0 * ch.r + abs(sf.form.Gf.center[0])) + 4.0 * ch.r + 1e-15  # |k|_inf = 1
+        maj = float(sum(abs(c) * r_y ** sum(m) * math.exp(abs(j) * ch.s_breve) for j, m, c in terms))
+        assert sf.form.theta_o_bound == ch.eps_k * maj == pytest.approx(4.66e-11, rel=1e-3)
+        assert ch.eps_k * sec.g_o_series.majorant(r_y, 0.0) == pytest.approx(9.0e-13, rel=1e-2)
 
     def test_verify_standard_flags(self):
         # deep perturbative regime: every standard-form estimate holds
@@ -439,7 +460,7 @@ class TestPipeline:
             (np.array(um.A_hat, dtype=float) @ np.array(um.k, dtype=float))[0]
         )
         kk2 = float(sum(v * v for v in um.k))
-        shear = ShearMap(2, shear_jet(lambda ph: -ahat_k * ph[0] / kk2,
+        shear = ShearMap(2, shear_reader(lambda ph: -ahat_k * ph[0] / kk2,
                                       lambda ph: np.array([-ahat_k / kk2]),
                                       lambda ph: np.zeros((1, 1))))
         rng = np.random.default_rng(9)
@@ -677,7 +698,7 @@ def reference_series_potential(form, parts):
     affine = np.array(form.dm.affine, dtype=float)
 
     def series_sum(series, Y1, ph, q1, dq):
-        terms = series.ray_terms(sec.k)
+        terms = series.ray_terms(sec.um.k)
         if not terms:
             return np.zeros(np.broadcast(Y1, q1).shape)
         J = np.array([t[0] for t in terms], dtype=float)
@@ -756,15 +777,15 @@ class TestExactJacobians:
         ph = fp.base_phat + np.array([0.004, -0.007])
         h = 1e-4
         q = np.array([0.3, 2.2, 5.0])
-        exact = fp.jet(ph, q, 2)[2]
-        dtau2 = sf.phi3.jet(ph, 2)[2]
+        exact = fp.read(ph, q).point.d2p
+        dtau2 = sf.phi3.read(ph, q).d2tau
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd = (fp.jet(ph + e, q, 1)[1] - fp.jet(ph - e, q, 1)[1]) / (2 * h)
+            fd = (fp.read(ph + e, q).point.dp - fp.read(ph - e, q).point.dp) / (2 * h)
             scale = np.max(np.abs(exact))
             assert np.max(np.abs(exact[:, :, j] - fd)) <= 1e-6 * scale
-            fd_tau = (fp.shear(ph + e, 1)[1] - fp.shear(ph - e, 1)[1]) / (2 * h)
+            fd_tau = (fp.read(ph + e).dtau - fp.read(ph - e).dtau) / (2 * h)
             assert np.max(np.abs(dtau2[:, j] - fd_tau)) <= 1e-6 * np.max(np.abs(dtau2))
         assert np.allclose(exact, np.swapaxes(exact, -1, -2), rtol=0, atol=1e-12 * scale)
 
@@ -804,36 +825,13 @@ class TestExactJacobians:
 
 
 class TestOneSolvePerJet:
-    def test_lower_orders_are_prefixes(self):
-        # phat derivatives above the order are None, and dp/dq1 unless asked
-        # for; the others equal the full jet's
-        from resoforge.acceptance import _benchmark_standard_form
-
-        fp = _benchmark_standard_form()[0].fp
-        ph = fp.base_phat + np.array([0.003, 0.002])
-        for q1 in (1.1, _THETA):
-            full = fp.jet(ph, q1, 2, dq1=True)
-            assert full[3] is not None and np.shape(full[3]) == np.shape(full[0])
-            for order, width in ((0, 1), (1, 2), (2, 3)):
-                part = fp.jet(ph, q1, order)
-                assert part[width:] == (None,) * (4 - width)
-                for a, b in zip(part[:width], full):
-                    assert np.array_equal(a, b)
-                part = fp.jet(ph, q1, order, dq1=True)
-                assert part[width:3] == (None,) * (3 - width)
-                for a, b in zip(part[:width] + part[3:], full[:width] + full[3:]):
-                    assert np.array_equal(a, b)
-        tau = fp.shear(ph, 2)
-        assert fp.shear(ph, 0)[1:] == (None, None)
-        assert tau[0] == float(np.mean(fp.jet(ph, _THETA, 0)[0]))
-
     def test_solve_counts(self, monkeypatch, tmp_path):
-        # grid and point solves per call: one grid jet and one point jet for
-        # Phi2, one grid jet for Phi3, and one stacked solve of each kind for
+        # grid and point solves per call: one grid and one point solve for
+        # Phi2, one grid solve for Phi3, and one stacked solve of each kind for
         # all the samples of the reduction identity, of criterion 9 and of
         # verify_standard.  A map call on a stack of points solves as one on
         # a single point, and the composite and criterion 8 solve one
-        # PointJet that every map call reads, so criterion 8 makes as many
+        # reading that every map call reads, so criterion 8 makes as many
         # solves at 20 points as at 100.  A call counts once, as a grid solve
         # when its q1 carries the GRID-node axis, however many phat it stacks
         import json
@@ -897,8 +895,10 @@ class TestOneSolvePerJet:
         }
 
     def test_only_phi2_point_jacobian_reads_dp_dq1(self, monkeypatch):
-        # dp/dq1 is read by no grid caller, so an order-2 grid jet makes no
-        # q1-derivative pass; Phi2's Jacobian makes one, at its own q1
+        # a reading computes only what is read: the grid's d2p/dphat2 makes
+        # no q1-derivative pass, and Phi2's Jacobian makes one, at its own
+        # q1; Phi2's apply reads neither dp/dq1 nor d2p/dphat2, and Phi3's
+        # apply reads the grid alone, so it makes no point solve
         from resoforge.acceptance import _benchmark_standard_form
 
         sf, rng = _benchmark_standard_form()
@@ -909,22 +909,28 @@ class TestOneSolvePerJet:
         call = BoundPotential.__call__
 
         def recording(ev, Y1, dy, dph=0, dq=0):
-            passes.append((ev.q1.ndim, dq))
+            passes.append((ev.q1.shape[-1:] == (GRID,), dph, dq))
             return call(ev, Y1, dy, dph, dq)
 
         monkeypatch.setattr(BoundPotential, "__call__", recording)
-        sf.fp.jet(z[1:n], _THETA, 2)
-        assert passes and all(dq == 0 for _, dq in passes)
-        passes.clear()
-        sf.phi2.jacobian(z)
-        assert [(ndim, dq) for ndim, dq in passes if dq] == [(0, 1)]
+
+        def passes_of(read):
+            passes.clear()
+            read()
+            assert passes
+            return list(passes)
+
+        assert all(dq == 0 for _, _, dq in passes_of(lambda: sf.fp.read(z[1:n]).d2tau))
+        assert [(grid, dq) for grid, _, dq in passes_of(lambda: sf.phi2.jacobian(z)) if dq] == [(False, 1)]
+        assert all(dq == 0 and dph < 2 for _, dph, dq in passes_of(lambda: sf.phi2.apply(z)))
+        assert all(grid for grid, _, _ in passes_of(lambda: sf.phi3.apply(z)))
 
 
 class TestOneStatedEquation:
     def test_one_step_moves_every_reader(self, monkeypatch):
         # Gf = c Y1 + e Y1 cos q1 has p = -(c + e cos q1)/2.  Editing the one
         # step to -0.45 moves solve_fixed_point's iterate (seen through its
-        # |p| bound, set between 0.45 and 0.5 of max |p|), the jet, the
+        # |p| bound, set between 0.45 and 0.5 of max |p|), the reading, the
         # shear's p_o and Phi2's shift: the factor is written nowhere else
         from resoforge import standard_form
 
@@ -936,16 +942,17 @@ class TestOneStatedEquation:
                 monkeypatch.setattr(standard_form, "_step", lambda ev, u: -0.45 * ev(u, 1))
             fp = solve_fixed_point(form, np.zeros(1))
             assert fp.pitale_ok == (factor == 0.45)
-            p = fp.jet([0.0], q1, 0)[0]
+            p = fp.read([0.0], q1).point.p
             assert p == pytest.approx(-factor * (c + e * math.cos(q1)), rel=1e-13)
-            assert fp.shear([0.0], 0)[0] == pytest.approx(-factor * c, rel=1e-13)
+            assert fp.read([0.0]).tau == pytest.approx(-factor * c, rel=1e-13)
             shift = Phi2Map(fp, 2).apply(np.array([0.0, 0.0, q1, 0.0]))[0]
             assert shift == pytest.approx(-factor * e * math.cos(q1), rel=1e-12)
 
     def test_mismatched_jet_is_refused(self):
-        # a PointJet holds for points of its own phat and q1 only: with P1 and
+        # a reading holds for points of its own phat and q1 only: with P1 and
         # qhat moved it gives the bits of the map's own solve, and with phat
-        # or q1 rolled over the stack, or another stack, it is refused
+        # or q1 rolled over the stack, or another stack, it is refused, as
+        # is a reading made without q1
         from resoforge.acceptance import _benchmark_standard_form
 
         sf, rng = _benchmark_standard_form()
@@ -953,17 +960,20 @@ class TestOneStatedEquation:
         pts = np.concatenate([rng.uniform(-r, r, (5, 1)),
                               sf.fp.base_phat + rng.uniform(-r, r, (5, n - 1)),
                               rng.uniform(0, TWO_PI, (5, n))], axis=1)
-        jet = sf.fp.point_jet(pts)
+        rd = sf.fp.read(pts[:, 1:n], pts[:, n])
+        no_q1 = sf.fp.read(pts[:, 1:n])
         moved, rolled_phat, rolled_q1 = pts.copy(), pts.copy(), pts.copy()
         moved[:, [0, n + 1, n + 2]] += 0.5
         rolled_phat[:, 1:n] = np.roll(pts[:, 1:n], 1, axis=0)
         rolled_q1[:, n] = np.roll(pts[:, n], 1)
         for call in (sf.phi2.apply, sf.phi2.jacobian, sf.phi3.apply, sf.phi3.jacobian,
                      sf.phi3.inverse().apply, sf.phi_diamond().jacobian):
-            assert call(moved, jet).tobytes() == call(moved).tobytes()
+            assert call(moved, rd).tobytes() == call(moved).tobytes()
             for bad in (rolled_phat, rolled_q1, pts[:4]):
                 with pytest.raises(ConfigError, match="other phat or q1"):
-                    call(bad, jet)
+                    call(bad, rd)
+            with pytest.raises(ConfigError, match="other phat or q1"):
+                call(pts, no_q1)
 
 
 # --------------------------------------------------------------------------
@@ -989,7 +999,8 @@ def reference_verify_standard(sf, phat_samples):
     rng = np.random.default_rng(7)
     for ph in phat_samples:
         ph = np.asarray(ph, dtype=float)
-        p_o, G0, gv = sf._on_grid(ph)
+        rd = sf.fp.read(ph)
+        p_o, G0, gv = rd.tau, rd.G0, rd.G
         worst_dev = max(worst_dev, float(np.max(np.abs(gv - gbar_grid))))
         q1 = rng.uniform(0, TWO_PI, 8)
         p1 = rng.uniform(-ch.r, ch.r, 8)
@@ -1078,13 +1089,19 @@ class TestStackedSamples:
         pts = np.concatenate([rng.uniform(-r, r, (7, 1)),
                               sf.fp.base_phat + rng.uniform(-r, r, (7, n_hat))], axis=1)
         q1s = rng.uniform(0, TWO_PI, 7)
-        got = sf._read(pts, q1s)[:4]
-        want = zip(*(sf._read(p, q1)[:4] for p, q1 in zip(pts, q1s)))
+
+        def read(p, q1):
+            rd = sf.fp.read(p[..., 1:], q1)
+            return (*sf._read(p[..., 0], rd), rd.G0)
+
+        got = read(pts, q1s)
+        want = zip(*(read(p, q1) for p, q1 in zip(pts, q1s)))
         for a, b in zip(got, want):
             assert a.tobytes() == np.array(b).tobytes()
-        # a grid solved by the caller, stacked or at one phat as the
-        # standardize CLI passes it, reads the same as the read's own
-        for a, b in zip(sf._read(pts, q1s, sf._on_grid(pts[:, 1:])[:2])[:4], got):
-            assert a.tobytes() == b.tobytes()
+        # a reading made by the caller at one point, as the standardize CLI
+        # passes it, gives the bits of the stacked identity's own, and one
+        # made at other q1 is refused
         one = sf.check_reduction_identity(pts[:1], q1s[:1])
-        assert sf.check_reduction_identity(pts[:1], q1s[:1], sf._on_grid(pts[0, 1:])[:2]) == one
+        assert sf.check_reduction_identity(pts[0], q1s[0], sf.fp.read(pts[0, 1:], q1s[0])) == one
+        with pytest.raises(ConfigError, match="other phat or q1"):
+            sf.check_reduction_identity(pts[:1], q1s[:1], sf.fp.read(pts[:1, 1:], q1s[1:2]))
