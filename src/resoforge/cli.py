@@ -137,8 +137,9 @@ def _load_potential_arg(source: str):
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    """Write doc as JSON; a NaN or infinite number in it is a bug and raises ValueError."""
-    text = json.dumps(doc, indent=1, default=str, sort_keys=True, allow_nan=False)
+    """Write doc as JSON; a NaN or infinite number in it is a bug and raises
+    ValueError, and a value JSON cannot encode raises TypeError."""
+    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
     if out:
         try:
             with open(out, "w") as fh:

@@ -625,6 +625,8 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
     """The averaging steps of both kinds: nonresonant for k None, else resonant
     along k.  The kind sets the killed band, the divisor threshold and the
     error context; the resonant kind keeps the part on Z k as g_res."""
+    if order < 1:
+        raise ConfigError("order must be at least 1")
     y0 = np.asarray(y0, dtype=float)
     if k is None:
         min_divisor, context = params.alpha / 2.0, "resonant at base point"

@@ -31,17 +31,18 @@ pipeline's secular series is re-expanded exactly into its terms
 Y1^d phat^m (a cos j q1 + b sin j q1) about the averaging base point, so all
 derivatives are closed-form.  `PolyTrig1.at(phat, q1)` binds a phat, or a
 stack of them, with a q1 grid or points, and gives any derivative at an
-array of Y1 in one pass over the terms, so the fixed point is solved on the
-whole grid of every phat at once (each entry stops on its own step, exactly
-as the pointwise iteration would).  `_step` states the equation and
-`_implicit` its derivatives, once each.  `FixedPointSolution.read(phat, q1)`
-is the one reading of the fixed point at a stack of points, a PointJet that
-solves, differentiates p + 0.5 d_{Y1} Gf(p) = 0 and averages over the q1
-grid only what is read, once each, so the Jacobians of Phi2 and Phi3 are
-exact.  A map takes points z of shape L + (2n,), one point being L = (),
-gives L + (2n,) or, as a Jacobian, L + (2n, 2n), and reads the reading it
-is passed or makes its own; `verify_standard` and the reduction identity
-read G0, G and p_o from one.
+array of Y1 in one pass over the terms.  `_step` states the equation and
+`_implicit` its derivatives, once each.  `_iterate` is the one fixed-point
+loop, on every entry of an evaluator at once (each entry stops on its own
+step, exactly as the pointwise iteration would), and refuses steps that do
+not contract; the base solve of `solve_fixed_point` and every reading run
+it.  `FixedPointSolution.read(phat, q1)` is the one reading of the fixed
+point at a stack of points, a PointJet that solves, differentiates
+p + 0.5 d_{Y1} Gf(p) = 0 and averages over the q1 grid only what is read,
+once each, so the Jacobians of Phi2 and Phi3 are exact.  A map takes points
+z of shape L + (2n,), one point being L = (), gives L + (2n,) or, as a
+Jacobian, L + (2n, 2n), and reads the reading it is passed or makes its
+own; `verify_standard` and the reduction identity read G0, G and p_o from one.
 
 Config note: the fully certified asymptotic regime additionally requires the
 inner cutoff K0 to exceed a dimensional gate (at least c2, plus an inexplicit
@@ -431,6 +432,29 @@ def _step(ev: BoundPotential, u):
     return -0.5 * ev(u, 1)
 
 
+def _iterate(ev: BoundPotential):
+    """(p, steps): `_step` iterated from u = 0 on every entry of ev at once,
+    the one fixed-point loop.  Each entry freezes at its first iterate whose
+    own step is below FIXED_POINT_TOL, so it equals the scalar iteration at
+    that entry; steps[i] is max |u_{i+1} - u_i| over the entries, and the
+    loop ends at the first step below FIXED_POINT_TOL.  A step ratio >= 1,
+    or 200 steps, raises HypothesisError."""
+    u = np.zeros(ev.shape)
+    live = np.ones(ev.shape, dtype=bool)
+    steps = []
+    for _ in range(200):
+        nxt = _step(ev, u)
+        delta = np.abs(nxt - u)
+        steps.append(float(np.max(delta, where=live, initial=0.0)))
+        if len(steps) > 1 and steps[-1] >= steps[-2]:
+            raise HypothesisError(f"contraction failed: step ratio {steps[-1] / steps[-2]:.3f}")
+        u = np.where(live, nxt, u)
+        if steps[-1] < FIXED_POINT_TOL:
+            return u[()], steps
+        live &= ~(delta < FIXED_POINT_TOL)
+    raise HypothesisError(f"fixed-point iteration stalled: no step below {FIXED_POINT_TOL} in 200")
+
+
 def _implicit(D, rhs):
     """x with D x = -0.5 rhs, D = 1 + 0.5 G_YY of shape L and rhs L + K: the
     solve of every derivative of p + 0.5 d_{Y1} Gf(p) = 0."""
@@ -443,12 +467,12 @@ class _Jet:
     -0.5 G_{Y i} and D p_q = -0.5 G_{Y q} with D = 1 + 0.5 G_YY, and once more
     D p_ij = -0.5 (G_YYY p_i p_j + G_{YY i} p_j + G_{YY j} p_i + G_{Y ij})."""
 
-    def __init__(self, fp: "FixedPointSolution", ev: BoundPotential):
-        self.fp, self.ev = fp, ev
+    def __init__(self, ev: BoundPotential):
+        self.ev = ev
 
     @cached_property
     def p(self):
-        return self.fp.solve_at(self.ev)
+        return _iterate(self.ev)[0]
 
     @cached_property
     def D(self):
@@ -485,8 +509,8 @@ class PointJet:
     def __init__(self, fp: "FixedPointSolution", phat, q1=None):
         self.phat, self.q1 = np.array(phat, dtype=float), None if q1 is None else np.array(q1, dtype=float)
         theta = _THETA.reshape((1,) * (self.phat.ndim - 1) + (GRID,))  # the q1 grid of each phat
-        self.grid = _Jet(fp, fp.form.Gf.at(self.phat, theta))
-        self.point = None if q1 is None else _Jet(fp, fp.form.Gf.at(self.phat, self.q1))
+        self.grid = _Jet(fp.form.Gf.at(self.phat, theta))
+        self.point = None if q1 is None else _Jet(fp.form.Gf.at(self.phat, self.q1))
 
     @cached_property
     def tau(self):
@@ -524,62 +548,28 @@ class FixedPointSolution:
     pitale_ok: bool
     base_phat: np.ndarray = None
 
-    def solve_at(self, ev: BoundPotential):
-        """Iterate `_step` from u = 0 on every entry of the evaluator's q1 at
-        once; each entry freezes at the first iterate whose own step is
-        below FIXED_POINT_TOL, so it equals the scalar iteration at that q1."""
-        u = np.zeros(ev.shape)
-        live = np.ones(ev.shape, dtype=bool)
-        for _ in range(200):
-            nxt = _step(ev, u)
-            moving = ~(np.abs(nxt - u) < FIXED_POINT_TOL)
-            u = np.where(live, nxt, u)
-            live &= moving
-            if not live.any():
-                return u[()]
-        raise HypothesisError("pointwise fixed-point iteration stalled")
-
     def read(self, phat, q1=None) -> PointJet:
         return PointJet(self, phat, q1)
 
 
 def solve_fixed_point(form: DecoupledForm, phat) -> FixedPointSolution:
-    """Iterate u <- -0.5 d_{Y1} Gf(u, phat, .) on the spectral grid.
+    """`_iterate` on the q1 grid at the base phat.
 
-    Records the empirical contraction factor and residual; checks the |p|
-    bound theta_o/(3r).  A step ratio >= 1 raises HypothesisError.  When
-    the smallness hypothesis fails the solver still runs, flagged as outside
-    the certified regime.  The residual |u + 0.5 d_{Y1} Gf(u)| of an iterate
-    is the next step, so each iteration evaluates d_{Y1} Gf once.
+    Records the last step as the residual (the residual |u + 0.5 d_{Y1} Gf(u)|
+    of an iterate is its next step) and the largest ratio of consecutive
+    steps before it as the empirical contraction factor, and checks the |p|
+    bound theta_o/(3r).  When the smallness hypothesis fails the solver
+    still runs, flagged as outside the certified regime.
     """
     ph = np.asarray(phat, dtype=float)
-    ev = form.Gf.at(ph, _THETA)
-    u = np.zeros(GRID)
-    nxt = _step(ev, u)
-    contraction = 0.0
-    prev_step = None
-    for it in range(1, 200):
-        after = _step(ev, nxt)
-        step = float(np.max(np.abs(nxt - u)))
-        residual = float(np.max(np.abs(nxt - after)))
-        if prev_step is not None and prev_step > 0:
-            ratio = step / prev_step
-            contraction = max(contraction, ratio)
-            if ratio >= 1.0:
-                raise HypothesisError(f"contraction failed: step ratio {ratio:.3f}")
-        prev_step = step
-        u, nxt = nxt, after
-        if residual < FIXED_POINT_TOL:
-            break
-    else:
-        raise HypothesisError(f"no convergence below {FIXED_POINT_TOL}")
+    p, steps = _iterate(form.Gf.at(ph, _THETA))
     return FixedPointSolution(
         form=form,
-        residual=residual,
-        contraction=contraction,
-        iterations=it,
+        residual=steps[-1],
+        contraction=max((b / a for a, b in zip(steps[:-2], steps[1:-1])), default=0.0),
+        iterations=len(steps) - 1,
         hypothesis_ok=form.hypothesis_ok(),
-        pitale_ok=float(np.max(np.abs(u))) < form.theta_o_bound / (3.0 * form.r),
+        pitale_ok=float(np.max(np.abs(p))) < form.theta_o_bound / (3.0 * form.r),
         base_phat=ph.copy(),
     )
 

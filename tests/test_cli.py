@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -429,6 +430,14 @@ def test_non_finite_output_raises(value, monkeypatch, tmp_path, capsys):
             main(argv)
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 3), np.int64(3)])
+def test_unencodable_output_raises(value, capsys):
+    # a value JSON cannot encode is a bug too: it is not printed as a string
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._emit({"x": value}, None)
+    assert capsys.readouterr().out == ""
 
 
 # the raises of src/resoforge/ that are neither class: internal invariants,

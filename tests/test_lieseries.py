@@ -992,6 +992,17 @@ class TestNonresonantStep:
         with pytest.raises(HypothesisError, match="resonant at base point"):
             lie_step_nonres(ham, params, np.array([0.1, 0.8]), order=1)
 
+    @pytest.mark.parametrize("k", [None, (1, 1)])
+    def test_order_zero_rejected(self, k):
+        # order 0 averages nothing: either kind refuses it
+        ham = NaturalHam(2, 1e-3, TrigPoly.from_cosines(2, {(1, 0): 1.0}))
+        params, y0 = free_params(2, 1.0, alpha=0.03, K0=2, K=6), np.array([0.5, -0.5])
+        with pytest.raises(ConfigError, match="^order must be at least 1$"):
+            if k is None:
+                lie_step_nonres(ham, params, y0, order=0)
+            else:
+                lie_step_res(ham, k, params, y0, order=0)
+
 
 class TestResonantStep:
     def setup_method(self):

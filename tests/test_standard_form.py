@@ -13,7 +13,6 @@ from resoforge.standard_form import (
     BoundPotential,
     ComposedMap,
     DecoupledForm,
-    FixedPointSolution,
     LinearSymplectic,
     Phi2Map,
     PolyTrig1,
@@ -29,6 +28,7 @@ from resoforge.standard_form import (
     symplectic_check,
     verify_standard,
     _antiderivative_at,
+    _iterate,
     _THETA,
 )
 from resoforge.unimodular import apply, complete_to_sl, decoupling_matrix
@@ -151,6 +151,24 @@ class TestFixedPoint:
         fp = solve_fixed_point(trivial_form(G), np.zeros(1))
         assert fp.read([0.0], 0.3).point.p == pytest.approx(-c / 2, rel=1e-14)
         assert fp.iterations <= 3
+
+    def test_expanding_reading_is_refused(self):
+        # Gf = 0.01 Y1 + Y1^2 phat contracts at the base phat = 0, but at
+        # phat = 1.5 the step u <- -0.005 - 1.5 u expands: a reading runs
+        # the loop of the base solve, so its second step fails the
+        # contraction check
+        G = PolyTrig1(1, {(1, (0,), 0): (0.01, 0.0), (2, (1,), 0): (1.0, 0.0)})
+        fp = solve_fixed_point(trivial_form(G), np.zeros(1))
+        assert fp.read([0.0]).tau == pytest.approx(-0.005, rel=1e-14)
+        with pytest.raises(HypothesisError, match=r"^contraction failed: step ratio 1\.500"):
+            fp.read([1.5]).tau
+
+    def test_slow_contraction_stalls(self):
+        # u <- -0.005 - 0.99 u contracts, but 200 steps leave it far from
+        # FIXED_POINT_TOL
+        G = PolyTrig1(1, {(1, (0,), 0): (0.01, 0.0), (2, (0,), 0): (0.99, 0.0)})
+        with pytest.raises(HypothesisError, match="^fixed-point iteration stalled"):
+            solve_fixed_point(trivial_form(G), np.zeros(1))
 
     def test_cosine_coupling_first_order(self):
         e = 0.01
@@ -332,6 +350,11 @@ class TestPipeline:
         with pytest.raises(ConfigError, match=f"^{name} must be finite and positive$"):
             standardize(self.f, 1.0, args["eps"], (1, 1), self.params, self.y0,
                         beta=args["beta"])
+
+    def test_rejects_order_zero(self):
+        # order 0 averages nothing, so there is no secular series to reduce
+        with pytest.raises(ConfigError, match="^order must be at least 1$"):
+            standardize(self.f, 1.0, 1e-4, (1, 1), self.params, self.y0, beta=0.05, order=0)
 
     def test_vanishing_secular_series_gives_pure_kinetic(self):
         # with g_o = g = 0 the decoupled form is Y1^2 and the adiabatic part
@@ -647,8 +670,7 @@ class TestArrayPotentials:
 
     @pytest.mark.parametrize("case", range(4))
     def test_masked_solve_equals_scalar_iteration(self, case):
-        G, ph, r = _potential_cases()[case]
-        fp = solve_fixed_point(trivial_form(G, n_hat=len(ph), r=r), ph)
+        G, ph, _ = _potential_cases()[case]
         q = np.random.default_rng(13).uniform(0, TWO_PI, 64)
 
         def scalar(q1):
@@ -661,8 +683,8 @@ class TestArrayPotentials:
                 u = nxt
 
         expected = np.array([scalar(t) for t in q])
-        assert np.array_equal(fp.solve_at(G.at(ph, q)), expected)
-        assert fp.solve_at(G.at(ph, q[5])) == expected[5]
+        assert np.array_equal(_iterate(G.at(ph, q))[0], expected)
+        assert _iterate(G.at(ph, q[5]))[0] == expected[5]
 
     def test_terms_dict_is_kept(self):
         terms = {(1, (0,), 1): (0.01, 0.0), (0, (1,), 0): (0.02, 0.0)}
@@ -832,11 +854,14 @@ class TestOneSolvePerJet:
         # verify_standard.  A map call on a stack of points solves as one on
         # a single point, and the composite and criterion 8 solve one
         # reading that every map call reads, so criterion 8 makes as many
-        # solves at 20 points as at 100.  A call counts once, as a grid solve
-        # when its q1 carries the GRID-node axis, however many phat it stacks
+        # solves at 20 points as at 100.  A reading's call of _iterate counts
+        # once, as a grid solve when its q1 carries the GRID-node axis,
+        # however many phat it stacks; the third column counts the base
+        # solves of solve_fixed_point, which run the same loop
         import json
+        import sys
 
-        from resoforge import acceptance
+        from resoforge import acceptance, standard_form
         from resoforge.acceptance import _benchmark_standard_form
         from resoforge.cli import main
 
@@ -845,18 +870,19 @@ class TestOneSolvePerJet:
         z = np.concatenate([[0.01], sf.fp.base_phat + rng.uniform(-0.01, 0.01, n - 1),
                             rng.uniform(0, TWO_PI, n)])
         calls = []
-        solve = FixedPointSolution.solve_at
+        iterate = standard_form._iterate
 
-        def counting(fp, ev):
-            calls.append(ev.q1.shape[-1:] == (GRID,))
-            return solve(fp, ev)
+        def counting(ev):
+            base = sys._getframe(1).f_code is solve_fixed_point.__code__
+            calls.append("base" if base else ev.q1.shape[-1:] == (GRID,))
+            return iterate(ev)
 
-        monkeypatch.setattr(FixedPointSolution, "solve_at", counting)
+        monkeypatch.setattr(standard_form, "_iterate", counting)
 
         def solves(call):
             calls.clear()
             call()
-            return calls.count(True), calls.count(False)
+            return calls.count(True), calls.count(False), calls.count("base")
 
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"mode": "free", "n": 2, "s": 1.0, "K0": 2, "alpha": 0.03, "K": 6}))
@@ -882,16 +908,16 @@ class TestOneSolvePerJet:
             "standardize CLI": solves(lambda: main(standardize_cli)),
         }
         assert counts == {
-            "phi2.jacobian": (1, 1),
-            "phi2.apply": (1, 1),
-            "phi3.jacobian": (1, 0),
-            "phi3.apply": (1, 0),
-            "phi_diamond.jacobian": (1, 1),
-            "check_reduction_identity, 3 samples": (1, 1),
-            "criterion 9, 10 points": (1, 1),
-            "criterion 8, 20 points": (1, 1),
-            "symplectic_check(phi2), 5 points": (1, 1),
-            "standardize CLI": (2, 1),
+            "phi2.jacobian": (1, 1, 0),
+            "phi2.apply": (1, 1, 0),
+            "phi3.jacobian": (1, 0, 0),
+            "phi3.apply": (1, 0, 0),
+            "phi_diamond.jacobian": (1, 1, 0),
+            "check_reduction_identity, 3 samples": (1, 1, 0),
+            "criterion 9, 10 points": (1, 1, 1),
+            "criterion 8, 20 points": (1, 1, 1),
+            "symplectic_check(phi2), 5 points": (1, 1, 0),
+            "standardize CLI": (2, 1, 1),
         }
 
     def test_only_phi2_point_jacobian_reads_dp_dq1(self, monkeypatch):
@@ -1075,10 +1101,9 @@ class TestStackedSamples:
     @pytest.mark.parametrize("case", range(4))
     def test_stacked_solve_equals_per_phat_solves(self, case):
         G, ph, r = _potential_cases()[case]
-        fp = solve_fixed_point(trivial_form(G, n_hat=len(ph), r=r), ph)
         phs = ph + np.random.default_rng(22).uniform(-r, r, (6, len(ph)))
-        got = fp.solve_at(G.at(phs, _THETA[None, :]))
-        want = np.array([fp.solve_at(G.at(p, _THETA)) for p in phs])
+        got = _iterate(G.at(phs, _THETA[None, :]))[0]
+        want = np.array([_iterate(G.at(p, _THETA))[0] for p in phs])
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("which", ["two_mode", "three_mode", "two_action"])
