@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 import numpy.random  # numpy loads it lazily: at import here, not inside the first call
@@ -75,25 +75,21 @@ def canonical_form(k: Iterable[int]) -> tuple[Mode, bool]:
     raise ConfigError("zero mode has no canonical form")
 
 
-def iter_half_ball(n: int, K: float) -> Iterator[Mode]:
-    """Yield all k in Z^n_* with |k|_1 <= K in lexicographic order."""
+def half_ball(n: int, K: float) -> np.ndarray:
+    """All k in Z^n_* with |k|_1 <= K as rows of an int array, in lexicographic
+    order.  The ball |k|_1 <= K is grown one coordinate at a time, each prefix
+    of budget b = K - |prefix|_1 followed by c = -b..b, so the work grows with
+    the output and not with the (2K+1)^n box; k -> -k reverses the order of
+    the ball, so the rows after the zero vector are Z^n_*."""
     if n < 1:
         raise ConfigError("dimension must be >= 1")
-    kmax = int(math.floor(K))
-
-    def rec(prefix: list[int], budget: int, started: bool) -> Iterator[Mode]:
-        i = len(prefix)
-        if i == n:
-            if started:
-                yield tuple(prefix)
-            return
-        lo = 0 if not started else -budget
-        for c in range(lo, budget + 1):
-            prefix.append(c)
-            yield from rec(prefix, budget - abs(c), started or c != 0)
-            prefix.pop()
-
-    yield from rec([], kmax, False)
+    cols, budget = [], np.array([max(0, math.floor(K))])
+    for _ in range(n):
+        count = 2 * budget + 1
+        at = np.repeat(np.arange(len(budget)), count)
+        c = np.arange(len(at)) - np.repeat(np.cumsum(count) - budget - 1, count)
+        cols, budget = [x[at] for x in cols] + [c], budget[at] - np.abs(c)
+    return np.stack(cols, axis=1)[len(budget) // 2 + 1:]
 
 
 def generators(n: int, K: float, min_order: int = 1) -> list[Mode]:
@@ -104,16 +100,9 @@ def generators(n: int, K: float, min_order: int = 1) -> list[Mode]:
     """
     if not K >= 1:
         raise ConfigError("cutoff K must be >= 1")
-    out = []
-    for k in iter_half_ball(n, K):
-        if l1(k) < min_order:
-            continue
-        if n == 1:
-            if k == (1,):
-                out.append(k)
-        elif math.gcd(*k) == 1:
-            out.append(k)
-    return out
+    ks = half_ball(n, K)
+    ks = ks[(np.abs(ks).sum(axis=1) >= min_order) & (np.gcd.reduce(ks, axis=1) == 1)]
+    return list(map(tuple, ks.tolist()))
 
 
 def on_ray(kp: Mode, k: Mode) -> int | None:

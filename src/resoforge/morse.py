@@ -345,7 +345,9 @@ def critical_points_many(Fs) -> list[MorseReport | None]:
     every zero of F', F'', F'' + F''' and F'' - F''': the critical points are
     the zeros of F', and min(|F'| + |F''|) is taken at the zeros of all four,
     where every kink and every stationary point of it lies.  The zeros of a
-    row do not depend on the other rows, so F gets its report alone.
+    row do not depend on the other rows, and each F is evaluated at its own
+    zeros by a trig_values product of its own, so F gets its report alone;
+    the minima, gaps and max|F| of a group are then segment reductions.
     """
     out: list[MorseReport | None] = [None] * len(Fs)
     live = [at for at, F in enumerate(Fs) if sum(j * abs(c) for j, c in F.coeffs.items()) >= 1e-300]
@@ -354,14 +356,26 @@ def critical_points_many(Fs) -> list[MorseReport | None]:
         of, t = _zeros(np.stack([rows[:, 1], c2, c2 + c3, c2 - c3], axis=1).reshape(-1, len(js)), js)
         of, kind = np.divmod(of, 4)
         bounds = np.searchsorted(of, np.arange(len(ats) + 1))
-        for p, (at, a, b) in enumerate(zip(ats, bounds, bounds[1:])):
-            v, kp = trig_values(rows[p, :3], js, t[a:b]), kind[a:b]
-            pts, vals = t[a:b][kp == 0], v[kp == 0, 0]
-            gph = float(np.abs(v[:, 1:]).sum(axis=1).min())
-            gap = float(np.diff(np.sort(vals)).min(initial=math.inf))
-            # max|F| is attained at a critical point
-            value_scale = float(np.abs(vals).max(initial=0.0))
-            out[live[at]] = MorseReport(pts, min(gph, gap), bool(gap > 1e-9 * max(value_scale, 1e-300)))
+        # F at its own zeros alone: one product over the group rounds otherwise
+        v = np.concatenate([trig_values(rows[p, :3], js, t[a:b])
+                            for p, (a, b) in enumerate(zip(bounds.tolist(), bounds[1:].tolist()))])
+        gph = np.minimum.reduceat(np.abs(v[:, 1]) + np.abs(v[:, 2]), bounds[:-1])
+        crit = kind == 0
+        of, pts, vals = of[crit], t[crit], v[crit, 0]
+        cuts = np.searchsorted(of, np.arange(len(ats) + 1))
+        # of is sorted, so the sorted values of each F follow on one another;
+        # the last value of an F has no step to a next one within F.  Every F
+        # has a maximum and a minimum, so no segment of reduceat is empty
+        srt = vals[np.lexsort((vals, of))]
+        step = np.empty_like(srt)
+        step[:-1] = srt[1:] - srt[:-1]
+        step[cuts[1:] - 1] = math.inf
+        gap = np.minimum.reduceat(step, cuts[:-1])
+        value_scale = np.maximum.reduceat(np.abs(vals), cuts[:-1])  # max|F| is attained at a critical point
+        distinct = gap > 1e-9 * np.maximum(value_scale, 1e-300)
+        cuts = cuts.tolist()
+        for at, a, b, beta, ok in zip(ats, cuts, cuts[1:], np.minimum(gph, gap).tolist(), distinct.tolist()):
+            out[live[at]] = MorseReport(pts[a:b], beta, ok)
     return out
 
 

@@ -549,6 +549,10 @@ class FixedPointSolution:
     base_phat: np.ndarray = None
 
     def read(self, phat, q1=None) -> PointJet:
+        # a non-finite point never settles, and it would stall its whole stack
+        for name, x in (("phat", phat), ("q1", q1)):
+            if x is not None and not np.isfinite(x).all():
+                raise ConfigError(f"a reading needs a finite {name}")
         return PointJet(self, phat, q1)
 
 

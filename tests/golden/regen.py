@@ -22,6 +22,11 @@ A change that moves one byte of a coefficient (-0.0 included), the order of
 the terms, a divisor or a dropped mass changes a digest.
 
     PYTHONPATH=src python tests/golden/regen.py    # rewrites averaging.json
+    PYTHONPATH=src python tests/golden/regen.py --documents > docs.txt
+
+`--documents` rewrites nothing: it prints each hashed document under its
+name (`## name`, then the document as indented JSON), so the documents
+before and after a change can be diffed and a moved digest read off.
 
 Run it only where the outputs are meant to change, and say why.  It first
 computes the digests in one child interpreter per setting of
@@ -123,7 +128,7 @@ def _sha(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def averaging_digests() -> dict[str, str]:
+def averaging_documents() -> dict:
     out = {}
     for seed, k in CASES:
         rng = np.random.default_rng([2, seed, 0])
@@ -140,11 +145,11 @@ def averaging_digests() -> dict[str, str]:
                 else:
                     nf = lie_step_res(ham, kk, params, y0, order=order, max_degree=3)
                 kind = "nonres" if kk is None else "res"
-                out[f"{kind}/seed={seed}/order={order}"] = _sha(nf.to_dict())
+                out[f"{kind}/seed={seed}/order={order}"] = nf.to_dict()
     return out
 
 
-def cli_digests() -> dict[str, str]:
+def cli_documents() -> dict:
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (params, argv, code) in CLI_RUNS.items():
@@ -161,11 +166,11 @@ def cli_digests() -> dict[str, str]:
             doc["config"].pop("out")
             if "params" in doc["config"]:
                 doc["config"]["params"] = pathlib.Path(doc["config"]["params"]).name
-            out[name] = _sha(doc)
+            out[name] = doc
     return out
 
 
-def map_digests() -> dict[str, str]:
+def map_documents() -> dict:
     out = {}
     forms = {"two_action": lambda: _benchmark_standard_form()[0], "three_mode": _three_mode_standard_form}
     for name, build in forms.items():
@@ -176,21 +181,32 @@ def map_digests() -> dict[str, str]:
                                rng.uniform(0, 2 * np.pi, n)]) for _ in range(20)]
         inverse = sf.phi3.inverse()
         for label, transform in (("phi2", sf.phi2), ("phi3", sf.phi3), ("composite", sf.phi_diamond())):
-            out[f"maps/{name}/{label}/jacobian"] = _sha([transform.jacobian(z).tolist() for z in pts])
+            out[f"maps/{name}/{label}/jacobian"] = [transform.jacobian(z).tolist() for z in pts]
         for label, transform in (("phi2", sf.phi2), ("phi3", sf.phi3)):
-            out[f"maps/{name}/{label}/apply"] = _sha([transform.apply(z).tolist() for z in pts])
-        out[f"maps/{name}/phi3/round_trip"] = _sha([inverse.apply(sf.phi3.apply(z)).tolist() for z in pts])
-        out[f"maps/{name}/h0"] = _sha([float(sf._h0(sf.fp.read(z[1:n]).G0, z[1:n])) for z in pts])
-        out[f"maps/{name}/reduction_identity"] = _sha(
-            float(sf.check_reduction_identity([z[:n] for z in pts], [z[n] for z in pts])))
+            out[f"maps/{name}/{label}/apply"] = [transform.apply(z).tolist() for z in pts]
+        out[f"maps/{name}/phi3/round_trip"] = [inverse.apply(sf.phi3.apply(z)).tolist() for z in pts]
+        out[f"maps/{name}/h0"] = [float(sf._h0(sf.fp.read(z[1:n]).G0, z[1:n])) for z in pts]
+        out[f"maps/{name}/reduction_identity"] = float(
+            sf.check_reduction_identity([z[:n] for z in pts], [z[n] for z in pts]))
     return out
 
 
+def documents() -> dict:
+    """name -> the document whose digest averaging.json holds under that name."""
+    return {**averaging_documents(), **cli_documents(), **map_documents()}
+
+
 def digests() -> dict[str, str]:
-    return {**averaging_digests(), **cli_digests(), **map_digests()}
+    return {name: _sha(doc) for name, doc in documents().items()}
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--documents"]:
+        with contextlib.redirect_stdout(io.StringIO()):
+            docs = documents()
+        for name, doc in sorted(docs.items()):
+            print(f"## {name}\n{json.dumps(doc, indent=1, sort_keys=True)}")
+        sys.exit()
     if sys.argv[1:] == ["--print"]:  # a child of the matrix: the digests as one JSON line
         with contextlib.redirect_stdout(io.StringIO()):
             now = digests()

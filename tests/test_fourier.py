@@ -11,9 +11,9 @@ from resoforge.fourier import (
     OneDTrigPoly,
     TrigPoly,
     generators,
+    half_ball,
     is_canonical,
     is_generator,
-    iter_half_ball,
     l1,
     lacunary_potential,
     lattice_projections,
@@ -37,7 +37,7 @@ def brute_force_generators(n, K):
 
 
 def random_poly(rng, n=2, kmax=4, modes=6):
-    ball = [k for k in iter_half_ball(n, kmax)]
+    ball = list(map(tuple, half_ball(n, kmax).tolist()))
     picks = rng.choice(len(ball), size=min(modes, len(ball)), replace=False)
     coeffs = {ball[i]: complex(rng.normal(), rng.normal()) for i in picks}
     return TrigPoly(n, coeffs)
@@ -59,6 +59,18 @@ class TestGenerators:
     @pytest.mark.parametrize("K", [1, 4, 7, 10])
     def test_against_brute_force(self, n, K):
         assert set(generators(n, K)) == brute_force_generators(n, K)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("K", [1.5, 4.7, 7.2])
+    def test_window_lists_match_sorted_brute_force(self, n, K):
+        # the lists themselves, order included, and min_order with n = 1,
+        # where (1,) is the only generator and lies below min_order = 3
+        top = math.floor(K)
+        box = itertools.product(range(-top, top + 1), repeat=n)
+        assert half_ball(n, K).tolist() == sorted(list(k) for k in box if 0 < l1(k) <= K and is_canonical(k))
+        for m in (1, 3, top, top + 1):
+            want = sorted(k for k in brute_force_generators(n, top) if l1(k) >= m)
+            assert generators(n, K, min_order=m) == want
 
     def test_gcd_and_sign_invariants(self):
         for n in (2, 3, 4):
@@ -177,7 +189,7 @@ def random_ray_poly(rng, n, rays=4, j_max=6, noise=4):
     for i in rng.choice(len(gens), size=min(rays, len(gens)), replace=False):
         js = rng.choice(np.arange(1, j_max + 1), size=int(rng.integers(2, j_max + 1)), replace=False)
         modes += [tuple(int(j) * v for v in gens[i]) for j in js]
-    ball = list(iter_half_ball(n, 5))
+    ball = list(map(tuple, half_ball(n, 5).tolist()))
     modes += [ball[i] for i in rng.choice(len(ball), size=min(noise, len(ball)), replace=False)]
     order = rng.permutation(len(modes))
     return TrigPoly(n, {modes[i]: complex(rng.normal(), rng.normal()) for i in order})

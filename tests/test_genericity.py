@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -111,6 +113,31 @@ class TestLowerBound:
         failures, checked, margin = check_lower_bound(f, params)
         assert not failures and checked == len(coeffs)
         assert margin == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["sampled", "rule-backed"])
+    def test_matches_per_generator_scan(self, case):
+        # failures, count and margin equal, bit for bit, a scalar loop over
+        # the window, with every fifth window mode damped to make failures;
+        # rule-backed: the rule answers beyond the materialized support
+        if case == "sampled":
+            N = threshold_N(2, 5.0, 0.1)
+            params = GenericityParams(n=2, s=5.0, delta=0.1, beta=0.0, K_max=N + 10.0)
+            fs = [sample_product_measure(2, 5.0, N + 10.0, [101, 5, i]) for i in range(4)]
+        else:
+            params = small_window_params(delta=0.9, K_max=80)
+            fs = [lacunary_potential(2, 1.0, k_max=70, amplitude=a) for a in (1.0, 0.8)]
+        window = generators(2, params.K_max, min_order=math.ceil(params.N))
+        for f in fs:
+            damped = {k: 1e-6 * f.coeff(k) for k in window[::5]}
+            for g in (f, TrigPoly(2, {**f.coeffs, **damped}, rule=f.rule, rule_cutoff=f.rule_cutoff)):
+                want, worst = [], math.inf
+                for k in window:
+                    ratio = abs(g.coeff(k)) / (params.delta * l1(k) ** -2 * math.exp(-l1(k) * params.s))
+                    worst = min(worst, ratio - 1.0)
+                    want += [k] if ratio < 1.0 else []
+                failures, checked, margin = check_lower_bound(g, params)
+                assert ([fail.k for fail in failures], checked, margin) == (want, len(window), worst)
+        assert want  # the damped modes fail
 
     def test_cutoff_below_threshold(self):
         params = GenericityParams(n=2, s=1.0, delta=1.0, beta=0.1, K_max=10)
@@ -235,6 +262,22 @@ class TestMembership:
             assert rep.distinct_values
 
 
+PINS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+
+
+@pytest.mark.parametrize("s", [5, 6, 8])
+def test_membership_matches_benchmark_pins(s):
+    # the verdicts pinned for the benchmark's certify pools (delta = 0.1,
+    # window [N, N + 10], beta = 0.5 e^{-s floor(N)}), first 8 of each width
+    pins = json.loads(PINS.read_text())["membership"][f"s={s}"]
+    N = threshold_N(2, float(s), 0.1)
+    params = GenericityParams(n=2, s=float(s), delta=0.1, beta=0.5 * math.exp(-s * math.floor(N)), K_max=N + 10.0)
+    for i in range(8):
+        report = check_membership(sample_product_measure(2, float(s), N + 10.0, [101, s, i]), params)
+        got = [report.in_class, len(report.failures), report.n_checked_lower, report.n_checked_morse]
+        assert got == pins[i], f"pool {i}"
+
+
 def reference_check_membership(f, params):
     """check_membership with each low-mode projection from the per-mode scan."""
     lb_failures, n_lb, lb_margin = check_lower_bound(f, params)
@@ -340,10 +383,10 @@ class TestProductMeasure:
             assert abs(c) * math.exp(l1(k) * 0.7) <= 1.0 + 1e-12
 
     def test_every_half_lattice_mode_occupied(self):
-        from resoforge.fourier import iter_half_ball
+        from resoforge.fourier import half_ball
 
         f = sample_product_measure(2, 1.0, 4, 5)
-        modes = set(iter_half_ball(2, 4))
+        modes = set(map(tuple, half_ball(2, 4).tolist()))
         assert set(f.coeffs) <= modes
         # probability of an exact zero draw is nil
         assert len(f.coeffs) == len(modes)

@@ -172,7 +172,7 @@ def entry_points():
     import workloads
     from resoforge.cli import main
 
-    regen.cli_digests()  # the golden CLI runs, each at its exit code
+    regen.cli_documents()  # the golden CLI runs, each at its exit code
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         (tmp / "free.json").write_text(json.dumps(regen.FREE_N2))

@@ -163,6 +163,18 @@ class TestFixedPoint:
         with pytest.raises(HypothesisError, match=r"^contraction failed: step ratio 1\.500"):
             fp.read([1.5]).tau
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_reading_is_refused(self, bad):
+        # a non-finite entry never settles and would stall its whole stack
+        # for 200 steps: the reading is refused up front, naming the argument
+        G = PolyTrig1(1, {(1, (0,), 0): (0.01, 0.0), (2, (1,), 0): (0.1, 0.0)})
+        fp = solve_fixed_point(trivial_form(G), np.zeros(1))
+        with pytest.raises(ConfigError, match="finite phat"):
+            fp.read([[0.0], [bad]], [0.1, 0.2])
+        with pytest.raises(ConfigError, match="finite q1"):
+            fp.read([[0.0], [0.1]], [0.1, bad])
+        assert np.isfinite(fp.read([[0.0], [0.1]], [0.1, 0.2]).point.p).all()
+
     def test_slow_contraction_stalls(self):
         # u <- -0.005 - 0.99 u contracts, but 200 steps leave it far from
         # FIXED_POINT_TOL
