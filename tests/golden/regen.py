@@ -7,7 +7,8 @@ The sha256 of `json.dumps(doc, sort_keys=True)` for
   K = 8, resonant at K = 6);
 - the CLI documents of `normalize` (resonant and non-resonant) and
   `standardize` on the two-mode preset, `check-generic` on a lacunary and a
-  random preset, `cover measure`, `bezout` and `report --quick`, without the
+  random preset, `cover measure` (once within one sampling chunk, and at n = 2
+  and n = 3 across three chunks), `bezout` and `report --quick`, without the
   timestamp or any criterion's runtime and with file paths cut to their names;
 - the standard-form maps of criterion 8's two-action form
   (`acceptance._benchmark_standard_form`) and of the three-mode pipeline form
@@ -81,6 +82,14 @@ CLI_RUNS = {
                                     "--delta", "0.1", "--beta", "0.05", "--kmax", "70"], 1),
     "cover_measure": (FREE_N2, ["cover", "measure", "--params", "PARAMS", "--samples", "20000",
                                 "--seed", "1"], 0),
+    # three 65,536-point sampling chunks each, the last one partial; at n = 3,
+    # alpha = 0.02 puts about 0.7% of the points in R1
+    "cover_measure_chunks_n2": ({**FREE_N2, "alpha": 0.05, "K": 5},
+                                ["cover", "measure", "--params", "PARAMS", "--samples", "150000",
+                                 "--seed", "2"], 0),
+    "cover_measure_chunks_n3": ({**FREE_N2, "n": 3, "alpha": 0.02, "K": 4},
+                                ["cover", "measure", "--params", "PARAMS", "--samples", "140000",
+                                 "--seed", "3"], 0),
     "bezout": (None, ["bezout", "--k", "3,5,7"], 0),
     "report_quick": (None, ["report", "--quick"], 0),
 }

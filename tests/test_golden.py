@@ -33,7 +33,7 @@ def _regen():
 def test_digests_match_golden():
     regen = _regen()
     golden = json.loads(regen.GOLDEN.read_text())
-    assert len(golden) == 48
+    assert len(golden) == 50
     now = regen.digests()
     assert sorted(now) == sorted(golden)
     assert [name for name in golden if now[name] != golden[name]] == []
