@@ -95,6 +95,14 @@ class CoveringParams:
             out[k] = (others, np.array(others, dtype=float).reshape(-1, self.n))
         return out
 
+    @cached_property
+    def witness_rows(self) -> dict[Mode, np.ndarray]:
+        """transverse_generators[k]'s rows l by the exact |k|^2 |P_k^perp l|^2 =
+        |k|^2 |l|^2 - (k.l)^2 ascending, ties in generator order."""
+        return {k: G[np.argsort((G * G).sum(axis=1) * sum(v * v for v in k) - (G @ k) ** 2,
+                                kind="stable")]
+                for k, (_, G) in self.transverse_generators.items()}
+
     @property
     def alpha_reachable(self) -> bool:
         """Whether alpha/2 is below the ball scale, so R0 can be nonempty."""
@@ -214,10 +222,10 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
 
     The kernel reads Yt = Y.T as a C-ordered (n, m) array, copied only when Y
     is not such a view (_sample_ball's output is one), and never writes it.
-    The squared norms' buffer then holds |k.y|, one (n,) @ (n, m) product per
-    k in generators_K0; one bool buffer holds the R0 gate, then the strip
-    |y.k| < alpha, whose points' P_k^perp y meet the order-K generators off
-    the line Z k in one product; the minimum is set against the R1 threshold."""
+    Per _BLOCK points, one product with generators_K0 gives min |k.y| (R0 is
+    min > alpha/2; only min < alpha goes on).  Per k, the strip |y.k| < alpha
+    meets the first _STAGE witness_rows[k], and the rest only where no witness
+    was found: R1_k needs every gap above the threshold, in any row order."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != params.n:
         raise ConfigError(f"points must have shape (m, {params.n})")
@@ -228,25 +236,33 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
     if not np.all(sq < 1.0):
         raise ConfigError("outside unit ball")
     m = Y.shape[0]
-    p_k, mask = sq, np.empty(m, dtype=bool)
-    is_r0 = np.ones(m, dtype=bool)
+    product = np.dot if params.n == 1 else np.matmul  # matmul skips BLAS at n = 1
+    G0 = np.array(params.generators_K0, dtype=float)
+    block = np.empty(len(G0) * _BLOCK)
+    for a in range(0, m, _BLOCK):
+        P = block[:len(G0) * min(_BLOCK, m - a)].reshape(len(G0), -1)
+        np.abs(product(G0, Yt[:, a:a + _BLOCK], out=P), out=P).min(axis=0, out=sq[a:a + _BLOCK])
+    is_r0 = sq > params.alpha / 2.0
+    cand = np.flatnonzero(sq < params.alpha)
+    Yc = Yt.take(cand, axis=1)
+    p_k, mask = np.empty(cand.size), np.empty(cand.size, dtype=bool)
     is_r1 = np.zeros(m, dtype=bool)
     is_r2 = np.zeros(m, dtype=bool)
     for k in params.generators_K0:
         kv = np.asarray(k, dtype=float)
-        np.abs(np.matmul(kv, Yt, out=p_k), out=p_k)
-        is_r0 &= np.greater(p_k, params.alpha / 2.0, out=mask)
-        idx = np.flatnonzero(np.less(p_k, params.alpha, out=mask))
-        if idx.size == 0:
-            continue
+        np.abs(product(kv, Yc, out=p_k), out=p_k)
+        strip = np.flatnonzero(np.less(p_k, params.alpha, out=mask))
         e_k = kv / _euclid(k)
-        Yn = Yt.take(idx, axis=1)
+        Yn = Yc.take(strip, axis=1)
         Yperp = Yn - np.outer(e_k, e_k @ Yn)
-        Q = params.transverse_generators[k][1] @ Yperp
+        rows, thr = params.witness_rows[k], params.r1_threshold(k)
+        Q = rows[:_STAGE] @ Yperp
         min_q = np.abs(Q, out=Q).min(axis=0, initial=np.inf)
-        r1_here = min_q > params.r1_threshold(k)
-        is_r1[idx[r1_here]] = True
-        is_r2[idx[~r1_here]] = True
+        rest = np.flatnonzero(min_q > thr)
+        Q = rows[_STAGE:] @ Yperp.take(rest, axis=1)
+        min_q[rest] = np.abs(Q, out=Q).min(axis=0, initial=np.inf)
+        is_r1[cand[strip[min_q > thr]]] = True
+        is_r2[cand[strip[min_q <= thr]]] = True
     covered = is_r0 | is_r1 | is_r2
     codes = np.where(is_r0, np.int8(0), np.subtract(2, is_r1, dtype=np.int8))
     return BatchClassification(covered, is_r0, is_r1, is_r2, codes)
@@ -274,7 +290,7 @@ def _sample_ball(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     for row in Yt[1:]:
         sq += row * row
     Yt /= np.sqrt(sq, out=sq)
-    Yt *= rng.uniform(0.0, 1.0, size=m) ** (1.0 / n)
+    Yt *= rng.random(m) ** (1.0 / n)
     return Yt.T
 
 
@@ -305,6 +321,8 @@ class R2MeasureEstimate:
 
 
 _CHUNK = 1 << 16  # fixed so results depend on the seed only
+_BLOCK = 1 << 12  # points per gate product of classify_batch
+_STAGE = 8  # witness_rows that every strip point of classify_batch meets
 
 
 def ball_points(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:

@@ -312,6 +312,43 @@ class TestBatchKernel:
         assert batch.is_r1.tolist() == [False, False, True]
         assert batch.is_r2.tolist() == [True, True, False]
 
+    def test_witness_rows_order_the_transverse_generators(self):
+        for n in (1, 2, 3, 4):
+            params = kernel_params(n)
+            for k, (_, G) in params.transverse_generators.items():
+                rows = params.witness_rows[k]
+                assert rows.shape == G.shape
+                assert sorted(map(tuple, rows)) == sorted(map(tuple, G))
+                kv = np.array(k, dtype=float)
+                gaps = (rows * rows).sum(axis=1) * (kv @ kv) - (rows @ kv) ** 2
+                assert np.all(np.diff(gaps) >= 0)  # |P_k^perp l| ascending
+        assert kernel_params(1).witness_rows[(1,)].shape == (0, 1)
+
+    def test_witness_past_the_first_stage(self):
+        # n = 3, alpha = 0.01: both points lie in the strip of e_1 alone and off
+        # R0.  The first has P^perp y = (0, 0.75, -0.375), so its only witnesses
+        # are the l = (l_1, 1, 2) with |P^perp l|^2 = 5, all past the first
+        # _STAGE rows, where |P^perp l|^2 = 1; every transverse gap of the
+        # second is at least 0.27, above the threshold 0.12, so it is R1_{e_1}
+        params = kernel_params(3, 0.01)
+        e1, thr = (1, 0, 0), params.r1_threshold((1, 0, 0))
+        Y = np.array([(0.004, 0.75, -0.375), (0.004, 0.54, 0.81)])
+        gaps = np.abs(params.witness_rows[e1] @ (Y * (0, 1, 1)).T)
+        late = np.flatnonzero(gaps[:, 0] <= thr)
+        assert late.size and late.min() >= cover._STAGE
+        assert gaps[:, 1].min() > thr
+        batch = assert_masks_match_reference(Y, params)
+        assert batch.is_r2.tolist() == [True, False]
+        assert batch.is_r1.tolist() == [False, True]
+
+    def test_one_dimension_has_no_transverse_rows(self):
+        # with no l off the line Z e_1, every point of the strip |y| < alpha is R1
+        params = kernel_params(1)
+        Y = np.linspace(-0.99, 0.99, 397)[:, None]
+        batch = assert_masks_match_reference(Y, params)
+        np.testing.assert_array_equal(batch.is_r1, np.abs(Y[:, 0]) < params.alpha)
+        assert batch.is_r1.any() and not batch.is_r2.any()
+
     def test_ball_boundary_matches_reference(self):
         one_minus = np.nextafter(1.0, 0.0)
         rows = [(one_minus, 0.0), (0.0, -one_minus), (1.0, 0.0), (0.6, 0.8), (0.8, 0.6),
