@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .cover import (
     CoveringParams,
+    RegionLabel,
     ball_points,
     classify_batch,
     classify_point,
@@ -210,8 +211,10 @@ def cmd_cover_measure(args) -> int:
                 ["sample_index"] + [f"y{i+1}" for i in range(params.n)]
                 + ["label_kind", "k", "l"]
             )
+            # classify_point lists R0 first, so only the other rows need it
+            r0 = classify_batch(Y, params).is_r0
             for i in range(m):
-                lab = classify_point(Y[i], params, all_pairs=False)[0]
+                lab = RegionLabel("R0") if r0[i] else classify_point(Y[i], params, all_pairs=False)[0]
                 writer.writerow([
                     i, *Y[i], lab.kind,
                     " ".join(map(str, lab.k)) if lab.k else "",

@@ -372,6 +372,8 @@ def load_potential(source) -> tuple[TrigPoly, float]:
         s = float(doc["s"])
     except KeyError as exc:
         raise ConfigError(f"potential file missing field {exc}") from exc
+    if not math.isfinite(s):
+        raise ConfigError(f"potential file field s must be finite, got {s}")
     if "rule" in doc:
         if doc["rule"] != "exp-lacunary":
             raise ConfigError(f"unknown rule preset {doc['rule']!r}")
@@ -394,4 +396,6 @@ def load_potential(source) -> tuple[TrigPoly, float]:
         if not is_canonical(k):
             raise ConfigError(f"mode {k} is not in the canonical half-lattice")
         coeffs[k] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        if not np.isfinite(coeffs[k]):
+            raise ConfigError(f"mode {k} needs a finite re and im, got {coeffs[k]}")
     return TrigPoly(n, coeffs), s

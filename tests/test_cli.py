@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resoforge import cli, cover
+from resoforge import cli, cover, fourier
 from resoforge.cli import EXIT_INVARIANT, EXIT_OK, main
 from resoforge.fourier import ConfigError, HypothesisError
 
@@ -60,6 +60,21 @@ class TestSampleAndCheck:
         assert doc["report"]["in_class"] is True
         assert doc["report"]["proved_beyond_cutoff"] is True
 
+
+    def test_nan_coefficient_is_config_error(self, tmp_path, capsys):
+        # the lacunary preset of test_lacunary_preset_in_class, written mode
+        # by mode with f_(1,17) = NaN: a NaN ratio fails no lower bound, so
+        # the file must be refused before any check
+        f = fourier.lacunary_potential(2, 4.0, 20)
+        modes = [{"k": list(k), "re": c.real, "im": c.imag} for k, c in sorted(f.coeffs.items())]
+        next(m for m in modes if m["k"] == [1, 17])["re"] = float("nan")
+        pot, out = tmp_path / "f.json", tmp_path / "rep.json"
+        pot.write_text(json.dumps({"n": 2, "s": 4.0, "modes": modes}))
+        assert main(["check-generic", "--potential", str(pot), "--delta", "1.0",
+                     "--beta", "1e-30", "--kmax", "20", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mode (1, 17) needs a finite re and im" in err
+        assert not out.exists()
 
 class TestBezout:
     def test_known_completion(self, tmp_path, capsys):
@@ -120,6 +135,28 @@ class TestCover:
             lab = cover.classify_point(y, params, all_pairs=False)[0]
             assert row[3:] == [lab.kind, " ".join(map(str, lab.k)) if lab.k else "",
                                " ".join(map(str, lab.l)) if lab.l else ""]
+
+    @pytest.mark.parametrize("n, alpha, K", [(2, 0.05, 5), (3, 0.01, 4)])
+    def test_csv_matches_per_row_labels(self, tmp_path, n, alpha, K, monkeypatch):
+        # the labels used to come from one classify_point call per row
+        monkeypatch.setattr(cover, "_CHUNK", 1000)
+        params_path, csv_path = tmp_path / "params.json", tmp_path / "labels.csv"
+        params_path.write_text(json.dumps(
+            {"mode": "free", "n": n, "s": 1.0, "alpha": alpha, "K0": 2, "K": K}))
+        assert main(["cover", "measure", "--params", str(params_path), "--samples", "2500",
+                     "--seed", "3", "--csv", str(csv_path), "--csv-rows", "2500"]) == EXIT_OK
+        params = cover.free_params(n, 1.0, alpha=alpha, K0=2, K=K)
+        ref_path = tmp_path / "per_row.csv"
+        with open(ref_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sample_index", *[f"y{i+1}" for i in range(n)], "label_kind", "k", "l"])
+            for i, y in enumerate(np.concatenate(list(cover.ball_points(n, 2500, 3)))):
+                lab = cover.classify_point(y, params, all_pairs=False)[0]
+                writer.writerow([i, *y, lab.kind, " ".join(map(str, lab.k)) if lab.k else "",
+                                 " ".join(map(str, lab.l)) if lab.l else ""])
+        kinds = {row.split(",")[n + 1] for row in csv_path.read_text().splitlines()[1:]}
+        assert kinds == {"R0", "R1", "R2"}
+        assert csv_path.read_bytes() == ref_path.read_bytes()
 
     def test_csv_rows_continue_into_the_next_chunk(self, free_params_file, tmp_path,
                                                    monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -416,6 +417,20 @@ class TestJson:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 2, "s": 1.0, "modes": [{**mode, "re": 1.0, "im": 0.0}]}))
         with pytest.raises(ConfigError, match='"k", a list of 2 integers'):
+            load_potential(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"s": 1.0, "modes": [{"k": [1, 0], "re": math.nan, "im": 0.0}]},
+         "mode (1, 0) needs a finite re and im, got (nan+0j)"),
+        ({"s": 1.0, "modes": [{"k": [1, 0], "re": 1.0, "im": -math.inf}]},
+         "mode (1, 0) needs a finite re and im, got (1-infj)"),
+        ({"s": math.nan, "modes": []}, "potential file field s must be finite, got nan"),
+        ({"s": math.inf, "rule": "exp-lacunary"}, "potential file field s must be finite, got inf"),
+    ], ids=["re_nan", "im_inf", "s_nan", "rule_file_s_inf"])
+    def test_rejects_non_finite_fields(self, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, **doc}))
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_potential(path)
 
     def test_two_mode_preset(self):
