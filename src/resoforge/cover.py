@@ -98,7 +98,7 @@ class CoveringParams:
     @cached_property
     def witness_rows(self) -> dict[Mode, np.ndarray]:
         """transverse_generators[k]'s rows l by the exact |k|^2 |P_k^perp l|^2 =
-        |k|^2 |l|^2 - (k.l)^2 ascending, ties in generator order."""
+        |k|^2 |l|^2 - (k.l)^2 ascending (ties in generator order): likeliest witnesses first."""
         return {k: G[np.argsort((G * G).sum(axis=1) * sum(v * v for v in k) - (G @ k) ** 2,
                                 kind="stable")]
                 for k, (_, G) in self.transverse_generators.items()}
