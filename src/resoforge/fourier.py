@@ -378,15 +378,10 @@ def load_potential(source) -> tuple[TrigPoly, float]:
         if doc["rule"] != "exp-lacunary":
             raise ConfigError(f"unknown rule preset {doc['rule']!r}")
         params = doc.get("params", {})
-        return (
-            lacunary_potential(
-                n,
-                float(params.get("s", s)),
-                k_max=float(params.get("k_max", 40)),
-                amplitude=float(params.get("amplitude", 1.0)),
-            ),
-            s,
-        )
+        rule = {key: float(params.get(key, default)) for key, default in (("s", s), ("k_max", 40), ("amplitude", 1.0))}
+        if not all(map(math.isfinite, rule.values())):
+            raise ConfigError(f"rule params s, k_max and amplitude must be finite, got {rule}")
+        return lacunary_potential(n, rule["s"], k_max=rule["k_max"], amplitude=rule["amplitude"]), s
     coeffs = {}
     for entry in doc.get("modes", []):
         k = entry.get("k")

@@ -141,6 +141,10 @@ def check_low_mode_morse(f: TrigPoly, params: GenericityParams) -> tuple[list[Fa
 
 def check_membership(f: TrigPoly, params: GenericityParams) -> MembershipReport:
     """Full class check over the finite window; reports window and margins."""
+    finite = np.isfinite(np.fromiter(f.coeffs.values(), complex, len(f.coeffs)))
+    if not finite.all():  # no bound orders a NaN: refuse it before any check
+        k = list(f.coeffs)[finite.argmin()]
+        raise ConfigError(f"coefficient f_{k} = {f.coeffs[k]} is not finite")
     lb_failures, n_lb, lb_margin = check_lower_bound(f, params)
     morse_failures, n_m, morse_margin = check_low_mode_morse(f, params)
     failures = lb_failures + morse_failures
@@ -167,20 +171,54 @@ def check_membership(f: TrigPoly, params: GenericityParams) -> MembershipReport:
 _BLOCK = 64  # trials of empirical_genericity per array pass; memory is O(_BLOCK x size)
 
 
-def _disks(rngs: list[np.random.Generator], size: int) -> np.ndarray:
-    """Uniform samples on the closed unit disk, one row of `size` per stream.
+def _spawn_keys(seed, count: int) -> np.ndarray:
+    """The Philox keys of SeedSequence(seed).spawn(count), one uint64 pair a row.
 
-    Row i is what rejection from the square draws from rngs[i] round by
-    round: every open slot, in slot order, reads its stream's next unread
-    pair of uniform(-1, 1) draws and keeps x + 1j*y if x**2 + y**2 <= 1.
-    Each stream is drawn in one call of about 4/pi x size pairs plus slack,
-    and drawn on from where it stopped while its row keeps fewer than `size`
-    pairs; then all rows are replayed at once.
+    Row i is child i's generate_state(2, np.uint64), numpy's hashing run in
+    uint32 passes over i: child i mixes word i into each parent pool word, the
+    hash constant resuming after the parent's 16 + 4 max(0, L - 4) hashes of its
+    L entropy words, and the four words are hashed out in little-endian pairs.
+    The first and last rows are checked against numpy's own.
     """
+    ss, m = np.random.SeedSequence(seed), 1 << 32
+    words = lambda x: (max(1, -(-int(x).bit_length() // 32)) if isinstance(x, (int, np.integer))
+                       else sum(map(words, x)))
+    a, b = 0x43B0D7E5 * pow(0x931E8875, 16 + 4 * max(0, words(ss.entropy) - 4), m) % m, 0x8B51F9DD
+    i, out = np.arange(count, dtype=np.uint32), []
+    for p in ss.pool.tolist():
+        a, v = a * 0x931E8875 % m, i ^ np.uint32(a)  # hashmix(i): xor, next constant, multiply
+        v *= np.uint32(a)
+        v = np.uint32(0xCA01F9DD * p % m) - np.uint32(0x4973F715) * (v ^ v >> 16)  # mix(pool word, .)
+        b, v = b * 0x58F38DED % m, v ^ v >> 16 ^ np.uint32(b)  # generate_state's hash
+        v *= np.uint32(b)
+        out.append((v ^ v >> 16).astype(np.uint64))
+    keys = np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+    for r in {0, count - 1}:
+        if not np.array_equal(keys[r], np.random.SeedSequence(ss.entropy, spawn_key=(r,)).generate_state(2, np.uint64)):
+            raise AssertionError("numpy's SeedSequence no longer hashes as _spawn_keys does")
+    return keys
+
+
+def _disks(keys: np.ndarray, size: int) -> np.ndarray:
+    """Uniform samples on the closed unit disk, one row of `size` per Philox key.
+
+    Row i is what rejection from the square draws from the stream of keys[i]
+    (counter 0) round by round: every open slot, in slot order, reads its
+    stream's next unread pair of uniform(-1, 1) draws and keeps x + 1j*y if
+    x**2 + y**2 <= 1.  One Philox, reset to each key, draws about 4/pi x size
+    pairs plus slack; a row that keeps fewer than `size` draws its stream again
+    with twice the count and keeps the tail.  Then all rows are replayed at once.
+    """
+    bitgen = np.random.Philox(0)
+    rng, zero = np.random.Generator(bitgen), np.zeros(4, np.uint64)
+
+    def stream(i, count):  # the first `count` pairs of stream i
+        bitgen.state = {"bit_generator": "Philox", "state": {"counter": zero, "key": keys[i]},
+                        "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return rng.uniform(-1.0, 1.0, size=(count, 2))
+
     cap = int(4.0 / math.pi * size + 2.0 * math.sqrt(size)) + 2
-    pairs = np.empty((len(rngs), cap, 2))
-    for i, rng in enumerate(rngs):
-        pairs[i] = rng.uniform(-1.0, 1.0, size=(cap, 2))
+    pairs = np.stack([stream(i, cap) for i in range(len(keys))])
     while True:
         m, cap = pairs.shape[:2]
         ok = pairs[..., 0] ** 2 + pairs[..., 1] ** 2 <= 1.0
@@ -190,7 +228,7 @@ def _disks(rngs: list[np.random.Generator], size: int) -> np.ndarray:
             break
         more = np.zeros((m, cap, 2))  # a row's reads end at its size-th kept pair
         for i in short:
-            more[i] = rngs[i].uniform(-1.0, 1.0, size=(cap, 2))
+            more[i] = stream(i, 2 * cap)[cap:]
         pairs = np.concatenate([pairs, more], axis=1)
     # the slots rejected in a round queue up in column order for the next,
     # so the one rejected at column c reads column size + (pairs rejected
@@ -206,10 +244,6 @@ def _disks(rngs: list[np.random.Generator], size: int) -> np.ndarray:
     return (w[:, 0] + 1j * w[:, 1]).reshape(m, size)
 
 
-def _philox(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def sample_product_measure(n: int, s: float, K_max: float, seed) -> TrigPoly:
     """Draw f with f_k = w_k e^{-|k|_1 s}, w_k independent uniform on the disk.
 
@@ -218,7 +252,7 @@ def sample_product_measure(n: int, s: float, K_max: float, seed) -> TrigPoly:
     result is reproducible across platforms and chunkings.
     """
     modes = half_ball(n, K_max)
-    w = _disks([_philox(seed)], len(modes))[0]
+    w = _disks(np.random.SeedSequence(seed).generate_state(2, np.uint64)[None], len(modes))[0]
     scale = np.array([math.exp(-l * s) for l in range(int(math.floor(K_max)) + 1)])[np.abs(modes).sum(axis=1)]
     return TrigPoly(n, dict(zip(map(tuple, modes.tolist()), (w * scale).tolist())))
 
@@ -252,9 +286,9 @@ def empirical_genericity(
         raise ConfigError("empty generator window")
     thresholds = np.array([delta * l1(k) ** (-n) for k in gens])
 
-    streams = np.random.SeedSequence(seed).spawn(trials)
+    keys = _spawn_keys(seed, trials)
     n_pass = 0
     for i in range(0, trials, _BLOCK):
-        W = _disks([_philox(ss) for ss in streams[i:i + _BLOCK]], len(gens))
+        W = _disks(keys[i:i + _BLOCK], len(gens))
         n_pass += int(np.count_nonzero(np.all(np.abs(W) >= thresholds, axis=1)))
     return GenericityEstimate(fraction_pass=n_pass / trials)

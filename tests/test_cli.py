@@ -76,6 +76,18 @@ class TestSampleAndCheck:
         assert err.count("\n") == 1 and "mode (1, 17) needs a finite re and im" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("param", ["s", "k_max", "amplitude"])
+    def test_non_finite_rule_param_is_config_error(self, tmp_path, capsys, param):
+        # "k_max": Infinity used to leave with an OverflowError traceback from half_ball
+        pot, out = tmp_path / "f.json", tmp_path / "rep.json"
+        pot.write_text(json.dumps({"n": 2, "s": 4.0, "rule": "exp-lacunary", "params": {param: float("inf")}}))
+        assert main(["check-generic", "--potential", str(pot), "--delta", "1.0",
+                     "--beta", "1e-30", "--kmax", "20", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.count("error:") == 1
+        assert err.startswith("error: cannot load potential") and f"'{param}': inf" in err
+        assert not out.exists()
+
 class TestBezout:
     def test_known_completion(self, tmp_path, capsys):
         assert main(["bezout", "--k", "2,3"]) == EXIT_OK
@@ -482,6 +494,7 @@ def test_unencodable_output_raises(value, capsys):
 INVARIANTS = {
     ("acceptance.py", "ValueError"): "criterion 3 draws c from [0.02, 0.49], so c < 1/2 holds",
     ("unimodular.py", "AssertionError"): "the completion of a generator has det 1",
+    ("genericity.py", "AssertionError"): "_spawn_keys hashes as numpy's SeedSequence; its end rows are checked",
 }
 
 

@@ -426,7 +426,11 @@ class TestJson:
          "mode (1, 0) needs a finite re and im, got (1-infj)"),
         ({"s": math.nan, "modes": []}, "potential file field s must be finite, got nan"),
         ({"s": math.inf, "rule": "exp-lacunary"}, "potential file field s must be finite, got inf"),
-    ], ids=["re_nan", "im_inf", "s_nan", "rule_file_s_inf"])
+        ({"s": 4.0, "rule": "exp-lacunary", "params": {"k_max": math.inf}},
+         "rule params s, k_max and amplitude must be finite, got {'s': 4.0, 'k_max': inf, 'amplitude': 1.0}"),
+        ({"s": 4.0, "rule": "exp-lacunary", "params": {"s": math.nan, "amplitude": -math.inf}},
+         "rule params s, k_max and amplitude must be finite, got {'s': nan, 'k_max': 40.0, 'amplitude': -inf}"),
+    ], ids=["re_nan", "im_inf", "s_nan", "rule_file_s_inf", "rule_k_max_inf", "rule_s_nan_amplitude_inf"])
     def test_rejects_non_finite_fields(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 2, **doc}))

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from resoforge.genericity import (
     MembershipReport,
     _BLOCK,
     _disks,
-    _philox,
+    _spawn_keys,
     check_low_mode_morse,
     check_lower_bound,
     check_membership,
@@ -30,6 +31,16 @@ from resoforge.genericity import (
 )
 from resoforge.morse import cosine_certificate, critical_points
 from test_fourier import reference_project_lattice
+
+
+def _philox(seed) -> np.random.Generator:
+    """numpy's own Philox stream for a seed or SeedSequence: the oracle of the keyed draws."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def _key(seed) -> np.ndarray:
+    """The one-row key array of the stream that _philox(seed) draws from."""
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)[None]
 
 
 class TestThreshold:
@@ -211,6 +222,22 @@ class TestLowModeMorse:
 
 
 class TestMembership:
+    @pytest.mark.parametrize("mode, value", [((1, 17), complex(math.nan, 0.0)), ((0, 1), complex(0.0, math.inf))],
+                             ids=["nan_in_lower_bound_window", "inf_low_mode"])
+    def test_non_finite_coefficient_is_refused_before_any_census(self, monkeypatch, mode, value):
+        # f_(1,17) = NaN used to pass as in_class with margin 224.0: fmin skips a NaN ratio
+        import resoforge.genericity as genericity
+
+        def no_census(*args):
+            raise AssertionError("census run on a non-finite potential")
+
+        monkeypatch.setattr(genericity, "critical_points_many", no_census)
+        f = lacunary_potential(2, 4.0, 20)
+        g = TrigPoly(2, {**f.coeffs, mode: value}, rule=f.rule, rule_cutoff=20.0)
+        params = GenericityParams(n=2, s=4.0, delta=1.0, beta=1e-30, K_max=20)
+        with pytest.raises(ConfigError, match=re.escape(f"coefficient f_{mode} = {value} is not finite")):
+            check_membership(g, params)
+
     def test_lacunary_in_class(self):
         params = GenericityParams(n=2, s=4.0, delta=1.0, beta=1e-30, K_max=20)
         f = lacunary_potential(2, 4.0, k_max=20)
@@ -374,7 +401,7 @@ class TestProductMeasure:
         assert a.coeffs == b.coeffs
 
     def test_disk_second_moment(self):
-        w = _disks([_philox(7)], 10 ** 5)[0]
+        w = _disks(_key(7), 10 ** 5)[0]
         assert np.mean(np.abs(w) ** 2) == pytest.approx(0.5, abs=0.01)
 
     def test_weighted_coefficients_in_disk(self):
@@ -404,15 +431,19 @@ def reference_uniform_disk(rng: np.random.Generator, size: int) -> np.ndarray:
     return out
 
 
-class CountingRng:
-    """A generator that counts its uniform() calls."""
+class TestSpawnKeys:
+    @pytest.mark.parametrize("count", [1, 64, 301])
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 62 - 1, 2 ** 200]
+                             + [[(7919 * j + 3) << (5 * j) for j in range(length)] for length in range(1, 8)])
+    def test_equals_numpy_spawn(self, seed, count):
+        # lists of 5 or more ints put the parent's entropy above the 4-word pool
+        want = np.stack([ss.generate_state(2, np.uint64) for ss in np.random.SeedSequence(seed).spawn(count)])
+        got = _spawn_keys(seed, count)
+        assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
 
-    def __init__(self, seed):
-        self.rng, self.calls = _philox(seed), 0
-
-    def uniform(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.uniform(*args, **kwargs)
+    def test_is_the_key_philox_takes(self):
+        for row, ss in zip(_spawn_keys(2024, 3), np.random.SeedSequence(2024).spawn(3)):
+            assert np.array_equal(row, np.random.Philox(ss).state["state"]["key"])
 
 
 class TestDisks:
@@ -421,22 +452,24 @@ class TestDisks:
     def test_equals_the_rejection_loop_byte_for_byte(self, size, streams, seeds):
         for seed in range(seeds):
             ss = np.random.SeedSequence([seed, size]).spawn(streams)
-            got = _disks([_philox(s) for s in ss], size)
+            got = _disks(_spawn_keys([seed, size], streams), size)
             want = np.stack([reference_uniform_disk(_philox(s), size) for s in ss])
             assert got.shape == (streams, size)
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("size, seeds", [(1, [979]), (24, [1, 3425, 2, 3, 8255, 4])])
     def test_a_short_stream_is_extended_from_where_it_stopped(self, size, seeds):
-        # these streams need more pairs than their first buffer holds
-        rngs = [CountingRng(seed) for seed in seeds]
-        got = _disks(rngs, size)
+        # 979, 3425 and 8255 keep fewer than `size` pairs of their first buffer
+        cap = int(4.0 / math.pi * size + 2.0 * math.sqrt(size)) + 2
+        first = [_philox(seed).uniform(-1.0, 1.0, size=(cap, 2)) for seed in seeds]
+        assert [np.count_nonzero((b ** 2).sum(1) <= 1.0) < size for b in first] == [
+            seed in (979, 3425, 8255) for seed in seeds]
+        got = _disks(np.concatenate([_key(seed) for seed in seeds]), size)
         want = np.stack([reference_uniform_disk(_philox(seed), size) for seed in seeds])
         assert got.tobytes() == want.tobytes()
-        assert [rng.calls for rng in rngs] == [2 if seed in (979, 3425, 8255) else 1 for seed in seeds]
 
     def test_no_modes(self):
-        assert _disks([_philox(1)], 0).shape == (1, 0)
+        assert _disks(_key(1), 0).shape == (1, 0)
         assert sample_product_measure(2, 1.0, 0.5, 1).coeffs == {}
 
 
