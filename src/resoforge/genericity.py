@@ -174,11 +174,11 @@ _BLOCK = 64  # trials of empirical_genericity per array pass; memory is O(_BLOCK
 def _spawn_keys(seed, count: int) -> np.ndarray:
     """The Philox keys of SeedSequence(seed).spawn(count), one uint64 pair a row.
 
-    Row i is child i's generate_state(2, np.uint64), numpy's hashing run in
-    uint32 passes over i: child i mixes word i into each parent pool word, the
-    hash constant resuming after the parent's 16 + 4 max(0, L - 4) hashes of its
-    L entropy words, and the four words are hashed out in little-endian pairs.
-    The first and last rows are checked against numpy's own.
+    Row i is child i's generate_state(2, np.uint64): numpy's hashing and
+    constants, in uint32 passes over i.  Child i mixes word i into each parent
+    pool word, the hash constant resuming after the parent's 16 + 4 max(0, L - 4)
+    hashes of its L entropy words; the 4 words are hashed out in little-endian
+    pairs.  The first and last rows are checked against numpy's own.
     """
     ss, m = np.random.SeedSequence(seed), 1 << 32
     words = lambda x: (max(1, -(-int(x).bit_length() // 32)) if isinstance(x, (int, np.integer))
@@ -186,10 +186,10 @@ def _spawn_keys(seed, count: int) -> np.ndarray:
     a, b = 0x43B0D7E5 * pow(0x931E8875, 16 + 4 * max(0, words(ss.entropy) - 4), m) % m, 0x8B51F9DD
     i, out = np.arange(count, dtype=np.uint32), []
     for p in ss.pool.tolist():
-        a, v = a * 0x931E8875 % m, i ^ np.uint32(a)  # hashmix(i): xor, next constant, multiply
+        a, v = a * 0x931E8875 % m, i ^ np.uint32(a)  # hashmix(i) by INIT_A, MULT_A
         v *= np.uint32(a)
         v = np.uint32(0xCA01F9DD * p % m) - np.uint32(0x4973F715) * (v ^ v >> 16)  # mix(pool word, .)
-        b, v = b * 0x58F38DED % m, v ^ v >> 16 ^ np.uint32(b)  # generate_state's hash
+        b, v = b * 0x58F38DED % m, v ^ v >> 16 ^ np.uint32(b)  # generate_state's hash, INIT_B, MULT_B
         v *= np.uint32(b)
         out.append((v ^ v >> 16).astype(np.uint64))
     keys = np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)

@@ -441,10 +441,6 @@ class TestSpawnKeys:
         got = _spawn_keys(seed, count)
         assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
 
-    def test_is_the_key_philox_takes(self):
-        for row, ss in zip(_spawn_keys(2024, 3), np.random.SeedSequence(2024).spawn(3)):
-            assert np.array_equal(row, np.random.Philox(ss).state["state"]["key"])
-
 
 class TestDisks:
     @pytest.mark.parametrize("size", [1, 2, 24, 500, 1700])
