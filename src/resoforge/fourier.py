@@ -5,7 +5,9 @@ stored through its coefficients on the canonical half-lattice Z^n_* (integer
 vectors whose first nonzero component is positive); the conjugate half is
 implied.  Mode directions with coprime components ("generators") index the
 1-D lattice projections pi_k f(theta) = sum_j f_{jk} e^{i j theta} used
-throughout the package.
+throughout the package.  OneDTrigPoly and the Morse census sum one-angle
+polynomials through one evaluator, trig_values, which takes each value as
+its own sum in mode order, whatever stack of rows and angles it sits in.
 
 Potentials with infinite support are handled through a coefficient rule
 (currently the exponentially decaying lacunary family supported on the
@@ -20,6 +22,7 @@ well-formed inputs.  Anything else a function raises is a bug.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -105,24 +108,6 @@ def generators(n: int, K: float, min_order: int = 1) -> list[Mode]:
     return list(map(tuple, ks.tolist()))
 
 
-def on_ray(kp: Mode, k: Mode) -> int | None:
-    """The signed j != 0 with kp == j*k (on_ray(-k, k) == -1); None if kp is 0 or off Z k."""
-    j = None
-    for a, b in zip(kp, k):
-        if b == 0:
-            if a != 0:
-                return None
-        else:
-            q, r = divmod(a, b)
-            if r != 0:
-                return None
-            if j is None:
-                j = q
-            elif q != j:
-                return None
-    return int(j) if j else None
-
-
 # --------------------------------------------------------------------------
 # coefficient rules (infinite-support models)
 # --------------------------------------------------------------------------
@@ -182,7 +167,8 @@ class TrigPoly:
                 raise ConfigError(f"mode {k} has wrong dimension")
             if not is_canonical(k):
                 raise ConfigError(f"mode {k} is not in the canonical half-lattice")
-            c = complex(c)
+            if not cmath.isfinite(c := complex(c)):  # no bound orders a NaN
+                raise ConfigError(f"mode {k} needs a finite re and im, got {c}")
             if c != 0:
                 clean[k] = c
         object.__setattr__(self, "coeffs", clean)
@@ -225,9 +211,11 @@ class TrigPoly:
 
 
 def trig_values(C: np.ndarray, js: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """2 Re sum_j C[r, j] e^{ijt} for every row r of C and every t: (len(t), rows);
-    the package's one evaluator of one-angle trig polynomials."""
-    return 2.0 * (np.exp(1j * np.outer(t, js)) @ C.T).real
+    """2 Re sum_j C[..., j] e^{ijt}, t broadcast against the leading axes of C; every
+    row at every angle is t[:, None].  One einsum and no BLAS, so each value is its
+    own sum in mode order whatever the stack holds: the package's one evaluator of
+    one-angle trig polynomials."""
+    return 2.0 * np.einsum("...j,...j->...", C, np.exp(1j * np.multiply.outer(t, js))).real
 
 
 @dataclass(frozen=True)
@@ -245,7 +233,8 @@ class OneDTrigPoly:
             j = int(j)
             if j < 1:
                 raise ConfigError("store only j >= 1; the conjugate half is implied")
-            c = complex(c)
+            if not cmath.isfinite(c := complex(c)):
+                raise ConfigError(f"mode {j} needs a finite re and im, got {c}")
             if c != 0:
                 clean[j] = c
         object.__setattr__(self, "coeffs", clean)
@@ -256,11 +245,10 @@ class OneDTrigPoly:
         return cls({1: 0.5 * amplitude * np.exp(1j * shift)})
 
     def evaluate(self, theta) -> np.ndarray:
-        """Real values at real angles theta of any shape, through trig_values at one angle
-        more: BLAS rounds one angle's dot product otherwise than a product of two or more."""
-        theta, js = np.asarray(theta, dtype=float), np.array(list(self.coeffs), dtype=float)
-        C = np.array([list(self.coeffs.values())], dtype=complex)
-        return trig_values(C, js, np.append(theta, 0.0))[:-1, 0].reshape(theta.shape)[()]
+        """Real values at real angles theta of any shape."""
+        js = np.fromiter(self.coeffs, dtype=float, count=len(self.coeffs))
+        C = np.fromiter(self.coeffs.values(), dtype=complex, count=len(js))
+        return trig_values(C, js, np.asarray(theta, dtype=float))[()]
 
     def values_on_grid(self, m: int) -> np.ndarray:
         """Real values on the grid theta_t = 2 pi t / m, t = 0..m-1."""
@@ -391,6 +379,4 @@ def load_potential(source) -> tuple[TrigPoly, float]:
         if not is_canonical(k):
             raise ConfigError(f"mode {k} is not in the canonical half-lattice")
         coeffs[k] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-        if not np.isfinite(coeffs[k]):
-            raise ConfigError(f"mode {k} needs a finite re and im, got {coeffs[k]}")
     return TrigPoly(n, coeffs), s

@@ -141,10 +141,6 @@ def check_low_mode_morse(f: TrigPoly, params: GenericityParams) -> tuple[list[Fa
 
 def check_membership(f: TrigPoly, params: GenericityParams) -> MembershipReport:
     """Full class check over the finite window; reports window and margins."""
-    finite = np.isfinite(np.fromiter(f.coeffs.values(), complex, len(f.coeffs)))
-    if not finite.all():  # no bound orders a NaN: refuse it before any check
-        k = list(f.coeffs)[finite.argmin()]
-        raise ConfigError(f"coefficient f_{k} = {f.coeffs[k]} is not finite")
     lb_failures, n_lb, lb_margin = check_lower_bound(f, params)
     morse_failures, n_m, morse_margin = check_low_mode_morse(f, params)
     failures = lb_failures + morse_failures

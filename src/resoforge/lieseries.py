@@ -19,8 +19,8 @@ level and shows up only in the conjugacy defect.
 Small divisors y0.k are logged for every killed mode and checked against the
 covering thresholds (alpha/2, respectively 2 alpha K/|k|); a divisor below
 threshold raises with the witness mode.  Both kinds run one step loop,
-`_average`; a mode l is on Z k when it is an integer multiple of k, the
-test of `fourier.on_ray`, which `_on_line` makes over a mode array at once.
+`_average`; a mode l is on Z k when it is an integer multiple of k, which
+`_on_line` tests over a mode array at once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .cover import CoveringParams
-from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, TrigPoly, l1, on_ray
+from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, TrigPoly, l1
 
 Mono = tuple[int, ...]
 
@@ -368,13 +368,10 @@ class TaylorFourierSeries:
 
     def ray_terms(self, k_res: Mode) -> list[tuple[int, Mono, complex]]:
         """Terms as (j, m, c) with mode = j * k_res (requires all modes on Z k_res)."""
-        out = []
-        for (k, m), c in self.terms.items():
-            j = on_ray(k, k_res) if any(k) else 0
-            if j is None:
-                raise ConfigError(f"mode {k} is not on the ray of {k_res}")
-            out.append((j, m, c))
-        return out
+        k = np.asarray(k_res, dtype=np.int64)
+        if (off := self.K.any(axis=1) & ~_on_line(self.K, k)).any():
+            raise ConfigError(f"mode {tuple(self.K[off.argmax()].tolist())} is not on the ray of {k_res}")
+        return list(zip(((self.K @ k) // (k @ k)).tolist(), map(tuple, self.M.tolist()), self.C.tolist()))
 
     def to_entries(self) -> list[dict]:
         return [
@@ -610,9 +607,9 @@ def _killed(K: np.ndarray, K0: int, k: Mode | None) -> np.ndarray:
 
 
 def _on_line(K: np.ndarray, k: Mode) -> np.ndarray:
-    """The rows of the (T, n) mode array K that are j k for an integer j != 0,
-    the rows where `on_ray(row, k)` is not None: every 2x2 minor with k is
-    zero (so the row is t k with t = row.k / k.k) and k.k divides row.k != 0.
+    """The rows of the (T, n) mode array K that are j k for an integer j != 0:
+    every 2x2 minor with k is zero (so the row is t k with t = row.k / k.k)
+    and k.k divides row.k != 0.
     For a generator k the divisibility follows from the minors."""
     k = np.asarray(k, dtype=np.int64)
     parallel = (K[:, :, None] * k == K[:, None, :] * k[:, None]).all(axis=(1, 2))

@@ -4,8 +4,10 @@ A periodic F is beta-Morse when min(|F'| + |F''|) >= beta on the circle and
 all critical-value gaps are >= beta; critical_points measures both at the
 zeros of F' and its derivatives, which one primitive (_zeros) isolates with a
 certificate: adaptive Taylor cells in floats, and exact integer arithmetic
-where doubles cannot settle a cell, so a count is never a guess.  For
-projections pi_k f with a dominant +-k mode pair the oscillatory residual
+where doubles cannot settle a cell, so a count is never a guess.  Every
+float value it reads comes from fourier.trig_values, so the report of a
+polynomial does not depend on the others censused with it.  For projections
+pi_k f with a dominant +-k mode pair the oscillatory residual
 
     F*(theta) = (1 / 2|f_k|) sum_{|j| >= 2} f_{jk} e^{i j theta}
 
@@ -65,26 +67,24 @@ class CosineCertificate:
     gamma: float
 
 
-def _polish(coef: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _polish(rows: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
-    """The zero of P_b = 2 Re sum_j coef[b, j] e^{ijt} in [lo_b, hi_b] (end values
-    v_lo_b, v_hi_b of opposite signs) by safeguarded Newton on all brackets at
-    once from the secant point: a step solves the quadratic Taylor model (twice
-    the Newton step if it has no real root), or bisects if it would leave the
+    """The zero of P_b = 2 Re sum_j c_j e^{ijt} in [lo_b, hi_b] (end values
+    v_lo_b, v_hi_b of opposite signs), rows[b, k] holding the c_j (ij)^k of
+    P_b^(k) for k = 0..2, by safeguarded Newton on all brackets at once from
+    the secant point: a step solves the quadratic Taylor model (twice the
+    Newton step if it has no real root), or bisects if it would leave the
     bracket or fails to halve the step before last (rtsafe, Numerical Recipes
-    9.4).  Done at |P_b(t)| <= 4 eps sum_j |coef[b, j]| or a step below 1 ulp.
-    Each P_b is taken at its own t_b alone: trig_values, every row at every t, costs N^2.
+    9.4).  Done at |P_b(t)| <= 4 eps sum_j |c_j| or a step below 1 ulp.
     """
     t = lo + (hi - lo) * v_lo / (v_lo - v_hi)
-    ijs = 1j * js
-    cd = 2.0 * np.stack([coef, coef * ijs, coef * ijs * ijs], axis=1)
-    floor = 4.0 * np.finfo(float).eps * np.abs(coef).sum(axis=1)
+    floor = 4.0 * np.finfo(float).eps * np.abs(rows[:, 0]).sum(axis=1)
     ulp = np.spacing(TWO_PI)
     adx = adx_old = hi - lo
     live = np.ones(len(t), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            p, dp, d2p = (cd @ np.exp(np.outer(t, ijs))[:, :, None]).real[:, :, 0].T
+            p, dp, d2p = trig_values(rows, js, t[:, None]).T
             root = np.sqrt(np.maximum(dp * dp - 2.0 * p * d2p, 0.0))
             step = 2.0 * p / (dp + np.copysign(root, dp))
             live &= (np.abs(p) > floor) & (np.abs(step) >= ulp)
@@ -106,8 +106,8 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     no test reads another row, so neither are its zeros.
 
     The circle starts as max(32, 4 deg) cells at an irrational offset.  At a
-    cell's float midpoint one product gives P, P', P''; each carries the
-    rounding bound e_k = 8 (d + 2) eps S_k + 32 eps S_{k+1}, S_k = 2 sum_j
+    cell's float midpoint one trig_values call gives P, P', P''; each carries
+    the rounding bound e_k = 8 (d + 2) eps S_k + 32 eps S_{k+1}, S_k = 2 sum_j
     j^k |c_j| (the second term moves the midpoint onto the true one), and S_3
     bounds |P'''|.  With R the half-width r widened by _MARGIN, the cell holds
     no zero if |P| > R |P'| + R^2/2 |P''| + R^3/6 S_3 (each test adds the
@@ -118,15 +118,14 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _MARGIN of the end of a certified cell.  Other cells split, for _LEVELS
     levels up to degree 4 and 40 above, where the exact path costs more;
     those of a row left after that, or once they outnumber 8 (d + 1), go to
-    _exact_zeros.  A cell's row is taken at its midpoint alone: trig_values,
-    every row at every cell, costs N^2; and these bits fix the census.
+    _exact_zeros.
     """
     # a power of two per row: exact, and keeps the bounds clear of underflow
     d, e = int(js.max()), -np.frexp(np.abs(C).max(axis=1))[1][:, None]
     C = np.ldexp(np.ascontiguousarray(C).view(float), e).view(complex)
     S0, S1, S2, S3 = 2.0 * (np.abs(C)[:, None, :] * js ** np.arange(4.0)[:, None]).sum(axis=2).T
     e0, e1, e2 = 8 * (d + 2) * _EPS * np.array([S0, S1, S2]) + 32 * _EPS * np.array([S1, S2, S3])
-    K, C3 = np.array([e0, e1, e2, S3, _MARGIN * S1]), C[:, None, :] * (2.0 * (1j * js) ** np.arange(3.0)[:, None])
+    K, C3 = np.array([e0, e1, e2, S3, _MARGIN * S1]), C[:, None, :] * (1j * js) ** np.arange(3.0)[:, None]
     n, last = max(32, 4 * d), _LEVELS if d <= 4 else 40
     row, i = np.divmod(np.arange(len(C) * n), n)
     found, exact = [], []
@@ -135,7 +134,7 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         R, t = r + _MARGIN, (2 * i + 1) * r + _OFFSET
         lim_free, lim_mono, lim_end = (np.array([[1, R, R * R / 2, R ** 3 / 6, 0], [0, 1, R, R * R / 2, 0],
                                                  [1, r, r * r / 2, r ** 3 / 6, 1]])[:, :, None] * K).sum(axis=1)[:, row]
-        p, p1, p2 = V = np.einsum("nkj,nj->kn", C3[row], np.exp(1j * np.multiply.outer(t, js))).real
+        p, p1, p2 = V = trig_values(C3[row], js, t[:, None]).T
         (a0, a1, a2), q = np.abs(V), p + 0.5 * r * r * p2
         gap, mono = np.abs(q) - r * a1, a1 - R * a2 > lim_mono
         one = mono & (gap < -lim_end)
@@ -153,7 +152,7 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row, i = np.repeat(row, 2), (2 * i[:, None] + np.arange(2)).ravel()
     exact += [(at, i[row == at].tolist(), n << level) for at in np.flatnonzero(np.bincount(row, minlength=len(C)))]
     of, *bracket = map(np.concatenate, zip(*found))
-    t = _polish(C[of], js, *bracket)
+    t = _polish(C3[of], js, *bracket)
     for at, cells, ncells in exact:
         x = _exact_zeros(C[at], js, cells, ncells)
         of, t = np.r_[of, np.full(len(x), at)], np.r_[t, x]
@@ -345,9 +344,9 @@ def critical_points_many(Fs) -> list[MorseReport | None]:
     every zero of F', F'', F'' + F''' and F'' - F''': the critical points are
     the zeros of F', and min(|F'| + |F''|) is taken at the zeros of all four,
     where every kink and every stationary point of it lies.  The zeros of a
-    row do not depend on the other rows, and each F is evaluated at its own
-    zeros by a trig_values product of its own, so F gets its report alone;
-    the minima, gaps and max|F| of a group are then segment reductions.
+    row do not depend on the other rows, and one trig_values call takes each
+    F at its own zeros alone, so F gets its report alone; the minima, gaps and
+    max|F| of a group are then segment reductions.
     """
     out: list[MorseReport | None] = [None] * len(Fs)
     live = [at for at, F in enumerate(Fs) if sum(j * abs(c) for j, c in F.coeffs.items()) >= 1e-300]
@@ -355,11 +354,8 @@ def critical_points_many(Fs) -> list[MorseReport | None]:
         c2, c3 = rows[:, 2], rows[:, 3]
         of, t = _zeros(np.stack([rows[:, 1], c2, c2 + c3, c2 - c3], axis=1).reshape(-1, len(js)), js)
         of, kind = np.divmod(of, 4)
-        bounds = np.searchsorted(of, np.arange(len(ats) + 1))
-        # F at its own zeros alone: one product over the group rounds otherwise
-        v = np.concatenate([trig_values(rows[p, :3], js, t[a:b])
-                            for p, (a, b) in enumerate(zip(bounds.tolist(), bounds[1:].tolist()))])
-        gph = np.minimum.reduceat(np.abs(v[:, 1]) + np.abs(v[:, 2]), bounds[:-1])
+        v = trig_values(rows[of, :3], js, t[:, None])
+        gph = np.minimum.reduceat(np.abs(v[:, 1]) + np.abs(v[:, 2]), np.searchsorted(of, np.arange(len(ats))))
         crit = kind == 0
         of, pts, vals = of[crit], t[crit], v[crit, 0]
         cuts = np.searchsorted(of, np.arange(len(ats) + 1))
@@ -382,16 +378,14 @@ def critical_points_many(Fs) -> list[MorseReport | None]:
 def c2_distances_to_cosine(Fs, theta0s) -> list[float]:
     """For each F and theta0, max over k = 0..2 of sup_T |delta^(k)|, delta =
     F - cos(theta + theta0), each taken at the zeros of delta^(k+1): one
-    _zeros call per group of deltas with the same modes in the same order, and
-    each row taken at its own zeros alone: trig_values, every row at every t, costs N^2."""
+    _zeros call per group of deltas with the same modes in the same order."""
     deltas = [F.plus(OneDTrigPoly.from_cosine(-1.0, theta0)) for F, theta0 in zip(Fs, theta0s)]
     out = [0.0] * len(deltas)
     for ats, js, rows in _groups(deltas):
         if len(js):
             row, t = _zeros(rows[:, 1:].reshape(-1, len(js)), js)
             (of, k), sup = np.divmod(row, 3), np.zeros(len(ats))
-            at_t = np.einsum("nj,nj->n", rows[of, k], np.exp(1j * np.multiply.outer(t, js)))
-            np.maximum.at(sup, of, np.abs(2.0 * at_t.real))
+            np.maximum.at(sup, of, np.abs(trig_values(rows[of, k], js, t)))
             for at, x in zip(ats, sup.tolist()):
                 out[at] = x
     return out

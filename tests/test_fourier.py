@@ -19,9 +19,9 @@ from resoforge.fourier import (
     lacunary_potential,
     lattice_projections,
     load_potential,
-    on_ray,
     project_lattice,
     save_potential,
+    trig_values,
     two_mode_potential,
 )
 
@@ -35,6 +35,26 @@ def brute_force_generators(n, K):
         if first > 0 and math.gcd(*k) == 1:
             out.add(k)
     return out
+
+
+def on_ray(kp, k):
+    """The signed j != 0 with kp == j*k (on_ray(-k, k) == -1); None if kp is 0 or
+    off Z k: a scalar oracle, one component at a time, for the library's
+    mode-array test `lieseries._on_line` and for `ray_terms`."""
+    j = None
+    for a, b in zip(kp, k):
+        if b == 0:
+            if a != 0:
+                return None
+        else:
+            q, r = divmod(a, b)
+            if r != 0:
+                return None
+            if j is None:
+                j = q
+            elif q != j:
+                return None
+    return int(j) if j else None
 
 
 def random_poly(rng, n=2, kmax=4, modes=6):
@@ -331,6 +351,42 @@ def reference_values_on_grid(F, m, order=0):
 def derivative(F, order):
     """F^(order): the coefficients c_j (ij)^order."""
     return OneDTrigPoly({j: (1j * j) ** order * c for j, c in F.coeffs.items()})
+
+
+class TestTrigValues:
+    """Each value of a trig_values call is its own sum: it has the bytes of
+    the call on its row and angle alone, whatever the stack around it."""
+
+    @staticmethod
+    def alone(C, js, t):
+        """trig_values over the broadcast stack of C and t, one (row, angle) pair a call."""
+        shape = np.broadcast_shapes(C.shape[:-1], np.shape(t))
+        rows, angles = np.broadcast_to(C, shape + C.shape[-1:]), np.broadcast_to(t, shape)
+        return np.array([trig_values(rows[at], js, angles[at]) for at in np.ndindex(shape)]).reshape(shape)
+
+    @pytest.mark.parametrize("degree", range(1, 18))
+    def test_stack_equals_each_entry_alone(self, degree):
+        rng = np.random.default_rng(degree)
+        js = np.unique(np.r_[rng.integers(1, degree + 1, degree), degree]).astype(float)
+        c = rng.normal(size=(5, len(js))) + 1j * rng.normal(size=(5, len(js)))
+        rows = c[:, None, :] * (1j * js) ** np.arange(4.0)[:, None]  # as critical_points_many's groups
+        of = np.sort(rng.integers(0, 5, 40))
+        t = rng.uniform(-40.0, 40.0, 40)
+        C3 = rows[:, :3]  # P, P', P'' as _zeros and _polish hold them
+        stacks = {
+            "zeros_cells": (C3[rng.integers(0, 5, 40)], t[:, None], (40, 3)),
+            "polish_brackets": (np.ascontiguousarray(C3[of]), t[:, None], (40, 3)),
+            "census_values": (rows[of, :3], t[:, None], (40, 3)),
+            "c2_sups": (rows[of, of % 3], t, (40,)),
+            "every_row_every_angle": (rows[:, 1], t[:6, None], (6, 5)),
+            "evaluate_scalar": (c[0], t[0], ()),
+            "evaluate_vector": (c[0], t[:6], (6,)),
+            "evaluate_matrix": (c[0], t[:6].reshape(2, 3), (2, 3)),
+        }
+        for name, (C, angles, shape) in stacks.items():
+            got = trig_values(C, js, angles)
+            assert got.shape == shape and got.dtype == float, name
+            assert got.tobytes() == self.alone(C, js, angles).tobytes(), name
 
 
 class TestValuesOnGrid:

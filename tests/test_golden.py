@@ -43,5 +43,6 @@ def test_digests_hold_across_kernels():
     # a child fails if a digest or an evaluation's bytes differ under its kernels
     children = _regen().run_children([
         "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py::test_digests_match_golden",
-        "tests/test_fourier.py::TestEvaluate::test_off_grid_angles_match_direct_sum"])
+        "tests/test_fourier.py::TestEvaluate::test_off_grid_angles_match_direct_sum",
+        "tests/test_fourier.py::TestTrigValues::test_stack_equals_each_entry_alone"])
     assert {name: out[-3000:] for name, (code, out) in children.items() if code} == {}

@@ -13,7 +13,6 @@ from resoforge.fourier import (
     ConfigError,
     HypothesisError,
     TrigPoly,
-    on_ray,
     project_lattice,
     two_mode_potential,
 )
@@ -34,6 +33,7 @@ from resoforge.lieseries import (
     solve_homological,
     verify_conjugacy,
 )
+from test_fourier import on_ray
 
 TWO_PI = 2 * math.pi
 
@@ -831,6 +831,21 @@ class TestSplitMasks:
         assert 0 < line.sum() < len(modes) - 1
         # the resonant kill takes every nonzero mode off Z k, whatever K0
         assert _killed(K, 0, k).tolist() == [any(kk) and on_ray(kk, k) is None for kk in modes]
+
+    @pytest.mark.parametrize("k", [(1, 1), (1, -2), (0, 1), (2, 2)], ids=str)
+    def test_ray_terms_take_j_from_the_scalar_oracle(self, k):
+        # each term's j is on_ray's (0 at the zero mode), in row order, and a
+        # mode off Z k raises, naming the first such row
+        rng = np.random.default_rng(6)
+        F = random_real_series(rng, 2, 2, 8, 20)
+        for j in range(-2, 3):
+            add_term(F, (j * k[0], j * k[1]), (j % 2, 1), complex(rng.normal(), rng.normal()))
+        line, _ = F.split(~F.K.any(axis=1) | _on_line(F.K, k))
+        assert len(line.terms) >= 5
+        assert line.ray_terms(k) == [(on_ray(kk, k) or 0, m, c) for (kk, m), c in line.terms.items()]
+        first = next(kk for kk in map(tuple, F.K.tolist()) if on_ray(kk, k) is None and any(kk))
+        with pytest.raises(ConfigError, match=rf"^mode \({first[0]}, {first[1]}\) is not on the ray of"):
+            F.ray_terms(k)
 
     def test_split_keeps_row_order_and_rejects_other_shapes(self):
         F = random_real_series(np.random.default_rng(4), 2, 2, 4, 12)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,12 @@ class TestCriticalPoints:
     def test_constant_function_raises(self):
         with pytest.raises(ConfigError, match="constant function"):
             critical_points(OneDTrigPoly({}))
+
+    @pytest.mark.parametrize("value", [math.nan, complex(0.5, -math.inf)], ids=["nan", "im_inf"])
+    def test_non_finite_coefficient_is_refused(self, value):
+        # a NaN mode used to reach the census, which called F "constant function"
+        with pytest.raises(ConfigError, match=re.escape(f"mode 2 needs a finite re and im, got {complex(value)}")):
+            critical_points(OneDTrigPoly({1: 1.0, 2: value}))
 
     def test_even_count_and_alternation(self):
         rng = np.random.default_rng(2)
@@ -248,7 +255,7 @@ def reference_critical_points(F):
     cells = np.flatnonzero((f1 * f1_next <= 0)
                            | (np.minimum(gph, np.roll(gph, -1)) <= gph_min + lip2 + lip3)
                            | (np.maximum(a2, np.roll(a2, -1)) >= np.max(a2) - lip3))
-    d2, d3 = trig_values(rows[2:], js, np.r_[cells, cells + 1] * h).T
+    d2, d3 = trig_values(rows[2:], js, np.r_[cells, cells + 1][:, None] * h).T
     v_lo = np.stack([f1[cells], d2[:len(cells)], (d2 + d3)[:len(cells)],
                      (d2 - d3)[:len(cells)], d3[:len(cells)]])
     v_hi = np.stack([f1_next[cells], d2[len(cells):], (d2 + d3)[len(cells):],
@@ -260,8 +267,9 @@ def reference_critical_points(F):
     on_node = zero[row, k]
     hi = v_hi[row, k]
     lo = np.where(on_node, -hi, v_lo[row, k])
-    t = _polish(C[row], js, (cells[k] - on_node) * h, (cells[k] + 1) * h, lo, hi) % TWO_PI
-    at = trig_values(rows[:3], js, t)
+    t = _polish(C[row, None] * (1j * js) ** np.arange(3.0)[:, None], js, (cells[k] - on_node) * h,
+                (cells[k] + 1) * h, lo, hi) % TWO_PI
+    at = trig_values(rows[:3], js, t[:, None])
     crit = np.flatnonzero(row == 0)[np.argsort(t[row == 0])]
     pts, vals = t[crit], at[crit, 0]
     kinks = np.abs(at[row <= 3, 1:]).sum(axis=1)
@@ -270,9 +278,9 @@ def reference_critical_points(F):
     pair = (np.sign(g) == -np.sign(f2[i])) & (np.sign(f2[i]) == np.sign(f2[(i + 1) % m]))
     if pair.any():
         z, g, i = z[pair], g[pair], i[pair]
-        tz = _polish(np.broadcast_to(c2, (2 * len(z), len(js))), js, np.r_[i * h, z],
-                     np.r_[z, (i + 1) * h], np.r_[f2[i], g], np.r_[g, f2[(i + 1) % m]])
-        kinks = np.r_[kinks, np.abs(trig_values(rows[1:3], js, tz)).sum(axis=1)]
+        tz = _polish(np.broadcast_to(derivative_rows(F, (2, 3, 4))[1], (2 * len(z), 3, len(js))), js,
+                     np.r_[i * h, z], np.r_[z, (i + 1) * h], np.r_[f2[i], g], np.r_[g, f2[(i + 1) % m]])
+        kinks = np.r_[kinks, np.abs(trig_values(rows[1:3], js, tz[:, None])).sum(axis=1)]
     min_gph = min(gph_min, float(np.min(kinks, initial=math.inf)))
     min_gap = float(np.min(np.diff(np.sort(vals)), initial=math.inf))
     value_scale = float(np.max(np.abs(vals), initial=0.0))
