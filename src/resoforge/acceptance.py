@@ -146,11 +146,10 @@ def criterion_2_sl_completion() -> CriterionResult:
     )
 
 
-@_timed
-def criterion_3_morse_oracle(instances: int = 500) -> CriterionResult:
-    """beta(2 cos) = 2 within 1e-9; two-point property on random instances
-    with c drawn up to 0.49, below its hypothesis bound 1/2 (exactly 2
-    critical points, beta >= 1 - 2c)."""
+def _morse_oracle_family(instances: int) -> tuple[list[OneDTrigPoly], list[float]]:
+    """Criterion 3's census: 2 cos, then `instances` shifted cosines, each plus
+    a random perturbation scaled to a drawn C^2 distance c up to 0.49; and
+    the c of each."""
     rng = np.random.default_rng(42)
     draws = []
     for _ in range(instances):
@@ -168,6 +167,15 @@ def criterion_3_morse_oracle(instances: int = 500) -> CriterionResult:
         Fs.append(OneDTrigPoly.from_cosine(1.0, shift).plus(raw.scaled(scale)))
         # delta^(k) = scale * raw^(k), so the distance of F scales with it
         cs.append(scale * c_raw)
+    return Fs, cs
+
+
+@_timed
+def criterion_3_morse_oracle(instances: int = 500) -> CriterionResult:
+    """beta(2 cos) = 2 within 1e-9; two-point property on random instances
+    with c drawn up to 0.49, below its hypothesis bound 1/2 (exactly 2
+    critical points, beta >= 1 - 2c)."""
+    Fs, cs = _morse_oracle_family(instances)
     if not max(cs) < 0.5:
         raise ValueError("the two-point property needs c < 1/2")
     rep, *reps = critical_points_many(Fs)

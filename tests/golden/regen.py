@@ -10,6 +10,12 @@ The sha256 of `json.dumps(doc, sort_keys=True)` for
   random preset, `cover measure` (once within one sampling chunk, and at n = 2
   and n = 3 across three chunks), `bezout` and `report --quick`, without the
   timestamp or any criterion's runtime and with file paths cut to their names;
+- the Morse census (count, critical points, beta and distinct_values) of
+  criterion 3's 501 polynomials (`acceptance._morse_oracle_family`) and of
+  the low-mode projections pi_k f, |k|_1 <= N, of one pool of the certify
+  benchmark's membership jobs (`sample_product_measure` at s = 5, seed
+  [101, 5, 0], delta 0.1, K_max = N + 10), each in one
+  `critical_points_many` call;
 - the standard-form maps of criterion 8's two-action form
   (`acceptance._benchmark_standard_form`) and of the three-mode pipeline form
   (`test_standard_form._three_mode_standard_form`) at 20 seeded points each:
@@ -55,10 +61,13 @@ GOLDEN = HERE / "averaging.json"
 sys.path.insert(0, str(HERE.parent))
 
 import resoforge  # noqa: E402
-from resoforge.acceptance import _benchmark_standard_form  # noqa: E402
+from resoforge.acceptance import _benchmark_standard_form, _morse_oracle_family  # noqa: E402
 from resoforge.cli import main  # noqa: E402
 from resoforge.cover import free_params  # noqa: E402
+from resoforge.fourier import generators, lattice_projections  # noqa: E402
+from resoforge.genericity import sample_product_measure, threshold_N  # noqa: E402
 from resoforge.lieseries import NaturalHam, lie_step_nonres, lie_step_res  # noqa: E402
+from resoforge.morse import critical_points_many  # noqa: E402
 from test_lieseries import averaging_potential  # noqa: E402
 from test_standard_form import _three_mode_standard_form  # noqa: E402
 
@@ -179,6 +188,17 @@ def cli_documents() -> dict:
     return out
 
 
+def census_documents() -> dict:
+    N = threshold_N(2, 5.0, 0.1)
+    f = sample_product_measure(2, 5.0, N + 10.0, [101, 5, 0])
+    families = {"criterion_3": _morse_oracle_family(500)[0],
+                "membership_pool": lattice_projections(f, generators(2, N))}
+    return {"census": {name: [None if rep is None else
+                              {"count": rep.count, "points": rep.critical_points.tolist(), "beta": rep.beta,
+                               "distinct_values": rep.distinct_values} for rep in critical_points_many(Fs)]
+                       for name, Fs in families.items()}}
+
+
 def map_documents() -> dict:
     out = {}
     forms = {"two_action": lambda: _benchmark_standard_form()[0], "three_mode": _three_mode_standard_form}
@@ -202,7 +222,7 @@ def map_documents() -> dict:
 
 def documents() -> dict:
     """name -> the document whose digest averaging.json holds under that name."""
-    return {**averaging_documents(), **cli_documents(), **map_documents()}
+    return {**averaging_documents(), **cli_documents(), **census_documents(), **map_documents()}
 
 
 def digests() -> dict[str, str]:
