@@ -66,21 +66,21 @@ _BLOCK_PAIRS = 4096
 class _Slots(NamedTuple):
     """The admissible keys (k, m) of an algebra, |k|_1 <= cutoff and |m| <=
     max_degree, one compact slot each: mode rank x len(monos) + monomial rank.
-    A mode is ranked by a lookup over its packed digits (k_i + cutoff, radix
-    2 cutoff + 1), a monomial over its digits (m_i, radix max_degree + 1);
-    both are ranked by l1 norm, then in packed (lex) order."""
+    A mode is ranked by a lookup over its packed digits (k_i + 2 cutoff, radix
+    4 cutoff + 1, so a sum of two packs too), a monomial over its digits (m_i,
+    radix max_degree + 1); both are ranked by l1 norm, then in packed order."""
 
     cutoff: int
     modes: np.ndarray      # (n_modes, n), in rank order
     monos: np.ndarray      # (n_monos, n), in rank order: by degree, then lex
     w_k: np.ndarray        # digit weights of a packed mode
     w_m: np.ndarray        # digit weights of a packed monomial
-    mode_base: np.ndarray  # packed mode -> its rank x n_monos (negative off the algebra)
+    mode_base: np.ndarray  # packed mode -> its rank x n_monos (negative beyond the cutoff)
     mono_rank: np.ndarray  # packed monomial -> its rank (-1 off the algebra)
 
     def of(self, K: np.ndarray, M: np.ndarray) -> np.ndarray:
         """The slots of the admissible rows (K, M)."""
-        return self.mode_base[(K + self.cutoff) @ self.w_k] + self.mono_rank[M @ self.w_m]
+        return self.mode_base[(K + 2 * self.cutoff) @ self.w_k] + self.mono_rank[M @ self.w_m]
 
 
 @cache
@@ -96,7 +96,7 @@ def _slots(n: int, cutoff: int, max_degree: int) -> _Slots:
         rank[keep] = np.arange(len(keep))
         return box[keep], radix ** np.arange(n)[::-1], rank
 
-    modes, w_k, mode_rank = ranked(2 * cutoff + 1, cutoff, cutoff)
+    modes, w_k, mode_rank = ranked(4 * cutoff + 1, 2 * cutoff, cutoff)
     monos, w_m, mono_rank = ranked(max_degree + 1, 0, max_degree)
     return _Slots(cutoff, modes, monos, w_k, w_m, mode_rank * len(monos), mono_rank)
 
@@ -113,24 +113,30 @@ def _levels(n: int, max_degree: int) -> tuple[list[int], np.ndarray]:
     return np.searchsorted(monos.sum(axis=1), np.arange(max_degree + 2)).tolist(), lower
 
 
-def _fold(table: _Slots, slot: np.ndarray, re: np.ndarray, im: np.ndarray) -> tuple:
-    """(K, M, C) of the contributions re + i im at `slot`, taken in order:
+def _fold(table: _Slots, blocks) -> tuple:
+    """(K, M, C) of the contributions (slot, c) of the blocks, taken in order:
     equal slots summed from 0.0 in that order, keys listed in order of first
-    contribution, exact zeros dropped.  Sort-free: np.minimum.at gives each
-    slot its first position, and np.bincount sums over those positions, so
-    only the slots in use are touched and no array grows with the algebra."""
-    at = np.arange(len(slot))
-    first = np.empty(len(table.modes) * len(table.monos), dtype=np.int64)
-    first[slot] = len(slot)
-    np.minimum.at(first, slot, at)
-    label = first[slot]
-    pos = np.flatnonzero(label == at)
-    re, im = np.bincount(label, re, len(slot))[pos], np.bincount(label, im, len(slot))[pos]
-    live = (re != 0) | (im != 0)
-    s = slot[pos[live]]
-    C = np.empty(len(s), dtype=complex)
-    C.real, C.imag = re[live], im[live]
-    return table.modes[s // len(table.monos)], table.monos[s % len(table.monos)], C
+    contribution, exact zeros dropped.  Sort-free and running: np.add.at adds
+    each block into the slot sums in order, and np.minimum.at gives the slots
+    that a block sees first their first position in it.  Only the slots in
+    use are touched, and nothing grows with the number of blocks."""
+    size = len(table.modes) * len(table.monos)
+    (first, order), seen = np.empty((2, size), dtype=np.int64), np.zeros(size, dtype=bool)
+    sums, count = np.empty(size, dtype=complex), 0
+    for slot, c in blocks:
+        at = (~seen[slot]).nonzero()[0]
+        new = slot[at]
+        first[new] = len(slot)
+        np.minimum.at(first, new, at)
+        new = new[first[new] == at]
+        seen[new], sums[new] = True, 0.0
+        np.add.at(sums, slot, c)
+        order[count:count + len(new)] = new
+        count += len(new)
+    s, C = order[:count], sums[order[:count]]
+    live = C != 0
+    mode, mono = np.divmod(s[live], len(table.monos))
+    return table.modes[mode], table.monos[mono], C[live]
 
 
 @dataclass(eq=False)
@@ -189,7 +195,7 @@ class TaylorFourierSeries:
         row order and listed in order of first appearance, exact zeros dropped."""
         K, M, C = (np.concatenate(rows) for rows in zip(*parts))
         table = _slots(self.n, self.cutoff, self.max_degree)
-        return _fold(table, table.of(K, M), C.real, C.imag)
+        return _fold(table, [(table.of(K, M), C)])
 
     def _sum(self, parts: list["TaylorFourierSeries"]) -> "TaylorFourierSeries":
         """The merge of parts' rows (self among them); one nonempty part sums to C + 0.0."""
@@ -211,9 +217,18 @@ class TaylorFourierSeries:
         M = np.array([m for _, m, _ in kept], dtype=np.int64).reshape(len(kept), self.n)
         return K, M, np.array([c for _, _, c in kept], dtype=complex) + 0.0
 
+    def _check(self, other: "TaylorFourierSeries") -> None:
+        """ConfigError unless other has this n and base point (a shared array
+        is not compared) and lies within this truncation."""
+        if (other.n != self.n or other.cutoff > self.cutoff or other.max_degree > self.max_degree
+                or other.base_point is not self.base_point
+                and not np.array_equal(other.base_point, self.base_point)):
+            raise ConfigError(f"operand of n = {other.n} about {other.base_point.tolist()}, (K, D) = "
+                              f"{other.cutoff, other.max_degree}, for {self}")
+
     def plus(self, other: "TaylorFourierSeries") -> "TaylorFourierSeries":
         """self + other, other within this truncation (none of its terms is dropped)."""
-        assert other.cutoff <= self.cutoff and other.max_degree <= self.max_degree
+        self._check(other)
         return self._sum([self, other])
 
     def scaled(self, a: complex) -> "TaylorFourierSeries":
@@ -243,107 +258,109 @@ class TaylorFourierSeries:
         The pair (k1, m1, c1) x (k2, m2, c2) contributes, for every coordinate
         j, i (k1_j m2_j - k2_j m1_j) c1 c2 at mode k1 + k2 and monomial
         m1 + m2 - e_j.  The outer product is formed block by block over the
-        rows of self; slots (`_slots`) are looked up at the kept contributions
-        only, from packed keys that add, since packing is linear in the
-        digits.  `_fold` sums the contributions of all
-        blocks at once, each key in term-pair order from 0.0, and lists the
-        keys in order of first contribution, so the result does not depend on
-        the block size.  Contributions beyond (cutoff, max_degree) go to the
-        ledger as one drop.
-        """
+        rows of self, its integer factors d in the narrowest dtype that holds
+        +-2 cutoff max_degree, made float only where gathered.  One `_slots`
+        lookup of the packed k1 + k2 (packing is linear in the digits) says
+        whether the mode fits and gives the slot's mode part.  `_fold` adds
+        each block into running slot sums, each key summed in term-pair order
+        from 0.0 and listed in order of first contribution, so the result does
+        not depend on the block size.  Contributions beyond (cutoff,
+        max_degree) go to the ledger as one drop, summed block by block."""
+        self._check(other)
         if self.is_empty or other.is_empty:
             return self.like()
         n, cut, deg = self.n, self.cutoff, self.max_degree
-        K1, M1, C1 = self.K, self.M, self.C
-        K2, M2, C2 = other.K, other.M, other.C
+        (K1, M1, C1), (K2, M2, C2) = (self.K, self.M, self.C), (other.K, other.M, other.C)
         table = _slots(n, cut, deg)
-        n2 = len(C2)
-        rows = max(1, _BLOCK_PAIRS // n2)
+        rows = max(1, _BLOCK_PAIRS // len(C2))
         # blocks are laid out (coordinate, row of self, term of other), so every
         # elementwise loop runs contiguously over other's terms
-        K1t, M1t = np.ascontiguousarray(K1.T), np.ascontiguousarray(M1.T)
-        K2t, M2t = np.ascontiguousarray(K2.T)[:, None, :], np.ascontiguousarray(M2.T)[:, None, :]
+        small = np.min_scalar_type(-2 * cut * deg - 1)
+        K1t, M1t = K1.T.astype(small, order="C"), M1.T.astype(small, order="C")
+        K2t, M2t = K2.T.astype(small, order="C")[:, None, :], M2.T.astype(small, order="C")[:, None, :]
         c1r, c1i, c2r, c2i = C1.real.copy(), C1.imag.copy(), C2.real.copy(), C2.imag.copy()
-        # (k1 + k2 + cut) . w_k = (k1 + cut) . w_k + k2 . w_k
-        mode1, mode2 = (K1 + cut) @ table.w_k, K2 @ table.w_k
+        # (k1 + k2 + 2 cut) . w_k = (k1 + 2 cut) . w_k + k2 . w_k
+        mode1, mode2 = (K1 + 2 * cut) @ table.w_k, K2 @ table.w_k
         mono1, mono2 = M1 @ table.w_m, M2 @ table.w_m
-        deg1, deg2 = M1.sum(axis=1), M2.sum(axis=1)
+        deg1, deg2, lost = M1.sum(axis=1), M2.sum(axis=1), []
 
-        def block(a0: int):
-            """(slots, real and imaginary parts) of the kept contributions of
-            rows a0.. of self, in term-pair order, and the mass of the dropped ones."""
-            k1, m1 = K1t[:, a0:a0 + rows, None], M1t[:, a0:a0 + rows, None]
-            ar, ai = c1r[a0:a0 + rows, None], c1i[a0:a0 + rows, None]
-            ksum = k1 + K2t
-            d = k1 * M2t - K2t * m1
+        def block(r: slice):
+            """(slots, coefficients) of the kept contributions of the rows r of
+            self, in term-pair order; the mass of the dropped ones goes to `lost`."""
+            d = K1t[:, r, None] * M2t - K2t * M1t[:, r, None]
+            ar, ai = c1r[r, None], c1i[r, None]
             # c1 c2 (i d) = (br + i bi)(i d) = -bi d + i br d, with br + i bi
             # formed as Python's complex product forms it; Python's product
             # with i d differs only in the sign of zero parts, which neither a
             # sum from +0.0 nor hypot can see
             br, bi = ar * c2r - ai * c2i, ar * c2i + ai * c2r
-            live = (d != 0) & ((br != 0) | (bi != 0))
-            fits = (np.abs(ksum).sum(axis=0) <= cut) & (deg1[a0:a0 + rows, None] + deg2 <= deg + 1)
+            nonzero = (br != 0) | (bi != 0)
+            base = table.mode_base[mode1[r, None] + mode2]
+            fits = (base >= 0) & (deg1[r, None] + deg2 <= deg + 1)
             # dropped contributions, their mass summed in (coordinate, row, term) order
-            at = np.flatnonzero(live & ~fits)
-            pair, d_lost = at % fits.size, d.ravel()[at].astype(float)
-            lost = float(np.hypot(bi.ravel()[pair] * d_lost, br.ravel()[pair] * d_lost).sum())
+            at = np.flatnonzero(np.logical_and(d, nonzero > fits))
+            pair, d_lost = at - at // fits.size * fits.size, d.take(at).astype(float)
+            lost.append(float(np.hypot(bi.take(pair) * d_lost, br.take(pair) * d_lost).sum()))
             # kept contributions in term-pair order: flat (row, term, coordinate)
-            pair, j = np.divmod(np.flatnonzero((live & fits).transpose(1, 2, 0)), n)
-            d_kept = d.reshape(n, -1)[j, pair].astype(float)
-            # slots of kept pairs only, whose digits are in range; d_j != 0 needs
-            # m1_j or m2_j >= 1, so m1 + m2 - e_j is a monomial
-            mode = (mode1[a0:a0 + rows, None] + mode2).ravel()[pair]
-            mono = (mono1[a0:a0 + rows, None] + mono2).ravel()[pair] - table.w_m[j]
-            slot = table.mode_base[mode] + table.mono_rank[mono]
-            return slot, -(bi.ravel()[pair] * d_kept), br.ravel()[pair] * d_kept, lost
+            keep, fits = np.empty((fits.size, n), dtype=bool), (fits & nonzero).ravel()
+            for j in range(n):
+                np.logical_and(d[j].ravel(), fits, out=keep[:, j])
+            at = np.flatnonzero(keep)
+            j = at - (pair := at // n) * n
+            d_kept = d.take(j * fits.size + pair).astype(float)
+            c = np.empty(len(pair), dtype=complex)
+            c.real, c.imag = -bi.take(pair) * d_kept, br.take(pair) * d_kept
+            # d_j != 0 needs m1_j or m2_j >= 1, so m1 + m2 - e_j is a monomial
+            mono = (mono1[r, None] + mono2).take(pair) - table.w_m[j]
+            return base.take(pair) + table.mono_rank[mono], c
 
-        blocks = [block(a0) for a0 in range(0, len(C1), rows)]
-        dropped = sum(b[3] for b in blocks)
-        if ledger is not None and dropped:
+        K, M, C = _fold(table, (block(slice(a0, a0 + rows)) for a0 in range(0, len(C1), rows)))
+        if ledger is not None and (dropped := sum(lost)):
             ledger.drop(dropped)
-        return self._with(*_fold(table, *(np.concatenate([b[i] for b in blocks]) for i in range(3))))
+        return self._with(K, M, C)
 
     # -- evaluation ---------------------------------------------------------
 
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Kt, S, R), built from (K, M, C) on first use.  Kt (n, T) holds the
+    def _tables(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Kt, S, R) with at least `rows` rows (the value row alone while no
+        more is read), built from (K, M, C) on first use; Kt (n, T) holds the
         float modes.
 
-        Row j of S and R gives one sum over terms t: its real part is dF/dy_j
-        for j < n and the value for j = n, its imaginary part -dF/dx_i for
+        Row j of S and R gives one sum over terms t: its real part is the value
+        for j = 0 and dF/dy_i for j = 1 + i, its imaginary part -dF/dx_i for
         j = n + 1 + i.  S (n, 2n+1, T) indexes the flat power table of one
         point, w_i^e at i (D+2) + e (D = max_degree) with a zero at e = D+1:
-        S[i, j, t] reads exponent M[t, i] - [i == j], and -1 wraps to the zero
-        column.  Coordinates lead, so their product runs on contiguous rows.
-        R (2n+1, T) holds the rows M[t, j] c_t, then c_t, then K[t, i] c_t.
+        S[i, j, t] reads exponent M[t, i] - [j == 1 + i], and -1 wraps to the
+        zero column.  Coordinates lead, so their product runs on contiguous
+        rows.  R (2n+1, T) holds the rows c_t, then M[t, i] c_t, then K[t, i] c_t.
         """
-        if self._grad_tables is None:
+        if self._grad_tables is None or len(self._grad_tables[2]) < rows:
             K, M, C = self.K, self.M, self.C
             n, width = self.n, self.max_degree + 2
-            shifted = M.T[:, None, :] - np.eye(n, 2 * n + 1, dtype=np.int64)[:, :, None]
+            shifted = M.T[:, None, :] - np.eye(n, rows, 1, dtype=np.int64)[:, :, None]
             S = shifted % width + width * np.arange(n)[:, None, None]
-            R = np.vstack([M.T * C, C, K.T * C])
+            R = C[None] if rows == 1 else np.vstack([C, M.T * C, K.T * C])
             self._grad_tables = (K.T.astype(float), S, R)
         return self._grad_tables
 
-    def _sums(self, y, x, rows: slice) -> np.ndarray:
-        """sum_t R_jt w^(S_jt) e^(i k_t.x) for the given rows j at P points,
-        shape (P, rows); y and x are (n,) or (P, n)."""
-        Kt, S, R = self._tables()
+    def _sums(self, y, x, rows: int) -> np.ndarray:
+        """sum_t R_jt w^(S_jt) e^(i k_t.x) for the first `rows` rows j at P
+        points, shape (P, rows); y and x are (n,) or (P, n)."""
+        Kt, S, R = self._tables(rows)
         n = self.n
         w = np.asarray(y, dtype=float).reshape(-1, n) - self.base_point
         table = np.zeros((len(w), n, self.max_degree + 2))
         np.power(w[:, :, None], np.arange(self.max_degree + 1), out=table[:, :, :-1])
-        mono = table.reshape(len(w), -1).take(S[:, rows], axis=1).prod(axis=1)
+        mono = table.reshape(len(w), -1).take(S[:, :rows], axis=1).prod(axis=1)
         # k.x for every term, (P, 1, T), as one vector-matrix product per point:
         # a (P, n) x (n, T) matrix product would page in BLAS GEMM buffers
         phase = np.exp(1j * np.matmul(np.asarray(x, dtype=float).reshape(-1, 1, n), Kt))
-        return (R[rows] * mono * phase).sum(axis=2)
+        return (R[:rows] * mono * phase).sum(axis=2)
 
     def evaluate(self, y, x):
         """The complex sum at real (y, x) of shape (n,) or (P, n): a
         complex, or an array of P."""
-        return self._sums(y, x, slice(self.n, self.n + 1)).reshape(np.shape(y)[:-1])[()]
+        return self._sums(y, x, 1).reshape(np.shape(y)[:-1])[()]
 
     def eval_grads(self, y, x) -> tuple[float, np.ndarray, np.ndarray]:
         """(value, dF/dy, dF/dx), real parts, at real (y, x) of shape (n,)
@@ -354,8 +371,8 @@ class TaylorFourierSeries:
         special case), one exp for the phases and one sum over terms.
         """
         n, lead = self.n, np.shape(y)[:-1]
-        sums = self._sums(y, x, slice(None))
-        return (sums[:, n].real.reshape(lead)[()], sums[:, :n].real.reshape(lead + (n,)),
+        sums = self._sums(y, x, 2 * n + 1)
+        return (sums[:, 0].real.reshape(lead)[()], sums[:, 1:n + 1].real.reshape(lead + (n,)),
                 -sums[:, n + 1:].imag.reshape(lead + (n,)))
 
     def majorant(self, r: float, s_width: float) -> float:
@@ -453,7 +470,7 @@ def solve_homological(
     starts, lower = _levels(B.n, B.max_degree)
     width = len(table.monos)
     group: dict[int, int] = {}
-    u = [group.setdefault(key, len(group)) for key in ((B.K + B.cutoff) @ table.w_k).tolist()]
+    u = [group.setdefault(key, len(group)) for key in ((B.K + 2 * B.cutoff) @ table.w_k).tolist()]
     Ku = table.modes[table.mode_base[list(group)] // width]
     kf, modes = Ku.astype(float), list(map(tuple, Ku.tolist()))
     divs = [float(np.dot(y0, row)) for row in kf]

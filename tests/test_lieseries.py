@@ -314,16 +314,91 @@ class TestArrayBracket:
         rng = np.random.default_rng(7)
         F = random_real_series(rng, 2, 4, 6, 60)
         G = random_real_series(rng, 2, 4, 6, 30)
-        led_ref = TruncationLedger()
+        G.base_point = F.base_point
+        led_ref, led_whole = TruncationLedger(grade=3), TruncationLedger(grade=3)
         ref = reference_poisson(F, G, led_ref)
         # every key is summed in term-pair order, so the coefficients have the same bytes
-        whole = exact_items(F.poisson(G))
+        whole = exact_items(F.poisson(G, led_whole))
+        assert list(led_whole.by_grade) == [3]
         for pairs in (1, 7, 100):
             monkeypatch.setattr(ls, "_BLOCK_PAIRS", pairs)
-            led_out = TruncationLedger()
+            led_out = TruncationLedger(grade=3)
             out = F.poisson(G, led_out)
             assert_bracket_matches(out, ref, led_out, led_ref)
             assert exact_items(out) == whole
+            # the dropped mass is one drop at the ledger's grade, summed block by block
+            assert list(led_out.by_grade) == [3]
+            assert led_out.by_grade[3] == pytest.approx(led_whole.by_grade[3], rel=1e-13)
+
+    def test_peak_memory_does_not_grow_with_blocks(self, monkeypatch):
+        # each block is folded into the running slot sums as it is made, so a
+        # bracket holds one block of contributions, not all of them
+        import tracemalloc
+        import resoforge.lieseries as ls
+        rng = np.random.default_rng(8)
+        G = random_real_series(rng, 2, 3, 8, 40)
+        monkeypatch.setattr(ls, "_BLOCK_PAIRS", len(G.C))  # one row of self per block
+
+        def peak(rows):
+            F = random_real_series(rng, 2, 3, 8, rows)
+            F.base_point = G.base_point
+            F.poisson(G, TruncationLedger())  # the slot tables are built outside the trace
+            tracemalloc.start()
+            try:
+                F.poisson(G, TruncationLedger())
+                return len(F.C), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # about 200 and 600 blocks; both outputs fill nearly all 1,450 slots
+        (few, small), (many, large) = peak(100), peak(400)
+        assert 30 <= few < many // 3
+        # the per-row keys of self grow with the rows; the 3x larger outer
+        # product must not show (kept whole, it reads about 2.7x)
+        assert large < 1.5 * small
+
+    @pytest.mark.parametrize("cutoff, deg", [(128, 255), (64, 1)])
+    def test_integer_factors_at_their_dtype_edge(self, cutoff, deg):
+        # n = 1: d = k1 m2 - k2 m1 reaches cutoff (deg + 1) at a kept key, from
+        # (cutoff, m1) x (-cutoff, m2) with m1 + m2 = deg + 1: 2^15 at cutoff
+        # 128, degree 255, which needs int32, and 128 = 2 cutoff deg at cutoff
+        # 64, degree 1, which int8 cannot hold; the bracket must equal the
+        # scalar loop byte for byte
+        F = TaylorFourierSeries(1, np.array([0.3]), deg, cutoff)
+        G = TaylorFourierSeries(1, F.base_point, deg, cutoff)
+        rng = np.random.default_rng([cutoff, deg])
+        for S, edge in ((F, 1), (G, -1)):
+            rows = [((cutoff * edge,), ((deg + 1) // 2,), 0.75 - 0.5j)]
+            rows += [((int(k),), (int(m),), complex(rng.normal(), rng.normal()))
+                     for k, m in zip(rng.integers(-cutoff, cutoff + 1, 24), rng.integers(0, deg + 1, 24))]
+            S._store(*S._merged(S._rows(rows)))
+        led_out, led_ref = TruncationLedger(), TruncationLedger()
+        out, ref = F.poisson(G, led_out), reference_poisson(F, G, led_ref)
+        assert abs(out.terms[(0,), (2 * ((deg + 1) // 2) - 1,)]) > 0
+        assert exact_items(out) == exact_items(ref)
+        assert_bracket_matches(out, ref, led_out, led_ref)
+        assert led_ref.by_grade[0] > 0
+
+    def test_operands_of_another_algebra_are_refused(self):
+        # a series about another base point or of another n is a different
+        # expansion, and plus cannot take terms beyond its own truncation
+        F = series(y0=(0.0, 0.0), deg=3, cutoff=8)
+        add_term(F, (1, 0), (1, 0), 0.5)
+        add_term(F, (-1, 0), (1, 0), 0.5)
+        others = [series(y0=(0.5, 0.0), deg=3, cutoff=8), series(y0=(0.0, 0.0), deg=4, cutoff=8),
+                  series(y0=(0.0, 0.0), deg=3, cutoff=9),
+                  TaylorFourierSeries(3, np.zeros(3), 3, 8)]
+        for G in others:
+            add_term(G, (0,) * G.n, (1,) + (0,) * (G.n - 1), 1.0)
+            for op in (F.plus, F.poisson):
+                with pytest.raises(ConfigError, match="^operand of n = "):
+                    op(G)
+        # an equal base point need not be the same array, and a smaller
+        # truncation fits into a larger one
+        G = series(y0=(0.0, 0.0), deg=2, cutoff=3)
+        add_term(G, (0, 1), (1, 0), 2.0)
+        assert F.plus(G).terms[(0, 1), (1, 0)] == 2.0
+        assert not F.poisson(G).is_empty
 
     @pytest.mark.parametrize("n, deg, cutoff, size", [(2, 3, 8, 1450), (2, 0, 3, 25),
                                                       (3, 3, 12, 52500), (3, 4, 4, 4515)])
@@ -414,6 +489,7 @@ class TestArrayBracket:
         rng = np.random.default_rng(6)
         F = random_real_series(rng, 3, 3, 5, 30)
         G = random_real_series(rng, 3, 3, 5, 20)
+        G.base_point = F.base_point
         a, b = F.poisson(G), to_series(RefSeries.of(F)).poisson(to_series(RefSeries.of(G)))
         assert list(a.terms.items()) == list(b.terms.items())
 
@@ -508,6 +584,25 @@ class TestCompiledEvaluator:
         val, dy, dx = empty.eval_grads(ys, xs)
         assert val.shape == (4,) and dy.shape == dx.shape == (4, 2)
         assert empty.evaluate(ys[0], xs[0]) == 0.0
+
+    def test_value_row_alone_until_gradients_are_read(self):
+        # a series that is only evaluated builds the value row of its tables;
+        # the first gradient read builds all 2n + 1 rows, and neither the
+        # values nor the gradients depend on which came first
+        rng = np.random.default_rng(12)
+        F = random_real_series(rng, 3, 3, 5, 30)
+        ys = F.base_point + rng.uniform(-0.5, 0.5, (4, 3))
+        xs = rng.uniform(0, TWO_PI, (4, 3))
+        values = F.evaluate(ys, xs)
+        assert [t.shape[-2] for t in F._grad_tables[1:]] == [1, 1]
+        grads = F.eval_grads(ys, xs)
+        assert [t.shape[-2] for t in F._grad_tables[1:]] == [7, 7]
+        assert F.evaluate(ys, xs).tobytes() == values.tobytes()
+        fresh = to_series(RefSeries.of(F))
+        for got, want in zip(grads, fresh.eval_grads(ys, xs)):
+            assert got.tobytes() == want.tobytes()
+        assert fresh.evaluate(ys, xs).tobytes() == values.tobytes()
+        self.assert_matches_reference(F, ys, xs)
 
     def test_single_point_matches_batch(self):
         rng = np.random.default_rng(9)
