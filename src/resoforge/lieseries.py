@@ -282,7 +282,7 @@ class TaylorFourierSeries:
         # (k1 + k2 + 2 cut) . w_k = (k1 + 2 cut) . w_k + k2 . w_k
         mode1, mode2 = (K1 + 2 * cut) @ table.w_k, K2 @ table.w_k
         mono1, mono2 = M1 @ table.w_m, M2 @ table.w_m
-        deg1, deg2, lost = M1.sum(axis=1), M2.sum(axis=1), []
+        deg1, deg2, lost = M1t.sum(axis=0), M2t.sum(axis=0), []
 
         def block(r: slice):
             """(slots, coefficients) of the kept contributions of the rows r of
