@@ -16,6 +16,11 @@ The sha256 of `json.dumps(doc, sort_keys=True)` for
   benchmark's membership jobs (`sample_product_measure` at s = 5, seed
   [101, 5, 0], delta 0.1, K_max = N + 10), each in one
   `critical_points_many` call;
+- the same census, under its own name, of 300 close pairs drawn by the
+  certify benchmark's census law (separation 10^U(-6, 0), amplitude
+  U(0.5, 2), shift U(0, 2 pi); seed [42, 0]) in one `critical_points_many`
+  call: most of them reach the exact integer path, which criterion 3's
+  family reaches 57 times;
 - the standard-form maps of criterion 8's two-action form
   (`acceptance._benchmark_standard_form`) and of the three-mode pipeline form
   (`test_standard_form._three_mode_standard_form`) at 20 seeded points each:
@@ -69,6 +74,7 @@ from resoforge.genericity import sample_product_measure, threshold_N  # noqa: E4
 from resoforge.lieseries import NaturalHam, lie_step_nonres, lie_step_res  # noqa: E402
 from resoforge.morse import critical_points_many  # noqa: E402
 from test_lieseries import averaging_potential  # noqa: E402
+from test_morse import close_pair_family  # noqa: E402
 from test_standard_form import _three_mode_standard_form  # noqa: E402
 
 # (seed, k) of the averaging draws
@@ -188,15 +194,29 @@ def cli_documents() -> dict:
     return out
 
 
+def _census(Fs) -> list:
+    return [None if rep is None else {"count": rep.count, "points": rep.critical_points.tolist(),
+                                      "beta": rep.beta, "distinct_values": rep.distinct_values}
+            for rep in critical_points_many(Fs)]
+
+
+def close_pairs(count: int, seed) -> list:
+    """count close pairs drawn as the certify benchmark's census jobs draw them."""
+    rng, out = np.random.default_rng(seed), []
+    for _ in range(count):
+        sep = 10.0 ** rng.uniform(-6.0, 0.0)
+        amplitude = float(rng.uniform(0.5, 2.0))
+        out.append(close_pair_family(sep, amplitude=amplitude, shift=float(rng.uniform(0.0, 2 * np.pi))))
+    return out
+
+
 def census_documents() -> dict:
     N = threshold_N(2, 5.0, 0.1)
     f = sample_product_measure(2, 5.0, N + 10.0, [101, 5, 0])
     families = {"criterion_3": _morse_oracle_family(500)[0],
                 "membership_pool": lattice_projections(f, generators(2, N))}
-    return {"census": {name: [None if rep is None else
-                              {"count": rep.count, "points": rep.critical_points.tolist(), "beta": rep.beta,
-                               "distinct_values": rep.distinct_values} for rep in critical_points_many(Fs)]
-                       for name, Fs in families.items()}}
+    return {"census": {name: _census(Fs) for name, Fs in families.items()},
+            "census_close_pairs": _census(close_pairs(300, [42, 0]))}
 
 
 def map_documents() -> dict:
