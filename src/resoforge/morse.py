@@ -34,6 +34,8 @@ _EPS = float(np.finfo(float).eps)
 _OFFSET = 0.0618033988749895 - math.pi  # where the cells of _zeros start: far from k pi / m
 _LEVELS = 1                             # float levels of _zeros before the exact path, to degree 4
 _MARGIN = 64 * _EPS                     # > the rounding of a cell's float midpoint and ends
+_CHILDREN = np.array([-1, 1])           # the two halves of a cell at 2 i + 1 sit at 4 i + 2 -+ 1
+_CHILDREN.setflags(write=False)
 
 
 @dataclass
@@ -78,22 +80,22 @@ def _polish(rows: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     9.4).  Done at |P_b(t)| <= 4 eps sum_j |c_j| or a step below 1 ulp.
     """
     t = lo + (hi - lo) * v_lo / (v_lo - v_hi)
-    floor = 4.0 * np.finfo(float).eps * np.abs(rows[:, 0]).sum(axis=1)
-    ulp = np.spacing(TWO_PI)
+    floor, ulp, neg = 4.0 * _EPS * np.abs(rows[:, 0]).sum(axis=1), math.ulp(TWO_PI), v_lo < 0
     adx = adx_old = hi - lo
     live = np.ones(len(t), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             p, dp, d2p = trig_values(rows, js, t[:, None]).T
-            root = np.sqrt(np.maximum(dp * dp - 2.0 * p * d2p, 0.0))
-            step = 2.0 * p / (dp + np.copysign(root, dp))
-            live &= (np.abs(p) > floor) & (np.abs(step) >= ulp)
-            if not live.any():
+            p2 = 2.0 * p
+            step = p2 / (dp + np.copysign(np.sqrt(np.maximum(dp * dp - p2 * d2p, 0.0)), dp))
+            size = np.abs(step)
+            live &= (np.abs(p) > floor) & (size >= ulp)
+            if not np.count_nonzero(live):
                 return t
-            lo_side = (p < 0) == (v_lo < 0)
+            lo_side = (p < 0) == neg
             lo, hi = np.where(lo_side, t, lo), np.where(lo_side, hi, t)
             t_new = t - step
-            keep = (t_new >= lo) & (t_new <= hi) & (np.abs(step + step) <= adx_old)
+            keep = (t_new >= lo) & (t_new <= hi) & (size + size <= adx_old)
             t_new = np.where(keep, t_new, 0.5 * (lo + hi))
             adx_old, adx = adx, np.abs(t_new - t)
             t = np.where(live, t_new, t)
@@ -121,45 +123,62 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _exact_zeros.
     """
     # a power of two per row: exact, and keeps the bounds clear of underflow
-    d, e = int(js.max()), -np.frexp(np.abs(C).max(axis=1))[1][:, None]
+    d, e = int(max(js.tolist())), -np.frexp(np.abs(C).max(axis=1))[1][:, None]
     C = np.ldexp(np.ascontiguousarray(C).view(float), e).view(complex)
-    S0, S1, S2, S3 = 2.0 * (np.abs(C)[:, None, :] * js ** np.arange(4.0)[:, None]).sum(axis=2).T
-    e0, e1, e2 = 8 * (d + 2) * _EPS * np.array([S0, S1, S2]) + 32 * _EPS * np.array([S1, S2, S3])
-    K, C3 = np.array([e0, e1, e2, S3, _MARGIN * S1]), C[:, None, :] * (1j * js) ** np.arange(3.0)[:, None]
-    n, last = max(32, 4 * d), _LEVELS if d <= 4 else 40
-    row, i = np.divmod(np.arange(len(C) * n), n)
+    S = 2.0 * (np.abs(C)[:, None, :] * js ** np.arange(4.0)[:, None]).sum(axis=2).T
+    K = np.concatenate((8 * (d + 2) * _EPS * S[:3] + 32 * _EPS * S[1:], S[3:], _MARGIN * S[1:2]))
+    C3, n, last = C[:, None, :] * (1j * js) ** np.arange(3.0)[:, None], max(32, 4 * d), _LEVELS if d <= 4 else 40
+    row, h = np.divmod(np.arange(1, 2 * len(C) * n, 2), 2 * n)  # cell i of a row at (2 i + 1) r
     found, exact = [], []
     for level in range(last + 1):
-        r = math.pi / (n << level)
-        R, t = r + _MARGIN, (2 * i + 1) * r + _OFFSET
-        lim_free, lim_mono, lim_end = (np.array([[1, R, R * R / 2, R ** 3 / 6, 0], [0, 1, R, R * R / 2, 0],
-                                                 [1, r, r * r / 2, r ** 3 / 6, 1]])[:, :, None] * K).sum(axis=1)[:, row]
+        r, R, W = _level(n, level)
+        t = h * r + _OFFSET
+        lim_free, lim_mono, lim_end = (W * K).sum(axis=1)[:, row]
         p, p1, p2 = V = trig_values(C3[row], js, t[:, None]).T
         (a0, a1, a2), q = np.abs(V), p + 0.5 * r * r * p2
         gap, mono = np.abs(q) - r * a1, a1 - R * a2 > lim_mono
         one = mono & (gap < -lim_end)
-        found.append((row[one], t[one] - r, t[one] + r, (q - r * p1)[one], (q + r * p1)[one]))
+        t1, q1, rp1 = t[one], q[one], r * p1[one]
+        found.append((row[one], t1 - r, t1 + r, q1 - rp1, q1 + rp1))
         live = ~((a0 - lim_free > R * (a1 + 0.5 * R * a2)) | mono & (np.abs(gap) > lim_end))
-        row, i = row[live], i[live]
+        row, h = row[live], h[live]
         # a row whose live cells outgrow 8 (d + 1), twice what its simple zeros can
         # hold, sits on a region doubles cannot resolve: it goes exact now
-        if (over := np.bincount(row, minlength=len(C))[row] > 8 * (d + 1)).any():
-            exact += [(at, i[over & (row == at)].tolist(), n << level)
-                      for at in np.flatnonzero(np.bincount(row[over], minlength=len(C)))]
-            row, i = row[~over], i[~over]
+        if len(row) > 8 * (d + 1) and (over := np.bincount(row, minlength=len(C))[row] > 8 * (d + 1)).any():
+            exact += _runs(row[over], h[over], n << level)
+            row, h = row[~over], h[~over]
         if level == last or not len(row):
             break
-        row, i = np.repeat(row, 2), (2 * i[:, None] + np.arange(2)).ravel()
-    exact += [(at, i[row == at].tolist(), n << level) for at in np.flatnonzero(np.bincount(row, minlength=len(C)))]
+        row, h = row.repeat(2), np.add.outer(h + h, _CHILDREN).ravel()
     of, *bracket = map(np.concatenate, zip(*found))
     t = _polish(C3[of], js, *bracket)
-    for at, cells, ncells in exact:
-        x = _exact_zeros(C[at], js, cells, ncells)
-        of, t = np.r_[of, np.full(len(x), at)], np.r_[t, x]
+    if x := [(at, z) for at, cells, ncells in exact + _runs(row, h, n << level)
+             for z in _exact_zeros(C[at], js, cells, ncells)]:
+        ats, zs = zip(*x)
+        of, t = np.concatenate((of, ats)), np.concatenate((t, zs))
     t %= TWO_PI
     t[t == TWO_PI] = 0.0  # the image of a tiny negative zero
     order = np.lexsort((t, of))
     return of[order], t[order]
+
+
+def _runs(row: np.ndarray, h: np.ndarray, n: int) -> list[tuple[int, list[int], int]]:
+    """(row, its cells in order, n) for each row of the live cells (row, 2 i + 1) of the n-cell grid."""
+    cells: dict[int, list[int]] = {}
+    for at, i in zip(row.tolist(), (h >> 1).tolist()):
+        cells.setdefault(at, []).append(i)
+    return [(at, i, n) for at, i in cells.items()]
+
+
+@functools.cache
+def _level(n: int, level: int) -> tuple[float, float, np.ndarray]:
+    """The half-width r of a cell of _zeros at level, R = r + _MARGIN, and the
+    weights (read-only) of K = (e0, e1, e2, S3, _MARGIN S1) in lim_free, lim_mono and lim_end."""
+    r = math.pi / (n << level)
+    R = r + _MARGIN
+    W = np.array([[1, R, R * R / 2, R ** 3 / 6, 0], [0, 1, R, R * R / 2, 0], [1, r, r * r / 2, r ** 3 / 6, 1]])
+    W.setflags(write=False)
+    return r, R, W[:, :, None]
 
 
 def _exact_zeros(c: np.ndarray, js: np.ndarray, cells: list[int], n: int) -> list[float]:
@@ -178,7 +197,8 @@ def _exact_zeros(c: np.ndarray, js: np.ndarray, cells: list[int], n: int) -> lis
     """
     cuts = [k for k in range(1, len(cells)) if cells[k] != cells[k - 1] + 1]
     runs = [[cells[a], cells[b - 1] + 1] for a, b in zip([0, *cuts], [*cuts, len(cells)])]
-    d, r, out = int(js.max()), math.pi / n, []
+    js, r, out = js.astype(int).tolist(), math.pi / n, []
+    d = max(js)
     if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n:  # the run across the offset
         runs[0][0] = runs.pop()[0] - n
     arcs = [(q, 0.0, 1.0) for q in range(4)] if runs == [[0, n]] else []  # the whole circle
@@ -191,11 +211,12 @@ def _exact_zeros(c: np.ndarray, js: np.ndarray, cells: list[int], n: int) -> lis
     ratios = [v.as_integer_ratio() for z in c.tolist() for v in (z.real, z.imag)]
     den = max(y for _, y in ratios)
     ints = [x * (den // y) for x, y in ratios]
+    terms = [(j, _half_angle(d, j), (re, -im, -re, im)) for j, re, im in zip(js, ints[::2], ints[1::2])]
     for q, lo, hi in arcs:
         Q = [0] * (2 * d + 1)
-        for j, re, im in zip(js.astype(int).tolist(), ints[::2], ints[1::2]):
-            for m, K in enumerate(_half_angle(d, j)):
-                Q[m] += K * (re, -im, -re, im)[(j * q + m) % 4]  # Re(c_j i^(jq + m))
+        for j, Ks, parts in terms:
+            for m, K in enumerate(Ks):
+                Q[m] += K * parts[(j * q + m) % 4]  # Re(c_j i^(jq + m))
         while Q[-1] == 0:
             Q.pop()
         if (ys := _roots01(bern := _bernstein(Q, lo, hi), 64)) is None:
@@ -213,11 +234,19 @@ def _bernstein(Q: list[int], lo: float, hi: float) -> list[int]:
     u, w = u * (D // du), w * (D // dw) - u * (D // du)
     p = _shift([x * D ** (len(Q) - 1 - m) for m, x in enumerate(Q)], u)
     p = _shift([x * w ** m for m, x in enumerate(p)][::-1])[::-1]
-    L = math.lcm(*(math.comb(len(p) - 1, k) for k in range(len(p))))
-    return [x * (L // math.comb(len(p) - 1, k)) for k, x in enumerate(p)]
+    return list(map(operator.mul, p, _binomials(len(p) - 1)[0]))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
+def _binomials(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """L / C(n, k) for k = 0..n, L the lcm of the C(n, k), and the rows T_m with
+    sum_k T_m[k] b_k the x^m coefficient of sum_k b_k C(n, k) x^k (1 - x)^(n - k)."""
+    row = [math.comb(n, k) for k in range(n + 1)]
+    return (tuple(math.lcm(*row) // c for c in row),
+            tuple(tuple((-1) ** (m - k) * row[k] * math.comb(n - k, m - k) for k in range(m + 1)) for m in range(n + 1)))
+
+
+@functools.cache
 def _half_angle(d: int, j: int) -> tuple[int, ...]:
     """K_m with (1 + ix)^(d+j) (1 - ix)^(d-j) = sum_m i^m K_m x^m."""
     return tuple(sum((-1) ** b * math.comb(d + j, m - b) * math.comb(d - j, b)
@@ -289,8 +318,8 @@ def _refine(b: list[int]) -> float:
     exact signs at x -+ 2^-49 differ; else exact bisection goes on from the
     signs seen, to 2^-52."""
     n, K = len(b) - 1, 52
-    p = _shift([math.comb(n, k) * x for k, x in enumerate(b)][::-1], -1)[::-1]
-    scale = 1 << max(0, max(abs(x).bit_length() for x in p) - 60)
+    p = [sum(map(operator.mul, row, b)) for row in _binomials(n)[1]]
+    scale = 1 << max(0, max(map(int.bit_length, map(abs, p))) - 60)
     f, up, lo, hi = [x / scale for x in reversed(p)], next(x for x in b if x) > 0, 0.0, 1.0
     x = b[0] / (b[0] - b[-1]) if b[0] * b[-1] < 0 else 0.5
     for _ in range(100):
@@ -306,12 +335,13 @@ def _refine(b: list[int]) -> float:
             break
         x = nx if lo < nx < hi else 0.5 * (lo + hi)
     lo, hi, probes = 0, 1 << K, [round(x * (1 << K)) + 8, round(x * (1 << K)) - 8]
+    p = [a << (K * (n - m)) for m, a in enumerate(p)][::-1]
     while hi - lo > 16 or probes:
         c = probes.pop() if probes else (lo + hi) // 2
         if lo < c < hi:
             v = 0
-            for m in range(n, -1, -1):  # 2^(K n) p(c / 2^K)
-                v = v * c + (p[m] << (K * (n - m)))
+            for a in p:  # 2^(K n) p(c / 2^K)
+                v = v * c + a
             if v == 0:
                 return c / (1 << K)
             lo, hi = (c, hi) if (v > 0) == up else (lo, c)
@@ -351,8 +381,8 @@ def critical_points_many(Fs) -> list[MorseReport | None]:
     out: list[MorseReport | None] = [None] * len(Fs)
     live = [at for at, F in enumerate(Fs) if sum(j * abs(c) for j, c in F.coeffs.items()) >= 1e-300]
     for ats, js, rows in _groups([Fs[at] for at in live]):
-        c2, c3 = rows[:, 2], rows[:, 3]
-        of, t = _zeros(np.stack([rows[:, 1], c2, c2 + c3, c2 - c3], axis=1).reshape(-1, len(js)), js)
+        c2, c3 = rows[:, 2:3], rows[:, 3:]
+        of, t = _zeros(np.concatenate((rows[:, 1:3], c2 + c3, c2 - c3), axis=1).reshape(-1, len(js)), js)
         of, kind = np.divmod(of, 4)
         v = trig_values(rows[of, :3], js, t[:, None])
         gph = np.minimum.reduceat(np.abs(v[:, 1]) + np.abs(v[:, 2]), np.searchsorted(of, np.arange(len(ats))))

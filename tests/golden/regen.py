@@ -35,10 +35,15 @@ the terms, a divisor or a dropped mass changes a digest.
 
     PYTHONPATH=src python tests/golden/regen.py    # rewrites averaging.json
     PYTHONPATH=src python tests/golden/regen.py --documents > docs.txt
+    PYTHONPATH=src python tests/golden/regen.py --documents census > census.txt
 
 `--documents` rewrites nothing: it prints each hashed document under its
 name (`## name`, then the document as indented JSON), so the documents
-before and after a change can be diffed and a moved digest read off.
+before and after a change can be diffed and a moved digest read off.  A
+name prefix after it (`census`, `maps/`, `res/`, `normalize`, ...) prints
+only the documents whose names start with it, and computes only the
+families that hold such names: the census documents of two trees diff in
+about a second.
 
 Run it only where the outputs are meant to change, and say why.  It first
 computes the digests in one child interpreter per setting of
@@ -240,9 +245,18 @@ def map_documents() -> dict:
     return out
 
 
-def documents() -> dict:
-    """name -> the document whose digest averaging.json holds under that name."""
-    return {**averaging_documents(), **cli_documents(), **census_documents(), **map_documents()}
+# the name prefixes of each family of documents
+FAMILIES = {("nonres/", "res/"): averaging_documents, tuple(CLI_RUNS): cli_documents,
+            ("census",): census_documents, ("maps/",): map_documents}
+
+
+def documents(prefix: str = "") -> dict:
+    """name -> the document whose digest averaging.json holds under that name,
+    for the names that start with prefix; families with no such name are not
+    computed."""
+    return {name: doc for heads, build in FAMILIES.items()
+            if any(head.startswith(prefix) or prefix.startswith(head) for head in heads)
+            for name, doc in build().items() if name.startswith(prefix)}
 
 
 def digests() -> dict[str, str]:
@@ -250,9 +264,9 @@ def digests() -> dict[str, str]:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--documents"]:
+    if sys.argv[1:2] == ["--documents"] and len(sys.argv) <= 3:
         with contextlib.redirect_stdout(io.StringIO()):
-            docs = documents()
+            docs = documents(*sys.argv[2:])
         for name, doc in sorted(docs.items()):
             print(f"## {name}\n{json.dumps(doc, indent=1, sort_keys=True)}")
         sys.exit()
