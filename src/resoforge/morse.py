@@ -35,7 +35,10 @@ _OFFSET = 0.0618033988749895 - math.pi  # where the cells of _zeros start: far f
 _LEVELS = 1                             # float levels of _zeros before the exact path, to degree 4
 _MARGIN = 64 * _EPS                     # > the rounding of a cell's float midpoint and ends
 _CHILDREN = np.array([-1, 1])           # the two halves of a cell at 2 i + 1 sit at 4 i + 2 -+ 1
-_CHILDREN.setflags(write=False)
+_ORDERS = np.arange(4.0)[:, None]       # the derivative orders k of the rows c_j (ij)^k
+_NONE = (np.zeros(0, dtype=int), *np.zeros((4, 0)))  # no bracket: (row, lo, hi, v_lo, v_hi)
+for _table in (_CHILDREN, _ORDERS, *_NONE):
+    _table.setflags(write=False)
 
 
 @dataclass
@@ -125,11 +128,11 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a power of two per row: exact, and keeps the bounds clear of underflow
     d, e = int(max(js.tolist())), -np.frexp(np.abs(C).max(axis=1))[1][:, None]
     C = np.ldexp(np.ascontiguousarray(C).view(float), e).view(complex)
-    S = 2.0 * (np.abs(C)[:, None, :] * js ** np.arange(4.0)[:, None]).sum(axis=2).T
+    S = 2.0 * (np.abs(C)[:, None, :] * js ** _ORDERS).sum(axis=2).T
     K = np.concatenate((8 * (d + 2) * _EPS * S[:3] + 32 * _EPS * S[1:], S[3:], _MARGIN * S[1:2]))
-    C3, n, last = C[:, None, :] * (1j * js) ** np.arange(3.0)[:, None], max(32, 4 * d), _LEVELS if d <= 4 else 40
+    C3, n, last = C[:, None, :] * (1j * js) ** _ORDERS[:3], max(32, 4 * d), _LEVELS if d <= 4 else 40
     row, h = np.divmod(np.arange(1, 2 * len(C) * n, 2), 2 * n)  # cell i of a row at (2 i + 1) r
-    found, exact = [], []
+    found, exact = [_NONE], []
     for level in range(last + 1):
         r, R, W = _level(n, level)
         t = h * r + _OFFSET
@@ -137,9 +140,9 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, p1, p2 = V = trig_values(C3[row], js, t[:, None]).T
         (a0, a1, a2), q = np.abs(V), p + 0.5 * r * r * p2
         gap, mono = np.abs(q) - r * a1, a1 - R * a2 > lim_mono
-        one = mono & (gap < -lim_end)
-        t1, q1, rp1 = t[one], q[one], r * p1[one]
-        found.append((row[one], t1 - r, t1 + r, q1 - rp1, q1 + rp1))
+        if len(one := (mono & (gap < -lim_end)).nonzero()[0]):  # cells with one zero
+            t1, q1, rp1 = t[one], q[one], r * p1[one]
+            found.append((row[one], t1 - r, t1 + r, q1 - rp1, q1 + rp1))
         live = ~((a0 - lim_free > R * (a1 + 0.5 * R * a2)) | mono & (np.abs(gap) > lim_end))
         row, h = row[live], h[live]
         # a row whose live cells outgrow 8 (d + 1), twice what its simple zeros can
@@ -363,7 +366,7 @@ def _groups(Fs):
         groups.setdefault(tuple(F.coeffs), []).append(at)
     for key, ats in groups.items():
         js, c = np.array(key, dtype=float), np.array([list(Fs[at].coeffs.values()) for at in ats], dtype=complex)
-        yield ats, js, c[:, None, :] * (1j * js) ** np.arange(4.0)[:, None]
+        yield ats, js, c[:, None, :] * (1j * js) ** _ORDERS
 
 
 def critical_points_many(Fs) -> list[MorseReport | None]:
