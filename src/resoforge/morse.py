@@ -34,11 +34,7 @@ _EPS = float(np.finfo(float).eps)
 _OFFSET = 0.0618033988749895 - math.pi  # where the cells of _zeros start: far from k pi / m
 _LEVELS = 1                             # float levels of _zeros before the exact path, to degree 4
 _MARGIN = 64 * _EPS                     # > the rounding of a cell's float midpoint and ends
-_CHILDREN = np.array([-1, 1])           # the two halves of a cell at 2 i + 1 sit at 4 i + 2 -+ 1
-_ORDERS = np.arange(4.0)[:, None]       # the derivative orders k of the rows c_j (ij)^k
-_NONE = (np.zeros(0, dtype=int), *np.zeros((4, 0)))  # no bracket: (row, lo, hi, v_lo, v_hi)
-for _table in (_CHILDREN, _ORDERS, *_NONE):
-    _table.setflags(write=False)
+_ORDERS = np.broadcast_to(np.arange(4.0)[:, None], (4, 1))  # read-only: the orders k of the rows c_j (ij)^k
 
 
 @dataclass
@@ -89,8 +85,7 @@ def _polish(rows: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             p, dp, d2p = trig_values(rows, js, t[:, None]).T
-            p2 = 2.0 * p
-            step = p2 / (dp + np.copysign(np.sqrt(np.maximum(dp * dp - p2 * d2p, 0.0)), dp))
+            step = (p2 := 2.0 * p) / (dp + np.copysign(np.sqrt(np.maximum(dp * dp - p2 * d2p, 0.0)), dp))
             size = np.abs(step)
             live &= (np.abs(p) > floor) & (size >= ulp)
             if not np.count_nonzero(live):
@@ -132,7 +127,7 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     K = np.concatenate((8 * (d + 2) * _EPS * S[:3] + 32 * _EPS * S[1:], S[3:], _MARGIN * S[1:2]))
     C3, n, last = C[:, None, :] * (1j * js) ** _ORDERS[:3], max(32, 4 * d), _LEVELS if d <= 4 else 40
     row, h = np.divmod(np.arange(1, 2 * len(C) * n, 2), 2 * n)  # cell i of a row at (2 i + 1) r
-    found, exact = [_NONE], []
+    found, exact = [], []
     for level in range(last + 1):
         r, R, W = _level(n, level)
         t = h * r + _OFFSET
@@ -140,7 +135,7 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p, p1, p2 = V = trig_values(C3[row], js, t[:, None]).T
         (a0, a1, a2), q = np.abs(V), p + 0.5 * r * r * p2
         gap, mono = np.abs(q) - r * a1, a1 - R * a2 > lim_mono
-        if len(one := (mono & (gap < -lim_end)).nonzero()[0]):  # cells with one zero
+        if len(one := (mono & (gap < -lim_end)).nonzero()[0]) or not found:  # cells with one zero
             t1, q1, rp1 = t[one], q[one], r * p1[one]
             found.append((row[one], t1 - r, t1 + r, q1 - rp1, q1 + rp1))
         live = ~((a0 - lim_free > R * (a1 + 0.5 * R * a2)) | mono & (np.abs(gap) > lim_end))
@@ -148,40 +143,30 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # a row whose live cells outgrow 8 (d + 1), twice what its simple zeros can
         # hold, sits on a region doubles cannot resolve: it goes exact now
         if len(row) > 8 * (d + 1) and (over := np.bincount(row, minlength=len(C))[row] > 8 * (d + 1)).any():
-            exact += _runs(row[over], h[over], n << level)
+            exact.append((row[over], h[over], n << level))
             row, h = row[~over], h[~over]
         if level == last or not len(row):
             break
-        row, h = row.repeat(2), np.add.outer(h + h, _CHILDREN).ravel()
+        row, h = row.repeat(2), np.add.outer(h + h, (-1, 1)).ravel()  # cell i holds cells 2 i and 2 i + 1
     of, *bracket = map(np.concatenate, zip(*found))
-    t = _polish(C3[of], js, *bracket)
-    if x := [(at, z) for at, cells, ncells in exact + _runs(row, h, n << level)
-             for z in _exact_zeros(C[at], js, cells, ncells)]:
-        ats, zs = zip(*x)
-        of, t = np.concatenate((of, ats)), np.concatenate((t, zs))
+    t, cells = _polish(C3[of], js, *bracket), {}
+    for rows, hs, ncells in [*exact, (row, h, n << level)]:
+        for at, i in zip(rows.tolist(), (hs >> 1).tolist()):
+            cells.setdefault((at, ncells), []).append(i)
+    if x := [(at, z) for (at, ncells), i in cells.items() for z in _exact_zeros(C[at], js, i, ncells)]:
+        of, t = map(np.concatenate, zip((of, t), zip(*x)))
     t %= TWO_PI
     t[t == TWO_PI] = 0.0  # the image of a tiny negative zero
     order = np.lexsort((t, of))
     return of[order], t[order]
 
 
-def _runs(row: np.ndarray, h: np.ndarray, n: int) -> list[tuple[int, list[int], int]]:
-    """(row, its cells in order, n) for each row of the live cells (row, 2 i + 1) of the n-cell grid."""
-    cells: dict[int, list[int]] = {}
-    for at, i in zip(row.tolist(), (h >> 1).tolist()):
-        cells.setdefault(at, []).append(i)
-    return [(at, i, n) for at, i in cells.items()]
-
-
 @functools.cache
 def _level(n: int, level: int) -> tuple[float, float, np.ndarray]:
-    """The half-width r of a cell of _zeros at level, R = r + _MARGIN, and the
-    weights (read-only) of K = (e0, e1, e2, S3, _MARGIN S1) in lim_free, lim_mono and lim_end."""
-    r = math.pi / (n << level)
-    R = r + _MARGIN
+    """r = pi / (n 2^level), R = r + _MARGIN and the weights of K in lim_free, lim_mono and lim_end (read-only)."""
+    r, R = math.pi / (n << level), math.pi / (n << level) + _MARGIN
     W = np.array([[1, R, R * R / 2, R ** 3 / 6, 0], [0, 1, R, R * R / 2, 0], [1, r, r * r / 2, r ** 3 / 6, 1]])
-    W.setflags(write=False)
-    return r, R, W[:, :, None]
+    return r, R, np.broadcast_to(W[:, :, None], (3, 5, 1))
 
 
 def _exact_zeros(c: np.ndarray, js: np.ndarray, cells: list[int], n: int) -> list[float]:
@@ -200,8 +185,7 @@ def _exact_zeros(c: np.ndarray, js: np.ndarray, cells: list[int], n: int) -> lis
     """
     cuts = [k for k in range(1, len(cells)) if cells[k] != cells[k - 1] + 1]
     runs = [[cells[a], cells[b - 1] + 1] for a, b in zip([0, *cuts], [*cuts, len(cells)])]
-    js, r, out = js.astype(int).tolist(), math.pi / n, []
-    d = max(js)
+    d, r, out = max(js := js.astype(int).tolist()), math.pi / n, []
     if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == n:  # the run across the offset
         runs[0][0] = runs.pop()[0] - n
     arcs = [(q, 0.0, 1.0) for q in range(4)] if runs == [[0, n]] else []  # the whole circle
@@ -233,20 +217,23 @@ def _bernstein(Q: list[int], lo: float, hi: float) -> list[int]:
     Q(lo + (hi - lo) y) on y in [0, 1]: b_k = p_k / C(n, k), p_k the
     coefficients of (1 + y)^n Q(lo + (hi - lo) y / (1 + y))."""
     (u, du), (w, dw) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    D = max(du, dw)
+    D, n = max(du, dw), len(Q) - 1
     u, w = u * (D // du), w * (D // dw) - u * (D // du)
-    p = _shift([x * D ** (len(Q) - 1 - m) for m, x in enumerate(Q)], u)
-    p = _shift([x * w ** m for m, x in enumerate(p)][::-1])[::-1]
-    return list(map(operator.mul, p, _binomials(len(p) - 1)[0]))
+    p = [x * D ** (n - m) for m, x in enumerate(Q)]
+    for i in range(n):  # p(x + u) by repeated synthetic division
+        for j in range(n - 1, i - 1, -1):
+            p[j] += u * p[j + 1]
+    p = [x * w ** m for m, x in enumerate(p)]
+    return [sum(map(operator.mul, row, p)) for row in _binomials(n)[0]]
 
 
 @functools.cache
-def _binomials(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """L / C(n, k) for k = 0..n, L the lcm of the C(n, k), and the rows T_m with
-    sum_k T_m[k] b_k the x^m coefficient of sum_k b_k C(n, k) x^k (1 - x)^(n - k)."""
-    row = [math.comb(n, k) for k in range(n + 1)]
-    return (tuple(math.lcm(*row) // c for c in row),
-            tuple(tuple((-1) ** (m - k) * row[k] * math.comb(n - k, m - k) for k in range(m + 1)) for m in range(n + 1)))
+def _binomials(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Integer rows, low degree first, of monomial to L times Bernstein coefficients, L the lcm of the
+    C(n, k) (row k: C(n - m, k - m) L / C(n, k)), and back (row m: (-1)^(m - k) C(n, k) C(n - k, m - k))."""
+    c = [math.comb(n, k) for k in range(n + 1)]
+    return (tuple(tuple(math.comb(n - m, k - m) * (math.lcm(*c) // c[k]) for m in range(k + 1)) for k in range(n + 1)),
+            tuple(tuple((-1) ** (m - k) * c[k] * math.comb(n - k, m - k) for k in range(m + 1)) for m in range(n + 1)))
 
 
 @functools.cache
@@ -254,15 +241,6 @@ def _half_angle(d: int, j: int) -> tuple[int, ...]:
     """K_m with (1 + ix)^(d+j) (1 - ix)^(d-j) = sum_m i^m K_m x^m."""
     return tuple(sum((-1) ** b * math.comb(d + j, m - b) * math.comb(d - j, b)
                      for b in range(max(0, m - d - j), min(m, d - j) + 1)) for m in range(2 * d + 1))
-
-
-def _shift(p: list[int], a: int = 1) -> list[int]:
-    """p(x + a), coefficients low degree first, by repeated synthetic division."""
-    p = list(p)
-    for i in range(len(p) - 1):
-        for j in range(len(p) - 2, i - 1, -1):
-            p[j] += a * p[j + 1]
-    return p
 
 
 def _squarefree(Q: list[int]) -> list[int]:
@@ -338,13 +316,12 @@ def _refine(b: list[int]) -> float:
             break
         x = nx if lo < nx < hi else 0.5 * (lo + hi)
     lo, hi, probes = 0, 1 << K, [round(x * (1 << K)) + 8, round(x * (1 << K)) - 8]
-    p = [a << (K * (n - m)) for m, a in enumerate(p)][::-1]
     while hi - lo > 16 or probes:
         c = probes.pop() if probes else (lo + hi) // 2
         if lo < c < hi:
             v = 0
-            for a in p:  # 2^(K n) p(c / 2^K)
-                v = v * c + a
+            for m in range(n, -1, -1):  # 2^(K n) p(c / 2^K)
+                v = v * c + (p[m] << (K * (n - m)))
             if v == 0:
                 return c / (1 << K)
             lo, hi = (c, hi) if (v > 0) == up else (lo, c)

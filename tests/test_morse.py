@@ -577,6 +577,41 @@ class TestExactCount:
         assert rep.beta <= 1e-15
 
 
+class TestTables:
+    """_zeros, _exact_zeros, _bernstein and _refine read tables built once per
+    degree or level (functools.cache); no call may leave in them anything that
+    a later call reads."""
+
+    def test_a_census_after_other_degrees_equals_the_first(self, exact_calls):
+        tables = (morse._level, morse._binomials, morse._half_angle)
+        for table in tables:
+            table.cache_clear()
+        rng = np.random.default_rng(42)
+        first = close_pair_family(1e-6, shift=1.0)
+        reports, calls = [critical_points(first)], [len(exact_calls)]
+        for degree, decay in ((7, 0.8), (40, 0.95)):
+            critical_points(OneDTrigPoly({j: complex(rng.normal(), rng.normal()) * decay ** j
+                                          for j in range(1, degree + 1)}))
+        calls.append(len(exact_calls))
+        built = [table.cache_info().misses for table in tables]
+        reports.append(critical_points(first))
+        assert calls[0] > 0 and len(exact_calls) - calls[1] == calls[0]
+        assert report_bytes(reports[1]) == report_bytes(reports[0])
+        # the last census read only tables that the calls before it built
+        assert [table.cache_info().misses for table in tables] == built
+        assert morse._level.cache_info().currsize > 2
+
+    def test_tables_are_read_only(self):
+        critical_points(close_pair_family(1e-6, shift=1.0))
+        with pytest.raises(ValueError, match="read-only"):
+            morse._level(32, 0)[2][0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            morse._ORDERS[1, 0] = 0.0
+        for table in (*morse._binomials(4), morse._binomials(4)[0][1], morse._half_angle(2, 1)):
+            with pytest.raises(TypeError):
+                table[0] = 0
+
+
 class TestC2Distance:
     def test_batch_equals_lone(self):
         # one _zeros call per group of deltas; each distance is the one its F gets alone
