@@ -153,7 +153,7 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for rows, hs, ncells in [*exact, (row, h, n << level)]:
         for at, i in zip(rows.tolist(), (hs >> 1).tolist()):
             cells.setdefault((at, ncells), []).append(i)
-    if x := [(at, z) for (at, ncells), i in cells.items() for z in _exact_zeros(C[at], js, i, ncells)]:
+    if x := [(at, z) for (at, ncells), ids in cells.items() for z in _exact_zeros(C[at], js, ids, ncells)]:
         of, t = map(np.concatenate, zip((of, t), zip(*x)))
     t %= TWO_PI
     t[t == TWO_PI] = 0.0  # the image of a tiny negative zero
@@ -231,8 +231,8 @@ def _bernstein(Q: list[int], lo: float, hi: float) -> list[int]:
 def _binomials(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Integer rows, low degree first, of monomial to L times Bernstein coefficients, L the lcm of the
     C(n, k) (row k: C(n - m, k - m) L / C(n, k)), and back (row m: (-1)^(m - k) C(n, k) C(n - k, m - k))."""
-    c = [math.comb(n, k) for k in range(n + 1)]
-    return (tuple(tuple(math.comb(n - m, k - m) * (math.lcm(*c) // c[k]) for m in range(k + 1)) for k in range(n + 1)),
+    L = math.lcm(*(c := [math.comb(n, k) for k in range(n + 1)]))
+    return (tuple(tuple(math.comb(n - m, k - m) * (L // c[k]) for m in range(k + 1)) for k in range(n + 1)),
             tuple(tuple((-1) ** (m - k) * c[k] * math.comb(n - k, m - k) for k in range(m + 1)) for m in range(n + 1)))
 
 
