@@ -264,7 +264,9 @@ def digests() -> dict[str, str]:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--documents"] and len(sys.argv) <= 3:
+    if sys.argv[1:2] == ["--documents"]:
+        if len(sys.argv) > 3:
+            sys.exit("usage: regen.py --documents [NAME_PREFIX]")
         with contextlib.redirect_stdout(io.StringIO()):
             docs = documents(*sys.argv[2:])
         for name, doc in sorted(docs.items()):
