@@ -157,8 +157,45 @@ class PolyTrig1:
         for (d, m, j), (a, b) in self.terms.items():
             if d == 0 and sum(m) == 0:
                 continue
-            total += (abs(a) + abs(b)) * rY1 ** d * rph ** sum(m) * math.exp(j * width)
+            total += (abs(a) + abs(b)) * math.pow(rY1, d) * math.pow(rph, sum(m)) * math.exp(j * width)
         return total
+
+
+def _powers(base, exponents) -> np.ndarray:
+    """base ** exponents bit for bit, for integral exponents >= 0 on the
+    trailing axes.  pow is exactly 1 and base at 0.0 and 1.0, and slow, most
+    of all on a negative base, so one masked pow runs on the exponents >= 2
+    only, over an exponent-major table whose rows are long.  numpy squares an
+    exponent 2.0 that is the same all along a loop as v * v, unlike pow, so
+    the exponents go in as a full table; with one exponent in all, the plain
+    base ** exponents takes that path too and is kept."""
+    if exponents.size == 1:
+        return base ** exponents
+    k, lead = exponents.ndim, base.ndim - exponents.ndim
+    e = exponents.reshape(exponents.shape + (1,) * lead)
+    out = np.where(e == 0.0, 1.0, base.transpose(tuple(range(lead, base.ndim)) + tuple(range(lead))))
+    big = e >= 2.0
+    if big.any():
+        np.power(out, e + np.zeros(out.shape), out=out, where=big)
+    return out.transpose(tuple(range(k, out.ndim)) + tuple(range(k)))
+
+
+def _term_sum(X) -> np.ndarray:
+    """np.sum(X, axis=-1) bit for bit, by adds of whole columns in numpy's
+    order for a contiguous row, whatever the layout of X: left to right from
+    +0.0 below 8 terms, which X.sum keeps in any layout; up to 128, 8 running
+    sums folded pairwise, then the rest; above, two halves.  The +0.0 joins
+    before the rest here, which moves only signs of zero, and those end +0.0."""
+    n = X.shape[-1]
+    if n > 128:
+        return _term_sum(X[..., :n // 16 * 8]) + _term_sum(X[..., n // 16 * 8:])
+    if n < 8:
+        return X.sum(axis=-1)
+    cut = n // 8 * 8
+    acc = sum((X[..., i:i + 8] for i in range(8, cut, 8)), X[..., :8])
+    while acc.shape[-1] > 1:
+        acc = acc[..., ::2] + acc[..., 1::2]
+    return sum((X[..., t] for t in range(cut, n)), acc[..., 0] + 0.0)
 
 
 class BoundPotential:
@@ -196,7 +233,7 @@ class BoundPotential:
                 for i in idx:
                     c = c * m[:, i]
                     m[:, i] -= 1.0
-                rows.append(c * np.prod(self.ph[..., None, :] ** np.maximum(m, 0.0), axis=-1))
+                rows.append(c * np.prod(_powers(self.ph[..., None, :], np.maximum(m, 0.0)), axis=-1))
             self._rows[dy, dph] = np.stack(rows, axis=-2)
         return self._rows[dy, dph]
 
@@ -211,14 +248,13 @@ class BoundPotential:
         return self._trig[dq]
 
     def __call__(self, Y1, dy: int, dph: int = 0, dq: int = 0) -> np.ndarray:
+        if dq not in (0, 1) or dy < 0 or dph < 0:
+            raise ConfigError(f"no derivative dy={dy}, dph={dph}, dq={dq}: dy, dph >= 0 and dq is 0 or 1")
         G = self.G
-        du = np.maximum(G._du - dy, 0.0)
         v1 = np.asarray(Y1, dtype=float) - G.center[0]
-        base = (v1[..., None] ** du)[..., G._dinv] * self._trig_table(dq)
-        # the gathers come out term-major; a contiguous term axis is summed
-        # pairwise, as it is for one point, so arrays equal pointwise calls
-        rows = self._coefficient_rows(dy, dph)
-        out = np.sum(np.ascontiguousarray(rows * base[..., None, :]), axis=-1)
+        base = _powers(v1[..., None], np.maximum(G._du - dy, 0.0))[..., G._dinv] * self._trig_table(dq)
+        # C order: callers average over the q1 grid, in an order set by the layout
+        out = np.ascontiguousarray(_term_sum(self._coefficient_rows(dy, dph) * base[..., None, :]))
         return out.reshape(out.shape[:-1] + (G.n_hat,) * dph)
 
 
@@ -227,7 +263,7 @@ class BoundPotential:
 # --------------------------------------------------------------------------
 
 def c1_constant(n: int) -> float:
-    return 5.0 * n * (n - 1) ** ((n - 1) / 2.0)
+    return 5.0 * n * math.pow(n - 1, (n - 1) / 2.0)
 
 
 def c2_constant(n: int) -> float:
@@ -293,7 +329,7 @@ def characteristics(
     R = params.alpha / kk
     r = R / c2
     eps_k = 2.0 * eps / kk
-    lam = float(params.K) ** (-5 * n)
+    lam = math.pow(params.K, -5 * n)
     if l1(k) < N:
         branch = "low"
         m = eps_k * beta
@@ -337,7 +373,7 @@ class SecularHam:
         g_o = nf.g_o[1].like()
         g = nf.g_res[1].like()
         for j in range(1, nf.order + 1):
-            w = nf.epsilon ** (j - 1)
+            w = math.pow(nf.epsilon, j - 1)
             g_o = g_o.plus(nf.g_o[j].scaled(w))
             g = g.plus(nf.g_res[j].scaled(w))
         return cls(um=um, eps=nf.epsilon, g_o_series=g_o, g_series=g, base_point=nf.base_point)

@@ -29,6 +29,7 @@ from resoforge.standard_form import (
     verify_standard,
     _antiderivative_at,
     _iterate,
+    _term_sum,
     _THETA,
 )
 from resoforge.unimodular import apply, complete_to_sl, decoupling_matrix
@@ -703,6 +704,155 @@ class TestArrayPotentials:
         G = PolyTrig1(1, terms)
         assert G.terms == terms
         assert G.dep_majorant(0.1, 0.1, 0.5) > 0.0
+
+    @pytest.mark.parametrize("orders", [(1, 0, 2), (1, 0, 3), (-1, 0, 0), (0, -1, 0)])
+    def test_derivative_orders_outside_the_contract_are_refused(self, orders):
+        # dq is 0 or 1, dy and dph are >= 0; a q1 order of 2 or 3 would read
+        # as the first one, and a negative order would raise the exponents
+        G, ph, _ = _potential_cases()[0]
+        for q1, Y1 in ((0.5, 0.01), (np.linspace(0.0, 1.0, 4), np.zeros(4))):
+            with pytest.raises(ConfigError, match="^no derivative"):
+                G.at(ph, q1)(Y1, *orders)
+
+
+# --------------------------------------------------------------------------
+# the evaluator against its one-pass formula, byte for byte
+# --------------------------------------------------------------------------
+
+def reference_bound_call(G, phat, q1, Y1, dy, dph=0, dq=0):
+    """G.at(phat, q1)(Y1, dy, dph, dq) in one pass: one numpy pow over every
+    Y1 and phat exponent, 0 and 1 included, and one np.sum over a contiguous
+    term axis into a fresh C-ordered array.  The evaluator must equal it byte
+    for byte, layout included: callers average its values over the q1 grid,
+    and numpy's order for such a sum depends on the layout."""
+    q1 = np.asarray(q1, dtype=float)
+    ph = np.asarray(phat, dtype=float) - G.center[1:]
+    ph = ph.reshape(ph.shape[:-1] + (1,) * (q1.ndim - ph.ndim + 1) + ph.shape[-1:])
+    coeff = np.ones(len(G._d))
+    for k in range(dy):
+        coeff = coeff * (G._d - k)
+    rows = []
+    for idx in itertools.product(range(G.n_hat), repeat=dph):
+        c, m = coeff, G._m.copy()
+        for i in idx:
+            c = c * m[:, i]
+            m[:, i] -= 1.0
+        rows.append(c * np.prod(ph[..., None, :] ** np.maximum(m, 0.0), axis=-1))
+    jq = q1[..., None] * G._ju
+    cos, sin = np.cos(jq)[..., G._jinv], np.sin(jq)[..., G._jinv]
+    trig = G._a * cos + G._b * sin if dq == 0 else G._j * (G._b * cos - G._a * sin)
+    v1 = np.asarray(Y1, dtype=float) - G.center[0]
+    base = (v1[..., None] ** np.maximum(G._du - dy, 0.0))[..., G._dinv] * trig
+    out = np.sum(np.ascontiguousarray(np.stack(rows, axis=-2) * base[..., None, :]), axis=-1)
+    return out.reshape(out.shape[:-1] + (G.n_hat,) * dph)
+
+
+def _counted_potential(n_hat, count, seed):
+    """count distinct terms of degree <= 3 in Y1 and <= 2 in each phat, j <= 5,
+    with coefficients of both signs, about the zero center."""
+    keys = [(d, m, j) for d in range(4) for m in itertools.product(range(3), repeat=n_hat)
+            for j in range(6)]
+    rng = np.random.default_rng(seed)
+    pick = rng.choice(len(keys), count, replace=False)
+    return PolyTrig1(n_hat, {keys[i]: tuple(rng.uniform(-1.0, 1.0, 2)) for i in pick})
+
+
+def _reference_cases():
+    """(G, scale of the offsets): the potentials of `_potential_cases`, potentials
+    of 0 to 130 terms (8 and 128 are where numpy's sum of a row changes order),
+    one lone term whose every exponent array has one entry, and terms whose
+    coefficients are all signed zeros, so whole rows of terms are zero."""
+    cases = [(G, r) for G, _, r in _potential_cases()]
+    for count in (0, 1, 7, 8, 9, 16, 17, 130):
+        cases.append((_counted_potential(2, count, count), 0.5))
+        if count <= 72:
+            cases.append((_counted_potential(1, count, 100 + count), 0.5))
+    cases.append((PolyTrig1(1, {(3, (2,), 1): (0.7, -0.3)}), 0.5))
+    zeros = {(d, (m, 1 - m), j): (-0.0, 0.0 if j % 2 else -0.0)
+             for d in range(3) for m in range(2) for j in range(3)}
+    cases.append((PolyTrig1(2, zeros), 0.5))
+    return cases
+
+
+def _signed_offsets(rng, r, shape):
+    """Offsets from the center in [-r, r], some exactly +0.0 and some -0.0."""
+    v = rng.uniform(-r, r, shape)
+    flat = v.reshape(-1)
+    flat[::3] = 0.0
+    flat[1::5] = -0.0
+    return v
+
+
+class TestEvaluatorBytes:
+    @pytest.mark.parametrize("case", range(len(_reference_cases())))
+    def test_every_order_equals_the_one_pass_formula(self, case):
+        G, r = _reference_cases()[case]
+        rng = np.random.default_rng(30 + case)
+        n_hat = G.n_hat
+        # a point, a q1 grid, a stack of points, and stacked phat with a q1
+        # grid each, twice; Y1 - c and phat - c are negative, positive, +0.0
+        # and -0.0
+        binds = [(_signed_offsets(rng, r, n_hat), 0.7, _signed_offsets(rng, r, ())),
+                 (_signed_offsets(rng, r, n_hat), rng.uniform(0, TWO_PI, 16),
+                  _signed_offsets(rng, r, 16)),
+                 (_signed_offsets(rng, r, (6, n_hat)), rng.uniform(0, TWO_PI, 6),
+                  _signed_offsets(rng, r, 6)),
+                 (_signed_offsets(rng, r, (3, 1, n_hat)), rng.uniform(0, TWO_PI, (1, 16)),
+                  _signed_offsets(rng, r, (3, 16))),
+                 # more points than numpy's buffer of 8192 entries, where a
+                 # loop of one exponent takes another path
+                 (_signed_offsets(rng, r, (2, 1, n_hat)), rng.uniform(0, TWO_PI, (1, 4500)),
+                  _signed_offsets(rng, r, (2, 4500)))]
+        for dph_, q1, v1 in binds:
+            phat, Y1 = dph_ + G.center[1:], v1 + G.center[0]
+            ev = G.at(phat, q1)
+            for dy, dph, dq in itertools.product(range(4), range(3), range(2)):
+                got = ev(Y1, dy, dph, dq)
+                want = reference_bound_call(G, phat, q1, Y1, dy, dph, dq)
+                assert got.shape == want.shape and got.flags.c_contiguous, (dy, dph, dq)
+                assert got.tobytes() == want.tobytes(), (dy, dph, dq)
+
+
+class TestNumpyAssumptions:
+    """What the evaluator takes from numpy, each by name, so that a numpy
+    release that moves one fails here rather than in a digest."""
+
+    def test_pow_of_an_exponent_array_is_one_and_v_at_zero_and_one(self):
+        rng = np.random.default_rng(40)
+        v = np.concatenate([[-1.5, -2.0 ** 70, -5e-324, 5e-324, -1e-310, 1e-310, -0.0, 0.0, 3.25],
+                            rng.standard_normal(4000) * np.exp(rng.uniform(-30, 30, 4000))])
+        for e, want in ((0.0, np.ones_like(v)), (1.0, v)):
+            assert (v ** np.full(v.shape, e)).tobytes() == want.tobytes(), e
+            table = v[:, None] ** np.array([0.0, 1.0, 2.0, 3.0])
+            assert table[:, int(e)].tobytes() == want.tobytes(), e
+
+    def test_a_masked_pow_of_a_full_exponent_table_is_pow(self):
+        # _powers runs one masked pow over an exponent-major table with the
+        # exponents as a full table; each entry must come out as pow gives it
+        # in a table of several exponents, not as numpy's v * v for an
+        # exponent 2.0 that is the same all along a loop (5 x 3000 entries
+        # is more than numpy's buffer of 8192)
+        rng = np.random.default_rng(41)
+        v = rng.standard_normal(3000) * np.exp(rng.uniform(-5, 5, 3000))
+        exponents = np.array([0.0, 1.0, 2.0, 3.0, 4.0])[:, None]
+        want = v[:, None] ** exponents[:, 0]
+        table = np.empty((5, 3000))
+        table[:] = v
+        np.power(table, exponents + np.zeros(table.shape), out=table, where=exponents >= 2.0)
+        for k in (2, 3, 4):
+            assert table[k].tobytes() == np.ascontiguousarray(want[:, k]).tobytes(), k
+
+    @pytest.mark.parametrize("layout", ["contiguous", "term-major"])
+    def test_term_sum_equals_numpy_sum_of_contiguous_rows(self, layout):
+        rng = np.random.default_rng(42)
+        for T in range(301):
+            X = rng.standard_normal((3, 2, T)) * np.exp(rng.uniform(-40, 40, (3, 2, T)))
+            X[..., rng.random(T) < 0.2] = -0.0
+            X[1, 0] = -0.0  # a whole row of -0.0 sums to +0.0
+            want = np.sum(X, axis=-1)
+            if layout == "term-major":
+                X = np.moveaxis(np.ascontiguousarray(np.moveaxis(X, -1, 0)), 0, -1)
+            assert _term_sum(X).tobytes() == want.tobytes(), T
 
 
 # --------------------------------------------------------------------------
