@@ -108,6 +108,7 @@ class PolyTrig1:
         self._du, self._dinv = np.unique(self._d, return_inverse=True)
         self._a, self._b = np.array([self.terms[key] for key in keys],
                                     dtype=float).reshape(count, 2).T
+        self._tables = {}
 
     @classmethod
     def from_series(cls, series: TaylorFourierSeries, dm: DecouplingMatrix,
@@ -149,6 +150,27 @@ class PolyTrig1:
         """This potential bound to phat of shape L + (n_hat,) (L = () for one
         phat) and q1 of shape L + S; see BoundPotential."""
         return BoundPotential(self, phat, q1)
+
+    def _row_tables(self, dy: int, dph: int) -> tuple[np.ndarray, np.ndarray]:
+        """(c, e) of the derivative (dy, dph), built once and read-only: one row
+        per phat index tuple of order dph, c its coefficient of each term and e
+        its phat exponents; a derivative multiplies by the exponent, then lowers it."""
+        if (dy, dph) not in self._tables:
+            coeff = np.ones(len(self._d))
+            for k in range(dy):
+                coeff = coeff * (self._d - k)
+            cs, es = [], []
+            for idx in itertools.product(range(self.n_hat), repeat=dph):
+                c, m = coeff, self._m.copy()
+                for i in idx:
+                    c = c * m[:, i]
+                    m[:, i] -= 1.0
+                cs.append(c)
+                es.append(np.maximum(m, 0.0))
+            self._tables[dy, dph] = np.array(cs), np.array(es)
+            for table in self._tables[dy, dph]:
+                table.flags.writeable = False
+        return self._tables[dy, dph]
 
     def dep_majorant(self, rY1: float, rph: float, width: float) -> float:
         """Bound on the Y1- or phat-dependent part over |Y1 - c_0| <= rY1,
@@ -221,20 +243,10 @@ class BoundPotential:
 
     def _coefficient_rows(self, dy: int, dph: int) -> np.ndarray:
         """L + (1,) * len(S) + (one row per phat index tuple of order dph, one
-        column per term); a derivative multiplies by the exponent, then lowers it."""
+        column per term): G's row coefficients times the phat powers."""
         if (dy, dph) not in self._rows:
-            G = self.G
-            coeff = np.ones(len(G._d))
-            for k in range(dy):
-                coeff = coeff * (G._d - k)
-            rows = []
-            for idx in itertools.product(range(G.n_hat), repeat=dph):
-                c, m = coeff, G._m.copy()
-                for i in idx:
-                    c = c * m[:, i]
-                    m[:, i] -= 1.0
-                rows.append(c * np.prod(_powers(self.ph[..., None, :], np.maximum(m, 0.0)), axis=-1))
-            self._rows[dy, dph] = np.stack(rows, axis=-2)
+            c, e = self.G._row_tables(dy, dph)
+            self._rows[dy, dph] = c * np.prod(_powers(self.ph[..., None, None, :], e), axis=-1)
         return self._rows[dy, dph]
 
     def _trig_table(self, dq: int) -> np.ndarray:

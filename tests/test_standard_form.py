@@ -813,6 +813,15 @@ class TestEvaluatorBytes:
                 assert got.tobytes() == want.tobytes(), (dy, dph, dq)
 
 
+    def test_row_tables_are_built_once_and_read_only(self):
+        # a potential keeps one (coefficients, phat exponents) pair per
+        # derivative for all its bound evaluators; none may write to it
+        G = _counted_potential(2, 9, 9)
+        c, e = G._row_tables(1, 2)
+        assert G._row_tables(1, 2)[0] is c and c.shape == (4, 9) and e.shape == (4, 9, 2)
+        assert not (c.flags.writeable or e.flags.writeable)
+
+
 class TestNumpyAssumptions:
     """What the evaluator takes from numpy, each by name, so that a numpy
     release that moves one fails here rather than in a digest."""
