@@ -188,9 +188,9 @@ def _powers(base, exponents) -> np.ndarray:
     trailing axes.  pow is exactly 1 and base at 0.0 and 1.0, and slow, most
     of all on a negative base, so one masked pow runs on the exponents >= 2
     only, over an exponent-major table whose rows are long.  numpy squares an
-    exponent 2.0 that is the same all along a loop as v * v, unlike pow, so
-    the exponents go in as a full table; with one exponent in all, the plain
-    base ** exponents takes that path too and is kept."""
+    exponent 2.0 that is constant along its loop as v * v, unlike pow, so the
+    exponents go in as a full table; a single exponent in all goes to numpy
+    as base ** exponents, which squares it that way too."""
     if exponents.size == 1:
         return base ** exponents
     k, lead = exponents.ndim, base.ndim - exponents.ndim

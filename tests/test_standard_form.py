@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -757,6 +758,7 @@ def _counted_potential(n_hat, count, seed):
     return PolyTrig1(n_hat, {keys[i]: tuple(rng.uniform(-1.0, 1.0, 2)) for i in pick})
 
 
+@cache
 def _reference_cases():
     """(G, scale of the offsets): the potentials of `_potential_cases`, potentials
     of 0 to 130 terms (8 and 128 are where numpy's sum of a row changes order),
