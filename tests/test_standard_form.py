@@ -805,15 +805,14 @@ class TestEvaluatorBytes:
                  # loop of one exponent takes another path
                  (_signed_offsets(rng, r, (2, 1, n_hat)), rng.uniform(0, TWO_PI, (1, 4500)),
                   _signed_offsets(rng, r, (2, 4500)))]
-        for dph_, q1, v1 in binds:
-            phat, Y1 = dph_ + G.center[1:], v1 + G.center[0]
+        for vhat, q1, v1 in binds:
+            phat, Y1 = vhat + G.center[1:], v1 + G.center[0]
             ev = G.at(phat, q1)
             for dy, dph, dq in itertools.product(range(4), range(3), range(2)):
                 got = ev(Y1, dy, dph, dq)
                 want = reference_bound_call(G, phat, q1, Y1, dy, dph, dq)
                 assert got.shape == want.shape and got.flags.c_contiguous, (dy, dph, dq)
                 assert got.tobytes() == want.tobytes(), (dy, dph, dq)
-
 
     def test_row_tables_are_built_once_and_read_only(self):
         # a potential keeps one (coefficients, phat exponents) pair per
