@@ -19,6 +19,7 @@ import numpy as np
 from .cover import ball_points, classify_batch, free_params, measure_R2, fit_measure_constant
 from .fourier import (
     OneDTrigPoly,
+    Record,
     TrigPoly,
     TWO_PI,
     generators,
@@ -50,25 +51,16 @@ from .unimodular import (
 
 
 @dataclass
-class CriterionResult:
+class CriterionResult(Record):
     cid: int
     name: str
     passed: bool
     details: dict
-    runtime: float
+    runtime: float = 0.0  # set by _timed
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] criterion {self.cid:2d}: {self.name} ({self.runtime:.2f}s)"
-
-    def to_dict(self) -> dict:
-        return {
-            "cid": self.cid,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-            "runtime": self.runtime,
-        }
 
 
 def _timed(fn):
@@ -116,7 +108,7 @@ def criterion_1_generators() -> CriterionResult:
     return CriterionResult(
         1, "generator enumeration vs brute force",
         ok and mismatches == 0,
-        {"count_2_3": len(g23), "mismatches": mismatches}, 0.0,
+        {"count_2_3": len(g23), "mismatches": mismatches},
     )
 
 
@@ -142,7 +134,7 @@ def criterion_2_sl_completion() -> CriterionResult:
                 failures += 1
     return CriterionResult(
         2, "SL(n,Z) completion bounds (exhaustive)",
-        failures == 0, {"checked": checked, "failures": failures}, 0.0,
+        failures == 0, {"checked": checked, "failures": failures},
     )
 
 
@@ -186,7 +178,6 @@ def criterion_3_morse_oracle(instances: int = 500) -> CriterionResult:
         3, "Morse oracle and two-point property",
         ok and failures == 0,
         {"beta_2cos_error": beta_err, "instances": instances, "failures": failures, "c_max": max(cs)},
-        0.0,
     )
 
 
@@ -209,7 +200,7 @@ def criterion_4_cosine_likeness() -> CriterionResult:
     return CriterionResult(
         4, "high-mode cosine-likeness (lacunary)",
         ok, {"checked": len(gens), "worst_gamma": worst, "threshold": COSINE_LIKE_THRESHOLD,
-             "morse_failures": morse_failures, "min_beta_over_fk": min(ratios, default=0.0)}, 0.0,
+             "morse_failures": morse_failures, "min_beta_over_fk": min(ratios, default=0.0)},
     )
 
 
@@ -227,7 +218,7 @@ def criterion_5_covering(samples: int = 10 ** 6) -> CriterionResult:
     ok = all(v == 0 for v in uncovered.values())
     return CriterionResult(
         5, "covering exhaustiveness (1e6 samples, n=2,3)",
-        ok, {"samples": samples, "uncovered": uncovered}, 0.0,
+        ok, {"samples": samples, "uncovered": uncovered},
     )
 
 
@@ -261,7 +252,6 @@ def criterion_6_measure_scaling(samples: int = 10 ** 6, ratio_tol: float = 0.15)
         ratio_ok and bound_ok,
         {"ratio": ratio, "tolerance": f"4 +- {100*ratio_tol:.0f}%", "cbar_fit": cbar,
          "measures": [est.measure_any for est in estimates]},
-        0.0,
     )
 
 
@@ -323,7 +313,6 @@ def criterion_7_contraction(instances: int = 100) -> CriterionResult:
         not failures,
         {"instances": instances, "failures": failures,
          "worst_contraction": worst_contraction, "worst_residual": worst_residual},
-        0.0,
     )
 
 
@@ -397,7 +386,7 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
     ok = (phi1_exact_zero and details["group_law"] <= 1e-12
           and all(details[name] <= 1e-9 and details[name + "_relative"] <= 1e-9
                   for name in ("phi2", "phi3", "composite")))
-    return CriterionResult(8, "symplecticity of the reduction transforms", ok, details, 0.0)
+    return CriterionResult(8, "symplecticity of the reduction transforms", ok, details)
 
 
 @_timed
@@ -438,7 +427,6 @@ def criterion_9_energy_identity(points: int = 100) -> CriterionResult:
         ok,
         {"relative_error": worst, "kinetic_split_residual": str(split_worst),
          "hypothesis_flag": sf.fp.hypothesis_ok},
-        0.0,
     )
 
 
@@ -491,7 +479,6 @@ def criterion_10_averaging() -> CriterionResult:
         ok,
         {"band_coeff_max": band_max, "line_coeff_max": line_max,
          "ratio_order1": r1, "ratio_order2": r2, "flow_error_share": max(flow_shares)},
-        0.0,
     )
 
 
@@ -512,7 +499,6 @@ def criterion_11_kappa() -> CriterionResult:
         11, "kappa uniformity across resonance labels",
         ok, {"distinct_kappas": len(kappas), "kappa": next(iter(kappas)),
              "hand_value_error": err},
-        0.0,
     )
 
 
@@ -535,7 +521,6 @@ def criterion_12_genericity_trend(trials: int = 2000, factor: float = 2.0) -> Cr
         {"fail_fraction_delta": fail_a, "fail_fraction_half": fail_b,
          "ratio": ratio, "band": [4.0 / factor, 4.0 * factor],
          "melk_constant_fit": c_fit, "window": [1, 6]},
-        0.0,
     )
 
 

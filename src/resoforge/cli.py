@@ -31,7 +31,7 @@ from .cover import (
     free_params,
     measure_R2,
 )
-from .fourier import (ConfigError, HypothesisError, is_generator, lacunary_potential, load_potential,
+from .fourier import (ConfigError, HypothesisError, Record, is_generator, lacunary_potential, load_potential,
                       save_potential, two_mode_potential)
 from .genericity import GenericityParams, check_membership, sample_product_measure
 from .lieseries import NaturalHam, lie_step_nonres, lie_step_res
@@ -138,9 +138,11 @@ def _load_potential_arg(source: str):
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    """Write doc as JSON; a NaN or infinite number in it is a bug and raises
-    ValueError, and a value JSON cannot encode raises TypeError."""
-    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    """Write doc as JSON, each Record in it (nested ones too) as its
+    to_dict(); a NaN or infinite number in it is a bug and raises ValueError,
+    and any other value JSON cannot encode raises json's own TypeError."""
+    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False, default=lambda obj: (
+        obj.to_dict() if isinstance(obj, Record) else json.JSONEncoder().default(obj)))
     if out:
         try:
             with open(out, "w") as fh:
@@ -177,7 +179,7 @@ def cmd_check_generic(args) -> int:
                               beta=_finite("--beta", args.beta), K_max=_finite("--kmax", args.kmax))
     report = check_membership(f, params)
     doc = _report_skeleton(args)
-    doc["report"] = report.to_dict()
+    doc["report"] = report
     _emit(doc, args.out)
     return EXIT_OK if report.in_class else EXIT_INVARIANT
 
@@ -187,8 +189,8 @@ def cmd_cover_classify(args) -> int:
     y = _parse_vector("--y", args.y, params.n)
     labels = classify_point(np.array(y), params)
     doc = _report_skeleton(args)
-    doc["labels"] = [lab.to_dict() for lab in labels]
-    doc["params"] = params.to_dict()
+    doc["labels"] = labels
+    doc["params"] = params
     _emit(doc, args.out)
     return EXIT_OK if labels else EXIT_INVARIANT
 
@@ -221,7 +223,7 @@ def cmd_cover_measure(args) -> int:
                     " ".join(map(str, lab.l)) if lab.l else "",
                 ])
     doc = _report_skeleton(args)
-    doc["estimate"] = est.to_dict()
+    doc["estimate"] = est
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -250,7 +252,7 @@ def cmd_bezout(args) -> int:
     dm = decoupling_matrix(um)
     doc = _report_skeleton(args)
     doc.update(um.to_dict())
-    doc["U"] = dm.to_dict()
+    doc["U"] = dm
     _emit(doc, args.out)
     return EXIT_OK if um.bounds_report()["bounds_ok"] else EXIT_INVARIANT
 
@@ -276,8 +278,8 @@ def cmd_normalize(args) -> int:
         nf = lie_step_nonres(ham, params, y0, order=args.order,
                              max_degree=args.degree)
     doc = _report_skeleton(args)
-    doc["normal_form"] = nf.to_dict()
-    doc["params"] = params.to_dict()
+    doc["normal_form"] = nf
+    doc["params"] = params
     band_max = nf.band_coefficient_maxima()
     doc["band_coefficient_max"] = band_max
     _emit(doc, args.out)
@@ -308,7 +310,7 @@ def cmd_standardize(args) -> int:
     rd = sf.fp.read(phat0, 1.0)
     theta = _THETA[::GRID // 64]
     doc = _report_skeleton(args)
-    doc["characteristics"] = sf.chars.to_dict()
+    doc["characteristics"] = sf.chars
     doc["kappa"] = sf.chars.kappa
     doc["flags"] = report.flags
     doc["fixed_point"] = {
@@ -335,7 +337,7 @@ def cmd_report(args) -> int:
 
     results = run_all(quick=args.quick)
     doc = _report_skeleton(args)
-    doc["results"] = [r.to_dict() for r in results]
+    doc["results"] = results
     doc["all_passed"] = all(r.passed for r in results)
     if args.out:
         _emit(doc, args.out)

@@ -29,11 +29,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import ConfigError, Mode, generators, l1
+from .fourier import ConfigError, Mode, Record, generators, l1
 
 
 @dataclass(frozen=True)
-class CoveringParams:
+class CoveringParams(Record):
     """Covering parameters; 'paper-preset' derives alpha = sqrt(eps) K^nu,
     'free' takes alpha as an independent knob (hypothesis flags recorded)."""
 
@@ -109,20 +109,8 @@ class CoveringParams:
         return self.alpha < 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "K0": self.K0,
-            "K": self.K,
-            "alpha": self.alpha,
-            "mode": self.mode,
-            "epsilon": self.epsilon,
-            "nu": self.nu,
-            "r_o": self.r_o,
-            "s_o": self.s_o,
-            "s_star": self.s_star,
-            "alpha_reachable": self.alpha_reachable,
-        }
+        return {**super().to_dict(), "r_o": self.r_o, "s_o": self.s_o, "s_star": self.s_star,
+                "alpha_reachable": self.alpha_reachable}
 
 
 def _euclid(k) -> float:
@@ -155,17 +143,10 @@ def free_params(n: int, s: float, alpha: float, K0: int, K: int) -> CoveringPara
 
 
 @dataclass(frozen=True)
-class RegionLabel:
+class RegionLabel(Record):
     kind: str  # "R0" | "R1" | "R2"
     k: Mode | None = None
     l: Mode | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "k": list(self.k) if self.k else None,
-            "l": list(self.l) if self.l else None,
-        }
 
 
 def classify_point(y, params: CoveringParams, all_pairs: bool = True) -> list[RegionLabel]:
@@ -295,7 +276,7 @@ def _sample_ball(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 @dataclass
-class R2MeasureEstimate:
+class R2MeasureEstimate(Record):
     measure_any: float
     measure_only: float
     ci_any: tuple[float, float]
@@ -305,19 +286,6 @@ class R2MeasureEstimate:
     samples: int
     seed: int
     params: CoveringParams
-
-    def to_dict(self) -> dict:
-        return {
-            "measure_any": self.measure_any,
-            "measure_only": self.measure_only,
-            "ci_any": list(self.ci_any),
-            "ci_only": list(self.ci_only),
-            "fraction_any": self.fraction_any,
-            "fraction_only": self.fraction_only,
-            "samples": self.samples,
-            "seed": self.seed,
-            "params": self.params.to_dict(),
-        }
 
 
 _CHUNK = 1 << 16  # fixed so results depend on the seed only

@@ -12,12 +12,13 @@ its own sum in mode order, whatever stack of rows and angles it sits in.
 Potentials with infinite support are handled through a coefficient rule
 (currently the exponentially decaying lacunary family supported on the
 generator set) materialized up to a recorded cutoff; the rule supplies exact
-coefficients beyond the cutoff and a majorant of the tail of each lattice ray.
+coefficients beyond the cutoff.
 
 The package's two error classes live here too, each with the exit code the
 CLI returns for it: ConfigError for an argument that is not admissible,
 HypothesisError for a hypothesis of the construction that fails on
-well-formed inputs.  Anything else a function raises is a bug.
+well-formed inputs.  Anything else a function raises is a bug.  Record, the
+base of the dataclasses that the CLI prints, lives here as well.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -47,6 +48,13 @@ class HypothesisError(RuntimeError):
     """A hypothesis of the construction failed on well-formed inputs, such as a small divisor."""
 
     exit_code = 1
+
+
+class Record:
+    """A dataclass that the CLI prints as its fields, unless a subclass overrides to_dict."""
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def l1(k: Iterable[int]) -> int:
@@ -129,10 +137,6 @@ class LacunaryRule:
     def coeff(self, k: Mode) -> complex:
         if is_generator(k):
             return complex(self.amplitude * math.exp(-self.s * l1(k)))
-        return 0.0
-
-    def line_tail_majorant(self, k: Mode, j_from: int, width: float) -> float:
-        """Bound on sum_{|j| >= j_from} |f_{jk}| e^{|j| width}; zero here."""
         return 0.0
 
     def provable_lower_bound(self, delta: float) -> bool:
@@ -315,7 +319,7 @@ def lacunary_potential(n: int, s: float, k_max: float = 40, amplitude: float = 1
     """The exponentially lacunary model 2*amp*sum_{k in G^n} e^{-s|k|_1} cos k.x.
 
     Materialized up to |k|_1 <= k_max with the exact rule attached, so
-    coefficient queries and norm tails beyond the cutoff stay exact.
+    coefficient queries beyond the cutoff stay exact.
     """
     rule = LacunaryRule(n=n, s=s, amplitude=amplitude)
     coeffs = {k: rule.coeff(k) for k in generators(n, k_max)}

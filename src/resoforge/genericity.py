@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import ConfigError, Mode, TrigPoly, generators, half_ball, l1, lattice_projections
+from .fourier import ConfigError, Mode, Record, TrigPoly, generators, half_ball, l1, lattice_projections
 from .morse import critical_points_many
 
 
@@ -62,16 +62,13 @@ class GenericityParams:
 
 
 @dataclass
-class Failure:
+class Failure(Record):
     k: Mode
     reason: str  # "lower-bound" | "morse" | "distinct-values"
 
-    def to_dict(self) -> dict:
-        return {"k": list(self.k), "reason": self.reason}
-
 
 @dataclass
-class MembershipReport:
+class MembershipReport(Record):
     in_class: bool
     failures: list[Failure]
     window: tuple[float, float]
@@ -81,19 +78,6 @@ class MembershipReport:
     n_checked_morse: int
     proved_beyond_cutoff: bool
     margins: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "in_class": self.in_class,
-            "failures": [f.to_dict() for f in self.failures],
-            "window": list(self.window),
-            "delta": self.delta,
-            "beta": self.beta,
-            "n_checked_lower": self.n_checked_lower,
-            "n_checked_morse": self.n_checked_morse,
-            "proved_beyond_cutoff": self.proved_beyond_cutoff,
-            "margins": self.margins,
-        }
 
 
 def check_lower_bound(f: TrigPoly, params: GenericityParams) -> tuple[list[Failure], int, float]:

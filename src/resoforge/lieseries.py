@@ -34,7 +34,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .cover import CoveringParams
-from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, TrigPoly, l1
+from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, Record, TrigPoly, l1
 
 Mono = tuple[int, ...]
 
@@ -530,7 +530,7 @@ def lie_transform(
 
 
 @dataclass
-class AveragedNF:
+class AveragedNF(Record):
     """Output of the averaging steps.
 
     g_o[j]    y-only part of the eps^j term,

@@ -406,7 +406,9 @@ def cosine_certificate(f: TrigPoly, k: Mode) -> CosineCertificate:
 
     eta = 2|f_k| and e^{i theta_k} = f_k/|f_k|; the certificate level gamma
     is the strip-1 ell^1 majorant sum_{|j|>=2} |f_{jk}| e^{|j|} of eta*F*
-    over eta, invariant under rescaling of f.
+    over eta, invariant under rescaling of f.  Its tail beyond j_max is zero:
+    a finite f has no mode there, and the lacunary rule, the only rule, has
+    f_{jk} = 0 for |j| >= 2, since gcd(jk) = |j|.
     """
     k = tuple(int(v) for v in k)
     fk = f.coeff(k)
@@ -423,6 +425,4 @@ def cosine_certificate(f: TrigPoly, k: Mode) -> CosineCertificate:
         c = f.coeff(tuple(j * v for v in k))
         if c != 0:
             residual += 2.0 * abs(c) * math.exp(j)
-    if f.rule is not None:
-        residual += f.rule.line_tail_majorant(k, j_max + 1, 1.0)
     return CosineCertificate(eta=eta, gamma=residual / eta)

@@ -63,7 +63,7 @@ import numpy.fft  # numpy loads these lazily: at import here, not inside the fir
 import numpy.random
 
 from .cover import CoveringParams
-from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, TrigPoly, TWO_PI, l1, project_lattice
+from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, Record, TrigPoly, TWO_PI, l1, project_lattice
 from .genericity import c_s, threshold_N
 from .lieseries import AveragedNF, TaylorFourierSeries, ray_series
 from .morse import critical_points
@@ -228,7 +228,10 @@ class BoundPotential:
     by dph derivatives in phat, one trailing axis of length n_hat each; Y1
     broadcasts against q1.  The trig table of each dq, at q1's own shape, and
     the coefficient rows of each (dy, dph) are built on first use and kept,
-    so a call pays only the Y1 powers and one pass over the terms.
+    so a call pays only the Y1 powers and one pass over the terms.  Each
+    point gets the bits of a pointwise call unless an exponent table is one
+    2 (one Y1 degree, or one term in one phat): numpy squares that as v * v
+    in an array call but by pow at one point.  No pipeline potential has one.
     """
 
     def __init__(self, G: PolyTrig1, phat, q1):
@@ -288,7 +291,7 @@ def kappa_uniform(n: int, s: float, beta: float) -> float:
 
 
 @dataclass
-class Characteristics:
+class Characteristics(Record):
     """(R, r, sigma, m, eps_hat, lam) plus kappa and branch data."""
 
     k: Mode

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fourier import ConfigError, Mode, is_generator
+from .fourier import ConfigError, Mode, Record, is_generator
 
 
 IntMatrix = list[list[int]]
@@ -94,7 +94,7 @@ def apply(matrix, v) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UnimodularMatrix:
+class UnimodularMatrix(Record):
     """A in SL(n, Z) with first row k, exact inverse, and norm bounds."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -209,7 +209,7 @@ def complete_to_sl(k) -> UnimodularMatrix:
 
 
 @dataclass(frozen=True)
-class DecouplingMatrix:
+class DecouplingMatrix(Record):
     """Rational U = I except row 1 = (1, -(A_hat k)^T / |k|^2).
 
     In the sheared variables Y = U^{-1} y_tilde the pulled-back kinetic form

@@ -44,6 +44,22 @@ class TestSampleAndCheck:
         assert code in (EXIT_OK, EXIT_INVARIANT)
         assert doc["report"]["window"][1] == 70
 
+    @pytest.mark.parametrize("potential, delta, beta, kmax, failures", [
+        # one coefficient of the window below delta |k|_1^-n e^-s|k|_1
+        ("random:n=2,s=5.0,kmax=20,seed=1", "1", "1e-30", "20", [{"k": [11, -2], "reason": "lower-bound"}]),
+        # two low-mode projections whose Morse constant is below beta
+        ("random:n=2,s=5.0,kmax=14,seed=2", "0.1", "4e-27", "14",
+         [{"k": [5, -7], "reason": "morse"}, {"k": [7, 5], "reason": "morse"}]),
+    ])
+    def test_failing_potential_prints_its_failures(self, capsys, potential, delta, beta, kmax, failures):
+        code = main(["check-generic", "--potential", potential, "--delta", delta, "--beta", beta, "--kmax", kmax])
+        assert code == EXIT_INVARIANT
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert sorted(report) == ["beta", "delta", "failures", "in_class", "margins", "n_checked_lower",
+                                  "n_checked_morse", "proved_beyond_cutoff", "window"]
+        assert report["in_class"] is False
+        assert report["failures"] == failures
+
     def test_sample_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["sample", "--kmax", "5", "--seed", "3", "--out", str(a)])
@@ -110,6 +126,21 @@ class TestCover:
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert any(lab["kind"] == "R0" for lab in doc["labels"])
+
+    @pytest.mark.parametrize("y, labels", [
+        # 0.025 < |y.(0, 1)| < 0.05 and every l != (0, 1) off by at least 0.9
+        ("-0.9,-0.04", [{"kind": "R0", "k": None, "l": None}, {"kind": "R1", "k": [0, 1], "l": None}]),
+        # 0.025 < |y.(1, -1)| < 0.05; each witness l has |l.P^perp y| = 0.4,
+        # under the gap 0.75/sqrt(2), and every other l at least 0.8
+        ("-0.38,-0.42", [{"kind": "R0", "k": None, "l": None}]
+         + [{"kind": "R2", "k": [1, -1], "l": list(l)}
+            for l in [(0, 1), (1, -2), (1, 0), (2, -3), (2, -1), (3, -2)]]),
+    ])
+    def test_classify_prints_every_label(self, free_params_file, capsys, y, labels):
+        # R1 and R2 never meet at one point: |y.k'| < alpha for the R2
+        # label's k' puts k' within the R1 gap of any other k
+        assert main(["cover", "classify", f"--y={y}", "--params", free_params_file]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["labels"] == labels
 
     def test_classify_outside_ball_is_config_error(self, free_params_file, capsys):
         code = main(["cover", "classify", "--y", "0.9,0.9",

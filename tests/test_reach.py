@@ -14,8 +14,12 @@ function or method is unreached too, and so is every member of an unreached
 class.  A field of a dataclass is reached only when live library code loads
 it as an attribute, or perfbench/*.py names it in an identifier or string:
 a field that is only ever passed to the constructor or assigned is written
-and never read.  A member or field is known by its name alone, so one that
-shares its name with a reached attribute of another object is not seen.
+and never read.  The one exception is a subclass of fourier.Record that
+inherits its to_dict, or whose to_dict returns a dict that starts from
+**super().to_dict(): the CLI's encoder prints every field of such a record,
+so its fields are read while that to_dict is reached.  A member or field is
+known by its name alone, so one that shares its name with a reached
+attribute of another object is not seen.
 
 So the static half covers names and dataclass fields, and a dynamic half
 covers every def that is entered: run as a script,
@@ -86,11 +90,26 @@ def _fields(node):
     return [sub.target.id for sub in node.body if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)]
 
 
+def _encoder(node):
+    """The to_dict that prints every field of a class: "Record.to_dict" for
+    a subclass of Record that inherits it, "Class.to_dict" for one whose
+    to_dict returns {**super().to_dict(), ...}, else None."""
+    if not any(ast.unparse(base).split(".")[-1] == "Record" for base in node.bases):
+        return None
+    own = [sub for sub in node.body if _is_member(sub) and sub.name == "to_dict"]
+    if not own:
+        return "Record.to_dict"
+    starts = any(isinstance(sub, ast.Return) and isinstance(sub.value, ast.Dict) and sub.value.keys[:1] == [None]
+                 and ast.unparse(sub.value.values[0]) == "super().to_dict()" for sub in ast.walk(own[0]))
+    return f"{node.name}.to_dict" if starts else None
+
+
 def unreached_names(root=ROOT):
     """Sorted "module.name", "module.Class.member" and "module.Class.field" of everything unreached under root."""
     module = {}   # every module-level name, "Class.member" and "Class.field" -> its module
     members = {}  # "Class.member" and "Class.field" -> (class name, name, what can name it)
     refs = []     # (holders of the referring code, identifier, what it can name)
+    encoded = {}  # "Class.field" of a record the CLI prints -> the to_dict that prints it
     for path in sorted((root / "src" / "resoforge").glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -102,9 +121,12 @@ def unreached_names(root=ROOT):
                 key = f"{node.name}.{sub.name}"
                 module[key], members[key] = path.stem, (node.name, sub.name, MEMBER)
                 refs += [([key], *ident) for ident in _identifiers(sub)]
+            to_dict = _encoder(node) if isinstance(node, ast.ClassDef) else None
             for name in _fields(node) if isinstance(node, ast.ClassDef) else []:
                 module[f"{node.name}.{name}"] = path.stem
                 members[f"{node.name}.{name}"] = (node.name, name, FIELD)
+                if to_dict:
+                    encoded[f"{node.name}.{name}"] = to_dict
             rest = [sub for sub in ast.iter_child_nodes(node) if not any(sub is m for m in inner)]
             refs += [(holders, *ident) for sub in rest for ident in _identifiers(sub)]
     for path in sorted((root / "perfbench").glob("*.py")):
@@ -120,8 +142,9 @@ def unreached_names(root=ROOT):
             for level in range(MEMBER, kind + 1):
                 attrs.setdefault((ident, level), set()).update(holders or [None])
         now = {name for name in module if name not in members and name not in named}
+        printed = {key for key, to_dict in encoded.items() if to_dict not in unreached}
         now |= {key for key, (cls, name, kind) in members.items()
-                if cls in now or not attrs.get((name, kind), set()) - {key}}
+                if cls in now or key not in printed and not attrs.get((name, kind), set()) - {key}}
         if now == unreached:
             return sorted(f"{module[name]}.{name}" for name in unreached)
         unreached = now
@@ -246,6 +269,34 @@ def test_scan_follows_helpers_and_perfbench_strings(tmp_path):
     assert unreached_names(tmp_path) == [
         "a.Box.dead_method", "a.Box.inner", "a.LIMIT", "a.Report.stored", "a.Report.written",
         "a._grid", "a._unused", "a.dead", "a.helper"]
+
+
+def test_scan_reads_the_fields_of_printed_records_only(tmp_path):
+    # the encoder reads the fields of Inherits and Extends; Renames prints
+    # other keys, Plain is no Record and nothing names Orphan
+    (tmp_path / "src" / "resoforge").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "resoforge" / "a.py").write_text(
+        "from dataclasses import dataclass, fields\n"
+        "class Record:\n"
+        "    def to_dict(self):\n        return {f.name: getattr(self, f.name) for f in fields(self)}\n"
+        "@dataclass\nclass Inherits(Record):\n    printed: int\n"
+        "@dataclass\nclass Extends(Record):\n    extended: int\n"
+        "    def to_dict(self):\n        return {**super().to_dict(), 'twice': 2}\n"
+        "@dataclass\nclass Renames(Record):\n    hidden: int\n"
+        "    def to_dict(self):\n        return {'renamed': 0}\n"
+        "@dataclass\nclass Plain:\n    unread: int\n"
+        "@dataclass\nclass Orphan(Record):\n    lost: int\n"
+        "def emit():\n    return [Inherits(1), Extends(2), Renames(3), Plain(4)]\n"
+        "def encode(records):\n    return [r.to_dict() for r in records]\n"
+    )
+    (tmp_path / "perfbench" / "run.py").write_text("from resoforge.a import emit, encode\nencode(emit())\n")
+    assert unreached_names(tmp_path) == ["a.Orphan", "a.Orphan.lost", "a.Plain.unread", "a.Renames.hidden"]
+    # with no live to_dict call, no field is printed
+    (tmp_path / "perfbench" / "run.py").write_text("from resoforge.a import emit\nemit()\n")
+    assert unreached_names(tmp_path) == [
+        "a.Extends.extended", "a.Extends.to_dict", "a.Inherits.printed", "a.Orphan", "a.Orphan.lost",
+        "a.Plain.unread", "a.Record.to_dict", "a.Renames.hidden", "a.Renames.to_dict", "a.encode"]
 
 
 def test_dynamic_scan_finds_every_def_never_entered(tmp_path, monkeypatch):
