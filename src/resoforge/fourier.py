@@ -216,9 +216,10 @@ class TrigPoly:
 
 def trig_values(C: np.ndarray, js: np.ndarray, t: np.ndarray) -> np.ndarray:
     """2 Re sum_j C[..., j] e^{ijt}, t broadcast against the leading axes of C; every
-    row at every angle is t[:, None].  One einsum and no BLAS, so each value is its
-    own sum in mode order whatever the stack holds: the package's one evaluator of
-    one-angle trig polynomials."""
+    row at every angle is t[:, None], and rows that share their angles are
+    (C[:, None], t[:, None]), which takes each e^{ijt} once for all of them.  One
+    einsum and no BLAS, so each value is its own sum in mode order whatever the
+    stack holds: the package's one evaluator of one-angle trig polynomials."""
     return 2.0 * np.einsum("...j,...j->...", C, np.exp(1j * np.multiply.outer(t, js))).real
 
 

@@ -76,14 +76,19 @@ def _polish(rows: np.ndarray, js: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     the secant point: a step solves the quadratic Taylor model (twice the
     Newton step if it has no real root), or bisects if it would leave the
     bracket or fails to halve the step before last (rtsafe, Numerical Recipes
-    9.4).  Done at |P_b(t)| <= 4 eps sum_j |c_j| or a step below 1 ulp.
+    9.4).  Done at |P_b(t)| <= 4 eps sum_j |c_j| or a step below 1 ulp; from
+    the third evaluation on the value row comes first, and when no live bracket
+    is above the floor there, t is returned without the derivative rows.
     """
     t = lo + (hi - lo) * v_lo / (v_lo - v_hi)
     floor, ulp, neg = 4.0 * _EPS * np.abs(rows[:, 0]).sum(axis=1), math.ulp(TWO_PI), v_lo < 0
     adx = adx_old = hi - lo
-    live = np.ones(len(t), dtype=bool)
+    live, evals = np.ones(len(t), dtype=bool), 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
+            evals += 1
+            if evals > 2 and not np.count_nonzero(live & (np.abs(trig_values(rows[:, 0], js, t)) > floor)):
+                return t
             p, dp, d2p = trig_values(rows, js, t[:, None]).T
             step = (p2 := 2.0 * p) / (dp + np.copysign(np.sqrt(np.maximum(dp * dp - p2 * d2p, 0.0)), dp))
             size = np.abs(step)
@@ -106,7 +111,9 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     no test reads another row, so neither are its zeros.
 
     The circle starts as max(32, 4 deg) cells at an irrational offset.  At a
-    cell's float midpoint one trig_values call gives P, P', P''; each carries
+    cell's float midpoint one trig_values call gives P, P', P''; at level 0
+    every row sits on the same n cells, so the call takes each cell angle once
+    for all rows, in the (C[:, None], t[:, None]) layout.  Each value carries
     the rounding bound e_k = 8 (d + 2) eps S_k + 32 eps S_{k+1}, S_k = 2 sum_j
     j^k |c_j| (the second term moves the midpoint onto the true one), and S_3
     bounds |P'''|.  With R the half-width r widened by _MARGIN, the cell holds
@@ -132,7 +139,8 @@ def _zeros(C: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r, R, W = _level(n, level)
         t = h * r + _OFFSET
         lim_free, lim_mono, lim_end = (W * K).sum(axis=1)[:, row]
-        p, p1, p2 = V = trig_values(C3[row], js, t[:, None]).T
+        p, p1, p2 = V = (trig_values(C3[row], js, t[:, None]) if level else
+                         trig_values(C3[:, None], js, t[:n, None]).reshape(-1, 3)).T
         (a0, a1, a2), q = np.abs(V), p + 0.5 * r * r * p2
         gap, mono = np.abs(q) - r * a1, a1 - R * a2 > lim_mono
         if len(one := (mono & (gap < -lim_end)).nonzero()[0]) or not found:  # cells with one zero

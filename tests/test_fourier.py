@@ -375,6 +375,8 @@ class TestTrigValues:
         C3 = rows[:, :3]  # P, P', P'' as _zeros and _polish hold them
         stacks = {
             "zeros_cells": (C3[rng.integers(0, 5, 40)], t[:, None], (40, 3)),
+            "zeros_level_0": (C3[:, None], t[:12, None], (5, 12, 3)),  # every row at the same n cells
+            "polish_value_row": (np.ascontiguousarray(C3[of])[:, 0], t, (40,)),
             "polish_brackets": (np.ascontiguousarray(C3[of]), t[:, None], (40, 3)),
             "census_values": (rows[of, :3], t[:, None], (40, 3)),
             "c2_sups": (rows[of, of % 3], t, (40,)),

@@ -31,6 +31,7 @@ from resoforge.morse import (
 from test_fourier import per_order_values_on_grid, reference_values_on_grid
 
 TWO_PI = 2 * math.pi
+EPS = float(np.finfo(float).eps)
 GRID_SIZE = 1 << 14  # the grid of the reference census below
 
 
@@ -484,6 +485,19 @@ class TestCensusBatch:
         for F, rep in zip(Fs, critical_points_many(Fs)):
             assert_matches_reference(F, rep)
 
+    def test_level_0_takes_each_cell_angle_once(self, monkeypatch):
+        # eight F of the same modes give _zeros 32 rows on max(32, 4 deg) = 32
+        # cells; the first evaluation takes the 32 cell angles, not 32 x 32
+        rng = np.random.default_rng(45)
+        Fs = [OneDTrigPoly({j: complex(rng.normal(), rng.normal()) for j in (1, 2, 3)}) for _ in range(8)]
+        angles = []
+        monkeypatch.setattr(morse, "trig_values", lambda C, js, t: angles.append(np.size(t)) or trig_values(C, js, t))
+        got = critical_points_many(Fs)
+        assert angles[0] == 32
+        monkeypatch.undo()
+        for F, rep in zip(Fs, got):
+            assert report_bytes(rep) == report_bytes(critical_points(F))
+
     def test_constant_entries_are_none_between_others(self):
         F, G = OneDTrigPoly({1: 0.5, 3: 0.2}), OneDTrigPoly({1: 0.5, 3: 0.3})
         tiny = OneDTrigPoly({1: 1e-310, 3: 1e-311})  # sum_j j |c_j| < 1e-300
@@ -575,6 +589,78 @@ class TestExactCount:
         assert rep.count == 4
         assert np.all(circular_gaps(rep.critical_points, zeros) <= 1e-12)
         assert rep.beta <= 1e-15
+
+
+def reference_polish(rows, js, lo, hi, v_lo, v_hi):
+    """_polish with every evaluation on all three rows: the stopping test
+    reads |P| and the step after each full evaluation.  _polish, which may
+    stop on the value row alone, must return the same t byte for byte."""
+    t = lo + (hi - lo) * v_lo / (v_lo - v_hi)
+    floor, ulp, neg = 4.0 * EPS * np.abs(rows[:, 0]).sum(axis=1), math.ulp(TWO_PI), v_lo < 0
+    adx = adx_old = hi - lo
+    live = np.ones(len(t), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            p, dp, d2p = trig_values(rows, js, t[:, None]).T
+            step = (p2 := 2.0 * p) / (dp + np.copysign(np.sqrt(np.maximum(dp * dp - p2 * d2p, 0.0)), dp))
+            size = np.abs(step)
+            live &= (np.abs(p) > floor) & (size >= ulp)
+            if not np.count_nonzero(live):
+                return t
+            lo_side = (p < 0) == neg
+            lo, hi = np.where(lo_side, t, lo), np.where(lo_side, hi, t)
+            t_new = t - step
+            keep = (t_new >= lo) & (t_new <= hi) & (size + size <= adx_old)
+            t_new = np.where(keep, t_new, 0.5 * (lo + hi))
+            adx_old, adx = adx, np.abs(t_new - t)
+            t = np.where(live, t_new, t)
+            live &= adx >= ulp
+
+
+@pytest.fixture
+def polish_calls(monkeypatch):
+    """The arguments of every _polish call, which _polish leaves as they are."""
+    calls = []
+    monkeypatch.setattr(morse, "_polish", lambda *args: calls.append(args) or _polish(*args))
+    return calls
+
+
+class TestPolish:
+    """_polish confirms on the value row alone from its third evaluation on;
+    every t must be the one of the loop that evaluates all three rows."""
+
+    def test_close_pairs_equal_reference(self, polish_calls):
+        rng = np.random.default_rng(45)
+        for _ in range(300):
+            sep = 10.0 ** rng.uniform(-6.0, 0.0)
+            critical_points(close_pair_family(sep, amplitude=rng.uniform(0.5, 2.0), shift=rng.uniform(0.0, TWO_PI)))
+        assert len(polish_calls) == 300
+        for args in polish_calls:
+            assert _polish(*args).tobytes() == reference_polish(*args).tobytes()
+
+    def test_membership_pool_equals_reference(self, polish_calls):
+        # a membership pool of the benchmark's certify workload: s = 5, delta 0.1, seed [101, 5, 0]
+        N = threshold_N(2, 5.0, 0.1)
+        critical_points_many(lattice_projections(sample_product_measure(2, 5.0, N + 10.0, [101, 5, 0]),
+                                                 generators(2, N)))
+        assert sum(len(args[2]) for args in polish_calls) > 500
+        for args in polish_calls:
+            assert _polish(*args).tobytes() == reference_polish(*args).tobytes()
+
+    def test_live_value_row_takes_three_rows(self, monkeypatch):
+        # P = cos t on [0.1, 3] is done at the third evaluation and on [0.5, 2]
+        # is not: the value row leaves one bracket live, so the three rows are
+        # evaluated again, and stopping once any bracket is done would move
+        # the second t
+        js, rows = np.array([1.0]), np.array([[[0.5], [0.5j], [-0.5]]] * 2)
+        lo, hi = np.array([0.1, 0.5]), np.array([3.0, 2.0])
+        args = (rows, js, lo, hi, np.cos(lo), np.cos(hi))
+        full = []
+        monkeypatch.setattr(morse, "trig_values", lambda C, js, t: full.append(C.ndim == 3) or trig_values(C, js, t))
+        got = morse._polish(*args)
+        assert full == [True, True, False, True, False]
+        assert got.tobytes() == reference_polish(*args).tobytes()
+        assert np.allclose(got, 0.5 * math.pi, rtol=0, atol=1e-15)
 
 
 class TestTables:
