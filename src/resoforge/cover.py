@@ -201,16 +201,18 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
     """Classify the rows of Y, shape (m, n), with the inequalities of
     classify_point.
 
-    The kernel reads Yt = Y.T as a C-ordered (n, m) array, copied only when Y
-    is not such a view (_sample_ball's output is one), and never writes it.
-    Per _BLOCK points, one product with generators_K0 gives min |k.y| (R0 is
-    min > alpha/2; only min < alpha goes on).  Per k, the strip |y.k| < alpha
-    meets the first _STAGE witness_rows[k], and the rest only where no witness
+    The kernel reads the points through Yt = Y.T in the caller's layout, with
+    no copy, and never writes them.  Per _BLOCK points, one product with
+    generators_K0 gives min |k.y| (R0 is min > alpha/2; only min < alpha goes
+    on).  The candidates are gathered along the contiguous axis: columns of Yt
+    when it is C-ordered (_sample_ball's output), else rows of Y, transposed
+    once.  Per k, the strip |y.k| < alpha meets the first _STAGE
+    witness_rows[k], and the rest, per _BLOCK points, only where no witness
     was found: R1_k needs every gap above the threshold, in any row order."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != params.n:
         raise ConfigError(f"points must have shape (m, {params.n})")
-    Yt = np.ascontiguousarray(Y.T)
+    Yt = Y.T
     sq = Yt[0] * Yt[0]
     for row in Yt[1:]:
         sq += row * row
@@ -225,7 +227,7 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
         np.abs(product(G0, Yt[:, a:a + _BLOCK], out=P), out=P).min(axis=0, out=sq[a:a + _BLOCK])
     is_r0 = sq > params.alpha / 2.0
     cand = np.flatnonzero(sq < params.alpha)
-    Yc = Yt.take(cand, axis=1)
+    Yc = Yt.take(cand, axis=1) if Yt.flags.c_contiguous else Y.take(cand, axis=0).T.copy()
     p_k, mask = np.empty(cand.size), np.empty(cand.size, dtype=bool)
     is_r1 = np.zeros(m, dtype=bool)
     is_r2 = np.zeros(m, dtype=bool)
@@ -240,8 +242,9 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
         Q = rows[:_STAGE] @ Yperp
         min_q = np.abs(Q, out=Q).min(axis=0, initial=np.inf)
         rest = np.flatnonzero(min_q > thr)
-        Q = rows[_STAGE:] @ Yperp.take(rest, axis=1)
-        min_q[rest] = np.abs(Q, out=Q).min(axis=0, initial=np.inf)
+        for a in range(0, rest.size, _BLOCK):
+            Q = rows[_STAGE:] @ Yperp.take(rest[a:a + _BLOCK], axis=1)
+            min_q[rest[a:a + _BLOCK]] = np.abs(Q, out=Q).min(axis=0, initial=np.inf)
         is_r1[cand[strip[min_q > thr]]] = True
         is_r2[cand[strip[min_q <= thr]]] = True
     covered = is_r0 | is_r1 | is_r2

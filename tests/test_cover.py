@@ -394,22 +394,44 @@ class TestBatchKernel:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_sample_ball_is_coordinate_major(self, n):
-        # classify_batch reads the transpose of sampled points without a copy
+        # classify_batch's Yt is then C-ordered: the gate reads it in
+        # contiguous blocks and the candidates are gathered as its columns
         Y = _sample_ball(philox(n, 5), 1000, n)
         assert Y.shape == (1000, n) and Y.T.flags.c_contiguous
 
+    @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_masks_match_reference_in_every_layout(self, n):
-        # for coordinate-major input the kernel's Yt aliases the caller's
-        # points, so its reused buffers must never be that memory
+    def test_masks_match_reference_in_every_layout(self, n, block, monkeypatch):
+        # the kernel's Yt aliases the caller's points in every layout, so its
+        # reused buffers must never be that memory; at 64 points a block the
+        # second witness stage of each strip runs in several pieces
+        if block is not None:
+            monkeypatch.setattr(cover, "_BLOCK", block)
         params = kernel_params(n, 0.05 if n == 2 else 0.01)
         sampled = _sample_ball(philox(13, n), 1 << 13, n)
         rows = np.ascontiguousarray(sampled)
-        for Y in (rows, sampled, rows[::2]):
+        for Y in (rows, sampled, rows[::2], np.asfortranarray(rows)):
             before = Y.tobytes()
             batch = assert_masks_match_reference(Y, params)
             assert Y.tobytes() == before
             assert batch.is_r0.any() and batch.is_r1.any() and batch.is_r2.any()
+
+    def test_working_memory_of_row_major_points(self):
+        # row-major points are read in place, not copied to coordinate-major,
+        # and the second witness stage runs per block: about 4.6 MB above a
+        # 3.1 MB input at n = 3, where a transposing copy and an unblocked
+        # stage read 7.8 MB
+        import tracemalloc
+        params = kernel_params(3)
+        Y = np.ascontiguousarray(_sample_ball(philox(17, 3), 1 << 17, 3))
+        classify_batch(Y, params)  # the generator tables are built outside the trace
+        tracemalloc.start()
+        try:
+            classify_batch(Y, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5e6
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_point_labels_match_reference(self, n):
