@@ -6,12 +6,13 @@ and prints the one-line pass/fail summary.
 """
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from resoforge import acceptance, cover
+from resoforge import acceptance, cover, genericity
 from resoforge.morse import critical_points_many
 from resoforge.standard_form import Phi2Map, PolyTrig1
 
@@ -196,5 +197,23 @@ def test_criterion_11_kappa_uniformity():
 
 
 def test_criterion_12_genericity_trend():
-    result = _run(acceptance.criterion_12_genericity_trend, trials=2000)
+    result = _run(acceptance.criterion_12_genericity_trend)
     assert 2.0 <= result.details["ratio"] <= 8.0
+    assert result.details["exact_fail_delta"] == pytest.approx(0.187132, abs=1e-6)
+    assert result.details["exact_fail_half"] == pytest.approx(0.048912, abs=1e-6)
+    assert abs(result.details["z_delta"]) <= 4.5 and abs(result.details["z_half"]) <= 4.5
+
+
+def test_criterion_12_rejects_a_square_law_sampler(monkeypatch):
+    # the disk test widened to <= 2.0 keeps every pair of the square, where
+    # |w| < t has probability pi t^2 / 4, not t^2: both failure fractions
+    # fall by about pi / 4, so their ratio holds and only the exact law sees it
+    source = inspect.getsource(genericity._disks)
+    assert source.count("pairs[..., 1] ** 2 <= 1.0") == 1
+    namespace = dict(vars(genericity))
+    exec(source.replace("pairs[..., 1] ** 2 <= 1.0", "pairs[..., 1] ** 2 <= 2.0"), namespace)
+    monkeypatch.setattr(genericity, "_disks", namespace["_disks"])
+    result = acceptance.criterion_12_genericity_trend()
+    assert not result.passed
+    assert 2.0 <= result.details["ratio"] <= 8.0
+    assert result.details["z_delta"] < -4.5

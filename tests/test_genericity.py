@@ -475,9 +475,9 @@ class TestEmpiricalGenericity:
             assert got.fraction_pass == want / trials
 
     def test_criterion_12_pass_counts(self):
-        # fail_fraction_delta 0.19 and fail_fraction_half 0.0565 of report
-        assert empirical_genericity(2, 1.0, 0.3, 2000, 99, window=(1, 6)).fraction_pass == 1620 / 2000
-        assert empirical_genericity(2, 1.0, 0.15, 2000, 100, window=(1, 6)).fraction_pass == 1887 / 2000
+        # fail_fraction_delta 0.19135 and fail_fraction_half 0.04895 of report
+        assert empirical_genericity(2, 1.0, 0.3, 20_000, 99, window=(1, 6)).fraction_pass == 16173 / 20_000
+        assert empirical_genericity(2, 1.0, 0.15, 20_000, 100, window=(1, 6)).fraction_pass == 19021 / 20_000
 
     def test_delta_squared_trend(self):
         a = empirical_genericity(2, 1.0, 0.3, 1500, 5, window=(1, 6))
