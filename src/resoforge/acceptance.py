@@ -561,8 +561,9 @@ QUICK = {
 
 
 def run_all(quick: bool = False) -> list[CriterionResult]:
-    """Run the full battery; quick mode reduces Monte-Carlo sizes 10x and
-    widens the statistical ratio bands accordingly."""
+    """Run the full battery; quick mode reduces Monte-Carlo sizes 10x (not
+    criterion 12's, whose exact-law gate needs them) and widens the
+    statistical ratio bands accordingly."""
     results = []
     for fn in ALL_CRITERIA:
         result = fn(**(QUICK.get(fn, {}) if quick else {}))
