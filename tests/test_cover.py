@@ -399,22 +399,21 @@ class TestBatchKernel:
         Y = _sample_ball(philox(n, 5), 1000, n)
         assert Y.shape == (1000, n) and Y.T.flags.c_contiguous
 
-    @pytest.mark.parametrize("block", [None, 64])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_masks_match_reference_in_every_layout(self, n, block, monkeypatch):
+    def test_masks_match_reference_in_every_layout(self, n, monkeypatch):
         # the kernel's Yt aliases the caller's points in every layout, so its
         # reused buffers must never be that memory; at 64 points a block the
         # second witness stage of each strip runs in several pieces
-        if block is not None:
-            monkeypatch.setattr(cover, "_BLOCK", block)
         params = kernel_params(n, 0.05 if n == 2 else 0.01)
         sampled = _sample_ball(philox(13, n), 1 << 13, n)
         rows = np.ascontiguousarray(sampled)
-        for Y in (rows, sampled, rows[::2], np.asfortranarray(rows)):
-            before = Y.tobytes()
-            batch = assert_masks_match_reference(Y, params)
-            assert Y.tobytes() == before
-            assert batch.is_r0.any() and batch.is_r1.any() and batch.is_r2.any()
+        for block in (cover._BLOCK, 64):
+            monkeypatch.setattr(cover, "_BLOCK", block)
+            for Y in (rows, sampled, rows[::2], np.asfortranarray(rows)):
+                before = Y.tobytes()
+                batch = assert_masks_match_reference(Y, params)
+                assert Y.tobytes() == before
+                assert batch.is_r0.any() and batch.is_r1.any() and batch.is_r2.any()
 
     def test_working_memory_of_row_major_points(self):
         # row-major points are read in place, not copied to coordinate-major,
