@@ -223,6 +223,14 @@ def trig_values(C: np.ndarray, js: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("...j,...j->...", C, np.exp(1j * np.multiply.outer(t, js))).real
 
 
+def power_table(v, top: int) -> np.ndarray:
+    """v^0 ... v^top on a new last axis, each the product of the one before and v (no pow):
+    v^k is within gamma_{k-1} = (k-1)u / (1 - (k-1)u) of the exact power where normal (Higham, Lemma 3.1)."""
+    factors = np.empty(np.shape(v) + (top + 1,))
+    factors[..., 0], factors[..., 1:] = 1.0, np.asarray(v, dtype=float)[..., None]
+    return np.multiply.accumulate(factors, axis=-1)
+
+
 @dataclass(frozen=True)
 class OneDTrigPoly:
     """Zero-average real-analytic function of one angle, c_{-j} = conj(c_j).

@@ -34,7 +34,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .cover import CoveringParams
-from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, Record, TrigPoly, l1
+from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, Record, TrigPoly, l1, power_table
 
 Mono = tuple[int, ...]
 
@@ -61,6 +61,8 @@ class TruncationLedger:
 
 # term pairs per block of the bracket's outer product
 _BLOCK_PAIRS = 4096
+# entries of the largest digit box `_slots` builds, about 55 bytes each at n = 3
+_BOX_ENTRIES = 1 << 21
 
 
 class _Slots(NamedTuple):
@@ -88,6 +90,8 @@ def _slots(n: int, cutoff: int, max_degree: int) -> _Slots:
     def ranked(radix: int, shift: int, bound: int):
         """(rows with l1 norm <= bound, digit weights, packed -> rank) over the
         digit box of the given radix, digits shifted down by shift."""
+        if radix ** n > _BOX_ENTRIES:
+            raise ConfigError(f"n = {n}, cutoff {cutoff}: a digit box of {radix}^{n} entries is over {_BOX_ENTRIES}")
         box = np.indices((radix,) * n).reshape(n, -1).T - shift
         norm = np.abs(box).sum(axis=1)
         keep = np.flatnonzero(norm <= bound)
@@ -350,7 +354,7 @@ class TaylorFourierSeries:
         n = self.n
         w = np.asarray(y, dtype=float).reshape(-1, n) - self.base_point
         table = np.zeros((len(w), n, self.max_degree + 2))
-        np.power(w[:, :, None], np.arange(self.max_degree + 1), out=table[:, :, :-1])
+        table[:, :, :-1] = power_table(w, self.max_degree)
         mono = table.reshape(len(w), -1).take(S[:, :rows], axis=1).prod(axis=1)
         # k.x for every term, (P, 1, T), as one vector-matrix product per point:
         # a (P, n) x (n, T) matrix product would page in BLAS GEMM buffers

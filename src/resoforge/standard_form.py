@@ -63,7 +63,8 @@ import numpy.fft  # numpy loads these lazily: at import here, not inside the fir
 import numpy.random
 
 from .cover import CoveringParams
-from .fourier import ConfigError, HypothesisError, Mode, OneDTrigPoly, Record, TrigPoly, TWO_PI, l1, project_lattice
+from .fourier import (ConfigError, HypothesisError, Mode, OneDTrigPoly, Record, TrigPoly, TWO_PI, l1, power_table,
+                      project_lattice)
 from .genericity import c_s, threshold_N
 from .lieseries import AveragedNF, TaylorFourierSeries, ray_series
 from .morse import critical_points
@@ -103,9 +104,8 @@ class PolyTrig1:
         self._d = np.array([d for d, _, _ in keys], dtype=float)
         self._m = np.array([m for _, m, _ in keys], dtype=float).reshape(count, self.n_hat)
         self._j = np.array([j for _, _, j in keys], dtype=float)
-        # trig and Y1 powers are evaluated once per distinct j and d
+        # trig values are evaluated once per distinct j
         self._ju, self._jinv = np.unique(self._j, return_inverse=True)
-        self._du, self._dinv = np.unique(self._d, return_inverse=True)
         self._a, self._b = np.array([self.terms[key] for key in keys],
                                     dtype=float).reshape(count, 2).T
         self._tables = {}
@@ -167,7 +167,7 @@ class PolyTrig1:
                     m[:, i] -= 1.0
                 cs.append(c)
                 es.append(np.maximum(m, 0.0))
-            self._tables[dy, dph] = np.array(cs), np.array(es)
+            self._tables[dy, dph] = np.array(cs), np.array(es, dtype=np.intp)
             for table in self._tables[dy, dph]:
                 table.flags.writeable = False
         return self._tables[dy, dph]
@@ -181,25 +181,6 @@ class PolyTrig1:
                 continue
             total += (abs(a) + abs(b)) * math.pow(rY1, d) * math.pow(rph, sum(m)) * math.exp(j * width)
         return total
-
-
-def _powers(base, exponents) -> np.ndarray:
-    """base ** exponents bit for bit, for integral exponents >= 0 on the
-    trailing axes.  pow is exactly 1 and base at 0.0 and 1.0, and slow, most
-    of all on a negative base, so one masked pow runs on the exponents >= 2
-    only, over an exponent-major table whose rows are long.  numpy squares an
-    exponent 2.0 that is constant along its loop as v * v, unlike pow, so the
-    exponents go in as a full table; a single exponent in all goes to numpy
-    as base ** exponents, which squares it that way too."""
-    if exponents.size == 1:
-        return base ** exponents
-    k, lead = exponents.ndim, base.ndim - exponents.ndim
-    e = exponents.reshape(exponents.shape + (1,) * lead)
-    out = np.where(e == 0.0, 1.0, base.transpose(tuple(range(lead, base.ndim)) + tuple(range(lead))))
-    big = e >= 2.0
-    if big.any():
-        np.power(out, e + np.zeros(out.shape), out=out, where=big)
-    return out.transpose(tuple(range(k, out.ndim)) + tuple(range(k)))
 
 
 def _term_sum(X) -> np.ndarray:
@@ -228,10 +209,8 @@ class BoundPotential:
     by dph derivatives in phat, one trailing axis of length n_hat each; Y1
     broadcasts against q1.  The trig table of each dq, at q1's own shape, and
     the coefficient rows of each (dy, dph) are built on first use and kept,
-    so a call pays only the Y1 powers and one pass over the terms.  Each
-    point gets the bits of a pointwise call unless an exponent table is one
-    2 (one Y1 degree, or one term in one phat): numpy squares that as v * v
-    in an array call but by pow at one point.  No pipeline potential has one.
+    so a call pays only the Y1 powers and one pass over the terms; powers are
+    running products, so each point has the bits of a pointwise call.
     """
 
     def __init__(self, G: PolyTrig1, phat, q1):
@@ -249,7 +228,8 @@ class BoundPotential:
         column per term): G's row coefficients times the phat powers."""
         if (dy, dph) not in self._rows:
             c, e = self.G._row_tables(dy, dph)
-            self._rows[dy, dph] = c * np.prod(_powers(self.ph[..., None, None, :], e), axis=-1)
+            powers = power_table(self.ph, e.max(initial=0))[..., np.arange(self.G.n_hat), e]
+            self._rows[dy, dph] = c * np.prod(powers, axis=-1)
         return self._rows[dy, dph]
 
     def _trig_table(self, dq: int) -> np.ndarray:
@@ -267,7 +247,8 @@ class BoundPotential:
             raise ConfigError(f"no derivative dy={dy}, dph={dph}, dq={dq}: dy, dph >= 0 and dq is 0 or 1")
         G = self.G
         v1 = np.asarray(Y1, dtype=float) - G.center[0]
-        base = _powers(v1[..., None], np.maximum(G._du - dy, 0.0))[..., G._dinv] * self._trig_table(dq)
+        d = np.maximum(G._d - dy, 0.0).astype(np.intp)
+        base = power_table(v1, d.max(initial=0))[..., d] * self._trig_table(dq)
         # C order: callers average over the q1 grid, in an order set by the layout
         out = np.ascontiguousarray(_term_sum(self._coefficient_rows(dy, dph) * base[..., None, :]))
         return out.reshape(out.shape[:-1] + (G.n_hat,) * dph)

@@ -489,6 +489,16 @@ class TestLibraryConfigErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("no*"))
 
+    def test_a_series_algebra_over_the_memory_budget_exits_2(self, tmp_path, capsys):
+        # n = 8 at --K 24 asks the series algebra for a digit box of 97^8 entries
+        pot = tmp_path / "f8.json"
+        pot.write_text(json.dumps({"n": 8, "s": 1.0, "modes": [{"k": [1] + [0] * 7, "re": 0.01, "im": 0.0}]}))
+        argv = ["normalize", "--potential", str(pot), "--eps", "0.01", "--k0", "1", "--K", "24",
+                "--alpha", "0.05", "--base-point", ",".join(["0.1"] * 8)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: n = 8, cutoff 24: a digit box of 97^8 entries") and err.count("\n") == 1
+
     def test_internal_value_error_propagates(self, monkeypatch):
         # a bug in a command is neither a configuration error nor a failed hypothesis
         exc = ValueError("internal bug: shapes (3,) and (2,) not aligned")

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from resoforge.fourier import (
     lacunary_potential,
     lattice_projections,
     load_potential,
+    power_table,
     project_lattice,
     save_potential,
     trig_values,
@@ -389,6 +391,54 @@ class TestTrigValues:
             got = trig_values(C, js, angles)
             assert got.shape == shape and got.dtype == float, name
             assert got.tobytes() == self.alone(C, js, angles).tobytes(), name
+
+
+def product_power(v, e):
+    """v^e entrywise, v and the integer array e broadcast, by an explicit loop
+    of products from 1.0 (v^k = v^(k-1) v): the power rule of the evaluators."""
+    out, power = np.ones(np.broadcast(v, e).shape), np.ones(np.shape(v))
+    for k in range(int(np.max(e, initial=0)) + 1):
+        out = np.where(e == k, power, out)
+        power = power * v
+    return out
+
+
+class TestPowerTable:
+    def test_equals_a_product_loop_at_zeros_subnormals_negatives_and_overflow(self):
+        tiny = 5e-324
+        v = np.array([0.0, -0.0, tiny, -tiny, 3e-310, -2.2e-308, -1.0, -3.5, 0.5, -0.75,
+                      1e100, -1e200, 1.7e308, -np.inf, np.inf])
+        with np.errstate(over="ignore"):
+            got, want = power_table(v, 6), product_power(v[:, None], np.arange(7))
+            assert power_table(v.reshape(3, 5), 6).tobytes() == want.tobytes()
+        assert got.shape == (15, 7) and got.tobytes() == want.tobytes()
+        assert got[:, 0].tobytes() == np.ones(15).tobytes() and got[:, 1].tobytes() == v.tobytes()
+        # the sign of a zero power follows the parity, underflow keeps it too,
+        # and overflow gives an inf of the power's sign
+        assert np.signbit(got[1]).tolist() == [False, True, False, True, False, True, False]
+        assert got[3, 2:].tolist() == [0.0] * 5 and np.signbit(got[3, 2:]).tolist() == [False, True] * 2 + [False]
+        assert got[11, 2:].tolist() == [np.inf, -np.inf, np.inf, -np.inf, np.inf]
+        assert power_table(v, 0).tobytes() == np.ones((15, 1)).tobytes()
+
+    def test_within_gamma_of_the_exact_power_where_normal(self):
+        # Higham, Lemma 3.1: k - 1 rounded products are within
+        # gamma_{k-1} = (k-1)u / (1 - (k-1)u) of the exact power, u = 2^-53
+        rng = np.random.default_rng(44)
+        v = np.concatenate([rng.uniform(-2.0, 2.0, 150),
+                            rng.standard_normal(150) * np.exp(rng.uniform(-40.0, 40.0, 150))])
+        top, u = 16, Fraction(1, 2 ** 53)
+        with np.errstate(over="ignore"):
+            table = power_table(v, top)
+        worst, checked = Fraction(0), 0
+        for x, row in zip(v.tolist(), table.tolist()):
+            for k in range(2, top + 1):
+                if not np.finfo(float).tiny <= abs(row[k]) < np.inf:
+                    continue
+                exact = Fraction(x) ** k
+                gamma = (k - 1) * u / (1 - (k - 1) * u)
+                worst = max(worst, abs(Fraction(row[k]) - exact) / (gamma * abs(exact)))
+                checked += 1
+        assert checked > 3000 and 0 < worst <= 1, (checked, float(worst))
 
 
 class TestValuesOnGrid:

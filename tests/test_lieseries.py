@@ -400,6 +400,12 @@ class TestArrayBracket:
         assert F.plus(G).terms[(0, 1), (1, 0)] == 2.0
         assert not F.poisson(G).is_empty
 
+    def test_a_digit_box_over_the_budget_is_refused_before_it_is_built(self):
+        # 97^8 int64 digits of 8 coordinates would be 446 PiB; the benchmark's
+        # largest box, 49^3 at n = 3 and cutoff 12, is built in the test below
+        with pytest.raises(ConfigError, match=r"^n = 8, cutoff 24: a digit box of 97\^8 entries is over"):
+            _slots(8, 24, 2)
+
     @pytest.mark.parametrize("n, deg, cutoff, size", [(2, 3, 8, 1450), (2, 0, 3, 25),
                                                       (3, 3, 12, 52500), (3, 4, 4, 4515)])
     def test_one_slot_per_admissible_key(self, n, deg, cutoff, size):

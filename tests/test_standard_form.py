@@ -34,6 +34,7 @@ from resoforge.standard_form import (
     _THETA,
 )
 from resoforge.unimodular import apply, complete_to_sl, decoupling_matrix
+from test_fourier import product_power
 from test_lieseries import add_term
 
 TWO_PI = 2 * math.pi
@@ -641,6 +642,16 @@ class TestArrayPotentials:
             grid = G.at(ph, q[None, :7])(Y[:5, None], *orders)
             assert np.array_equal(grid[2, 3], G.at(ph, q[3])(Y[2], *orders)), orders
 
+    def test_one_square_degree_array_equals_pointwise_calls(self):
+        # every term is Y1^2, so each Y1 exponent table is a single 2, where
+        # numpy's pow rounds an array call and a pointwise call apart
+        G = PolyTrig1(1, {(2, (0,), 1): (0.7, 0.3), (2, (1,), 0): (0.2, 0.0)})
+        rng = np.random.default_rng(0)
+        Y, q = rng.uniform(-1.0, 1.0, 400), rng.uniform(0.0, TWO_PI, 400)
+        for orders in POTENTIAL_ORDERS:
+            loop = np.array([G.at([0.37], q[i])(Y[i], *orders) for i in range(len(Y))])
+            assert G.at([0.37], q)(Y, *orders).tobytes() == loop.tobytes(), orders
+
     @pytest.mark.parametrize("case", range(4))
     def test_lazy_tables_equal_fresh_evaluator(self, case):
         # an evaluator builds its trig and phat tables on first use; whatever
@@ -721,11 +732,11 @@ class TestArrayPotentials:
 # --------------------------------------------------------------------------
 
 def reference_bound_call(G, phat, q1, Y1, dy, dph=0, dq=0):
-    """G.at(phat, q1)(Y1, dy, dph, dq) in one pass: one numpy pow over every
-    Y1 and phat exponent, 0 and 1 included, and one np.sum over a contiguous
-    term axis into a fresh C-ordered array.  The evaluator must equal it byte
-    for byte, layout included: callers average its values over the q1 grid,
-    and numpy's order for such a sum depends on the layout."""
+    """G.at(phat, q1)(Y1, dy, dph, dq) in one pass: each Y1 and phat power by
+    `product_power`, exponents 0 and 1 included, and one np.sum over a
+    contiguous term axis into a fresh C-ordered array.  The evaluator must
+    equal it byte for byte, layout included: callers average its values over
+    the q1 grid, and numpy's order for such a sum depends on the layout."""
     q1 = np.asarray(q1, dtype=float)
     ph = np.asarray(phat, dtype=float) - G.center[1:]
     ph = ph.reshape(ph.shape[:-1] + (1,) * (q1.ndim - ph.ndim + 1) + ph.shape[-1:])
@@ -734,16 +745,16 @@ def reference_bound_call(G, phat, q1, Y1, dy, dph=0, dq=0):
         coeff = coeff * (G._d - k)
     rows = []
     for idx in itertools.product(range(G.n_hat), repeat=dph):
-        c, m = coeff, G._m.copy()
+        c, m = coeff, G._m.astype(int)
         for i in idx:
             c = c * m[:, i]
-            m[:, i] -= 1.0
-        rows.append(c * np.prod(ph[..., None, :] ** np.maximum(m, 0.0), axis=-1))
+            m[:, i] -= 1
+        rows.append(c * np.prod(product_power(ph[..., None, :], np.maximum(m, 0)), axis=-1))
     jq = q1[..., None] * G._ju
     cos, sin = np.cos(jq)[..., G._jinv], np.sin(jq)[..., G._jinv]
     trig = G._a * cos + G._b * sin if dq == 0 else G._j * (G._b * cos - G._a * sin)
     v1 = np.asarray(Y1, dtype=float) - G.center[0]
-    base = (v1[..., None] ** np.maximum(G._du - dy, 0.0))[..., G._dinv] * trig
+    base = product_power(v1[..., None], np.maximum(G._d.astype(int) - dy, 0)) * trig
     out = np.sum(np.ascontiguousarray(np.stack(rows, axis=-2) * base[..., None, :]), axis=-1)
     return out.reshape(out.shape[:-1] + (G.n_hat,) * dph)
 
@@ -801,8 +812,7 @@ class TestEvaluatorBytes:
                   _signed_offsets(rng, r, 6)),
                  (_signed_offsets(rng, r, (3, 1, n_hat)), rng.uniform(0, TWO_PI, (1, 16)),
                   _signed_offsets(rng, r, (3, 16))),
-                 # more points than numpy's buffer of 8192 entries, where a
-                 # loop of one exponent takes another path
+                 # and a long stack of 2 x 4500 points
                  (_signed_offsets(rng, r, (2, 1, n_hat)), rng.uniform(0, TWO_PI, (1, 4500)),
                   _signed_offsets(rng, r, (2, 4500)))]
         for vhat, q1, v1 in binds:
@@ -826,31 +836,6 @@ class TestEvaluatorBytes:
 class TestNumpyAssumptions:
     """What the evaluator takes from numpy, each by name, so that a numpy
     release that moves one fails here rather than in a digest."""
-
-    def test_pow_of_an_exponent_array_is_one_and_v_at_zero_and_one(self):
-        rng = np.random.default_rng(40)
-        v = np.concatenate([[-1.5, -2.0 ** 70, -5e-324, 5e-324, -1e-310, 1e-310, -0.0, 0.0, 3.25],
-                            rng.standard_normal(4000) * np.exp(rng.uniform(-30, 30, 4000))])
-        for e, want in ((0.0, np.ones_like(v)), (1.0, v)):
-            assert (v ** np.full(v.shape, e)).tobytes() == want.tobytes(), e
-            table = v[:, None] ** np.array([0.0, 1.0, 2.0, 3.0])
-            assert table[:, int(e)].tobytes() == want.tobytes(), e
-
-    def test_a_masked_pow_of_a_full_exponent_table_is_pow(self):
-        # _powers runs one masked pow over an exponent-major table with the
-        # exponents as a full table; each entry must come out as pow gives it
-        # in a table of several exponents, not as numpy's v * v for an
-        # exponent 2.0 that is the same all along a loop (5 x 3000 entries
-        # is more than numpy's buffer of 8192)
-        rng = np.random.default_rng(41)
-        v = rng.standard_normal(3000) * np.exp(rng.uniform(-5, 5, 3000))
-        exponents = np.array([0.0, 1.0, 2.0, 3.0, 4.0])[:, None]
-        want = v[:, None] ** exponents[:, 0]
-        table = np.empty((5, 3000))
-        table[:] = v
-        np.power(table, exponents + np.zeros(table.shape), out=table, where=exponents >= 2.0)
-        for k in (2, 3, 4):
-            assert table[k].tobytes() == np.ascontiguousarray(want[:, k]).tobytes(), k
 
     @pytest.mark.parametrize("layout", ["contiguous", "term-major"])
     def test_term_sum_equals_numpy_sum_of_contiguous_rows(self, layout):
