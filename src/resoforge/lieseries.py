@@ -119,28 +119,23 @@ def _levels(n: int, max_degree: int) -> tuple[list[int], np.ndarray]:
 
 def _fold(table: _Slots, blocks) -> tuple:
     """(K, M, C) of the contributions (slot, c) of the blocks, taken in order:
-    equal slots summed from 0.0 in that order, keys listed in order of first
-    contribution, exact zeros dropped.  Sort-free and running: np.add.at adds
-    each block into the slot sums in order, and np.minimum.at gives the slots
-    that a block sees first their first position in it.  Only the slots in
-    use are touched, and nothing grows with the number of blocks."""
+    equal slots summed from 0.0 in that order, rows in slot order, exact
+    zeros dropped.  Sort-free and running: np.add.at adds each block into the
+    slot sums, a slot being zeroed when a block first touches it, and the
+    touched slots are listed, in slot order, by the nonzero entries of a
+    boolean mask.  Only the slots in use are written, and nothing grows with
+    the number of blocks."""
     size = len(table.modes) * len(table.monos)
-    (first, order), seen = np.empty((2, size), dtype=np.int64), np.zeros(size, dtype=bool)
-    sums, count = np.empty(size, dtype=complex), 0
+    touched, sums = np.zeros(size, dtype=bool), np.empty(size, dtype=complex)
     for slot, c in blocks:
-        at = (~seen[slot]).nonzero()[0]
-        new = slot[at]
-        first[new] = len(slot)
-        np.minimum.at(first, new, at)
-        new = new[first[new] == at]
-        seen[new], sums[new] = True, 0.0
+        new = slot[~touched[slot]]
+        touched[new], sums[new] = True, 0.0
         np.add.at(sums, slot, c)
-        order[count:count + len(new)] = new
-        count += len(new)
-    s, C = order[:count], sums[order[:count]]
+    s = touched.nonzero()[0]
+    C = sums.take(s)
     live = C != 0
-    mode, mono = np.divmod(s[live], len(table.monos))
-    return table.modes[mode], table.monos[mono], C[live]
+    mode, mono = np.divmod(s.compress(live), len(table.monos))
+    return table.modes.take(mode, axis=0), table.monos.take(mono, axis=0), C.compress(live)
 
 
 @dataclass(eq=False)
@@ -149,9 +144,11 @@ class TaylorFourierSeries:
 
     Reality corresponds to c_{-k,m} = conj(c_{k,m}); all algebra preserves it.
     Rows of int64 K (T, n), int64 M (T, n) and complex C (T,) are the only
-    storage: keys (k, m) unique, no coefficient zero, rows in order of first
-    appearance.  The arrays are read-only and shared between series, and no
-    method changes a series once built: every operation returns a new one.
+    storage: keys (k, m) unique, no coefficient zero, rows in slot order (by
+    |k|_1, then k, then |m|, then m: the rank `_slots` gives each key), so the
+    arrays depend only on the terms, not on how they were built.  The arrays
+    are read-only and shared between series, and no method changes a series
+    once built: every operation returns a new one.
     The evaluator's tables and `terms`, a read-only {(k, m): c} view, are
     built from the rows on first use.
     """
@@ -193,33 +190,29 @@ class TaylorFourierSeries:
     def is_empty(self) -> bool:
         return not len(self.C)
 
-    def _merged(self, *parts: tuple) -> tuple:
-        """The one merge of the algebra: the rows (K, M, C) of parts, within
-        this truncation, one part after another; equal keys summed from 0.0 in
-        row order and listed in order of first appearance, exact zeros dropped."""
-        K, M, C = (np.concatenate(rows) for rows in zip(*parts))
-        table = _slots(self.n, self.cutoff, self.max_degree)
-        return _fold(table, [(table.of(K, M), C)])
-
-    def _sum(self, parts: list["TaylorFourierSeries"]) -> "TaylorFourierSeries":
-        """The merge of parts' rows (self among them); one nonempty part sums to C + 0.0."""
+    def _merged(self, *parts: "TaylorFourierSeries") -> "TaylorFourierSeries":
+        """The one merge of the algebra: the terms of parts (series within this
+        truncation) one after another, equal keys summed from 0.0 in that order,
+        rows in slot order, exact zeros dropped; one nonempty part is C + 0.0."""
         parts = [p for p in parts if not p.is_empty] or [self]
         if len(parts) == 1:
             return self._with(parts[0].K, parts[0].M, parts[0].C + 0.0)
-        return self._with(*self._merged(*((p.K, p.M, p.C) for p in parts)))
+        K, M, C = (np.concatenate(rows) for rows in zip(*((p.K, p.M, p.C) for p in parts)))
+        table = _slots(self.n, self.cutoff, self.max_degree)
+        return self._with(*_fold(table, [(table.of(K, M), C)]))
 
-    def _rows(self, rows, ledger: TruncationLedger | None = None) -> tuple:
-        """(K, M, C) of the nonzero terms (k, m, c) within this truncation, each c
-        summed from 0.0; the nonzero ones beyond it go to the ledger one by one."""
-        kept = []
-        for k, m, c in rows:
-            if c != 0 and l1(k) <= self.cutoff and sum(m) <= self.max_degree:
-                kept.append((k, m, c))
-            elif c != 0 and ledger is not None:
+    def _rows(self, rows, ledger: TruncationLedger | None = None) -> "TaylorFourierSeries":
+        """The series of the terms (k, m, c) within this truncation, merged as
+        `_merged` merges; the nonzero ones beyond it go to the ledger one by one."""
+        K = np.array([k for k, _, _ in rows], dtype=np.int64).reshape(len(rows), self.n)
+        M = np.array([m for _, m, _ in rows], dtype=np.int64).reshape(len(rows), self.n)
+        C = np.array([c for _, _, c in rows], dtype=complex)
+        fits = (np.abs(K).sum(axis=1) <= self.cutoff) & (M.sum(axis=1) <= self.max_degree)
+        if ledger is not None:
+            for c in C[~fits & (C != 0)].tolist():
                 ledger.drop(abs(c))
-        K = np.array([k for k, _, _ in kept], dtype=np.int64).reshape(len(kept), self.n)
-        M = np.array([m for _, m, _ in kept], dtype=np.int64).reshape(len(kept), self.n)
-        return K, M, np.array([c for _, _, c in kept], dtype=complex) + 0.0
+        table = _slots(self.n, self.cutoff, self.max_degree)
+        return self._with(*_fold(table, [(table.of(K[fits], M[fits]), C[fits])]))
 
     def _check(self, other: "TaylorFourierSeries") -> None:
         """ConfigError unless other has this n and base point (a shared array
@@ -233,7 +226,7 @@ class TaylorFourierSeries:
     def plus(self, other: "TaylorFourierSeries") -> "TaylorFourierSeries":
         """self + other, other within this truncation (none of its terms is dropped)."""
         self._check(other)
-        return self._sum([self, other])
+        return self._merged(self, other)
 
     def scaled(self, a: complex) -> "TaylorFourierSeries":
         """a times every coefficient, each product formed as Python's
@@ -267,9 +260,9 @@ class TaylorFourierSeries:
         lookup of the packed k1 + k2 (packing is linear in the digits) says
         whether the mode fits and gives the slot's mode part.  `_fold` adds
         each block into running slot sums, each key summed in term-pair order
-        from 0.0 and listed in order of first contribution, so the result does
-        not depend on the block size.  Contributions beyond (cutoff,
-        max_degree) go to the ledger as one drop, summed block by block."""
+        from 0.0, rows in slot order, so the result does not depend on the
+        block size.  Contributions beyond (cutoff, max_degree) go to the
+        ledger as one drop, summed block by block."""
         self._check(other)
         if self.is_empty or other.is_empty:
             return self.like()
@@ -411,8 +404,7 @@ def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSer
     rows = [(zero, zero, 0.5 * float(np.dot(y0, y0)))]
     for j in range(n_):
         rows += [(zero, e[j], float(y0[j])), (zero, [2 * v for v in e[j]], 0.5)]
-    h = TaylorFourierSeries(n_, y0, max_degree, cutoff)
-    return h._store(*h._rows(rows))
+    return TaylorFourierSeries(n_, y0, max_degree, cutoff)._rows(rows)
 
 
 def _mode_pairs(n: int, coeffs) -> list[tuple[Mode, Mono, complex]]:
@@ -427,15 +419,14 @@ def potential_series(
 ) -> TaylorFourierSeries:
     """eps-grade-1 term: f as a y-independent series (both halves of its canonical modes)."""
     out = TaylorFourierSeries(f.n, np.asarray(y0, dtype=float), max_degree, cutoff)
-    return out._store(*out._rows(_mode_pairs(f.n, f.coeffs.items()), ledger))
+    return out._rows(_mode_pairs(f.n, f.coeffs.items()), ledger)
 
 
 def ray_series(like: TaylorFourierSeries, p: OneDTrigPoly, k: Mode) -> TaylorFourierSeries:
     """p(k.x) = sum_j c_j e^{i j k.x} + conj, y-independent, in like's algebra (terms
     beyond it are left out): the Z k series of pi_k f for p = project_lattice(f, k).
     p stores only j >= 1, so every key is new."""
-    return like._with(*like._rows(
-        _mode_pairs(like.n, ((tuple(j * v for v in k), c) for j, c in p.coeffs.items()))))
+    return like._rows(_mode_pairs(like.n, ((tuple(j * v for v in k), c) for j, c in p.coeffs.items())))
 
 
 @dataclass(frozen=True)
@@ -458,24 +449,26 @@ def solve_homological(
 
     Solved for all modes at once, degree by degree:
         i (y0.k) chi_{k,m} + i sum_j k_j chi_{k,m-e_j} = B_{k,m}.
-    B's modes, in order of first appearance, index dense tables over the
-    monomial ranks (`_levels`).  Each degree level starts from B, adds the
-    parts of Python's acc -= 1j k_j chi_{m-e_j} coordinate by coordinate,
-    and divides as Python's complex division by (0, y0.k) does, so every
-    coefficient is bitwise the scalar recursion's up to the sign of zeros;
-    monomials no B entry reaches solve to zero.  chi lists the nonzero
-    coefficients, each + 0.0, mode by mode and within a mode in (degree,
-    lex) order.  Returns (chi, divisor log, dropped overflow majorant summed
-    in that order over the top degree); raises HypothesisError at the
-    first mode, in row order, with |y0.k| <= min_divisor.
+    B's rows are in slot order, so each mode's rows are adjacent; its modes,
+    in that order, index dense tables over the monomial ranks (`_levels`).
+    Each degree level starts from B, adds the parts of Python's
+    acc -= 1j k_j chi_{m-e_j} coordinate by coordinate, and divides as
+    Python's complex division by (0, y0.k) does, so every coefficient is
+    bitwise the scalar recursion's up to the sign of zeros; monomials no B
+    entry reaches solve to zero.  chi lists the nonzero coefficients, each
+    + 0.0, in slot order.  Returns (chi, divisor log in slot order, dropped
+    overflow majorant summed in that order over the top degree); raises
+    HypothesisError at the first mode, in slot order, with |y0.k| <=
+    min_divisor.
     """
     y0 = np.asarray(y0, dtype=float)
     table = _slots(B.n, B.cutoff, B.max_degree)
     starts, lower = _levels(B.n, B.max_degree)
     width = len(table.monos)
-    group: dict[int, int] = {}
-    u = [group.setdefault(key, len(group)) for key in ((B.K + 2 * B.cutoff) @ table.w_k).tolist()]
-    Ku = table.modes[table.mode_base[list(group)] // width]
+    mode, mono = np.divmod(table.of(B.K, B.M), width)
+    new = np.ones(len(mode), dtype=bool)  # the first row of each mode
+    np.not_equal(mode[1:], mode[:-1], out=new[1:])
+    u, Ku = new.cumsum() - 1, B.K[new]
     kf, modes = Ku.astype(float), list(map(tuple, Ku.tolist()))
     divs = [float(np.dot(y0, row)) for row in kf]
     for k, div in zip(modes, divs):
@@ -485,7 +478,6 @@ def solve_homological(
     # X[monomial rank, part, mode]: (Re, Im) of B until its level is solved,
     # then (Im, -Re) of chi; row `width` stays zero
     X, neg_div = np.zeros((width + 1, 2, len(Ku))), -np.array(divs)
-    mono = table.mono_rank[B.M @ table.w_m]
     X[mono, 0, u], X[mono, 1, u] = B.C.real, B.C.imag
     k_lower = kf.T[:, None, None, :]
     for lo, hi in zip(starts, starts[1:]):
@@ -530,7 +522,7 @@ def lie_transform(
                     else term.poisson(chi, ledger).scaled(1.0 / i))
             parts[g0 + i * j].append(term)
     ledger.grade = 0
-    return [p[0] if len(p) == 1 else p[0]._sum(p) for p in parts]
+    return [p[0] if len(p) == 1 else p[0]._merged(*p) for p in parts]
 
 
 @dataclass

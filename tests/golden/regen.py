@@ -45,6 +45,20 @@ only the documents whose names start with it, and computes only the
 families that hold such names: the census documents of two trees diff in
 about a second.
 
+    PYTHONPATH=src python tests/golden/regen.py --compare before.txt after.txt
+
+`--compare` reads two `--documents` dumps and classifies each document that
+differs, one table row each (`compare`).  A structural change is a document
+or dict key present on one side only, a list of another length, or a
+non-float leaf that differs (a string, an integer, a boolean, a float
+against a non-float).  A list whose entries are an exact permutation of the
+parent's is "reordered".  Everything else is float-only: the row gives the
+moved float leaves, how many of them only flipped the sign of a zero, the
+largest move |b - a| over the largest magnitude in the parent's document,
+and the largest relative move |b - a| / |a| among the leaves whose |a| is at
+least 1e-6 of that magnitude, with its path.  It
+exits 1 when a change is structural.
+
 Run it only where the outputs are meant to change, and say why.  It first
 computes the digests in one child interpreter per setting of
 `kernel_matrix()` (other OpenBLAS kernels, and numpy without its dispatch
@@ -58,6 +72,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -263,7 +278,105 @@ def digests() -> dict[str, str]:
     return {name: _sha(doc) for name, doc in documents().items()}
 
 
+def read_dump(text: str) -> dict:
+    """name -> document of a `--documents` dump."""
+    docs, name, lines = {}, None, []
+    for line in text.splitlines() + ["## "]:
+        if line.startswith("## "):
+            if name is not None:
+                docs[name] = json.loads("\n".join(lines))
+            name, lines = line[3:], []
+        else:
+            lines.append(line)
+    return docs
+
+
+class _Moves:
+    """What differs between a parent document and a new one (`compare`)."""
+
+    def __init__(self):
+        self.structural, self.reordered, self.floats = [], [], []
+
+    def walk(self, a, b, path: str) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            if a.keys() != b.keys():
+                self.structural.append(f"keys at {path or '/'}")
+            for key in a.keys() & b.keys():
+                self.walk(a[key], b[key], f"{path}.{key}" if path else key)
+        elif isinstance(a, list) and isinstance(b, list):
+            ca, cb = list(map(_canonical, a)), list(map(_canonical, b))
+            if len(a) != len(b):
+                self.structural.append(f"length at {path or '/'}")
+            elif ca != cb and sorted(ca) == sorted(cb):
+                self.reordered.append(path or "/")
+            elif ca != cb:
+                for i, (u, v) in enumerate(zip(a, b)):
+                    self.walk(u, v, f"{path}[{i}]")
+        elif type(a) is float and type(b) is float:
+            if _canonical(a) != _canonical(b):
+                self.floats.append((path, a, b))
+        elif type(a) is not type(b) or a != b:
+            self.structural.append(f"leaf at {path}: {a!r} -> {b!r}")
+
+
+def _canonical(x) -> str:
+    """x's JSON text, which tells -0.0 from 0.0 and equals NaN to NaN."""
+    return json.dumps(x, sort_keys=True)
+
+
+def _float_leaves(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        for v in x:
+            yield from _float_leaves(v)
+    elif type(x) is float:
+        yield x
+
+
+def compare(before: dict, after: dict) -> tuple[list[str], bool]:
+    """(markdown table rows, whether any change is structural) of the
+    documents that differ between the dumps before and after."""
+    rows = ["| document | change | moved floats | zero sign flips | max move / max magnitude "
+            "| max relative move | at |", "|---|---|---|---|---|---|---|"]
+    structural = False
+    for name in sorted(before.keys() | after.keys()):
+        if name not in before or name not in after:
+            rows.append(f"| {name} | structural: only {'after' if name in after else 'before'} | | | | | |")
+            structural = True
+            continue
+        if _canonical(before[name]) == _canonical(after[name]):
+            continue
+        moves = _Moves()
+        moves.walk(before[name], after[name], "")
+        if moves.structural:
+            rows.append(f"| {name} | structural: {'; '.join(moves.structural[:3])} | | | | | |")
+            structural = True
+            continue
+        scale = max((abs(v) for v in _float_leaves(before[name]) if math.isfinite(v)), default=0.0)
+        flips = sum(a == b for _p, a, b in moves.floats)
+        worst, at = 0.0, ""
+        for path, a, b in moves.floats:
+            if abs(a) >= 1e-6 * scale and a != b and abs(b - a) / abs(a) > worst:
+                worst, at = abs(b - a) / abs(a), path
+        kinds = (["float-only"] if moves.floats else []) + [f"reordered {p}" for p in moves.reordered]
+        largest = max((abs(b - a) / scale for _p, a, b in moves.floats if scale), default=0.0)
+        rows.append(f"| {name} | {'; '.join(kinds)} | {len(moves.floats)} | {flips} | "
+                    f"{f'{largest:.1e}' if moves.floats else '-'} | {f'{worst:.1e}' if at else '-'} | "
+                    f"{at or '-'} |")
+    moved = len(rows) - 2
+    rows.append(f"\n{moved} of {len(before.keys() | after.keys())} documents moved, "
+                f"{'some' if structural else 'none'} structurally")
+    return rows, structural
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"]:
+        if len(sys.argv) != 4:
+            sys.exit("usage: regen.py --compare BEFORE AFTER")
+        table, structural = compare(*(read_dump(pathlib.Path(p).read_text()) for p in sys.argv[2:]))
+        print("\n".join(table))
+        sys.exit(1 if structural else 0)
     if sys.argv[1:2] == ["--documents"]:
         if len(sys.argv) > 3:
             sys.exit("usage: regen.py --documents [NAME_PREFIX]")

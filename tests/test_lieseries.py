@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -27,6 +28,7 @@ from resoforge.lieseries import (
     kinetic_series,
     lie_step_nonres,
     lie_step_res,
+    potential_series,
     ray_series,
     _levels,
     _slots,
@@ -45,7 +47,8 @@ def series(n=2, y0=(0.7, 0.31), deg=2, cutoff=8):
 def add_term(F, k, m, c, ledger=None):
     """Add c (y - y0)^m e^{i k.x} to F in place through the series' own merge:
     a zero c is skipped and a term beyond the truncation goes to the ledger."""
-    F._store(*F._merged((F.K, F.M, F.C), F._rows([(k, m, c)], ledger)))
+    S = F._merged(F, F._rows([(k, m, c)], ledger))
+    F._store(S.K, S.M, S.C)
 
 
 def reality_defect(F):
@@ -156,10 +159,16 @@ class TestSeriesAlgebra:
             )
 
 
+def slot_order(item):
+    """The sort key of a term ((k, m), c) in slot order: |k|_1, k, |m|, m."""
+    (k, m), _c = item
+    return sum(map(abs, k)), k, sum(m), m
+
+
 @dataclass
 class RefSeries:
     """The dict algebra the array storage replaced, kept as a test-only
-    reference: `terms` in insertion order, `add_term` pops exact zeros, and
+    reference: `terms` in slot order, `add_term` pops exact zeros, and
     `plus`, `scaled` and `split` are loops over the dict.  Its bracket is the
     library kernel on the same rows (pinned to `reference_poisson` below)."""
 
@@ -171,11 +180,12 @@ class RefSeries:
 
     @classmethod
     def of(cls, F):
-        """F's algebra holding a copy of F's terms, in F's order."""
-        return cls(F.n, F.base_point, F.max_degree, F.cutoff, dict(F.terms))
+        """F's algebra holding a copy of F's terms, in slot order."""
+        return cls(F.n, F.base_point, F.max_degree, F.cutoff, dict(sorted(F.terms.items(), key=slot_order)))
 
     def _with(self, terms):
-        return RefSeries(self.n, self.base_point, self.max_degree, self.cutoff, terms)
+        return RefSeries(self.n, self.base_point, self.max_degree, self.cutoff,
+                         dict(sorted(terms.items(), key=slot_order)))
 
     def like(self):
         return self._with({})
@@ -195,8 +205,11 @@ class RefSeries:
         new = self.terms.get(key, 0.0) + c
         if new == 0:
             self.terms.pop(key, None)
+        elif key in self.terms:
+            self.terms[key] = new
         else:
             self.terms[key] = new
+            self.terms = dict(sorted(self.terms.items(), key=slot_order))
 
     def plus(self, other):
         terms = dict(self.terms)
@@ -275,6 +288,47 @@ def random_real_series(rng, n, deg, cutoff, count):
         add_term(F, k, m, c)
         add_term(F, tuple(-v for v in k), m, c.conjugate())
     return F
+
+
+U = Fraction(1, 2 ** 53)  # the unit roundoff of a double
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * U / (1 - k * U)
+
+
+def exact_bracket(F, G):
+    """{F, G} in rational arithmetic, term pair by term pair: (kept, lost).
+    kept maps each key within F's truncation to [Re, Im, N, A_re, A_im]: the
+    exact sum, the number of contributions, and the sums of |d| (|a1 b2| +
+    |b1 a2|) and |d| (|a1 a2| + |b1 b2|) over them.  lost lists, for each
+    contribution beyond the truncation, its squared modulus and |d| times
+    the sum of the four product magnitudes."""
+    kept, lost = {}, []
+    rows2 = [(k2, m2, Fraction(c2.real), Fraction(c2.imag)) for (k2, m2), c2 in G.terms.items()]
+    for (k1, m1), c1 in F.terms.items():
+        a1, b1 = Fraction(c1.real), Fraction(c1.imag)
+        for k2, m2, a2, b2 in rows2:
+            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            s_re, s_im = abs(a1 * a2) + abs(b1 * b2), abs(a1 * b2) + abs(b1 * a2)
+            k = tuple(u + v for u, v in zip(k1, k2))
+            for j in range(F.n):
+                d = k1[j] * m2[j] - k2[j] * m1[j]
+                if d == 0:
+                    continue
+                m = tuple(u + v - (i == j) for i, (u, v) in enumerate(zip(m1, m2)))
+                if sum(map(abs, k)) <= F.cutoff and sum(m) <= F.max_degree:
+                    # i d (re + i im) = -d im + i d re
+                    entry = kept.setdefault((k, m), [Fraction(0), Fraction(0), 0, Fraction(0), Fraction(0)])
+                    entry[0] -= d * im
+                    entry[1] += d * re
+                    entry[2] += 1
+                    entry[3] += abs(d) * s_im
+                    entry[4] += abs(d) * s_re
+                else:
+                    lost.append((d * d * (re * re + im * im), abs(d) * (s_re + s_im)))
+    return kept, lost
 
 
 def assert_bracket_matches(out, ref, led_out, led_ref, norm=None):
@@ -371,7 +425,8 @@ class TestArrayBracket:
             rows = [((cutoff * edge,), ((deg + 1) // 2,), 0.75 - 0.5j)]
             rows += [((int(k),), (int(m),), complex(rng.normal(), rng.normal()))
                      for k, m in zip(rng.integers(-cutoff, cutoff + 1, 24), rng.integers(0, deg + 1, 24))]
-            S._store(*S._merged(S._rows(rows)))
+            T = S._rows(rows)
+            S._store(T.K, T.M, T.C)
         led_out, led_ref = TruncationLedger(), TruncationLedger()
         out, ref = F.poisson(G, led_out), reference_poisson(F, G, led_ref)
         assert abs(out.terms[(0,), (2 * ((deg + 1) // 2) - 1,)]) > 0
@@ -498,6 +553,56 @@ class TestArrayBracket:
         G.base_point = F.base_point
         a, b = F.poisson(G), to_series(RefSeries.of(F)).poisson(to_series(RefSeries.of(G)))
         assert list(a.terms.items()) == list(b.terms.items())
+
+    @pytest.mark.parametrize("n, deg, cutoff", [(2, 3, 6), (3, 3, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_within_forward_error_bounds_of_the_exact_bracket(self, n, deg, cutoff, seed):
+        """Every double is a dyadic rational, so `exact_bracket` gives the
+        exact slot sums and the exact dropped contributions of {F, G}.
+
+        A kept contribution's real part is -d (a1 b2 + b1 a2) and its
+        imaginary part d (a1 a2 - b1 b2), for c1 = a1 + i b1, c2 = a2 + i b2
+        and the integer d.  The bracket forms each part with three roundings
+        (two products and a sum, then the product with d), so within
+        gamma_3 A of the exact part, A = |d| (|a1 b2| + |b1 a2|), respectively
+        |d| (|a1 a2| + |b1 b2|).  A key's N contributions are then summed one
+        by one from 0.0, within gamma_{N-1} of the sum of their magnitudes.
+        Together each part of each coefficient is within gamma_{N+2} sum A
+        of its exact value (N. J. Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., Lemma 3.1, Lemma 3.3 and eq. (4.4)), where
+        gamma_k = k u / (1 - k u) and u = 2^-53.  A dropped contribution's
+        mass hypot(d Im, d Re) is within gamma_3 A (1 + 2u) + 2u A, A = |d| (|a1
+        a2| + |b1 b2| + |a1 b2| + |b1 a2|), taking hypot within one ulp (2u
+        relative); the ledger's sum of the M dropped masses, in any order,
+        adds gamma_{M-1} times the sum of their computed masses.
+
+        The largest error of a draw, in units of its bound, is printed
+        (`pytest -s`) and must be at most 1."""
+        rng = np.random.default_rng([n, deg, cutoff, seed, 3])
+        F = random_real_series(rng, n, deg, cutoff, 20)
+        G = random_real_series(rng, n, deg, cutoff, 12)
+        G.base_point = F.base_point
+        ledger = TruncationLedger()
+        out = F.poisson(G, ledger).terms
+        kept, lost = exact_bracket(F, G)
+        assert kept and lost and set(out) <= set(kept)
+        worst = Fraction(0)
+        for key, (re, im, count, a_re, a_im) in kept.items():
+            c = complex(out.get(key, 0.0))
+            for got, want, mass in ((c.real, re, a_re), (c.imag, im, a_im)):
+                worst = max(worst, abs(Fraction(got) - want) / (gamma(count + 2) * mass))
+        bits = 120
+        lo = hi = Fraction(0)
+        for square, _a in lost:
+            root = math.isqrt(square.numerator * 4 ** bits // square.denominator)
+            lo, hi = lo + Fraction(root, 2 ** bits), hi + Fraction(root + 1, 2 ** bits)
+        each = [(gamma(3) * (1 + 2 * U) + 2 * U) * a for _square, a in lost]
+        bound = sum(each) + gamma(len(lost) - 1) * sum(a + e for (_square, a), e in zip(lost, each))
+        got = Fraction(ledger.by_grade[0])
+        lost_ratio = max(abs(got - lo), abs(got - hi)) / bound
+        print(f"n = {n}, seed {seed}: coefficients {float(worst):.3g}, dropped mass "
+              f"{float(lost_ratio):.3g} of the bound")
+        assert worst <= 1 and lost_ratio <= 1
 
 
 def reference_eval_grads(F, y, x):
@@ -797,18 +902,19 @@ class TestHomologicalLevels:
         assert max(sum(m) for _k, m in chi.terms) == deg and overflow > 0
 
     def test_witness_is_first_small_divisor_in_row_order(self):
-        # both modes fall below the threshold; the later one is smaller, the
-        # earlier one is the witness, and the message is unchanged
-        y0 = np.array([0.52, -0.5])
+        # both modes fall below the threshold; the later one in row (slot)
+        # order is smaller, and the earlier one, added last, is the witness
+        y0 = np.array([0.04, -0.02])
         B = series(deg=2, cutoff=4)
-        add_term(B, (2, 2), (0, 0), 0.5)
         add_term(B, (1, 1), (1, 0), 0.25)
+        add_term(B, (1, 0), (0, 0), 0.5)
+        assert list(B.terms) == [((1, 0), (0, 0)), ((1, 1), (1, 0))]
         with pytest.raises(HypothesisError) as err:
             solve_homological(B, y0, 0.05, "test")
-        assert str(err.value) == "test: divisor |y0.k| = 4.000e-02 <= 5.000e-02 at mode (2, 2)"
+        assert str(err.value) == "test: divisor |y0.k| = 4.000e-02 <= 5.000e-02 at mode (1, 0)"
         with pytest.raises(HypothesisError) as ref:
             reference_solve_homological(B, y0, 0.05, "test")
-        assert str(ref.value) == "test at mode (2, 2)"
+        assert str(ref.value) == "test at mode (1, 0)"
 
     @pytest.mark.parametrize("n, deg", [(1, 3), (2, 0), (2, 3), (3, 1), (3, 4)])
     def test_level_table(self, n, deg):
@@ -959,19 +1065,24 @@ class TestSplitMasks:
                 F.split(bad)
 
 
+def averaging_cases(seed, k):
+    """(None or k, f, params, y0) of the averaging benchmark's draws, as the
+    golden corpus takes them: nonresonant at K = 8, resonant along k at K = 6."""
+    rng = np.random.default_rng([2, seed, 0])
+    u = np.array([-k[1], k[0]], dtype=float)
+    return [(None, averaging_potential(rng), free_params(2, 1.0, alpha=0.02, K0=2, K=8),
+             np.array([0.7, 0.31])),
+            (k, averaging_potential(rng, must_have=k),
+             free_params(2, 1.0, alpha=0.03, K0=2, K=6), 0.7 * u / np.linalg.norm(u))]
+
+
 class TestArrayStorage:
     @pytest.mark.parametrize("seed, k", [(1, (1, 1)), (2, (1, -1)), (3, (1, 2))])
     def test_averaging_matches_dict_reference(self, seed, k):
         # lie_step_nonres and lie_step_res at orders 2-5 on the averaging
         # benchmark's draws: every grade, chi, divisor and dropped mass is the
         # dict algebra's, in the same order and bit for bit (-0.0 included)
-        rng = np.random.default_rng([2, seed, 0])
-        u = np.array([-k[1], k[0]], dtype=float)
-        cases = [(None, averaging_potential(rng), free_params(2, 1.0, alpha=0.02, K0=2, K=8),
-                  np.array([0.7, 0.31])),
-                 (k, averaging_potential(rng, must_have=k),
-                  free_params(2, 1.0, alpha=0.03, K0=2, K=6), 0.7 * u / np.linalg.norm(u))]
-        for kk, f, params, y0 in cases:
+        for kk, f, params, y0 in averaging_cases(seed, k):
             ham = NaturalHam(2, 1e-3, f)
             for order in (2, 3, 4, 5):
                 if kk is None:
@@ -1059,6 +1170,58 @@ class TestArrayStorage:
         assert len(pk.coeffs) >= 2 and not ref.is_empty
         assert exact_items(ray_series(g, pk, k)) == exact_items(ref)
         assert exact_items(g.plus(ray_series(g, pk, k).scaled(-1.0))) == exact_items(diff)
+
+
+class TestSlotOrder:
+    """A series holds its rows in slot order, so its arrays depend on its
+    terms only, not on the operations that built it."""
+
+    @pytest.mark.parametrize("seed, k", [(1, (1, 1)), (2, (1, -1)), (3, (1, 2))])
+    def test_every_series_of_the_golden_draws_is_in_slot_order(self, seed, k):
+        # kinetic, g_o, g_res, f_rem and each chi of the golden averaging
+        # draws, orders 2-5 at degree 3: strictly increasing slots
+        rows = 0
+        for kk, f, params, y0 in averaging_cases(seed, k):
+            ham = NaturalHam(2, 1e-3, f)
+            table = _slots(2, params.K, 3)
+            for order in (2, 3, 4, 5):
+                if kk is None:
+                    nf = lie_step_nonres(ham, params, y0, order=order, max_degree=3)
+                else:
+                    nf = lie_step_res(ham, kk, params, y0, order=order, max_degree=3)
+                held = [nf.kinetic, *nf.g_o[1:], *nf.f_rem[1:], *(nf.g_res or [None])[1:],
+                        *(chi for _j, chi in nf.chi)]
+                for F in held:
+                    assert (np.diff(table.of(F.K, F.M)) > 0).all()
+                    rows += len(F.C)
+        assert rows > 2000
+
+    @pytest.mark.parametrize("n, deg, cutoff", [(2, 3, 6), (3, 3, 5)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_plus_commutes_byte_for_byte(self, n, deg, cutoff, seed):
+        # keys of both operands are summed from 0.0 as 0.0 + a + b or 0.0 + b
+        # + a, the same double, and the rows are listed in slot order
+        rng = np.random.default_rng([n, deg, cutoff, seed, 4])
+        a = random_real_series(rng, n, deg, cutoff, 20)
+        b = random_real_series(rng, n, deg, cutoff, 12)
+        b.base_point = a.base_point
+        assert set(a.terms) & set(b.terms) and set(b.terms) - set(a.terms)
+        ab, ba = a.plus(b), b.plus(a)
+        for x, y in ((ab.K, ba.K), (ab.M, ba.M), (ab.C, ba.C)):
+            assert x.tobytes() == y.tobytes()
+
+    def test_potential_rows_do_not_depend_on_insertion_order(self):
+        rng = np.random.default_rng(13)
+        modes = [(1, 0), (0, 1), (1, 1), (1, -2), (2, 1), (3, -1), (5, 2)]
+        coeffs = {k: complex(rng.normal(), rng.normal()) for k in modes}
+        forward, backward = TrigPoly(2, coeffs), TrigPoly(2, dict(reversed(coeffs.items())))
+        assert list(forward.coeffs) != list(backward.coeffs)
+        led_f, led_b = TruncationLedger(), TruncationLedger()
+        f = potential_series(forward, (0.7, 0.31), 3, 6, led_f)
+        b = potential_series(backward, (0.7, 0.31), 3, 6, led_b)
+        assert len(f.C) == 12 and led_f.by_grade == led_b.by_grade != {}
+        for x, y in ((f.K, b.K), (f.M, b.M), (f.C, b.C)):
+            assert x.tobytes() == y.tobytes()
 
 
 def nonres_setup(eps=1e-3, order=1, deg=2, f=None):
