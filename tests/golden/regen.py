@@ -301,7 +301,7 @@ class _Moves:
         if isinstance(a, dict) and isinstance(b, dict):
             if a.keys() != b.keys():
                 self.structural.append(f"keys at {path or '/'}")
-            for key in a.keys() & b.keys():
+            for key in sorted(a.keys() & b.keys()):
                 self.walk(a[key], b[key], f"{path}.{key}" if path else key)
         elif isinstance(a, list) and isinstance(b, list):
             ca, cb = list(map(_canonical, a)), list(map(_canonical, b))

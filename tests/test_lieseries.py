@@ -181,7 +181,7 @@ class RefSeries:
     @classmethod
     def of(cls, F):
         """F's algebra holding a copy of F's terms, in slot order."""
-        return cls(F.n, F.base_point, F.max_degree, F.cutoff, dict(sorted(F.terms.items(), key=slot_order)))
+        return cls(F.n, F.base_point, F.max_degree, F.cutoff)._with(F.terms)
 
     def _with(self, terms):
         return RefSeries(self.n, self.base_point, self.max_degree, self.cutoff,
@@ -208,8 +208,7 @@ class RefSeries:
         elif key in self.terms:
             self.terms[key] = new
         else:
-            self.terms[key] = new
-            self.terms = dict(sorted(self.terms.items(), key=slot_order))
+            self.terms = dict(sorted({**self.terms, key: new}.items(), key=slot_order))
 
     def plus(self, other):
         terms = dict(self.terms)
@@ -562,10 +561,10 @@ class TestArrayBracket:
 
         A kept contribution's real part is -d (a1 b2 + b1 a2) and its
         imaginary part d (a1 a2 - b1 b2), for c1 = a1 + i b1, c2 = a2 + i b2
-        and the integer d.  The bracket forms each part with three roundings
-        (two products and a sum, then the product with d), so within
-        gamma_3 A of the exact part, A = |d| (|a1 b2| + |b1 a2|), respectively
-        |d| (|a1 a2| + |b1 b2|).  A key's N contributions are then summed one
+        and the integer d.  Each of a part's two products passes three
+        roundings (its own, the sum's and the product with d), so the part is
+        within gamma_3 A of its exact value, A = |d| (|a1 b2| + |b1 a2|),
+        respectively |d| (|a1 a2| + |b1 b2|).  A key's N contributions are then summed one
         by one from 0.0, within gamma_{N-1} of the sum of their magnitudes.
         Together each part of each coefficient is within gamma_{N+2} sum A
         of its exact value (N. J. Higham, Accuracy and Stability of Numerical
