@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -76,32 +78,14 @@ class CoveringParams(Record):
         """The transverse gap 3 alpha K / |k| defining R1_k vs R2_{k,l}."""
         return 3.0 * self.alpha * self.K / _euclid(k)
 
+    @property
+    def tables(self) -> _Tables:
+        """The covering tables of (n, K0, K), shared by every params of that cutoff."""
+        return _tables(self.n, self.K0, self.K)
+
     @cached_property
     def generators_K0(self) -> list[Mode]:
-        return generators(self.n, self.K0)
-
-    @cached_property
-    def generators_K(self) -> list[Mode]:
-        return generators(self.n, self.K)
-
-    @cached_property
-    def transverse_generators(self) -> dict[Mode, tuple[list[Mode], np.ndarray]]:
-        """For each k in generators_K0, the order-K generators off the line
-        Z k (every generator but k itself), in generator order, with their
-        float matrix of shape (len, n)."""
-        out = {}
-        for k in self.generators_K0:
-            others = [ell for ell in self.generators_K if ell != k]
-            out[k] = (others, np.array(others, dtype=float).reshape(-1, self.n))
-        return out
-
-    @cached_property
-    def witness_rows(self) -> dict[Mode, np.ndarray]:
-        """transverse_generators[k]'s rows l by the exact |k|^2 |P_k^perp l|^2 =
-        |k|^2 |l|^2 - (k.l)^2 ascending (ties in generator order): likeliest witnesses first."""
-        return {k: G[np.argsort((G * G).sum(axis=1) * sum(v * v for v in k) - (G @ k) ** 2,
-                                kind="stable")]
-                for k, (_, G) in self.transverse_generators.items()}
+        return list(self.tables.strips)
 
     @property
     def alpha_reachable(self) -> bool:
@@ -115,6 +99,42 @@ class CoveringParams(Record):
 
 def _euclid(k) -> float:
     return math.sqrt(sum(float(v) ** 2 for v in k))
+
+
+class _Strip(NamedTuple):
+    """The tables of the strip |y.k| < alpha of one k in generators_K0."""
+
+    kv: np.ndarray            # k as floats
+    e_k: np.ndarray           # k / |k|
+    others: tuple[Mode, ...]  # the order-K generators off the line Z k (all but k), in generator order
+    G: np.ndarray             # their float rows, shape (len(others), n)
+    rows: np.ndarray          # G by the exact |k|^2 |P_k^perp l|^2 = |k|^2 |l|^2 - (k.l)^2
+                              # ascending (ties in generator order): likeliest witnesses first
+
+
+class _Tables(NamedTuple):
+    """What the covering reads of (n, K0, K): the order-K0 generators as a
+    float matrix and, in their order, the strip of each."""
+
+    G0: np.ndarray
+    strips: Mapping[Mode, _Strip]
+
+
+@lru_cache(maxsize=8)
+def _tables(n: int, K0: int, K: int) -> _Tables:
+    """The covering tables of a cutoff, built once and held read-only."""
+    gens = generators(n, K)
+    strips = {}
+    for k in generators(n, K0):
+        others = tuple(ell for ell in gens if ell != k)
+        G = np.array(others, dtype=float).reshape(-1, n)
+        kv = np.array(k, dtype=float)
+        rows = G[np.argsort((G * G).sum(axis=1) * sum(v * v for v in k) - (G @ k) ** 2, kind="stable")]
+        strips[k] = _Strip(kv, kv / _euclid(k), others, G, rows)
+    G0 = np.array(list(strips), dtype=float)
+    for table in (G0, *(a for strip in strips.values() for a in strip if isinstance(a, np.ndarray))):
+        table.setflags(write=False)
+    return _Tables(G0, MappingProxyType(strips))
 
 
 def derive_params(n: int, s: float, epsilon: float, K0: int, K: int) -> CoveringParams:
@@ -163,52 +183,58 @@ def classify_point(y, params: CoveringParams, all_pairs: bool = True) -> list[Re
     if not np.linalg.norm(y) < 1.0:
         raise ConfigError("outside unit ball")
     labels: list[RegionLabel] = []
-    gens0 = params.generators_K0
-    prods = np.array([float(np.dot(y, k)) for k in gens0])
+    strips = [(k, params.tables.strips[k]) for k in params.generators_K0]
+    prods = np.array([float(np.dot(y, strip.kv)) for _, strip in strips])
     if np.all(np.abs(prods) > params.alpha / 2.0):
         labels.append(RegionLabel("R0"))
-    for i, k in enumerate(gens0):
-        if abs(prods[i]) >= params.alpha:
+    for (k, strip), prod in zip(strips, prods):
+        if abs(prod) >= params.alpha:
             continue
-        e_k = np.asarray(k, dtype=float) / _euclid(k)
-        y_perp = y - np.dot(y, e_k) * e_k
-        others, G = params.transverse_generators[k]
-        witnesses = np.flatnonzero(np.abs(G @ y_perp) <= params.r1_threshold(k))
+        y_perp = y - np.dot(y, strip.e_k) * strip.e_k
+        witnesses = np.flatnonzero(np.abs(strip.G @ y_perp) <= params.r1_threshold(k))
         if witnesses.size == 0:
             labels.append(RegionLabel("R1", k=k))
         else:
             if not all_pairs:
                 witnesses = witnesses[:1]
-            labels.extend(RegionLabel("R2", k=k, l=others[j]) for j in witnesses)
+            labels.extend(RegionLabel("R2", k=k, l=strip.others[j]) for j in witnesses)
     return labels
 
 
 @dataclass
 class BatchClassification:
-    """Vectorized classification of many points.
+    """Vectorized classification of many points: the masks of R0, of some
+    R1_k and of some R2_{k,l}, and what follows from them.
 
     codes: 0 where R0 holds, else 1 where some R1_k holds, else 2 (RegionLabel
     priority for rasters); the boolean masks carry the full structure."""
 
-    covered: np.ndarray
     is_r0: np.ndarray
     is_r1: np.ndarray
     is_r2: np.ndarray
-    codes: np.ndarray
+    covered: np.ndarray = field(init=False)
+    codes: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.covered = self.is_r0 | self.is_r1 | self.is_r2
+        self.codes = np.where(self.is_r0, np.int8(0), np.subtract(2, self.is_r1, dtype=np.int8))
 
 
-def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification:
-    """Classify the rows of Y, shape (m, n), with the inequalities of
-    classify_point.
+def _cover(Y: np.ndarray, params: CoveringParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel of classify_batch and measure_R2: (is_r0, cand, r1, r2) for
+    the rows of Y, shape (m, n).  is_r0 is the R0 gate over all m points,
+    cand the indices of the candidates (min |k.y| < alpha, the only points
+    that can be in some R1_k or R2_{k,l}), and r1, r2 the masks of some R1_k
+    and some R2_{k,l} over the candidates only.
 
-    The kernel reads the points through Yt = Y.T in the caller's layout, with
-    no copy, and never writes them.  Per _BLOCK points, one product with
-    generators_K0 gives min |k.y| (R0 is min > alpha/2; only min < alpha goes
-    on).  The candidates are gathered along the contiguous axis: columns of Yt
-    when it is C-ordered (_sample_ball's output), else rows of Y, transposed
-    once.  Per k, the strip |y.k| < alpha meets the first _STAGE
-    witness_rows[k], and the rest, per _BLOCK points, only where no witness
-    was found: R1_k needs every gap above the threshold, in any row order."""
+    The points are read through Yt = Y.T in the caller's layout, with no
+    copy, and never written.  Per _BLOCK points, one product with the float
+    generators_K0 gives min |k.y|.  The candidates are gathered along the
+    contiguous axis: columns of Yt when it is C-ordered (_sample_ball's
+    output), else rows of Y, transposed once.  Per k, the strip |y.k| < alpha
+    meets the first _STAGE witness rows of params.tables, and the rest, per
+    _BLOCK points, only where no witness was found: R1_k needs every gap
+    above the threshold, in any row order."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != params.n:
         raise ConfigError(f"points must have shape (m, {params.n})")
@@ -220,36 +246,42 @@ def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification
         raise ConfigError("outside unit ball")
     m = Y.shape[0]
     product = np.dot if params.n == 1 else np.matmul  # matmul skips BLAS at n = 1
-    G0 = np.array(params.generators_K0, dtype=float)
-    block = np.empty(len(G0) * _BLOCK)
+    tables = params.tables
+    block = np.empty(len(tables.G0) * _BLOCK)
     for a in range(0, m, _BLOCK):
-        P = block[:len(G0) * min(_BLOCK, m - a)].reshape(len(G0), -1)
-        np.abs(product(G0, Yt[:, a:a + _BLOCK], out=P), out=P).min(axis=0, out=sq[a:a + _BLOCK])
+        P = block[:len(tables.G0) * min(_BLOCK, m - a)].reshape(len(tables.G0), -1)
+        np.abs(product(tables.G0, Yt[:, a:a + _BLOCK], out=P), out=P).min(axis=0, out=sq[a:a + _BLOCK])
     is_r0 = sq > params.alpha / 2.0
     cand = np.flatnonzero(sq < params.alpha)
     Yc = Yt.take(cand, axis=1) if Yt.flags.c_contiguous else Y.take(cand, axis=0).T.copy()
     p_k, mask = np.empty(cand.size), np.empty(cand.size, dtype=bool)
-    is_r1 = np.zeros(m, dtype=bool)
-    is_r2 = np.zeros(m, dtype=bool)
-    for k in params.generators_K0:
-        kv = np.asarray(k, dtype=float)
-        np.abs(product(kv, Yc, out=p_k), out=p_k)
+    r1, r2 = np.zeros(cand.size, dtype=bool), np.zeros(cand.size, dtype=bool)
+    for k, s in tables.strips.items():
+        np.abs(product(s.kv, Yc, out=p_k), out=p_k)
         strip = np.flatnonzero(np.less(p_k, params.alpha, out=mask))
-        e_k = kv / _euclid(k)
         Yn = Yc.take(strip, axis=1)
-        Yperp = Yn - np.outer(e_k, e_k @ Yn)
-        rows, thr = params.witness_rows[k], params.r1_threshold(k)
-        Q = rows[:_STAGE] @ Yperp
+        Yperp = Yn - np.outer(s.e_k, s.e_k @ Yn)
+        thr = params.r1_threshold(k)
+        Q = s.rows[:_STAGE] @ Yperp
         min_q = np.abs(Q, out=Q).min(axis=0, initial=np.inf)
         rest = np.flatnonzero(min_q > thr)
         for a in range(0, rest.size, _BLOCK):
-            Q = rows[_STAGE:] @ Yperp.take(rest[a:a + _BLOCK], axis=1)
+            Q = s.rows[_STAGE:] @ Yperp.take(rest[a:a + _BLOCK], axis=1)
             min_q[rest[a:a + _BLOCK]] = np.abs(Q, out=Q).min(axis=0, initial=np.inf)
-        is_r1[cand[strip[min_q > thr]]] = True
-        is_r2[cand[strip[min_q <= thr]]] = True
-    covered = is_r0 | is_r1 | is_r2
-    codes = np.where(is_r0, np.int8(0), np.subtract(2, is_r1, dtype=np.int8))
-    return BatchClassification(covered, is_r0, is_r1, is_r2, codes)
+        hit = min_q > thr
+        r1[strip.compress(hit)] = True
+        r2[strip.compress(~hit)] = True
+    return is_r0, cand, r1, r2
+
+
+def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification:
+    """Classify the rows of Y, shape (m, n), with the inequalities of
+    classify_point: the kernel _cover, its candidate masks scattered once
+    onto all m points."""
+    is_r0, cand, r1, r2 = _cover(Y, params)
+    is_r1, is_r2 = np.zeros(is_r0.size, dtype=bool), np.zeros(is_r0.size, dtype=bool)
+    is_r1[cand], is_r2[cand] = r1, r2
+    return BatchClassification(is_r0, is_r1, is_r2)
 
 
 # --------------------------------------------------------------------------
@@ -292,8 +324,8 @@ class R2MeasureEstimate(Record):
 
 
 _CHUNK = 1 << 16  # fixed so results depend on the seed only
-_BLOCK = 1 << 12  # points per gate product of classify_batch
-_STAGE = 8  # witness_rows that every strip point of classify_batch meets
+_BLOCK = 1 << 12  # points per gate product of _cover
+_STAGE = 8  # witness rows that every strip point of _cover meets
 
 
 def ball_points(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
@@ -313,15 +345,17 @@ def measure_R2(params: CoveringParams, samples: int, seed: int) -> R2MeasureEsti
     Reports both the measure of points carrying any R2 label and of points
     carrying only R2 labels (no R0, no R1), with binomial confidence
     intervals scaled by the ball volume.  The points are those of
-    ball_points(params.n, samples, seed).
+    ball_points(params.n, samples, seed); both counts are read off the
+    candidate masks of _cover, chunk by chunk, as classify_batch would
+    count them, with no mask over all the points but the R0 gate.
     """
     if samples < 1000:
         raise ConfigError("need at least 10^3 samples")
     n_any = n_only = 0
     for Y in ball_points(params.n, samples, seed):
-        batch = classify_batch(Y, params)
-        n_any += int(np.count_nonzero(batch.is_r2))
-        n_only += int(np.count_nonzero(batch.is_r2 & ~batch.is_r0 & ~batch.is_r1))
+        is_r0, cand, r1, r2 = _cover(Y, params)
+        n_any += int(np.count_nonzero(r2))
+        n_only += int(np.count_nonzero(r2 & ~r1 & ~is_r0[cand]))
 
     vol = ball_volume(params.n)
 

@@ -201,18 +201,26 @@ class TaylorFourierSeries:
         table = _slots(self.n, self.cutoff, self.max_degree)
         return self._with(*_fold(table, [(table.of(K, M), C)]))
 
-    def _rows(self, rows, ledger: TruncationLedger | None = None) -> "TaylorFourierSeries":
-        """The series of the terms (k, m, c) within this truncation, merged as
-        `_merged` merges; the nonzero ones beyond it go to the ledger one by one."""
-        K = np.array([k for k, _, _ in rows], dtype=np.int64).reshape(len(rows), self.n)
-        M = np.array([m for _, m, _ in rows], dtype=np.int64).reshape(len(rows), self.n)
-        C = np.array([c for _, _, c in rows], dtype=complex)
-        fits = (np.abs(K).sum(axis=1) <= self.cutoff) & (M.sum(axis=1) <= self.max_degree)
+    def _mode_pairs(self, K: np.ndarray, C: np.ndarray, ledger: TruncationLedger | None = None
+                    ) -> "TaylorFourierSeries":
+        """The series of the y-independent terms c e^{i k.x} + conj(c) e^{-i k.x}
+        of the rows (k, c), no key twice: those within the cutoff listed by
+        mode rank (their slot order), each coefficient + 0.0 as `_merged` sums
+        it, exact zeros dropped; each nonzero pair beyond it goes to the ledger
+        as two drops of |c|."""
+        fits = np.abs(K).sum(axis=1) <= self.cutoff
         if ledger is not None:
             for c in C[~fits & (C != 0)].tolist():
                 ledger.drop(abs(c))
+                ledger.drop(abs(c))
         table = _slots(self.n, self.cutoff, self.max_degree)
-        return self._with(*_fold(table, [(table.of(K[fits], M[fits]), C[fits])]))
+        K, C = K[fits], C[fits]
+        dense = np.zeros(len(table.modes), dtype=complex)
+        dense[table.mode_base[(K + 2 * self.cutoff) @ table.w_k] // len(table.monos)] = C
+        dense[table.mode_base[(2 * self.cutoff - K) @ table.w_k] // len(table.monos)] = C.conj()
+        rank = dense.nonzero()[0]
+        return self._with(table.modes.take(rank, axis=0), np.zeros((len(rank), self.n), dtype=np.int64),
+                          dense.take(rank) + 0.0)
 
     def _check(self, other: "TaylorFourierSeries") -> None:
         """ConfigError unless other has this n and base point (a shared array
@@ -395,23 +403,20 @@ class TaylorFourierSeries:
 
 
 def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSeries:
-    """0.5|y|^2 expanded exactly around y0 (degree 2)."""
+    """0.5|y|^2 expanded exactly around y0 (degree 2): the mode-0 terms
+    0.5|y0|^2, y0_j (y - y0)_j and 0.5 (y - y0)_j^2, listed by monomial rank
+    (their slot order), exact zeros dropped."""
     if max_degree < 2:
         raise ConfigError("kinetic part needs max_degree >= 2")
     y0 = np.asarray(y0, dtype=float)
-    n_ = len(y0)
-    zero, e = (0,) * n_, np.eye(n_, dtype=int).tolist()
-    rows = [(zero, zero, 0.5 * float(np.dot(y0, y0)))]
-    for j in range(n_):
-        rows += [(zero, e[j], float(y0[j])), (zero, [2 * v for v in e[j]], 0.5)]
-    return TaylorFourierSeries(n_, y0, max_degree, cutoff)._rows(rows)
-
-
-def _mode_pairs(n: int, coeffs) -> list[tuple[Mode, Mono, complex]]:
-    """The y-independent terms (k, 0, c) and (-k, 0, conj c) of each (k, c)."""
-    zero_m = (0,) * n
-    return [row for k, c in coeffs
-            for row in ((k, zero_m, c), (tuple(-v for v in k), zero_m, complex(np.conj(c))))]
+    table = _slots(len(y0), cutoff, max_degree)
+    dense = np.zeros(len(table.monos), dtype=complex)
+    dense[0] = 0.5 * float(np.dot(y0, y0))
+    dense[table.mono_rank[table.w_m]] = y0  # e_j packs to its digit weight
+    dense[table.mono_rank[2 * table.w_m]] = 0.5
+    rank = dense.nonzero()[0]
+    return TaylorFourierSeries(len(y0), y0, max_degree, cutoff)._with(
+        np.zeros((len(rank), len(y0)), dtype=np.int64), table.monos.take(rank, axis=0), dense.take(rank) + 0.0)
 
 
 def potential_series(
@@ -419,14 +424,17 @@ def potential_series(
 ) -> TaylorFourierSeries:
     """eps-grade-1 term: f as a y-independent series (both halves of its canonical modes)."""
     out = TaylorFourierSeries(f.n, np.asarray(y0, dtype=float), max_degree, cutoff)
-    return out._rows(_mode_pairs(f.n, f.coeffs.items()), ledger)
+    K = np.array(list(f.coeffs), dtype=np.int64).reshape(-1, f.n)
+    return out._mode_pairs(K, np.fromiter(f.coeffs.values(), complex, len(f.coeffs)), ledger)
 
 
 def ray_series(like: TaylorFourierSeries, p: OneDTrigPoly, k: Mode) -> TaylorFourierSeries:
     """p(k.x) = sum_j c_j e^{i j k.x} + conj, y-independent, in like's algebra (terms
     beyond it are left out): the Z k series of pi_k f for p = project_lattice(f, k).
     p stores only j >= 1, so every key is new."""
-    return like._rows(_mode_pairs(like.n, ((tuple(j * v for v in k), c) for j, c in p.coeffs.items())))
+    js = np.fromiter(p.coeffs, np.int64, len(p.coeffs))
+    C = np.fromiter(p.coeffs.values(), complex, len(p.coeffs))
+    return like._mode_pairs(js[:, None] * np.array(k, dtype=np.int64), C)
 
 
 @dataclass(frozen=True)

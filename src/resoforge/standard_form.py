@@ -418,7 +418,7 @@ def build_phi1(secular: SecularHam, dm: DecouplingMatrix, chars: Characteristics
     kinetic split |A^T U Y|^2 = |k|^2 Y1^2 + |P_k^perp Ahat^T Yhat|^2.
     """
     Gf = PolyTrig1.from_series(secular.g_o_series.plus(secular.g_series), dm, chars.eps_k)
-    perp = [row[1:] for row in dm.affine]  # P_k^perp Ahat^T, exactly
+    perp = np.asarray([row[1:] for row in dm.affine], dtype=float)  # P_k^perp Ahat^T, rounded once
 
     def adiabatic(phat):
         v = apply(perp, phat)

@@ -83,14 +83,17 @@ def mat_mul(a, b):
 
 
 def apply(matrix, v) -> np.ndarray:
-    """M v, shape L + (rows,), for an exact M (rows of ints or Fractions) and
-    floats v of shape L + (cols,): each entry of M is rounded once and each
-    row is summed in column order, so no BLAS kernel or SIMD path sets the bits."""
+    """M v, shape L + (rows,), for an exact M (rows of ints or Fractions), or
+    its entries rounded once by np.asarray(M, dtype=float) and held by a
+    caller that applies M many times, and floats v of shape L + (cols,): each
+    row is summed in column order, one column of products at a time, so no
+    BLAS kernel or fused multiply-add sets the bits."""
+    M = np.asarray(matrix, dtype=float)
     v = np.asarray(v, dtype=float)
-    out = [float(row[0]) * v[..., 0] for row in matrix]
-    for j in range(1, v.shape[-1]):
-        out = [acc + float(row[j]) * v[..., j] for acc, row in zip(out, matrix)]
-    return np.stack(out, axis=-1)
+    out = v[..., :1] * M[:, 0]
+    for j in range(1, M.shape[1]):
+        out += v[..., j:j + 1] * M[:, j]
+    return out
 
 
 @dataclass(frozen=True)

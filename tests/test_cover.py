@@ -1,11 +1,13 @@
+import json
 import math
+import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from resoforge import cover
 from resoforge.cover import (
-    BatchClassification,
     _euclid,
     _sample_ball,
     ball_points,
@@ -17,7 +19,7 @@ from resoforge.cover import (
     free_params,
     measure_R2,
 )
-from resoforge.fourier import ConfigError
+from resoforge.fourier import ConfigError, generators
 
 
 # --------------------------------------------------------------------------
@@ -35,7 +37,8 @@ def reference_classify_batch(Y, params):
     is_r0 = np.all(P > params.alpha / 2.0, axis=1)
     is_r1 = np.zeros(len(Y), dtype=bool)
     is_r2 = np.zeros(len(Y), dtype=bool)
-    GK = np.array(params.generators_K, dtype=float)
+    gensK = generators(params.n, params.K)
+    GK = np.array(gensK, dtype=float)
     for i, k in enumerate(gens0):
         near = P[:, i] < params.alpha
         if not np.any(near):
@@ -45,7 +48,7 @@ def reference_classify_batch(Y, params):
         Yn = Y[near]
         Yperp = Yn - np.outer(Yn @ e_k, e_k)
         Q = np.abs(Yperp @ GK.T)
-        mask_same = np.array([ell == k for ell in params.generators_K])
+        mask_same = np.array([ell == k for ell in gensK])
         Q[:, mask_same] = np.inf
         min_q = Q.min(axis=1)
         thr = params.r1_threshold(k)
@@ -55,7 +58,7 @@ def reference_classify_batch(Y, params):
         is_r2[idx[~r1_here]] = True
     covered = is_r0 | is_r1 | is_r2
     codes = np.where(is_r0, 0, np.where(is_r1, 1, 2)).astype(np.int8)
-    return BatchClassification(covered, is_r0, is_r1, is_r2, codes)
+    return SimpleNamespace(covered=covered, is_r0=is_r0, is_r1=is_r1, is_r2=is_r2, codes=codes)
 
 
 def reference_classify_point(y, params, all_pairs=True):
@@ -72,7 +75,7 @@ def reference_classify_point(y, params, all_pairs=True):
         y_perp = y - np.dot(y, e_k) * e_k
         threshold = params.r1_threshold(k)
         witnesses = []
-        for ell in params.generators_K:
+        for ell in generators(params.n, params.K):
             if ell == k:
                 continue
             if abs(float(np.dot(y_perp, ell))) <= threshold:
@@ -107,6 +110,8 @@ def reference_sample_chunks(samples, seed, chunk):
 def reference_ball_points(n, samples, seed, chunk):
     return [_sample_ball(rng, m, n) for rng, m in reference_sample_chunks(samples, seed, chunk)]
 
+
+PINS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
 
 MASKS = ("covered", "is_r0", "is_r1", "is_r2", "codes")
 
@@ -167,6 +172,27 @@ class TestParams:
         with pytest.raises(ConfigError):
             derive_params(2, 1.0, 1e-4, 1, 6)
 
+    def test_tables_are_shared_per_cutoff_and_thresholds_per_alpha(self):
+        a, b = free_params(3, 1.0, 0.03, 2, 4), free_params(3, 1.0, 0.01, 2, 4)
+        assert a.tables is b.tables
+        assert free_params(3, 1.0, 0.03, 2, 5).tables is not a.tables
+        for k in a.generators_K0:
+            assert a.r1_threshold(k) == 3.0 * b.r1_threshold(k)
+        strip = a.tables.strips[(1, 0, 0)]
+        with pytest.raises(ValueError):
+            strip.rows[0, 0] = 0.0  # read-only
+        with pytest.raises(TypeError):
+            a.tables.strips[(1, 0, 0)] = strip
+
+    def test_generators_list_is_the_instance_own(self):
+        p = free_params(2, 1.0, 0.05, 2, 5)
+        want = list(p.generators_K0)
+        p.generators_K0.append((7, 7))
+        p.generators_K0.pop(0)
+        fresh = free_params(2, 1.0, 0.05, 2, 5)
+        assert fresh.generators_K0 == want == list(fresh.tables.strips)
+        assert fresh.generators_K0 is not p.generators_K0
+
 
 class TestClassification:
     def setup_method(self):
@@ -178,7 +204,7 @@ class TestClassification:
         assert kinds == {"R2"}
         # every (k, l) pair witnesses
         n_k = len(self.params.generators_K0)
-        n_l = len(self.params.generators_K) - 1
+        n_l = len(generators(2, self.params.K)) - 1
         assert len(labels) == n_k * n_l
 
     def test_constructed_nonresonant_point(self):
@@ -202,7 +228,7 @@ class TestClassification:
                     for k in p.generators_K0:
                         assert abs(float(np.dot(y, k))) > p.alpha / 2
                 elif lab.kind == "R1":
-                    for ell in p.generators_K:
+                    for ell in generators(2, p.K):
                         if ell != lab.k:
                             assert abs(float(np.dot(y, ell))) >= 2 * p.alpha * p.K / _euclid(lab.k)
                 seen[lab.kind] = seen.get(lab.kind, 0) + 1
@@ -303,7 +329,7 @@ class TestBatchKernel:
         params = kernel_params(n, alpha)
         e1 = (1,) + (0,) * (n - 1)
         thr = params.r1_threshold(e1)
-        others, G = params.transverse_generators[e1]
+        G = params.tables.strips[e1].G
         values = np.abs(G @ np.array((0.0, thr, *tail)))
         assert values.min() == thr and np.sort(values[values > thr])[0] >= 2.0 * thr
         Y = np.array([(y1, t, *tail) for t in ulps(thr)])
@@ -315,14 +341,16 @@ class TestBatchKernel:
     def test_witness_rows_order_the_transverse_generators(self):
         for n in (1, 2, 3, 4):
             params = kernel_params(n)
-            for k, (_, G) in params.transverse_generators.items():
-                rows = params.witness_rows[k]
+            for k, strip in params.tables.strips.items():
+                G, rows = strip.G, strip.rows
+                assert strip.others == tuple(ell for ell in generators(n, params.K) if ell != k)
+                assert G.tolist() == [list(ell) for ell in strip.others]
                 assert rows.shape == G.shape
                 assert sorted(map(tuple, rows)) == sorted(map(tuple, G))
                 kv = np.array(k, dtype=float)
                 gaps = (rows * rows).sum(axis=1) * (kv @ kv) - (rows @ kv) ** 2
                 assert np.all(np.diff(gaps) >= 0)  # |P_k^perp l| ascending
-        assert kernel_params(1).witness_rows[(1,)].shape == (0, 1)
+        assert kernel_params(1).tables.strips[(1,)].rows.shape == (0, 1)
 
     def test_witness_past_the_first_stage(self):
         # n = 3, alpha = 0.01: both points lie in the strip of e_1 alone and off
@@ -333,7 +361,7 @@ class TestBatchKernel:
         params = kernel_params(3, 0.01)
         e1, thr = (1, 0, 0), params.r1_threshold((1, 0, 0))
         Y = np.array([(0.004, 0.75, -0.375), (0.004, 0.54, 0.81)])
-        gaps = np.abs(params.witness_rows[e1] @ (Y * (0, 1, 1)).T)
+        gaps = np.abs(params.tables.strips[e1].rows @ (Y * (0, 1, 1)).T)
         late = np.flatnonzero(gaps[:, 0] <= thr)
         assert late.size and late.min() >= cover._STAGE
         assert gaps[:, 1].min() > thr
@@ -520,3 +548,20 @@ class TestMeasure:
     def test_ball_volume(self):
         assert ball_volume(2) == pytest.approx(math.pi)
         assert ball_volume(3) == pytest.approx(4 * math.pi / 3)
+
+
+# cover: (n, alpha, K0, K, samples) of the benchmark's measure_R2 jobs
+MEASURE_CONFIGS = ((2, 0.05, 2, 5, 1 << 18), (3, 0.03, 2, 4, 3 << 16))
+
+
+@pytest.mark.parametrize("n, alpha, K0, K, samples", MEASURE_CONFIGS)
+def test_measure_matches_benchmark_pins(n, alpha, K0, K, samples):
+    # the counts pinned for the benchmark's measure_R2 pools (pool i draws
+    # seed 10^6 n + i), first 10 of each n: points with any R2 label and
+    # points with only R2 labels
+    pins = json.loads(PINS.read_text())["measure_R2"][f"n={n}"]
+    params = free_params(n, 1.0, alpha=alpha, K0=K0, K=K)
+    for i in range(10):
+        est = measure_R2(params, samples, 1_000_000 * n + i)
+        got = [round(est.fraction_any * samples), round(est.fraction_only * samples)]
+        assert got == pins[i], f"pool {i}"

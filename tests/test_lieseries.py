@@ -23,6 +23,7 @@ from resoforge.lieseries import (
     TaylorFourierSeries,
     TruncationLedger,
     _flow_time1,
+    _fold,
     _killed,
     _on_line,
     kinetic_series,
@@ -44,10 +45,25 @@ def series(n=2, y0=(0.7, 0.31), deg=2, cutoff=8):
     return TaylorFourierSeries(n, np.asarray(y0, dtype=float), deg, cutoff)
 
 
+def from_rows(F, rows, ledger=None):
+    """The series of F's algebra holding the terms (k, m, c), merged by the
+    library's slot fold (equal keys summed from 0.0 in row order, exact zeros
+    dropped); the nonzero ones beyond the truncation go to the ledger one by one."""
+    K = np.array([k for k, _, _ in rows], dtype=np.int64).reshape(len(rows), F.n)
+    M = np.array([m for _, m, _ in rows], dtype=np.int64).reshape(len(rows), F.n)
+    C = np.array([c for _, _, c in rows], dtype=complex)
+    fits = (np.abs(K).sum(axis=1) <= F.cutoff) & (M.sum(axis=1) <= F.max_degree)
+    if ledger is not None:
+        for c in C[~fits & (C != 0)].tolist():
+            ledger.drop(abs(c))
+    table = _slots(F.n, F.cutoff, F.max_degree)
+    return F._with(*_fold(table, [(table.of(K[fits], M[fits]), C[fits])]))
+
+
 def add_term(F, k, m, c, ledger=None):
     """Add c (y - y0)^m e^{i k.x} to F in place through the series' own merge:
     a zero c is skipped and a term beyond the truncation goes to the ledger."""
-    S = F._merged(F, F._rows([(k, m, c)], ledger))
+    S = F._merged(F, from_rows(F, [(k, m, c)], ledger))
     F._store(S.K, S.M, S.C)
 
 
@@ -424,7 +440,7 @@ class TestArrayBracket:
             rows = [((cutoff * edge,), ((deg + 1) // 2,), 0.75 - 0.5j)]
             rows += [((int(k),), (int(m),), complex(rng.normal(), rng.normal()))
                      for k, m in zip(rng.integers(-cutoff, cutoff + 1, 24), rng.integers(0, deg + 1, 24))]
-            T = S._rows(rows)
+            T = from_rows(S, rows)
             S._store(T.K, T.M, T.C)
         led_out, led_ref = TruncationLedger(), TruncationLedger()
         out, ref = F.poisson(G, led_out), reference_poisson(F, G, led_ref)
