@@ -79,8 +79,7 @@ class CoveringParams(Record):
         return 3.0 * self.alpha * self.K / _euclid(k)
 
     @property
-    def tables(self) -> _Tables:
-        """The covering tables of (n, K0, K), shared by every params of that cutoff."""
+    def tables(self) -> _Tables:  # shared by every params of this (n, K0, K)
         return _tables(self.n, self.K0, self.K)
 
     @cached_property
@@ -107,32 +106,27 @@ class _Strip(NamedTuple):
     kv: np.ndarray            # k as floats
     e_k: np.ndarray           # k / |k|
     others: tuple[Mode, ...]  # the order-K generators off the line Z k (all but k), in generator order
-    G: np.ndarray             # their float rows, shape (len(others), n)
-    rows: np.ndarray          # G by the exact |k|^2 |P_k^perp l|^2 = |k|^2 |l|^2 - (k.l)^2
-                              # ascending (ties in generator order): likeliest witnesses first
+    G: np.ndarray             # their float rows
+    rows: np.ndarray          # G by the exact |k|^2 |P_k^perp l|^2 = |k|^2 |l|^2 - (k.l)^2 ascending
+                              # (ties in generator order): likeliest witnesses first
 
 
 class _Tables(NamedTuple):
-    """What the covering reads of (n, K0, K): the order-K0 generators as a
-    float matrix and, in their order, the strip of each."""
-
-    G0: np.ndarray
-    strips: Mapping[Mode, _Strip]
+    G0: np.ndarray                 # generators_K0 as float rows
+    strips: Mapping[Mode, _Strip]  # in generator order
 
 
 @lru_cache(maxsize=8)
 def _tables(n: int, K0: int, K: int) -> _Tables:
     """The covering tables of a cutoff, built once and held read-only."""
-    gens = generators(n, K)
-    strips = {}
+    gens, strips = generators(n, K), {}
     for k in generators(n, K0):
         others = tuple(ell for ell in gens if ell != k)
-        G = np.array(others, dtype=float).reshape(-1, n)
-        kv = np.array(k, dtype=float)
+        G, kv = np.array(others, dtype=float).reshape(-1, n), np.array(k, dtype=float)
         rows = G[np.argsort((G * G).sum(axis=1) * sum(v * v for v in k) - (G @ k) ** 2, kind="stable")]
         strips[k] = _Strip(kv, kv / _euclid(k), others, G, rows)
     G0 = np.array(list(strips), dtype=float)
-    for table in (G0, *(a for strip in strips.values() for a in strip if isinstance(a, np.ndarray))):
+    for table in (G0, *(a for strip in strips.values() for a in (strip.kv, strip.e_k, strip.G, strip.rows))):
         table.setflags(write=False)
     return _Tables(G0, MappingProxyType(strips))
 
@@ -203,8 +197,7 @@ def classify_point(y, params: CoveringParams, all_pairs: bool = True) -> list[Re
 
 @dataclass
 class BatchClassification:
-    """Vectorized classification of many points: the masks of R0, of some
-    R1_k and of some R2_{k,l}, and what follows from them.
+    """Vectorized classification of many points.
 
     codes: 0 where R0 holds, else 1 where some R1_k holds, else 2 (RegionLabel
     priority for rasters); the boolean masks carry the full structure."""
@@ -220,21 +213,16 @@ class BatchClassification:
         self.codes = np.where(self.is_r0, np.int8(0), np.subtract(2, self.is_r1, dtype=np.int8))
 
 
-def _cover(Y: np.ndarray, params: CoveringParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel of classify_batch and measure_R2: (is_r0, cand, r1, r2) for
-    the rows of Y, shape (m, n).  is_r0 is the R0 gate over all m points,
-    cand the indices of the candidates (min |k.y| < alpha, the only points
-    that can be in some R1_k or R2_{k,l}), and r1, r2 the masks of some R1_k
-    and some R2_{k,l} over the candidates only.
-
-    The points are read through Yt = Y.T in the caller's layout, with no
-    copy, and never written.  Per _BLOCK points, one product with the float
-    generators_K0 gives min |k.y|.  The candidates are gathered along the
-    contiguous axis: columns of Yt when it is C-ordered (_sample_ball's
-    output), else rows of Y, transposed once.  Per k, the strip |y.k| < alpha
-    meets the first _STAGE witness rows of params.tables, and the rest, per
-    _BLOCK points, only where no witness was found: R1_k needs every gap
-    above the threshold, in any row order."""
+def _cover(Y: np.ndarray, params: CoveringParams) -> tuple:
+    """The kernel of classify_batch and measure_R2 on the rows of Y, shape
+    (m, n): (is_r0, cand, r1, r2), the R0 gate over all m points, the indices
+    of the candidates (min |k.y| < alpha) and the masks of some R1_k and of
+    some R2_{k,l} over the candidates only.  Y is read through Yt = Y.T, in
+    the caller's layout, never copied or written; per _BLOCK points one
+    product with G0 gives min |k.y|.  The candidates are gathered along the
+    contiguous axis (columns of a C-ordered Yt, else rows of Y, transposed
+    once).  Each strip |y.k| < alpha meets the first _STAGE witness rows, and
+    the rest, per _BLOCK points, only where no witness was found."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != params.n:
         raise ConfigError(f"points must have shape (m, {params.n})")
@@ -246,22 +234,21 @@ def _cover(Y: np.ndarray, params: CoveringParams) -> tuple[np.ndarray, np.ndarra
         raise ConfigError("outside unit ball")
     m = Y.shape[0]
     product = np.dot if params.n == 1 else np.matmul  # matmul skips BLAS at n = 1
-    tables = params.tables
-    block = np.empty(len(tables.G0) * _BLOCK)
+    G0, strips = params.tables
+    block = np.empty(len(G0) * _BLOCK)
     for a in range(0, m, _BLOCK):
-        P = block[:len(tables.G0) * min(_BLOCK, m - a)].reshape(len(tables.G0), -1)
-        np.abs(product(tables.G0, Yt[:, a:a + _BLOCK], out=P), out=P).min(axis=0, out=sq[a:a + _BLOCK])
+        P = block[:len(G0) * min(_BLOCK, m - a)].reshape(len(G0), -1)
+        np.abs(product(G0, Yt[:, a:a + _BLOCK], out=P), out=P).min(axis=0, out=sq[a:a + _BLOCK])
     is_r0 = sq > params.alpha / 2.0
     cand = np.flatnonzero(sq < params.alpha)
     Yc = Yt.take(cand, axis=1) if Yt.flags.c_contiguous else Y.take(cand, axis=0).T.copy()
     p_k, mask = np.empty(cand.size), np.empty(cand.size, dtype=bool)
     r1, r2 = np.zeros(cand.size, dtype=bool), np.zeros(cand.size, dtype=bool)
-    for k, s in tables.strips.items():
+    for k, s in strips.items():
         np.abs(product(s.kv, Yc, out=p_k), out=p_k)
         strip = np.flatnonzero(np.less(p_k, params.alpha, out=mask))
         Yn = Yc.take(strip, axis=1)
-        Yperp = Yn - np.outer(s.e_k, s.e_k @ Yn)
-        thr = params.r1_threshold(k)
+        Yperp, thr = Yn - np.outer(s.e_k, s.e_k @ Yn), params.r1_threshold(k)
         Q = s.rows[:_STAGE] @ Yperp
         min_q = np.abs(Q, out=Q).min(axis=0, initial=np.inf)
         rest = np.flatnonzero(min_q > thr)
@@ -276,10 +263,9 @@ def _cover(Y: np.ndarray, params: CoveringParams) -> tuple[np.ndarray, np.ndarra
 
 def classify_batch(Y: np.ndarray, params: CoveringParams) -> BatchClassification:
     """Classify the rows of Y, shape (m, n), with the inequalities of
-    classify_point: the kernel _cover, its candidate masks scattered once
-    onto all m points."""
+    classify_point: _cover's candidate masks, scattered once onto all m points."""
     is_r0, cand, r1, r2 = _cover(Y, params)
-    is_r1, is_r2 = np.zeros(is_r0.size, dtype=bool), np.zeros(is_r0.size, dtype=bool)
+    is_r1, is_r2 = np.zeros((2, is_r0.size), dtype=bool)
     is_r1[cand], is_r2[cand] = r1, r2
     return BatchClassification(is_r0, is_r1, is_r2)
 
@@ -345,9 +331,8 @@ def measure_R2(params: CoveringParams, samples: int, seed: int) -> R2MeasureEsti
     Reports both the measure of points carrying any R2 label and of points
     carrying only R2 labels (no R0, no R1), with binomial confidence
     intervals scaled by the ball volume.  The points are those of
-    ball_points(params.n, samples, seed); both counts are read off the
-    candidate masks of _cover, chunk by chunk, as classify_batch would
-    count them, with no mask over all the points but the R0 gate.
+    ball_points(params.n, samples, seed), counted chunk by chunk on _cover's
+    candidate masks: no mask over all the points but the R0 gate.
     """
     if samples < 1000:
         raise ConfigError("need at least 10^3 samples")

@@ -201,26 +201,20 @@ class TaylorFourierSeries:
         table = _slots(self.n, self.cutoff, self.max_degree)
         return self._with(*_fold(table, [(table.of(K, M), C)]))
 
-    def _mode_pairs(self, K: np.ndarray, C: np.ndarray, ledger: TruncationLedger | None = None
-                    ) -> "TaylorFourierSeries":
-        """The series of the y-independent terms c e^{i k.x} + conj(c) e^{-i k.x}
-        of the rows (k, c), no key twice: those within the cutoff listed by
-        mode rank (their slot order), each coefficient + 0.0 as `_merged` sums
-        it, exact zeros dropped; each nonzero pair beyond it goes to the ledger
-        as two drops of |c|."""
+    def _mode_pairs(self, K: np.ndarray, C: np.ndarray, ledger: TruncationLedger | None = None):
+        """The series of the terms c e^{i k.x} + conj(c) e^{-i k.x} of the rows (k, c), no
+        key twice: by mode rank (slot order), each coefficient + 0.0 as `_merged` sums it,
+        exact zeros dropped; each nonzero pair beyond the cutoff goes to the ledger as two |c|."""
         fits = np.abs(K).sum(axis=1) <= self.cutoff
         if ledger is not None:
-            for c in C[~fits & (C != 0)].tolist():
+            for c in C[~fits & (C != 0)].repeat(2).tolist():
                 ledger.drop(abs(c))
-                ledger.drop(abs(c))
-        table = _slots(self.n, self.cutoff, self.max_degree)
-        K, C = K[fits], C[fits]
+        table, K, C = _slots(self.n, self.cutoff, self.max_degree), K[fits], C[fits]
         dense = np.zeros(len(table.modes), dtype=complex)
         dense[table.mode_base[(K + 2 * self.cutoff) @ table.w_k] // len(table.monos)] = C
         dense[table.mode_base[(2 * self.cutoff - K) @ table.w_k] // len(table.monos)] = C.conj()
-        rank = dense.nonzero()[0]
-        return self._with(table.modes.take(rank, axis=0), np.zeros((len(rank), self.n), dtype=np.int64),
-                          dense.take(rank) + 0.0)
+        K = table.modes.take(rank := dense.nonzero()[0], axis=0)
+        return self._with(K, np.zeros_like(K), dense.take(rank) + 0.0)
 
     def _check(self, other: "TaylorFourierSeries") -> None:
         """ConfigError unless other has this n and base point (a shared array
@@ -403,9 +397,7 @@ class TaylorFourierSeries:
 
 
 def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSeries:
-    """0.5|y|^2 expanded exactly around y0 (degree 2): the mode-0 terms
-    0.5|y0|^2, y0_j (y - y0)_j and 0.5 (y - y0)_j^2, listed by monomial rank
-    (their slot order), exact zeros dropped."""
+    """0.5|y|^2 expanded exactly around y0 (degree 2), by monomial rank (slot order)."""
     if max_degree < 2:
         raise ConfigError("kinetic part needs max_degree >= 2")
     y0 = np.asarray(y0, dtype=float)
@@ -414,9 +406,8 @@ def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSer
     dense[0] = 0.5 * float(np.dot(y0, y0))
     dense[table.mono_rank[table.w_m]] = y0  # e_j packs to its digit weight
     dense[table.mono_rank[2 * table.w_m]] = 0.5
-    rank = dense.nonzero()[0]
-    return TaylorFourierSeries(len(y0), y0, max_degree, cutoff)._with(
-        np.zeros((len(rank), len(y0)), dtype=np.int64), table.monos.take(rank, axis=0), dense.take(rank) + 0.0)
+    M = table.monos.take(rank := dense.nonzero()[0], axis=0)
+    return TaylorFourierSeries(len(y0), y0, max_degree, cutoff)._with(np.zeros_like(M), M, dense.take(rank) + 0.0)
 
 
 def potential_series(

@@ -83,11 +83,9 @@ def mat_mul(a, b):
 
 
 def apply(matrix, v) -> np.ndarray:
-    """M v, shape L + (rows,), for an exact M (rows of ints or Fractions), or
-    its entries rounded once by np.asarray(M, dtype=float) and held by a
-    caller that applies M many times, and floats v of shape L + (cols,): each
-    row is summed in column order, one column of products at a time, so no
-    BLAS kernel or fused multiply-add sets the bits."""
+    """M v, shape L + (rows,), for an exact M (rows of ints or Fractions), or its entries rounded
+    once by np.asarray(M, dtype=float) and held to apply M often, and floats v of shape L + (cols,):
+    each row is summed in column order, so no BLAS kernel or fused multiply-add sets the bits."""
     M = np.asarray(matrix, dtype=float)
     v = np.asarray(v, dtype=float)
     out = v[..., :1] * M[:, 0]
