@@ -201,7 +201,8 @@ class TaylorFourierSeries:
         table = _slots(self.n, self.cutoff, self.max_degree)
         return self._with(*_fold(table, [(table.of(K, M), C)]))
 
-    def _mode_pairs(self, K: np.ndarray, C: np.ndarray, ledger: TruncationLedger | None = None):
+    def _mode_pairs(self, K: np.ndarray, C: np.ndarray,
+                    ledger: TruncationLedger | None = None) -> "TaylorFourierSeries":
         """The series of the terms c e^{i k.x} + conj(c) e^{-i k.x} of the rows (k, c), no
         key twice: by mode rank (slot order), each coefficient + 0.0 as `_merged` sums it,
         exact zeros dropped; each nonzero pair beyond the cutoff goes to the ledger as two |c|."""

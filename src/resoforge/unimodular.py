@@ -89,7 +89,7 @@ def apply(matrix, v) -> np.ndarray:
     M = np.asarray(matrix, dtype=float)
     v = np.asarray(v, dtype=float)
     out = v[..., :1] * M[:, 0]
-    for j in range(1, M.shape[1]):
+    for j in range(1, v.shape[-1]):
         out += v[..., j:j + 1] * M[:, j]
     return out
 
