@@ -13,7 +13,9 @@ from resoforge.cover import free_params
 from resoforge.fourier import (
     ConfigError,
     HypothesisError,
+    OneDTrigPoly,
     TrigPoly,
+    generators,
     project_lattice,
     two_mode_potential,
 )
@@ -265,6 +267,11 @@ def to_series(F):
 def exact_items(F):
     """F's terms in order, each coefficient as its repr (which tells -0.0 from 0.0)."""
     return [(key, repr(complex(c))) for key, c in F.terms.items()]
+
+
+def exact_bytes(F):
+    """F's row arrays: dtype, shape and bytes of K, M and C."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (F.K, F.M, F.C)]
 
 
 def reference_poisson(F, G, ledger):
@@ -1237,6 +1244,39 @@ class TestSlotOrder:
         assert len(f.C) == 12 and led_f.by_grade == led_b.by_grade != {}
         for x, y in ((f.K, b.K), (f.M, b.M), (f.C, b.C)):
             assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_array_built_series_equal_the_generic_fold(self, n):
+        # kinetic_series, potential_series and ray_series against their
+        # terms as (k, m, c) rows through the slot fold, byte for byte and
+        # with the same ledger sums: zero and -0.0 parts, modes beyond the
+        # cutoff
+        rng = np.random.default_rng([n, 14])
+        zero = (0,) * n
+        e = np.eye(n, dtype=int).tolist()
+        for y0 in (rng.normal(size=n), np.zeros(n), np.array([-0.0, 1.5, 0.0][:n])):
+            rows = [(zero, zero, 0.5 * float(np.dot(y0, y0)))]
+            for j in range(n):
+                rows += [(zero, e[j], float(y0[j])), (zero, [2 * v for v in e[j]], 0.5)]
+            for deg, cutoff in ((2, 0), (3, 4)):
+                got, want = kinetic_series(n, y0, deg, cutoff), from_rows(series(n, y0, deg, cutoff), rows)
+                assert exact_bytes(got) == exact_bytes(want)
+        gens = generators(n, 7)
+        modes = gens + [tuple(j * v for v in gens[0]) for j in (2, 5, 7)]
+        coeffs = {k: complex(rng.normal(), rng.normal()) for k in modes[::2]}
+        coeffs[modes[1]] = complex(-0.0, 0.25)
+        f, like = TrigPoly(n, coeffs), series(n, rng.normal(size=n), 3, 4)
+        pairs = [row for k, c in f.coeffs.items()
+                 for row in ((k, zero, c), (tuple(-v for v in k), zero, complex(np.conj(c))))]
+        led, led_ref = TruncationLedger(), TruncationLedger()
+        got = potential_series(f, like.base_point, 3, 4, led)
+        assert exact_bytes(got) == exact_bytes(from_rows(like, pairs, led_ref))
+        assert led.by_grade == led_ref.by_grade != {}
+        p = OneDTrigPoly({1: 0.5 - 0.25j, 2: complex(0.0, -0.0) + 0.125, 3: 0.0625j})
+        k = gens[-1]
+        pairs = [row for j, c in p.coeffs.items()
+                 for row in ((tuple(j * v for v in k), zero, c), (tuple(-j * v for v in k), zero, complex(np.conj(c))))]
+        assert exact_bytes(ray_series(like, p, k)) == exact_bytes(from_rows(like, pairs))
 
 
 def nonres_setup(eps=1e-3, order=1, deg=2, f=None):
