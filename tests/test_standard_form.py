@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
 
@@ -35,7 +36,7 @@ from resoforge.standard_form import (
 )
 from resoforge.unimodular import apply, complete_to_sl, decoupling_matrix
 from test_fourier import product_power
-from test_lieseries import add_term
+from test_lieseries import add_term, gamma
 
 TWO_PI = 2 * math.pi
 
@@ -759,14 +760,14 @@ def reference_bound_call(G, phat, q1, Y1, dy, dph=0, dq=0):
     return out.reshape(out.shape[:-1] + (G.n_hat,) * dph)
 
 
-def _counted_potential(n_hat, count, seed):
+def _counted_potential(n_hat, count, seed, center=None):
     """count distinct terms of degree <= 3 in Y1 and <= 2 in each phat, j <= 5,
-    with coefficients of both signs, about the zero center."""
+    with coefficients of both signs, about `center` (default zero)."""
     keys = [(d, m, j) for d in range(4) for m in itertools.product(range(3), repeat=n_hat)
             for j in range(6)]
     rng = np.random.default_rng(seed)
     pick = rng.choice(len(keys), count, replace=False)
-    return PolyTrig1(n_hat, {keys[i]: tuple(rng.uniform(-1.0, 1.0, 2)) for i in pick})
+    return PolyTrig1(n_hat, {keys[i]: tuple(rng.uniform(-1.0, 1.0, 2)) for i in pick}, center)
 
 
 @cache
@@ -831,6 +832,106 @@ class TestEvaluatorBytes:
         c, e = G._row_tables(1, 2)
         assert G._row_tables(1, 2)[0] is c and c.shape == (4, 9) and e.shape == (4, 9, 2)
         assert not (c.flags.writeable or e.flags.writeable)
+
+
+def _exact(x):
+    """An mpmath float as the Fraction it is (`man_exp` drops the sign)."""
+    man, exp = x.man_exp
+    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+
+
+def exact_bound_call(G, phat, q1, Y1, dy, dph, dq):
+    """G.at(phat, q1)(Y1, dy, dph, dq) in exact arithmetic: a list of
+    (value, magnitudes) over the points in C order and then the phat index
+    tuples, where value is the exact Fraction and magnitudes maps a rounding
+    count k to the sum of the magnitudes A_t of the terms t with k_t = k
+    (see `TestEvaluatorOracle`).  The offsets, every product and every sum
+    are exact; cos and sin are mpmath's at 200 bits, so the value is within
+    2^-190 sum A_t of the exact one, negligible against a bound of at least
+    u sum A_t."""
+    mpmath = pytest.importorskip("mpmath")
+    q1, Y1 = np.asarray(q1, dtype=float), np.asarray(Y1, dtype=float)
+    phat = np.asarray(phat, dtype=float)
+    shape = np.broadcast_shapes(phat.shape[:-1], q1.shape, Y1.shape)
+    phat = np.broadcast_to(phat, shape + phat.shape[-1:])
+    q1, Y1 = np.broadcast_to(q1, shape), np.broadcast_to(Y1, shape)
+    center = [Fraction(c) for c in G.center]
+    terms = [(d, m, j, Fraction(a), Fraction(b)) for (d, m, j), (a, b) in G.terms.items()]
+    out = []
+    with mpmath.workprec(200):
+        for point in np.ndindex(shape):
+            v1 = Fraction(Y1[point]) - center[0]
+            vhat = [Fraction(p) - c for p, c in zip(phat[point], center[1:])]
+            q = mpmath.mpf(q1[point])
+            trig = [(_exact(mpmath.cos(j * q)), _exact(mpmath.sin(j * q))) for j in range(6)]
+            for idx in itertools.product(range(G.n_hat), repeat=dph):
+                value, magnitudes = Fraction(0), {}
+                for d, m, j, a, b in terms:
+                    e = [mi - idx.count(i) for i, mi in enumerate(m)]
+                    poly = math.perm(d, dy) * math.prod(math.perm(mi, idx.count(i)) for i, mi in enumerate(m))
+                    if not poly:
+                        continue
+                    poly *= v1 ** (d - dy) * math.prod(v ** k for v, k in zip(vhat, e))
+                    cos, sin = trig[j]
+                    parts = (a * cos, b * sin) if dq == 0 else (j * b * cos, -j * a * sin)
+                    value += poly * sum(parts)
+                    k = 4 + dq + max(d - dy - 1, 0) + sum(max(k - 1, 0) for k in e) + G.n_hat - 1 + 3
+                    magnitudes[k] = magnitudes.get(k, 0) + abs(poly) * sum(abs(x) for x in parts)
+                out.append((value, magnitudes))
+    return out
+
+
+class TestEvaluatorOracle:
+    @pytest.mark.parametrize("n_hat, count", [(1, 1), (1, 7), (1, 9), (2, 8), (2, 17), (2, 130)])
+    def test_within_forward_error_bounds_of_the_exact_sum(self, n_hat, count):
+        """Every double is a dyadic rational, so `exact_bound_call` gives the
+        exact value of each derivative at points whose offsets from the
+        center, Y1 - c and phat - c, are computed exactly: the center's
+        entries are multiples of 1/8 and the offsets of 2^-30.  q1 has at most
+        50 significant bits, so j q1 is exact for j <= 5.
+
+        A term t of the derivative (dy, dph, dq) is the product of an exact
+        integer, v1^(d - dy), the powers vhat_i^(e_i) and its trig part,
+        a cos + b sin (dq = 0) or j (b cos - a sin) (dq = 1).  Its roundings
+        are: cos or sin, within one ulp (2u relative; numpy documents no
+        bound), 2; its product with a or b, 1; the trig sum, 1; j times that
+        sum, dq; a power k of an offset, max(k - 1, 0) (the running products
+        of `power_table`); the product of the n_hat phat powers, n_hat - 1;
+        the integer times that product, the Y1 power times the trig part and
+        the one times the other, 3.  With k_t their total, the computed term
+        is within gamma_{k_t} A_t of the exact one, A_t being the magnitude
+        of the integer and the powers times |a cos| + |b sin| (dq = 0) or
+        j (|b cos| + |a sin|) (dq = 1).  The T terms are then summed, in any
+        order, with at most T - 1 roundings each, so the value is within
+        sum_t gamma_{k_t + T - 1} A_t of the exact one (N. J. Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1,
+        Lemma 3.3 and eq. (4.4)), where gamma_k = k u / (1 - k u) and
+        u = 2^-53.
+
+        All 24 derivatives with dy 0-3, dph 0-2 and dq 0-1 are read at a
+        stack of 2 x 3 points.  The largest error, in units of the bound, is
+        printed (`pytest -s`) and must be at most 1."""
+        rng = np.random.default_rng([n_hat, count, 50])
+        center = rng.integers(-8, 9, n_hat + 1) / 8.0
+        G = _counted_potential(n_hat, count, count, center)
+
+        def offsets(shape):
+            return np.round(rng.uniform(-0.5, 0.5, shape) * 2.0 ** 30) / 2.0 ** 30
+
+        phat = center[1:] + offsets((2, 1, n_hat))
+        q1 = np.round(rng.uniform(0, TWO_PI, (1, 3)) * 2.0 ** 47) / 2.0 ** 47
+        Y1 = center[0] + offsets((2, 3))
+        ev = G.at(phat, q1)
+        worst = Fraction(0)
+        for dy, dph, dq in itertools.product(range(4), range(3), range(2)):
+            got = ev(Y1, dy, dph, dq).reshape(-1)
+            for x, (value, magnitudes) in zip(got.tolist(), exact_bound_call(G, phat, q1, Y1, dy, dph, dq)):
+                bound = sum(gamma(k + count - 1) * a for k, a in magnitudes.items())
+                error = abs(Fraction(x) - value)
+                assert error == 0 or bound > 0, (dy, dph, dq)
+                worst = max(worst, error / bound if error else Fraction(0))
+        print(f"{n_hat} phat, {count} terms: {float(worst):.3g} of the bound")
+        assert worst <= 1
 
 
 class TestNumpyAssumptions:
