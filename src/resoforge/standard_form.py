@@ -183,24 +183,6 @@ class PolyTrig1:
         return total
 
 
-def _term_sum(X) -> np.ndarray:
-    """np.sum(X, axis=-1) bit for bit, by adds of whole columns in numpy's
-    order for a contiguous row, whatever the layout of X: left to right from
-    +0.0 below 8 terms, which X.sum keeps in any layout; up to 128, 8 running
-    sums folded pairwise, then the rest; above, two halves.  The +0.0 joins
-    before the rest here, which moves only signs of zero, and those end +0.0."""
-    n = X.shape[-1]
-    if n > 128:
-        return _term_sum(X[..., :n // 16 * 8]) + _term_sum(X[..., n // 16 * 8:])
-    if n < 8:
-        return X.sum(axis=-1)
-    cut = n // 8 * 8
-    acc = sum((X[..., i:i + 8] for i in range(8, cut, 8)), X[..., :8])
-    while acc.shape[-1] > 1:
-        acc = acc[..., ::2] + acc[..., 1::2]
-    return sum((X[..., t] for t in range(cut, n)), acc[..., 0] + 0.0)
-
-
 class BoundPotential:
     """Gf bound to a stack of phat of shape L + (n_hat,), one phat being
     L = (), and q1 of shape `shape` = L + S, where an axis of L may be 1.
@@ -209,8 +191,9 @@ class BoundPotential:
     by dph derivatives in phat, one trailing axis of length n_hat each; Y1
     broadcasts against q1.  The trig table of each dq, at q1's own shape, and
     the coefficient rows of each (dy, dph) are built on first use and kept,
-    so a call pays only the Y1 powers and one pass over the terms; powers are
-    running products, so each point has the bits of a pointwise call.
+    so a call pays only the Y1 powers and one pass over the terms.  Powers are running
+    products and a point's T terms are added left to right from +0.0: a point has the bits
+    of a pointwise call, within sum_t gamma_{k_t+T-1} A_t of the exact value (TestEvaluatorOracle).
     """
 
     def __init__(self, G: PolyTrig1, phat, q1):
@@ -249,8 +232,9 @@ class BoundPotential:
         v1 = np.asarray(Y1, dtype=float) - G.center[0]
         d = np.maximum(G._d - dy, 0.0).astype(np.intp)
         base = power_table(v1, d.max(initial=0))[..., d] * self._trig_table(dq)
-        # C order: callers average over the q1 grid, in an order set by the layout
-        out = np.ascontiguousarray(_term_sum(self._coefficient_rows(dy, dph) * base[..., None, :]))
+        X = self._coefficient_rows(dy, dph) * base[..., None, :]
+        # whole columns left to right from +0.0, whatever the layout; C order for the q1-grid averages
+        out = np.ascontiguousarray(sum((X[..., t] for t in range(X.shape[-1])), np.zeros(X.shape[:-1])))
         return out.reshape(out.shape[:-1] + (G.n_hat,) * dph)
 
 

@@ -31,7 +31,6 @@ from resoforge.standard_form import (
     verify_standard,
     _antiderivative_at,
     _iterate,
-    _term_sum,
     _THETA,
 )
 from resoforge.unimodular import apply, complete_to_sl, decoupling_matrix
@@ -574,8 +573,8 @@ def _potential_cases():
         cases.append((form.Gf, rng.uniform(-form.r, form.r, n_hat), form.r))
     sf = _three_mode_standard_form()
     cases.append((sf.form.Gf, sf.fp.base_phat + 0.3 * sf.chars.r, sf.chars.r))
-    # twelve terms: numpy sums a contiguous axis pairwise from 8 entries on,
-    # and an array call must sum each point's terms as a pointwise call does
+    # twelve terms, whose sum at each point of an array call must be that of
+    # a pointwise call
     keys = [(d, m, j) for d in range(3) for m in ((0, 0), (1, 0), (0, 1), (1, 1))
             for j in range(3)]
     pick = rng.choice(len(keys), 12, replace=False)
@@ -734,10 +733,11 @@ class TestArrayPotentials:
 
 def reference_bound_call(G, phat, q1, Y1, dy, dph=0, dq=0):
     """G.at(phat, q1)(Y1, dy, dph, dq) in one pass: each Y1 and phat power by
-    `product_power`, exponents 0 and 1 included, and one np.sum over a
-    contiguous term axis into a fresh C-ordered array.  The evaluator must
-    equal it byte for byte, layout included: callers average its values over
-    the q1 grid, and numpy's order for such a sum depends on the layout."""
+    `product_power`, exponents 0 and 1 included, and each point's terms
+    added one at a time, left to right from +0.0, into a fresh C-ordered
+    array.  The evaluator must equal it byte for byte, layout included:
+    callers average its values over the q1 grid, in an order set by the
+    layout."""
     q1 = np.asarray(q1, dtype=float)
     ph = np.asarray(phat, dtype=float) - G.center[1:]
     ph = ph.reshape(ph.shape[:-1] + (1,) * (q1.ndim - ph.ndim + 1) + ph.shape[-1:])
@@ -756,7 +756,10 @@ def reference_bound_call(G, phat, q1, Y1, dy, dph=0, dq=0):
     trig = G._a * cos + G._b * sin if dq == 0 else G._j * (G._b * cos - G._a * sin)
     v1 = np.asarray(Y1, dtype=float) - G.center[0]
     base = product_power(v1[..., None], np.maximum(G._d.astype(int) - dy, 0)) * trig
-    out = np.sum(np.ascontiguousarray(np.stack(rows, axis=-2) * base[..., None, :]), axis=-1)
+    terms = np.stack(rows, axis=-2) * base[..., None, :]
+    out = np.zeros(terms.shape[:-1])
+    for t in range(terms.shape[-1]):
+        out += terms[..., t]
     return out.reshape(out.shape[:-1] + (G.n_hat,) * dph)
 
 
@@ -773,9 +776,9 @@ def _counted_potential(n_hat, count, seed, center=None):
 @cache
 def _reference_cases():
     """(G, scale of the offsets): the potentials of `_potential_cases`, potentials
-    of 0 to 130 terms (8 and 128 are where numpy's sum of a row changes order),
-    one lone term whose every exponent array has one entry, and terms whose
-    coefficients are all signed zeros, so whole rows of terms are zero."""
+    of 0 to 130 terms, one lone term whose every exponent array has one entry,
+    and terms whose coefficients are all signed zeros, so whole rows of terms
+    are zero."""
     cases = [(G, r) for G, _, r in _potential_cases()]
     for count in (0, 1, 7, 8, 9, 16, 17, 130):
         cases.append((_counted_potential(2, count, count), 0.5))
@@ -932,23 +935,6 @@ class TestEvaluatorOracle:
                 worst = max(worst, error / bound if error else Fraction(0))
         print(f"{n_hat} phat, {count} terms: {float(worst):.3g} of the bound")
         assert worst <= 1
-
-
-class TestNumpyAssumptions:
-    """What the evaluator takes from numpy, each by name, so that a numpy
-    release that moves one fails here rather than in a digest."""
-
-    @pytest.mark.parametrize("layout", ["contiguous", "term-major"])
-    def test_term_sum_equals_numpy_sum_of_contiguous_rows(self, layout):
-        rng = np.random.default_rng(42)
-        for T in range(301):
-            X = rng.standard_normal((3, 2, T)) * np.exp(rng.uniform(-40, 40, (3, 2, T)))
-            X[..., rng.random(T) < 0.2] = -0.0
-            X[1, 0] = -0.0  # a whole row of -0.0 sums to +0.0
-            want = np.sum(X, axis=-1)
-            if layout == "term-major":
-                X = np.moveaxis(np.ascontiguousarray(np.moveaxis(X, -1, 0)), 0, -1)
-            assert _term_sum(X).tobytes() == want.tobytes(), T
 
 
 # --------------------------------------------------------------------------
