@@ -391,10 +391,8 @@ class TaylorFourierSeries:
         return list(zip(((self.K @ k) // (k @ k)).tolist(), map(tuple, self.M.tolist()), self.C.tolist()))
 
     def to_entries(self) -> list[dict]:
-        return [
-            {"k": list(k), "m": list(m), "re": float(c.real), "im": float(c.imag)}
-            for (k, m), c in sorted(self.terms.items())
-        ]
+        return [{"k": k, "m": m, "re": c.real, "im": c.imag}
+                for k, m, c in zip(self.K.tolist(), self.M.tolist(), self.C.tolist())]
 
 
 def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSeries:

@@ -4,7 +4,8 @@ The sha256 of `json.dumps(doc, sort_keys=True)` for
 - every `AveragedNF.to_dict()` of `lie_step_nonres` and `lie_step_res` at
   orders 2-5 and degree 3, on the draws of
   `TestArrayStorage::test_averaging_matches_dict_reference` (non-resonant at
-  K = 8, resonant at K = 6);
+  K = 8, resonant at K = 6), each series' entries printed in slot order,
+  the order of its rows (`TaylorFourierSeries.to_entries`);
 - the CLI documents of `normalize` (resonant and non-resonant) and
   `standardize` on the two-mode preset, `check-generic` on a lacunary and a
   random preset, `cover measure` (once within one sampling chunk, and at n = 2
