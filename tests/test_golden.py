@@ -7,9 +7,9 @@ compares to a tolerance or with the library's own kernel; this one fails on
 any change in the bytes of a coefficient, the order of the terms or a dropped
 mass.
 
-The same digests, and the byte-equality of one-angle evaluation, must hold
-under other kernels: `test_digests_hold_across_kernels` reruns both tests in
-child interpreters with OpenBLAS's Haswell kernels, and with its Prescott
+The same digests, the byte-equality of one-angle evaluation and that of the
+reduction maps' stacked and per-point calls must hold under other kernels:
+`test_digests_hold_across_kernels` reruns those tests in child interpreters with OpenBLAS's Haswell kernels, and with its Prescott
 kernels and numpy's dispatch targets above the x86-64 baseline disabled
 (`regen.kernel_matrix`).  Only x86-64 with numpy's bundled OpenBLAS is
 covered: aarch64, and other BLAS builds (where OPENBLAS_CORETYPE does
@@ -40,11 +40,13 @@ def test_digests_match_golden():
 
 
 def test_digests_hold_across_kernels():
-    # a child fails if a digest or an evaluation's bytes differ under its kernels
+    # a child fails if a digest or an evaluation's bytes differ under its kernels;
+    # the maps' stacked calls hold the decoupled potential's sums of a stack
     children = _regen().run_children([
         "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py::test_digests_match_golden",
         "tests/test_fourier.py::TestEvaluate::test_off_grid_angles_match_direct_sum",
-        "tests/test_fourier.py::TestTrigValues::test_stack_equals_each_entry_alone"])
+        "tests/test_fourier.py::TestTrigValues::test_stack_equals_each_entry_alone",
+        "tests/test_standard_form.py::TestMaps::test_stacked_calls_equal_per_point_calls"])
     assert {name: out[-3000:] for name, (code, out) in children.items() if code} == {}
 
 
