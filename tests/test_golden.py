@@ -9,8 +9,9 @@ mass.
 
 The same digests, the byte-equality of one-angle evaluation and that of the
 reduction maps' stacked and per-point calls must hold under other kernels:
-`test_digests_hold_across_kernels` reruns those tests in child interpreters with OpenBLAS's Haswell kernels, and with its Prescott
-kernels and numpy's dispatch targets above the x86-64 baseline disabled
+`test_digests_hold_across_kernels` reruns those tests in child interpreters
+with OpenBLAS's Haswell kernels, and with its Prescott kernels and numpy's
+dispatch targets above the x86-64 baseline disabled
 (`regen.kernel_matrix`).  Only x86-64 with numpy's bundled OpenBLAS is
 covered: aarch64, and other BLAS builds (where OPENBLAS_CORETYPE does
 nothing), are untested.

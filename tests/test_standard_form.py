@@ -866,7 +866,7 @@ def exact_bound_call(G, phat, q1, Y1, dy, dph, dq):
             v1 = Fraction(Y1[point]) - center[0]
             vhat = [Fraction(p) - c for p, c in zip(phat[point], center[1:])]
             q = mpmath.mpf(q1[point])
-            trig = [(_exact(mpmath.cos(j * q)), _exact(mpmath.sin(j * q))) for j in range(6)]
+            trig = {j: (_exact(mpmath.cos(j * q)), _exact(mpmath.sin(j * q))) for _, _, j, _, _ in terms}
             for idx in itertools.product(range(G.n_hat), repeat=dph):
                 value, magnitudes = Fraction(0), {}
                 for d, m, j, a, b in terms:
@@ -878,8 +878,8 @@ def exact_bound_call(G, phat, q1, Y1, dy, dph, dq):
                     cos, sin = trig[j]
                     parts = (a * cos, b * sin) if dq == 0 else (j * b * cos, -j * a * sin)
                     value += poly * sum(parts)
-                    k = 4 + dq + max(d - dy - 1, 0) + sum(max(k - 1, 0) for k in e) + G.n_hat - 1 + 3
-                    magnitudes[k] = magnitudes.get(k, 0) + abs(poly) * sum(abs(x) for x in parts)
+                    rounds = 4 + dq + max(d - dy - 1, 0) + sum(max(k - 1, 0) for k in e) + G.n_hat - 1 + 3
+                    magnitudes[rounds] = magnitudes.get(rounds, 0) + abs(poly) * sum(abs(x) for x in parts)
                 out.append((value, magnitudes))
     return out
 
