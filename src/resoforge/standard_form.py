@@ -277,10 +277,7 @@ class Characteristics(Record):
     N: float
 
     def to_dict(self) -> dict:
-        return {"k": list(self.k), "R": self.R, "r": self.r, "sigma": self.sigma, "m": self.m,
-                "eps_hat": self.eps_hat, "lambda": self.lam, "kappa": self.kappa,
-                "eps_k": self.eps_k, "chi_k": self.chi_k, "s_breve": self.s_breve,
-                "branch": self.branch, "c1": self.c1, "c2": self.c2, "c_s": self.c_s, "N": self.N}
+        return {"lambda" if name == "lam" else name: value for name, value in super().to_dict().items()}
 
 
 def characteristics(

@@ -24,7 +24,7 @@ The sha256 of `json.dumps(doc, sort_keys=True)` for
   family reaches 57 times;
 - the standard-form maps of criterion 8's two-action form
   (`acceptance._benchmark_standard_form`) and of the three-mode pipeline form
-  (`test_standard_form._three_mode_standard_form`) at 20 seeded points each:
+  (`reference.three_mode_standard_form`) at 20 seeded points each:
   `jacobian` of Phi2, Phi3 and `phi_diamond()`, `apply` of Phi2 and Phi3,
   Phi3's inverse round trip, `h0` and `check_reduction_identity`.  The maps
   take a stack of points, but here each is called on one point at a time,
@@ -89,14 +89,11 @@ sys.path.insert(0, str(HERE.parent))
 import resoforge  # noqa: E402
 from resoforge.acceptance import _benchmark_standard_form, _morse_oracle_family  # noqa: E402
 from resoforge.cli import main  # noqa: E402
-from resoforge.cover import free_params  # noqa: E402
 from resoforge.fourier import generators, lattice_projections  # noqa: E402
 from resoforge.genericity import sample_product_measure, threshold_N  # noqa: E402
-from resoforge.lieseries import NaturalHam, lie_step_nonres, lie_step_res  # noqa: E402
+from resoforge.lieseries import NaturalHam  # noqa: E402
 from resoforge.morse import critical_points_many  # noqa: E402
-from test_lieseries import averaging_potential  # noqa: E402
-from test_morse import close_pair_family  # noqa: E402
-from test_standard_form import _three_mode_standard_form  # noqa: E402
+from reference import averaging_cases, close_pairs, lie_step, three_mode_standard_form  # noqa: E402
 
 # (seed, k) of the averaging draws
 CASES = ((1, (1, 1)), (2, (1, -1)), (3, (1, 2)))
@@ -176,19 +173,10 @@ def _sha(doc) -> str:
 def averaging_documents() -> dict:
     out = {}
     for seed, k in CASES:
-        rng = np.random.default_rng([2, seed, 0])
-        u = np.array([-k[1], k[0]], dtype=float)
-        cases = [(None, averaging_potential(rng), free_params(2, 1.0, alpha=0.02, K0=2, K=8),
-                  np.array([0.7, 0.31])),
-                 (k, averaging_potential(rng, must_have=k),
-                  free_params(2, 1.0, alpha=0.03, K0=2, K=6), 0.7 * u / np.linalg.norm(u))]
-        for kk, f, params, y0 in cases:
+        for kk, f, params, y0 in averaging_cases(seed, k):
             ham = NaturalHam(2, 1e-3, f)
             for order in (2, 3, 4, 5):
-                if kk is None:
-                    nf = lie_step_nonres(ham, params, y0, order=order, max_degree=3)
-                else:
-                    nf = lie_step_res(ham, kk, params, y0, order=order, max_degree=3)
+                nf = lie_step(ham, kk, params, y0, order=order, max_degree=3)
                 kind = "nonres" if kk is None else "res"
                 out[f"{kind}/seed={seed}/order={order}"] = nf.to_dict()
     return out
@@ -221,16 +209,6 @@ def _census(Fs) -> list:
             for rep in critical_points_many(Fs)]
 
 
-def close_pairs(count: int, seed) -> list:
-    """count close pairs drawn as the certify benchmark's census jobs draw them."""
-    rng, out = np.random.default_rng(seed), []
-    for _ in range(count):
-        sep = 10.0 ** rng.uniform(-6.0, 0.0)
-        amplitude = float(rng.uniform(0.5, 2.0))
-        out.append(close_pair_family(sep, amplitude=amplitude, shift=float(rng.uniform(0.0, 2 * np.pi))))
-    return out
-
-
 def census_documents() -> dict:
     N = threshold_N(2, 5.0, 0.1)
     f = sample_product_measure(2, 5.0, N + 10.0, [101, 5, 0])
@@ -242,7 +220,7 @@ def census_documents() -> dict:
 
 def map_documents() -> dict:
     out = {}
-    forms = {"two_action": lambda: _benchmark_standard_form()[0], "three_mode": _three_mode_standard_form}
+    forms = {"two_action": lambda: _benchmark_standard_form()[0], "three_mode": three_mode_standard_form}
     for name, build in forms.items():
         sf = build()
         n, r = sf.n, sf.form.r

@@ -27,6 +27,9 @@ from resoforge.fourier import (
     two_mode_potential,
 )
 
+from exact import gamma, report
+from reference import derivative, on_ray, product_power, reference_project_lattice, reference_values_on_grid
+
 
 def brute_force_generators(n, K):
     out = set()
@@ -37,26 +40,6 @@ def brute_force_generators(n, K):
         if first > 0 and math.gcd(*k) == 1:
             out.add(k)
     return out
-
-
-def on_ray(kp, k):
-    """The signed j != 0 with kp == j*k (on_ray(-k, k) == -1); None if kp is 0 or
-    off Z k: a scalar oracle, one component at a time, for the library's
-    mode-array test `lieseries._on_line` and for `ray_terms`."""
-    j = None
-    for a, b in zip(kp, k):
-        if b == 0:
-            if a != 0:
-                return None
-        else:
-            q, r = divmod(a, b)
-            if r != 0:
-                return None
-            if j is None:
-                j = q
-            elif q != j:
-                return None
-    return int(j) if j else None
 
 
 def random_poly(rng, n=2, kmax=4, modes=6):
@@ -181,27 +164,6 @@ class TestProjection:
                     for k, F in projections.items()
                 )
                 assert total == pytest.approx(f.evaluate(x).real, abs=1e-12)
-
-
-def reference_project_lattice(f, k):
-    """pi_k f by the per-mode scan: on_ray of every stored mode against k."""
-    k = tuple(int(v) for v in k)
-    if not is_generator(k):
-        raise ConfigError("not a generator")
-    coeffs = {}
-    for kp, c in f.coeffs.items():
-        j = on_ray(kp, k)
-        if j is not None:
-            coeffs[j] = c
-    if f.rule is not None:
-        fresh = max((l1(kp) for kp in f.coeffs), default=0)
-        cutoff = f.rule_cutoff if f.rule_cutoff is not None else fresh
-        jm = max(2, int(cutoff // max(l1(k), 1)) + 2)
-        for j in range(1, jm + 1):
-            c = f.rule.coeff(tuple(j * v for v in k))
-            if c != 0:
-                coeffs[j] = c
-    return OneDTrigPoly(coeffs)
 
 
 def random_ray_poly(rng, n, rays=4, j_max=6, noise=4):
@@ -340,21 +302,6 @@ class TestEvaluate:
             assert abs(f.evaluate(x).imag) < 1e-14
 
 
-def reference_values_on_grid(F, m, order=0):
-    """Direct-sum evaluator: the (degree x m) phase matrix, no FFT, no folding."""
-    theta = np.arange(m) * (2 * math.pi / m)
-    if not F.coeffs:
-        return np.zeros(m)
-    js = np.array(sorted(F.coeffs), dtype=float)
-    cs = np.array([F.coeffs[int(j)] for j in js]) * (1j * js) ** order
-    return 2.0 * np.real(cs @ np.exp(1j * np.outer(js, theta)))
-
-
-def derivative(F, order):
-    """F^(order): the coefficients c_j (ij)^order."""
-    return OneDTrigPoly({j: (1j * j) ** order * c for j, c in F.coeffs.items()})
-
-
 class TestTrigValues:
     """Each value of a trig_values call is its own sum: it has the bytes of
     the call on its row and angle alone, whatever the stack around it."""
@@ -393,16 +340,6 @@ class TestTrigValues:
             assert got.tobytes() == self.alone(C, js, angles).tobytes(), name
 
 
-def product_power(v, e):
-    """v^e entrywise, v and the integer array e broadcast, by an explicit loop
-    of products from 1.0 (v^k = v^(k-1) v): the power rule of the evaluators."""
-    out, power = np.ones(np.broadcast(v, e).shape), np.ones(np.shape(v))
-    for k in range(int(np.max(e, initial=0)) + 1):
-        out = np.where(e == k, power, out)
-        power = power * v
-    return out
-
-
 class TestPowerTable:
     def test_equals_a_product_loop_at_zeros_subnormals_negatives_and_overflow(self):
         tiny = 5e-324
@@ -421,12 +358,11 @@ class TestPowerTable:
         assert power_table(v, 0).tobytes() == np.ones((15, 1)).tobytes()
 
     def test_within_gamma_of_the_exact_power_where_normal(self):
-        # Higham, Lemma 3.1: k - 1 rounded products are within
-        # gamma_{k-1} = (k-1)u / (1 - (k-1)u) of the exact power, u = 2^-53
+        # k - 1 rounded products are within gamma_{k-1} of the exact power
         rng = np.random.default_rng(44)
         v = np.concatenate([rng.uniform(-2.0, 2.0, 150),
                             rng.standard_normal(150) * np.exp(rng.uniform(-40.0, 40.0, 150))])
-        top, u = 16, Fraction(1, 2 ** 53)
+        top = 16
         with np.errstate(over="ignore"):
             table = power_table(v, top)
         worst, checked = Fraction(0), 0
@@ -435,9 +371,9 @@ class TestPowerTable:
                 if not np.finfo(float).tiny <= abs(row[k]) < np.inf:
                     continue
                 exact = Fraction(x) ** k
-                gamma = (k - 1) * u / (1 - (k - 1) * u)
-                worst = max(worst, abs(Fraction(row[k]) - exact) / (gamma * abs(exact)))
+                worst = max(worst, abs(Fraction(row[k]) - exact) / (gamma(k - 1) * abs(exact)))
                 checked += 1
+        report(f"{checked} powers", largest=worst)
         assert checked > 3000 and 0 < worst <= 1, (checked, float(worst))
 
 
@@ -477,21 +413,6 @@ class TestValuesOnGrid:
     def test_empty_polynomial(self, m):
         got = OneDTrigPoly({}).values_on_grid(m)
         assert got.shape == (m,) and not got.any()
-
-
-def per_order_values_on_grid(F, m, order=0):
-    """The single-order grid as one backward-normalized irfft scaled by m: an
-    FFT oracle for the reference census of tests/test_morse.py."""
-    js = np.fromiter(F.coeffs, dtype=np.int64, count=len(F.coeffs))
-    cs = np.fromiter(F.coeffs.values(), dtype=complex, count=len(js))
-    cs = cs * (1j * js) ** order
-    r = js % m
-    low = r < m - r
-    vals = np.where(low, cs, np.conj(cs))
-    vals = np.where((r == 0) | (2 * r == m), 2.0 * cs.real, vals)
-    X = np.zeros(m // 2 + 1, dtype=complex)
-    np.add.at(X, np.where(low, r, m - r), vals)
-    return m * np.fft.irfft(X, n=m)
 
 
 class TestJson:

@@ -30,7 +30,7 @@ from resoforge.genericity import (
     threshold_N,
 )
 from resoforge.morse import cosine_certificate, critical_points
-from test_fourier import reference_project_lattice
+from reference import reference_project_lattice
 
 
 def _philox(seed) -> np.random.Generator:

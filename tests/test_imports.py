@@ -1,5 +1,7 @@
-"""What the library imports, each check in a fresh interpreter: scipy is a test
-oracle only, and the first call of each kind of work imports nothing."""
+"""What the library and the tests import, each check in a fresh interpreter
+or on the source: scipy is a test oracle that no module loads on import, no
+test module imports another, and the first call of each kind of work imports
+nothing."""
 
 import ast
 import os
@@ -7,7 +9,8 @@ import pathlib
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def _run(script: str):
@@ -25,6 +28,35 @@ def test_cli_import_loads_no_scipy():
     loaded = _run("import sys, resoforge.cli\n"
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert loaded == []
+
+
+def test_test_modules_load_no_scipy():
+    # scipy.integrate costs about 0.4 s an interpreter; the DOP853 tests import it as they run
+    modules = sorted(path.stem for path in TESTS.glob("test_*.py")) + ["regen"]
+    loaded = _run(f"import sys\nsys.path[:0] = {[str(TESTS), str(TESTS / 'golden')]!r}\n"
+                  f"for name in {modules!r}:\n    __import__(name)\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded == []
+
+
+def imports_of_test_modules(root):
+    """"path:line" of each import of a test_* module in a .py file under root."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                if any(part.startswith("test_") for name in names for part in name.split(".")):
+                    found.append(f"{path.relative_to(root)}:{node.lineno}")
+    return found
+
+
+def test_no_test_module_imports_another(tmp_path):
+    assert imports_of_test_modules(TESTS) == []
+    (tmp_path / "a.py").write_text("import math\nfrom test_fourier import on_ray\n")
+    (tmp_path / "b.py").write_text("import test_lieseries as t\n")
+    (tmp_path / "c.py").write_text("from exact import gamma\nimport reference\n")
+    assert imports_of_test_modules(tmp_path) == ["a.py:2", "b.py:1"]
 
 
 FIRST_CALLS = """

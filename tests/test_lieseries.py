@@ -1,13 +1,11 @@
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from resoforge.cover import free_params
 from resoforge.fourier import (
@@ -20,12 +18,10 @@ from resoforge.fourier import (
     two_mode_potential,
 )
 from resoforge.lieseries import (
-    AveragedNF,
     NaturalHam,
     TaylorFourierSeries,
     TruncationLedger,
     _flow_time1,
-    _fold,
     _killed,
     _on_line,
     kinetic_series,
@@ -38,35 +34,12 @@ from resoforge.lieseries import (
     solve_homological,
     verify_conjugacy,
 )
-from test_fourier import on_ray
-
-TWO_PI = 2 * math.pi
+from exact import U, gamma, report, sqrt_enclosure
+from reference import TWO_PI, add_term, averaging_cases, averaging_potential, from_rows, lie_step, on_ray
 
 
 def series(n=2, y0=(0.7, 0.31), deg=2, cutoff=8):
     return TaylorFourierSeries(n, np.asarray(y0, dtype=float), deg, cutoff)
-
-
-def from_rows(F, rows, ledger=None):
-    """The series of F's algebra holding the terms (k, m, c), merged by the
-    library's slot fold (equal keys summed from 0.0 in row order, exact zeros
-    dropped); the nonzero ones beyond the truncation go to the ledger one by one."""
-    K = np.array([k for k, _, _ in rows], dtype=np.int64).reshape(len(rows), F.n)
-    M = np.array([m for _, m, _ in rows], dtype=np.int64).reshape(len(rows), F.n)
-    C = np.array([c for _, _, c in rows], dtype=complex)
-    fits = (np.abs(K).sum(axis=1) <= F.cutoff) & (M.sum(axis=1) <= F.max_degree)
-    if ledger is not None:
-        for c in C[~fits & (C != 0)].tolist():
-            ledger.drop(abs(c))
-    table = _slots(F.n, F.cutoff, F.max_degree)
-    return F._with(*_fold(table, [(table.of(K[fits], M[fits]), C[fits])]))
-
-
-def add_term(F, k, m, c, ledger=None):
-    """Add c (y - y0)^m e^{i k.x} to F in place through the series' own merge:
-    a zero c is skipped and a term beyond the truncation goes to the ledger."""
-    S = F._merged(F, from_rows(F, [(k, m, c)], ledger))
-    F._store(S.K, S.M, S.C)
 
 
 def reality_defect(F):
@@ -183,34 +156,39 @@ def slot_order(item):
     return sum(map(abs, k)), k, sum(m), m
 
 
-@dataclass
 class RefSeries:
     """The dict algebra the array storage replaced, kept as a test-only
     reference: `terms` in slot order, `add_term` pops exact zeros, and
-    `plus`, `scaled` and `split` are loops over the dict.  Its bracket is the
+    `plus`, `scaled` and `split` are loops over the dict.  `add_term` puts a
+    new key in unsorted and `terms` sorts once when next read, so a series
+    built term by term is sorted once, not once per key; each key is summed
+    in the order of its contributions either way.  Its bracket is the
     library kernel on the same rows (pinned to `reference_poisson` below)."""
 
-    n: int
-    base_point: np.ndarray
-    max_degree: int
-    cutoff: int
-    terms: dict = field(default_factory=dict)
+    def __init__(self, n, base_point, max_degree, cutoff, terms=()):
+        self.n, self.base_point, self.max_degree, self.cutoff = n, base_point, max_degree, cutoff
+        self._terms, self._sorted = dict(terms), False
+
+    @property
+    def terms(self):
+        if not self._sorted:
+            self._terms, self._sorted = dict(sorted(self._terms.items(), key=slot_order)), True
+        return self._terms
 
     @classmethod
     def of(cls, F):
-        """F's algebra holding a copy of F's terms, in slot order."""
-        return cls(F.n, F.base_point, F.max_degree, F.cutoff)._with(F.terms)
+        """F's algebra holding a copy of F's terms."""
+        return cls(F.n, F.base_point, F.max_degree, F.cutoff, F.terms)
 
     def _with(self, terms):
-        return RefSeries(self.n, self.base_point, self.max_degree, self.cutoff,
-                         dict(sorted(terms.items(), key=slot_order)))
+        return RefSeries(self.n, self.base_point, self.max_degree, self.cutoff, terms)
 
     def like(self):
         return self._with({})
 
     @property
     def is_empty(self):
-        return not self.terms
+        return not self._terms
 
     def add_term(self, k, m, c, ledger=None):
         if c == 0:
@@ -220,16 +198,15 @@ class RefSeries:
                 ledger.drop(abs(c))
             return
         key = (k, m)
-        new = self.terms.get(key, 0.0) + c
+        new = self._terms.get(key, 0.0) + c
         if new == 0:
-            self.terms.pop(key, None)
-        elif key in self.terms:
-            self.terms[key] = new
+            self._terms.pop(key, None)
         else:
-            self.terms = dict(sorted({**self.terms, key: new}.items(), key=slot_order))
+            self._sorted &= key in self._terms
+            self._terms[key] = new
 
     def plus(self, other):
-        terms = dict(self.terms)
+        terms = dict(self._terms)
         for key, c in other.terms.items():
             new = terms.get(key, 0.0) + c
             if new == 0:
@@ -239,10 +216,7 @@ class RefSeries:
         return self._with(terms)
 
     def scaled(self, a):
-        out = self.like()
-        if a != 0:
-            out.terms.update((key, a * c) for key, c in self.terms.items())
-        return out
+        return self._with({key: a * c for key, c in self._terms.items()} if a != 0 else {})
 
     def split(self, predicate):
         sel, rest, predicate = {}, {}, cache(predicate)
@@ -274,22 +248,24 @@ def exact_bytes(F):
     return [(a.dtype.str, a.shape, a.tobytes()) for a in (F.K, F.M, F.C)]
 
 
-def reference_poisson(F, G, ledger):
-    """{F, G} term pair by term pair: the double loop the array kernel replaced."""
-    out = RefSeries.of(F).like()
+def bracket_pairs(F, G):
+    """(k1 + k2, m1 + m2 - e_j, d, c1, c2) of each contribution i d c1 c2 to
+    {F, G} with d = k1_j m2_j - k2_j m1_j != 0, term pair by term pair: the
+    double loop the array kernel replaced."""
     for (k1, m1), c1 in F.terms.items():
         for (k2, m2), c2 in G.terms.items():
-            ksum = tuple(a + b for a, b in zip(k1, k2))
-            base = c1 * c2
+            k = tuple(a + b for a, b in zip(k1, k2))
             for j in range(F.n):
-                coef = 1j * (k1[j] * m2[j] - k2[j] * m1[j])
-                if coef == 0:
-                    continue
-                msum = list(m1)
-                for i in range(F.n):
-                    msum[i] += m2[i]
-                msum[j] -= 1
-                out.add_term(ksum, tuple(msum), base * coef, ledger)
+                d = k1[j] * m2[j] - k2[j] * m1[j]
+                if d:
+                    yield k, tuple(u + v - (i == j) for i, (u, v) in enumerate(zip(m1, m2))), d, c1, c2
+
+
+def reference_poisson(F, G, ledger):
+    """{F, G} from `bracket_pairs`, each key summed in their order."""
+    out = RefSeries.of(F).like()
+    for k, m, d, c1, c2 in bracket_pairs(F, G):
+        out.add_term(k, m, (c1 * c2) * (1j * d), ledger)
     return out
 
 
@@ -312,44 +288,28 @@ def random_real_series(rng, n, deg, cutoff, count):
     return F
 
 
-U = Fraction(1, 2 ** 53)  # the unit roundoff of a double
-
-
-def gamma(k):
-    """Higham's gamma_k = k u / (1 - k u)."""
-    return k * U / (1 - k * U)
-
-
 def exact_bracket(F, G):
-    """{F, G} in rational arithmetic, term pair by term pair: (kept, lost).
+    """{F, G} in rational arithmetic over `bracket_pairs`: (kept, lost).
     kept maps each key within F's truncation to [Re, Im, N, A_re, A_im]: the
     exact sum, the number of contributions, and the sums of |d| (|a1 b2| +
     |b1 a2|) and |d| (|a1 a2| + |b1 b2|) over them.  lost lists, for each
     contribution beyond the truncation, its squared modulus and |d| times
     the sum of the four product magnitudes."""
     kept, lost = {}, []
-    rows2 = [(k2, m2, Fraction(c2.real), Fraction(c2.imag)) for (k2, m2), c2 in G.terms.items()]
-    for (k1, m1), c1 in F.terms.items():
-        a1, b1 = Fraction(c1.real), Fraction(c1.imag)
-        for k2, m2, a2, b2 in rows2:
-            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
-            s_re, s_im = abs(a1 * a2) + abs(b1 * b2), abs(a1 * b2) + abs(b1 * a2)
-            k = tuple(u + v for u, v in zip(k1, k2))
-            for j in range(F.n):
-                d = k1[j] * m2[j] - k2[j] * m1[j]
-                if d == 0:
-                    continue
-                m = tuple(u + v - (i == j) for i, (u, v) in enumerate(zip(m1, m2)))
-                if sum(map(abs, k)) <= F.cutoff and sum(m) <= F.max_degree:
-                    # i d (re + i im) = -d im + i d re
-                    entry = kept.setdefault((k, m), [Fraction(0), Fraction(0), 0, Fraction(0), Fraction(0)])
-                    entry[0] -= d * im
-                    entry[1] += d * re
-                    entry[2] += 1
-                    entry[3] += abs(d) * s_im
-                    entry[4] += abs(d) * s_re
-                else:
-                    lost.append((d * d * (re * re + im * im), abs(d) * (s_re + s_im)))
+    for k, m, d, c1, c2 in bracket_pairs(F, G):
+        a1, b1, a2, b2 = map(Fraction, (c1.real, c1.imag, c2.real, c2.imag))
+        re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+        s_re, s_im = abs(a1 * a2) + abs(b1 * b2), abs(a1 * b2) + abs(b1 * a2)
+        if sum(map(abs, k)) <= F.cutoff and sum(m) <= F.max_degree:
+            # i d (re + i im) = -d im + i d re
+            entry = kept.setdefault((k, m), [Fraction(0), Fraction(0), 0, Fraction(0), Fraction(0)])
+            entry[0] -= d * im
+            entry[1] += d * re
+            entry[2] += 1
+            entry[3] += abs(d) * s_im
+            entry[4] += abs(d) * s_re
+        else:
+            lost.append((d * d * (re * re + im * im), abs(d) * (s_re + s_im)))
     return kept, lost
 
 
@@ -590,9 +550,8 @@ class TestArrayBracket:
         respectively |d| (|a1 a2| + |b1 b2|).  A key's N contributions are then summed one
         by one from 0.0, within gamma_{N-1} of the sum of their magnitudes.
         Together each part of each coefficient is within gamma_{N+2} sum A
-        of its exact value (N. J. Higham, Accuracy and Stability of Numerical
-        Algorithms, 2nd ed., Lemma 3.1, Lemma 3.3 and eq. (4.4)), where
-        gamma_k = k u / (1 - k u) and u = 2^-53.  A dropped contribution's
+        of its exact value (Higham, Lemma 3.3 and eq. (4.4); gamma_k and u as
+        in tests/exact.py).  A dropped contribution's
         mass hypot(d Im, d Re) is within gamma_3 A (1 + 2u) + 2u A, A = |d| (|a1
         a2| + |b1 b2| + |a1 b2| + |b1 a2|), taking hypot within one ulp (2u
         relative); the ledger's sum of the M dropped masses, in any order,
@@ -613,17 +572,13 @@ class TestArrayBracket:
             c = complex(out.get(key, 0.0))
             for got, want, mass in ((c.real, re, a_re), (c.imag, im, a_im)):
                 worst = max(worst, abs(Fraction(got) - want) / (gamma(count + 2) * mass))
-        bits = 120
-        lo = hi = Fraction(0)
-        for square, _a in lost:
-            root = math.isqrt(square.numerator * 4 ** bits // square.denominator)
-            lo, hi = lo + Fraction(root, 2 ** bits), hi + Fraction(root + 1, 2 ** bits)
+        roots = [sqrt_enclosure(square) for square, _a in lost]
+        lo, hi = sum(lo for lo, _hi in roots), sum(hi for _lo, hi in roots)
         each = [(gamma(3) * (1 + 2 * U) + 2 * U) * a for _square, a in lost]
         bound = sum(each) + gamma(len(lost) - 1) * sum(a + e for (_square, a), e in zip(lost, each))
         got = Fraction(ledger.by_grade[0])
         lost_ratio = max(abs(got - lo), abs(got - hi)) / bound
-        print(f"n = {n}, seed {seed}: coefficients {float(worst):.3g}, dropped mass "
-              f"{float(lost_ratio):.3g} of the bound")
+        report(f"n = {n}, seed {seed}", coefficients=worst, dropped_mass=lost_ratio)
         assert worst <= 1 and lost_ratio <= 1
 
 
@@ -836,18 +791,6 @@ def reference_solve_homological(B, y0, min_divisor, context):
             if sum(m) == B.max_degree:
                 overflow += sum(abs(k[j]) for j in range(n)) * abs(c)
     return chi, log, overflow
-
-
-# one mode from each l1 shell 1, 2, 3 with amplitudes 0.15-0.5 and random
-# phases: the averaging benchmark's draw of three-mode potentials
-SHELLS = (((1, 0), (0, 1)), ((1, 1), (1, -1)), ((1, 2), (2, 1), (1, -2), (2, -1)))
-
-
-def averaging_potential(rng, must_have=None):
-    modes = [must_have if must_have in shell else shell[int(rng.integers(len(shell)))]
-             for shell in SHELLS]
-    return TrigPoly(2, {k: 0.5 * rng.uniform(0.3, 1.0) * np.exp(1j * rng.uniform(0, TWO_PI))
-                        for k in modes})
 
 
 def assert_solve_matches_reference(B, y0, min_divisor, context):
@@ -1087,17 +1030,6 @@ class TestSplitMasks:
                 F.split(bad)
 
 
-def averaging_cases(seed, k):
-    """(None or k, f, params, y0) of the averaging benchmark's draws, as the
-    golden corpus takes them: nonresonant at K = 8, resonant along k at K = 6."""
-    rng = np.random.default_rng([2, seed, 0])
-    u = np.array([-k[1], k[0]], dtype=float)
-    return [(None, averaging_potential(rng), free_params(2, 1.0, alpha=0.02, K0=2, K=8),
-             np.array([0.7, 0.31])),
-            (k, averaging_potential(rng, must_have=k),
-             free_params(2, 1.0, alpha=0.03, K0=2, K=6), 0.7 * u / np.linalg.norm(u))]
-
-
 class TestArrayStorage:
     @pytest.mark.parametrize("seed, k", [(1, (1, 1)), (2, (1, -1)), (3, (1, 2))])
     def test_averaging_matches_dict_reference(self, seed, k):
@@ -1107,10 +1039,7 @@ class TestArrayStorage:
         for kk, f, params, y0 in averaging_cases(seed, k):
             ham = NaturalHam(2, 1e-3, f)
             for order in (2, 3, 4, 5):
-                if kk is None:
-                    nf = lie_step_nonres(ham, params, y0, order=order, max_degree=3)
-                else:
-                    nf = lie_step_res(ham, kk, params, y0, order=order, max_degree=3)
+                nf = lie_step(ham, kk, params, y0, order=order, max_degree=3)
                 kinetic, g_o, g_res, f_rem, chis, log, dropped = reference_average(
                     ham, params, y0, order, 3, kk)
                 assert exact_items(nf.kinetic) == exact_items(kinetic)
@@ -1207,10 +1136,7 @@ class TestSlotOrder:
             ham = NaturalHam(2, 1e-3, f)
             table = _slots(2, params.K, 3)
             for order in (2, 3, 4, 5):
-                if kk is None:
-                    nf = lie_step_nonres(ham, params, y0, order=order, max_degree=3)
-                else:
-                    nf = lie_step_res(ham, kk, params, y0, order=order, max_degree=3)
+                nf = lie_step(ham, kk, params, y0, order=order, max_degree=3)
                 held = [nf.kinetic, *nf.g_o[1:], *nf.f_rem[1:], *(nf.g_res or [None])[1:],
                         *(chi for _j, chi in nf.chi)]
                 for F in held:
@@ -1332,10 +1258,7 @@ class TestNonresonantStep:
         ham = NaturalHam(2, 1e-3, TrigPoly.from_cosines(2, {(1, 0): 1.0}))
         params, y0 = free_params(2, 1.0, alpha=0.03, K0=2, K=6), np.array([0.5, -0.5])
         with pytest.raises(ConfigError, match="^order must be at least 1$"):
-            if k is None:
-                lie_step_nonres(ham, params, y0, order=0)
-            else:
-                lie_step_res(ham, k, params, y0, order=0)
+            lie_step(ham, k, params, y0, order=0)
 
 
 class TestResonantStep:
@@ -1531,10 +1454,8 @@ class TestConjugacy:
                   free_params(2, 1.0, alpha=0.03, K0=2, K=6), u)]
         for f, kk, params, y0 in cases:
             ham = NaturalHam(2, 1e-3, f)
-            if kk is None:
-                nf = lie_step_nonres(ham, params, y0, order=2, max_degree=3)
-            else:
-                nf = lie_step_res(ham, kk, params, y0, order=2, max_degree=3)
+            nf = lie_step(ham, kk, params, y0, order=2, max_degree=3)
+            if kk is not None:
                 assert any(not g.is_empty for g in nf.g_res)
             pts = conjugacy_points(rng, y0, 3)
             rep = verify_conjugacy(ham, nf, pts)
@@ -1595,6 +1516,8 @@ class TestConjugacy:
     def test_flows_match_dop853(self, seed, order):
         # scipy's DOP853 as the oracle, on the averaging benchmark's draws at
         # eps 1e-3 and 1e-2: every generator grade, stacked and point by point
+        from scipy.integrate import solve_ivp
+
         rng = np.random.default_rng([seed, order])
         f = averaging_potential(rng)
         for eps in (1e-3, 1e-2):
@@ -1694,6 +1617,8 @@ class TestConjugacy:
 
     def test_energy_conserved_along_flow(self):
         # sanity: the natural Hamiltonian is conserved by its own flow
+        from scipy.integrate import solve_ivp
+
         f = two_mode_potential(1.0)
         ham = NaturalHam(2, 1e-2, f)
 

@@ -28,16 +28,10 @@ from resoforge.morse import (
     critical_points,
     critical_points_many,
 )
-from test_fourier import per_order_values_on_grid, reference_values_on_grid
+from reference import TWO_PI, close_pair_family, close_pairs, derivative, per_order_values_on_grid, reference_values_on_grid
 
-TWO_PI = 2 * math.pi
 EPS = float(np.finfo(float).eps)
 GRID_SIZE = 1 << 14  # the grid of the reference census below
-
-
-def derivative(F, order):
-    """F^(order): the coefficients c_j (ij)^order."""
-    return OneDTrigPoly({j: ((1j * j) ** order) * c for j, c in F.coeffs.items()})
 
 
 def critical_values(F, rep):
@@ -164,14 +158,6 @@ class TestCriticalPoints:
         rep = critical_points(F)
         assert np.diff(np.sort(critical_values(F, rep))).min() > fine
         assert rep.beta <= fine
-
-
-def close_pair_family(sep, amplitude=1.3, shift=0.4):
-    """F = A(cos u - (a/4) cos 2u) shifted, a = 1/cos(sep/2): F' = -A sin u
-    (1 - a cos u) has exactly four zeros, two of them at +-acos(1/a), which
-    sit sep apart around the one at u = 0."""
-    a = 1.0 / math.cos(sep / 2.0)
-    return OneDTrigPoly({1: 0.5 * amplitude, 2: -amplitude * a / 8.0}).shifted(shift)
 
 
 def mp_critical_count(F, centre, halfwidth=1e-4, coarse=1 << 10, fine=2001):
@@ -630,10 +616,8 @@ class TestPolish:
     every t must be the one of the loop that evaluates all three rows."""
 
     def test_close_pairs_equal_reference(self, polish_calls):
-        rng = np.random.default_rng(45)
-        for _ in range(300):
-            sep = 10.0 ** rng.uniform(-6.0, 0.0)
-            critical_points(close_pair_family(sep, amplitude=rng.uniform(0.5, 2.0), shift=rng.uniform(0.0, TWO_PI)))
+        for F in close_pairs(300, 45):
+            critical_points(F)
         assert len(polish_calls) == 300
         for args in polish_calls:
             assert _polish(*args).tobytes() == reference_polish(*args).tobytes()

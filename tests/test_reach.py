@@ -16,7 +16,8 @@ it as an attribute, or perfbench/*.py names it in an identifier or string:
 a field that is only ever passed to the constructor or assigned is written
 and never read.  The one exception is a subclass of fourier.Record that
 inherits its to_dict, or whose to_dict returns a dict that starts from
-**super().to_dict(): the CLI's encoder prints every field of such a record,
+**super().to_dict() or a comprehension over each item of
+super().to_dict().items(): the CLI's encoder prints every field of such a record,
 so its fields are read while that to_dict is reached.  A member or field is
 known by its name alone, so one that shares its name with a reached
 attribute of another object is not seen.
@@ -93,14 +94,18 @@ def _fields(node):
 def _encoder(node):
     """The to_dict that prints every field of a class: "Record.to_dict" for
     a subclass of Record that inherits it, "Class.to_dict" for one whose
-    to_dict returns {**super().to_dict(), ...}, else None."""
+    to_dict returns {**super().to_dict(), ...} or a comprehension, keys
+    renamed or not, over every item of super().to_dict().items(), else None."""
     if not any(ast.unparse(base).split(".")[-1] == "Record" for base in node.bases):
         return None
     own = [sub for sub in node.body if _is_member(sub) and sub.name == "to_dict"]
     if not own:
         return "Record.to_dict"
-    starts = any(isinstance(sub, ast.Return) and isinstance(sub.value, ast.Dict) and sub.value.keys[:1] == [None]
-                 and ast.unparse(sub.value.values[0]) == "super().to_dict()" for sub in ast.walk(own[0]))
+    starts = any(isinstance(sub, ast.Return) and (
+        isinstance(sub.value, ast.Dict) and sub.value.keys[:1] == [None]
+        and ast.unparse(sub.value.values[0]) == "super().to_dict()"
+        or isinstance(sub.value, ast.DictComp) and len(sub.value.generators) == 1 and not sub.value.generators[0].ifs
+        and ast.unparse(sub.value.generators[0].iter) == "super().to_dict().items()") for sub in ast.walk(own[0]))
     return f"{node.name}.to_dict" if starts else None
 
 
@@ -297,6 +302,17 @@ def test_scan_reads_the_fields_of_printed_records_only(tmp_path):
     assert unreached_names(tmp_path) == [
         "a.Extends.extended", "a.Extends.to_dict", "a.Inherits.printed", "a.Orphan", "a.Orphan.lost",
         "a.Plain.unread", "a.Record.to_dict", "a.Renames.hidden", "a.Renames.to_dict", "a.encode"]
+    # a comprehension over every item of super().to_dict().items() prints
+    # every field, its keys renamed or not; one that filters them does not
+    rekeys = "    def to_dict(self):\n        return {k.upper(): v for k, v in super().to_dict().items()%s}\n"
+    (tmp_path / "src" / "resoforge" / "a.py").write_text(
+        "from dataclasses import dataclass, fields\nclass Record:\n"
+        "    def to_dict(self):\n        return {f.name: getattr(self, f.name) for f in fields(self)}\n"
+        f"@dataclass\nclass Rekeys(Record):\n    rekeyed: int\n{rekeys % ''}"
+        f"@dataclass\nclass Filters(Record):\n    dropped: int\n{rekeys % ' if v'}"
+        "def encode():\n    return [r.to_dict() for r in (Rekeys(1), Filters(2))]\n")
+    (tmp_path / "perfbench" / "run.py").write_text("from resoforge.a import encode\nencode()\n")
+    assert unreached_names(tmp_path) == ["a.Filters.dropped"]
 
 
 def test_dynamic_scan_finds_every_def_never_entered(tmp_path, monkeypatch):

@@ -34,10 +34,8 @@ from resoforge.standard_form import (
     _THETA,
 )
 from resoforge.unimodular import apply, complete_to_sl, decoupling_matrix
-from test_fourier import product_power
-from test_lieseries import add_term, gamma
-
-TWO_PI = 2 * math.pi
+from exact import dyadic, fraction, gamma, report
+from reference import TWO_PI, add_term, product_power, three_mode_standard_form
 
 
 def trivial_form(G, n_hat=1, r=0.1, sb=0.5, theta_o=1e-5):
@@ -326,7 +324,7 @@ class TestMaps:
         from resoforge.acceptance import _benchmark_standard_form
 
         sf = _benchmark_standard_form()[0] if which == "two_action" \
-            else _three_mode_standard_form()
+            else three_mode_standard_form()
         n, r = sf.n, sf.form.r
         rng = np.random.default_rng(20)
         pts = np.array([np.concatenate([rng.uniform(-r, r, 1),
@@ -551,18 +549,6 @@ class TestArgmaxInvariance:
 # array-valued potentials, the masked solver and the exact Jacobians
 # --------------------------------------------------------------------------
 
-def _three_mode_standard_form(phase=0.0):
-    # the (1, 2) line with a third mode on it, at order 3: both the averaged
-    # and the oscillatory decoupled potentials depend on Y1, so p varies
-    # with q1 and phat and neither Phi2 nor Phi3 is the identity
-    a = math.exp(-2.0)
-    k = (1, 2)
-    f = TrigPoly(2, {(1, 1): complex(a), (1, -1): complex(a), k: 0.7 * a * np.exp(1j * phase)})
-    u = np.array([-2.0, 1.0]) / math.sqrt(5.0)
-    return standardize(f, 1.0, 1e-4, k, free_params(2, 1.0, alpha=0.03, K0=2, K=6),
-                       0.6 * u, beta=0.05, order=3)
-
-
 def _potential_cases():
     from resoforge.acceptance import random_benchmark_form
 
@@ -571,7 +557,7 @@ def _potential_cases():
     for n_hat in (1, 2):
         form = random_benchmark_form(rng, n_hat=n_hat)
         cases.append((form.Gf, rng.uniform(-form.r, form.r, n_hat), form.r))
-    sf = _three_mode_standard_form()
+    sf = three_mode_standard_form()
     cases.append((sf.form.Gf, sf.fp.base_phat + 0.3 * sf.chars.r, sf.chars.r))
     # twelve terms, whose sum at each point of an array call must be that of
     # a pointwise call
@@ -837,12 +823,6 @@ class TestEvaluatorBytes:
         assert not (c.flags.writeable or e.flags.writeable)
 
 
-def _exact(x):
-    """An mpmath float as the Fraction it is (`man_exp` drops the sign)."""
-    man, exp = x.man_exp
-    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
-
-
 def exact_bound_call(G, phat, q1, Y1, dy, dph, dq):
     """G.at(phat, q1)(Y1, dy, dph, dq) in exact arithmetic: a list of
     (value, magnitudes) over the points in C order and then the phat index
@@ -866,7 +846,7 @@ def exact_bound_call(G, phat, q1, Y1, dy, dph, dq):
             v1 = Fraction(Y1[point]) - center[0]
             vhat = [Fraction(p) - c for p, c in zip(phat[point], center[1:])]
             q = mpmath.mpf(q1[point])
-            trig = {j: (_exact(mpmath.cos(j * q)), _exact(mpmath.sin(j * q))) for _, _, j, _, _ in terms}
+            trig = {j: (fraction(mpmath.cos(j * q)), fraction(mpmath.sin(j * q))) for _, _, j, _, _ in terms}
             for idx in itertools.product(range(G.n_hat), repeat=dph):
                 value, magnitudes = Fraction(0), {}
                 for d, m, j, a, b in terms:
@@ -906,10 +886,8 @@ class TestEvaluatorOracle:
         of the integer and the powers times |a cos| + |b sin| (dq = 0) or
         j (|b cos| + |a sin|) (dq = 1).  The T terms are then summed, in any
         order, with at most T - 1 roundings each, so the value is within
-        sum_t gamma_{k_t + T - 1} A_t of the exact one (N. J. Higham,
-        Accuracy and Stability of Numerical Algorithms, 2nd ed., Lemma 3.1,
-        Lemma 3.3 and eq. (4.4)), where gamma_k = k u / (1 - k u) and
-        u = 2^-53.
+        sum_t gamma_{k_t + T - 1} A_t of the exact one (Higham, Lemma 3.3 and
+        eq. (4.4); gamma_k and u as in tests/exact.py).
 
         All 24 derivatives with dy 0-3, dph 0-2 and dq 0-1 are read at a
         stack of 2 x 3 points.  The largest error, in units of the bound, is
@@ -917,13 +895,9 @@ class TestEvaluatorOracle:
         rng = np.random.default_rng([n_hat, count, 50])
         center = rng.integers(-8, 9, n_hat + 1) / 8.0
         G = _counted_potential(n_hat, count, count, center)
-
-        def offsets(shape):
-            return np.round(rng.uniform(-0.5, 0.5, shape) * 2.0 ** 30) / 2.0 ** 30
-
-        phat = center[1:] + offsets((2, 1, n_hat))
-        q1 = np.round(rng.uniform(0, TWO_PI, (1, 3)) * 2.0 ** 47) / 2.0 ** 47
-        Y1 = center[0] + offsets((2, 3))
+        phat = center[1:] + dyadic(rng.uniform(-0.5, 0.5, (2, 1, n_hat)), 30)
+        q1 = dyadic(rng.uniform(0, TWO_PI, (1, 3)), 47)
+        Y1 = center[0] + dyadic(rng.uniform(-0.5, 0.5, (2, 3)), 30)
         ev = G.at(phat, q1)
         worst = Fraction(0)
         for dy, dph, dq in itertools.product(range(4), range(3), range(2)):
@@ -933,7 +907,7 @@ class TestEvaluatorOracle:
                 error = abs(Fraction(x) - value)
                 assert error == 0 or bound > 0, (dy, dph, dq)
                 worst = max(worst, error / bound if error else Fraction(0))
-        print(f"{n_hat} phat, {count} terms: {float(worst):.3g} of the bound")
+        report(f"{n_hat} phat, {count} terms", largest=worst)
         assert worst <= 1
 
 
@@ -995,9 +969,9 @@ def _reexpansion_form(which):
     # an even f gives real series coefficients; the phase gives complex ones,
     # whose imaginary parts carry the sin terms of the folded modes
     if which == "three_mode":
-        return _three_mode_standard_form()
+        return three_mode_standard_form()
     if which == "three_mode_phased":
-        return _three_mode_standard_form(phase=0.5)
+        return three_mode_standard_form(phase=0.5)
     k = np.array(which, dtype=float)
     y0 = 0.5 * np.array([-k[1], k[0]])
     return standardize(two_mode_potential(1.0), 1.0, 1e-4, which,
@@ -1026,7 +1000,7 @@ class TestSeriesReexpansion:
         # k.y0 = 0 in floats on the three-mode line k = (1, 2), so the center's
         # Y1 = k.y0/|k|^2 is exactly 0 (a LAPACK solve gave 2.98e-17), and the
         # fixed point's phat is the center's, byte for byte
-        sf = _three_mode_standard_form()
+        sf = three_mode_standard_form()
         y0, center = sf.form.secular.base_point, sf.form.Gf.center
         assert y0[0] + 2.0 * y0[1] == 0.0
         assert center[0] == 0.0
@@ -1060,7 +1034,7 @@ class TestExactJacobians:
         from resoforge.acceptance import _benchmark_standard_form
 
         sf = _benchmark_standard_form()[0] if which == "two_action" \
-            else _three_mode_standard_form()
+            else three_mode_standard_form()
         h = 0.02 * sf.form.r
         for z in _jacobian_points(sf, 3, seed=14):
             assert _jacobian_mismatch(sf.phi2, z, h) < 1e-5
@@ -1074,7 +1048,7 @@ class TestExactJacobians:
         from resoforge.acceptance import _benchmark_standard_form
 
         sf = _benchmark_standard_form()[0] if which == "two_action" \
-            else _three_mode_standard_form()
+            else three_mode_standard_form()
         n = sf.n
 
         class Doubled(Phi2Map):
@@ -1309,7 +1283,7 @@ def _stacked_case(which):
                          free_params(2, 1.0, alpha=0.03, K0=2, K=6), np.array([0.5, -0.5]),
                          beta=0.05)
     else:
-        sf = _three_mode_standard_form()
+        sf = three_mode_standard_form()
     return sf, sf.form.r
 
 
