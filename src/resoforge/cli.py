@@ -323,7 +323,7 @@ def cmd_standardize(args) -> int:
         "q1": theta.tolist(),
         "G_bar": sf.G_bar.evaluate(theta).tolist(),
         "G": rd.G[::GRID // 64].tolist(),
-        "nu": sf._nu(0.0, rd.tau, phat0, theta).tolist(),
+        "nu": rd.grid.nu(0.0)[::GRID // 64].tolist(),
     }
     # hard invariant: the Taylor reduction identity at a sample point
     ident = sf.check_reduction_identity(np.concatenate([[0.5 * sf.chars.r], phat0]), 1.0, rd)

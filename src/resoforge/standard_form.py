@@ -12,13 +12,15 @@ is driven through three exact symplectic maps:
   Phi2  the fixed-point shift Y1 = P1 + ptilde(Phat, Q1) generated by
         P.X + phi(Phat, X1), where p solves p = -0.5 d_{Y1}[Gsharp_o+Gsharp](p)
         (a 1/8-contraction under the smallness hypothesis); by Taylor's
-        formula Hsharp o Phi2 = (1 + nutilde)(P1 - p_o)^2 + G0(Phat) + G(Phat, Q1);
+        formula about p, Hsharp o Phi2 = (1 + nutilde)(P1 - p_o)^2 + G0(Phat) + G(Phat, Q1);
   Phi3  the momentum translation P1 = p1 + p_o(phat) placing the secular
         equilibria on the angle axis.
 
-The outcome is the 1-DOF Hamiltonian (1 + nu(p, q1)) p1^2 + G(phat, q1) with
-reference potential Gbar = eps_k pi_k f, characteristics
-(R, r, sigma, m, eps_hat, lambda) and the single scale parameter
+The outcome is the 1-DOF Hamiltonian (1 + nu) p1^2 + G(phat, q1), nu =
+sum_{i=2..D} d^i_{Y1} Gf(p) p1^(i-2)/i! the exact Taylor tail of Gf (Y1-degree
+D) about the p(phat, q1) that Phi2 o Phi3 adds to p1, with reference potential
+Gbar = eps_k pi_k f, characteristics (R, r, sigma, m, eps_hat, lambda) and the
+single scale parameter
 
     kappa = max{c2, 4 c_s, c_s / beta},   c2 = 4 n^{3/2} c1,
     c1 = 5 n (n-1)^{(n-1)/2},             c_s = max{1, 1/s},
@@ -42,7 +44,8 @@ p + 0.5 d_{Y1} Gf(p) = 0 and averages over the q1 grid only what is read,
 once each, so the Jacobians of Phi2 and Phi3 are exact.  A map takes points
 z of shape L + (2n,), one point being L = (), gives L + (2n,) or, as a
 Jacobian, L + (2n, 2n), and reads the reading it is passed or makes its
-own; `verify_standard` and the reduction identity read G0, G and p_o from one.
+own; `verify_standard` and the reduction identity read G0, G and p_o from one,
+and nu at a point jet's own p (`_Jet.nu`), `verify_standard` in one point solve.
 
 Config note: the fully certified asymptotic regime additionally requires the
 inner cutoff K0 to exceed a dimensional gate (at least c2, plus an inexplicit
@@ -71,7 +74,6 @@ from .morse import critical_points
 from .unimodular import DecouplingMatrix, UnimodularMatrix, apply, complete_to_sl, decoupling_matrix, mat_transpose
 
 GRID = 256            # q1 collocation grid (spectral accuracy for analytic data)
-GAUSS_NODES = 32      # Taylor-integral quadrature nodes
 FIXED_POINT_TOL = 1e-14  # fixed-point iteration stops once a step is below this
 _THETA = np.arange(GRID) * (TWO_PI / GRID)
 
@@ -422,11 +424,6 @@ def build_phi1(secular: SecularHam, dm: DecouplingMatrix, chars: Characteristics
 # fixed point of the momentum shift (Phi2) and the final translation (Phi3)
 # --------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_NODES)
-_GL_T = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
-
-
 def _antiderivative_at(values: np.ndarray, x):
     """int_0^x, at x of shape L, of the zero-average trig interpolant of
     grid values of shape L + (GRID,) + K; the result is L + K."""
@@ -509,6 +506,15 @@ class _Jet:
     @cached_property
     def value(self):  # Gf at p
         return self.ev(self.p, 0)
+
+    def nu(self, p1):
+        """(Gf(p + p1) - Gf(p) - G_Y(p) p1) / p1^2 at momenta p1 broadcasting
+        against p: the Taylor tail sum_{i=2..D} d^i_{Y1} Gf(p) p1^(i-2) / i!,
+        exact for Gf's Y1-degree D, its terms added from i = 2 up."""
+        D = int(self.ev.G._d.max(initial=0))
+        powers = power_table(p1, max(D - 2, 0))
+        return sum((self.ev(self.p, i) * powers[..., i - 2] / math.factorial(i) for i in range(2, D + 1)),
+                   np.zeros(np.broadcast_shapes(np.shape(self.p), np.shape(p1))))
 
 
 class PointJet:
@@ -716,7 +722,7 @@ def symplectic_check(transform, points) -> float:
 
 @dataclass
 class StandardFormHam:
-    """(1 + nu(p, q1)) p1^2 + G(phat, q1) with reference potential Gbar."""
+    """(1 + nu) p1^2 + G(phat, q1) with reference potential Gbar, nu about p(phat, q1)."""
 
     k: Mode
     n: int
@@ -728,20 +734,11 @@ class StandardFormHam:
     phi2: Phi2Map
     phi3: ShearMap
 
-    def _nu(self, p1, p_o, ph, q1):
-        """int_0^1 (1-t) d2_{Y1} Gf(p_o + t p1) dt by Gauss-Legendre, all
-        nodes at once, for phat of shape L + (n_hat,) and p_o, p1, q1 broadcasting to L + S."""
-        p_o = np.asarray(p_o, dtype=float)[..., None]
-        pts = p_o + _GL_T * ((p_o + np.asarray(p1, dtype=float)[..., None]) - p_o)
-        ev = self.form.Gf.at(ph, np.asarray(q1, dtype=float)[..., None])
-        return np.sum(_GL_W * (1.0 - _GL_T) * ev(pts, 2), axis=-1)
-
     def _read(self, p1, rd: PointJet):
         """At momenta p1 and rd's phat and q1, of shape L: the Y1 that Phi2 o Phi3
-        sends (p1, phat) to, (1 + nu) p1^2 and G(phat, q1), from rd's solves."""
+        sends (p1, phat) to, (1 + nu) p1^2 (nu about p) and G(phat, q1), from rd's solves."""
         p_o, pq = rd.tau, rd.point.p
-        return (p1 + p_o + (pq - p_o), (1.0 + self._nu(p1, p_o, rd.phat, rd.q1)) * p1 ** 2,
-                pq * pq + rd.point.value - rd.G0)
+        return p1 + p_o + (pq - p_o), (1.0 + rd.point.nu(p1)) * p1 ** 2, pq * pq + rd.point.value - rd.G0
 
     def _h0(self, G0, phat):
         """h0 = G0 + 2 adiabatic(phat)/|k|^2, for G0 of shape L and phat L + (n_hat,)."""
@@ -804,15 +801,15 @@ def verify_standard(sf: StandardFormHam, phat_samples: np.ndarray) -> StandardFo
     )
     put("gbar_sup_le_eps_hat", gbar_sup, ch.eps_hat, gbar_sup <= ch.eps_hat)
 
-    # all phat samples in one grid solve: G - Gbar on the grid, |nu| at 8
-    # random (q1, p1) drawn per sample, and |h0 - adiabatic pullback| = |G0|
+    # all phat samples in one grid solve: G - Gbar on the grid and |h0 - adiabatic
+    # pullback| = |G0|; in one point solve |nu| at 8 random (q1, p1) per sample
     ph = np.asarray(phat_samples, dtype=float)
     rng = np.random.default_rng(7)
     q1, p1 = np.array([(rng.uniform(0, TWO_PI, 8), rng.uniform(-ch.r, ch.r, 8))
                        for _ in ph]).transpose(1, 0, 2)
     rd = sf.fp.read(ph)
     worst_dev = float(np.max(np.abs(rd.G - sf.G_bar.values_on_grid(GRID))))
-    worst_nu = float(np.max(np.abs(sf._nu(p1, rd.tau[:, None], ph, q1))))
+    worst_nu = float(np.max(np.abs(_Jet(sf.form.Gf.at(ph, q1)).nu(p1))))
     worst_h0 = float(np.max(np.abs(rd.G0)))
     put("g_minus_gbar_le_eps_hat_lambda", worst_dev, ch.eps_hat * ch.lam,
         worst_dev <= ch.eps_hat * ch.lam)

@@ -225,39 +225,58 @@ class TestFixedPoint:
             assert J[0, 2] == fp.read([0.0], q1).point.dq == pytest.approx(fd, abs=1e-9)
 
 
+def small_standard_form(G, r=0.1):
+    """A standard form of the one-action decoupled form of G, at radius r."""
+    fp = solve_fixed_point(trivial_form(G, r=r), np.zeros(1))
+    params = free_params(2, 1.0, alpha=0.05, K0=2, K=12)
+    ch = characteristics((1, 0), 2, 1.0, 1e-6, 0.1,
+                         lacunary_potential(2, 1.0, 10), params)
+    return build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}))
+
+
 class TestReduction:
     def test_quadratic_nu_exact(self):
         a = 0.04
-        G = PolyTrig1(1, {(2, (0,), 0): (a, 0.0)})
-        fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        params = free_params(2, 1.0, alpha=0.05, K0=2, K=12)
-        ch = characteristics((1, 0), 2, 1.0, 1e-6, 0.1,
-                             lacunary_potential(2, 1.0, 10), params)
-        sf = build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}))
-        ph = np.zeros(1)
-        assert sf._nu(0.37, sf.fp.read(ph).tau, ph, 1.1) == pytest.approx(a, rel=1e-12)
+        sf = small_standard_form(PolyTrig1(1, {(2, (0,), 0): (a, 0.0)}))
+        assert sf.fp.read(np.zeros(1), 1.1).point.nu(0.37) == pytest.approx(a, rel=1e-12)
         # at p1 = 0 the standard form is G
         assert standard_value(sf, np.zeros(2), 1.3) == pytest.approx(0.0, abs=1e-15)
 
+    def test_cubic_nu_exact_about_p(self):
+        # a Y1^2 + c Y1^3 + b Y1 cos q1: p moves with q1, so p != p_o, and the
+        # Taylor tail about p is nu = a + 3 c p + c p1
+        a, b, c = 0.04, 0.02, 0.5
+        sf = small_standard_form(PolyTrig1(1, {(2, (0,), 0): (a, 0.0), (3, (0,), 0): (c, 0.0),
+                                               (1, (0,), 1): (b, 0.0)}))
+        q1, p1 = np.array([0.3, 1.1, 2.9, 4.4]), np.array([0.37, -0.05, 0.0, -0.21])
+        rd = sf.fp.read(np.zeros((4, 1)), q1)
+        assert np.min(np.abs(rd.point.p - rd.tau)) > 1e-3
+        np.testing.assert_allclose(rd.point.nu(p1), a + 3.0 * c * rd.point.p + c * p1, rtol=1e-12)
+
+    def test_cubic_form_reduction_identity(self):
+        # Gf cubic in Y1 with p varying in q1: a nu taken about the angle
+        # average p_o, not about p(phat, q1), misses the identity by 1.2e-3
+        # against max|H| = 9.9e-3
+        sf = small_standard_form(PolyTrig1(1, {(1, (0,), 1): (0.1, 0.0), (3, (0,), 0): (1.0, 0.0),
+                                               (2, (1,), 0): (0.05, 0.0)}))
+        r = 0.1
+        rng = np.random.default_rng(1)
+        p1, ph, q1 = rng.uniform(-r, r, 50), rng.uniform(-r, r, 50), rng.uniform(0, TWO_PI, 50)
+        pts = np.stack([p1, ph], axis=-1)
+        rd = sf.fp.read(ph[:, None], q1)
+        Y1 = p1 + rd.point.p
+        H = float(np.max(np.abs(hsharp(sf.form, Y1, ph[:, None], q1))))
+        assert sf.check_reduction_identity(pts, q1) <= 1e-12 * H
+
     def test_theta_independent_potential(self):
-        G = PolyTrig1(1, {(2, (0,), 0): (0.03, 0.0), (1, (0,), 0): (0.01, 0.0)})
-        fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        params = free_params(2, 1.0, alpha=0.05, K0=2, K=12)
-        ch = characteristics((1, 0), 2, 1.0, 1e-6, 0.1,
-                             lacunary_potential(2, 1.0, 10), params)
-        sf = build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}))
+        sf = small_standard_form(PolyTrig1(1, {(2, (0,), 0): (0.03, 0.0), (1, (0,), 0): (0.01, 0.0)}))
         rng = np.random.default_rng(0)
         for _ in range(10):
             assert standard_value(sf, np.zeros(2), rng.uniform(0, TWO_PI)) == pytest.approx(0.0, abs=1e-14)
 
     def test_reduction_identity_sampled(self):
-        G = PolyTrig1(1, {(1, (0,), 1): (0.01, 0.004), (2, (0,), 1): (0.003, 0.0),
-                          (0, (0,), 2): (0.02, 0.01)})
-        fp = solve_fixed_point(trivial_form(G), np.zeros(1))
-        params = free_params(2, 1.0, alpha=0.05, K0=2, K=12)
-        ch = characteristics((1, 0), 2, 1.0, 1e-6, 0.1,
-                             lacunary_potential(2, 1.0, 10), params)
-        sf = build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}))
+        sf = small_standard_form(PolyTrig1(1, {(1, (0,), 1): (0.01, 0.004), (2, (0,), 1): (0.003, 0.0),
+                                               (0, (0,), 2): (0.02, 0.01)}))
         rng = np.random.default_rng(1)
         pts = [np.array([rng.uniform(-0.05, 0.05), 0.0]) for _ in range(100)]
         q1s = rng.uniform(0, TWO_PI, 100)
@@ -1121,8 +1140,9 @@ class TestOneSolvePerJet:
             "criterion 8, 20 points": solves(
                 lambda: acceptance.criterion_8_symplecticity(points=20)),
             "symplectic_check(phi2), 5 points": solves(lambda: symplectic_check(sf.phi2, [z] * 5)),
-            # 1 for the 8 verify_standard samples, 1 for the G and nu grids,
-            # which the reduction identity reuses, and 1 point solve for it
+            # 1 grid and 1 point solve for the 8 verify_standard samples, 1
+            # grid solve for the G and nu grids, which the reduction identity
+            # reuses, and 1 point solve for it
             "standardize CLI": solves(lambda: main(standardize_cli)),
         }
         assert counts == {
@@ -1135,7 +1155,7 @@ class TestOneSolvePerJet:
             "criterion 9, 10 points": (1, 1, 1),
             "criterion 8, 20 points": (1, 1, 1),
             "symplectic_check(phi2), 5 points": (1, 1, 0),
-            "standardize CLI": (2, 1, 1),
+            "standardize CLI": (2, 2, 1),
         }
 
     def test_only_phi2_point_jacobian_reads_dp_dq1(self, monkeypatch):
@@ -1225,8 +1245,9 @@ class TestOneStatedEquation:
 # --------------------------------------------------------------------------
 
 def reference_verify_standard(sf, phat_samples):
-    """verify_standard as a loop over the phat samples, one grid solve and
-    one nu quadrature each: the reference the stacked solve must equal."""
+    """verify_standard as a loop over the phat samples, one reading each, whose
+    grid gives G and G0 and whose point jet at the sample's 8 q1 gives nu:
+    the reference the stacked solves must equal."""
     from resoforge.morse import critical_points
 
     ch = sf.chars
@@ -1243,13 +1264,12 @@ def reference_verify_standard(sf, phat_samples):
     rng = np.random.default_rng(7)
     for ph in phat_samples:
         ph = np.asarray(ph, dtype=float)
-        rd = sf.fp.read(ph)
-        p_o, G0, gv = rd.tau, rd.G0, rd.G
-        worst_dev = max(worst_dev, float(np.max(np.abs(gv - gbar_grid))))
         q1 = rng.uniform(0, TWO_PI, 8)
         p1 = rng.uniform(-ch.r, ch.r, 8)
-        worst_nu = max(worst_nu, float(np.max(np.abs(sf._nu(p1, p_o, ph, q1)))))
-        worst_h0 = max(worst_h0, abs(G0))
+        rd = sf.fp.read(ph, q1)
+        worst_dev = max(worst_dev, float(np.max(np.abs(rd.G - gbar_grid))))
+        worst_nu = max(worst_nu, float(np.max(np.abs(rd.point.nu(p1)))))
+        worst_h0 = max(worst_h0, abs(rd.G0))
     put("g_minus_gbar_le_eps_hat_lambda", worst_dev, ch.eps_hat * ch.lam,
         worst_dev <= ch.eps_hat * ch.lam)
     put("nu_le_lambda", worst_nu, ch.lam, worst_nu <= ch.lam)
