@@ -114,6 +114,7 @@ def test_criterion_07_contraction_solver():
     result = _run(acceptance.criterion_7_contraction, instances=100)
     assert result.details["worst_contraction"] <= 1 / 8 + 1e-6
     assert result.details["worst_residual"] < 1e-13
+    assert result.details["worst_equation_residual"] <= 1e-13
 
 
 def test_criterion_08_symplecticity():
