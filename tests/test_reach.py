@@ -18,7 +18,10 @@ and never read.  The one exception is a subclass of fourier.Record that
 inherits its to_dict, or whose to_dict returns a dict that starts from
 **super().to_dict() or a comprehension over each item of
 super().to_dict().items(): the CLI's encoder prints every field of such a record,
-so its fields are read while that to_dict is reached.  A member or field is
+so its fields are read while that to_dict is reached.  An attribute of super()
+in a class names only the member of the first class up its bases that defines
+it, so super().to_dict() in one override reaches its base's to_dict, not every
+to_dict, and two overrides do not keep each other reached.  A member or field is
 known by its name alone, so one that shares its name with a reached
 attribute of another object is not seen.
 
@@ -56,18 +59,36 @@ INPUT_DEPENDENT = {
 NAME, MEMBER, FIELD = 0, 1, 2
 
 
-def _identifiers(node, strings=False):
+def _identifiers(node, strings=False, inherited=lambda name: None):
     """(identifier, what it can name) for each reference under node; in
-    perfbench (strings=True) every reference can name anything."""
+    perfbench (strings=True) every reference can name anything.  An
+    attribute of super() is the "Base.member" that inherited(name) gives,
+    when it gives one."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id, FIELD if strings else NAME
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr, FIELD if strings or isinstance(sub.ctx, ast.Load) else MEMBER
+            base = _is_super(sub.value) and inherited(sub.attr)
+            yield (base, MEMBER) if base else (sub.attr, FIELD if strings or isinstance(sub.ctx, ast.Load) else MEMBER)
         elif isinstance(sub, ast.keyword) and sub.arg:
             yield sub.arg, FIELD if strings else MEMBER
         elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             yield from ((part, FIELD) for part in sub.value.split("."))
+
+
+def _is_super(node):
+    """A call super() without arguments."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "super" and not node.args
+
+
+def _inherited(classes, cls, name):
+    """"Base.name" of the first class up cls's bases, depth first, that
+    defines name, for classes {class: (base names, member names)}; else None."""
+    for base in classes.get(cls, ((), ()))[0]:
+        found = f"{base}.{name}" if name in classes.get(base, ((), ()))[1] else _inherited(classes, base, name)
+        if found:
+            return found
+    return None
 
 
 def _defined(node):
@@ -115,25 +136,30 @@ def unreached_names(root=ROOT):
     members = {}  # "Class.member" and "Class.field" -> (class name, name, what can name it)
     refs = []     # (holders of the referring code, identifier, what it can name)
     encoded = {}  # "Class.field" of a record the CLI prints -> the to_dict that prints it
-    for path in sorted((root / "src" / "resoforge").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
+    trees = [(path.stem, ast.parse(path.read_text())) for path in sorted((root / "src" / "resoforge").glob("*.py"))
+             if path.name != "__init__.py"]
+    classes = {node.name: ([ast.unparse(base).split(".")[-1] for base in node.bases],
+                           {sub.name for sub in node.body if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))})
+               for _, tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    for stem, tree in trees:
+        for node in tree.body:
             holders = _defined(node)
-            module.update((name, path.stem) for name in holders)
+            module.update((name, stem) for name in holders)
+            inherited = (lambda name, cls=node.name: _inherited(classes, cls, name)) \
+                if isinstance(node, ast.ClassDef) else (lambda name: None)
             inner = [sub for sub in node.body if _is_member(sub)] if isinstance(node, ast.ClassDef) else []
             for sub in inner:
                 key = f"{node.name}.{sub.name}"
-                module[key], members[key] = path.stem, (node.name, sub.name, MEMBER)
-                refs += [([key], *ident) for ident in _identifiers(sub)]
+                module[key], members[key] = stem, (node.name, sub.name, MEMBER)
+                refs += [([key], *ident) for ident in _identifiers(sub, inherited=inherited)]
             to_dict = _encoder(node) if isinstance(node, ast.ClassDef) else None
             for name in _fields(node) if isinstance(node, ast.ClassDef) else []:
-                module[f"{node.name}.{name}"] = path.stem
+                module[f"{node.name}.{name}"] = stem
                 members[f"{node.name}.{name}"] = (node.name, name, FIELD)
                 if to_dict:
                     encoded[f"{node.name}.{name}"] = to_dict
             rest = [sub for sub in ast.iter_child_nodes(node) if not any(sub is m for m in inner)]
-            refs += [(holders, *ident) for sub in rest for ident in _identifiers(sub)]
+            refs += [(holders, *ident) for sub in rest for ident in _identifiers(sub, inherited=inherited)]
     for path in sorted((root / "perfbench").glob("*.py")):
         refs += [([], *ident) for ident in _identifiers(ast.parse(path.read_text()), strings=True)]
     unreached: set[str] = set()
@@ -149,7 +175,7 @@ def unreached_names(root=ROOT):
         now = {name for name in module if name not in members and name not in named}
         printed = {key for key, to_dict in encoded.items() if to_dict not in unreached}
         now |= {key for key, (cls, name, kind) in members.items()
-                if cls in now or key not in printed and not attrs.get((name, kind), set()) - {key}}
+                if cls in now or key not in printed and key not in named and not attrs.get((name, kind), set()) - {key}}
         if now == unreached:
             return sorted(f"{module[name]}.{name}" for name in unreached)
         unreached = now
@@ -313,6 +339,31 @@ def test_scan_reads_the_fields_of_printed_records_only(tmp_path):
         "def encode():\n    return [r.to_dict() for r in (Rekeys(1), Filters(2))]\n")
     (tmp_path / "perfbench" / "run.py").write_text("from resoforge.a import encode\nencode()\n")
     assert unreached_names(tmp_path) == ["a.Filters.dropped"]
+
+
+def test_super_call_reaches_the_base_member_alone(tmp_path):
+    # each override starts from super().to_dict(), which names Record.to_dict
+    # alone: with no to_dict call, neither override keeps the other reached,
+    # so both, Record.to_dict and every field they print are listed
+    (tmp_path / "src" / "resoforge").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "resoforge" / "a.py").write_text(
+        "from dataclasses import dataclass, fields\n"
+        "class Record:\n"
+        "    def to_dict(self):\n        return {f.name: getattr(self, f.name) for f in fields(self)}\n"
+        "@dataclass\nclass First(Record):\n    one: int\n"
+        "    def to_dict(self):\n        return {**super().to_dict(), 'first': 1}\n"
+        "@dataclass\nclass Second(Record):\n    two: int\n"
+        "    def to_dict(self):\n        return {k.upper(): v for k, v in super().to_dict().items()}\n"
+        "def build():\n    return [First(1), Second(2)]\n"
+        "def encode(records):\n    return [r.to_dict() for r in records]\n"
+    )
+    (tmp_path / "perfbench" / "run.py").write_text("from resoforge.a import build\nbuild()\n")
+    assert unreached_names(tmp_path) == [
+        "a.First.one", "a.First.to_dict", "a.Record.to_dict", "a.Second.to_dict", "a.Second.two", "a.encode"]
+    # a live to_dict call reaches every to_dict, and so every printed field
+    (tmp_path / "perfbench" / "run.py").write_text("from resoforge.a import build, encode\nencode(build())\n")
+    assert unreached_names(tmp_path) == []
 
 
 def test_dynamic_scan_finds_every_def_never_entered(tmp_path, monkeypatch):
