@@ -290,11 +290,9 @@ def random_benchmark_form(rng: np.random.Generator, n_hat: int = 1) -> Decoupled
 @_timed
 def criterion_7_contraction(instances: int = 100) -> CriterionResult:
     """On randomized forms under the smallness hypothesis: empirical
-    contraction <= 1/8 + 1e-6, residual < 1e-13, the |p| bound, and the
-    stated equation max |p + 0.5 d_{Y1} Gf(p)| <= 1e-13 on the q1 grid of
-    a fresh reading at phat, Gf bound afresh: a wrong step of the one
-    fixed-point loop, which the iteration's own residual and contraction
-    cannot see, fails it."""
+    contraction <= 1/8 + 1e-6, residual < 1e-13, the |p| bound, and the stated
+    equation's residual max |p + 0.5 d_{Y1} Gf(p)| <= 1e-13 on a fresh reading's
+    grid, Gf bound afresh, which a wrong `_step` fails and the first two do not."""
     rng = np.random.default_rng(2024)
     failures = []
     worst_contraction = 0.0

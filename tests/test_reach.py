@@ -41,6 +41,7 @@ name is shared with one that is read.
 """
 
 import ast
+import functools
 import importlib.util
 import json
 import pathlib
@@ -145,8 +146,7 @@ def unreached_names(root=ROOT):
         for node in tree.body:
             holders = _defined(node)
             module.update((name, stem) for name in holders)
-            inherited = (lambda name, cls=node.name: _inherited(classes, cls, name)) \
-                if isinstance(node, ast.ClassDef) else (lambda name: None)
+            inherited = functools.partial(_inherited, classes, getattr(node, "name", None))
             inner = [sub for sub in node.body if _is_member(sub)] if isinstance(node, ast.ClassDef) else []
             for sub in inner:
                 key = f"{node.name}.{sub.name}"

@@ -225,9 +225,9 @@ class TestFixedPoint:
             assert J[0, 2] == fp.read([0.0], q1).point.dq == pytest.approx(fd, abs=1e-9)
 
 
-def small_standard_form(G, r=0.1):
-    """A standard form of the one-action decoupled form of G, at radius r."""
-    fp = solve_fixed_point(trivial_form(G, r=r), np.zeros(1))
+def small_standard_form(G):
+    """A standard form of G's one-action decoupled form `trivial_form(G)`."""
+    fp = solve_fixed_point(trivial_form(G), np.zeros(1))
     params = free_params(2, 1.0, alpha=0.05, K0=2, K=12)
     ch = characteristics((1, 0), 2, 1.0, 1e-6, 0.1,
                          lacunary_potential(2, 1.0, 10), params)
@@ -241,11 +241,9 @@ class TestReduction:
         assert sf.fp.read(np.zeros(1), 1.1).point.nu(0.37) == pytest.approx(a, rel=1e-12)
         # at p1 = 0 the standard form is G
         assert standard_value(sf, np.zeros(2), 1.3) == pytest.approx(0.0, abs=1e-15)
-
-    def test_cubic_nu_exact_about_p(self):
         # a Y1^2 + c Y1^3 + b Y1 cos q1: p moves with q1, so p != p_o, and the
         # Taylor tail about p is nu = a + 3 c p + c p1
-        a, b, c = 0.04, 0.02, 0.5
+        b, c = 0.02, 0.5
         sf = small_standard_form(PolyTrig1(1, {(2, (0,), 0): (a, 0.0), (3, (0,), 0): (c, 0.0),
                                                (1, (0,), 1): (b, 0.0)}))
         q1, p1 = np.array([0.3, 1.1, 2.9, 4.4]), np.array([0.37, -0.05, 0.0, -0.21])
@@ -259,7 +257,7 @@ class TestReduction:
         # against max|H| = 9.9e-3
         sf = small_standard_form(PolyTrig1(1, {(1, (0,), 1): (0.1, 0.0), (3, (0,), 0): (1.0, 0.0),
                                                (2, (1,), 0): (0.05, 0.0)}))
-        r = 0.1
+        r = sf.form.r
         rng = np.random.default_rng(1)
         p1, ph, q1 = rng.uniform(-r, r, 50), rng.uniform(-r, r, 50), rng.uniform(0, TWO_PI, 50)
         pts = np.stack([p1, ph], axis=-1)
