@@ -43,9 +43,11 @@ point at a stack of points, a PointJet that solves, differentiates
 p + 0.5 d_{Y1} Gf(p) = 0 and averages over the q1 grid only what is read,
 once each, so the Jacobians of Phi2 and Phi3 are exact.  A map takes points
 z of shape L + (2n,), one point being L = (), gives L + (2n,) or, as a
-Jacobian, L + (2n, 2n), and reads the reading it is passed or makes its
-own; `verify_standard` and the reduction identity read G0, G and p_o from one,
-and nu at a point jet's own p (`_Jet.nu`), `verify_standard` in one point solve.
+Jacobian, L + (2n, 2n), and reads the reading it is passed or makes its own.
+Phi2 and Phi3 read z only through (phat, q1), which Phi3 leaves alone, so
+Phi_diamond's Jacobian is diag(U, U^{-T}) @ (J2 @ J3) under one reading, no
+map applied; the reduction identity takes Y1 from Phi2(Phi3(z)), G0, G and nu
+(`_Jet.nu`) from its reading, and `verify_standard` nu from one point solve.
 
 Config note: the fully certified asymptotic regime additionally requires the
 inner cutoff K0 to exceed a dimensional gate (at least c2, plus an inexplicit
@@ -671,38 +673,6 @@ class Phi2Map:
         return J
 
 
-class LinearSymplectic:
-    """Block map (Y, X) -> (U Y, U^{-T} X), U exact from dm.  It reads no
-    PointJet, and has no `apply`: as Phi1 it is only ever a composition's last map."""
-
-    def __init__(self, dm: DecouplingMatrix):
-        n = dm.um.n
-        self.J = np.zeros((2 * n, 2 * n))
-        self.J[:n, :n], self.J[n:, n:] = np.array(dm.U, dtype=float), np.array(dm.U_inv, dtype=float).T
-
-    def jacobian(self, _z: np.ndarray, _rd=None) -> np.ndarray:
-        return self.J
-
-
-class ComposedMap:
-    """maps[0] o maps[1] o ... (rightmost applied first).  A reading, given
-    or made by read(phat, q1) at z, is the one every map reads, so then only
-    the leftmost map may move phat or q1; without one each map makes its own."""
-
-    def __init__(self, maps, read=None):
-        self.maps, self.read = list(maps), read
-
-    def jacobian(self, z: np.ndarray, rd: PointJet | None = None) -> np.ndarray:
-        n = z.shape[-1] // 2
-        rd = rd if self.read is None else _reading(self.read, z[..., 1:n], z[..., n], rd)
-        maps = self.maps[::-1]
-        J = maps[0].jacobian(z, rd)
-        for before, m in zip(maps, maps[1:]):
-            z = before.apply(z, rd)
-            J = m.jacobian(z, rd) @ J
-        return J
-
-
 def symplectic_defect(J: np.ndarray) -> float:
     """max entry of |J^T Omega J - Omega| over Jacobians of shape L + (2n, 2n)."""
     n = J.shape[-1] // 2
@@ -722,7 +692,7 @@ def symplectic_check(transform, points) -> float:
 
 @dataclass
 class StandardFormHam:
-    """(1 + nu) p1^2 + G(phat, q1) with reference potential Gbar, nu about p(phat, q1)."""
+    """(1 + nu) p1^2 + G(phat, q1) with reference potential Gbar, reached by Phi1 o Phi2 o Phi3 (phi1 None: Phi1 = I)."""
 
     k: Mode
     n: int
@@ -730,35 +700,47 @@ class StandardFormHam:
     fp: FixedPointSolution
     form: DecoupledForm
     G_bar: OneDTrigPoly
-    phi1: LinearSymplectic | None
+    phi1: DecouplingMatrix | None
     phi2: Phi2Map
     phi3: ShearMap
 
     def _read(self, p1, rd: PointJet):
-        """At momenta p1 and rd's phat and q1, of shape L: the Y1 that Phi2 o Phi3
-        sends (p1, phat) to, (1 + nu) p1^2 (nu about p) and G(phat, q1), from rd's solves."""
-        p_o, pq = rd.tau, rd.point.p
-        return p1 + p_o + (pq - p_o), (1.0 + rd.point.nu(p1)) * p1 ** 2, pq * pq + rd.point.value - rd.G0
+        """At momenta p1 and rd's phat and q1, of shape L: (1 + nu) p1^2 (nu
+        about p) and G(phat, q1), from rd's solves."""
+        pq = rd.point.p
+        return (1.0 + rd.point.nu(p1)) * p1 ** 2, pq * pq + rd.point.value - rd.G0
 
     def _h0(self, G0, phat):
         """h0 = G0 + 2 adiabatic(phat)/|k|^2, for G0 of shape L and phat L + (n_hat,)."""
         return G0 + 2.0 * self.form.adiabatic(phat) / float(sum(v * v for v in self.k))
 
-    def phi_diamond(self) -> ComposedMap:
-        maps = [self.phi2, self.phi3] if self.phi1 is None else [self.phi1, self.phi2, self.phi3]
-        return ComposedMap(maps, self.fp.read)
+    def phi_diamond_jacobian(self, z: np.ndarray, rd: PointJet | None = None) -> np.ndarray:
+        """diag(U, U^{-T}) @ (J2 @ J3) at z under one reading, rd's if made at
+        z: Phi2 and Phi3 read z only through (phat, q1), which Phi3 leaves
+        alone, so J2 is read at z and no map is applied."""
+        n = self.n
+        rd = _reading(self.fp.read, z[..., 1:n], z[..., n], rd)
+        J = self.phi2.jacobian(z, rd) @ self.phi3.jacobian(z, rd)
+        if self.phi1 is None:
+            return J
+        J1 = np.zeros((2 * n, 2 * n))
+        J1[:n, :n], J1[n:, n:] = np.array(self.phi1.U, dtype=float), np.array(self.phi1.U_inv, dtype=float).T
+        return J1 @ J
 
     def check_reduction_identity(self, points, q1s, rd: PointJet | None = None) -> float:
-        """max |Hsharp(Phi2(Phi3(p, q1))) - ((1+nu)p1^2 + G0 + G)| over the points,
-        all read through one grid and one point solve: rd's, if made there."""
-        p = np.asarray(points, dtype=float)
-        rd = _reading(self.fp.read, p[..., 1:], q1s, rd)
-        Y1, kinetic, G = self._read(p[..., 0], rd)
+        """max |Hsharp(Y1, phat, q1) - ((1+nu)p1^2 + G0 + G)| over the points
+        (p1, phat), Y1 the first coordinate of Phi2(Phi3(p1, phat, q1, 0)), all
+        read through one grid and one point solve: rd's, if made there."""
+        p, q1 = np.asarray(points, dtype=float), np.asarray(q1s, dtype=float)
+        rd = _reading(self.fp.read, p[..., 1:], q1, rd)
+        z = np.concatenate([p, q1[..., None], np.zeros(p.shape[:-1] + (self.n - 1,))], axis=-1)
+        Y1 = self.phi2.apply(self.phi3.apply(z, rd), rd)[..., 0]
+        kinetic, G = self._read(p[..., 0], rd)
         return float(np.max(np.abs(Y1 * Y1 + rd.point.ev(Y1, 0) - (kinetic + rd.G0 + G))))
 
 
 def build_phi2_phi3(fp: FixedPointSolution, chars: Characteristics,
-                    G_bar: OneDTrigPoly, phi1: LinearSymplectic | None = None
+                    G_bar: OneDTrigPoly, phi1: DecouplingMatrix | None = None
                     ) -> StandardFormHam:
     """Assemble the standard form and its three transforms from a converged
     fixed point."""
@@ -882,4 +864,4 @@ def standardize(
     g_diff_maj = diff.majorant(r_y, chars.s_breve / l1(k))  # e^{|j| s_breve} at mode j k
     form.theta_o_bound = max(eps_k * g_o_maj, eps_k * g_diff_maj, 1e-300)
     fp = solve_fixed_point(form, form.Gf.center[1:])
-    return build_phi2_phi3(fp, chars, pk.scaled(eps_k), phi1=LinearSymplectic(dm))
+    return build_phi2_phi3(fp, chars, pk.scaled(eps_k), phi1=dm)

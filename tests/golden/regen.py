@@ -25,7 +25,7 @@ The sha256 of `json.dumps(doc, sort_keys=True)` for
 - the standard-form maps of criterion 8's two-action form
   (`acceptance._benchmark_standard_form`) and of the three-mode pipeline form
   (`reference.three_mode_standard_form`) at 20 seeded points each:
-  `jacobian` of Phi2, Phi3 and `phi_diamond()`, `apply` of Phi2 and Phi3,
+  `jacobian` of Phi2 and Phi3, `phi_diamond_jacobian`, `apply` of Phi2 and Phi3,
   Phi3's inverse round trip, `h0` and `check_reduction_identity`.  The maps
   take a stack of points, but here each is called on one point at a time,
   so the corpus pins the one-point path; `test_standard_form.py`'s
@@ -228,8 +228,9 @@ def map_documents() -> dict:
         pts = [np.concatenate([rng.uniform(-r, r, 1), sf.fp.base_phat + rng.uniform(-r, r, n - 1),
                                rng.uniform(0, 2 * np.pi, n)]) for _ in range(20)]
         inverse = sf.phi3.inverse()
-        for label, transform in (("phi2", sf.phi2), ("phi3", sf.phi3), ("composite", sf.phi_diamond())):
-            out[f"maps/{name}/{label}/jacobian"] = [transform.jacobian(z).tolist() for z in pts]
+        for label, jacobian in (("phi2", sf.phi2.jacobian), ("phi3", sf.phi3.jacobian),
+                                ("composite", sf.phi_diamond_jacobian)):
+            out[f"maps/{name}/{label}/jacobian"] = [jacobian(z).tolist() for z in pts]
         for label, transform in (("phi2", sf.phi2), ("phi3", sf.phi3)):
             out[f"maps/{name}/{label}/apply"] = [transform.apply(z).tolist() for z in pts]
         out[f"maps/{name}/phi3/round_trip"] = [inverse.apply(sf.phi3.apply(z)).tolist() for z in pts]

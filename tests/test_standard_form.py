@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -13,9 +14,7 @@ from resoforge.standard_form import (
     FIXED_POINT_TOL,
     GRID,
     BoundPotential,
-    ComposedMap,
     DecoupledForm,
-    LinearSymplectic,
     Phi2Map,
     PolyTrig1,
     ShearMap,
@@ -28,6 +27,7 @@ from resoforge.standard_form import (
     solve_fixed_point,
     standardize,
     symplectic_check,
+    symplectic_defect,
     verify_standard,
     _antiderivative_at,
     _iterate,
@@ -62,8 +62,21 @@ def shear_reader(tau, dtau, d2tau=None):
 
 def standard_value(sf, p, q1):
     """(1 + nu) p1^2 + G(phat, q1), read as the reduction identity reads it."""
-    _, kinetic, G = sf._read(p[..., 0], sf.fp.read(p[..., 1:], q1))
+    kinetic, G = sf._read(p[..., 0], sf.fp.read(p[..., 1:], q1))
     return kinetic + G
+
+
+def phi1_block(dm):
+    """Phi1 as the float matrix diag(U, U^{-T}) of its decoupling matrix dm."""
+    n = dm.um.n
+    return np.block([[np.array(dm.U, dtype=float), np.zeros((n, n))],
+                     [np.zeros((n, n)), np.array(dm.U_inv, dtype=float).T]])
+
+
+def phi23_y1(sf, p1, phat, q1, rd):
+    """Y1 of (p1, phat, q1, qhat = 0) through Phi3, then Phi2, under the reading rd."""
+    z = np.concatenate([np.expand_dims(p1, -1), phat, np.expand_dims(q1, -1), np.zeros_like(phat)], axis=-1)
+    return sf.phi2.apply(sf.phi3.apply(z, rd), rd)[..., 0]
 
 
 def form_eps_k(form):
@@ -315,23 +328,26 @@ class TestMaps:
         assert symplectic_check(a, pts) < 1e-12
 
     def test_linear_block_symplectic(self):
-        lin = LinearSymplectic(decoupling_matrix(complete_to_sl((2, 3))))
-        pts = [np.random.default_rng(4).normal(size=4)]
-        assert symplectic_check(lin, pts) < 1e-15
+        # with Gf = 0, p = 0 and Phi2 and Phi3 are the identity, so Phi_diamond's
+        # Jacobian is Phi1's float block diag(U, U^{-T}) alone
+        dm = decoupling_matrix(complete_to_sl((2, 3)))
+        sf = dataclasses.replace(small_standard_form(PolyTrig1(1, {})), phi1=dm)
+        J = sf.phi_diamond_jacobian(np.random.default_rng(4).normal(size=(1, 4)))
+        assert J.tobytes() == phi1_block(dm)[None].tobytes()
+        assert symplectic_defect(J) < 1e-15
 
-    def test_composition_associates(self):
-        # a linear block map that moves phat; Phi1 is itself a shear, and
-        # shears commute, so it could not tell the two orders apart
-        U = np.array([[1.0, 0.5], [0.25, 1.0]])
-        J = np.block([[U, np.zeros((2, 2))], [np.zeros((2, 2)), np.linalg.inv(U).T]])
-        lin = SimpleNamespace(J=J, jacobian=lambda z, rd=None: J)
-        shear = ShearMap(2, shear_reader(lambda ph: 0.1 * ph[0] ** 2, lambda ph: np.array([0.2 * ph[0]]),
-                                      lambda ph: np.array([[0.2]])))
-        comp = ComposedMap([lin, shear])
-        z = np.array([0.3, -0.2, 1.0, 2.0])
-        # the rightmost map acts first: the chain rule reads its Jacobian at z
-        assert np.allclose(comp.jacobian(z), lin.jacobian(shear.apply(z)) @ shear.jacobian(z))
-        assert not np.allclose(comp.jacobian(z), shear.jacobian(lin.J @ z) @ lin.jacobian(z))
+    def test_phi_diamond_jacobian_matches_fd(self):
+        # Phi1 is linear, so z -> J1 Phi2(Phi3(z)) - J1 z has the Jacobian
+        # J - J1, and its differences carry no O(1) entry whose rounding
+        # would swamp the ~1e-10 entries of J2 J3 - I
+        sf = three_mode_standard_form()
+        J1 = phi1_block(sf.phi1)
+        h = 0.02 * sf.form.r
+        for z in _jacobian_points(sf, 3, seed=16):
+            J = sf.phi_diamond_jacobian(z)
+            fd = _fd_jacobian(lambda w: J1 @ (sf.phi2.apply(sf.phi3.apply(w)) - w), z, h)
+            scale = float(np.max(np.abs(J - J1)))
+            assert scale > 0.0 and float(np.max(np.abs(J - J1 - fd))) < 1e-5 * scale
 
     @pytest.mark.parametrize("which", ["two_action", "three_mode"])
     def test_stacked_calls_equal_per_point_calls(self, which):
@@ -353,13 +369,13 @@ class TestMaps:
             "phi2.jacobian": sf.phi2.jacobian,
             "phi3.apply": sf.phi3.apply,
             "phi3.jacobian": sf.phi3.jacobian,
-            "phi_diamond.jacobian": sf.phi_diamond().jacobian,
+            "phi_diamond_jacobian": sf.phi_diamond_jacobian,
             "phi3 round trip": lambda z: inverse.apply(sf.phi3.apply(z)),
             "h0": lambda z: sf._h0(sf.fp.read(z[..., 1:n]).G0, z[..., 1:n]),
         }
         if sf.form.secular is not None:  # criterion 8's form is built without one
             calls["SecularHam.value"] = lambda z: sf.form.secular.value(
-                (sf.phi1.J @ z[..., None])[..., :n, 0], z[..., n])
+                (phi1_block(sf.phi1) @ z[..., None])[..., :n, 0], z[..., n])
         for name, call in calls.items():
             got = call(pts)
             want = np.array([call(z) for z in pts])
@@ -443,7 +459,8 @@ class TestPipeline:
             ph = phat0 + rng.uniform(-sf.chars.r, sf.chars.r, 1)
             q1 = rng.uniform(0, TWO_PI)
             rd = sf.fp.read(ph, q1)
-            Y1, kinetic, G = sf._read(p1, rd)
+            Y1 = phi23_y1(sf, p1, ph, q1, rd)
+            kinetic, G = sf._read(p1, rd)
             lhs = sec.value(apply(sf.form.dm.U, np.concatenate([[Y1], ph])), q1)
             rhs = 1.0 * ((kinetic + G) + sf._h0(rd.G0, ph))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
@@ -503,12 +520,12 @@ class TestPipeline:
             np.array([-1.0]) + rng.uniform(-sf.chars.r, sf.chars.r, 1),
             rng.uniform(0, TWO_PI, 2),
         ]) for _ in range(10)]
-        assert symplectic_check(sf.phi_diamond(), pts) < 1e-9
+        assert symplectic_defect(sf.phi_diamond_jacobian(np.array(pts))) < 1e-9
 
     def test_phi1_is_a_shear_group_member(self):
         # the linear decoupling equals the shear with tau = -(Ahat k).phat/|k|^2
         um = complete_to_sl((2, 3))
-        lin = LinearSymplectic(decoupling_matrix(um))
+        J1 = phi1_block(decoupling_matrix(um))
         ahat_k = float(
             (np.array(um.A_hat, dtype=float) @ np.array(um.k, dtype=float))[0]
         )
@@ -519,7 +536,7 @@ class TestPipeline:
         rng = np.random.default_rng(9)
         for _ in range(50):
             z = rng.normal(size=4)
-            assert np.allclose(lin.J @ z, shear.apply(z), atol=1e-14)
+            assert np.allclose(J1 @ z, shear.apply(z), atol=1e-14)
 
 
 class TestArgmaxInvariance:
@@ -1130,7 +1147,7 @@ class TestOneSolvePerJet:
             "phi2.apply": solves(lambda: sf.phi2.apply(z)),
             "phi3.jacobian": solves(lambda: sf.phi3.jacobian(z)),
             "phi3.apply": solves(lambda: sf.phi3.apply(z)),
-            "phi_diamond.jacobian": solves(lambda: sf.phi_diamond().jacobian(z)),
+            "phi_diamond_jacobian": solves(lambda: sf.phi_diamond_jacobian(z)),
             "check_reduction_identity, 3 samples": solves(
                 lambda: sf.check_reduction_identity(samples, [z[n]] * 3)),
             "criterion 9, 10 points": solves(
@@ -1148,13 +1165,30 @@ class TestOneSolvePerJet:
             "phi2.apply": (1, 1, 0),
             "phi3.jacobian": (1, 0, 0),
             "phi3.apply": (1, 0, 0),
-            "phi_diamond.jacobian": (1, 1, 0),
+            "phi_diamond_jacobian": (1, 1, 0),
             "check_reduction_identity, 3 samples": (1, 1, 0),
             "criterion 9, 10 points": (1, 1, 1),
             "criterion 8, 20 points": (1, 1, 1),
             "symplectic_check(phi2), 5 points": (1, 1, 0),
             "standardize CLI": (2, 2, 1),
         }
+
+    def test_phi_diamond_jacobian_applies_no_map(self, monkeypatch):
+        # Phi2 and Phi3 read z only through (phat, q1), which Phi3 leaves
+        # alone, so Phi_diamond's Jacobian reads both at z: no apply call, and
+        # one grid and one point solve for a stack of points
+        from resoforge import standard_form
+
+        sf = three_mode_standard_form()
+        z = np.array(_jacobian_points(sf, 4, seed=17))
+        applied, solves = [], []
+        for cls in (Phi2Map, ShearMap):
+            monkeypatch.setattr(cls, "apply", lambda self, z, rd=None: applied.append(self))
+        iterate = standard_form._iterate
+        monkeypatch.setattr(standard_form, "_iterate",
+                            lambda ev: solves.append(ev.q1.shape[-1:] == (GRID,)) or iterate(ev))
+        assert sf.phi_diamond_jacobian(z).shape == (4, 4, 4)
+        assert applied == [] and sorted(solves) == [False, True]
 
     def test_only_phi2_point_jacobian_reads_dp_dq1(self, monkeypatch):
         # a reading computes only what is read: the grid's d2p/dphat2 makes
@@ -1229,7 +1263,7 @@ class TestOneStatedEquation:
         rolled_phat[:, 1:n] = np.roll(pts[:, 1:n], 1, axis=0)
         rolled_q1[:, n] = np.roll(pts[:, n], 1)
         for call in (sf.phi2.apply, sf.phi2.jacobian, sf.phi3.apply, sf.phi3.jacobian,
-                     sf.phi3.inverse().apply, sf.phi_diamond().jacobian):
+                     sf.phi3.inverse().apply, sf.phi_diamond_jacobian):
             assert call(moved, rd).tobytes() == call(moved).tobytes()
             for bad in (rolled_phat, rolled_q1, pts[:4]):
                 with pytest.raises(ConfigError, match="other phat or q1"):
@@ -1353,7 +1387,7 @@ class TestStackedSamples:
 
         def read(p, q1):
             rd = sf.fp.read(p[..., 1:], q1)
-            return (*sf._read(p[..., 0], rd), rd.G0)
+            return (phi23_y1(sf, p[..., 0], p[..., 1:], q1, rd), *sf._read(p[..., 0], rd), rd.G0)
 
         got = read(pts, q1s)
         want = zip(*(read(p, q1) for p, q1 in zip(pts, q1s)))
