@@ -402,7 +402,9 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
 @_timed
 def criterion_9_energy_identity(points: int = 100) -> CriterionResult:
     """Pipeline identity Hsec o Phi_diamond = (|k|^2/2)(H_k + h0) to 1e-12
-    relative on the two-mode benchmark; exact kinetic split to 1e-12."""
+    relative on the two-mode benchmark; exact kinetic split to 1e-12; the
+    reduction identity of a one-action form cubic in Y1, whose p moves with
+    q1, to 1e-12 max|H|, so a wrong shift in Phi2 or a truncated nu fails."""
     f = two_mode_potential(1.0)
     k = (1, 1)
     params = free_params(2, 1.0, alpha=0.03, K0=2, K=6)
@@ -433,12 +435,22 @@ def criterion_9_energy_identity(points: int = 100) -> CriterionResult:
         Y = [Fraction(int(rng2.integers(-99, 99)), int(rng2.integers(1, 99)))
              for _ in range(2)]
         split_worst = max(split_worst, abs(kinetic_split_residual(sf.form.dm, Y)))
-    ok = worst <= 1e-12 and float(split_worst) <= 1e-12
+
+    # tier-1's cubic witness (TestReduction), built as its small_standard_form builds it
+    G3 = PolyTrig1(1, {(1, (0,), 1): (0.1, 0.0), (3, (0,), 0): (1.0, 0.0), (2, (1,), 0): (0.05, 0.0)})
+    fp3 = solve_fixed_point(DecoupledForm(G3, lambda ph: 0.0, 0.1, 0.5, 1e-5, 1), np.zeros(1))
+    sf3 = build_phi2_phi3(fp3, characteristics((1, 0), 2, 1.0, 1e-6, 0.1, lacunary_potential(2, 1.0, 10),
+                                               free_params(2, 1.0, alpha=0.05, K0=2, K=12)), OneDTrigPoly({1: 1e-6}))
+    w = np.random.default_rng(33).uniform((-0.1, -0.1, 0.0), (0.1, 0.1, TWO_PI), (points, 3))  # (p1, phat, q1)
+    rd3 = sf3.fp.read(w[:, 1:2], w[:, 2])
+    H3 = float(np.max(np.abs(np.add(*sf3._read(w[:, 0], rd3)) + rd3.G0)))  # max|H| up to the error
+    cubic = sf3.check_reduction_identity(w[:, :2], w[:, 2], rd3)
+    ok = worst <= 1e-12 and float(split_worst) <= 1e-12 and cubic <= 1e-12 * H3
     return CriterionResult(
         9, "pipeline energy identity (two-mode benchmark)",
         ok,
         {"relative_error": worst, "kinetic_split_residual": str(split_worst),
-         "hypothesis_flag": sf.fp.hypothesis_ok},
+         "hypothesis_flag": sf.fp.hypothesis_ok, "cubic_identity_error": cubic},
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from resoforge import acceptance, cover, genericity
 from resoforge.morse import critical_points_many
-from resoforge.standard_form import Phi2Map, PolyTrig1
+from resoforge.standard_form import Phi2Map, PolyTrig1, _Jet
 
 
 def _run(fn, **kwargs):
@@ -148,6 +148,28 @@ def test_criterion_09_energy_identity():
     assert result.details["relative_error"] <= 1e-12
     assert result.details["kinetic_split_residual"] == "0"
     assert result.details["hypothesis_flag"]
+    assert result.details["cubic_identity_error"] <= 1e-15
+
+
+@pytest.mark.parametrize("mutant", ["phi2_shift", "nu_truncated"])
+def test_criterion_09_rejects_a_wrong_shift_or_nu(monkeypatch, mutant):
+    # Phi2's shift p - 0.9 p_o, or nu cut to its i = 2 term: the two-mode
+    # identity cannot see either, as its Gf is quadratic in Y1 and its p
+    # barely moves, so only the cubic witness fails
+    if mutant == "phi2_shift":
+        apply = Phi2Map.apply
+
+        def shifted(self, z, rd=None):
+            out = apply(self, z, rd)
+            out[..., 0] += 0.1 * rd.tau
+            return out
+
+        monkeypatch.setattr(Phi2Map, "apply", shifted)
+    else:
+        monkeypatch.setattr(_Jet, "nu", lambda self, p1: self.ev(self.p, 2) / 2.0 + 0.0 * p1)
+    result = acceptance.criterion_9_energy_identity(points=20)
+    assert not result.passed
+    assert result.details["relative_error"] <= 1e-12 < 1e-6 < result.details["cubic_identity_error"]
 
 
 def test_criterion_09_rejects_a_wrong_expansion_point(monkeypatch):

@@ -1102,8 +1102,8 @@ class TestOneSolvePerJet:
     def test_solve_counts(self, monkeypatch, tmp_path):
         # grid and point solves per call: one grid and one point solve for
         # Phi2, one grid solve for Phi3, and one stacked solve of each kind for
-        # all the samples of the reduction identity, of criterion 9 and of
-        # verify_standard.  A map call on a stack of points solves as one on
+        # all the samples of the reduction identity, of each of criterion 9's
+        # two forms and of verify_standard.  A map call on a stack of points solves as one on
         # a single point, and the composite and criterion 8 solve one
         # reading that every map call reads, so criterion 8 makes as many
         # solves at 20 points as at 100.  A reading's call of _iterate counts
@@ -1167,7 +1167,7 @@ class TestOneSolvePerJet:
             "phi3.apply": (1, 0, 0),
             "phi_diamond_jacobian": (1, 1, 0),
             "check_reduction_identity, 3 samples": (1, 1, 0),
-            "criterion 9, 10 points": (1, 1, 1),
+            "criterion 9, 10 points": (2, 2, 2),
             "criterion 8, 20 points": (1, 1, 1),
             "symplectic_check(phi2), 5 points": (1, 1, 0),
             "standardize CLI": (2, 2, 1),
