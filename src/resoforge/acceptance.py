@@ -350,9 +350,8 @@ def _benchmark_standard_form():
                          r=r, s_breve=sb, theta_o_bound=max(B / 2, target), n_hat=2)
     fp = solve_fixed_point(form, np.array([0.01, -0.02]))
     params = free_params(3, 1.0, alpha=0.05, K0=4, K=24)
-    um = complete_to_sl((1, 1, 2))
     ch = characteristics((1, 1, 2), 3, 1.0, 1e-6, 0.1, lacunary_potential(3, 1.0, 8), params)
-    sf = build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}), phi1=decoupling_matrix(um))
+    sf = build_phi2_phi3(fp, ch, OneDTrigPoly({1: 1e-6}), phi1=decoupling_matrix(complete_to_sl((1, 1, 2))))
     return sf, rng
 
 
@@ -368,9 +367,7 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
     fault, at 3.2e-7 in phi2_relative, moves it only to 5.0e-13.  Every map
     call, the group law's too, reads one `fp.read` of the points: one grid
     and one point solve at any number of points."""
-    um = complete_to_sl((2, 3))
-    dm = decoupling_matrix(um)
-    exact = symplectic_residual_exact(dm)
+    exact = symplectic_residual_exact(decoupling_matrix(complete_to_sl((2, 3))))
     phi1_exact_zero = exact == 0 and isinstance(exact, (int, Fraction))
 
     sf, rng = _benchmark_standard_form()
@@ -402,14 +399,11 @@ def criterion_8_symplecticity(points: int = 100) -> CriterionResult:
 @_timed
 def criterion_9_energy_identity(points: int = 100) -> CriterionResult:
     """Pipeline identity Hsec o Phi_diamond = (|k|^2/2)(H_k + h0) to 1e-12
-    relative on the two-mode benchmark; exact kinetic split to 1e-12; the
-    reduction identity of a one-action form cubic in Y1, whose p moves with
-    q1, to 1e-12 max|H|, so a wrong shift in Phi2 or a truncated nu fails."""
-    f = two_mode_potential(1.0)
+    relative on the two-mode benchmark; exact kinetic split to 1e-12; the reduction
+    identity of a form cubic in Y1, p moving with q1, to 1e-12 max|H| (it sees Phi2's shift and nu)."""
     k = (1, 1)
-    params = free_params(2, 1.0, alpha=0.03, K0=2, K=6)
-    y0 = np.array([0.5, -0.5])
-    sf = standardize(f, 1.0, 1e-5, k, params, y0, beta=0.05, order=2)
+    sf = standardize(two_mode_potential(1.0), 1.0, 1e-5, k, free_params(2, 1.0, alpha=0.03, K0=2, K=6),
+                     np.array([0.5, -0.5]), beta=0.05, order=2)
     sec = sf.form.secular
     kk2 = float(sum(v * v for v in k))
     phat0 = sf.fp.base_phat
@@ -438,7 +432,7 @@ def criterion_9_energy_identity(points: int = 100) -> CriterionResult:
 
     # tier-1's cubic witness (TestReduction), built as its small_standard_form builds it
     G3 = PolyTrig1(1, {(1, (0,), 1): (0.1, 0.0), (3, (0,), 0): (1.0, 0.0), (2, (1,), 0): (0.05, 0.0)})
-    fp3 = solve_fixed_point(DecoupledForm(G3, lambda ph: 0.0, 0.1, 0.5, 1e-5, 1), np.zeros(1))
+    fp3 = solve_fixed_point(DecoupledForm(G3, lambda _: 0.0, 0.1, 0.5, 1e-5, 1), np.zeros(1))
     sf3 = build_phi2_phi3(fp3, characteristics((1, 0), 2, 1.0, 1e-6, 0.1, lacunary_potential(2, 1.0, 10),
                                                free_params(2, 1.0, alpha=0.05, K0=2, K=12)), OneDTrigPoly({1: 1e-6}))
     w = np.random.default_rng(33).uniform((-0.1, -0.1, 0.0), (0.1, 0.1, TWO_PI), (points, 3))  # (p1, phat, q1)

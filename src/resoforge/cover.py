@@ -31,7 +31,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .fourier import ConfigError, Mode, Record, generators, l1
+from .fourier import ConfigError, Mode, Record, generators, l1, seed_sequence
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,8 @@ class CoveringParams(Record):
     def __post_init__(self):
         if self.n < 1 or self.s <= 0:
             raise ConfigError("need n >= 1 and s > 0")
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
         if self.alpha < 0 or (self.alpha == 0 and self.mode != "free"):
             raise ConfigError("alpha must be positive (zero allowed in free mode)")
 
@@ -318,11 +320,10 @@ def ball_points(n: int, samples: int, seed: int) -> Iterator[np.ndarray]:
     """The seeded points of measure_R2, one (m, n) chunk at a time.
 
     Chunk i holds points i*_CHUNK onward, drawn by _sample_ball from its own
-    Philox stream spawned from SeedSequence(seed)."""
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
-        yield _sample_ball(np.random.Generator(np.random.Philox(ss)),
-                           min(_CHUNK, samples - i * _CHUNK), n)
+    Philox stream spawned from SeedSequence(seed), refused at the call."""
+    streams = seed_sequence(seed).spawn((samples + _CHUNK - 1) // _CHUNK)
+    return (_sample_ball(np.random.Generator(np.random.Philox(ss)), min(_CHUNK, samples - i * _CHUNK), n)
+            for i, ss in enumerate(streams))
 
 
 def measure_R2(params: CoveringParams, samples: int, seed: int) -> R2MeasureEstimate:

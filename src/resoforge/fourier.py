@@ -86,6 +86,14 @@ def canonical_form(k: Iterable[int]) -> tuple[Mode, bool]:
     raise ConfigError("zero mode has no canonical form")
 
 
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """np.random.SeedSequence(seed); a seed that it refuses, such as -1, is a ConfigError."""
+    try:
+        return np.random.SeedSequence(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"seed must be a nonnegative integer or a sequence of them, got {seed!r}") from exc
+
+
 def half_ball(n: int, K: float) -> np.ndarray:
     """All k in Z^n_* with |k|_1 <= K as rows of an int array, in lexicographic
     order.  The ball |k|_1 <= K is grown one coordinate at a time, each prefix
@@ -94,6 +102,8 @@ def half_ball(n: int, K: float) -> np.ndarray:
     the ball, so the rows after the zero vector are Z^n_*."""
     if n < 1:
         raise ConfigError("dimension must be >= 1")
+    if not math.isfinite(K):
+        raise ConfigError(f"cutoff K must be finite, got {K!r}")
     cols, budget = [], np.array([max(0, math.floor(K))])
     for _ in range(n):
         count = 2 * budget + 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import ConfigError, Mode, Record, TrigPoly, generators, half_ball, l1, lattice_projections
+from .fourier import ConfigError, Mode, Record, TrigPoly, generators, half_ball, l1, lattice_projections, seed_sequence
 from .morse import critical_points_many
 
 
@@ -160,7 +160,7 @@ def _spawn_keys(seed, count: int) -> np.ndarray:
     hashes of its L entropy words; the 4 words are hashed out in little-endian
     pairs.  The first and last rows are checked against numpy's own.
     """
-    ss, m = np.random.SeedSequence(seed), 1 << 32
+    ss, m = seed_sequence(seed), 1 << 32
     words = lambda x: (max(1, -(-int(x).bit_length() // 32)) if isinstance(x, (int, np.integer))
                        else sum(map(words, x)))
     a, b = 0x43B0D7E5 * pow(0x931E8875, 16 + 4 * max(0, words(ss.entropy) - 4), m) % m, 0x8B51F9DD
@@ -232,7 +232,7 @@ def sample_product_measure(n: int, s: float, K_max: float, seed) -> TrigPoly:
     result is reproducible across platforms and chunkings.
     """
     modes = half_ball(n, K_max)
-    w = _disks(np.random.SeedSequence(seed).generate_state(2, np.uint64)[None], len(modes))[0]
+    w = _disks(seed_sequence(seed).generate_state(2, np.uint64)[None], len(modes))[0]
     scale = np.array([math.exp(-l * s) for l in range(int(math.floor(K_max)) + 1)])[np.abs(modes).sum(axis=1)]
     return TrigPoly(n, dict(zip(map(tuple, modes.tolist()), (w * scale).tolist())))
 

@@ -635,6 +635,8 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
     error context; the resonant kind keeps the part on Z k as g_res."""
     if order < 1:
         raise ConfigError("order must be at least 1")
+    if not math.isfinite(ham.epsilon):
+        raise ConfigError(f"epsilon must be finite, got {ham.epsilon!r}")
     y0 = np.asarray(y0, dtype=float)
     if k is None:
         min_divisor, context = params.alpha / 2.0, "resonant at base point"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from resoforge import cli, cover, fourier
+from resoforge import cli, cover, fourier, genericity
 from resoforge.cli import EXIT_INVARIANT, EXIT_OK, main
 from resoforge.fourier import ConfigError, HypothesisError
 
@@ -461,6 +461,28 @@ class TestConfigErrors:
 
 class TestLibraryConfigErrors:
     """Inputs that the library rejects exit 2 with its message as the one error line."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: fourier.half_ball(2, np.inf), "cutoff K must be finite"),
+        (lambda: fourier.half_ball(2, np.nan), "cutoff K must be finite"),
+        (lambda: fourier.generators(2, np.inf), "cutoff K must be finite"),
+        (lambda: fourier.lacunary_potential(2, 1.0, np.inf), "cutoff K must be finite"),
+        (lambda: genericity.sample_product_measure(2, 1.0, np.inf, 1), "cutoff K must be finite"),
+        (lambda: genericity.check_membership(fourier.lacunary_potential(2, 4.0, 20),
+                                             genericity.GenericityParams(2, 4.0, 1.0, 0.1, np.inf)),
+         "cutoff K must be finite"),
+        (lambda: genericity.sample_product_measure(2, 1.0, 5.0, -1), "seed must be a nonnegative integer"),
+        (lambda: genericity.empirical_genericity(2, 1.0, 0.1, 10, -1, (1, 4)), "seed must be a nonnegative integer"),
+        (lambda: cover.ball_points(2, 10, -1), "seed must be a nonnegative integer"),
+        (lambda: cover.measure_R2(cover.free_params(2, 1.0, 0.05, 2, 12), 1000, -1),
+         "seed must be a nonnegative integer"),
+    ], ids=["half_ball_inf", "half_ball_nan", "generators_inf", "lacunary_inf", "sample_inf",
+            "membership_inf", "sample_seed", "empirical_seed", "ball_points_seed", "measure_seed"])
+    def test_library_refuses_what_the_cli_guards(self, call, message):
+        # the CLI checks these itself; a library call used to escape with an
+        # OverflowError, or numpy's bare ValueError for a negative seed
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            call()
 
     @pytest.mark.parametrize("argv, message", [
         (["check-generic", "--potential", "lacunary:n=2,s=4.0,kmax=20", "--delta", "2",

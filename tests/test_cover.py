@@ -513,6 +513,14 @@ class TestMeasure:
         est = measure_R2(p, 10_000, 3)
         assert est.measure_any == 0.0
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # a NaN alpha passed `alpha < 0`, and then classify_point labelled
+        # (0.3, 0.1) R1 in all four strips at K0 = 2 while classify_batch
+        # left it uncovered
+        with pytest.raises(ConfigError, match="^alpha must be finite, got "):
+            free_params(2, 1.0, alpha=alpha, K0=2, K=5)
+
     def test_envelope_constant(self):
         sets = [
             free_params(2, 1.0, alpha=a, K0=2, K=5) for a in (0.02, 0.04)

@@ -1260,6 +1260,15 @@ class TestNonresonantStep:
         with pytest.raises(ConfigError, match="^order must be at least 1$"):
             lie_step(ham, k, params, y0, order=0)
 
+    @pytest.mark.parametrize("k", [None, (1, 1)])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, k, eps):
+        # a NaN eps used to return a NaN normal form
+        ham = NaturalHam(2, eps, TrigPoly.from_cosines(2, {(1, 0): 1.0}))
+        params, y0 = free_params(2, 1.0, alpha=0.03, K0=2, K=6), np.array([0.5, -0.5])
+        with pytest.raises(ConfigError, match="^epsilon must be finite, got "):
+            lie_step(ham, k, params, y0, order=2)
+
 
 class TestResonantStep:
     def setup_method(self):
