@@ -49,8 +49,8 @@ class CoveringParams(Record):
     nu: float | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.s <= 0:
-            raise ConfigError("need n >= 1 and s > 0")
+        if self.n < 1 or not 0 < self.s < math.inf:
+            raise ConfigError("need n >= 1 and 0 < s < inf")
         if not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
         if self.alpha < 0 or (self.alpha == 0 and self.mode != "free"):

@@ -35,8 +35,8 @@ def threshold_N(n: int, s: float, delta: float) -> float:
     c_d = 2^44 (2n/e)^n.  Monotone decreasing in delta and in s, and always
     >= 2 max{1, 1/s}.
     """
-    if n < 1 or s <= 0 or not 0 < delta <= 1:
-        raise ConfigError("need n >= 1, s > 0, 0 < delta <= 1")
+    if n < 1 or not 0 < s < math.inf or not 0 < delta <= 1:
+        raise ConfigError("need n >= 1, 0 < s < inf, 0 < delta <= 1")
     c_d = 2.0 ** 44 * (2.0 * n / math.e) ** n
     return 2.0 * max(1.0, math.log(c_d / (s ** n * delta)) / s)
 
@@ -231,6 +231,8 @@ def sample_product_measure(n: int, s: float, K_max: float, seed) -> TrigPoly:
     lexicographic mode order from a counter-based (Philox) generator, so the
     result is reproducible across platforms and chunkings.
     """
+    if not 0 < s < math.inf:
+        raise ConfigError("need 0 < s < inf")
     modes = half_ball(n, K_max)
     w = _disks(seed_sequence(seed).generate_state(2, np.uint64)[None], len(modes))[0]
     scale = np.array([math.exp(-l * s) for l in range(int(math.floor(K_max)) + 1)])[np.abs(modes).sum(axis=1)]
@@ -260,6 +262,8 @@ def empirical_genericity(
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if not 0 < delta <= 1:
+        raise ConfigError("need 0 < delta <= 1")
     lo, hi = window
     gens = generators(n, hi, min_order=lo)
     if not gens:

@@ -2,19 +2,65 @@
 
 Each test delegates to the corresponding criterion in resoforge.acceptance
 (the same code path the CLI `report` subcommand runs), asserts the pass flag,
-and prints the one-line pass/fail summary.
+and prints the one-line pass/fail summary.  MUTANTS lists one-line edits of
+the library, each of which `report --quick` must fail.
 """
 
+import __future__
 import dataclasses
+import functools
 import inspect
 import json
+import textwrap
 
 import numpy as np
 import pytest
 
-from resoforge import acceptance, cover, genericity
+from resoforge import acceptance, cover, genericity, standard_form
+from resoforge.cli import EXIT_INVARIANT, main
 from resoforge.morse import critical_points_many
-from resoforge.standard_form import Phi2Map, PolyTrig1, _Jet
+from resoforge.standard_form import Phi2Map
+
+# name: (module, function, old text, new text, the criterion that fails); report --quick fails each
+MUTANTS = {
+    # a disk test of <= 2.0 keeps the square's pairs: criterion 12's ratio holds, its exact law does not
+    "square_law": (genericity, "_disks", "pairs[..., 1] ** 2 <= 1.0", "pairs[..., 1] ** 2 <= 2.0",
+                   acceptance.criterion_12_genericity_trend),
+    # -0.45 d_{Y1} Gf still contracts and settles; criterion 7's residual of the stated equation reads 5.3e-8
+    "fixed_point": (standard_form, "_step", "return -0.5 * ev(u, 1)", "return -0.45 * ev(u, 1)",
+                    acceptance.criterion_7_contraction),
+    # P1 shifted by p - 0.9 p_o: only criterion 9's cubic witness, whose p moves with q1, sees it (3.6e-5)
+    "phi2_shift": (standard_form, "Phi2Map.apply", "(rd.point.p - rd.tau)", "(rd.point.p - 0.9 * rd.tau)",
+                   acceptance.criterion_9_energy_identity),
+    # nu cut to its i = 2 term: the two-mode Gf is quadratic in Y1, the cubic witness reads 6.5e-4
+    "nu_truncation": (standard_form, "_Jet.nu", "range(2, D + 1)", "range(2, 3)",
+                      acceptance.criterion_9_energy_identity),
+    # Gf expanded about 0 instead of affine^-1 y0
+    "expansion_point": (standard_form, "PolyTrig1.from_series",
+                        "return cls(n - 1, terms, apply(dm.affine_inv, series.base_point))",
+                        "return cls(n - 1, terms)", acceptance.criterion_9_energy_identity),
+}
+
+
+def mutate(monkeypatch, name):
+    """Patch MUTANTS[name] in: its function, compiled from its own source with the old text replaced,
+    in a copy of its module's namespace.  The old text must occur once in the function and once in its file."""
+    module, qualname, old, new, _ = MUTANTS[name]
+    *path, attr = qualname.split(".")
+    owner = functools.reduce(getattr, path, module)
+    source = textwrap.dedent(inspect.getsource(getattr(owner, attr)))
+    assert source.count(old) == 1 and inspect.getsource(module).count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec", __future__.annotations.compiler_flag,
+                 dont_inherit=True), namespace)
+    monkeypatch.setattr(owner, attr, namespace[attr])
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_report_kills_the_mutant(monkeypatch, name):
+    mutate(monkeypatch, name)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [MUTANTS[name][-1]])
+    assert main(["report", "--quick"]) == EXIT_INVARIANT
 
 
 def _run(fn, **kwargs):
@@ -151,35 +197,18 @@ def test_criterion_09_energy_identity():
     assert result.details["cubic_identity_error"] <= 1e-15
 
 
-@pytest.mark.parametrize("mutant", ["phi2_shift", "nu_truncated"])
+@pytest.mark.parametrize("mutant", ["phi2_shift", "nu_truncation"])
 def test_criterion_09_rejects_a_wrong_shift_or_nu(monkeypatch, mutant):
-    # Phi2's shift p - 0.9 p_o, or nu cut to its i = 2 term: the two-mode
-    # identity cannot see either, as its Gf is quadratic in Y1 and its p
-    # barely moves, so only the cubic witness fails
-    if mutant == "phi2_shift":
-        apply = Phi2Map.apply
-
-        def shifted(self, z, rd=None):
-            out = apply(self, z, rd)
-            out[..., 0] += 0.1 * rd.tau
-            return out
-
-        monkeypatch.setattr(Phi2Map, "apply", shifted)
-    else:
-        monkeypatch.setattr(_Jet, "nu", lambda self, p1: self.ev(self.p, 2) / 2.0 + 0.0 * p1)
+    # the two-mode identity cannot see either, as its Gf is quadratic in Y1
+    # and its p barely moves, so only the cubic witness fails
+    mutate(monkeypatch, mutant)
     result = acceptance.criterion_9_energy_identity(points=20)
     assert not result.passed
     assert result.details["relative_error"] <= 1e-12 < 1e-6 < result.details["cubic_identity_error"]
 
 
 def test_criterion_09_rejects_a_wrong_expansion_point(monkeypatch):
-    expand = PolyTrig1.from_series
-
-    def about_zero(*args):
-        gf = expand(*args)
-        return PolyTrig1(gf.n_hat, gf.terms)  # center 0 instead of affine^-1 y0
-
-    monkeypatch.setattr(PolyTrig1, "from_series", about_zero)
+    mutate(monkeypatch, "expansion_point")
     result = acceptance.criterion_9_energy_identity(points=20)
     assert not result.passed
     assert result.details["relative_error"] > 1e-12
@@ -228,14 +257,10 @@ def test_criterion_12_genericity_trend():
 
 
 def test_criterion_12_rejects_a_square_law_sampler(monkeypatch):
-    # the disk test widened to <= 2.0 keeps every pair of the square, where
-    # |w| < t has probability pi t^2 / 4, not t^2: both failure fractions
-    # fall by about pi / 4, so their ratio holds and only the exact law sees it
-    source = inspect.getsource(genericity._disks)
-    assert source.count("pairs[..., 1] ** 2 <= 1.0") == 1
-    namespace = dict(vars(genericity))
-    exec(source.replace("pairs[..., 1] ** 2 <= 1.0", "pairs[..., 1] ** 2 <= 2.0"), namespace)
-    monkeypatch.setattr(genericity, "_disks", namespace["_disks"])
+    # the square's pairs have |w| < t with probability pi t^2 / 4, not t^2:
+    # both failure fractions fall by about pi / 4, so their ratio holds and
+    # only the exact law sees it
+    mutate(monkeypatch, "square_law")
     result = acceptance.criterion_12_genericity_trend()
     assert not result.passed
     assert 2.0 <= result.details["ratio"] <= 8.0

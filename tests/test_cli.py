@@ -476,17 +476,29 @@ class TestLibraryConfigErrors:
         (lambda: cover.ball_points(2, 10, -1), "seed must be a nonnegative integer"),
         (lambda: cover.measure_R2(cover.free_params(2, 1.0, 0.05, 2, 12), 1000, -1),
          "seed must be a nonnegative integer"),
+        *[(lambda s=s: genericity.threshold_N(2, s, 0.5), "need n >= 1, 0 < s < inf, 0 < delta <= 1")
+          for s in (np.nan, np.inf)],
+        (lambda: genericity.check_membership(fourier.lacunary_potential(2, 4.0, 40, amplitude=1e-3),
+                                             genericity.GenericityParams(2, np.nan, 0.5, 1e-30, 30)),
+         "need n >= 1, 0 < s < inf, 0 < delta <= 1"),
+        *[(lambda s=s: cover.free_params(2, s, 0.05, 2, 12), "need n >= 1 and 0 < s < inf") for s in (np.nan, np.inf)],
+        *[(lambda s=s: genericity.sample_product_measure(2, s, 5.0, 1), "need 0 < s < inf") for s in (np.nan, np.inf)],
+        *[(lambda delta=delta: genericity.empirical_genericity(2, 1.0, delta, 10, 1, (1, 4)), "need 0 < delta <= 1")
+          for delta in (np.nan, np.inf, -0.3)],
     ], ids=["half_ball_inf", "half_ball_nan", "generators_inf", "lacunary_inf", "sample_inf",
-            "membership_inf", "sample_seed", "empirical_seed", "ball_points_seed", "measure_seed"])
+            "membership_inf", "sample_seed", "empirical_seed", "ball_points_seed", "measure_seed",
+            "threshold_s_nan", "threshold_s_inf", "membership_s_nan", "free_params_s_nan", "free_params_s_inf",
+            "sample_s_nan", "sample_s_inf", "empirical_delta_nan", "empirical_delta_inf", "empirical_delta_negative"])
     def test_library_refuses_what_the_cli_guards(self, call, message):
         # the CLI checks these itself; a library call used to escape with an
-        # OverflowError, or numpy's bare ValueError for a negative seed
+        # OverflowError, numpy's bare ValueError for a negative seed or math's
+        # for an infinite s, or to run on with a NaN s or a delta outside (0, 1]
         with pytest.raises(ConfigError, match=f"^{message}"):
             call()
 
     @pytest.mark.parametrize("argv, message", [
         (["check-generic", "--potential", "lacunary:n=2,s=4.0,kmax=20", "--delta", "2",
-          "--beta", "0.1"], "need n >= 1, s > 0, 0 < delta <= 1"),
+          "--beta", "0.1"], "need n >= 1, 0 < s < inf, 0 < delta <= 1"),
         (["cover", "measure", "--params", "PARAMS", "--samples", "10"], "need at least 10^3 samples"),
         (["normalize", "--potential", "two-mode:s=1.0", "--eps", "0", "--k0", "2", "--K", "12",
           "--base-point", "0.7,0.31"], "epsilon must be positive"),
