@@ -16,6 +16,12 @@ not to a tolerance.  Degree/cutoff overflow is accumulated in a dropped-mass
 ledger; the homological identity's own floating-point residue is at rounding
 level and shows up only in the conjugacy defect.
 
+Every series is real, c_{-k,m} = conj(c_{k,m}), and all algebra preserves
+reality exactly: the float operations at -k mirror those at k.  So the
+bracket of real operands forms half its term pairs, those of the rows k >= 0
+(lexicographically) of one operand, and reads c_k = S_k + conj S_{-k} from
+their sums S.
+
 Small divisors y0.k are logged for every killed mode and checked against the
 covering thresholds (alpha/2, respectively 2 alpha K/|k|); a divisor below
 threshold raises with the witness mode.  Both kinds run one step loop,
@@ -79,6 +85,7 @@ class _Slots(NamedTuple):
     w_m: np.ndarray        # digit weights of a packed monomial
     mode_base: np.ndarray  # packed mode -> its rank x n_monos (negative beyond the cutoff)
     mono_rank: np.ndarray  # packed monomial -> its rank (-1 off the algebra)
+    mirror: np.ndarray     # slot of (k, m) -> slot of (-k, m)
 
     def of(self, K: np.ndarray, M: np.ndarray) -> np.ndarray:
         """The slots of the admissible rows (K, M)."""
@@ -102,7 +109,8 @@ def _slots(n: int, cutoff: int, max_degree: int) -> _Slots:
 
     modes, w_k, mode_rank = ranked(4 * cutoff + 1, 2 * cutoff, cutoff)
     monos, w_m, mono_rank = ranked(max_degree + 1, 0, max_degree)
-    return _Slots(cutoff, modes, monos, w_k, w_m, mode_rank * len(monos), mono_rank)
+    mirror = (mode_rank[(2 * cutoff - modes) @ w_k, None] * len(monos) + np.arange(len(monos))).ravel()
+    return _Slots(cutoff, modes, monos, w_k, w_m, mode_rank * len(monos), mono_rank, mirror)
 
 
 @cache
@@ -117,14 +125,16 @@ def _levels(n: int, max_degree: int) -> tuple[list[int], np.ndarray]:
     return np.searchsorted(monos.sum(axis=1), np.arange(max_degree + 2)).tolist(), lower
 
 
-def _fold(table: _Slots, blocks) -> tuple:
+def _fold(table: _Slots, blocks, mirrored: bool = False) -> tuple:
     """(K, M, C) of the contributions (slot, c) of the blocks, taken in order:
     equal slots summed from 0.0 in that order, rows in slot order, exact
     zeros dropped.  Sort-free and running: np.add.at adds each block into the
     slot sums, a slot being zeroed when a block first touches it, and the
     touched slots are listed, in slot order, by the nonzero entries of a
     boolean mask.  Only the slots in use are written, and nothing grows with
-    the number of blocks."""
+    the number of blocks.  With mirrored, the blocks give the sums S of half
+    the contributions, the other half being their mirror images, and slot s
+    reads S[s] + conj S[mirror(s)]."""
     size = len(table.modes) * len(table.monos)
     touched, sums = np.zeros(size, dtype=bool), np.empty(size, dtype=complex)
     for slot, c in blocks:
@@ -132,7 +142,14 @@ def _fold(table: _Slots, blocks) -> tuple:
         touched[new], sums[new] = True, 0.0
         np.add.at(sums, slot, c)
     s = touched.nonzero()[0]
-    C = sums.take(s)
+    if mirrored:
+        new = table.mirror.take(s)
+        new = new[~touched[new]]
+        touched[new], sums[new] = True, 0.0
+        s = touched.nonzero()[0]
+        C = sums.take(s) + sums.take(table.mirror.take(s)).conj()
+    else:
+        C = sums.take(s)
     live = C != 0
     mode, mono = np.divmod(s.compress(live), len(table.monos))
     return table.modes.take(mode, axis=0), table.monos.take(mono, axis=0), C.compress(live)
@@ -142,7 +159,8 @@ def _fold(table: _Slots, blocks) -> tuple:
 class TaylorFourierSeries:
     """sum_t C_t (y - y0)^M_t e^{i K_t.x} with |K_t|_1 <= cutoff, |M_t| <= max_degree.
 
-    Reality corresponds to c_{-k,m} = conj(c_{k,m}); all algebra preserves it.
+    Reality is c_{-k,m} = conj(c_{k,m}) exactly; all algebra preserves it
+    exactly, and the operations that do carry it as a flag (`is_real`).
     Rows of int64 K (T, n), int64 M (T, n) and complex C (T,) are the only
     storage: keys (k, m) unique, no coefficient zero, rows in slot order (by
     |k|_1, then k, then |m|, then m: the rank `_slots` gives each key), so the
@@ -160,21 +178,22 @@ class TaylorFourierSeries:
 
     def __post_init__(self):
         empty = np.empty((0, self.n), dtype=np.int64)
-        self._store(empty, empty, np.empty(0, dtype=complex))
+        self._store(empty, empty, np.empty(0, dtype=complex), True)
 
-    def _store(self, K: np.ndarray, M: np.ndarray, C: np.ndarray) -> "TaylorFourierSeries":
-        """Hold the rows (K, M, C), read-only; drops what was built from the old rows."""
+    def _store(self, K: np.ndarray, M: np.ndarray, C: np.ndarray, real: bool | None = None) -> "TaylorFourierSeries":
+        """Hold the rows (K, M, C), read-only, real if known (None: read from
+        the rows when asked); drops what was built from the old rows."""
         for rows in (K, M, C):
             rows.setflags(write=False)
-        self.K, self.M, self.C = K, M, C
+        self.K, self.M, self.C, self._real = K, M, C, real
         self._grad_tables = self._terms = None
         return self
 
-    def _with(self, K: np.ndarray, M: np.ndarray, C: np.ndarray) -> "TaylorFourierSeries":
+    def _with(self, K: np.ndarray, M: np.ndarray, C: np.ndarray, real: bool | None = None) -> "TaylorFourierSeries":
         """A series of this algebra holding (K, M, C), made without __init__'s empty rows."""
         out = object.__new__(TaylorFourierSeries)
         out.__dict__.update(self.__dict__)
-        return out._store(K, M, C)
+        return out._store(K, M, C, real)
 
     def like(self) -> "TaylorFourierSeries":
         return TaylorFourierSeries(self.n, self.base_point, self.max_degree, self.cutoff)
@@ -190,21 +209,34 @@ class TaylorFourierSeries:
     def is_empty(self) -> bool:
         return not len(self.C)
 
+    @property
+    def is_real(self) -> bool:
+        """c_{-k,m} == conj(c_{k,m}) for every key: carried by the operations
+        that preserve it bit for bit, else read once from the rows."""
+        if self._real is None:
+            table = _slots(self.n, self.cutoff, self.max_degree)
+            slot, dense = table.of(self.K, self.M), np.zeros(len(table.mirror), dtype=complex)
+            dense[slot] = self.C
+            self._real = bool((dense.take(table.mirror.take(slot)) == self.C.conj()).all())
+        return self._real
+
     def _merged(self, *parts: "TaylorFourierSeries") -> "TaylorFourierSeries":
         """The one merge of the algebra: the terms of parts (series within this
         truncation) one after another, equal keys summed from 0.0 in that order,
-        rows in slot order, exact zeros dropped; one nonempty part is C + 0.0."""
+        rows in slot order, exact zeros dropped; one nonempty part is C + 0.0.
+        Real parts give a real merge: a key and its mirror sum conjugates in one order."""
         parts = [p for p in parts if not p.is_empty] or [self]
+        real = all(p._real for p in parts) or None
         if len(parts) == 1:
-            return self._with(parts[0].K, parts[0].M, parts[0].C + 0.0)
+            return self._with(parts[0].K, parts[0].M, parts[0].C + 0.0, real)
         K, M, C = (np.concatenate(rows) for rows in zip(*((p.K, p.M, p.C) for p in parts)))
         table = _slots(self.n, self.cutoff, self.max_degree)
-        return self._with(*_fold(table, [(table.of(K, M), C)]))
+        return self._with(*_fold(table, [(table.of(K, M), C)]), real)
 
     def _mode_pairs(self, K: np.ndarray, C: np.ndarray,
                     ledger: TruncationLedger | None = None) -> "TaylorFourierSeries":
-        """The series of the terms c e^{i k.x} + conj(c) e^{-i k.x} of the rows (k, c), no
-        key twice: by mode rank (slot order), each coefficient + 0.0 as `_merged` sums it,
+        """The real series of the terms c e^{i k.x} + conj(c) e^{-i k.x} of the rows (k != 0,
+        c), no key twice: by mode rank (slot order), each coefficient + 0.0 as `_merged` sums it,
         exact zeros dropped; each nonzero pair beyond the cutoff goes to the ledger as two |c|."""
         fits = np.abs(K).sum(axis=1) <= self.cutoff
         if ledger is not None:
@@ -215,7 +247,7 @@ class TaylorFourierSeries:
         dense[table.mode_base[(K + 2 * self.cutoff) @ table.w_k] // len(table.monos)] = C
         dense[table.mode_base[(2 * self.cutoff - K) @ table.w_k] // len(table.monos)] = C.conj()
         K = table.modes.take(rank := dense.nonzero()[0], axis=0)
-        return self._with(K, np.zeros_like(K), dense.take(rank) + 0.0)
+        return self._with(K, np.zeros_like(K), dense.take(rank) + 0.0, True)
 
     def _check(self, other: "TaylorFourierSeries") -> None:
         """ConfigError unless other has this n and base point (a shared array
@@ -233,23 +265,27 @@ class TaylorFourierSeries:
 
     def scaled(self, a: complex) -> "TaylorFourierSeries":
         """a times every coefficient, each product formed as Python's
-        complex product forms it (so bitwise the scalar one)."""
+        complex product forms it (so bitwise the scalar one); real for real
+        a and self."""
         if a == 0:
             return self.like()
         a = complex(a)
         C = np.empty(len(self.C), dtype=complex)
         C.real = a.real * self.C.real - a.imag * self.C.imag
         C.imag = a.real * self.C.imag + a.imag * self.C.real
-        return self._with(self.K, self.M, C)
+        return self._with(self.K, self.M, C, a.imag == 0 and self._real or None)
 
-    def split(self, mask: np.ndarray) -> tuple["TaylorFourierSeries", "TaylorFourierSeries"]:
+    def split(self, mask: np.ndarray, symmetric: bool = False) -> tuple["TaylorFourierSeries", "TaylorFourierSeries"]:
         """(terms whose row of mask is true, the rest), each in row order; mask
-        is a boolean array over the rows of K, such as `_killed(K, K0, k)`."""
+        is a boolean array over the rows of K, such as `_killed(K, K0, k)`.
+        symmetric says that the mask takes one value at k and -k, as the
+        averaging masks do, so the parts of a real series are real."""
         sel = np.asarray(mask, dtype=bool)
         if sel.shape != self.C.shape:
             raise ConfigError(f"split mask of shape {sel.shape} for {len(self.C)} terms")
-        return (self._with(self.K[sel], self.M[sel], self.C[sel]),
-                self._with(self.K[~sel], self.M[~sel], self.C[~sel]))
+        real = symmetric and self._real or None
+        return (self._with(self.K[sel], self.M[sel], self.C[sel], real),
+                self._with(self.K[~sel], self.M[~sel], self.C[~sel], real))
 
     def poisson(self, other: "TaylorFourierSeries", ledger: TruncationLedger | None = None
                 ) -> "TaylorFourierSeries":
@@ -265,23 +301,33 @@ class TaylorFourierSeries:
         each block into running slot sums, each key summed in term-pair order
         from 0.0, rows in slot order, so the result does not depend on the
         block size.  Contributions beyond (cutoff, max_degree) go to the
-        ledger as one drop, summed block by block."""
+        ledger as one drop, summed block by block.
+        Real operands take half the pairs, those of the rows k1 >= 0 of self
+        (lexicographically), a zero-mode c1 halved (exactly): a pair's mirror
+        adds the conjugate contribution at (-k, m), so with S the slot sums of
+        the half, c_k = S_k + conj S_{-k} (`_fold`), exactly real, and the
+        dropped mass is twice the half's."""
         self._check(other)
         if self.is_empty or other.is_empty:
             return self.like()
         n, cut, deg = self.n, self.cutoff, self.max_degree
         (K1, M1, C1), (K2, M2, C2) = (self.K, self.M, self.C), (other.K, other.M, other.C)
         table = _slots(n, cut, deg)
+        # (k1 + k2 + 2 cut) . w_k = k1 . w_k + (k2 + 2 cut) . w_k, and k1 . w_k has
+        # the sign of k1's first nonzero entry (|k1_i| <= cut < radix / 2)
+        mode1, scale = K1 @ table.w_k, 1.0
+        if real := self.is_real and other.is_real:
+            half = mode1 >= 0
+            K1, M1, C1, mode1 = K1[half], M1[half], C1[half], mode1[half]
+            scale = np.where(mode1 == 0, 0.5, 1.0)
         rows = max(1, _BLOCK_PAIRS // len(C2))
         # blocks are laid out (coordinate, row of self, term of other), so every
         # elementwise loop runs contiguously over other's terms
         small = np.min_scalar_type(-2 * cut * deg - 1)
         K1t, M1t = K1.T.astype(small, order="C"), M1.T.astype(small, order="C")
         K2t, M2t = K2.T.astype(small, order="C")[:, None, :], M2.T.astype(small, order="C")[:, None, :]
-        c1r, c1i, c2r, c2i = C1.real.copy(), C1.imag.copy(), C2.real.copy(), C2.imag.copy()
-        # (k1 + k2 + 2 cut) . w_k = (k1 + 2 cut) . w_k + k2 . w_k
-        mode1, mode2 = (K1 + 2 * cut) @ table.w_k, K2 @ table.w_k
-        mono1, mono2 = M1 @ table.w_m, M2 @ table.w_m
+        c1r, c1i, c2r, c2i = C1.real * scale, C1.imag * scale, C2.real.copy(), C2.imag.copy()
+        mode2, mono1, mono2 = (K2 + 2 * cut) @ table.w_k, M1 @ table.w_m, M2 @ table.w_m
         deg1, deg2, lost = M1t.sum(axis=0), M2t.sum(axis=0), []
 
         def block(r: slice):
@@ -314,10 +360,11 @@ class TaylorFourierSeries:
             mono = (mono1[r, None] + mono2).take(pair) - table.w_m[j]
             return base.take(pair) + table.mono_rank[mono], c
 
-        K, M, C = _fold(table, (block(slice(a0, a0 + rows)) for a0 in range(0, len(C1), rows)))
+        blocks = (block(slice(a0, a0 + rows)) for a0 in range(0, len(C1), rows))
+        K, M, C = _fold(table, blocks, real)
         if ledger is not None and (dropped := sum(lost)):
-            ledger.drop(dropped)
-        return self._with(K, M, C)
+            ledger.drop(2 * dropped if real else dropped)
+        return self._with(K, M, C, real or None)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -396,7 +443,7 @@ class TaylorFourierSeries:
 
 
 def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSeries:
-    """0.5|y|^2 expanded exactly around y0 (degree 2), by monomial rank (slot order)."""
+    """0.5|y|^2 expanded exactly around y0 (degree 2), by monomial rank (slot order): real."""
     if max_degree < 2:
         raise ConfigError("kinetic part needs max_degree >= 2")
     y0 = np.asarray(y0, dtype=float)
@@ -406,7 +453,7 @@ def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSer
     dense[table.mono_rank[table.w_m]] = y0  # e_j packs to its digit weight
     dense[table.mono_rank[2 * table.w_m]] = 0.5
     M = table.monos.take(rank := dense.nonzero()[0], axis=0)
-    return TaylorFourierSeries(len(y0), y0, max_degree, cutoff)._with(np.zeros_like(M), M, dense.take(rank) + 0.0)
+    return TaylorFourierSeries(len(y0), y0, max_degree, cutoff)._with(np.zeros_like(M), M, dense.take(rank) + 0.0, True)
 
 
 def potential_series(
@@ -468,14 +515,15 @@ def solve_homological(
     np.not_equal(mode[1:], mode[:-1], out=new[1:])
     u, Ku = new.cumsum() - 1, B.K[new]
     kf, modes = Ku.astype(float), list(map(tuple, Ku.tolist()))
-    divs = [float(np.dot(y0, row)) for row in kf]
-    for k, div in zip(modes, divs):
-        if abs(div) <= min_divisor:
-            raise HypothesisError(f"{context}: divisor |y0.k| = {abs(div):.3e} <= "
-                                  f"{min_divisor:.3e} at mode {k}")
+    # one (1, n) x (n, 1) product per mode: the bytes of np.dot(y0, k)
+    divs = np.matmul(kf[:, None, :], y0[:, None]).ravel()
+    if (small := np.abs(divs) <= min_divisor).any():
+        i = int(small.argmax())
+        raise HypothesisError(f"{context}: divisor |y0.k| = {abs(divs[i]):.3e} <= "
+                              f"{min_divisor:.3e} at mode {modes[i]}")
     # X[monomial rank, part, mode]: (Re, Im) of B until its level is solved,
     # then (Im, -Re) of chi; row `width` stays zero
-    X, neg_div = np.zeros((width + 1, 2, len(Ku))), -np.array(divs)
+    X, neg_div = np.zeros((width + 1, 2, len(Ku))), -divs
     X[mono, 0, u], X[mono, 1, u] = B.C.real, B.C.imag
     k_lower = kf.T[:, None, None, :]
     for lo, hi in zip(starts, starts[1:]):
@@ -485,14 +533,15 @@ def solve_homological(
         # (Im, -Re) chi = (-re, -im) / div: chi = (im / div, -re / div)
         np.divide(acc, neg_div, out=acc)
     top = X[starts[-2]:width]
-    overflow = 0.0
-    for v in (np.abs(Ku).sum(axis=1) * np.hypot(top[:, 1], top[:, 0])).T.ravel().tolist():
-        overflow += v
+    # summed one by one from 0.0 (accumulate is sequential)
+    overflow = np.add.accumulate(np.append(0.0, (np.abs(Ku).sum(axis=1) * np.hypot(top[:, 1], top[:, 0])).T))
     re, im = -X[:width, 1].T, X[:width, 0].T
     mode, mono = np.nonzero((re != 0) | (im != 0))
     C = np.empty(len(mode), dtype=complex)
     C.real, C.imag = re[mode, mono] + 0.0, im[mode, mono] + 0.0
-    return B._with(Ku[mode], table.monos[mono], C), [(k, abs(d)) for k, d in zip(modes, divs)], overflow
+    # a real band gives a real chi: k -> -k negates every product and divisor exactly
+    return (B._with(Ku[mode], table.monos[mono], C, B._real or None),
+            list(zip(modes, np.abs(divs).tolist())), float(overflow[-1]))
 
 
 def lie_transform(
@@ -583,25 +632,11 @@ class AveragedNF(Record):
             "max_degree": self.max_degree,
             "dropped_mass": self.dropped_mass,
             "dropped_by_grade": {str(g): m for g, m in sorted(self.dropped_by_grade.items())},
-            "dropped_eps_weighted": float(sum(
-                self.epsilon ** g * m for g, m in self.dropped_by_grade.items()
-            )),
-            "divisor_log": [
-                {"k": list(k), "divisor": v} for k, v in self.divisor_log
-            ],
-            "grades": [
-                {
-                    "eps_power": j,
-                    "g_o": self.g_o[j].to_entries(),
-                    "f_rem": self.f_rem[j].to_entries(),
-                    **(
-                        {"g_res": self.g_res[j].to_entries()}
-                        if self.g_res is not None
-                        else {}
-                    ),
-                }
-                for j in range(1, self.order + 1)
-            ],
+            "dropped_eps_weighted": float(sum(self.epsilon ** g * m for g, m in self.dropped_by_grade.items())),
+            "divisor_log": [{"k": list(k), "divisor": v} for k, v in self.divisor_log],
+            "grades": [{"eps_power": j, "g_o": self.g_o[j].to_entries(), "f_rem": self.f_rem[j].to_entries(),
+                        **({} if self.g_res is None else {"g_res": self.g_res[j].to_entries()})}
+                       for j in range(1, self.order + 1)],
         }
         if self.res_k is not None:
             doc["res_k"] = list(self.res_k)
@@ -644,8 +679,7 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
         k = tuple(int(v) for v in k)
         min_divisor = 2.0 * params.alpha * params.K / math.sqrt(sum(v * v for v in k))
         context = f"small divisor off the line Z{k}"
-    ledger = TruncationLedger()
-    ledger.grade = 1
+    ledger = TruncationLedger(grade=1)
     grades = [kinetic_series(ham.n, y0, max_degree, params.K)]
     grades.append(potential_series(ham.f, y0, max_degree, params.K, ledger))
     ledger.grade = 0
@@ -654,7 +688,7 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
     chis = []
     log: list[tuple[Mode, float]] = []
     for j in range(1, order + 1):
-        band, _rest = grades[j].split(_killed(grades[j].K, params.K0, k))
+        band, _rest = grades[j].split(_killed(grades[j].K, params.K0, k), symmetric=True)
         if band.is_empty:
             continue
         chi, divisors, overflow = solve_homological(band, y0, min_divisor, context)
@@ -664,10 +698,10 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
         chis.append((j, chi))
     g_o, g_res, f_rem = [grades[0].like()], [grades[0].like()], [grades[0].like()]
     for j in range(1, order + 1):
-        osc, zero = grades[j].split(grades[j].K.any(axis=1))
+        osc, zero = grades[j].split(grades[j].K.any(axis=1), symmetric=True)
         g_o.append(zero)
         if k is not None:
-            line, osc = osc.split(_on_line(osc.K, k))
+            line, osc = osc.split(_on_line(osc.K, k), symmetric=True)
             g_res.append(line)
         f_rem.append(osc)
     return AveragedNF(

@@ -119,7 +119,7 @@ class TestSeriesAlgebra:
         G = series()
         add_term(G, (1, 1), (1, 0), 0.1j)
         add_term(G, (-1, -1), (1, 0), -0.1j)
-        assert reality_defect(F.poisson(G, TruncationLedger())) < 1e-15
+        assert reality_defect(F.poisson(G, TruncationLedger())) == 0.0
 
     def test_truncation_ledger(self):
         F = series(deg=1, cutoff=2)
@@ -261,11 +261,31 @@ def bracket_pairs(F, G):
                     yield k, tuple(u + v - (i == j) for i, (u, v) in enumerate(zip(m1, m2))), d, c1, c2
 
 
-def reference_poisson(F, G, ledger):
+def loop_poisson(F, G, ledger):
     """{F, G} from `bracket_pairs`, each key summed in their order."""
     out = RefSeries.of(F).like()
     for k, m, d, c1, c2 in bracket_pairs(F, G):
         out.add_term(k, m, (c1 * c2) * (1j * d), ledger)
+    return out
+
+
+def reference_poisson(F, G, ledger):
+    """{F, G} as the library defines it: `loop_poisson` unless F and G are
+    both exactly real.  Then S is `loop_poisson` over the terms of F with
+    k >= 0 (lexicographically), a zero-mode coefficient halved, and the
+    bracket is c_k = S_k + conj S_{-k}, with twice S's dropped mass."""
+    if reality_defect(F) or reality_defect(G):
+        return loop_poisson(F, G, ledger)
+    half = RefSeries.of(F)._with({
+        (k, m): c if any(k) else complex(0.5 * c.real, 0.5 * c.imag)
+        for (k, m), c in F.terms.items() if k >= (0,) * F.n})
+    lost = TruncationLedger()
+    S = loop_poisson(half, G, lost).terms
+    if lost.dropped:
+        ledger.drop(2 * lost.dropped)
+    out = half.like()
+    for k, m in dict.fromkeys([*S, *((tuple(-v for v in k), m) for k, m in S)]):
+        out.add_term(k, m, S.get((k, m), 0j) + S.get((tuple(-v for v in k), m), 0j).conjugate())
     return out
 
 
@@ -342,7 +362,7 @@ class TestArrayBracket:
         assert max(sum(abs(v) for v in k) for k, _m in ref.terms) == cutoff
         assert max(sum(m) for _k, m in ref.terms) == deg
         assert_bracket_matches(out, ref, led_out, led_ref)
-        assert reality_defect(out) <= 1e-13 * sum(abs(c) for c in ref.terms.values())
+        assert exact_items(out) == exact_items(ref) and reality_defect(out) == 0.0
 
     def test_block_boundaries(self, monkeypatch):
         # rows of self span several blocks, and a block is a single row
@@ -355,6 +375,7 @@ class TestArrayBracket:
         ref = reference_poisson(F, G, led_ref)
         # every key is summed in term-pair order, so the coefficients have the same bytes
         whole = exact_items(F.poisson(G, led_whole))
+        assert whole == exact_items(ref)
         assert list(led_whole.by_grade) == [3]
         for pairs in (1, 7, 100):
             monkeypatch.setattr(ls, "_BLOCK_PAIRS", pairs)
@@ -393,13 +414,11 @@ class TestArrayBracket:
         # product must not show (kept whole, it reads about 2.7x)
         assert large < 1.5 * small
 
-    @pytest.mark.parametrize("cutoff, deg", [(128, 255), (64, 1)])
-    def test_integer_factors_at_their_dtype_edge(self, cutoff, deg):
-        # n = 1: d = k1 m2 - k2 m1 reaches cutoff (deg + 1) at a kept key, from
-        # (cutoff, m1) x (-cutoff, m2) with m1 + m2 = deg + 1: 2^15 at cutoff
-        # 128, degree 255, which needs int32, and 128 = 2 cutoff deg at cutoff
-        # 64, degree 1, which int8 cannot hold; the bracket must equal the
-        # scalar loop byte for byte
+    @staticmethod
+    def edge_operands(cutoff, deg, mirrored):
+        """n = 1 operands whose d = k1 m2 - k2 m1 reaches cutoff (deg + 1) at
+        a kept key, from (cutoff, m1) x (-cutoff, m2) with m1 + m2 = deg + 1,
+        and 24 random rows each; with mirrored, each row's mirror too."""
         F = TaylorFourierSeries(1, np.array([0.3]), deg, cutoff)
         G = TaylorFourierSeries(1, F.base_point, deg, cutoff)
         rng = np.random.default_rng([cutoff, deg])
@@ -407,14 +426,54 @@ class TestArrayBracket:
             rows = [((cutoff * edge,), ((deg + 1) // 2,), 0.75 - 0.5j)]
             rows += [((int(k),), (int(m),), complex(rng.normal(), rng.normal()))
                      for k, m in zip(rng.integers(-cutoff, cutoff + 1, 24), rng.integers(0, deg + 1, 24))]
+            rows += [((-k,), m, c.conjugate()) for (k,), m, c in rows if mirrored]
             T = from_rows(S, rows)
             S._store(T.K, T.M, T.C)
+            assert S.is_real == mirrored
+        return F, G
+
+    @pytest.mark.parametrize("cutoff, deg", [(128, 255), (64, 1)])
+    def test_integer_factors_at_their_dtype_edge(self, cutoff, deg):
+        # d reaches 2^15 at cutoff 128, degree 255, which needs int32, and
+        # 128 = 2 cutoff deg at cutoff 64, degree 1, which int8 cannot hold;
+        # the bracket of these operands, not real, must equal the scalar loop
+        # byte for byte
+        F, G = self.edge_operands(cutoff, deg, False)
         led_out, led_ref = TruncationLedger(), TruncationLedger()
-        out, ref = F.poisson(G, led_out), reference_poisson(F, G, led_ref)
+        out, ref = F.poisson(G, led_out), loop_poisson(F, G, led_ref)
         assert abs(out.terms[(0,), (2 * ((deg + 1) // 2) - 1,)]) > 0
         assert exact_items(out) == exact_items(ref)
         assert_bracket_matches(out, ref, led_out, led_ref)
         assert led_ref.by_grade[0] > 0
+
+    @pytest.mark.parametrize("cutoff, deg", [(128, 255), (64, 1)])
+    def test_real_integer_factors_at_their_dtype_edge(self, cutoff, deg):
+        # the same rows with their mirrors: the half-pair bracket must equal
+        # the reference's byte for byte, exactly real
+        F, G = self.edge_operands(cutoff, deg, True)
+        led_out, led_ref = TruncationLedger(), TruncationLedger()
+        out, ref = F.poisson(G, led_out), reference_poisson(F, G, led_ref)
+        assert abs(out.terms[(0,), (2 * ((deg + 1) // 2) - 1,)]) > 0
+        assert exact_items(out) == exact_items(ref) and reality_defect(out) == 0.0
+        assert_bracket_matches(out, ref, led_out, led_ref)
+        assert led_ref.by_grade[0] > 0
+
+    def test_an_unmatched_term_takes_the_general_bracket(self):
+        # a stored series is read for reality once from its rows: one term
+        # without its mirror makes it not real, and its bracket then runs over
+        # every term pair, as the scalar loop does
+        rng = np.random.default_rng(12)
+        F = random_real_series(rng, 2, 3, 5, 12)
+        G = random_real_series(rng, 2, 3, 5, 8)
+        G.base_point = F.base_point
+        assert F.is_real and G.is_real and ((2, 1), (1, 0)) not in F.terms
+        add_term(F, (2, 1), (1, 0), 0.5 - 0.25j)
+        assert ((-2, -1), (1, 0)) not in F.terms and not F.is_real
+        led_out, led_ref = TruncationLedger(), TruncationLedger()
+        out, ref = F.poisson(G, led_out), loop_poisson(F, G, led_ref)
+        assert out._real is None and not out.is_real
+        assert exact_items(out) == exact_items(ref)
+        assert_bracket_matches(out, ref, led_out, led_ref)
 
     def test_operands_of_another_algebra_are_refused(self):
         # a series about another base point or of another n is a different
@@ -1052,6 +1111,27 @@ class TestArrayStorage:
                     [(j, exact_items(c)) for j, c in chis]
                 assert nf.divisor_log == log and nf.dropped_by_grade == dropped
                 assert len(nf.chi) == order and sum(len(c.terms) for _j, c in nf.chi) > 40
+
+    @pytest.mark.parametrize("seed, k", [(1, (1, 1)), (2, (1, -1)), (3, (1, 2))])
+    def test_every_series_of_the_steps_is_exactly_real(self, seed, k, monkeypatch):
+        # on the same draws at orders 2-5, every bracket's operands and result,
+        # every grade, chi, g_o, g_res and f_rem carry the reality flag and
+        # are exactly real, so each bracket takes half its term pairs
+        brackets = []
+
+        def poisson(F, G, ledger=None):
+            brackets.append((F, G, bracket(F, G, ledger)))
+            return brackets[-1][2]
+
+        bracket = TaylorFourierSeries.poisson
+        monkeypatch.setattr(TaylorFourierSeries, "poisson", poisson)
+        for kk, f, params, y0 in averaging_cases(seed, k):
+            for order in (2, 3, 4, 5):
+                nf = lie_step(NaturalHam(2, 1e-3, f), kk, params, y0, order=order, max_degree=3)
+                built = [nf.kinetic, *nf.g_o, *nf.f_rem, *(nf.g_res or []), *(c for _j, c in nf.chi)]
+                for S in built + [S for triple in brackets for S in triple]:
+                    assert S._real is True and reality_defect(S) == 0.0
+                brackets.clear()
 
     def test_exact_cancellation_zero_parts_and_empty_operands(self):
         rng = np.random.default_rng(11)
