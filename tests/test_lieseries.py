@@ -414,49 +414,33 @@ class TestArrayBracket:
         # product must not show (kept whole, it reads about 2.7x)
         assert large < 1.5 * small
 
-    @staticmethod
-    def edge_operands(cutoff, deg, mirrored):
-        """n = 1 operands whose d = k1 m2 - k2 m1 reaches cutoff (deg + 1) at
-        a kept key, from (cutoff, m1) x (-cutoff, m2) with m1 + m2 = deg + 1,
-        and 24 random rows each; with mirrored, each row's mirror too."""
-        F = TaylorFourierSeries(1, np.array([0.3]), deg, cutoff)
-        G = TaylorFourierSeries(1, F.base_point, deg, cutoff)
-        rng = np.random.default_rng([cutoff, deg])
-        for S, edge in ((F, 1), (G, -1)):
-            rows = [((cutoff * edge,), ((deg + 1) // 2,), 0.75 - 0.5j)]
-            rows += [((int(k),), (int(m),), complex(rng.normal(), rng.normal()))
-                     for k, m in zip(rng.integers(-cutoff, cutoff + 1, 24), rng.integers(0, deg + 1, 24))]
-            rows += [((-k,), m, c.conjugate()) for (k,), m, c in rows if mirrored]
-            T = from_rows(S, rows)
-            S._store(T.K, T.M, T.C)
-            assert S.is_real == mirrored
-        return F, G
-
     @pytest.mark.parametrize("cutoff, deg", [(128, 255), (64, 1)])
     def test_integer_factors_at_their_dtype_edge(self, cutoff, deg):
-        # d reaches 2^15 at cutoff 128, degree 255, which needs int32, and
-        # 128 = 2 cutoff deg at cutoff 64, degree 1, which int8 cannot hold;
-        # the bracket of these operands, not real, must equal the scalar loop
-        # byte for byte
-        F, G = self.edge_operands(cutoff, deg, False)
-        led_out, led_ref = TruncationLedger(), TruncationLedger()
-        out, ref = F.poisson(G, led_out), loop_poisson(F, G, led_ref)
-        assert abs(out.terms[(0,), (2 * ((deg + 1) // 2) - 1,)]) > 0
-        assert exact_items(out) == exact_items(ref)
-        assert_bracket_matches(out, ref, led_out, led_ref)
-        assert led_ref.by_grade[0] > 0
-
-    @pytest.mark.parametrize("cutoff, deg", [(128, 255), (64, 1)])
-    def test_real_integer_factors_at_their_dtype_edge(self, cutoff, deg):
-        # the same rows with their mirrors: the half-pair bracket must equal
-        # the reference's byte for byte, exactly real
-        F, G = self.edge_operands(cutoff, deg, True)
-        led_out, led_ref = TruncationLedger(), TruncationLedger()
-        out, ref = F.poisson(G, led_out), reference_poisson(F, G, led_ref)
-        assert abs(out.terms[(0,), (2 * ((deg + 1) // 2) - 1,)]) > 0
-        assert exact_items(out) == exact_items(ref) and reality_defect(out) == 0.0
-        assert_bracket_matches(out, ref, led_out, led_ref)
-        assert led_ref.by_grade[0] > 0
+        # n = 1: d = k1 m2 - k2 m1 reaches cutoff (deg + 1) at a kept key, from
+        # (cutoff, m1) x (-cutoff, m2) with m1 + m2 = deg + 1: 2^15 at cutoff
+        # 128, degree 255, which needs int32, and 128 = 2 cutoff deg at cutoff
+        # 64, degree 1, which int8 cannot hold; the bracket must equal the
+        # scalar loop byte for byte, and its real twin (the same rows and
+        # their mirrors) the half-pair reference
+        for mirrored in (False, True):
+            F = TaylorFourierSeries(1, np.array([0.3]), deg, cutoff)
+            G = TaylorFourierSeries(1, F.base_point, deg, cutoff)
+            rng = np.random.default_rng([cutoff, deg])
+            for S, edge in ((F, 1), (G, -1)):
+                rows = [((cutoff * edge,), ((deg + 1) // 2,), 0.75 - 0.5j)]
+                rows += [((int(k),), (int(m),), complex(rng.normal(), rng.normal()))
+                         for k, m in zip(rng.integers(-cutoff, cutoff + 1, 24), rng.integers(0, deg + 1, 24))]
+                rows += [((-k,), m, c.conjugate()) for (k,), m, c in rows if mirrored]
+                T = from_rows(S, rows)
+                S._store(T.K, T.M, T.C)
+                assert S.is_real == mirrored
+            led_out, led_ref = TruncationLedger(), TruncationLedger()
+            out, ref = F.poisson(G, led_out), reference_poisson(F, G, led_ref)
+            assert abs(out.terms[(0,), (2 * ((deg + 1) // 2) - 1,)]) > 0
+            assert exact_items(out) == exact_items(ref)
+            assert (reality_defect(out) == 0.0) == mirrored
+            assert_bracket_matches(out, ref, led_out, led_ref)
+            assert led_ref.by_grade[0] > 0
 
     def test_an_unmatched_term_takes_the_general_bracket(self):
         # a stored series is read for reality once from its rows: one term
