@@ -313,13 +313,13 @@ class TaylorFourierSeries:
         n, cut, deg = self.n, self.cutoff, self.max_degree
         (K1, M1, C1), (K2, M2, C2) = (self.K, self.M, self.C), (other.K, other.M, other.C)
         table = _slots(n, cut, deg)
-        # (k1 + k2 + 2 cut) . w_k = k1 . w_k + (k2 + 2 cut) . w_k, and k1 . w_k has
-        # the sign of k1's first nonzero entry (|k1_i| <= cut < radix / 2)
-        mode1, scale = K1 @ table.w_k, 1.0
+        # (k1 + k2 + 2 cut) . w_k = (k1 + 2 cut) . w_k + k2 . w_k; k = 0 packs to the
+        # centre of the digit box, and k >= 0 to the packs from there on
+        mode1, zero, scale = (K1 + 2 * cut) @ table.w_k, len(table.mode_base) // 2, 1.0
         if real := self.is_real and other.is_real:
-            half = mode1 >= 0
+            half = mode1 >= zero
             K1, M1, C1, mode1 = K1[half], M1[half], C1[half], mode1[half]
-            scale = np.where(mode1 == 0, 0.5, 1.0)
+            scale = np.where(mode1 == zero, 0.5, 1.0)
         rows = max(1, _BLOCK_PAIRS // len(C2))
         # blocks are laid out (coordinate, row of self, term of other), so every
         # elementwise loop runs contiguously over other's terms
@@ -327,7 +327,7 @@ class TaylorFourierSeries:
         K1t, M1t = K1.T.astype(small, order="C"), M1.T.astype(small, order="C")
         K2t, M2t = K2.T.astype(small, order="C")[:, None, :], M2.T.astype(small, order="C")[:, None, :]
         c1r, c1i, c2r, c2i = C1.real * scale, C1.imag * scale, C2.real.copy(), C2.imag.copy()
-        mode2, mono1, mono2 = (K2 + 2 * cut) @ table.w_k, M1 @ table.w_m, M2 @ table.w_m
+        mode2, mono1, mono2 = K2 @ table.w_k, M1 @ table.w_m, M2 @ table.w_m
         deg1, deg2, lost = M1t.sum(axis=0), M2t.sum(axis=0), []
 
         def block(r: slice):
@@ -517,10 +517,10 @@ def solve_homological(
     kf, modes = Ku.astype(float), list(map(tuple, Ku.tolist()))
     # one (1, n) x (n, 1) product per mode: the bytes of np.dot(y0, k)
     divs = np.matmul(kf[:, None, :], y0[:, None]).ravel()
-    if (small := np.abs(divs) <= min_divisor).any():
-        i = int(small.argmax())
-        raise HypothesisError(f"{context}: divisor |y0.k| = {abs(divs[i]):.3e} <= "
-                              f"{min_divisor:.3e} at mode {modes[i]}")
+    log = list(zip(modes, np.abs(divs).tolist()))
+    for k, div in log:
+        if div <= min_divisor:
+            raise HypothesisError(f"{context}: divisor |y0.k| = {div:.3e} <= {min_divisor:.3e} at mode {k}")
     # X[monomial rank, part, mode]: (Re, Im) of B until its level is solved,
     # then (Im, -Re) of chi; row `width` stays zero
     X, neg_div = np.zeros((width + 1, 2, len(Ku))), -divs
@@ -533,15 +533,14 @@ def solve_homological(
         # (Im, -Re) chi = (-re, -im) / div: chi = (im / div, -re / div)
         np.divide(acc, neg_div, out=acc)
     top = X[starts[-2]:width]
-    # summed one by one from 0.0 (accumulate is sequential)
-    overflow = np.add.accumulate(np.append(0.0, (np.abs(Ku).sum(axis=1) * np.hypot(top[:, 1], top[:, 0])).T))
+    # summed one by one, as a loop from 0.0 sums them (accumulate is sequential)
+    overflow = np.add.accumulate((np.abs(Ku).sum(axis=1) * np.hypot(top[:, 1], top[:, 0])).T.ravel())
     re, im = -X[:width, 1].T, X[:width, 0].T
     mode, mono = np.nonzero((re != 0) | (im != 0))
     C = np.empty(len(mode), dtype=complex)
     C.real, C.imag = re[mode, mono] + 0.0, im[mode, mono] + 0.0
     # a real band gives a real chi: k -> -k negates every product and divisor exactly
-    return (B._with(Ku[mode], table.monos[mono], C, B._real or None),
-            list(zip(modes, np.abs(divs).tolist())), float(overflow[-1]))
+    return B._with(Ku[mode], table.monos[mono], C, B._real or None), log, float(overflow[-1])
 
 
 def lie_transform(
