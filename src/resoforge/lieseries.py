@@ -160,7 +160,7 @@ class TaylorFourierSeries:
     """sum_t C_t (y - y0)^M_t e^{i K_t.x} with |K_t|_1 <= cutoff, |M_t| <= max_degree.
 
     Reality is c_{-k,m} = conj(c_{k,m}) exactly; all algebra preserves it
-    exactly, and the operations that do carry it as a flag (`is_real`).
+    exactly, and the operations that preserve it carry it as a flag (`is_real`).
     Rows of int64 K (T, n), int64 M (T, n) and complex C (T,) are the only
     storage: keys (k, m) unique, no coefficient zero, rows in slot order (by
     |k|_1, then k, then |m|, then m: the rank `_slots` gives each key), so the
