@@ -16,11 +16,11 @@ not to a tolerance.  Degree/cutoff overflow is accumulated in a dropped-mass
 ledger; the homological identity's own floating-point residue is at rounding
 level and shows up only in the conjugacy defect.
 
-Every series is real, c_{-k,m} = conj(c_{k,m}), and all algebra preserves
-reality exactly: the float operations at -k mirror those at k.  So the
-bracket of real operands forms half its term pairs, those of the rows k >= 0
-(lexicographically) of one operand, and reads c_k = S_k + conj S_{-k} from
-their sums S.
+Every series is real, c_{-k,m} = conj(c_{k,m}): the constructors build
+real series, and all algebra preserves reality exactly, the float operations
+at -k mirroring those at k.  The bracket relies on it: it forms half its term
+pairs, those of the rows k >= 0 (lexicographically) of one operand, and reads
+c_k = S_k + conj S_{-k} from their sums S.
 
 Small divisors y0.k are logged for every killed mode and checked against the
 covering thresholds (alpha/2, respectively 2 alpha K/|k|); a divisor below
@@ -141,15 +141,12 @@ def _fold(table: _Slots, blocks, mirrored: bool = False) -> tuple:
         new = slot[~touched[slot]]
         touched[new], sums[new] = True, 0.0
         np.add.at(sums, slot, c)
-    s = touched.nonzero()[0]
     if mirrored:
-        new = table.mirror.take(s)
+        new = table.mirror.take(touched.nonzero()[0])
         new = new[~touched[new]]
         touched[new], sums[new] = True, 0.0
-        s = touched.nonzero()[0]
-        C = sums.take(s) + sums.take(table.mirror.take(s)).conj()
-    else:
-        C = sums.take(s)
+    s = touched.nonzero()[0]
+    C = sums.take(s) + sums.take(table.mirror.take(s)).conj() if mirrored else sums.take(s)
     live = C != 0
     mode, mono = np.divmod(s.compress(live), len(table.monos))
     return table.modes.take(mode, axis=0), table.monos.take(mono, axis=0), C.compress(live)
@@ -159,8 +156,8 @@ def _fold(table: _Slots, blocks, mirrored: bool = False) -> tuple:
 class TaylorFourierSeries:
     """sum_t C_t (y - y0)^M_t e^{i K_t.x} with |K_t|_1 <= cutoff, |M_t| <= max_degree.
 
-    Reality is c_{-k,m} = conj(c_{k,m}) exactly; all algebra preserves it
-    exactly, and the operations that preserve it carry it as a flag (`is_real`).
+    Every series is real, c_{-k,m} = conj(c_{k,m}) exactly: the constructors
+    build real series and every operation preserves reality bit for bit.
     Rows of int64 K (T, n), int64 M (T, n) and complex C (T,) are the only
     storage: keys (k, m) unique, no coefficient zero, rows in slot order (by
     |k|_1, then k, then |m|, then m: the rank `_slots` gives each key), so the
@@ -178,22 +175,21 @@ class TaylorFourierSeries:
 
     def __post_init__(self):
         empty = np.empty((0, self.n), dtype=np.int64)
-        self._store(empty, empty, np.empty(0, dtype=complex), True)
+        self._store(empty, empty, np.empty(0, dtype=complex))
 
-    def _store(self, K: np.ndarray, M: np.ndarray, C: np.ndarray, real: bool | None = None) -> "TaylorFourierSeries":
-        """Hold the rows (K, M, C), read-only, real if known (None: read from
-        the rows when asked); drops what was built from the old rows."""
+    def _store(self, K: np.ndarray, M: np.ndarray, C: np.ndarray) -> "TaylorFourierSeries":
+        """Hold the rows (K, M, C), read-only; drops what was built from the old rows."""
         for rows in (K, M, C):
             rows.setflags(write=False)
-        self.K, self.M, self.C, self._real = K, M, C, real
+        self.K, self.M, self.C = K, M, C
         self._grad_tables = self._terms = None
         return self
 
-    def _with(self, K: np.ndarray, M: np.ndarray, C: np.ndarray, real: bool | None = None) -> "TaylorFourierSeries":
+    def _with(self, K: np.ndarray, M: np.ndarray, C: np.ndarray) -> "TaylorFourierSeries":
         """A series of this algebra holding (K, M, C), made without __init__'s empty rows."""
         out = object.__new__(TaylorFourierSeries)
         out.__dict__.update(self.__dict__)
-        return out._store(K, M, C, real)
+        return out._store(K, M, C)
 
     def like(self) -> "TaylorFourierSeries":
         return TaylorFourierSeries(self.n, self.base_point, self.max_degree, self.cutoff)
@@ -209,29 +205,17 @@ class TaylorFourierSeries:
     def is_empty(self) -> bool:
         return not len(self.C)
 
-    @property
-    def is_real(self) -> bool:
-        """c_{-k,m} == conj(c_{k,m}) for every key: carried by the operations
-        that preserve it bit for bit, else read once from the rows."""
-        if self._real is None:
-            table = _slots(self.n, self.cutoff, self.max_degree)
-            slot, dense = table.of(self.K, self.M), np.zeros(len(table.mirror), dtype=complex)
-            dense[slot] = self.C
-            self._real = bool((dense.take(table.mirror.take(slot)) == self.C.conj()).all())
-        return self._real
-
     def _merged(self, *parts: "TaylorFourierSeries") -> "TaylorFourierSeries":
         """The one merge of the algebra: the terms of parts (series within this
         truncation) one after another, equal keys summed from 0.0 in that order,
         rows in slot order, exact zeros dropped; one nonempty part is C + 0.0.
-        Real parts give a real merge: a key and its mirror sum conjugates in one order."""
+        A key and its mirror sum conjugates in one order, so the merge is real."""
         parts = [p for p in parts if not p.is_empty] or [self]
-        real = all(p._real for p in parts) or None
         if len(parts) == 1:
-            return self._with(parts[0].K, parts[0].M, parts[0].C + 0.0, real)
+            return self._with(parts[0].K, parts[0].M, parts[0].C + 0.0)
         K, M, C = (np.concatenate(rows) for rows in zip(*((p.K, p.M, p.C) for p in parts)))
         table = _slots(self.n, self.cutoff, self.max_degree)
-        return self._with(*_fold(table, [(table.of(K, M), C)]), real)
+        return self._with(*_fold(table, [(table.of(K, M), C)]))
 
     def _mode_pairs(self, K: np.ndarray, C: np.ndarray,
                     ledger: TruncationLedger | None = None) -> "TaylorFourierSeries":
@@ -247,7 +231,7 @@ class TaylorFourierSeries:
         dense[table.mode_base[(K + 2 * self.cutoff) @ table.w_k] // len(table.monos)] = C
         dense[table.mode_base[(2 * self.cutoff - K) @ table.w_k] // len(table.monos)] = C.conj()
         K = table.modes.take(rank := dense.nonzero()[0], axis=0)
-        return self._with(K, np.zeros_like(K), dense.take(rank) + 0.0, True)
+        return self._with(K, np.zeros_like(K), dense.take(rank) + 0.0)
 
     def _check(self, other: "TaylorFourierSeries") -> None:
         """ConfigError unless other has this n and base point (a shared array
@@ -265,27 +249,26 @@ class TaylorFourierSeries:
 
     def scaled(self, a: complex) -> "TaylorFourierSeries":
         """a times every coefficient, each product formed as Python's
-        complex product forms it (so bitwise the scalar one); real for real
-        a and self."""
+        complex product forms it (so bitwise the scalar one); a real a keeps
+        the series real."""
         if a == 0:
             return self.like()
         a = complex(a)
         C = np.empty(len(self.C), dtype=complex)
         C.real = a.real * self.C.real - a.imag * self.C.imag
         C.imag = a.real * self.C.imag + a.imag * self.C.real
-        return self._with(self.K, self.M, C, a.imag == 0 and self._real or None)
+        return self._with(self.K, self.M, C)
 
-    def split(self, mask: np.ndarray, symmetric: bool = False) -> tuple["TaylorFourierSeries", "TaylorFourierSeries"]:
+    def split(self, mask: np.ndarray) -> tuple["TaylorFourierSeries", "TaylorFourierSeries"]:
         """(terms whose row of mask is true, the rest), each in row order; mask
         is a boolean array over the rows of K, such as `_killed(K, K0, k)`.
-        symmetric says that the mask takes one value at k and -k, as the
-        averaging masks do, so the parts of a real series are real."""
+        A mask that takes one value at k and -k, as the averaging masks do,
+        gives real parts."""
         sel = np.asarray(mask, dtype=bool)
         if sel.shape != self.C.shape:
             raise ConfigError(f"split mask of shape {sel.shape} for {len(self.C)} terms")
-        real = symmetric and self._real or None
-        return (self._with(self.K[sel], self.M[sel], self.C[sel], real),
-                self._with(self.K[~sel], self.M[~sel], self.C[~sel], real))
+        return (self._with(self.K[sel], self.M[sel], self.C[sel]),
+                self._with(self.K[~sel], self.M[~sel], self.C[~sel]))
 
     def poisson(self, other: "TaylorFourierSeries", ledger: TruncationLedger | None = None
                 ) -> "TaylorFourierSeries":
@@ -302,11 +285,11 @@ class TaylorFourierSeries:
         from 0.0, rows in slot order, so the result does not depend on the
         block size.  Contributions beyond (cutoff, max_degree) go to the
         ledger as one drop, summed block by block.
-        Real operands take half the pairs, those of the rows k1 >= 0 of self
-        (lexicographically), a zero-mode c1 halved (exactly): a pair's mirror
-        adds the conjugate contribution at (-k, m), so with S the slot sums of
-        the half, c_k = S_k + conj S_{-k} (`_fold`), exactly real, and the
-        dropped mass is twice the half's."""
+        Both operands being real, the bracket takes half the pairs, those of
+        the rows k1 >= 0 of self (lexicographically), a zero-mode c1 halved
+        (exactly): a pair's mirror adds the conjugate contribution at (-k, m),
+        so with S the slot sums of the half, c_k = S_k + conj S_{-k} (`_fold`),
+        exactly real, and the dropped mass is twice the half's."""
         self._check(other)
         if self.is_empty or other.is_empty:
             return self.like()
@@ -315,11 +298,10 @@ class TaylorFourierSeries:
         table = _slots(n, cut, deg)
         # (k1 + k2 + 2 cut) . w_k = (k1 + 2 cut) . w_k + k2 . w_k; k = 0 packs to the
         # centre of the digit box, and k >= 0 to the packs from there on
-        mode1, zero, scale = (K1 + 2 * cut) @ table.w_k, len(table.mode_base) // 2, 1.0
-        if real := self.is_real and other.is_real:
-            half = mode1 >= zero
-            K1, M1, C1, mode1 = K1[half], M1[half], C1[half], mode1[half]
-            scale = np.where(mode1 == zero, 0.5, 1.0)
+        mode1, zero = (K1 + 2 * cut) @ table.w_k, len(table.mode_base) // 2
+        half = mode1 >= zero
+        K1, M1, C1, mode1 = K1[half], M1[half], C1[half], mode1[half]
+        scale = np.where(mode1 == zero, 0.5, 1.0)
         rows = max(1, _BLOCK_PAIRS // len(C2))
         # blocks are laid out (coordinate, row of self, term of other), so every
         # elementwise loop runs contiguously over other's terms
@@ -361,10 +343,10 @@ class TaylorFourierSeries:
             return base.take(pair) + table.mono_rank[mono], c
 
         blocks = (block(slice(a0, a0 + rows)) for a0 in range(0, len(C1), rows))
-        K, M, C = _fold(table, blocks, real)
+        K, M, C = _fold(table, blocks, True)
         if ledger is not None and (dropped := sum(lost)):
-            ledger.drop(2 * dropped if real else dropped)
-        return self._with(K, M, C, real or None)
+            ledger.drop(2 * dropped)
+        return self._with(K, M, C)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -442,7 +424,7 @@ class TaylorFourierSeries:
                 for k, m, c in zip(self.K.tolist(), self.M.tolist(), self.C.tolist())]
 
 
-def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSeries:
+def kinetic_series(y0, max_degree: int, cutoff: int) -> TaylorFourierSeries:
     """0.5|y|^2 expanded exactly around y0 (degree 2), by monomial rank (slot order): real."""
     if max_degree < 2:
         raise ConfigError("kinetic part needs max_degree >= 2")
@@ -453,7 +435,7 @@ def kinetic_series(n: int, y0, max_degree: int, cutoff: int) -> TaylorFourierSer
     dense[table.mono_rank[table.w_m]] = y0  # e_j packs to its digit weight
     dense[table.mono_rank[2 * table.w_m]] = 0.5
     M = table.monos.take(rank := dense.nonzero()[0], axis=0)
-    return TaylorFourierSeries(len(y0), y0, max_degree, cutoff)._with(np.zeros_like(M), M, dense.take(rank) + 0.0, True)
+    return TaylorFourierSeries(len(y0), y0, max_degree, cutoff)._with(np.zeros_like(M), M, dense.take(rank) + 0.0)
 
 
 def potential_series(
@@ -540,7 +522,7 @@ def solve_homological(
     C = np.empty(len(mode), dtype=complex)
     C.real, C.imag = re[mode, mono] + 0.0, im[mode, mono] + 0.0
     # a real band gives a real chi: k -> -k negates every product and divisor exactly
-    return B._with(Ku[mode], table.monos[mono], C, B._real or None), log, float(overflow[-1])
+    return B._with(Ku[mode], table.monos[mono], C), log, float(overflow[-1])
 
 
 def lie_transform(
@@ -679,7 +661,7 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
         min_divisor = 2.0 * params.alpha * params.K / math.sqrt(sum(v * v for v in k))
         context = f"small divisor off the line Z{k}"
     ledger = TruncationLedger(grade=1)
-    grades = [kinetic_series(ham.n, y0, max_degree, params.K)]
+    grades = [kinetic_series(y0, max_degree, params.K)]
     grades.append(potential_series(ham.f, y0, max_degree, params.K, ledger))
     ledger.grade = 0
     for _ in range(2, order + 1):
@@ -687,7 +669,7 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
     chis = []
     log: list[tuple[Mode, float]] = []
     for j in range(1, order + 1):
-        band, _rest = grades[j].split(_killed(grades[j].K, params.K0, k), symmetric=True)
+        band, _rest = grades[j].split(_killed(grades[j].K, params.K0, k))
         if band.is_empty:
             continue
         chi, divisors, overflow = solve_homological(band, y0, min_divisor, context)
@@ -697,10 +679,10 @@ def _average(ham: NaturalHam, params: CoveringParams, y0, order: int, max_degree
         chis.append((j, chi))
     g_o, g_res, f_rem = [grades[0].like()], [grades[0].like()], [grades[0].like()]
     for j in range(1, order + 1):
-        osc, zero = grades[j].split(grades[j].K.any(axis=1), symmetric=True)
+        osc, zero = grades[j].split(grades[j].K.any(axis=1))
         g_o.append(zero)
         if k is not None:
-            line, osc = osc.split(_on_line(osc.K, k), symmetric=True)
+            line, osc = osc.split(_on_line(osc.K, k))
             g_res.append(line)
         f_rem.append(osc)
     return AveragedNF(

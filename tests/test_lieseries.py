@@ -34,8 +34,10 @@ from resoforge.lieseries import (
     solve_homological,
     verify_conjugacy,
 )
+from resoforge.standard_form import SecularHam
 from exact import U, gamma, report, sqrt_enclosure
-from reference import TWO_PI, add_term, averaging_cases, averaging_potential, from_rows, lie_step, on_ray
+from reference import (TWO_PI, add_term, averaging_cases, averaging_potential, from_rows, lie_step, on_ray,
+                       three_mode_standard_form)
 
 
 def series(n=2, y0=(0.7, 0.31), deg=2, cutoff=8):
@@ -66,7 +68,7 @@ def natural_grad(ham, y, x):
 class TestSeriesAlgebra:
     def test_kinetic_exact(self):
         rng = np.random.default_rng(0)
-        h = kinetic_series(2, np.array([0.7, 0.31]), 3, 6)
+        h = kinetic_series(np.array([0.7, 0.31]), 3, 6)
         for _ in range(20):
             y = rng.normal(size=2)
             assert h.evaluate(y, np.zeros(2)).real == pytest.approx(
@@ -270,12 +272,10 @@ def loop_poisson(F, G, ledger):
 
 
 def reference_poisson(F, G, ledger):
-    """{F, G} as the library defines it: `loop_poisson` unless F and G are
-    both exactly real.  Then S is `loop_poisson` over the terms of F with
-    k >= 0 (lexicographically), a zero-mode coefficient halved, and the
-    bracket is c_k = S_k + conj S_{-k}, with twice S's dropped mass."""
-    if reality_defect(F) or reality_defect(G):
-        return loop_poisson(F, G, ledger)
+    """{F, G} of real F and G as the library defines it: S is `loop_poisson`
+    over the terms of F with k >= 0 (lexicographically), a zero-mode
+    coefficient halved, and the bracket is c_k = S_k + conj S_{-k}, with
+    twice S's dropped mass."""
     half = RefSeries.of(F)._with({
         (k, m): c if any(k) else complex(0.5 * c.real, 0.5 * c.imag)
         for (k, m), c in F.terms.items() if k >= (0,) * F.n})
@@ -419,45 +419,26 @@ class TestArrayBracket:
         # n = 1: d = k1 m2 - k2 m1 reaches cutoff (deg + 1) at a kept key, from
         # (cutoff, m1) x (-cutoff, m2) with m1 + m2 = deg + 1: 2^15 at cutoff
         # 128, degree 255, which needs int32, and 128 = 2 cutoff deg at cutoff
-        # 64, degree 1, which int8 cannot hold; the bracket must equal the
-        # scalar loop byte for byte, and its real twin (the same rows and
-        # their mirrors) the half-pair reference
-        for mirrored in (False, True):
-            F = TaylorFourierSeries(1, np.array([0.3]), deg, cutoff)
-            G = TaylorFourierSeries(1, F.base_point, deg, cutoff)
-            rng = np.random.default_rng([cutoff, deg])
-            for S, edge in ((F, 1), (G, -1)):
-                rows = [((cutoff * edge,), ((deg + 1) // 2,), 0.75 - 0.5j)]
-                rows += [((int(k),), (int(m),), complex(rng.normal(), rng.normal()))
-                         for k, m in zip(rng.integers(-cutoff, cutoff + 1, 24), rng.integers(0, deg + 1, 24))]
-                rows += [((-k,), m, c.conjugate()) for (k,), m, c in rows if mirrored]
-                T = from_rows(S, rows)
-                S._store(T.K, T.M, T.C)
-                assert S.is_real == mirrored
-            led_out, led_ref = TruncationLedger(), TruncationLedger()
-            out, ref = F.poisson(G, led_out), reference_poisson(F, G, led_ref)
-            assert abs(out.terms[(0,), (2 * ((deg + 1) // 2) - 1,)]) > 0
-            assert exact_items(out) == exact_items(ref)
-            assert (reality_defect(out) == 0.0) == mirrored
-            assert_bracket_matches(out, ref, led_out, led_ref)
-            assert led_ref.by_grade[0] > 0
-
-    def test_an_unmatched_term_takes_the_general_bracket(self):
-        # a stored series is read for reality once from its rows: one term
-        # without its mirror makes it not real, and its bracket then runs over
-        # every term pair, as the scalar loop does
-        rng = np.random.default_rng(12)
-        F = random_real_series(rng, 2, 3, 5, 12)
-        G = random_real_series(rng, 2, 3, 5, 8)
-        G.base_point = F.base_point
-        assert F.is_real and G.is_real and ((2, 1), (1, 0)) not in F.terms
-        add_term(F, (2, 1), (1, 0), 0.5 - 0.25j)
-        assert ((-2, -1), (1, 0)) not in F.terms and not F.is_real
+        # 64, degree 1, which int8 cannot hold; on real rows (each with its
+        # mirror) the bracket must equal the half-pair reference byte for byte
+        F = TaylorFourierSeries(1, np.array([0.3]), deg, cutoff)
+        G = TaylorFourierSeries(1, F.base_point, deg, cutoff)
+        rng = np.random.default_rng([cutoff, deg])
+        for S, edge in ((F, 1), (G, -1)):
+            rows = [((cutoff * edge,), ((deg + 1) // 2,), 0.75 - 0.5j)]
+            rows += [((int(k),), (int(m),), complex(rng.normal(), rng.normal()))
+                     for k, m in zip(rng.integers(-cutoff, cutoff + 1, 24), rng.integers(0, deg + 1, 24))]
+            rows += [((-k,), m, c.conjugate()) for (k,), m, c in rows]
+            T = from_rows(S, rows)
+            S._store(T.K, T.M, T.C)
+            assert reality_defect(S) == 0.0
         led_out, led_ref = TruncationLedger(), TruncationLedger()
-        out, ref = F.poisson(G, led_out), loop_poisson(F, G, led_ref)
-        assert out._real is None and not out.is_real
+        out, ref = F.poisson(G, led_out), reference_poisson(F, G, led_ref)
+        assert abs(out.terms[(0,), (2 * ((deg + 1) // 2) - 1,)]) > 0
         assert exact_items(out) == exact_items(ref)
+        assert reality_defect(out) == 0.0
         assert_bracket_matches(out, ref, led_out, led_ref)
+        assert led_ref.by_grade[0] > 0
 
     def test_operands_of_another_algebra_are_refused(self):
         # a series about another base point or of another n is a different
@@ -540,12 +521,21 @@ class TestArrayBracket:
     def test_compiled_arrays_follow_in_place_writes(self):
         # `terms` and the arrays cannot be written; rebinding the rows, as
         # add_term does, drops the evaluator's tables, so the evaluator and
-        # the bracket both see what it adds
+        # the bracket both see what it adds (each term with its mirror, so F
+        # stays real)
         rng = np.random.default_rng(5)
         F = random_real_series(rng, 2, 3, 5, 12)
         G = random_real_series(rng, 2, 3, 5, 8)
         G.base_point = F.base_point
         y, x = F.base_point + 0.1, np.array([0.3, 1.1])
+
+        def add_real(k, m, c):
+            """Add c at (k, m) and, for k != 0, conj c at (-k, m); the change of F's value at (y, x)."""
+            rows = [(k, c)] + ([(tuple(-v for v in k), np.conj(c))] if any(k) else [])
+            for kk, cc in rows:
+                add_term(F, kk, m, cc)
+            return sum(cc * np.prod((y - F.base_point) ** np.array(m)) * np.exp(1j * np.dot(kk, x)) for kk, cc in rows)
+
         before = F.evaluate(y, x)            # the evaluator's tables are built now
         (k, m), c = next(iter(F.terms.items()))
         with pytest.raises(TypeError):
@@ -555,17 +545,18 @@ class TestArrayBracket:
         with pytest.raises(ValueError):
             F.C[0] = c + 0.25
         assert F.evaluate(y, x) == before
-        add_term(F, k, m, 0.25)               # same length, one new coefficient
-        after = before + 0.25 * np.prod((y - F.base_point) ** np.array(m)) * np.exp(1j * np.dot(k, x))
+        after = before + add_real(k, m, 0.25)  # same length, new coefficients
+        assert reality_defect(F) == 0.0
         assert F.evaluate(y, x) == pytest.approx(after, rel=1e-14)
         led_out, led_ref = TruncationLedger(), TruncationLedger()
         assert_bracket_matches(F.poisson(G, led_out), reference_poisson(F, G, led_ref),
                                led_out, led_ref)
-        # a new key is one more row, seen by both as well
+        # a new key and its mirror are two more rows, seen by both as well
         k_new, m_new = (0, 5), (1, 0)
-        assert (k_new, m_new) not in F.terms
-        add_term(F, k_new, m_new, 0.5)
-        after += 0.5 * (y - F.base_point)[0] * np.exp(1j * 5 * x[1])
+        assert (k_new, m_new) not in F.terms and ((0, -5), m_new) not in F.terms
+        rows = len(F.C)
+        after += add_real(k_new, m_new, 0.5)
+        assert len(F.C) == rows + 2 and reality_defect(F) == 0.0
         assert F.evaluate(y, x) == pytest.approx(after, rel=1e-14)
         led_out, led_ref = TruncationLedger(), TruncationLedger()
         assert_bracket_matches(F.poisson(G, led_out), reference_poisson(F, G, led_ref),
@@ -778,7 +769,7 @@ class TestHomological:
     def test_bracket_with_kinetic_cancels_band(self):
         # {h, chi} + B vanishes within the retained degrees
         y0 = np.array([0.7, 0.31])
-        h = kinetic_series(2, y0, 4, 6)
+        h = kinetic_series(y0, 4, 6)
         B = series(deg=4, cutoff=6)
         add_term(B, (1, 1), (0, 0), 0.5)
         add_term(B, (-1, -1), (0, 0), 0.5)
@@ -1099,8 +1090,8 @@ class TestArrayStorage:
     @pytest.mark.parametrize("seed, k", [(1, (1, 1)), (2, (1, -1)), (3, (1, 2))])
     def test_every_series_of_the_steps_is_exactly_real(self, seed, k, monkeypatch):
         # on the same draws at orders 2-5, every bracket's operands and result,
-        # every grade, chi, g_o, g_res and f_rem carry the reality flag and
-        # are exactly real, so each bracket takes half its term pairs
+        # every grade, chi, g_o, g_res and f_rem are exactly real, as the
+        # bracket's half of the term pairs needs
         brackets = []
 
         def poisson(F, G, ledger=None):
@@ -1114,8 +1105,43 @@ class TestArrayStorage:
                 nf = lie_step(NaturalHam(2, 1e-3, f), kk, params, y0, order=order, max_degree=3)
                 built = [nf.kinetic, *nf.g_o, *nf.f_rem, *(nf.g_res or []), *(c for _j, c in nf.chi)]
                 for S in built + [S for triple in brackets for S in triple]:
-                    assert S._real is True and reality_defect(S) == 0.0
+                    assert reality_defect(S) == 0.0
                 brackets.clear()
+
+    @pytest.mark.parametrize("phase", [0.0, 0.9])
+    def test_every_series_of_the_reduction_is_exactly_real(self, phase, monkeypatch):
+        # the reduction's brackets (its resonant averaging) and sums rest on
+        # the same invariant: every series held by `_store`, which `_with` and
+        # __init__ both end in, while the three-mode standard form is built is
+        # exactly real; among them the secular form's g_o_series and g_series
+        # and the two series whose majorants bound |Gf - Gbar| (g_o_series and
+        # the difference g - pi_k g)
+        made, read, secular = [], [], []
+        store, majorant = TaylorFourierSeries._store, TaylorFourierSeries.majorant
+        from_averaged = SecularHam.from_averaged
+
+        def spy_store(S, K, M, C):
+            made.append(S)
+            return store(S, K, M, C)
+
+        def spy_majorant(S, r, s_width):
+            read.append(S)
+            return majorant(S, r, s_width)
+
+        def spy_secular(cls, nf, um):
+            secular.append(from_averaged(nf, um))
+            return secular[-1]
+
+        monkeypatch.setattr(TaylorFourierSeries, "_store", spy_store)
+        monkeypatch.setattr(TaylorFourierSeries, "majorant", spy_majorant)
+        monkeypatch.setattr(SecularHam, "from_averaged", classmethod(spy_secular))
+        three_mode_standard_form(phase)
+        g_o, g = secular[0].g_o_series, secular[0].g_series
+        assert len(secular) == 1 and len(read) == 2 and read[0] is g_o
+        for S in (g_o, g, read[1]):
+            assert not S.is_empty and any(S is T for T in made)
+        for S in made:
+            assert reality_defect(S) == 0.0
 
     def test_exact_cancellation_zero_parts_and_empty_operands(self):
         rng = np.random.default_rng(11)
@@ -1249,7 +1275,7 @@ class TestSlotOrder:
             for j in range(n):
                 rows += [(zero, e[j], float(y0[j])), (zero, [2 * v for v in e[j]], 0.5)]
             for deg, cutoff in ((2, 0), (3, 4)):
-                got, want = kinetic_series(n, y0, deg, cutoff), from_rows(series(n, y0, deg, cutoff), rows)
+                got, want = kinetic_series(y0, deg, cutoff), from_rows(series(n, y0, deg, cutoff), rows)
                 assert exact_bytes(got) == exact_bytes(want)
         gens = generators(n, 7)
         modes = gens + [tuple(j * v for v in gens[0]) for j in (2, 5, 7)]

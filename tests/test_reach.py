@@ -25,6 +25,10 @@ to_dict, and two overrides do not keep each other reached.  A member or field is
 known by its name alone, so one that shares its name with a reached
 attribute of another object is not seen.
 
+A parameter is read the same way: one that no body loads, the def's own or
+a nested def's, is passed for nothing, and fails a static row unless it is
+listed in UNREAD_PARAMETERS with the reason it stays.
+
 So the static half covers names and dataclass fields, and a dynamic half
 covers every def that is entered: run as a script,
 
@@ -53,6 +57,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # a def that only some inputs reach -> the input that reaches it
 INPUT_DEPENDENT = {
     "morse._squarefree": "a multiple zero of a census row (tests/test_morse.py, a double zero)",
+}
+
+
+# a parameter that no body reads -> why it stays
+UNREAD_PARAMETERS = {
+    "genericity.empirical_genericity.s": "perfbench/workloads.py passes it (ROADMAP item 13)",
+    "standard_form.characteristics.um": "perfbench/workloads.py passes it (ROADMAP item 13)",
 }
 
 
@@ -195,6 +206,30 @@ def _defs(path):
 
     walk(ast.parse(path.read_text()), path.stem + ".")
     return out
+
+
+def unread_parameters(root=ROOT):
+    """Sorted "module.Class.name.parameter" of every parameter of a def under
+    root/src/resoforge/*.py, nested defs included, that its body, nested
+    defs and lambdas included, never loads; the first parameter of a method
+    (self or cls, which Python binds) is not counted."""
+    out = []
+
+    def walk(node, prefix):
+        for sub in ast.iter_child_nodes(node):
+            scope = isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if scope and not isinstance(sub, ast.ClassDef):
+                a = sub.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+                loaded = {name.id for name in ast.walk(sub)
+                          if isinstance(name, ast.Name) and not isinstance(name.ctx, ast.Store)}
+                out.extend(f"{prefix}{sub.name}.{p}"
+                           for p in params[isinstance(node, ast.ClassDef):] if p not in loaded)
+            walk(sub, prefix + sub.name + "." if scope else prefix)
+
+    for path in sorted((root / "src" / "resoforge").glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem + ".")
+    return sorted(out)
 
 
 def never_entered(run, root=ROOT):
@@ -364,6 +399,28 @@ def test_super_call_reaches_the_base_member_alone(tmp_path):
     # a live to_dict call reaches every to_dict, and so every printed field
     (tmp_path / "perfbench" / "run.py").write_text("from resoforge.a import build, encode\nencode(build())\n")
     assert unreached_names(tmp_path) == []
+
+
+def test_every_parameter_is_read():
+    # and every listed exception is still unread, so the list stays exact
+    found = unread_parameters()
+    assert found == sorted(UNREAD_PARAMETERS), (
+        "read by no body: " + ", ".join(sorted(set(found) - set(UNREAD_PARAMETERS)))
+        + "; listed but read: " + ", ".join(sorted(set(UNREAD_PARAMETERS) - set(found))))
+
+
+def test_parameter_scan_finds_the_unread_one(tmp_path):
+    # x is read by a nested def, *args and **kw by the body, and self is
+    # bound by Python: only unread is flagged
+    (tmp_path / "src" / "resoforge").mkdir(parents=True)
+    (tmp_path / "src" / "resoforge" / "a.py").write_text(
+        "def outer(x, unread, *args, **kw):\n"
+        "    def inner(y):\n        return x + y + len(args) + len(kw)\n"
+        "    return inner\n"
+        "class Box:\n"
+        "    def size(self, scale=2):\n        return (lambda: scale)()\n"
+    )
+    assert unread_parameters(tmp_path) == ["a.outer.unread"]
 
 
 def test_dynamic_scan_finds_every_def_never_entered(tmp_path, monkeypatch):
