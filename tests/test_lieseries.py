@@ -458,6 +458,7 @@ class TestArrayBracket:
         # truncation fits into a larger one
         G = series(y0=(0.0, 0.0), deg=2, cutoff=3)
         add_term(G, (0, 1), (1, 0), 2.0)
+        add_term(G, (0, -1), (1, 0), 2.0)
         assert F.plus(G).terms[(0, 1), (1, 0)] == 2.0
         assert not F.poisson(G).is_empty
 
